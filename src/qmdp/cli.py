@@ -33,7 +33,6 @@ from .hard_instances import (
 from .mdp import (
     Mdp,
     bellman_backup,
-    exact_value_iteration,
     expected_next_value,
     load_mdp_json,
     mdp_from_dict,
@@ -84,6 +83,28 @@ def load_config(path) -> dict:
     return doc
 
 
+def _check_number(doc: dict, key: str, where: str, integer: bool = False,
+                  required: bool = True) -> None:
+    """Raise ConfigError unless doc[key] is a number (an integer when asked);
+    JSON booleans are not numbers here.  ``where`` prefixes the entry's path."""
+    if key not in doc:
+        if required:
+            raise ConfigError(f"{where}{key} is required")
+        return
+    value = doc[key]
+    kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        kind = "an integer" if integer else "a number"
+        raise ConfigError(f"{where}{key} must be {kind}, got {value!r}")
+
+
+def _check_block(doc: dict, key: str, where: str) -> dict:
+    block = doc[key]
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where}{key} must be an object, got {block!r}")
+    return block
+
+
 def validate_config(doc: dict, source: str = "<config>") -> None:
     if not isinstance(doc, dict):
         raise ConfigError(f"{source}: config must be a JSON object")
@@ -101,30 +122,48 @@ def validate_config(doc: dict, source: str = "<config>") -> None:
         raise ConfigError(f"{source}: missing 'solver' object with a 'name'")
     if solver["name"] not in SOLVER_NAMES:
         raise ConfigError(f"{source}: solver.name must be one of {SOLVER_NAMES}")
-    for key in ("eps", "delta"):
-        if key not in solver:
-            raise ConfigError(f"{source}: solver.{key} is required")
+    for key in ("eps", "delta", "b", "c", "c_max"):
+        _check_number(solver, key, f"{source}: solver.", required=key in ("eps", "delta"))
+    if not isinstance(solver.get("mode", ""), str):
+        raise ConfigError(f"{source}: solver.mode must be a string, got {solver['mode']!r}")
     if "seed" not in doc:
         raise ConfigError(f"{source}: top-level 'seed' is required")
+    _check_number(doc, "seed", f"{source}: ", integer=True)
+    if not isinstance(doc.get("estimator") or {}, dict):
+        raise ConfigError(f"{source}: estimator must be an object, got {doc['estimator']!r}")
 
 
 def build_instance(instance: dict, source: str = "<config>") -> tuple[Mdp, dict | None]:
     """Materialize the MDP named by an instance block; returns provenance for
-    generated instances."""
+    generated instances.  Missing or mistyped entries raise ConfigError."""
+    where = f"{source}: instance."
     if "path" in instance:
+        if not isinstance(instance["path"], str):
+            raise ConfigError(f"{where}path must be a string, got {instance['path']!r}")
         return load_mdp_json(instance["path"]), None
     if "mdp" in instance:
-        return mdp_from_dict(instance["mdp"], source=f"{source}:instance.mdp"), None
+        block = _check_block(instance, "mdp", where)
+        return mdp_from_dict(block, source=f"{source}:instance.mdp"), None
     if "two_state" in instance:
-        doc = instance["two_state"]
+        doc = _check_block(instance, "two_state", where)
+        for key in ("gamma", "p"):
+            _check_number(doc, key, f"{where}two_state.")
         mdp = two_state_chain(doc["gamma"], doc["p"])
         return mdp, {"two_state": doc}
-    doc = dict(instance["hard_instance"])
+    doc = _check_block(instance, "hard_instance", where)
+    where += "hard_instance."
+    for key in ("gamma", "num_actions", "eps", "c_alpha", "copies"):
+        _check_number(doc, key, where, integer=key in ("num_actions", "copies"),
+                      required=key in ("gamma", "num_actions", "eps"))
+    arms = doc.get("large_arms", [])
+    if not isinstance(arms, list) or any(
+            isinstance(a, bool) or not isinstance(a, (int, np.integer)) for a in arms):
+        raise ConfigError(f"{where}large_arms must be a list of integers, got {arms!r}")
     spec = HardInstanceSpec(
         gamma=doc["gamma"],
         num_actions=doc["num_actions"],
         eps=doc["eps"],
-        large_arms=frozenset(doc.get("large_arms", [])),
+        large_arms=frozenset(arms),
         c_alpha=doc.get("c_alpha", 9.0),
         copies=doc.get("copies", 1),
     )
@@ -162,9 +201,10 @@ def sandwich_success(mdp: Mdp, report: SolveReport, eps: float) -> bool:
     """Ground-truth success check against the exact solver.
 
     Monotone solvers: the full sandwich (value, and Q when reported).  The
-    plain sampled baseline only claims |v_hat - v*| <= eps.
+    plain sampled baseline only claims |v_hat - v*| <= eps.  The optimum is
+    computed once per instance (``Mdp.optimum``) and shared by every seed.
     """
-    v_star, _, q_star = exact_value_iteration(mdp, tol=1e-10)
+    v_star, _, q_star = mdp.optimum
     if report.solver.startswith("sampled"):
         return bool(np.abs(report.v_hat - v_star).max() <= eps)
     v_pi = policy_value_exact(mdp, report.pi_hat)

@@ -63,12 +63,26 @@ class EstimatorConfig:
     phase_bits: int | None = None  # statevector override; None = derived from accuracy
 
     def __post_init__(self):
-        if self.c1 <= 0 or self.c2 <= 0:
-            raise PreconditionError("cost constants c1, c2 must be positive")
+        if not (0.0 < self.c1 < math.inf and 0.0 < self.c2 < math.inf):
+            raise PreconditionError("cost constants c1, c2 must be positive and finite")
         if self.mock_failure_mode not in ("adversarial_edge", "uniform_noise"):
             raise PreconditionError(f"unknown failure mode {self.mock_failure_mode!r}")
         if self.backend not in (BACKEND_MOCK, BACKEND_STATEVECTOR):
             raise PreconditionError(f"unknown backend {self.backend!r}")
+        # a planted failure at scale <= 1 would land inside the promised radius
+        if not (1.0 < self.adversarial_scale < math.inf):
+            raise PreconditionError(
+                f"adversarial_scale must be finite and above 1, got {self.adversarial_scale!r}"
+            )
+        if self.phase_bits is not None and not (
+            isinstance(self.phase_bits, (int, np.integer))
+            and not isinstance(self.phase_bits, bool)
+            and 1 <= self.phase_bits <= MAX_PHASE_BITS
+        ):
+            raise PreconditionError(
+                f"phase_bits must be None or an integer in [1, {MAX_PHASE_BITS}], "
+                f"got {self.phase_bits!r}"
+            )
 
     def to_dict(self) -> dict:
         return {

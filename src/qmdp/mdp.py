@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,6 +40,7 @@ __all__ = [
 
 _ROW_SUM_TOL = 1e-12
 _VARIANCE_CLAMP = -1e-12
+OPTIMUM_TOL = 1e-10  # max-norm certificate of the ground truth held by Mdp.optimum
 
 
 @dataclass(frozen=True)
@@ -51,8 +53,10 @@ class Mdp:
     discount: float
 
     def __post_init__(self):
-        p = np.ascontiguousarray(np.asarray(self.transitions, dtype=float))
-        r = np.ascontiguousarray(np.asarray(self.rewards, dtype=float))
+        # own copies: no view the caller keeps can change a frozen instance
+        # (or its cached optimum), and the caller's arrays stay writable
+        p = np.array(self.transitions, dtype=float, order="C")
+        r = np.array(self.rewards, dtype=float, order="C")
         if p.ndim != 3 or p.shape[0] != p.shape[2]:
             raise ConfigError(f"transitions must have shape (S, A, S), got {p.shape}")
         if r.shape != p.shape[:2]:
@@ -61,6 +65,11 @@ class Mdp:
             )
         if p.shape[0] < 1 or p.shape[1] < 1:
             raise ConfigError("need at least one state and one action")
+        for name, arr in (("transitions", p), ("rewards", r)):
+            if not np.all(np.isfinite(arr)):
+                idx = tuple(int(i) for i in np.argwhere(~np.isfinite(arr))[0])
+                path = "".join(f"[{i}]" for i in idx)
+                raise ConfigError(f"{name}{path} = {arr[idx]} is not finite")
         if not (0.0 <= self.discount < 1.0):
             raise ConfigError(f"discount must be in [0, 1), got {self.discount}")
         if np.any(p < 0.0) or np.any(p > 1.0):
@@ -94,6 +103,19 @@ class Mdp:
     def effective_horizon(self) -> float:
         """Gamma-horizon 1 / (1 - gamma); also the value-scale upper bound."""
         return 1.0 / (1.0 - self.discount)
+
+    @cached_property
+    def optimum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(v*, pi*, q*) of :func:`exact_value_iteration` at ``OPTIMUM_TOL``.
+
+        Computed on first use and kept, read-only, on this instance: the
+        instance is frozen and its arrays are read-only, so every solve
+        checked against it shares one ground truth.
+        """
+        out = exact_value_iteration(self, tol=OPTIMUM_TOL)
+        for arr in out:
+            arr.setflags(write=False)
+        return out
 
     def flat_transitions(self) -> np.ndarray:
         """(S*A, S) view of the transition tensor, rows in row-major (s, a)."""
@@ -234,7 +256,7 @@ def mdp_from_dict(doc: dict, source: str = "<mdp>") -> Mdp:
         if key not in doc:
             raise ConfigError(f"{source}: missing required key '{key}'")
     s, a = doc["S"], doc["A"]
-    if not (isinstance(s, int) and isinstance(a, int) and s >= 1 and a >= 1):
+    if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in (s, a)):
         raise ConfigError(f"{source}: S and A must be positive integers")
     try:
         p = np.asarray(doc["p"], dtype=float)
@@ -245,8 +267,11 @@ def mdp_from_dict(doc: dict, source: str = "<mdp>") -> Mdp:
         raise ConfigError(f"{source}: p has shape {p.shape}, expected ({s}, {a}, {s})")
     if r.shape != (s, a):
         raise ConfigError(f"{source}: r has shape {r.shape}, expected ({s}, {a})")
+    gamma = doc["gamma"]
+    if isinstance(gamma, bool) or not isinstance(gamma, (int, float)):
+        raise ConfigError(f"{source}: gamma must be a number, got {gamma!r}")
     try:
-        return Mdp(transitions=p, rewards=r, discount=float(doc["gamma"]))
+        return Mdp(transitions=p, rewards=r, discount=float(gamma))
     except ConfigError as exc:
         raise ConfigError(f"{source}: {exc}") from exc
 

@@ -108,8 +108,6 @@ class SampleOracle:
         self.seed = int(seed)
         self.ledger = ledger if ledger is not None else QueryLedger()
         self._calls = 0
-        # per-row CDFs for fast inverse-transform sampling
-        self._cdf = np.cumsum(mdp.transitions, axis=2)
 
     def _next_rng(self) -> np.random.Generator:
         rng = derived_rng(self.seed, "call", self._calls)
@@ -126,7 +124,8 @@ class SampleOracle:
         """One successor draw; charges one classical sample."""
         self._check_indices(s, a)
         u = self._next_rng().random()
-        successor = int(np.searchsorted(self._cdf[s, a], u, side="right"))
+        cdf = np.cumsum(self.mdp.transitions[s, a])  # inverse-transform sampling
+        successor = int(np.searchsorted(cdf, u, side="right"))
         successor = min(successor, self.mdp.num_states - 1)  # guard u == 1.0 edge
         self.ledger.charge_classical(1, phase)
         return successor

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -135,6 +136,58 @@ class TestSolveCommand:
         cfg = write_config(tmp_path, doc)
         assert main(["solve", "--config", str(cfg), "--out",
                      str(tmp_path / "r.json")]) == 2
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda d: d["solver"].update(eps="abc"), r"solver\.eps must be a number, got 'abc'"),
+        (lambda d: d.update(seed="x"), r"seed must be an integer, got 'x'"),
+        (lambda d: d["instance"]["hard_instance"].pop("num_actions"),
+         r"instance\.hard_instance\.num_actions is required"),
+        (lambda d: d.update(seed=True), r"seed must be an integer, got True"),
+        (lambda d: d.update(seed=1.5), r"seed must be an integer, got 1\.5"),
+        (lambda d: d["solver"].update(delta=False), r"solver\.delta must be a number"),
+        (lambda d: d["solver"].update(c_max="4"), r"solver\.c_max must be a number"),
+        (lambda d: d["instance"]["hard_instance"].update(gamma="0.9"),
+         r"instance\.hard_instance\.gamma must be a number"),
+        (lambda d: d["instance"]["hard_instance"].update(num_actions=2.0),
+         r"instance\.hard_instance\.num_actions must be an integer"),
+        (lambda d: d["instance"]["hard_instance"].update(large_arms=["a"]),
+         r"instance\.hard_instance\.large_arms must be a list of integers"),
+        (lambda d: d.update(instance={"two_state": {"gamma": 0.9}}),
+         r"instance\.two_state\.p is required"),
+        (lambda d: d.update(instance={"hard_instance": [0.9]}),
+         r"instance\.hard_instance must be an object"),
+        (lambda d: d.update(estimator=[1]), r"estimator must be an object"),
+        (lambda d: d.update(estimator={"adversarial_scale": 1.0}), r"adversarial_scale"),
+        (lambda d: d.update(estimator={"phase_bits": 0}), r"phase_bits"),
+        (lambda d: d.update(estimator={"c1": float("nan")}), r"c1, c2 must be positive and finite"),
+    ])
+    def test_malformed_config_exit_code(self, tmp_path, capsys, edit, message):
+        doc = fig_two_config()
+        edit(doc)
+        cfg = write_config(tmp_path, doc)
+        assert main(["solve", "--config", str(cfg), "--out",
+                     str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and re.search(message, err), err
+
+    @pytest.mark.parametrize("mdp_edit,message", [
+        (lambda m: m.update(gamma="x"), r"instance\.mdp: gamma must be a number, got 'x'"),
+        (lambda m: m.update(S=True), r"instance\.mdp: S and A must be positive integers"),
+        (lambda m: m["p"][0][0].__setitem__(0, float("nan")),
+         r"instance\.mdp: transitions\[0\]\[0\]\[0\] = nan is not finite"),
+        (lambda m: m["r"][1].__setitem__(1, float("nan")),
+         r"instance\.mdp: rewards\[1\]\[1\] = nan is not finite"),
+    ])
+    def test_malformed_inline_mdp_exit_code(self, tmp_path, capsys, mdp_edit, message):
+        doc = fig_two_config()
+        inline = {"S": 2, "A": 2, "gamma": 0.9, "r": [[0.5, 0.5], [0.5, 0.5]],
+                  "p": [[[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]]]}
+        mdp_edit(inline)
+        doc["instance"] = {"mdp": inline}
+        cfg = write_config(tmp_path, doc)
+        assert main(["solve", "--config", str(cfg), "--out",
+                     str(tmp_path / "r.json")]) == 2
+        assert re.search(message, capsys.readouterr().err)
 
     def test_internal_error_exit_code(self, tmp_path, monkeypatch):
         import qmdp.cli as cli_mod

@@ -169,6 +169,18 @@ class TestBoundedMeanMock:
         sigma = math.sqrt(delta * (1 - delta) / trials)
         assert abs(freq - (1 - delta)) <= 4 * sigma
 
+    @pytest.mark.parametrize("field,value", [("c1", 0.0), ("c1", math.nan), ("c2", math.inf),
+                                             ("c2", -1.0)])
+    def test_cost_constants_positive_and_finite(self, field, value):
+        with pytest.raises(PreconditionError, match="c1, c2"):
+            EstimatorConfig(**{field: value})
+
+    @pytest.mark.parametrize("scale", [1.0, 0.5, 0.0, -2.0, math.inf, math.nan])
+    def test_adversarial_scale_must_exceed_one(self, scale):
+        # at scale <= 1 a planted failure lands inside the promised radius
+        with pytest.raises(PreconditionError, match="adversarial_scale"):
+            EstimatorConfig(adversarial_scale=scale)
+
     def test_promise_violation_strict_raises(self):
         oracle = fresh_oracle(0.5, seed=6)
         with pytest.raises(PromiseViolationError):
@@ -228,6 +240,15 @@ class TestStatevectorBackend:
 
     def test_config_override(self):
         assert statevector_phase_bits(0.01, EstimatorConfig(phase_bits=10)) == 10
+
+    @pytest.mark.parametrize("bits", [0, -3, 25, True, 10.0, "10"])
+    def test_phase_bits_checked_at_construction(self, bits):
+        with pytest.raises(PreconditionError, match="phase_bits"):
+            EstimatorConfig(phase_bits=bits)
+
+    @pytest.mark.parametrize("bits", [1, 24, np.int64(12)])
+    def test_phase_bits_range_accepted(self, bits):
+        assert EstimatorConfig(phase_bits=bits).phase_bits == bits
 
     def test_bernoulli_soundness(self):
         # estimate E[v] on Bernoulli rows via amplitude estimation: the

@@ -75,6 +75,25 @@ class TestMdpValidation:
             uniform = np.full((1, 1, 1), 1.0)
             Mdp(transitions=uniform, rewards=np.zeros((1, 1)), discount=1.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_transition_names_the_index(self, value):
+        p = np.full((2, 2, 2), 0.5)
+        p[1, 0, 1] = value
+        with pytest.raises(ConfigError, match=r"transitions\[1\]\[0\]\[1\] = .*not finite"):
+            Mdp(transitions=p, rewards=np.zeros((2, 2)), discount=0.9)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_reward_names_the_index(self, value):
+        r = np.zeros((2, 2))
+        r[0, 1] = value
+        with pytest.raises(ConfigError, match=r"rewards\[0\]\[1\] = .*not finite"):
+            Mdp(transitions=np.full((2, 2, 2), 0.5), rewards=r, discount=0.9)
+
+    def test_nan_transition_message(self):
+        p = np.full((1, 1, 1), np.nan)
+        with pytest.raises(ConfigError, match=r"^transitions\[0\]\[0\]\[0\] = nan is not finite$"):
+            Mdp(transitions=p, rewards=np.zeros((1, 1)), discount=0.9)
+
     def test_effective_horizon(self):
         m = uniform_two_state()
         assert m.effective_horizon == pytest.approx(10.0)
