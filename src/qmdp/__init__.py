@@ -40,12 +40,10 @@ from .mdp import (
     total_variance_norm,
 )
 from .oracle import (
-    AmplitudeOracle,
     DyadicMdp,
     DyadicRow,
     QueryLedger,
     SampleOracle,
-    build_amplitude_oracle,
     quantize_mdp,
     quantize_row,
     reversible_successor_map,

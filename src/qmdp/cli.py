@@ -40,7 +40,7 @@ from .mdp import (
     policy_value_exact,
     total_variance_norm,
 )
-from .oracle import SampleOracle, build_amplitude_oracle, quantize_mdp
+from .oracle import SampleOracle, quantize_mdp
 from .rng import derived_rng
 from .solvers import (
     MaxFindingParams,
@@ -85,8 +85,9 @@ def load_config(path) -> dict:
 
 def _check_number(doc: dict, key: str, where: str, integer: bool = False,
                   required: bool = True) -> None:
-    """Raise ConfigError unless doc[key] is a number (an integer when asked);
-    JSON booleans are not numbers here.  ``where`` prefixes the entry's path."""
+    """Raise ConfigError unless doc[key] is a finite number (an integer when
+    asked); JSON booleans are not numbers here, and JSON's NaN and Infinity
+    are not finite.  ``where`` prefixes the entry's path."""
     if key not in doc:
         if required:
             raise ConfigError(f"{where}{key} is required")
@@ -96,6 +97,8 @@ def _check_number(doc: dict, key: str, where: str, integer: bool = False,
     if isinstance(value, bool) or not isinstance(value, kinds):
         kind = "an integer" if integer else "a number"
         raise ConfigError(f"{where}{key} must be {kind}, got {value!r}")
+    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+        raise ConfigError(f"{where}{key} must be finite, got {value!r}")
 
 
 def _check_block(doc: dict, key: str, where: str) -> dict:
@@ -167,7 +170,7 @@ def build_instance(instance: dict, source: str = "<config>") -> tuple[Mdp, dict 
         c_alpha=doc.get("c_alpha", 9.0),
         copies=doc.get("copies", 1),
     )
-    mdp = tiled_instance(spec) if spec.copies > 1 else multi_arm_instance(spec)
+    mdp = tiled_instance(spec)
     return mdp, {"hard_instance": spec.provenance()}
 
 
@@ -406,11 +409,10 @@ def _suite_oracle_normalization(trials: int, seed: int):
         rng = derived_rng(seed, "oracle", i)
         mdp = _random_mdp(rng, max_states=6, max_actions=4)
         dyadic = quantize_mdp(mdp, m=10)
-        table = build_amplitude_oracle(dyadic)
         ok = True
         for s in range(mdp.num_states):
             for a in range(mdp.num_actions):
-                total = sum(table.probability_exact(s, a, t) for t in range(mdp.num_states))
+                total = sum(dyadic.probability_exact(s, a, t) for t in range(mdp.num_states))
                 ok &= total == Fraction(1)
         passed += ok
     return passed, trials
@@ -505,8 +507,7 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle_build(args) -> int:
     mdp = load_mdp_json(args.mdp)
-    dyadic = quantize_mdp(mdp, m=args.m)
-    build_amplitude_oracle(dyadic)  # validates exactness
+    dyadic = quantize_mdp(mdp, m=args.m)  # DyadicMdp validates exactness
     _write_json(dyadic.to_dict(), args.out)
     print(f"wrote {args.out}: m={args.m} max_distortion={dyadic.max_distortion:.3e}")
     return 0

@@ -22,13 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, PromiseViolationError
-from .mdp import Mdp, expected_next_value, successor_variance
+from .mdp import _check_value_vec, expected_next_value, successor_variance
 from .oracle import SampleOracle
-from .qsim import (
-    MAX_PHASE_BITS,
-    AmplitudeEstimationConfig,
-    amplitude_estimation_sample,
-)
+from .qsim import MAX_PHASE_BITS, AmplitudeEstimationConfig, median_amplitude_estimate
 
 __all__ = [
     "EstimatorConfig",
@@ -94,10 +90,6 @@ class EstimatorConfig:
             "phase_bits": self.phase_bits,
         }
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "EstimatorConfig":
-        return cls(**{k: doc[k] for k in doc})
-
 
 DEFAULT_CONFIG = EstimatorConfig()
 
@@ -144,19 +136,20 @@ def bounded_mean_charge(upper: float, eps: float, delta: float, cfg: EstimatorCo
     return base * amplification_reps(delta)
 
 
-def variance_mean_charge(sigma: float, eps: float, delta: float, cfg: EstimatorConfig = DEFAULT_CONFIG) -> int:
-    """Query charge of the variance-bounded quantum estimator.
+def variance_mean_charge(sigma, eps, delta: float, cfg: EstimatorConfig = DEFAULT_CONFIG) -> int:
+    """Query charge of the variance-bounded quantum estimator, summed over the
+    entries when sigma and eps are per-row arrays.
 
     The log factor is floored at log2(2) = 1 so the charge never vanishes
     when sigma/eps <= 2.
     """
-    if eps <= 0:
+    if not np.all(eps > 0):
         raise PreconditionError(f"eps must be positive, got {eps}")
-    if sigma <= 0:
+    if not np.all(sigma > 0):
         raise PreconditionError(f"sigma must be positive, got {sigma}")
-    ratio = sigma / eps
-    base = math.ceil(cfg.c2 * ratio * math.log2(max(ratio, 2.0)) ** 2)
-    return base * amplification_reps(delta)
+    ratio = np.divide(sigma, eps)
+    base = np.ceil(cfg.c2 * ratio * np.log2(np.maximum(ratio, 2.0)) ** 2)
+    return int(np.sum(base)) * amplification_reps(delta)
 
 
 def hoeffding_sample_count(upper: float, eps: float, delta: float) -> int:
@@ -185,33 +178,75 @@ def statevector_phase_bits(accuracy: float, cfg: EstimatorConfig = DEFAULT_CONFI
     )
 
 
-def _mock_draws(mu, eps, delta, cfg, rng, forced_fail=None):
-    """Contract-mock draw for an array of means (fixed draw order for
-    reproducibility across failure modes)."""
+def _check_args(eps, delta, upper=None, sigma=None) -> None:
+    """Raise PreconditionError naming the first scalar-estimator argument out
+    of its range; NaN lies outside every range."""
+    if not 0.0 < eps < math.inf:
+        raise PreconditionError(f"eps must be positive and finite, got {eps}")
+    if not 0.0 < delta < 1.0:
+        raise PreconditionError(f"delta must be in (0, 1), got {delta}")
+    if upper is not None and not 0.0 < upper < math.inf:
+        raise PreconditionError(f"upper must be positive and finite, got {upper}")
+    if sigma is not None and not 0.0 <= sigma < math.inf:
+        raise PreconditionError(f"sigma must be non-negative and finite, got {sigma}")
+
+
+def _range_violated(v: np.ndarray, upper: float, slack: float = 0.0) -> bool:
+    """True when the value map leaves [0, upper] by more than slack plus float fuzz."""
+    tol = slack + _PROMISE_TOL * max(1.0, upper)
+    return bool((v < -tol).any() or (v > upper + tol).any())
+
+
+def _variance_breached(var, sigma):
+    """Entries whose successor variance exceeds the promised sigma^2 beyond float fuzz."""
+    return var > sigma**2 + _PROMISE_TOL * np.maximum(1.0, sigma**2)
+
+
+def _estimate(mu, upper, eps, delta, cfg, rng, forced=False, sigma=None):
+    """Estimates of an array of means from one stream, drawn entry by entry
+    in row-major order.  Returns (estimates, failed, charge).
+
+    Range-bounded on [0, upper] unless ``sigma`` is given, which selects the
+    variance-bounded estimator (always contract mock, eps in (0, 4*sigma)).
+    Statevector backend: per entry, the median of amplification-reps
+    amplitude-estimation runs at the phase bits of the smallest eps, charged
+    by measured counts.  Contract mock: the true mean plus noise within eps,
+    or with probability delta a planted failure, charged by the stated
+    formula; the draw order is fixed across failure modes.  ``forced`` (a
+    voided promise) fails every entry.
+    """
+    if sigma is None and cfg.backend == BACKEND_STATEVECTOR:
+        t = statevector_phase_bits(float(np.min(eps)) / upper, cfg)
+        reps = amplification_reps(delta)
+        est = np.empty(np.shape(mu))
+        for i, a in enumerate(np.clip(mu / upper, 0.0, 1.0).flat):
+            ae = AmplitudeEstimationConfig(t, float(a))
+            est.flat[i] = upper * median_amplitude_estimate(ae, delta, rng, reps=reps)
+        return est, np.full(est.shape, forced), ((1 << t) - 1) * reps * est.size
+    if sigma is not None and (np.any(eps <= 0.0) or np.any(eps >= 4.0 * sigma)):
+        raise PreconditionError("variance-bounded estimator needs eps in (0, 4*sigma) per row")
     shape = np.shape(mu)
-    fail = rng.random(shape) < delta
+    fail = (rng.random(shape) < delta) | forced
     noise = rng.uniform(-1.0, 1.0, shape) * eps
     sign = np.where(rng.random(shape) < 0.5, -1.0, 1.0)
     spread = rng.uniform(-1.0, 1.0, shape)
-    if forced_fail is not None:
-        fail = fail | forced_fail
-    if cfg.mock_failure_mode == "adversarial_edge":
-        bad = cfg.adversarial_scale * eps * sign
-    else:
-        bad = cfg.adversarial_scale * eps * spread
-    return mu + np.where(fail, bad, noise), fail
+    planted = sign if cfg.mock_failure_mode == "adversarial_edge" else spread
+    est = mu + np.where(fail, cfg.adversarial_scale * eps * planted, noise)
+    if sigma is not None:
+        return est, fail, variance_mean_charge(sigma, eps, delta, cfg)
+    return est, fail, bounded_mean_charge(upper, float(np.min(eps)), delta, cfg) * est.size
 
 
-def _row(oracle: SampleOracle, s: int, a: int) -> np.ndarray:
+def _row_mean(oracle: SampleOracle, s: int, a: int, v: np.ndarray) -> np.ndarray:
+    """The one-entry means array (p_{s,a} . v) a scalar estimator estimates."""
     oracle._check_indices(s, a)
-    return oracle.mdp.transitions[s, a]
+    return np.array([oracle.mdp.transitions[s, a] @ v])
 
 
-def _check_value_map(mdp: Mdp, values) -> np.ndarray:
-    v = np.asarray(values, dtype=float)
-    if v.shape != (mdp.num_states,):
-        raise ValueError(f"value map must have shape ({mdp.num_states},), got {v.shape}")
-    return v
+# ---------------------------------------------------------------------------
+# Scalar APIs: one-row views of the core above, each drawing from the
+# oracle's call-counter stream.
+# ---------------------------------------------------------------------------
 
 
 def bounded_mean(
@@ -232,34 +267,19 @@ def bounded_mean(
     stated cost formula.  Statevector backend: simulated amplitude
     estimation with a median wrapper, charging measured counts.
     """
-    v = _check_value_map(oracle.mdp, values)
-    if eps <= 0:
-        raise PreconditionError(f"eps must be positive, got {eps}")
-    if not (0.0 < delta < 1.0):
-        raise PreconditionError(f"delta must be in (0, 1), got {delta}")
-    tol = _PROMISE_TOL * max(1.0, upper)
-    violated = bool(np.any(v < -tol) or np.any(v > upper + tol))
+    v = _check_value_vec(oracle.mdp, values, "value map")
+    _check_args(eps, delta, upper=upper)
+    violated = _range_violated(v, upper)
     if violated and strict:
         raise PromiseViolationError(
             f"value map outside [0, {upper}]: range [{v.min()}, {v.max()}]"
         )
-    mu = float(_row(oracle, s, a) @ v)
-    if cfg.backend == BACKEND_STATEVECTOR:
-        t = statevector_phase_bits(eps / upper, cfg)
-        reps = amplification_reps(delta)
-        ae = AmplitudeEstimationConfig(t, min(max(mu / upper, 0.0), 1.0))
-        draws = amplitude_estimation_sample(ae, oracle._next_rng(), size=reps)
-        value = upper * float(np.median(draws))
-        charged = ae.queries_per_run * reps
-        oracle.ledger.charge_quantum(charged, phase)
-        return MeanEstimate(value, eps, 1.0 - delta, charged, BACKEND_STATEVECTOR,
-                            promise_violated=violated)
-    est, failed = _mock_draws(mu, eps, delta, cfg, oracle._next_rng(),
-                              forced_fail=violated)
-    charged = bounded_mean_charge(upper, eps, delta, cfg)
+    est, failed, charged = _estimate(
+        _row_mean(oracle, s, a, v), upper, eps, delta, cfg, oracle._next_rng(), violated)
     oracle.ledger.charge_quantum(charged, phase)
-    return MeanEstimate(float(est), eps, 1.0 - delta, charged, BACKEND_MOCK,
-                        mock_failed=bool(failed), promise_violated=violated)
+    return MeanEstimate(float(est[0]), eps, 1.0 - delta, charged, cfg.backend,
+                        mock_failed=bool(failed[0]) and cfg.backend == BACKEND_MOCK,
+                        promise_violated=violated)
 
 
 def variance_bounded_mean(
@@ -281,19 +301,14 @@ def variance_bounded_mean(
     truth on perfectly healthy runs.  Always contract-mock: the variance-
     bounded estimator's internals are out of simulation scope.
     """
-    v = _check_value_map(oracle.mdp, values)
-    if not (0.0 < eps < 4.0 * sigma):
-        raise PreconditionError(f"eps must lie in (0, 4*sigma) = (0, {4.0 * sigma}), got {eps}")
-    if not (0.0 < delta < 1.0):
-        raise PreconditionError(f"delta must be in (0, 1), got {delta}")
-    true_var = float(successor_variance(oracle.mdp, v)[s, a])
-    violated = true_var > sigma**2 + _PROMISE_TOL * max(1.0, sigma**2)
-    est, failed = _mock_draws(float(_row(oracle, s, a) @ v), eps, delta, cfg,
-                              oracle._next_rng())
-    charged = variance_mean_charge(sigma, eps, delta, cfg)
+    v = _check_value_vec(oracle.mdp, values, "value map")
+    _check_args(eps, delta, sigma=sigma)
+    est, failed, charged = _estimate(_row_mean(oracle, s, a, v), None, eps, delta, cfg,
+                                     oracle._next_rng(), sigma=sigma)
     oracle.ledger.charge_quantum(charged, phase)
-    return MeanEstimate(float(est), eps, 1.0 - delta, charged, BACKEND_MOCK,
-                        mock_failed=bool(failed), promise_violated=violated)
+    breached = _variance_breached(successor_variance(oracle.mdp, v)[s, a], sigma)
+    return MeanEstimate(float(est[0]), eps, 1.0 - delta, charged, BACKEND_MOCK,
+                        mock_failed=bool(failed[0]), promise_violated=bool(breached))
 
 
 def hoeffding_mean(
@@ -307,13 +322,12 @@ def hoeffding_mean(
     phase: str | None = None,
 ) -> MeanEstimate:
     """Empirical mean from the Hoeffding sample count; draws real samples."""
-    v = _check_value_map(oracle.mdp, values)
+    v = _check_value_vec(oracle.mdp, values, "value map")
+    _check_args(eps, delta, upper=upper)
     n = hoeffding_sample_count(upper, eps, delta)
     counts = oracle.sample_counts(s, a, n, phase)
-    tol = _PROMISE_TOL * max(1.0, upper)
-    violated = bool(np.any(v < -tol) or np.any(v > upper + tol))
-    return MeanEstimate(float(counts @ v / n), eps, 1.0 - delta, n,
-                        "classical_hoeffding", promise_violated=violated)
+    return MeanEstimate(float(counts @ v / n), eps, 1.0 - delta, n, "classical_hoeffding",
+                        promise_violated=_range_violated(v, upper))
 
 
 def bernstein_mean(
@@ -328,19 +342,19 @@ def bernstein_mean(
     phase: str | None = None,
 ) -> MeanEstimate:
     """Empirical mean from the Bernstein sample count; draws real samples."""
-    v = _check_value_map(oracle.mdp, values)
+    v = _check_value_vec(oracle.mdp, values, "value map")
+    _check_args(eps, delta, upper=upper, sigma=sigma)
     n = bernstein_sample_count(upper, sigma, eps, delta)
     counts = oracle.sample_counts(s, a, n, phase)
-    true_var = float(successor_variance(oracle.mdp, v)[s, a])
-    violated = true_var > sigma**2 + _PROMISE_TOL * max(1.0, sigma**2)
-    return MeanEstimate(float(counts @ v / n), eps, 1.0 - delta, n,
-                        "classical_bernstein", promise_violated=violated)
+    breached = _variance_breached(successor_variance(oracle.mdp, v)[s, a], sigma)
+    return MeanEstimate(float(counts @ v / n), eps, 1.0 - delta, n, "classical_bernstein",
+                        promise_violated=bool(breached))
 
 
 # ---------------------------------------------------------------------------
 # Batched internals used by the solvers.  One call estimates (P v)[s, a] for
 # every (s, a) at once from a single derived stream, drawing entries in
-# row-major order; the scalar APIs above share the same draw core.
+# row-major order through the same core as the scalar APIs.
 # ---------------------------------------------------------------------------
 
 
@@ -361,27 +375,9 @@ def batch_bounded_mock(
     of every estimate in the batch; those estimates are flagged and drawn
     from the failure distribution.  Returns (estimates, failed, violated).
     """
-    mdp = oracle.mdp
-    mu = expected_next_value(mdp, value_map)
-    tol = promise_slack + _PROMISE_TOL * max(1.0, upper)
-    violated = bool(value_map.min() < -tol or value_map.max() > upper + tol)
-    forced = np.full(mu.shape, violated)
-    if cfg.backend == BACKEND_STATEVECTOR:
-        eps_scalar = float(np.min(eps))
-        t = statevector_phase_bits(eps_scalar / upper, cfg)
-        reps = amplification_reps(delta)
-        est = np.empty_like(mu)
-        a_clip = np.clip(mu / upper, 0.0, 1.0)
-        for s in range(mdp.num_states):
-            for a in range(mdp.num_actions):
-                ae = AmplitudeEstimationConfig(t, float(a_clip[s, a]))
-                est[s, a] = upper * float(np.median(
-                    amplitude_estimation_sample(ae, rng, size=reps)))
-        charged = ((1 << t) - 1) * reps * mu.size
-        oracle.ledger.charge_quantum(charged, phase)
-        return est, forced.copy(), violated
-    est, failed = _mock_draws(mu, eps, delta, cfg, rng, forced_fail=forced)
-    charged = bounded_mean_charge(upper, float(np.min(eps)), delta, cfg) * mu.size
+    violated = _range_violated(value_map, upper, promise_slack)
+    est, failed, charged = _estimate(
+        expected_next_value(oracle.mdp, value_map), upper, eps, delta, cfg, rng, violated)
     oracle.ledger.charge_quantum(charged, phase)
     return est, failed, violated
 
@@ -401,15 +397,8 @@ def batch_variance_mock(
     Returns (estimates, failed, n_variance_promise_breaches); breaches are
     diagnostics, not failures (see variance_bounded_mean).
     """
-    mdp = oracle.mdp
-    if np.any(eps <= 0.0) or np.any(eps >= 4.0 * sigma):
-        raise PreconditionError("variance-bounded estimator needs eps in (0, 4*sigma) per row")
-    mu = expected_next_value(mdp, value_map)
-    true_var = successor_variance(mdp, value_map)
-    breaches = int(np.sum(true_var > sigma**2 + _PROMISE_TOL * np.maximum(1.0, sigma**2)))
-    est, failed = _mock_draws(mu, eps, delta, cfg, rng)
-    ratio = sigma / eps
-    base = np.ceil(cfg.c2 * ratio * np.log2(np.maximum(ratio, 2.0)) ** 2)
-    charged = int(base.sum()) * amplification_reps(delta)
+    est, failed, charged = _estimate(
+        expected_next_value(oracle.mdp, value_map), None, eps, delta, cfg, rng, sigma=sigma)
     oracle.ledger.charge_quantum(charged, phase)
-    return est, failed, breaches
+    breached = _variance_breached(successor_variance(oracle.mdp, value_map), sigma)
+    return est, failed, int(breached.sum())

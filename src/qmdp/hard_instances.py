@@ -16,7 +16,7 @@ Theta(eps/horizon^2) scaling.  The constant stays selectable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -120,16 +120,9 @@ def two_state_chain(gamma: float, p: float) -> Mdp:
 
 def multi_arm_instance(spec: HardInstanceSpec) -> Mdp:
     """Source with one arm per action: large arms return with p0 + alpha, the
-    rest with p0; the sink absorbs with zero reward under every action."""
-    a_n = spec.num_actions
-    transitions = np.zeros((2, a_n, 2))
-    for a in range(a_n):
-        p = spec.arm_probability(a)
-        transitions[0, a] = (p, 1.0 - p)
-        transitions[1, a] = (0.0, 1.0)
-    rewards = np.zeros((2, a_n))
-    rewards[0, :] = 1.0
-    return Mdp(transitions=transitions, rewards=rewards, discount=spec.gamma)
+    rest with p0; the sink absorbs with zero reward under every action.
+    The single-copy :func:`tiled_instance`, whatever ``spec.copies`` says."""
+    return tiled_instance(replace(spec, copies=1))
 
 
 def tiled_instance(spec: HardInstanceSpec, large_arms_per_copy=None) -> Mdp:

@@ -141,6 +141,13 @@ def _check_policy(mdp: Mdp, pi: np.ndarray) -> np.ndarray:
     return pi.astype(np.int64)
 
 
+def _policy_rows(mdp: Mdp, pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P_pi, r_pi): the (S, S) transition rows and the rewards pi selects."""
+    idx = np.arange(mdp.num_states)
+    pi = _check_policy(mdp, pi)
+    return mdp.transitions[idx, pi, :], mdp.rewards[idx, pi]
+
+
 def expected_next_value(mdp: Mdp, v: np.ndarray) -> np.ndarray:
     """One-step expectation of v under every row: out[s, a] = p_{s,a} . v."""
     v = _check_value_vec(mdp, v)
@@ -170,19 +177,14 @@ def bellman_backup(mdp: Mdp, v: np.ndarray) -> np.ndarray:
 
 def policy_backup(mdp: Mdp, pi: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Backup under a fixed policy; a gamma-contraction with fixed point v^pi."""
-    pi = _check_policy(mdp, pi)
+    p_pi, r_pi = _policy_rows(mdp, pi)
     v = _check_value_vec(mdp, v)
-    idx = np.arange(mdp.num_states)
-    p_pi = mdp.transitions[idx, pi, :]  # (S, S)
-    return mdp.rewards[idx, pi] + mdp.discount * (p_pi @ v)
+    return r_pi + mdp.discount * (p_pi @ v)
 
 
 def policy_value_exact(mdp: Mdp, pi: np.ndarray) -> np.ndarray:
     """Exact v^pi via the linear system (I - gamma P_pi) v = r_pi."""
-    pi = _check_policy(mdp, pi)
-    idx = np.arange(mdp.num_states)
-    p_pi = mdp.transitions[idx, pi, :]
-    r_pi = mdp.rewards[idx, pi]
+    p_pi, r_pi = _policy_rows(mdp, pi)
     a = np.eye(mdp.num_states) - mdp.discount * p_pi
     try:
         v = np.linalg.solve(a, r_pi)
@@ -232,21 +234,21 @@ def exact_value_iteration(
 
 
 def total_variance_norm(mdp: Mdp, pi: np.ndarray) -> float:
-    """Max-norm of (I - gamma P^pi)^{-1} sigma(v^pi).
+    """Max-norm of z = (I - gamma P^pi)^{-1} sigma(v^pi) over (s, a).
 
-    P^pi here is the (S*A) x (S*A) matrix with entry p(s'|s,a) at column
-    (s', pi[s']) and zero elsewhere.  The quantity is bounded by
+    P^pi is the (S*A) x (S*A) matrix with entry p(s'|s,a) at column
+    (s', pi[s']) and zero elsewhere.  Its system reduces to an S x S one:
+    z = sigma + gamma P w, where w (the entries z[s', pi[s']]) solves
+    (I - gamma P_pi) w = sigma_pi.  The quantity is bounded by
     sqrt(2) * horizon^1.5 for every policy (the divisive form of that bound
     occasionally quoted elsewhere does not survive the algebra; the harness
     checks the multiplicative one numerically).
     """
-    pi = _check_policy(mdp, pi)
-    s, a = mdp.num_states, mdp.num_actions
-    v_pi = policy_value_exact(mdp, pi)
-    sigma = np.sqrt(successor_variance(mdp, v_pi)).ravel()
-    p_big = np.zeros((s * a, s * a))
-    p_big.reshape(s * a, s, a)[:, np.arange(s), pi] = mdp.flat_transitions()
-    z = np.linalg.solve(np.eye(s * a) - mdp.discount * p_big, sigma)
+    p_pi, _ = _policy_rows(mdp, pi)
+    sigma = np.sqrt(successor_variance(mdp, policy_value_exact(mdp, pi)))
+    sigma_pi = sigma[np.arange(mdp.num_states), np.asarray(pi)]
+    w = np.linalg.solve(np.eye(mdp.num_states) - mdp.discount * p_pi, sigma_pi)
+    z = sigma + mdp.discount * expected_next_value(mdp, w)
     return float(np.abs(z).max())
 
 

@@ -1,6 +1,6 @@
 """Generative-model access with query accounting, plus the construction of
-the quantum generative model as an exact amplitude table from dyadic
-probability rows.
+the quantum generative model as an exact amplitude table on dyadic
+probability rows (:class:`DyadicMdp`).
 
 The ledger is the artifact's central measurable: every classical sample and
 every charged quantum oracle call lands in it, broken down by caller-supplied
@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConfigError, PreconditionError
+from .errors import ConfigError
 from .mdp import Mdp
 from .rng import child_seed, derived_rng
 
@@ -25,11 +25,9 @@ __all__ = [
     "SampleOracle",
     "DyadicRow",
     "DyadicMdp",
-    "AmplitudeOracle",
     "reversible_successor_map",
     "quantize_row",
     "quantize_mdp",
-    "build_amplitude_oracle",
 ]
 
 _UNLABELED = "(unlabeled)"
@@ -173,9 +171,6 @@ class DyadicRow:
             )
         object.__setattr__(self, "counts", counts)
 
-    def probability(self, successor: int) -> Fraction:
-        return Fraction(self.counts[successor], 1 << self.denominator_bits)
-
 
 def reversible_successor_map(row: DyadicRow) -> np.ndarray:
     """Map x in {0,1}^m -> s', assigning consecutive lexicographic blocks of
@@ -215,12 +210,38 @@ def quantize_row(probabilities, m: int) -> DyadicRow:
 
 @dataclass(frozen=True)
 class DyadicMdp:
-    """An Mdp whose rows have been replaced by dyadic counts (shared m)."""
+    """An Mdp whose rows have been replaced by dyadic counts (shared m), and
+    the amplitude table of its quantum generative model.
+
+    For each (s, a) the unitary prepares sum_s' sqrt(p(s'|s,a)) |s'> (tensored
+    with a garbage register that no consumer interferes on).  Every row's
+    counts must sum to 2^m, so the amplitudes are exact square roots of
+    dyadic rationals: squared and re-summed in rational arithmetic they give
+    back exactly 1.
+    """
 
     mdp: Mdp  # the quantized Mdp (rows are counts / 2^m)
     denominator_bits: int
     counts: np.ndarray  # (S, A, S) int64
     max_distortion: float  # max entrywise |quantized - original|
+
+    def __post_init__(self):
+        total = 1 << self.denominator_bits
+        sums = self.counts.sum(axis=2)
+        if np.any(sums != total):
+            s, a = np.argwhere(sums != total)[0]
+            raise ConfigError(
+                f"row ({s}, {a}) is not dyadic: counts sum to {sums[s, a]}, expected {total}"
+            )
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """(S, A, S) amplitudes sqrt(k / 2^m) of the reversible successor map
+        applied to the uniform superposition over the m auxiliary bits."""
+        return np.sqrt(self.counts / float(1 << self.denominator_bits))
+
+    def probability_exact(self, s: int, a: int, successor: int) -> Fraction:
+        return Fraction(int(self.counts[s, a, successor]), 1 << self.denominator_bits)
 
     def row(self, s: int, a: int) -> DyadicRow:
         return DyadicRow(self.denominator_bits, tuple(int(k) for k in self.counts[s, a]))
@@ -251,54 +272,4 @@ def quantize_mdp(mdp: Mdp, m: int = 20) -> DyadicMdp:
     new_mdp = Mdp(transitions=quantized, rewards=mdp.rewards, discount=mdp.discount)
     return DyadicMdp(
         mdp=new_mdp, denominator_bits=m, counts=counts, max_distortion=distortion
-    )
-
-
-@dataclass(frozen=True)
-class AmplitudeOracle:
-    """Amplitude table of the quantum generative model.
-
-    For each (s, a) the unitary prepares sum_s' sqrt(p(s'|s,a)) |s'> (tensored
-    with a garbage register that no consumer interferes on, so it is abstracted
-    to a dimension label).  Amplitudes are exact square roots of dyadic
-    rationals: squared and re-summed in rational arithmetic they give back
-    exactly 1.
-    """
-
-    counts: np.ndarray  # (S, A, S) int64
-    denominator_bits: int
-    amplitudes: np.ndarray  # (S, A, S) float
-    garbage_register: str = "J"
-
-    def probability_exact(self, s: int, a: int, successor: int) -> Fraction:
-        return Fraction(int(self.counts[s, a, successor]), 1 << self.denominator_bits)
-
-    def amplitude(self, s: int, a: int, successor: int) -> float:
-        return float(self.amplitudes[s, a, successor])
-
-
-def build_amplitude_oracle(dyadic: DyadicMdp) -> AmplitudeOracle:
-    """Amplitudes sqrt(k / 2^m) per successor, derived from the reversible map
-    plus the uniform superposition over the m auxiliary bits.
-
-    Non-dyadic MDPs are rejected: quantize first (see :func:`quantize_mdp`)
-    so the quantization step stays visible in the experiment provenance.
-    """
-    if isinstance(dyadic, Mdp):
-        raise TypeError(
-            "build_amplitude_oracle needs a DyadicMdp; quantize the Mdp first "
-            "with quantize_mdp(mdp, m)"
-        )
-    total = 1 << dyadic.denominator_bits
-    sums = dyadic.counts.sum(axis=2)
-    if np.any(sums != total):
-        s, a = np.argwhere(sums != total)[0]
-        raise PreconditionError(
-            f"row ({s}, {a}) is not dyadic: counts sum to {sums[s, a]}, expected {total}"
-        )
-    amplitudes = np.sqrt(dyadic.counts / float(total))
-    return AmplitudeOracle(
-        counts=dyadic.counts.copy(),
-        denominator_bits=dyadic.denominator_bits,
-        amplitudes=amplitudes,
     )

@@ -172,34 +172,21 @@ def simulate_argmax(
         raise PreconditionError(f"delta must be in (0, 1), got {delta}")
     n = v.size
     trace = MaxFindingTrace()
-    if n == 1:
-        # nothing to search; no oracle uses needed
-        if return_trace:
-            trace.threshold_history.append((0, float(v[0])))
-            return 0, trace
-        return 0
-
-    budget = argmax_query_budget(n, delta, c_max)
-    idx = np.arange(n)
-    probes = 0
-
-    def beats(j: int) -> np.ndarray:
-        return (v > v[j]) | ((v == v[j]) & (idx < j))
-
-    j = int(rng.integers(n))
+    # initial threshold: a uniform index (nothing to search when n == 1)
+    j = int(rng.integers(n)) if n > 1 else 0
     trace.threshold_history.append((j, float(v[j])))
-    if budget < 1.0:
-        # cannot afford a single oracle use: return the uninformed guess
-        if return_trace:
-            return j, trace
-        return j
-    # initial threshold: uniform index, one query to read its value
-    probes += 1
+    budget = argmax_query_budget(n, delta, c_max)
+    if n == 1 or budget < 1.0:
+        # no oracle use needed, or not even one affordable: the guess stands
+        return (j, trace) if return_trace else j
+
+    idx = np.arange(n)
+    probes = 1  # one query reads the initial threshold's value
     grow = 6.0 / 5.0
     m_cap = math.ceil(math.sqrt(n))
     m_max = 1.0
     while True:
-        marked = beats(j)
+        marked = (v > v[j]) | ((v == v[j]) & (idx < j))
         k = int(marked.sum())
         m_iter = int(rng.integers(0, math.ceil(m_max)))
         cost = m_iter + 1  # Grover iterations plus the verifying measurement
@@ -221,6 +208,4 @@ def simulate_argmax(
     trace.grover_queries_charged = probes * probe_cost
     if ledger is not None:
         ledger.charge_quantum(trace.grover_queries_charged, phase)
-    if return_trace:
-        return j, trace
-    return j
+    return (j, trace) if return_trace else j

@@ -30,7 +30,6 @@ from .estimators import (
     DEFAULT_CONFIG,
     BACKEND_STATEVECTOR,
     EstimatorConfig,
-    amplification_reps,
     batch_bounded_mock,
     batch_variance_mock,
     bounded_mean_charge,
@@ -47,6 +46,7 @@ __all__ = [
     "variance_reduced_vi",
     "max_finding_vi",
     "sampled_vi",
+    "mock_argmax",
 ]
 
 _FUZZ = 1e-9
@@ -60,6 +60,32 @@ def _ceil_fuzz(x: float) -> int:
 def _derived_iterations(horizon: float, eps: float) -> int:
     # horizon * ceil(ln(4*horizon/eps)) + 1, rounded up to an integer count
     return _ceil_fuzz(horizon * _ceil_fuzz(math.log(4.0 * horizon / eps)) + 1.0)
+
+
+def _check_eps_delta(eps: float, delta: float, eps_max: float, bound: str) -> None:
+    if not 0.0 < eps <= eps_max + _FUZZ:
+        raise PreconditionError(f"eps must lie in (0, {bound}] = (0, {eps_max:.6g}], got {eps}")
+    if not 0.0 < delta < 1.0:
+        raise PreconditionError(f"delta must be in (0, 1), got {delta}")
+
+
+def _failure_prob(f: float) -> float:
+    if not 0.0 < f < 1.0:
+        raise PreconditionError(f"derived per-estimate failure probability {f} not in (0, 1)")
+    return f
+
+
+def mock_argmax(q_row: np.ndarray, f: float, rng: np.random.Generator) -> tuple[int, bool]:
+    """Contract-mock quantum maximum finding over one Q row: the row argmax
+    (lowest index on ties), or with probability f a uniformly drawn other
+    index.  Draws a uniform, then an index, whatever the outcome.  Returns
+    (index, failed)."""
+    best = int(np.argmax(q_row))
+    fail = rng.random() < f
+    wrong = int(rng.integers(max(q_row.size - 1, 1)))
+    if fail and q_row.size > 1:
+        return (wrong if wrong < best else wrong + 1), True
+    return best, False
 
 
 @dataclass(frozen=True)
@@ -78,19 +104,19 @@ class VarianceReducedParams:
     def for_mdp(cls, mdp: Mdp, eps: float, delta: float, b: float = 1.0,
                 c: float = 0.01) -> "VarianceReducedParams":
         horizon = mdp.effective_horizon
-        if not (0.0 < eps <= math.sqrt(horizon) + _FUZZ):
+        _check_eps_delta(eps, delta, math.sqrt(horizon), "sqrt(horizon)")
+        if not 0.0 < b < math.inf:
+            raise PreconditionError(f"b must be positive and finite, got {b}")
+        # keeps every anchor estimate inside the variance-bounded estimator's
+        # (0, 4*sigma) window: err_x / sigma_bound = c * (1-gamma)^1.5 * eps
+        window = c * (1.0 - mdp.discount) ** 1.5 * eps
+        if not 0.0 < window < 4.0:
             raise PreconditionError(
-                f"eps must lie in (0, sqrt(horizon)] = (0, {math.sqrt(horizon):.6g}], got {eps}"
-            )
-        if not (0.0 < delta < 1.0):
-            raise PreconditionError(f"delta must be in (0, 1), got {delta}")
-        if b <= 0 or c <= 0:
-            raise PreconditionError("b and c must be positive")
+                f"c must satisfy 0 < c*(1-gamma)^1.5*eps < 4, got c = {c} "
+                f"(c*(1-gamma)^1.5*eps = {window})")
         k = max(1, _ceil_fuzz(math.log2(horizon / eps)))
         l = _derived_iterations(horizon, eps)
-        f = delta / (4.0 * k * l * mdp.num_states * mdp.num_actions)
-        if not (0.0 < f < 1.0):
-            raise PreconditionError(f"derived per-estimate failure probability {f} not in (0, 1)")
+        f = _failure_prob(delta / (4.0 * k * l * mdp.num_states * mdp.num_actions))
         return cls(eps=eps, delta=delta, b=b, c=c, num_epochs=k,
                    iters_per_epoch=l, est_failure_prob=f)
 
@@ -109,19 +135,12 @@ class MaxFindingParams:
     def for_mdp(cls, mdp: Mdp, eps: float, delta: float,
                 c_max: float = DEFAULT_C_MAX) -> "MaxFindingParams":
         horizon = mdp.effective_horizon
-        if not (0.0 < eps <= horizon + _FUZZ):
-            raise PreconditionError(
-                f"eps must lie in (0, horizon] = (0, {horizon:.6g}], got {eps}"
-            )
-        if not (0.0 < delta < 1.0):
-            raise PreconditionError(f"delta must be in (0, 1), got {delta}")
+        _check_eps_delta(eps, delta, horizon, "horizon")
         if c_max <= 0:
             raise PreconditionError("c_max must be positive")
         l = _derived_iterations(horizon, eps)
-        f = delta / (4.0 * c_max * l * mdp.num_states * mdp.num_actions**1.5
-                     * math.log2(1.0 / delta))
-        if not (0.0 < f < 1.0):
-            raise PreconditionError(f"derived per-estimate failure probability {f} not in (0, 1)")
+        f = _failure_prob(delta / (4.0 * c_max * l * mdp.num_states * mdp.num_actions**1.5
+                                   * math.log2(1.0 / delta)))
         return cls(eps=eps, delta=delta, c_max=c_max, iters=l, est_failure_prob=f)
 
 
@@ -224,9 +243,6 @@ def variance_reduced_vi(
         # anchor estimate with per-row deviation-proportional error, one-sided
         sigma_bound = np.sqrt(y + p.b)
         err_x = p.c * (1.0 - gamma) ** 1.5 * p.eps * sigma_bound
-        # always inside the variance-bounded estimator's (0, 4*sigma) window:
-        # err_x / sigma_bound = c * (1-gamma)^1.5 * eps <= c / horizon < 4
-        assert p.c * (1.0 - gamma) ** 1.5 * p.eps < 4.0
         rng = oracle.derive_rng("vr", k, "line9")
         est_x, fail_x, breaches = batch_variance_mock(
             oracle, v_anchor, sigma_bound, err_x, p.est_failure_prob, cfg, rng,
@@ -328,15 +344,10 @@ def max_finding_vi(
                     q_mem[s], p.est_failure_prob, rng, p.c_max,
                     ledger=oracle.ledger, phase=phase_max, probe_cost=probe_cost)
             else:
-                best = int(np.argmax(q_mem[s]))
-                fail_draw = rng.random() < p.est_failure_prob
-                wrong = int(rng.integers(max(a_n - 1, 1)))
-                if fail_draw and a_n > 1:
-                    a_star[s] = wrong if wrong < best else wrong + 1
-                    failures += 1
-                else:
-                    a_star[s] = best
-                oracle.ledger.charge_quantum(mock_probes * probe_cost, phase_max)
+                a_star[s], failed = mock_argmax(q_mem[s], p.est_failure_prob, rng)
+                failures += failed
+        if not use_statevector_argmax:
+            oracle.ledger.charge_quantum(s_n * mock_probes * probe_cost, phase_max)
 
         v_tilde = q_mem[np.arange(s_n), a_star]
         take = v_tilde >= v
@@ -402,10 +413,7 @@ def sampled_vi(
     r = mdp.rewards
     if mode not in SAMPLED_MODES:
         raise PreconditionError(f"mode must be one of {SAMPLED_MODES}, got {mode!r}")
-    if not (0.0 < eps <= horizon + _FUZZ):
-        raise PreconditionError(f"eps must lie in (0, horizon], got {eps}")
-    if not (0.0 < delta < 1.0):
-        raise PreconditionError(f"delta must be in (0, 1), got {delta}")
+    _check_eps_delta(eps, delta, horizon, "horizon")
 
     iters = _ceil_fuzz(horizon * math.log(4.0 * horizon / eps)) + 1
     err = (1.0 - gamma) * eps / 4.0
@@ -440,14 +448,10 @@ def sampled_vi(
             v_new = np.empty(s_n)
             for s in range(s_n):
                 rng = oracle.derive_rng("svi", i, s, "argmax")
-                best = int(np.argmax(q_est[s]))
-                fail_draw = rng.random() < delta_i
-                wrong = int(rng.integers(max(a_n - 1, 1)))
-                if fail_draw and a_n > 1:
-                    best = wrong if wrong < best else wrong + 1
-                    failures += 1
+                best, failed = mock_argmax(q_est[s], delta_i, rng)
+                failures += failed
                 v_new[s] = q_est[s, best]
-                oracle.ledger.charge_quantum(probes * probe_cost, f"iter-{i}-argmax")
+            oracle.ledger.charge_quantum(s_n * probes * probe_cost, f"iter-{i}-argmax")
             v = v_new
         else:
             v = q_est.max(axis=1)

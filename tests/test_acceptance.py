@@ -38,7 +38,7 @@ from qmdp.hard_instances import (
     value_gap,
 )
 from qmdp.mdp import Mdp, exact_value_iteration, total_variance_norm
-from qmdp.oracle import SampleOracle, build_amplitude_oracle, quantize_mdp
+from qmdp.oracle import SampleOracle, quantize_mdp
 from qmdp.qsim import (
     AmplitudeEstimationConfig,
     amplitude_estimation_sample,
@@ -436,13 +436,12 @@ def test_criterion_10_dyadic_oracle_exactness():
         mdp = Mdp(transitions=counts / total, rewards=np.zeros((s, a)), discount=0.9)
         dyadic = quantize_mdp(mdp, m=10)
         assert dyadic.max_distortion == 0.0
-        table = build_amplitude_oracle(dyadic)
         for si in range(s):
             for ai in range(a):
-                assert sum(table.probability_exact(si, ai, t) for t in range(s)) == \
+                assert sum(dyadic.probability_exact(si, ai, t) for t in range(s)) == \
                     Fraction(1)
                 for t in range(s):
-                    assert table.probability_exact(si, ai, t) == \
+                    assert dyadic.probability_exact(si, ai, t) == \
                         Fraction(int(counts[si, ai, t]), total)
                 mapping = reversible_successor_map(dyadic.row(si, ai))
                 np.testing.assert_array_equal(

@@ -160,6 +160,13 @@ class TestSolveCommand:
         (lambda d: d.update(estimator={"adversarial_scale": 1.0}), r"adversarial_scale"),
         (lambda d: d.update(estimator={"phase_bits": 0}), r"phase_bits"),
         (lambda d: d.update(estimator={"c1": float("nan")}), r"c1, c2 must be positive and finite"),
+        (lambda d: d["solver"].update(c=1000), r"c must satisfy 0 < c\*\(1-gamma\)\^1\.5\*eps < 4"),
+        (lambda d: d["solver"].update(c=float("nan")), r"solver\.c must be finite, got nan"),
+        (lambda d: d["solver"].update(c=float("inf")), r"solver\.c must be finite, got inf"),
+        (lambda d: d["solver"].update(b=float("nan")), r"solver\.b must be finite, got nan"),
+        (lambda d: d["solver"].update(eps=float("-inf")), r"solver\.eps must be finite, got -inf"),
+        (lambda d: d["instance"]["hard_instance"].update(gamma=float("nan")),
+         r"instance\.hard_instance\.gamma must be finite, got nan"),
     ])
     def test_malformed_config_exit_code(self, tmp_path, capsys, edit, message):
         doc = fig_two_config()

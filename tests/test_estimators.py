@@ -315,3 +315,156 @@ class TestClassicalEstimators:
         vb = [hoeffding_mean(b, 0, 0, np.array([0.0, 1.0]), 1.0, 0.1, 0.2).value
               for _ in range(5)]
         assert va == vb
+
+
+# Recorded scalar estimates: any change that moves a scalar estimator's draw,
+# charge or flags shows up here.  Values are float.hex of MeanEstimate.value.
+PIN_MDP = Mdp(
+    transitions=np.array([[[0.5, 0.25, 0.25], [0.125, 0.375, 0.5]],
+                          [[0.0, 1.0, 0.0], [0.75, 0.0, 0.25]],
+                          [[0.25, 0.25, 0.5], [0.0, 0.5, 0.5]]]),
+    rewards=np.zeros((3, 2)), discount=0.9)
+PIN_V = np.array([0.2, 0.9, 0.55])
+PIN_WIDE = np.array([0.0, 1.0, 0.3])
+PIN_ROWS = ((0, 0), (1, 1), (2, 0), (0, 1))
+SV = EstimatorConfig(backend="statevector")
+
+PINNED_CALLS = {
+    "bounded-adversarial": lambda o, s, a: bounded_mean(o, s, a, PIN_V, 1.0, 0.05, 0.4),
+    "bounded-uniform-noise": lambda o, s, a: bounded_mean(
+        o, s, a, PIN_V, 1.0, 0.05, 0.4, EstimatorConfig(mock_failure_mode="uniform_noise")),
+    "bounded-statevector": lambda o, s, a: bounded_mean(o, s, a, PIN_V, 1.0, 0.05, 0.2, SV),
+    "bounded-not-strict": lambda o, s, a: bounded_mean(
+        o, s, a, PIN_V + 0.5, 1.0, 0.05, 0.4, strict=False),
+    "bounded-statevector-not-strict": lambda o, s, a: bounded_mean(
+        o, s, a, PIN_V + 0.5, 1.0, 0.05, 0.2, SV, strict=False),
+    "variance-bounded": lambda o, s, a: variance_bounded_mean(
+        o, s, a, PIN_WIDE, 0.3, 0.05, 0.4),
+    "hoeffding": lambda o, s, a: hoeffding_mean(o, s, a, PIN_V, 1.0, 0.05, 0.1),
+    "bernstein": lambda o, s, a: bernstein_mean(o, s, a, PIN_WIDE, 1.0, 0.3, 0.05, 0.1),
+}
+
+# (value hex, error_radius, confidence, queries_charged, backend, mock_failed,
+#  promise_violated) per row of PIN_ROWS, from one oracle with seed 7
+PINNED = {
+    "bounded-adversarial": (
+        ("0x1.ecccccccccccdp-1", 0.05, 0.6, 175, "contract_mock", True, False),
+        ("-0x1.b333333333332p-3", 0.05, 0.6, 175, "contract_mock", True, False),
+        ("0x1.0cccccccccccdp+0", 0.05, 0.6, 175, "contract_mock", True, False),
+        ("0x1.38e2a2b04f106p-1", 0.05, 0.6, 175, "contract_mock", False, False),
+    ),
+    "bounded-uniform-noise": (
+        ("0x1.8d6d03689474cp-3", 0.05, 0.6, 175, "contract_mock", True, False),
+        ("-0x1.2d75be94df1aap-3", 0.05, 0.6, 175, "contract_mock", True, False),
+        ("0x1.53632df930bfap-1", 0.05, 0.6, 175, "contract_mock", True, False),
+        ("0x1.38e2a2b04f106p-1", 0.05, 0.6, 175, "contract_mock", False, False),
+    ),
+    "bounded-statevector": (
+        ("0x1.cdd0b287ac979p-2", 0.05, 0.8, 1143, "statevector", False, False),
+        ("0x1.25177fb0f519fp-2", 0.05, 0.8, 1143, "statevector", False, False),
+        ("0x1.1917a6bc29b41p-1", 0.05, 0.8, 1143, "statevector", False, False),
+        ("0x1.4a5018bb567c0p-1", 0.05, 0.8, 1143, "statevector", False, False),
+    ),
+    "bounded-not-strict": (
+        ("0x1.7666666666666p+0", 0.05, 0.6, 175, "contract_mock", True, True),
+        ("0x1.2666666666664p-2", 0.05, 0.6, 175, "contract_mock", True, True),
+        ("0x1.8ccccccccccccp+0", 0.05, 0.6, 175, "contract_mock", True, True),
+        ("0x1.4666666666666p-1", 0.05, 0.6, 175, "contract_mock", True, True),
+    ),
+    "bounded-statevector-not-strict": (
+        ("0x1.ec835e79946a3p-1", 0.05, 0.8, 1143, "statevector", False, True),
+        ("0x1.8e39d9cd73465p-1", 0.05, 0.8, 1143, "statevector", False, True),
+        ("0x1.0000000000000p+0", 0.05, 0.8, 1143, "statevector", False, True),
+        ("0x1.0000000000000p+0", 0.05, 0.8, 1143, "statevector", False, True),
+    ),
+    "variance-bounded": (
+        ("0x1.a666666666666p-1", 0.05, 0.6, 287, "contract_mock", True, True),
+        ("-0x1.b333333333333p-2", 0.05, 0.6, 287, "contract_mock", True, False),
+        ("0x1.ccccccccccccdp-1", 0.05, 0.6, 287, "contract_mock", True, True),
+        ("0x1.fe92122d6aedap-2", 0.05, 0.6, 287, "contract_mock", False, True),
+    ),
+    "hoeffding": (
+        ("0x1.e02bb0cf87d9dp-2", 0.05, 0.9, 600, "classical_hoeffding", False, False),
+        ("0x1.1e098ead65b7bp-2", 0.05, 0.9, 600, "classical_hoeffding", False, False),
+        ("0x1.1e147ae147ae1p-1", 0.05, 0.9, 600, "classical_hoeffding", False, False),
+        ("0x1.3e5604189374cp-1", 0.05, 0.9, 600, "classical_hoeffding", False, False),
+    ),
+    "bernstein": (
+        ("0x1.5e7b836e51496p-2", 0.05, 0.9, 291, "classical_bernstein", False, True),
+        ("0x1.0e40655826011p-4", 0.05, 0.9, 291, "classical_bernstein", False, False),
+        ("0x1.acf43630e9a7ap-2", 0.05, 0.9, 291, "classical_bernstein", False, True),
+        ("0x1.05ce622d64d11p-1", 0.05, 0.9, 291, "classical_bernstein", False, True),
+    ),
+}
+
+
+class TestPinnedScalarEstimates:
+    @pytest.mark.parametrize("name", sorted(PINNED_CALLS))
+    def test_recorded_fields(self, name):
+        oracle = SampleOracle(PIN_MDP, 7)
+        got = []
+        for s, a in PIN_ROWS:
+            est = PINNED_CALLS[name](oracle, s, a)
+            got.append((est.value.hex(), est.error_radius, est.confidence,
+                        est.queries_charged, est.backend, est.mock_failed,
+                        est.promise_violated))
+        assert tuple(got) == PINNED[name]
+
+    @pytest.mark.parametrize("c2", [1.0, 2.5])
+    def test_variance_charge_matches_array_formula(self, c2):
+        # the scalar charge, entry by entry and summed, equals the
+        # batched formula ceil(c2 r log2^2(max(r, 2))) * reps(delta)
+        cfg = EstimatorConfig(c2=c2)
+        sigma, eps = np.meshgrid([0.01, 0.3, 0.7071067811865476, 1.0, 2.5, 3.0, 10.0, 100.0],
+                                 [0.001, 0.05, 0.123, 0.3, 1.0, 4.0], indexing="ij")
+        ratio = sigma / eps
+        base = np.ceil(c2 * ratio * np.log2(np.maximum(ratio, 2.0)) ** 2)
+        for delta in (1e-6, 0.01, 0.1, 0.5):
+            reps = amplification_reps(delta)
+            scalar = [variance_mean_charge(float(s), float(e), delta, cfg)
+                      for s, e in zip(sigma.ravel(), eps.ravel())]
+            assert scalar == [int(b) * reps for b in base.ravel()]
+            assert sum(scalar) == int(base.sum()) * reps
+
+
+ZERO = np.zeros(2)
+SCALAR_ESTIMATORS = {  # (oracle, upper or sigma, eps, delta) -> MeanEstimate
+    "bounded": lambda o, u, eps, delta: bounded_mean(o, 0, 0, ZERO, u, eps, delta),
+    "variance-bounded": lambda o, u, eps, delta: variance_bounded_mean(
+        o, 0, 0, ZERO, u, eps, delta),
+    "hoeffding": lambda o, u, eps, delta: hoeffding_mean(o, 0, 0, ZERO, u, eps, delta),
+    "bernstein": lambda o, u, eps, delta: bernstein_mean(o, 0, 0, ZERO, u, 0.5, eps, delta),
+}
+
+
+class TestScalarArguments:
+    """Every scalar estimator rejects out-of-range arguments with a
+    PreconditionError naming the argument (upper doubles as sigma for the
+    variance-bounded estimator)."""
+
+    @pytest.mark.parametrize("name", sorted(SCALAR_ESTIMATORS))
+    @pytest.mark.parametrize("upper,eps,delta,message", [
+        (1.0, 0.1, 0.0, r"delta must be in \(0, 1\), got 0\.0"),
+        (1.0, 0.1, 1.0, r"delta must be in \(0, 1\), got 1\.0"),
+        (1.0, 0.1, 3.0, r"delta must be in \(0, 1\), got 3\.0"),
+        (1.0, 0.1, math.nan, r"delta must be in \(0, 1\), got nan"),
+        (1.0, math.nan, 0.1, r"eps must be positive and finite, got nan"),
+        (1.0, math.inf, 0.1, r"eps must be positive and finite, got inf"),
+        (1.0, -0.1, 0.1, r"eps must be positive and finite, got -0\.1"),
+        (math.nan, 0.1, 0.1, r"(upper|sigma) must be (positive|non-negative) and finite, got nan"),
+        (math.inf, 0.1, 0.1, r"(upper|sigma) must be (positive|non-negative) and finite, got inf"),
+    ])
+    def test_rejected_with_name(self, name, upper, eps, delta, message):
+        oracle = fresh_oracle(0.5, seed=19)
+        with pytest.raises(PreconditionError, match=message):
+            SCALAR_ESTIMATORS[name](oracle, upper, eps, delta)
+        assert oracle.ledger.total == 0
+
+    @pytest.mark.parametrize("name", ["bounded", "hoeffding", "bernstein"])
+    def test_zero_upper_rejected(self, name):
+        with pytest.raises(PreconditionError, match=r"upper must be positive and finite"):
+            SCALAR_ESTIMATORS[name](fresh_oracle(), 0.0, 0.1, 0.1)
+
+    def test_bernstein_sigma_nan_rejected(self):
+        with pytest.raises(PreconditionError, match=r"sigma must be non-negative and finite"):
+            bernstein_mean(fresh_oracle(), 0, 0, np.zeros(2), 1.0, math.nan, 0.1, 0.1)

@@ -48,6 +48,21 @@ GOLDEN = (
     ("hard-statevector-max-finding", {"hard_instance": dict(HARD["hard_instance"], eps=1.0)},
      {"name": "max-finding", "eps": 1.0, "delta": 0.1}, {"backend": "statevector"}, 31,
      "c319296c9a0070f2db7f843ab5d44ef25038467e37d1481a0a9f8105977d1800"),
+    ("hard-sampled-quantum-mean-and-max", HARD,
+     {"name": "sampled", "mode": "quantum_mean_and_max", "eps": 0.5, "delta": 0.1}, None, 14,
+     "ccf965a7527dc4f2636bf553775baf6e0b71a2d0bb3eeae10b94ee9c4e0d42eb"),
+    ("hard-statevector-sampled-quantum-mean",
+     {"hard_instance": dict(HARD["hard_instance"], eps=1.0)},
+     {"name": "sampled", "mode": "quantum_mean", "eps": 1.0, "delta": 0.1},
+     {"backend": "statevector"}, 32,
+     "1d0a76feb05370336fcecff6af4cbc9f30dd4225197fa45f368569e0e80df060"),
+    ("hard-statevector-variance-reduced",
+     {"hard_instance": dict(HARD["hard_instance"], eps=1.0)},
+     {"name": "variance-reduced", "eps": 1.0, "delta": 0.1}, {"backend": "statevector"}, 33,
+     "d79d153117fcb873e99ba85770f2e4fbed9bb756af461ad802b7b425d8ccb92f"),
+    ("dense-sampled-classical", DENSE,
+     {"name": "sampled", "mode": "classical", "eps": 0.5, "delta": 0.1}, None, 23,
+     "9df461fc595717f986fe96ff16d3d7f8de2662746ed25be21ffdc18aaaa8e58b"),
 )
 
 

@@ -109,6 +109,23 @@ class TestTiledInstance:
         np.testing.assert_array_equal(a.transitions, b.transitions)
         np.testing.assert_array_equal(a.rewards, b.rewards)
 
+    @pytest.mark.parametrize("num_actions,arm_sets", [
+        (1, [set(), {0}]),
+        (4, [set(), {0}, {3}, {1, 2}, {0, 1, 2, 3}]),
+        (8, [set(), {7}, {0, 5}, set(range(8))]),
+    ])
+    def test_multi_arm_is_single_copy_tiling(self, num_actions, arm_sets):
+        for arms in arm_sets:
+            for copies in (1, 3):  # multi_arm_instance ignores copies
+                spec = HardInstanceSpec(gamma=0.95, num_actions=num_actions, eps=0.5,
+                                        large_arms=frozenset(arms), copies=copies)
+                one = HardInstanceSpec(gamma=0.95, num_actions=num_actions, eps=0.5,
+                                       large_arms=frozenset(arms))
+                a, b = multi_arm_instance(spec), tiled_instance(one)
+                np.testing.assert_array_equal(a.transitions, b.transitions)
+                np.testing.assert_array_equal(a.rewards, b.rewards)
+                assert a.discount == b.discount
+
     def test_copies_are_independent(self):
         spec = HardInstanceSpec(gamma=0.9, num_actions=2, eps=0.5, copies=3)
         mdp = tiled_instance(spec, large_arms_per_copy=[{0}, {1}, set()])

@@ -323,6 +323,23 @@ class TestTotalVarianceNorm:
             bound = np.sqrt(2.0) * m.effective_horizon**1.5
             assert total_variance_norm(m, pi) <= bound + 1e-9
 
+    def test_equals_definition(self):
+        # the literal (SA) x (SA) system: P^pi[(s,a), (s',a')] = p(s'|s,a)
+        # when a' = pi[s'], zero otherwise
+        for i in range(50):
+            rng = derived_rng(14, "tv-def", i)
+            m = random_mdp(rng, max_states=12, max_actions=6, gammas=(0.9, 0.99))
+            s, a = m.num_states, m.num_actions
+            pi = rng.integers(a, size=s)
+            sigma = np.sqrt(successor_variance(m, policy_value_exact(m, pi))).ravel()
+            p_big = np.zeros((s * a, s * a))
+            for row in range(s * a):
+                for t in range(s):
+                    p_big[row, t * a + pi[t]] = m.transitions[row // a, row % a, t]
+            z = np.linalg.solve(np.eye(s * a) - m.discount * p_big, sigma)
+            want = float(np.abs(z).max())
+            assert total_variance_norm(m, pi) == pytest.approx(want, rel=1e-12, abs=1e-300)
+
 
 class TestOptimalityInvariant:
     def test_exact_vstar_dominates_random_policies(self):

@@ -11,7 +11,7 @@ from qmdp.oracle import (
     DyadicRow,
     QueryLedger,
     SampleOracle,
-    build_amplitude_oracle,
+    DyadicMdp,
     quantize_mdp,
     quantize_row,
     reversible_successor_map,
@@ -215,18 +215,17 @@ class TestQuantizeRow:
 class TestAmplitudeOracle:
     def test_point_mass_amplitudes(self):
         dyadic = quantize_mdp(point_mass_mdp(target=1), m=4)
-        table = build_amplitude_oracle(dyadic)
-        assert table.amplitude(0, 0, 1) == 1.0
-        assert table.amplitude(0, 0, 0) == 0.0
+        assert dyadic.amplitudes[0, 0, 1] == 1.0
+        assert dyadic.amplitudes[0, 0, 0] == 0.0
 
     def test_three_quarters_amplitudes(self):
         p = np.zeros((2, 1, 2))
         p[0, 0] = [0.75, 0.25]
         p[1, 0] = [0.0, 1.0]
         mdp = Mdp(transitions=p, rewards=np.zeros((2, 1)), discount=0.9)
-        table = build_amplitude_oracle(quantize_mdp(mdp, m=2))
-        assert table.amplitude(0, 0, 0) == pytest.approx(np.sqrt(0.75), abs=1e-15)
-        assert table.amplitude(0, 0, 1) == pytest.approx(0.5, abs=1e-15)
+        dyadic = quantize_mdp(mdp, m=2)
+        assert dyadic.amplitudes[0, 0, 0] == pytest.approx(np.sqrt(0.75), abs=1e-15)
+        assert dyadic.amplitudes[0, 0, 1] == pytest.approx(0.5, abs=1e-15)
 
     def test_squared_amplitudes_resum_exactly(self):
         for i in range(50):
@@ -244,21 +243,23 @@ class TestAmplitudeOracle:
             )
             dyadic = quantize_mdp(mdp, m=10)
             np.testing.assert_array_equal(dyadic.counts, counts)
-            table = build_amplitude_oracle(dyadic)
             for si in range(s):
                 for ai in range(a):
                     total = sum(
-                        table.probability_exact(si, ai, t) for t in range(s)
+                        dyadic.probability_exact(si, ai, t) for t in range(s)
                     )
                     assert total == Fraction(1)
                     for t in range(s):
-                        assert table.probability_exact(si, ai, t) == Fraction(
+                        assert dyadic.probability_exact(si, ai, t) == Fraction(
                             int(counts[si, ai, t]), 1024
                         )
 
-    def test_raw_mdp_rejected(self):
-        with pytest.raises(TypeError, match="quantize"):
-            build_amplitude_oracle(uniform_mdp())
+    def test_counts_must_sum_to_two_to_the_m(self):
+        dyadic = quantize_mdp(uniform_mdp(), m=3)
+        counts = dyadic.counts.copy()
+        counts[1, 0] = [3, 4]
+        with pytest.raises(ConfigError, match=r"row \(1, 0\) is not dyadic: counts sum to 7"):
+            DyadicMdp(dyadic.mdp, 3, counts, dyadic.max_distortion)
 
     def test_quantize_mdp_surfaces_distortion(self):
         rng = derived_rng(24, "qmdp")

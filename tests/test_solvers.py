@@ -8,10 +8,12 @@ from qmdp.estimators import EstimatorConfig
 from qmdp.hard_instances import HardInstanceSpec, multi_arm_instance, two_state_chain
 from qmdp.mdp import Mdp, exact_value_iteration, policy_value_exact
 from qmdp.oracle import SampleOracle
+from qmdp.rng import derived_rng
 from qmdp.solvers import (
     MaxFindingParams,
     VarianceReducedParams,
     max_finding_vi,
+    mock_argmax,
     sampled_vi,
     variance_reduced_vi,
 )
@@ -51,6 +53,59 @@ class TestVarianceReducedParams:
         mdp = fig_two(2, 0.5, {1})
         with pytest.raises(PreconditionError):
             VarianceReducedParams.for_mdp(mdp, 0.5, 0.0)
+
+    @pytest.mark.parametrize("b,c,message", [
+        (float("nan"), 0.01, r"b must be positive and finite, got nan"),
+        (float("inf"), 0.01, r"b must be positive and finite, got inf"),
+        (0.0, 0.01, r"b must be positive"),
+        (1.0, 0.0, r"c must satisfy 0 < c\*\(1-gamma\)\^1\.5\*eps < 4"),
+        (1.0, float("nan"), r"c must satisfy"),
+        (1.0, float("inf"), r"c must satisfy"),
+        # c * (1-gamma)^1.5 * eps = 1000 * 10^-1.5 * 0.5 > 4 at horizon 10
+        (1.0, 1000.0, r"c must satisfy .*got c = 1000\.0"),
+    ])
+    def test_b_and_c_ranges(self, b, c, message):
+        mdp = fig_two(2, 0.5, {1})
+        with pytest.raises(PreconditionError, match=message):
+            VarianceReducedParams.for_mdp(mdp, 0.5, 0.1, b=b, c=c)
+
+    def test_largest_c_inside_the_window_solves(self):
+        # c * (1-gamma)^1.5 * eps just below 4: every anchor estimate stays
+        # inside the variance-bounded estimator's (0, 4*sigma) window
+        mdp = fig_two(2, 0.5, {1})
+        c = 3.99 / (0.1**1.5 * 0.5)
+        params = VarianceReducedParams.for_mdp(mdp, 0.5, 0.1, c=c)
+        report = variance_reduced_vi(SampleOracle(mdp, 1), params)
+        assert report.ledger.quantum_oracle_calls > 0
+
+
+class TestMockArgmax:
+    def test_success_is_lowest_index_argmax(self):
+        rng = derived_rng(1, "argmax")
+        for _ in range(50):
+            assert mock_argmax(np.array([0.2, 0.9, 0.9, 0.1]), 0.0, rng) == (1, False)
+
+    def test_failure_is_uniform_over_other_indices(self):
+        rng = derived_rng(2, "argmax")
+        picks = [mock_argmax(np.array([0.0, 0.0, 1.0, 0.0]), 1.0, rng) for _ in range(3000)]
+        assert all(failed for _, failed in picks)
+        counts = np.bincount([i for i, _ in picks], minlength=4)
+        assert counts[2] == 0
+        assert np.all(np.abs(counts[[0, 1, 3]] - 1000) < 120)
+
+    def test_single_action_never_fails(self):
+        rng = derived_rng(3, "argmax")
+        assert all(mock_argmax(np.array([0.4]), 1.0, rng) == (0, False) for _ in range(20))
+
+    def test_draws_a_uniform_then_an_index(self):
+        # two draws per call whatever the outcome, so later draws on a
+        # stream do not depend on whether a call failed
+        for f in (0.0, 1.0):
+            rng, ref = derived_rng(4, "argmax"), derived_rng(4, "argmax")
+            mock_argmax(np.arange(5.0), f, rng)
+            ref.random()
+            ref.integers(4)
+            assert rng.random() == ref.random()
 
 
 class TestMaxFindingParams:
