@@ -24,7 +24,7 @@ import numpy as np
 from .errors import PreconditionError, PromiseViolationError
 from .mdp import _check_value_vec, expected_next_value, successor_variance
 from .oracle import SampleOracle
-from .qsim import MAX_PHASE_BITS, AmplitudeEstimationConfig, median_amplitude_estimate
+from .qsim import MAX_PHASE_BITS, median_amplitude_estimates
 
 __all__ = [
     "EstimatorConfig",
@@ -209,8 +209,9 @@ def _estimate(mu, upper, eps, delta, cfg, rng, forced=False, sigma=None):
     Range-bounded on [0, upper] unless ``sigma`` is given, which selects the
     variance-bounded estimator (always contract mock, eps in (0, 4*sigma)).
     Statevector backend: per entry, the median of amplification-reps
-    amplitude-estimation runs at the phase bits of the smallest eps, charged
-    by measured counts.  Contract mock: the true mean plus noise within eps,
+    amplitude-estimation runs at the phase bits of the smallest eps, all
+    drawn in one pass with one outcome grid per distinct mean, charged by
+    measured counts.  Contract mock: the true mean plus noise within eps,
     or with probability delta a planted failure, charged by the stated
     formula; the draw order is fixed across failure modes.  ``forced`` (a
     voided promise) fails every entry.
@@ -218,10 +219,8 @@ def _estimate(mu, upper, eps, delta, cfg, rng, forced=False, sigma=None):
     if sigma is None and cfg.backend == BACKEND_STATEVECTOR:
         t = statevector_phase_bits(float(np.min(eps)) / upper, cfg)
         reps = amplification_reps(delta)
-        est = np.empty(np.shape(mu))
-        for i, a in enumerate(np.clip(mu / upper, 0.0, 1.0).flat):
-            ae = AmplitudeEstimationConfig(t, float(a))
-            est.flat[i] = upper * median_amplitude_estimate(ae, delta, rng, reps=reps)
+        a = np.clip(mu / upper, 0.0, 1.0)
+        est = upper * median_amplitude_estimates(a, t, reps, rng).reshape(a.shape)
         return est, np.full(est.shape, forced), ((1 << t) - 1) * reps * est.size
     if sigma is not None and (np.any(eps <= 0.0) or np.any(eps >= 4.0 * sigma)):
         raise PreconditionError("variance-bounded estimator needs eps in (0, 4*sigma) per row")

@@ -226,8 +226,12 @@ class DyadicMdp:
     max_distortion: float  # max entrywise |quantized - original|
 
     def __post_init__(self):
+        # own read-only copy: no later edit can un-normalise the amplitudes
+        counts = np.array(self.counts, dtype=np.int64)
+        counts.setflags(write=False)
+        object.__setattr__(self, "counts", counts)
         total = 1 << self.denominator_bits
-        sums = self.counts.sum(axis=2)
+        sums = counts.sum(axis=2)
         if np.any(sums != total):
             s, a = np.argwhere(sums != total)[0]
             raise ConfigError(

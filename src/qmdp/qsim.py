@@ -29,6 +29,7 @@ __all__ = [
     "single_run_error_radius",
     "amplitude_estimation_sample",
     "median_amplitude_estimate",
+    "median_amplitude_estimates",
     "MaxFindingTrace",
     "simulate_argmax",
     "DEFAULT_C_MAX",
@@ -87,6 +88,39 @@ def single_run_error_radius(a: float, t: int) -> float:
     return 2.0 * math.pi * math.sqrt(a * (1.0 - a)) / m + math.pi**2 / m**2
 
 
+def _estimate_draws(a: np.ndarray, t: int, u: np.ndarray) -> np.ndarray:
+    """Estimates sin^2(pi y / 2^t), y drawn for row i of the uniforms u by
+    inverting the outcome CDF of amplitude a[i].  Builds one grid per distinct
+    amplitude, and only one is alive at a time."""
+    groups = {}  # -0.0 joins 0.0, whose grid is the same
+    for i, value in enumerate(a.tolist()):
+        groups.setdefault(value, []).append(i)
+    y = np.empty(u.shape, dtype=np.int64)
+    for value, rows in groups.items():
+        cdf = np.cumsum(outcome_distribution(value, t))
+        cdf[-1] = 1.0  # absorb float round-off in the last bin
+        y[rows] = np.searchsorted(cdf, u[rows], side="right")
+        del cdf
+    return np.sin(np.pi * y / (1 << t)) ** 2
+
+
+def median_amplitude_estimates(
+    amplitudes, t: int, reps: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Median of ``reps`` t-bit amplitude-estimation runs for each amplitude.
+
+    Draws rng.random((n, reps)) in one call, so entry i uses the i-th block of
+    reps uniforms: the same draws as n successive median_amplitude_estimate
+    calls.  Charges nothing; each estimate costs reps * (2^t - 1) queries.
+    """
+    a = np.asarray(amplitudes, dtype=float).ravel()
+    AmplitudeEstimationConfig(t, 0.0)  # checks t, also for an empty batch
+    outside = ~((a >= 0.0) & (a <= 1.0))  # NaN is outside too
+    if outside.any():
+        raise PreconditionError(f"amplitudes must be in [0, 1], got {a[outside][0]}")
+    return np.median(_estimate_draws(a, t, rng.random((a.size, reps))), axis=1)
+
+
 def amplitude_estimation_sample(
     cfg: AmplitudeEstimationConfig,
     rng: np.random.Generator,
@@ -98,12 +132,8 @@ def amplitude_estimation_sample(
 
     Charges 2^t - 1 quantum oracle calls per run when a ledger is given.
     """
-    dist = outcome_distribution(cfg.target_amplitude, cfg.phase_bits)
-    cdf = np.cumsum(dist)
-    cdf[-1] = 1.0  # absorb float round-off in the last bin
     n = 1 if size is None else int(size)
-    y = np.searchsorted(cdf, rng.random(n), side="right")
-    est = np.sin(np.pi * y / cfg.grid_size) ** 2
+    est = _estimate_draws(np.array([cfg.target_amplitude]), cfg.phase_bits, rng.random((1, n)))[0]
     if ledger is not None:
         ledger.charge_quantum(n * cfg.queries_per_run, phase)
     return float(est[0]) if size is None else est
@@ -122,8 +152,10 @@ def median_amplitude_estimate(
         raise PreconditionError(f"delta must be in (0, 1), got {delta}")
     if reps is None:
         reps = max(1, MEDIAN_REPS_FACTOR * math.ceil(math.log2(1.0 / delta)))
-    draws = amplitude_estimation_sample(cfg, rng, size=reps, ledger=ledger, phase=phase)
-    return float(np.median(draws))
+    est = median_amplitude_estimates([cfg.target_amplitude], cfg.phase_bits, reps, rng)
+    if ledger is not None:
+        ledger.charge_quantum(reps * cfg.queries_per_run, phase)
+    return float(est[0])
 
 
 @dataclass
@@ -185,9 +217,13 @@ def simulate_argmax(
     grow = 6.0 / 5.0
     m_cap = math.ceil(math.sqrt(n))
     m_max = 1.0
-    while True:
+
+    def beating(j):
         marked = (v > v[j]) | ((v == v[j]) & (idx < j))
-        k = int(marked.sum())
+        return marked, int(marked.sum())
+
+    marked, k = beating(j)
+    while True:
         m_iter = int(rng.integers(0, math.ceil(m_max)))
         cost = m_iter + 1  # Grover iterations plus the verifying measurement
         if probes + cost > budget:
@@ -200,6 +236,7 @@ def simulate_argmax(
                 # measurement collapses uniformly onto the marked set
                 j = int(idx[marked][rng.integers(k)])
                 trace.threshold_history.append((j, float(v[j])))
+                marked, k = beating(j)
                 m_max = 1.0
                 continue
         # failed round (or nothing marked): keep threshold, widen the schedule

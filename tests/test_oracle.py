@@ -261,6 +261,26 @@ class TestAmplitudeOracle:
         with pytest.raises(ConfigError, match=r"row \(1, 0\) is not dyadic: counts sum to 7"):
             DyadicMdp(dyadic.mdp, 3, counts, dyadic.max_distortion)
 
+    def test_counts_are_read_only(self):
+        dyadic = quantize_mdp(uniform_mdp(), m=3)
+        amplitudes = dyadic.amplitudes
+        with pytest.raises(ValueError, match="read-only"):
+            dyadic.counts[1, 0] = [3, 4]
+        np.testing.assert_array_equal(dyadic.counts.sum(axis=2), 8)
+        np.testing.assert_array_equal(dyadic.amplitudes, amplitudes)
+        assert dyadic.probability_exact(1, 0, 0) == Fraction(1, 2)
+
+    def test_counts_do_not_alias_the_callers_array(self):
+        for dtype in (np.int64, np.int32):
+            counts = np.full((2, 2, 2), 4, dtype=dtype)
+            dyadic = DyadicMdp(uniform_mdp(), 3, counts, 0.0)
+            counts[1, 0] = [3, 4]
+            assert counts.flags.writeable
+            assert dyadic.counts.dtype == np.int64
+            assert not np.shares_memory(dyadic.counts, counts)
+            np.testing.assert_array_equal(dyadic.counts, 4)
+            assert dyadic.probability_exact(1, 0, 0) == Fraction(1, 2)
+
     def test_quantize_mdp_surfaces_distortion(self):
         rng = derived_rng(24, "qmdp")
         mdp = Mdp(

@@ -1,17 +1,20 @@
 """Tests for the simulated quantum subroutines."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qmdp.errors import PreconditionError
+from qmdp.estimators import amplification_reps
 from qmdp.oracle import QueryLedger
 from qmdp.qsim import (
     AmplitudeEstimationConfig,
     amplitude_estimation_sample,
     argmax_query_budget,
     median_amplitude_estimate,
+    median_amplitude_estimates,
     outcome_distribution,
     simulate_argmax,
     single_run_error_radius,
@@ -99,6 +102,97 @@ class TestMedianAmplification:
         median_amplitude_estimate(cfg, 0.05, derived_rng(4, "reps"), ledger=led)
         reps = 18 * math.ceil(math.log2(1 / 0.05))
         assert led.quantum_oracle_calls == reps * (2**6 - 1)
+
+
+def per_entry_medians(amplitudes, t, reps, rng):
+    """The per-entry loop the vectorized core replaced, kept as the reference:
+    one full outcome grid and one rng.random(reps) per entry, in order."""
+    est = np.empty(np.shape(amplitudes))
+    for i, a in enumerate(np.asarray(amplitudes, dtype=float).flat):
+        dist = outcome_distribution(float(a), t)
+        cdf = np.cumsum(dist)
+        cdf[-1] = 1.0
+        y = np.searchsorted(cdf, rng.random(reps), side="right")
+        est.flat[i] = float(np.median(np.sin(np.pi * y / (1 << t)) ** 2))
+    return est
+
+
+def traced_peak(fn):
+    """Peak bytes traced while fn runs, above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestVectorizedMedians:
+    AMPLITUDES = {
+        "edges": [0.0, 1.0, -0.0, 0.0, 1.0, -0.0],
+        "repeats": [0.3, 0.7, 0.3, 0.0, 0.3, 1.0, -0.0, 0.7, 0.5, 0.5],
+        "random": np.round(derived_rng(30, "amps").random(40), 2),
+        "single": [0.123],
+    }
+
+    @pytest.mark.parametrize("t", [1, 6, 13])
+    @pytest.mark.parametrize("delta", [0.5, 0.1, 1e-3, 1e-9])
+    @pytest.mark.parametrize("case", sorted(AMPLITUDES))
+    def test_draw_for_draw_equal_to_per_entry_loop(self, case, delta, t):
+        amplitudes = np.asarray(self.AMPLITUDES[case], dtype=float)
+        reps = amplification_reps(delta)
+        rng_old = derived_rng(31, "equiv", case, t, reps)
+        rng_new = derived_rng(31, "equiv", case, t, reps)
+        old = per_entry_medians(amplitudes, t, reps, rng_old)
+        new = median_amplitude_estimates(amplitudes, t, reps, rng_new)
+        assert new.shape == old.shape
+        assert new.tobytes() == old.tobytes()
+        # both consumed exactly n * reps uniforms
+        assert rng_new.random() == rng_old.random()
+
+    def test_one_amplitude_views_equal_per_entry_loop(self):
+        for t in (1, 6, 13):
+            for i, a in enumerate((0.0, 0.3, 1.0)):
+                cfg = AmplitudeEstimationConfig(t, a)
+                old = per_entry_medians([a], t, 72, derived_rng(32, "view", t, i))
+                new = median_amplitude_estimate(cfg, 0.1, derived_rng(32, "view", t, i))
+                assert new == old[0]
+                rng = derived_rng(33, "sample", t, i)
+                cdf = np.cumsum(outcome_distribution(a, t))
+                cdf[-1] = 1.0
+                y = np.searchsorted(cdf, rng.random(50), side="right")
+                expected = np.sin(np.pi * y / (1 << t)) ** 2
+                draws = amplitude_estimation_sample(cfg, derived_rng(33, "sample", t, i), size=50)
+                assert draws.tobytes() == expected.tobytes()
+
+    def test_empty_batch_draws_nothing(self):
+        rng = derived_rng(34, "empty")
+        out = median_amplitude_estimates(np.array([]), 6, 5, rng)
+        assert out.shape == (0,)
+        assert rng.random() == derived_rng(34, "empty").random()
+
+    @pytest.mark.parametrize("bad", [math.nan, -1e-12, 1.0 + 1e-12, math.inf, -math.inf])
+    def test_bad_amplitude_raises_before_drawing(self, bad):
+        rng = derived_rng(35, "bad")
+        with pytest.raises(PreconditionError, match="amplitudes must be in"):
+            median_amplitude_estimates([0.2, bad, 0.4], 6, 5, rng)
+        assert rng.random() == derived_rng(35, "bad").random()
+
+    @pytest.mark.parametrize("t", [0, 25])
+    def test_bad_phase_bits_raise(self, t):
+        with pytest.raises(PreconditionError, match="phase_bits"):
+            median_amplitude_estimates([0.2], t, 5, derived_rng(36, "t"))
+
+    def test_one_grid_alive_at_a_time(self):
+        # a stacked (n_unique, 2^t) array would peak near 64x one grid call
+        t = 16
+        amplitudes = (np.arange(64) + 0.5) / 64
+        one_grid = traced_peak(lambda: outcome_distribution(0.3, t))
+        batch = traced_peak(lambda: median_amplitude_estimates(
+            amplitudes, t, amplification_reps(0.01), derived_rng(37, "mem")))
+        assert one_grid >= 8 << t
+        assert batch <= 1.5 * one_grid, (batch, one_grid)
 
 
 class TestSimulateArgmax:
