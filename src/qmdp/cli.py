@@ -360,9 +360,28 @@ def run_sweep(config: dict, axis: str, values, seeds: int):
     return rows, fit
 
 
+def _parse_values(text: str, axis: str) -> list[float]:
+    """The finite numbers of a comma-separated --values list (blank entries
+    skipped), integers on the num_actions and copies axes."""
+    values = []
+    for i, entry in enumerate(text.split(",")):
+        if not entry.strip():
+            continue
+        try:
+            value = float(entry)
+        except ValueError:
+            raise ConfigError(f"--values[{i}] = {entry.strip()!r} is not a number") from None
+        if not math.isfinite(value):
+            raise ConfigError(f"--values[{i}] = {value!r} is not finite")
+        if axis in ("num_actions", "copies") and not value.is_integer():
+            raise ConfigError(f"--values[{i}] = {value!r} is not an integer for axis {axis}")
+        values.append(value)
+    return values
+
+
 def cmd_sweep(args) -> int:
     config = load_config(args.config)
-    values = [float(v) for v in args.values.split(",") if v.strip()]
+    values = _parse_values(args.values, args.axis)
     rows, fit = run_sweep(config, args.axis, values, args.seeds)
     with open(args.out_csv, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

@@ -182,7 +182,10 @@ def reversible_successor_map(row: DyadicRow) -> np.ndarray:
 
 
 def quantize_row(probabilities, m: int) -> DyadicRow:
-    """Largest-remainder rounding of a probability row onto denominator 2^m."""
+    """Largest-remainder rounding of a probability row onto denominator 2^m,
+    0 <= m <= 62 (a count of 2^m must fit in int64)."""
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or not 0 <= m <= 62:
+        raise ConfigError(f"m must be an integer in [0, 62], got {m!r}")
     p = np.asarray(probabilities, dtype=float)
     if p.ndim != 1:
         raise ConfigError("probability row must be one-dimensional")
@@ -190,8 +193,6 @@ def quantize_row(probabilities, m: int) -> DyadicRow:
         raise ConfigError("probabilities must be non-negative")
     if abs(p.sum() - 1.0) > 1e-12:
         raise ConfigError(f"probability row sums to {p.sum()!r}, expected 1 within 1e-12")
-    if m < 0:
-        raise ConfigError("m must be non-negative")
     total = 1 << m
     if int(np.count_nonzero(p)) > total:
         raise ConfigError(

@@ -38,6 +38,7 @@ from .estimators import (
 from .mdp import Mdp, expected_next_value, greedy, successor_variance
 from .oracle import QueryLedger, SampleOracle
 from .qsim import DEFAULT_C_MAX, argmax_query_budget, simulate_argmax
+from .rng import first_draws
 
 __all__ = [
     "VarianceReducedParams",
@@ -47,9 +48,11 @@ __all__ = [
     "max_finding_vi",
     "sampled_vi",
     "mock_argmax",
+    "mock_argmax_rows",
 ]
 
 _FUZZ = 1e-9
+ARGMAX_CHUNK = 4096  # streams per vectorized mock-argmax draw
 
 
 def _ceil_fuzz(x: float) -> int:
@@ -75,17 +78,39 @@ def _failure_prob(f: float) -> float:
     return f
 
 
+def mock_argmax_rows(q: np.ndarray, f: float, u: np.ndarray,
+                     wrong: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Contract-mock quantum maximum finding over each row of q (S, A): the
+    row argmax (lowest index on ties), or, where the row's uniform u < f and
+    A > 1, its index ``wrong`` (drawn below A-1) mapped onto the other A-1
+    entries.  Returns (index, failed) arrays."""
+    best = np.argmax(q, axis=1)
+    failed = (u < f) & (q.shape[1] > 1)
+    return np.where(failed, wrong + (wrong >= best), best), failed
+
+
 def mock_argmax(q_row: np.ndarray, f: float, rng: np.random.Generator) -> tuple[int, bool]:
-    """Contract-mock quantum maximum finding over one Q row: the row argmax
-    (lowest index on ties), or with probability f a uniformly drawn other
-    index.  Draws a uniform, then an index, whatever the outcome.  Returns
-    (index, failed)."""
-    best = int(np.argmax(q_row))
-    fail = rng.random() < f
-    wrong = int(rng.integers(max(q_row.size - 1, 1)))
-    if fail and q_row.size > 1:
-        return (wrong if wrong < best else wrong + 1), True
-    return best, False
+    """One-row view of ``mock_argmax_rows``.  Draws a uniform, then an index
+    below max(A-1, 1), whatever the outcome.  Returns (index, failed)."""
+    u = rng.random()
+    wrong = rng.integers(max(q_row.size - 1, 1))
+    index, failed = mock_argmax_rows(q_row[None], f, np.array([u]), np.array([wrong]))
+    return int(index[0]), bool(failed[0])
+
+
+def _mock_argmax_draws(seed: int, label: str, sweeps: int, s_n: int, a_n: int):
+    """Yield the mock-argmax draws (u, wrong), one (S,) pair per sweep
+    l = 1..sweeps, of the streams (label, l, s, "argmax"): each stream's
+    ``random()`` and ``integers(max(A-1, 1))``, as ``mock_argmax`` draws
+    them.  Streams are drawn ARGMAX_CHUNK at a time (one sweep when S is
+    larger), so memory stays bounded for any number of sweeps."""
+    per_chunk = max(1, ARGMAX_CHUNK // s_n)
+    k = max(a_n - 1, 1)
+    for first in range(1, sweeps + 1, per_chunk):
+        chunk = range(first, min(first + per_chunk, sweeps + 1))
+        u, wrong = first_draws(
+            seed, [(label, l, s, "argmax") for l in chunk for s in range(s_n)], k)
+        yield from zip(u.reshape(-1, s_n), wrong.reshape(-1, s_n))
 
 
 @dataclass(frozen=True)
@@ -334,19 +359,21 @@ def max_finding_vi(
     failures = 0
     snapshots: list = []
 
+    if not use_statevector_argmax:
+        argmax_draws = _mock_argmax_draws(oracle.seed, "mf", p.iters, s_n, a_n)
+
     for l in range(1, p.iters + 1):
-        a_star = np.zeros(s_n, dtype=np.int64)
         phase_max = f"iter-{l}-argmax"
-        for s in range(s_n):
-            rng = oracle.derive_rng("mf", l, s, "argmax")
-            if use_statevector_argmax:
-                a_star[s] = simulate_argmax(
-                    q_mem[s], p.est_failure_prob, rng, p.c_max,
-                    ledger=oracle.ledger, phase=phase_max, probe_cost=probe_cost)
-            else:
-                a_star[s], failed = mock_argmax(q_mem[s], p.est_failure_prob, rng)
-                failures += failed
-        if not use_statevector_argmax:
+        if use_statevector_argmax:
+            # simulate_argmax makes a data-dependent number of draws per state
+            a_star = np.array([
+                simulate_argmax(q_mem[s], p.est_failure_prob,
+                                oracle.derive_rng("mf", l, s, "argmax"), p.c_max,
+                                ledger=oracle.ledger, phase=phase_max, probe_cost=probe_cost)
+                for s in range(s_n)], dtype=np.int64)
+        else:
+            a_star, failed = mock_argmax_rows(q_mem, p.est_failure_prob, *next(argmax_draws))
+            failures += int(failed.sum())
             oracle.ledger.charge_quantum(s_n * mock_probes * probe_cost, phase_max)
 
         v_tilde = q_mem[np.arange(s_n), a_star]
@@ -425,6 +452,8 @@ def sampled_vi(
     q_est = np.zeros((s_n, a_n))
     failures = 0
     snapshots: list = []
+    if mode == "quantum_mean_and_max":
+        argmax_draws = _mock_argmax_draws(oracle.seed, "svi", iters, s_n, a_n)
 
     for i in range(1, iters + 1):
         phase = f"iter-{i}"
@@ -445,14 +474,10 @@ def sampled_vi(
         if mode == "quantum_mean_and_max":
             probe_cost = bounded_mean_charge(horizon, err, delta_i, cfg)
             probes = int(argmax_query_budget(a_n, delta_i, DEFAULT_C_MAX))
-            v_new = np.empty(s_n)
-            for s in range(s_n):
-                rng = oracle.derive_rng("svi", i, s, "argmax")
-                best, failed = mock_argmax(q_est[s], delta_i, rng)
-                failures += failed
-                v_new[s] = q_est[s, best]
+            best, failed = mock_argmax_rows(q_est, delta_i, *next(argmax_draws))
+            failures += int(failed.sum())
             oracle.ledger.charge_quantum(s_n * probes * probe_cost, f"iter-{i}-argmax")
-            v = v_new
+            v = q_est[np.arange(s_n), best]
         else:
             v = q_est.max(axis=1)
         if diagnostics:

@@ -244,6 +244,37 @@ class TestSweepCommand:
         ])
         assert rc == 2
 
+    @pytest.mark.parametrize("axis,values,message", [
+        ("eps", "0.5,abc,0.2", r"--values\[1\] = 'abc' is not a number"),
+        ("num_actions", "4,abc,8", r"--values\[1\] = 'abc' is not a number"),
+        ("num_actions", "4,nan,8", r"--values\[1\] = nan is not finite"),
+        ("copies", "1,2,inf", r"--values\[2\] = inf is not finite"),
+        ("eps", "0.5,0.4,NaN", r"--values\[2\] = nan is not finite"),
+        ("num_actions", "4,2.5,8", r"--values\[1\] = 2\.5 is not an integer for axis num_actions"),
+        ("copies", "1,,2,3.25", r"--values\[3\] = 3\.25 is not an integer for axis copies"),
+    ])
+    def test_bad_values_exit_code(self, tmp_path, capsys, axis, values, message):
+        cfg = write_config(tmp_path, fig_two_config(solver="max-finding"))
+        out_csv = tmp_path / "s.csv"
+        rc = main([
+            "sweep", "--config", str(cfg), "--axis", axis, "--values", values,
+            "--seeds", "1", "--out-csv", str(out_csv), "--out-fit", str(tmp_path / "f.json"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and re.search(message, err), err
+        assert not out_csv.exists()
+
+    def test_integer_values_with_blank_entries(self, tmp_path):
+        cfg = write_config(tmp_path, fig_two_config(solver="max-finding"))
+        out_csv = tmp_path / "s.csv"
+        assert main([
+            "sweep", "--config", str(cfg), "--axis", "num_actions", "--values", "2, 4.0,,8,",
+            "--seeds", "1", "--out-csv", str(out_csv), "--out-fit", str(tmp_path / "f.json"),
+        ]) == 0
+        with open(out_csv, newline="") as fh:
+            assert [r[0] for r in list(csv.reader(fh))[1:]] == ["2.0", "4.0", "8.0"]
+
     def test_num_actions_axis(self, tmp_path):
         doc = fig_two_config(solver="max-finding", A=2, arms=(1,))
         rows, fit = run_sweep(doc, "num_actions", [2, 4, 8], 2)
@@ -323,6 +354,17 @@ class TestOracleBuildCommand:
         # 0.375 = 96/256 is exactly dyadic at m = 8
         assert doc["max_distortion"] == 0.0
         assert counts[0, 0].tolist() == [96, 160]
+
+
+    @pytest.mark.parametrize("m", ["63", "70", "-1"])
+    def test_m_outside_range_exit_code(self, tmp_path, capsys, m):
+        mdp, _ = build_instance({"two_state": {"gamma": 0.9, "p": 0.375}})
+        src = tmp_path / "m.json"
+        src.write_text(json.dumps(mdp_to_dict(mdp)))
+        out = tmp_path / "dyadic.json"
+        assert main(["oracle-build", "--mdp", str(src), "--m", m, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: m must be an integer in [0, 62], got {m}\n"
+        assert not out.exists()
 
 
 class TestSandwichSuccessHelper:

@@ -179,6 +179,16 @@ class TestQuantizeRow:
         with pytest.raises(ConfigError, match="too small"):
             quantize_row([0.25, 0.25, 0.25, 0.25], 1)
 
+    @pytest.mark.parametrize("m", [-1, 63, 70, 2**40, True, 2.0, "8", None])
+    def test_m_outside_range_rejected(self, m):
+        with pytest.raises(ConfigError, match=r"m must be an integer in \[0, 62\]"):
+            quantize_row([0.5, 0.5], m)
+
+    def test_largest_m(self):
+        for p in ([1.0, 0.0], [0.75, 0.25], [0.5, 0.125, 0.375]):
+            counts = quantize_row(p, 62).counts
+            assert counts == tuple(int(x * 2**62) for x in p)
+
     def test_non_normalized_rejected(self):
         with pytest.raises(ConfigError):
             quantize_row([0.5, 0.4], 4)

@@ -1,5 +1,6 @@
 """Stream contract of qmdp.rng: a derived stream is Philox keyed by the
-blake2b digest of its (seed, *parts) key, and nothing else."""
+blake2b digest of its (seed, *parts) key, and nothing else; first_draws
+reproduces each stream's first random() and integers(k) in one pass."""
 
 import hashlib
 import itertools
@@ -7,9 +8,10 @@ import itertools
 import numpy as np
 import pytest
 
+import qmdp.rng
 from qmdp.mdp import Mdp
 from qmdp.oracle import SampleOracle
-from qmdp.rng import child_seed, derived_rng
+from qmdp.rng import child_seed, derived_rng, first_draws
 
 
 def reference_rng(seed, *parts):
@@ -120,3 +122,41 @@ def test_key_parts_must_be_ints_or_strings(bad):
         derived_rng(0, "call", bad)
     with pytest.raises(TypeError, match="ints or strings"):
         child_seed(0, bad)
+
+
+def _keys_by_seed():
+    by_seed = {}
+    for seed, parts in KEYS:
+        by_seed.setdefault(seed, []).append(parts)
+    return by_seed
+
+
+# numpy's Lemire step rejects with probability (2^32 mod k) / 2^32: about a
+# half for k = 2^31+1 and a quarter for k = 3*2^30, so the replay through
+# derived_rng runs on real keys; below 2^-24 for the small k
+@pytest.mark.parametrize("k,replay_rate", [(1, 0.0), (2, 0.0), (3, 0.0), (7, 0.0), (15, 0.0),
+                                           (63, 0.0), (255, 0.0), (2**31 + 1, 0.5),
+                                           (3 * 2**30, 0.25)])
+def test_first_draws_match_generator(monkeypatch, k, replay_rate):
+    replays = []
+    real = qmdp.rng.derived_rng
+    monkeypatch.setattr(qmdp.rng, "derived_rng",
+                        lambda seed, *parts: replays.append(parts) or real(seed, *parts))
+    for seed, keys in _keys_by_seed().items():
+        uniforms, indices = first_draws(seed, keys, k)
+        assert uniforms.dtype == np.float64 and indices.dtype == np.int64
+        for parts, u, i in zip(keys, uniforms.tolist(), indices.tolist()):
+            ref = reference_rng(seed, *parts)
+            assert (u, i) == (ref.random(), int(ref.integers(k))), (seed, parts)
+    assert abs(len(replays) / len(KEYS) - replay_rate) < 0.1
+
+
+def test_first_draws_of_no_keys():
+    uniforms, indices = first_draws(3, [], 5)
+    assert uniforms.shape == indices.shape == (0,)
+
+
+@pytest.mark.parametrize("k", [0, -1, 2**32, 2**40])
+def test_first_draws_range_of_k(k):
+    with pytest.raises(ValueError, match="k must lie in"):
+        first_draws(3, [("call", 0)], k)

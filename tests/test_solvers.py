@@ -1,8 +1,11 @@
 """Tests for the sampled solvers: schedules, guarantees, and diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import qmdp.solvers as solvers
 from qmdp.errors import PreconditionError
 from qmdp.estimators import EstimatorConfig
 from qmdp.hard_instances import HardInstanceSpec, multi_arm_instance, two_state_chain
@@ -14,6 +17,7 @@ from qmdp.solvers import (
     VarianceReducedParams,
     max_finding_vi,
     mock_argmax,
+    mock_argmax_rows,
     sampled_vi,
     variance_reduced_vi,
 )
@@ -106,6 +110,84 @@ class TestMockArgmax:
             ref.random()
             ref.integers(4)
             assert rng.random() == ref.random()
+
+
+def loop_mock_argmax(q_row, f, rng):
+    """The per-state mock argmax the solvers ran before their draws were
+    vectorized, copied literally: the reference the vectorized path must equal."""
+    best = int(np.argmax(q_row))
+    fail = rng.random() < f
+    wrong = int(rng.integers(max(q_row.size - 1, 1)))
+    if fail and q_row.size > 1:
+        return (wrong if wrong < best else wrong + 1), True
+    return best, False
+
+
+def tied_rows(s_n, a_n, seed):
+    # three distinct values per row, so most rows tie on their maximum
+    return derived_rng(seed, "tied").integers(0, 3, (s_n, a_n)).astype(float)
+
+
+class TestVectorizedMockArgmax:
+    @pytest.mark.parametrize("chunk", [solvers.ARGMAX_CHUNK, 7])
+    @pytest.mark.parametrize("a_n", [1, 2, 3, 8, 16])
+    @pytest.mark.parametrize("f", [0.0, 0.3, 1.0])
+    def test_rows_core_equals_per_state_loop(self, monkeypatch, chunk, a_n, f):
+        # with 7 streams per chunk, 40 states take one sweep per chunk and
+        # 3 states two sweeps per chunk, with a shorter last chunk
+        monkeypatch.setattr(solvers, "ARGMAX_CHUNK", chunk)
+        for s_n, sweeps in ((40, 3), (3, 5)):
+            q = tied_rows(s_n, a_n, a_n)
+            draws = list(solvers._mock_argmax_draws(11, "mf", sweeps, s_n, a_n))
+            assert len(draws) == sweeps
+            for l, (u, wrong) in enumerate(draws, start=1):
+                index, failed = mock_argmax_rows(q, f, u, wrong)
+                want = [loop_mock_argmax(q[s], f, derived_rng(11, "mf", l, s, "argmax"))
+                        for s in range(s_n)]
+                assert list(zip(index.tolist(), failed.tolist())) == want
+
+    @pytest.mark.parametrize("a_n", [1, 2, 3, 8, 16])
+    @pytest.mark.parametrize("f", [0.0, 0.3, 1.0])
+    def test_solvers_equal_per_state_loop(self, monkeypatch, a_n, f):
+        # both solvers on tied rows (two equal large arms, and all-zero rows
+        # on the first sweep), with the argmax failure rate forced to f so the
+        # failure branch and the index shift are reached
+        mdp = fig_two(a_n, 1.0, {0, a_n - 1})
+        real = solvers.mock_argmax_rows
+        for label, solve in (
+                ("mf", lambda o: max_finding_vi(o, MaxFindingParams.for_mdp(mdp, 1.0, 0.1))),
+                ("svi", lambda o: sampled_vi(o, 1.0, 0.1, mode="quantum_mean_and_max"))):
+            calls = []
+
+            def spy(q, f_solver, u, wrong):
+                index, failed = real(q, f, u, wrong)
+                calls.append((q.copy(), index, failed))
+                return index, failed
+
+            monkeypatch.setattr(solvers, "mock_argmax_rows", spy)
+            report = solve(SampleOracle(mdp, 5))
+            assert len(calls) == report.params["iters"]
+            argmax_failures = 0
+            for l, (q, index, failed) in enumerate(calls, start=1):
+                want = [loop_mock_argmax(q[s], f, derived_rng(5, label, l, s, "argmax"))
+                        for s in range(mdp.num_states)]
+                assert list(zip(index.tolist(), failed.tolist())) == want, (label, l)
+                argmax_failures += sum(failed_s for _, failed_s in want)
+            assert report.estimator_failures >= argmax_failures
+            if f == 1.0 and a_n > 1:
+                assert argmax_failures == len(calls) * mdp.num_states
+
+    def test_chunked_draws_memory_does_not_grow_with_sweeps(self):
+        # 2^18 (sweep, state) pairs; holding all their draws at once would
+        # take 4 MiB for the arrays alone
+        tracemalloc.start()
+        try:
+            n = sum(1 for _ in solvers._mock_argmax_draws(0, "mf", 4096, 64, 16))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert n == 4096
+        assert peak < 2 * 2**20, peak
 
 
 class TestMaxFindingParams:
