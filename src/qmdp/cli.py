@@ -84,10 +84,11 @@ def load_config(path) -> dict:
 
 
 def _check_number(doc: dict, key: str, where: str, integer: bool = False,
-                  required: bool = True) -> None:
-    """Raise ConfigError unless doc[key] is a finite number (an integer when
-    asked); JSON booleans are not numbers here, and JSON's NaN and Infinity
-    are not finite.  ``where`` prefixes the entry's path."""
+                  required: bool = True, finite: bool = True) -> None:
+    """Raise ConfigError unless doc[key] is a number (an integer when asked),
+    and a finite one unless ``finite`` is false; JSON booleans are not numbers
+    here, and JSON's NaN and Infinity are not finite.  ``where`` prefixes the
+    entry's path."""
     if key not in doc:
         if required:
             raise ConfigError(f"{where}{key} is required")
@@ -97,8 +98,14 @@ def _check_number(doc: dict, key: str, where: str, integer: bool = False,
     if isinstance(value, bool) or not isinstance(value, kinds):
         kind = "an integer" if integer else "a number"
         raise ConfigError(f"{where}{key} must be {kind}, got {value!r}")
-    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+    if finite and isinstance(value, (float, np.floating)) and not math.isfinite(value):
         raise ConfigError(f"{where}{key} must be finite, got {value!r}")
+
+
+def _check_string(doc: dict, key: str, where: str) -> None:
+    """Raise ConfigError if doc has a non-string entry ``key``."""
+    if not isinstance(doc.get(key, ""), str):
+        raise ConfigError(f"{where}{key} must be a string, got {doc[key]!r}")
 
 
 def _check_block(doc: dict, key: str, where: str) -> dict:
@@ -127,13 +134,18 @@ def validate_config(doc: dict, source: str = "<config>") -> None:
         raise ConfigError(f"{source}: solver.name must be one of {SOLVER_NAMES}")
     for key in ("eps", "delta", "b", "c", "c_max"):
         _check_number(solver, key, f"{source}: solver.", required=key in ("eps", "delta"))
-    if not isinstance(solver.get("mode", ""), str):
-        raise ConfigError(f"{source}: solver.mode must be a string, got {solver['mode']!r}")
+    _check_string(solver, "mode", f"{source}: solver.")
     if "seed" not in doc:
         raise ConfigError(f"{source}: top-level 'seed' is required")
     _check_number(doc, "seed", f"{source}: ", integer=True)
-    if not isinstance(doc.get("estimator") or {}, dict):
+    estimator = doc.get("estimator") or {}
+    if not isinstance(estimator, dict):
         raise ConfigError(f"{source}: estimator must be an object, got {doc['estimator']!r}")
+    # ranges (finiteness included) are EstimatorConfig's to check and report
+    for key in ("c1", "c2", "adversarial_scale"):
+        _check_number(estimator, key, f"{source}: estimator.", required=False, finite=False)
+    for key in ("mock_failure_mode", "backend"):
+        _check_string(estimator, key, f"{source}: estimator.")
 
 
 def build_instance(instance: dict, source: str = "<config>") -> tuple[Mdp, dict | None]:

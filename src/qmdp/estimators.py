@@ -178,6 +178,16 @@ def statevector_phase_bits(accuracy: float, cfg: EstimatorConfig = DEFAULT_CONFI
     )
 
 
+def _value_map(oracle: SampleOracle, values) -> np.ndarray:
+    """A scalar estimator's value map as a checked (S,) vector; a NaN or
+    infinite entry raises PreconditionError naming the first one."""
+    v = _check_value_vec(oracle.mdp, values, "value map")
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        raise PreconditionError(f"value map[{bad[0]}] = {v[bad[0]]} is not finite")
+    return v
+
+
 def _check_args(eps, delta, upper=None, sigma=None) -> None:
     """Raise PreconditionError naming the first scalar-estimator argument out
     of its range; NaN lies outside every range."""
@@ -194,7 +204,9 @@ def _check_args(eps, delta, upper=None, sigma=None) -> None:
 def _range_violated(v: np.ndarray, upper: float, slack: float = 0.0) -> bool:
     """True when the value map leaves [0, upper] by more than slack plus float fuzz."""
     tol = slack + _PROMISE_TOL * max(1.0, upper)
-    return bool((v < -tol).any() or (v > upper + tol).any())
+    # fmin/fmax skip NaN entries, as elementwise comparisons would
+    lo, hi = np.fmin.reduce(v, axis=None), np.fmax.reduce(v, axis=None)
+    return bool(lo < -tol or hi > upper + tol)
 
 
 def _variance_breached(var, sigma):
@@ -215,25 +227,36 @@ def _estimate(mu, upper, eps, delta, cfg, rng, forced=False, sigma=None):
     or with probability delta a planted failure, charged by the stated
     formula; the draw order is fixed across failure modes.  ``forced`` (a
     voided promise) fails every entry.
+
+    ``rng`` must be a fresh stream used by this call alone (every caller
+    derives one per call).  The mock draws the failure flags and the noise,
+    then the planted-failure draws only when some entry fails: they come
+    last, so skipping them changes no value this call returns.
     """
-    if sigma is None and cfg.backend == BACKEND_STATEVECTOR:
-        t = statevector_phase_bits(float(np.min(eps)) / upper, cfg)
-        reps = amplification_reps(delta)
-        a = np.clip(mu / upper, 0.0, 1.0)
-        est = upper * median_amplitude_estimates(a, t, reps, rng).reshape(a.shape)
-        return est, np.full(est.shape, forced), ((1 << t) - 1) * reps * est.size
-    if sigma is not None and (np.any(eps <= 0.0) or np.any(eps >= 4.0 * sigma)):
+    if sigma is None:
+        eps_min = float(np.min(eps)) if isinstance(eps, np.ndarray) else eps
+        if cfg.backend == BACKEND_STATEVECTOR:
+            t = statevector_phase_bits(eps_min / upper, cfg)
+            reps = amplification_reps(delta)
+            a = np.clip(mu / upper, 0.0, 1.0)
+            est = upper * median_amplitude_estimates(a, t, reps, rng).reshape(a.shape)
+            return est, np.full(est.shape, forced), ((1 << t) - 1) * reps * est.size
+    elif np.any(eps <= 0.0) or np.any(eps >= 4.0 * sigma):
         raise PreconditionError("variance-bounded estimator needs eps in (0, 4*sigma) per row")
     shape = np.shape(mu)
-    fail = (rng.random(shape) < delta) | forced
+    fail = rng.random(shape) < delta
     noise = rng.uniform(-1.0, 1.0, shape) * eps
-    sign = np.where(rng.random(shape) < 0.5, -1.0, 1.0)
-    spread = rng.uniform(-1.0, 1.0, shape)
-    planted = sign if cfg.mock_failure_mode == "adversarial_edge" else spread
-    est = mu + np.where(fail, cfg.adversarial_scale * eps * planted, noise)
+    if forced or fail.any():
+        fail |= forced
+        sign = np.where(rng.random(shape) < 0.5, -1.0, 1.0)
+        spread = rng.uniform(-1.0, 1.0, shape)
+        planted = sign if cfg.mock_failure_mode == "adversarial_edge" else spread
+        est = mu + np.where(fail, cfg.adversarial_scale * eps * planted, noise)
+    else:
+        est = mu + noise
     if sigma is not None:
         return est, fail, variance_mean_charge(sigma, eps, delta, cfg)
-    return est, fail, bounded_mean_charge(upper, float(np.min(eps)), delta, cfg) * est.size
+    return est, fail, bounded_mean_charge(upper, eps_min, delta, cfg) * est.size
 
 
 def _row_mean(oracle: SampleOracle, s: int, a: int, v: np.ndarray) -> np.ndarray:
@@ -266,7 +289,7 @@ def bounded_mean(
     stated cost formula.  Statevector backend: simulated amplitude
     estimation with a median wrapper, charging measured counts.
     """
-    v = _check_value_vec(oracle.mdp, values, "value map")
+    v = _value_map(oracle, values)
     _check_args(eps, delta, upper=upper)
     violated = _range_violated(v, upper)
     if violated and strict:
@@ -300,7 +323,7 @@ def variance_bounded_mean(
     truth on perfectly healthy runs.  Always contract-mock: the variance-
     bounded estimator's internals are out of simulation scope.
     """
-    v = _check_value_vec(oracle.mdp, values, "value map")
+    v = _value_map(oracle, values)
     _check_args(eps, delta, sigma=sigma)
     est, failed, charged = _estimate(_row_mean(oracle, s, a, v), None, eps, delta, cfg,
                                      oracle._next_rng(), sigma=sigma)
@@ -321,7 +344,7 @@ def hoeffding_mean(
     phase: str | None = None,
 ) -> MeanEstimate:
     """Empirical mean from the Hoeffding sample count; draws real samples."""
-    v = _check_value_vec(oracle.mdp, values, "value map")
+    v = _value_map(oracle, values)
     _check_args(eps, delta, upper=upper)
     n = hoeffding_sample_count(upper, eps, delta)
     counts = oracle.sample_counts(s, a, n, phase)
@@ -341,7 +364,7 @@ def bernstein_mean(
     phase: str | None = None,
 ) -> MeanEstimate:
     """Empirical mean from the Bernstein sample count; draws real samples."""
-    v = _check_value_vec(oracle.mdp, values, "value map")
+    v = _value_map(oracle, values)
     _check_args(eps, delta, upper=upper, sigma=sigma)
     n = bernstein_sample_count(upper, sigma, eps, delta)
     counts = oracle.sample_counts(s, a, n, phase)

@@ -201,6 +201,14 @@ def quantize_row(probabilities, m: int) -> DyadicRow:
     scaled = p * total
     base = np.floor(scaled).astype(np.int64)
     deficit = total - int(base.sum())
+    if not 0 <= deficit <= len(p):
+        # rounding up at most one unit per entry cannot absorb the row's sum
+        # error once 2^m scales it past a unit (from m = 53, one float ulp)
+        sum_error = float(sum(map(Fraction, p.tolist())) - 1)
+        raise ConfigError(
+            f"m={m} too large for this row: its sum error {sum_error:.3g} leaves "
+            f"{deficit} units of 2^-{m} to round up, outside [0, {len(p)}]"
+        )
     if deficit:
         remainders = scaled - base
         # stable sort => ties go to the lowest index, keeping runs reproducible

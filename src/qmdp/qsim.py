@@ -91,12 +91,17 @@ def single_run_error_radius(a: float, t: int) -> float:
 def _estimate_draws(a: np.ndarray, t: int, u: np.ndarray) -> np.ndarray:
     """Estimates sin^2(pi y / 2^t), y drawn for row i of the uniforms u by
     inverting the outcome CDF of amplitude a[i].  Builds one grid per distinct
-    amplitude, and only one is alive at a time."""
-    groups = {}  # -0.0 joins 0.0, whose grid is the same
+    non-zero amplitude, and only one is alive at a time.  Amplitude 0 needs no
+    grid: its CDF is exactly 1.0 from y = 0 on (both kernel terms there are
+    sinc(0)/sinc(0) = 1), so every u in [0, 1) inverts to y = 0."""
+    groups = {}  # -0.0 joins 0.0
     for i, value in enumerate(a.tolist()):
         groups.setdefault(value, []).append(i)
     y = np.empty(u.shape, dtype=np.int64)
     for value, rows in groups.items():
+        if value == 0.0:
+            y[rows] = 0
+            continue
         cdf = np.cumsum(outcome_distribution(value, t))
         cdf[-1] = 1.0  # absorb float round-off in the last bin
         y[rows] = np.searchsorted(cdf, u[rows], side="right")

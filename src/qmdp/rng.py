@@ -24,6 +24,10 @@ _SHIFT32 = np.uint64(32)
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
 _PHILOX_ROUNDS = 10
+# Every derived stream starts at counter 0.  Passing Philox this array (it
+# copies it) skips numpy's int -> array conversion of its default counter; a
+# view of immutable bytes, it can never be made writable.
+_ZERO_COUNTER = np.frombuffer(bytes(32), dtype=np.uint64)
 
 
 def _encode_part(p) -> str:
@@ -79,7 +83,7 @@ def _key_digest(seed: int, parts: tuple) -> bytes:
 def derived_rng(seed: int, *parts) -> np.random.Generator:
     """Return a fresh Generator whose stream is a pure function of (seed, *parts)."""
     key = np.frombuffer(_key_digest(seed, parts), dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
+    return np.random.Generator(np.random.Philox(_PhiloxKey(key), counter=_ZERO_COUNTER))
 
 
 def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -281,8 +281,8 @@ def variance_reduced_vi(
             take = vq >= v
             v_next = np.where(take, vq, v)
             pi = np.where(take, piq, pi)
-            monotone_ok &= bool(np.all(v_next >= v))
-            dominance_ok &= bool(np.all(v_next >= vq))
+            monotone_ok &= bool((v_next >= v).all())
+            dominance_ok &= bool((v_next >= vq).all())
             v = v_next
 
             err_d = p.c * (1.0 - gamma) * eps_k
@@ -298,7 +298,7 @@ def variance_reduced_vi(
                 # one-sidedness of the combined estimate (meaningful when no
                 # estimate failed): x + delta <= P v_{k,l} exactly
                 exact_mean = expected_next_value(mdp, v)
-                one_sided_ok &= bool(np.all(x + delta_kl <= exact_mean + 1e-9))
+                one_sided_ok &= bool((x + delta_kl <= exact_mean + 1e-9).all())
                 snapshots.append((k, l, v.copy(), pi.copy()))
 
     return SolveReport(
@@ -380,11 +380,11 @@ def max_finding_vi(
         take = v_tilde >= v
         v_next = np.where(take, v_tilde, v)
         pi = np.where(take, a_star, pi)
-        monotone_ok &= bool(np.all(v_next >= v))
+        monotone_ok &= bool((v_next >= v).all())
         # unconditional form of the dominance guarantee: the kept iterate is
         # at least the probed row value (equals the row max when the argmax
         # call succeeded)
-        dominance_ok &= bool(np.all(v_next >= v_tilde))
+        dominance_ok &= bool((v_next >= v_tilde).all())
         v = v_next
 
         # next sweep's Q row oracles: one estimate per entry, memoized
@@ -395,7 +395,7 @@ def max_finding_vi(
         failures += int(fail_z.sum())
         q_mem = np.maximum(r + gamma * z, 0.0)
         if diagnostics:
-            one_sided_ok &= bool(np.all(z <= expected_next_value(mdp, v) + 1e-9))
+            one_sided_ok &= bool((z <= expected_next_value(mdp, v) + 1e-9).all())
             snapshots.append((1, l, v.copy(), pi.copy()))
 
     return SolveReport(

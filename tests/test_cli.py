@@ -167,6 +167,15 @@ class TestSolveCommand:
         (lambda d: d["solver"].update(eps=float("-inf")), r"solver\.eps must be finite, got -inf"),
         (lambda d: d["instance"]["hard_instance"].update(gamma=float("nan")),
          r"instance\.hard_instance\.gamma must be finite, got nan"),
+        (lambda d: d.update(estimator={"c1": True}), r"estimator\.c1 must be a number, got True"),
+        (lambda d: d.update(estimator={"c2": "2"}), r"estimator\.c2 must be a number, got '2'"),
+        (lambda d: d.update(estimator={"adversarial_scale": "10"}),
+         r"estimator\.adversarial_scale must be a number, got '10'"),
+        (lambda d: d.update(estimator={"mock_failure_mode": 3}),
+         r"estimator\.mock_failure_mode must be a string, got 3"),
+        (lambda d: d.update(estimator={"backend": None}),
+         r"estimator\.backend must be a string, got None"),
+        (lambda d: d["solver"].update(mode=2), r"solver\.mode must be a string, got 2"),
     ])
     def test_malformed_config_exit_code(self, tmp_path, capsys, edit, message):
         doc = fig_two_config()

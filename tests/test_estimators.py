@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import qmdp.estimators as est_mod
 from qmdp.errors import PreconditionError, PromiseViolationError
 from qmdp.estimators import (
     EstimatorConfig,
@@ -21,6 +22,7 @@ from qmdp.estimators import (
 )
 from qmdp.mdp import Mdp
 from qmdp.oracle import SampleOracle
+from qmdp.qsim import median_amplitude_estimates
 from qmdp.rng import derived_rng
 
 CFG = EstimatorConfig()
@@ -468,3 +470,133 @@ class TestScalarArguments:
     def test_bernstein_sigma_nan_rejected(self):
         with pytest.raises(PreconditionError, match=r"sigma must be non-negative and finite"):
             bernstein_mean(fresh_oracle(), 0, 0, np.zeros(2), 1.0, math.nan, 0.1, 0.1)
+
+
+NONFINITE_MAP_CALLS = {  # (oracle, values) -> MeanEstimate
+    "bounded": lambda o, v: bounded_mean(o, 0, 0, v, 1.0, 0.1, 0.1),
+    "bounded-not-strict": lambda o, v: bounded_mean(o, 0, 0, v, 1.0, 0.1, 0.1, strict=False),
+    "variance-bounded": lambda o, v: variance_bounded_mean(o, 0, 0, v, 1.0, 0.1, 0.1),
+    "hoeffding": lambda o, v: hoeffding_mean(o, 0, 0, v, 1.0, 0.1, 0.1),
+    "bernstein": lambda o, v: bernstein_mean(o, 0, 0, v, 1.0, 0.5, 0.1, 0.1),
+}
+
+
+class TestNonFiniteValueMap:
+    """A NaN or infinite value map entry is rejected by name, before the
+    scalar estimator draws from its stream or charges the ledger."""
+
+    @pytest.mark.parametrize("name", sorted(NONFINITE_MAP_CALLS))
+    @pytest.mark.parametrize("values,message", [
+        ([math.nan, 1.0], r"value map\[0\] = nan is not finite"),
+        ([0.5, math.inf], r"value map\[1\] = inf is not finite"),
+        ([-math.inf, math.nan], r"value map\[0\] = -inf is not finite"),
+    ])
+    def test_rejected_before_draw_or_charge(self, name, values, message):
+        oracle = fresh_oracle(0.5, seed=23)
+        with pytest.raises(PreconditionError, match=message):
+            NONFINITE_MAP_CALLS[name](oracle, values)
+        assert oracle.ledger.total == 0 and oracle.ledger.phases == {}
+        # the stream counter did not move: the next call draws as a fresh oracle's
+        assert NONFINITE_MAP_CALLS[name](oracle, [0.25, 1.0]) == \
+            NONFINITE_MAP_CALLS[name](fresh_oracle(0.5, seed=23), [0.25, 1.0])
+
+
+def reference_estimate(mu, upper, eps, delta, cfg, rng, forced=False, sigma=None):
+    """The estimator core as it drew before the unread planted-failure draws
+    were skipped, kept verbatim: every draw it returns is pinned to it."""
+    if sigma is None and cfg.backend == est_mod.BACKEND_STATEVECTOR:
+        t = statevector_phase_bits(float(np.min(eps)) / upper, cfg)
+        reps = amplification_reps(delta)
+        a = np.clip(mu / upper, 0.0, 1.0)
+        est = upper * median_amplitude_estimates(a, t, reps, rng).reshape(a.shape)
+        return est, np.full(est.shape, forced), ((1 << t) - 1) * reps * est.size
+    if sigma is not None and (np.any(eps <= 0.0) or np.any(eps >= 4.0 * sigma)):
+        raise PreconditionError("variance-bounded estimator needs eps in (0, 4*sigma) per row")
+    shape = np.shape(mu)
+    fail = (rng.random(shape) < delta) | forced
+    noise = rng.uniform(-1.0, 1.0, shape) * eps
+    sign = np.where(rng.random(shape) < 0.5, -1.0, 1.0)
+    spread = rng.uniform(-1.0, 1.0, shape)
+    planted = sign if cfg.mock_failure_mode == "adversarial_edge" else spread
+    est = mu + np.where(fail, cfg.adversarial_scale * eps * planted, noise)
+    if sigma is not None:
+        return est, fail, est_mod.variance_mean_charge(sigma, eps, delta, cfg)
+    return est, fail, est_mod.bounded_mean_charge(upper, float(np.min(eps)), delta, cfg) * est.size
+
+
+def _outcome(est, failed, charge):
+    return (est.dtype, est.shape, est.tobytes(), failed.dtype, failed.tobytes(),
+            type(charge), charge)
+
+
+class TestSameDraws:
+    """``_estimate`` returns byte for byte what the verbatim core returns,
+    on the same stream key, over every input kind its callers pass."""
+
+    @pytest.fixture(autouse=True)
+    def _reps_at_any_delta(self, monkeypatch):
+        # delta 0 and 1 have no repetition count; the charge is not under
+        # test here, so give them one and keep the draws comparable
+        reps = amplification_reps
+        monkeypatch.setattr(est_mod, "amplification_reps",
+                            lambda d: reps(d) if 0.0 < d < 1.0 else 1)
+
+    @pytest.mark.parametrize("shape", [(1,), (2, 8), (128, 16)])
+    @pytest.mark.parametrize("delta", [0.0, 1e-6, 0.3, 1.0])
+    @pytest.mark.parametrize("forced", [False, True])
+    @pytest.mark.parametrize("mode", ["adversarial_edge", "uniform_noise"])
+    @pytest.mark.parametrize("kind", ["bounded-scalar-eps", "bounded-row-eps", "variance"])
+    def test_mock_matches_verbatim_core(self, shape, delta, forced, mode, kind):
+        cfg = EstimatorConfig(mock_failure_mode=mode)
+        keys = derived_rng(31, "same-draws", *shape)
+        mu = keys.random(shape) * 5.0
+        upper, sigma = 5.0, None
+        if kind == "bounded-scalar-eps":
+            eps = 0.25
+        else:
+            eps = 0.05 + keys.random(shape) * 0.5
+        if kind == "variance":
+            upper, forced, sigma = None, False, 0.2 + keys.random(shape)
+        label = (kind, mode, int(forced), str(delta), *shape)
+        got = est_mod._estimate(mu, upper, eps, delta, cfg, derived_rng(32, *label),
+                                forced, sigma)
+        want = reference_estimate(mu, upper, eps, delta, cfg, derived_rng(32, *label),
+                                  forced, sigma)
+        assert _outcome(*got) == _outcome(*want)
+
+    @pytest.mark.parametrize("shape", [(1,), (2, 8), (16, 4)])
+    @pytest.mark.parametrize("delta", [1e-6, 0.3])
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_statevector_matches_verbatim_core(self, shape, delta, forced):
+        cfg = EstimatorConfig(backend="statevector")
+        keys = derived_rng(33, "same-draws", *shape)
+        # exact zeros and repeats exercise the grid-free and shared-grid groups
+        mu = np.where(keys.random(shape) < 0.3, 0.0, np.round(keys.random(shape), 1))
+        for eps in (0.1, 0.1 + keys.random(shape) * 0.2):
+            label = ("sv", int(forced), str(delta), *shape)
+            got = est_mod._estimate(mu, 1.0, eps, delta, cfg, derived_rng(34, *label), forced)
+            want = reference_estimate(mu, 1.0, eps, delta, cfg, derived_rng(34, *label), forced)
+            assert _outcome(*got) == _outcome(*want)
+
+    def test_no_failure_skips_planted_draws(self):
+        # with nothing failing the planted arrays are never drawn: the stream
+        # stops after the flags and the noise
+        rng = derived_rng(35, "skip")
+        est_mod._estimate(np.zeros((2, 8)), 1.0, 0.1, 0.0, CFG, rng)
+        ref = derived_rng(35, "skip")
+        ref.random((2, 8))
+        ref.uniform(-1.0, 1.0, (2, 8))
+        np.testing.assert_array_equal(rng.random(4), ref.random(4))
+
+
+class TestRangeCheck:
+    @pytest.mark.parametrize("v", [
+        [0.5, math.nan], [math.nan, -1.0], [2.0, math.nan], [math.nan, math.nan],
+        [-1.0, 2.0], [0.0, 1.0], [1.0 + 1e-10, 0.0], [[0.5, -0.5], [math.nan, 0.2]],
+    ])
+    @pytest.mark.parametrize("slack", [0.0, 0.6])
+    def test_same_as_elementwise_comparisons(self, v, slack):
+        v = np.array(v)
+        tol = slack + 1e-9
+        want = bool((v < -tol).any() or (v > 1.0 + tol).any())
+        assert est_mod._range_violated(v, 1.0, slack) is want

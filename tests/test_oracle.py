@@ -1,5 +1,6 @@
 """Tests for query accounting, sampling, and the dyadic amplitude oracle."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -188,6 +189,39 @@ class TestQuantizeRow:
         for p in ([1.0, 0.0], [0.75, 0.25], [0.5, 0.125, 0.375]):
             counts = quantize_row(p, 62).counts
             assert counts == tuple(int(x * 2**62) for x in p)
+
+    DIRICHLET_ROWS = derived_rng(24, "dirichlet").dirichlet(np.ones(5), size=200)
+
+    @staticmethod
+    def unchecked_counts(p, m):
+        """Largest-remainder rounding as it read before out-of-range deficits
+        were caught: the counts wherever that code succeeded."""
+        scaled = np.asarray(p, dtype=float) * (1 << m)
+        base = np.floor(scaled).astype(np.int64)
+        deficit = (1 << m) - int(base.sum())
+        base[np.argsort(-(scaled - base), kind="stable")[:deficit]] += 1
+        return tuple(int(k) for k in base)
+
+    @pytest.mark.parametrize("m", [3, 8, 20, 40, 52])
+    def test_counts_unchanged_up_to_52_bits(self, m):
+        for p in self.DIRICHLET_ROWS:
+            assert quantize_row(p, m).counts == self.unchecked_counts(p, m)
+
+    @pytest.mark.parametrize("m", [53, 55, 62])
+    def test_fine_grid_rounds_or_names_the_sum_error(self, m):
+        rejected = 0
+        for p in self.DIRICHLET_ROWS:
+            try:
+                counts = quantize_row(p, m).counts
+            except ConfigError as exc:
+                assert re.fullmatch(
+                    rf"m={m} too large for this row: its sum error -?[0-9.e+-]+ leaves "
+                    rf"-?\d+ units of 2\^-{m} to round up, outside \[0, 5\]", str(exc)), exc
+                rejected += 1
+            else:
+                assert sum(counts) == 1 << m
+                assert counts == self.unchecked_counts(p, m)
+        assert rejected > 0
 
     def test_non_normalized_rejected(self):
         with pytest.raises(ConfigError):

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import qmdp.qsim as qsim_mod
 from qmdp.errors import PreconditionError
 from qmdp.estimators import amplification_reps
 from qmdp.oracle import QueryLedger
@@ -193,6 +194,48 @@ class TestVectorizedMedians:
             amplitudes, t, amplification_reps(0.01), derived_rng(37, "mem")))
         assert one_grid >= 8 << t
         assert batch <= 1.5 * one_grid, (batch, one_grid)
+
+
+def full_grid_draws(amplitudes, t, u):
+    """Every row inverted through its own full outcome grid, zero amplitude
+    included: the reference the grid-free zero group must equal."""
+    y = np.empty(u.shape, dtype=np.int64)
+    for i, a in enumerate(amplitudes):
+        cdf = np.cumsum(outcome_distribution(float(a), t))
+        cdf[-1] = 1.0
+        y[i] = np.searchsorted(cdf, u[i], side="right")
+    return np.sin(np.pi * y / (1 << t)) ** 2
+
+
+class TestZeroAmplitudeWithoutGrid:
+    AMPLITUDES = [0.0, 0.3, -0.0, 1.0, 0.0, 0.5, -0.0, 1e-7, 0.3]
+    EDGE_UNIFORMS = [0.0, 1.0 - 2.0**-53, 0.5, 2.0**-53]
+
+    @pytest.mark.parametrize("t", [1, 6, 13, 16])
+    def test_equal_to_full_grid_inverse(self, t, monkeypatch):
+        seen = []
+
+        def spy(a, t):
+            seen.append(a)
+            return outcome_distribution(a, t)
+
+        monkeypatch.setattr(qsim_mod, "outcome_distribution", spy)
+        a = np.array(self.AMPLITUDES)
+        u = derived_rng(38, "zero-group", t).random((a.size, 13))
+        u[:, :len(self.EDGE_UNIFORMS)] = self.EDGE_UNIFORMS
+        got = qsim_mod._estimate_draws(a, t, u)
+        assert got.tobytes() == full_grid_draws(a, t, u).tobytes()
+        assert not got[a == 0.0].any()
+        # one grid per distinct non-zero amplitude, none for the zero group
+        assert sorted(seen) == [1e-7, 0.3, 0.5, 1.0]
+
+    def test_all_zero_batch_builds_no_grid(self, monkeypatch):
+        def no_grid(a, t):
+            raise AssertionError(f"grid built for amplitude {a}")
+
+        monkeypatch.setattr(qsim_mod, "outcome_distribution", no_grid)
+        est = median_amplitude_estimates([0.0, -0.0, 0.0], 16, 9, derived_rng(39, "zeros"))
+        assert est.tobytes() == np.zeros(3).tobytes()
 
 
 class TestSimulateArgmax:

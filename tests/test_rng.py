@@ -52,6 +52,16 @@ def test_state_matches_reference():
         assert _state(derived_rng(seed, *parts)) == _state(reference_rng(seed, *parts)), parts
 
 
+def test_zero_counter_is_read_only():
+    counter = qmdp.rng._ZERO_COUNTER
+    with pytest.raises(ValueError, match="read-only"):
+        counter[0] = 1
+    with pytest.raises(ValueError):
+        counter.setflags(write=True)
+    derived_rng(3, "counter").random(100)  # the stream advances its own copy
+    assert counter.tolist() == [0, 0, 0, 0]
+
+
 def test_draws_match_reference():
     for seed, parts in KEYS[::7]:
         got, want = derived_rng(seed, *parts), reference_rng(seed, *parts)
