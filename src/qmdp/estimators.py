@@ -328,7 +328,7 @@ def variance_bounded_mean(
     est, failed, charged = _estimate(_row_mean(oracle, s, a, v), None, eps, delta, cfg,
                                      oracle._next_rng(), sigma=sigma)
     oracle.ledger.charge_quantum(charged, phase)
-    breached = _variance_breached(successor_variance(oracle.mdp, v)[s, a], sigma)
+    breached = _variance_breached(successor_variance(oracle.mdp, v, (s, a)), sigma)
     return MeanEstimate(float(est[0]), eps, 1.0 - delta, charged, BACKEND_MOCK,
                         mock_failed=bool(failed[0]), promise_violated=bool(breached))
 
@@ -368,7 +368,7 @@ def bernstein_mean(
     _check_args(eps, delta, upper=upper, sigma=sigma)
     n = bernstein_sample_count(upper, sigma, eps, delta)
     counts = oracle.sample_counts(s, a, n, phase)
-    breached = _variance_breached(successor_variance(oracle.mdp, v)[s, a], sigma)
+    breached = _variance_breached(successor_variance(oracle.mdp, v, (s, a)), sigma)
     return MeanEstimate(float(counts @ v / n), eps, 1.0 - delta, n, "classical_bernstein",
                         promise_violated=bool(breached))
 

@@ -41,6 +41,9 @@ __all__ = [
 _ROW_SUM_TOL = 1e-12
 _VARIANCE_CLAMP = -1e-12
 OPTIMUM_TOL = 1e-10  # max-norm certificate of the ground truth held by Mdp.optimum
+# float64 cells of the deviation buffer successor_variance reuses across its
+# blocks of whole states (one state's A*S cells when that is more)
+VARIANCE_BLOCK_CELLS = 2**15
 
 
 @dataclass(frozen=True)
@@ -154,20 +157,44 @@ def expected_next_value(mdp: Mdp, v: np.ndarray) -> np.ndarray:
     return (mdp.flat_transitions() @ v).reshape(mdp.num_states, mdp.num_actions)
 
 
-def successor_variance(mdp: Mdp, v: np.ndarray) -> np.ndarray:
-    """Variance of v[s'] under each row's successor distribution.
+def successor_variance(mdp: Mdp, v: np.ndarray,
+                       row: tuple[int, int] | None = None) -> np.ndarray | float:
+    """Variance of v[s'] under each row's successor distribution, as an
+    (S, A) table, or only row (s, a)'s entry, as a float, when ``row`` is given.
 
     Computed as sum_s' p * (v - mean)^2, which is algebraically the same as
     the difference-of-moments form but cannot go negative from cancellation;
     the clamp below only guards the documented contract.
+
+    Memory: the deviations are written block by block, over whole states,
+    into one reused buffer of at most max(VARIANCE_BLOCK_CELLS, A*S) float64
+    cells (256 KiB while A*S <= 2^15).  Besides it a call holds only (S, A)
+    tables, never an (S, A, S) temporary.  Every entry is byte-identical to
+    the full-tensor form ``einsum("sat,sat->sa", p, (v - mean)**2)``: each
+    is the same contraction over s' of the same deviations, and the means
+    are always the one (S*A, S) product ``expected_next_value`` makes, also
+    for a single row (a row's own dot product can differ in the last bit).
     """
     v = _check_value_vec(mdp, v)
     mean = expected_next_value(mdp, v)
-    dev = v[np.newaxis, np.newaxis, :] - mean[:, :, np.newaxis]
-    var = np.einsum("sat,sat->sa", mdp.transitions, dev * dev)
+    p = mdp.transitions
+    if row is not None:
+        s, a = row
+        p, mean = p[s, a].reshape(1, 1, -1), mean[s, a].reshape(1, 1)
+    n, a_n, s_n = p.shape
+    per_block = max(1, VARIANCE_BLOCK_CELLS // (a_n * s_n))
+    buf = np.empty(min(n, per_block) * a_n * s_n)
+    var = np.empty((n, a_n))
+    for lo in range(0, n, per_block):
+        hi = min(lo + per_block, n)
+        dev = buf[:(hi - lo) * a_n * s_n].reshape(hi - lo, a_n, s_n)
+        np.subtract(v, mean[lo:hi, :, np.newaxis], out=dev)
+        np.multiply(dev, dev, out=dev)
+        np.einsum("sat,sat->sa", p[lo:hi], dev, out=var[lo:hi])
     if np.any(var < _VARIANCE_CLAMP):
         raise InternalError(f"variance computed below {_VARIANCE_CLAMP}: min {var.min()}")
-    return np.maximum(var, 0.0)
+    var = np.maximum(var, 0.0)
+    return var if row is None else float(var[0, 0])
 
 
 def bellman_backup(mdp: Mdp, v: np.ndarray) -> np.ndarray:

@@ -201,18 +201,22 @@ def quantize_row(probabilities, m: int) -> DyadicRow:
     scaled = p * total
     base = np.floor(scaled).astype(np.int64)
     deficit = total - int(base.sum())
-    if not 0 <= deficit <= len(p):
+    # only a successor the row can reach may take a unit: a count on a zero
+    # entry would let the amplitude oracle reach it
+    support = np.flatnonzero(p)
+    if not 0 <= deficit <= len(support):
         # rounding up at most one unit per entry cannot absorb the row's sum
-        # error once 2^m scales it past a unit (from m = 53, one float ulp)
+        # error once 2^m scales it past a unit (from m = 53, one float ulp,
+        # or earlier when zero entries leave fewer entries to round up)
         sum_error = float(sum(map(Fraction, p.tolist())) - 1)
         raise ConfigError(
             f"m={m} too large for this row: its sum error {sum_error:.3g} leaves "
-            f"{deficit} units of 2^-{m} to round up, outside [0, {len(p)}]"
+            f"{deficit} units of 2^-{m} to round up, outside [0, {len(support)}]"
         )
     if deficit:
-        remainders = scaled - base
+        remainders = scaled[support] - base[support]
         # stable sort => ties go to the lowest index, keeping runs reproducible
-        order = np.argsort(-remainders, kind="stable")
+        order = support[np.argsort(-remainders, kind="stable")]
         base[order[:deficit]] += 1
     return DyadicRow(denominator_bits=m, counts=tuple(int(k) for k in base))
 

@@ -6,12 +6,14 @@ processes that derive the same key from the same seed see the same stream,
 which is what makes solver reports bit-identical across reruns and lets
 concurrent callers split independent child streams without coordination.
 ``first_draws`` computes the first draws of many derived streams in one
-vectorized Philox pass, with the values those streams' Generators give.
+vectorized Philox pass, with the values those streams' Generators give;
+``ArgmaxKeys`` encodes the keys of a solve's argmax streams in bulk.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -112,7 +114,49 @@ def _philox_first_words(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return c0, c1
 
 
-def first_draws(seed: int, keys, k: int) -> tuple[np.ndarray, np.ndarray]:
+class ArgmaxKeys(Sequence):
+    """The stream keys (label, l, s, "argmax"), l over ``sweeps`` (outer) and
+    s over ``states`` (inner), as a sequence that builds a key tuple only
+    when indexed."""
+
+    __slots__ = ("label", "sweeps", "states")
+
+    def __init__(self, label: str, sweeps, states):
+        self.label, self.sweeps, self.states = label, sweeps, states
+
+    def __len__(self) -> int:
+        return len(self.sweeps) * len(self.states)
+
+    def __getitem__(self, i: int) -> tuple:
+        l, s = divmod(range(len(self))[i], len(self.states))
+        return (self.label, self.sweeps[l], self.states[s], "argmax")
+
+    def digests(self, seed: int) -> bytes:
+        """Every key's 16-byte digest, in order: byte for byte
+        ``b"".join(_key_digest(seed, key) for key in self)``.
+
+        Each key's bytes follow one template, ``_encode_parts``' output
+        with the sweep and the state left open.  blake2b runs on the
+        template's sweep prefix once per sweep, and that state is copied
+        for each state's tail, instead of encoding and hashing every key
+        from scratch.
+        """
+        template = _encode_parts(seed, (self.label.replace("%", "%%"), "%s", "%s", "argmax"))
+        cut = template.rindex(b"%s")  # the state's slot; the sweep's comes before it
+        head, tail = template[:cut], template[cut:]
+        tails = [tail % _encode_part(s).encode() for s in self.states]
+        out = []
+        for l in self.sweeps:
+            copy = hashlib.blake2b(head % _encode_part(l).encode(), digest_size=16).copy
+            for t in tails:
+                h = copy()
+                h.update(t)
+                out.append(h.digest())
+        return b"".join(out)
+
+
+def first_draws(seed: int, keys, k: int,
+                digests: bytes | None = None) -> tuple[np.ndarray, np.ndarray]:
     """For each parts tuple in ``keys``, the uniform and the index that
     ``g = derived_rng(seed, *parts); g.random(); g.integers(k)`` draw, for all
     streams in one numpy pass over their first Philox output block (w0, w1).
@@ -120,17 +164,22 @@ def first_draws(seed: int, keys, k: int) -> tuple[np.ndarray, np.ndarray]:
     ``random()`` is (w0 >> 11) * 2^-53.  ``integers(k)`` draws nothing for
     k = 1, and otherwise is numpy's Lemire step on the low 32 bits of w1; a
     stream whose step would reject and draw again (probability below k/2^32)
-    is replayed through ``derived_rng`` itself.  Returns (uniforms float64,
+    is replayed through ``derived_rng`` itself.  ``digests``, when given, are
+    the keys' concatenated 16-byte digests (``ArgmaxKeys.digests``); ``keys``
+    is then indexed only for replayed streams.  Returns (uniforms float64,
     indices int64).
     """
     if not 1 <= k < 2**32:
         raise ValueError(f"k must lie in [1, 2^32), got {k}")
-    keys = list(keys)
-    digests = b"".join([_key_digest(seed, parts) for parts in keys])
+    if digests is None:
+        keys = list(keys)
+        digests = b"".join([_key_digest(seed, parts) for parts in keys])
+    elif len(digests) != 16 * len(keys):
+        raise ValueError(f"{len(digests)} digest bytes for {len(keys)} keys")
     w0, w1 = _philox_first_words(np.frombuffer(digests, dtype=np.uint64).reshape(-1, 2))
     uniforms = (w0 >> np.uint64(11)).astype(np.float64) * 2.0**-53
     if k == 1:
-        return uniforms, np.zeros(len(keys), dtype=np.int64)
+        return uniforms, np.zeros(len(uniforms), dtype=np.int64)
     scaled = (w1 & _LOW32) * np.uint64(k)
     indices = (scaled >> _SHIFT32).astype(np.int64)
     threshold = (2**32 - k) % k

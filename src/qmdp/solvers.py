@@ -38,7 +38,7 @@ from .estimators import (
 from .mdp import Mdp, expected_next_value, greedy, successor_variance
 from .oracle import QueryLedger, SampleOracle
 from .qsim import DEFAULT_C_MAX, argmax_query_budget, simulate_argmax
-from .rng import first_draws
+from .rng import ArgmaxKeys, first_draws
 
 __all__ = [
     "VarianceReducedParams",
@@ -103,13 +103,14 @@ def _mock_argmax_draws(seed: int, label: str, sweeps: int, s_n: int, a_n: int):
     l = 1..sweeps, of the streams (label, l, s, "argmax"): each stream's
     ``random()`` and ``integers(max(A-1, 1))``, as ``mock_argmax`` draws
     them.  Streams are drawn ARGMAX_CHUNK at a time (one sweep when S is
-    larger), so memory stays bounded for any number of sweeps."""
+    larger), so memory stays bounded for any number of sweeps; their key
+    digests are encoded in bulk, and a key tuple is built only for a stream
+    ``first_draws`` replays."""
     per_chunk = max(1, ARGMAX_CHUNK // s_n)
     k = max(a_n - 1, 1)
     for first in range(1, sweeps + 1, per_chunk):
-        chunk = range(first, min(first + per_chunk, sweeps + 1))
-        u, wrong = first_draws(
-            seed, [(label, l, s, "argmax") for l in chunk for s in range(s_n)], k)
+        keys = ArgmaxKeys(label, range(first, min(first + per_chunk, sweeps + 1)), range(s_n))
+        u, wrong = first_draws(seed, keys, k, keys.digests(seed))
         yield from zip(u.reshape(-1, s_n), wrong.reshape(-1, s_n))
 
 

@@ -32,6 +32,15 @@ DENSE = {"mdp": {
     "r": [[((5 * s + 3 * a) % 8) / 8 for a in range(3)] for s in range(4)],
 }}
 
+# seeded Dirichlet(1) rows at S=64, A=16: 65,536 transition cells, so every
+# (S, A, S) pass over them (mdp.successor_variance) covers more than one block
+_DIRICHLET = np.random.default_rng([64, 16])
+DIRICHLET = {"mdp": {
+    "S": 64, "A": 16, "gamma": 0.9,
+    "p": _DIRICHLET.dirichlet(np.ones(64), size=(64, 16)).tolist(),
+    "r": _DIRICHLET.random((64, 16)).tolist(),
+}}
+
 # (name, instance, solver, estimator, seed, sha256 of the report without timestamp)
 GOLDEN = (
     ("hard-variance-reduced", HARD, {"name": "variance-reduced", "eps": 0.5, "delta": 0.1},
@@ -63,6 +72,12 @@ GOLDEN = (
     ("dense-sampled-classical", DENSE,
      {"name": "sampled", "mode": "classical", "eps": 0.5, "delta": 0.1}, None, 23,
      "9df461fc595717f986fe96ff16d3d7f8de2662746ed25be21ffdc18aaaa8e58b"),
+    ("dirichlet-variance-reduced", DIRICHLET,
+     {"name": "variance-reduced", "eps": 0.5, "delta": 0.1}, None, 41,
+     "bd5dd628d4c6311834761947e0a1146e1e4cd02555c5a6b8090576c4d321f081"),
+    ("dirichlet-max-finding", DIRICHLET,
+     {"name": "max-finding", "eps": 0.5, "delta": 0.1}, None, 42,
+     "f7947ad0c24d1a27f540eed9e7777e9e9ab61baedcd236eddd720cebeab7c5d4"),
 )
 
 

@@ -1,10 +1,12 @@
 """Tests for the exact tabular-MDP layer."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import qmdp.mdp as mdp_mod
 from qmdp.errors import ConfigError, InternalError
 from qmdp.mdp import (
     Mdp,
@@ -151,6 +153,90 @@ class TestSuccessorVariance:
             m = random_mdp(rng)
             u = rng.uniform(0, m.effective_horizon, m.num_states)
             assert successor_variance(m, u).min() >= 0.0
+
+
+def full_tensor_variance(mdp, v):
+    """successor_variance as it read before it was blocked: the deviations
+    of every row at once, in (S, A, S) temporaries."""
+    v = mdp_mod._check_value_vec(mdp, v)
+    mean = expected_next_value(mdp, v)
+    dev = v[np.newaxis, np.newaxis, :] - mean[:, :, np.newaxis]
+    var = np.einsum("sat,sat->sa", mdp.transitions, dev * dev)
+    if np.any(var < mdp_mod._VARIANCE_CLAMP):
+        raise InternalError(f"variance computed below {mdp_mod._VARIANCE_CLAMP}: min {var.min()}")
+    return np.maximum(var, 0.0)
+
+
+def dirichlet_mdp(s_n, a_n, seed=0):
+    rng = np.random.default_rng([seed, s_n, a_n])
+    return Mdp(rng.dirichlet(np.ones(s_n), size=(s_n, a_n)), rng.random((s_n, a_n)), 0.9)
+
+
+def value_maps(s_n):
+    rng = np.random.default_rng([7, s_n])
+    return {
+        "uniform": rng.uniform(0.0, 10.0, s_n),
+        "signed": rng.standard_normal(s_n),
+        "constant": np.full(s_n, 4.2),
+        "zero": np.zeros(s_n),
+        "large": rng.standard_normal(s_n) * 1e150,
+    }
+
+
+class TestBlockedSuccessorVariance:
+    """The blocked form is byte-identical to the full-tensor one and holds
+    no (S, A, S) temporary.  At the default block of 2^15 cells, S=128 with
+    A=3 splits into a full and a partial block, S=300 with A=3 into nine
+    (the last partial), S=300 with A=16 into 50 of six states."""
+
+    @pytest.mark.parametrize("cells", [None, 1], ids=["default-blocks", "one-state-blocks"])
+    @pytest.mark.parametrize("a_n", [1, 3, 16])
+    @pytest.mark.parametrize("s_n", [1, 2, 4, 128, 300])
+    def test_byte_equal_to_full_tensor(self, monkeypatch, s_n, a_n, cells):
+        if cells is not None:
+            monkeypatch.setattr(mdp_mod, "VARIANCE_BLOCK_CELLS", cells)
+        m = dirichlet_mdp(s_n, a_n)
+        for name, v in value_maps(s_n).items():
+            got, want = successor_variance(m, v), full_tensor_variance(m, v)
+            assert got.dtype == want.dtype and got.shape == want.shape == (s_n, a_n)
+            assert got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("a_n", [1, 3, 16])
+    @pytest.mark.parametrize("s_n", [1, 2, 4, 64, 300])
+    def test_one_row_equals_table_entry(self, s_n, a_n):
+        m = dirichlet_mdp(s_n, a_n, seed=1)
+        rows = [(s, a) for s in sorted({0, s_n // 2, s_n - 1}) for a in sorted({0, a_n - 1})]
+        for name, v in value_maps(s_n).items():
+            table = full_tensor_variance(m, v)
+            for s, a in rows:
+                got = successor_variance(m, v, (s, a))
+                assert type(got) is float
+                assert np.float64(got).tobytes() == table[s, a].tobytes(), (name, s, a)
+
+    def test_row_out_of_range(self):
+        m = dirichlet_mdp(3, 2)
+        for row in ((3, 0), (0, 2)):
+            with pytest.raises(IndexError):
+                successor_variance(m, np.zeros(3), row)
+
+    @staticmethod
+    def peak_bytes(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_memory_bounded_at_s512(self):
+        # the (S, A, S) tensor is 32 MiB here; the full-tensor form adds two
+        # temporaries of that size, the blocked form one 256 KiB buffer plus
+        # (S, A) arrays of 64 KiB
+        m = dirichlet_mdp(512, 16)
+        v = np.random.default_rng(512).uniform(0.0, 10.0, 512)
+        assert self.peak_bytes(successor_variance, m, v) < 1 << 20
+        assert self.peak_bytes(successor_variance, m, v, (511, 15)) < 1 << 20
+        assert self.peak_bytes(full_tensor_variance, m, v) > 60 << 20
 
 
 class TestBellmanBackup:

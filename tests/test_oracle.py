@@ -223,6 +223,44 @@ class TestQuantizeRow:
                 assert counts == self.unchecked_counts(p, m)
         assert rejected > 0
 
+    def test_zero_entry_never_takes_a_unit(self):
+        # the row sums to 1 - 3*2^-45, inside the 1e-12 tolerance, so 3 units
+        # of 2^-45 are left over for its 2 reachable successors
+        p = [0.5 - 3 * 2**-45, 0.5, 0.0]
+        with pytest.raises(ConfigError, match=re.escape(
+                "m=45 too large for this row: its sum error -8.53e-14 leaves 3 units of "
+                "2^-45 to round up, outside [0, 2]")):
+            quantize_row(p, 45)
+        assert quantize_row(p, 44).counts == (2**43 - 1, 2**43 + 1, 0)
+
+    @pytest.mark.parametrize("m", [3, 8, 20, 40, 45, 52, 53, 55, 62])
+    def test_rows_with_zeros(self, m):
+        """Where the old rounding gave no zero entry a unit the counts are
+        unchanged.  Elsewhere the units go to reachable entries, or, when
+        they are too few to take them, the row is refused."""
+        outcomes = set()
+        for i, p in enumerate(self.DIRICHLET_ROWS):
+            p = p.copy()
+            p[[i % 5, (2 * i + 1) % 5]] = 0.0
+            p /= p.sum()
+            old = self.unchecked_counts(p, m)
+            old_ok = sum(old) == 1 << m and min(old) >= 0 and all(
+                k == 0 for k, x in zip(old, p) if x == 0.0)
+            try:
+                counts = quantize_row(p, m).counts
+            except ConfigError as exc:
+                assert "too large for this row" in str(exc)
+                assert not old_ok
+                outcomes.add("refused")
+            else:
+                floor = np.floor(p * (1 << m)).astype(np.int64)
+                assert sum(counts) == 1 << m
+                assert all(k - f in (0, 1) for k, f in zip(counts, floor))
+                assert all(k == 0 for k, x in zip(counts, p) if x == 0.0)
+                assert counts == old or not old_ok
+                outcomes.add("rounded")
+        assert "rounded" in outcomes
+
     def test_non_normalized_rejected(self):
         with pytest.raises(ConfigError):
             quantize_row([0.5, 0.4], 4)

@@ -1,6 +1,7 @@
 """Stream contract of qmdp.rng: a derived stream is Philox keyed by the
 blake2b digest of its (seed, *parts) key, and nothing else; first_draws
-reproduces each stream's first random() and integers(k) in one pass."""
+reproduces each stream's first random() and integers(k) in one pass, and
+ArgmaxKeys encodes the argmax streams' keys in bulk to the same digests."""
 
 import hashlib
 import itertools
@@ -11,7 +12,7 @@ import pytest
 import qmdp.rng
 from qmdp.mdp import Mdp
 from qmdp.oracle import SampleOracle
-from qmdp.rng import child_seed, derived_rng, first_draws
+from qmdp.rng import ArgmaxKeys, _key_digest, child_seed, derived_rng, first_draws
 
 
 def reference_rng(seed, *parts):
@@ -170,3 +171,68 @@ def test_first_draws_of_no_keys():
 def test_first_draws_range_of_k(k):
     with pytest.raises(ValueError, match="k must lie in"):
         first_draws(3, [("call", 0)], k)
+
+
+ARGMAX_LABELS = sorted({"mf", "svi", "50%", "%s%%d"}
+                       | {parts[0] for _, parts in KEYS if parts and isinstance(parts[0], str)})
+ARGMAX_GRIDS = (
+    (range(1, 4), range(5)),
+    (range(1, 2), range(1)),
+    (np.arange(7, 10, dtype=np.int64), np.arange(0, 130, 13, dtype=np.int64)),
+    ([np.int64(2**40), 0, -3], [np.int64(9), 10**12]),
+)
+
+
+@pytest.mark.parametrize("seed", [0, -5, 2**62, 2**62 + 7, np.int64(12345)])
+def test_argmax_digests_match_key_digest(seed):
+    for label, (sweeps, states) in itertools.product(ARGMAX_LABELS, ARGMAX_GRIDS):
+        keys = ArgmaxKeys(label, sweeps, states)
+        tuples = [(label, l, s, "argmax") for l in sweeps for s in states]
+        assert list(keys) == tuples and len(keys) == len(tuples)
+        assert keys.digests(seed) == b"".join(_key_digest(seed, parts) for parts in tuples)
+
+
+def test_argmax_keys_index_like_a_list():
+    keys = ArgmaxKeys("mf", range(3, 6), range(4))
+    tuples = list(keys)
+    for i in (0, 5, 11, -1, -12):
+        assert keys[i] == tuples[i]
+    for i in (12, -13):
+        with pytest.raises(IndexError):
+            keys[i]
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, None])
+def test_argmax_digests_refuse_what_keys_refuse(bad):
+    for keys in (ArgmaxKeys("mf", [bad], range(2)), ArgmaxKeys("mf", range(2), [0, bad])):
+        with pytest.raises(TypeError, match="ints or strings"):
+            keys.digests(0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 15, 2**31 + 1])
+def test_first_draws_with_passed_digests(monkeypatch, k):
+    """Identical arrays with and without the bulk digests; the replayed
+    streams (about half of them at k = 2^31+1) take their keys from the
+    lazy sequence."""
+    replays = []
+    real = qmdp.rng.derived_rng
+    monkeypatch.setattr(qmdp.rng, "derived_rng",
+                        lambda seed, *parts: replays.append(parts) or real(seed, *parts))
+    for seed in (0, -5, 2**62):
+        keys = ArgmaxKeys("mf", range(1, 9), range(64))
+        plain = first_draws(seed, list(keys), k)
+        n_plain = len(replays)
+        passed = first_draws(seed, keys, k, keys.digests(seed))
+        assert len(replays) == 2 * n_plain
+        assert replays[n_plain:] == replays[:n_plain]
+        for got, want in zip(passed, plain):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        replays.clear()
+        if k == 2**31 + 1:
+            assert n_plain > 100
+
+
+def test_first_draws_digest_length_checked():
+    keys = ArgmaxKeys("mf", range(1, 3), range(2))
+    with pytest.raises(ValueError, match="48 digest bytes for 4 keys"):
+        first_draws(0, keys, 3, keys.digests(0)[:48])
