@@ -50,7 +50,6 @@ from .oracle import (
 )
 from .qsim import (
     AmplitudeEstimationConfig,
-    MaxFindingTrace,
     amplitude_estimation_sample,
     median_amplitude_estimate,
     outcome_distribution,

@@ -32,6 +32,8 @@ from .hard_instances import (
 )
 from .mdp import (
     Mdp,
+    _read_json,
+    _write_json,
     bellman_backup,
     expected_next_value,
     load_mdp_json,
@@ -74,11 +76,7 @@ SUITES = ("total-variance", "oracle-normalization", "monotone-iterates", "sandwi
 
 
 def load_config(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+    doc = _read_json(path)
     validate_config(doc, source=str(path))
     return doc
 
@@ -252,12 +250,6 @@ def _report_doc(config: dict, report: SolveReport, provenance: dict | None) -> d
     # the one nondeterministic field; determinism tests exclude it
     doc["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     return doc
-
-
-def _write_json(doc: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
 
 
 def _write_snapshots_csv(report: SolveReport, path) -> None:

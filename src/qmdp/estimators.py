@@ -17,7 +17,7 @@ union-bound robustness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -81,14 +81,7 @@ class EstimatorConfig:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "c1": self.c1,
-            "c2": self.c2,
-            "mock_failure_mode": self.mock_failure_mode,
-            "adversarial_scale": self.adversarial_scale,
-            "backend": self.backend,
-            "phase_bits": self.phase_bits,
-        }
+        return asdict(self)
 
 
 DEFAULT_CONFIG = EstimatorConfig()

@@ -30,7 +30,6 @@ __all__ = [
     "tiled_instance",
     "value_gap",
     "closed_form_arm_value",
-    "save_instance_json",
     "DEFAULT_GAP_CONSTANT",
 ]
 
@@ -125,40 +124,23 @@ def multi_arm_instance(spec: HardInstanceSpec) -> Mdp:
     return tiled_instance(replace(spec, copies=1))
 
 
-def tiled_instance(spec: HardInstanceSpec, large_arms_per_copy=None) -> Mdp:
-    """Block-diagonal union of independent source/sink gadgets (2 states per
-    copy, no cross-copy transitions); each copy's large arms are independently
-    specifiable and default to the shared set."""
-    if large_arms_per_copy is None:
-        large_arms_per_copy = [spec.large_arms] * spec.copies
-    if len(large_arms_per_copy) != spec.copies:
-        raise PreconditionError(
-            f"need one large-arm set per copy ({spec.copies}), got {len(large_arms_per_copy)}"
-        )
+def tiled_instance(spec: HardInstanceSpec) -> Mdp:
+    """Block-diagonal union of ``spec.copies`` identical source/sink gadgets
+    (2 states per copy, no cross-copy transitions), each with the spec's
+    large arms."""
     a_n = spec.num_actions
     s_n = 2 * spec.copies
     transitions = np.zeros((s_n, a_n, s_n))
     rewards = np.zeros((s_n, a_n))
-    for j, arms in enumerate(large_arms_per_copy):
-        arms = frozenset(int(a) for a in arms)
-        if any(a < 0 or a >= a_n for a in arms):
-            raise PreconditionError(f"copy {j}: invalid large-arm index in {sorted(arms)}")
+    for j in range(spec.copies):
         src, sink = 2 * j, 2 * j + 1
         for a in range(a_n):
-            p = spec.p_large if a in arms else spec.p_small
+            p = spec.arm_probability(a)
             transitions[src, a, src] = p
             transitions[src, a, sink] = 1.0 - p
             transitions[sink, a, sink] = 1.0
         rewards[src, :] = 1.0
     return Mdp(transitions=transitions, rewards=rewards, discount=spec.gamma)
-
-
-def save_instance_json(mdp: Mdp, spec: HardInstanceSpec, path) -> None:
-    """Write a generated instance in the standard MDP JSON format with a
-    provenance block recording the generator parameters."""
-    from .mdp import save_mdp_json
-
-    save_mdp_json(mdp, path, extra={"provenance": spec.provenance()})
 
 
 def value_gap(gamma: float, eps: float, c_alpha: float = DEFAULT_GAP_CONSTANT) -> float:

@@ -120,11 +120,6 @@ class Mdp:
             arr.setflags(write=False)
         return out
 
-    def flat_transitions(self) -> np.ndarray:
-        """(S*A, S) view of the transition tensor, rows in row-major (s, a)."""
-        s, a, _ = self.transitions.shape
-        return self.transitions.reshape(s * a, s)
-
 
 def _check_value_vec(mdp: Mdp, v: np.ndarray, name: str = "v") -> np.ndarray:
     v = np.asarray(v, dtype=float)
@@ -154,7 +149,8 @@ def _policy_rows(mdp: Mdp, pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def expected_next_value(mdp: Mdp, v: np.ndarray) -> np.ndarray:
     """One-step expectation of v under every row: out[s, a] = p_{s,a} . v."""
     v = _check_value_vec(mdp, v)
-    return (mdp.flat_transitions() @ v).reshape(mdp.num_states, mdp.num_actions)
+    s_n, a_n = mdp.num_states, mdp.num_actions
+    return (mdp.transitions.reshape(s_n * a_n, s_n) @ v).reshape(s_n, a_n)
 
 
 def successor_variance(mdp: Mdp, v: np.ndarray,
@@ -315,19 +311,25 @@ def mdp_to_dict(mdp: Mdp) -> dict:
     }
 
 
-def load_mdp_json(path) -> Mdp:
+def _read_json(path):
+    """The JSON document at path; a decode error is a ConfigError naming it."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-    return mdp_from_dict(doc, source=str(path))
 
 
-def save_mdp_json(mdp: Mdp, path, extra: dict | None = None) -> None:
-    doc = mdp_to_dict(mdp)
-    if extra:
-        doc.update(extra)
+def _write_json(doc, path) -> None:
+    """Write doc with sorted keys, two-space indents and a final newline."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+def load_mdp_json(path) -> Mdp:
+    return mdp_from_dict(_read_json(path), source=str(path))
+
+
+def save_mdp_json(mdp: Mdp, path) -> None:
+    _write_json(mdp_to_dict(mdp), path)

@@ -6,7 +6,7 @@ The ledger is the artifact's central measurable: every classical sample and
 every charged quantum oracle call lands in it, broken down by caller-supplied
 phase labels.  Sampling is replayable: each call derives its own Philox
 stream from (seed, call index), so two oracles with equal seeds produce
-identical sample sequences regardless of thread interleaving elsewhere.
+identical sample sequences.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .mdp import Mdp
-from .rng import child_seed, derived_rng
+from .rng import derived_rng
 
 __all__ = [
     "QueryLedger",
@@ -67,17 +67,6 @@ class QueryLedger:
     def total(self) -> int:
         return self.classical_samples + self.quantum_oracle_calls
 
-    def merge(self, other: "QueryLedger") -> "QueryLedger":
-        """Entrywise sum; associative and commutative."""
-        phases = dict(self.phases)
-        for label, n in other.phases.items():
-            phases[label] = phases.get(label, 0) + n
-        return QueryLedger(
-            classical_samples=self.classical_samples + other.classical_samples,
-            quantum_oracle_calls=self.quantum_oracle_calls + other.quantum_oracle_calls,
-            phases=phases,
-        )
-
     def to_dict(self) -> dict:
         return {
             "classical_samples": self.classical_samples,
@@ -85,20 +74,12 @@ class QueryLedger:
             "phases": dict(sorted(self.phases.items())),
         }
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "QueryLedger":
-        return cls(
-            classical_samples=int(doc["classical_samples"]),
-            quantum_oracle_calls=int(doc["quantum_oracle_calls"]),
-            phases={str(k): int(v) for k, v in doc.get("phases", {}).items()},
-        )
-
 
 class SampleOracle:
     """Classical generative model: draw s' ~ p(.|s, a) for any chosen (s, a).
 
-    A single instance must not be shared mutably across threads; derive
-    children with :meth:`split` instead and merge their ledgers afterwards.
+    An instance advances a call counter and charges its ledger, so it must
+    not be shared mutably across threads.
     """
 
     def __init__(self, mdp: Mdp, seed: int, ledger: QueryLedger | None = None):
@@ -145,10 +126,6 @@ class SampleOracle:
     def derive_rng(self, *parts) -> np.random.Generator:
         """Named auxiliary stream, independent of the sampling call counter."""
         return derived_rng(self.seed, *parts)
-
-    def split(self, *parts) -> "SampleOracle":
-        """Child oracle with a derived seed and a fresh ledger."""
-        return SampleOracle(self.mdp, child_seed(self.seed, "split", *parts))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ can be calibrated instead of guessed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
     "amplitude_estimation_sample",
     "median_amplitude_estimate",
     "median_amplitude_estimates",
-    "MaxFindingTrace",
     "simulate_argmax",
     "DEFAULT_C_MAX",
 ]
@@ -163,20 +162,6 @@ def median_amplitude_estimate(
     return float(est[0])
 
 
-@dataclass
-class MaxFindingTrace:
-    """Threshold improvements and the query total of one max-finding run."""
-
-    threshold_history: list = field(default_factory=list)
-    grover_queries_charged: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "threshold_history": [[int(i), float(v)] for i, v in self.threshold_history],
-            "grover_queries_charged": self.grover_queries_charged,
-        }
-
-
 def argmax_query_budget(n: int, delta: float, c_max: float = DEFAULT_C_MAX) -> float:
     return c_max * math.sqrt(n) * math.log2(1.0 / delta)
 
@@ -189,8 +174,7 @@ def simulate_argmax(
     ledger: QueryLedger | None = None,
     phase: str | None = None,
     probe_cost: int = 1,
-    return_trace: bool = False,
-):
+) -> int:
     """Threshold-improvement maximum finding with exact Grover statistics.
 
     Items are ordered lexicographically by (value, -index), so the unique top
@@ -208,14 +192,12 @@ def simulate_argmax(
     if not (0.0 < delta < 1.0):
         raise PreconditionError(f"delta must be in (0, 1), got {delta}")
     n = v.size
-    trace = MaxFindingTrace()
     # initial threshold: a uniform index (nothing to search when n == 1)
     j = int(rng.integers(n)) if n > 1 else 0
-    trace.threshold_history.append((j, float(v[j])))
     budget = argmax_query_budget(n, delta, c_max)
     if n == 1 or budget < 1.0:
         # no oracle use needed, or not even one affordable: the guess stands
-        return (j, trace) if return_trace else j
+        return j
 
     idx = np.arange(n)
     probes = 1  # one query reads the initial threshold's value
@@ -240,14 +222,12 @@ def simulate_argmax(
             if rng.random() < p_success:
                 # measurement collapses uniformly onto the marked set
                 j = int(idx[marked][rng.integers(k)])
-                trace.threshold_history.append((j, float(v[j])))
                 marked, k = beating(j)
                 m_max = 1.0
                 continue
         # failed round (or nothing marked): keep threshold, widen the schedule
         m_max = min(grow * m_max, m_cap)
 
-    trace.grover_queries_charged = probes * probe_cost
     if ledger is not None:
-        ledger.charge_quantum(trace.grover_queries_charged, phase)
-    return (j, trace) if return_trace else j
+        ledger.charge_quantum(probes * probe_cost, phase)
+    return j

@@ -3,8 +3,7 @@
 Every random draw in the package comes from a stream derived from a base
 seed plus a structured key (call index, epoch/iteration labels, ...).  Two
 processes that derive the same key from the same seed see the same stream,
-which is what makes solver reports bit-identical across reruns and lets
-concurrent callers split independent child streams without coordination.
+which is what makes solver reports bit-identical across reruns.
 ``first_draws`` computes the first draws of many derived streams in one
 vectorized Philox pass, with the values those streams' Generators give;
 ``ArgmaxKeys`` encodes the keys of a solve's argmax streams in bulk.
@@ -188,9 +187,3 @@ def first_draws(seed: int, keys, k: int,
         g.random()
         indices[i] = g.integers(k)
     return uniforms, indices
-
-
-def child_seed(seed: int, *parts) -> int:
-    """Derive a 63-bit child seed; used when splitting oracles."""
-    digest = hashlib.blake2b(_encode_parts(seed, parts), digest_size=8).digest()
-    return int.from_bytes(digest, "little") >> 1

@@ -47,7 +47,6 @@ __all__ = [
     "variance_reduced_vi",
     "max_finding_vi",
     "sampled_vi",
-    "mock_argmax",
     "mock_argmax_rows",
 ]
 
@@ -89,21 +88,12 @@ def mock_argmax_rows(q: np.ndarray, f: float, u: np.ndarray,
     return np.where(failed, wrong + (wrong >= best), best), failed
 
 
-def mock_argmax(q_row: np.ndarray, f: float, rng: np.random.Generator) -> tuple[int, bool]:
-    """One-row view of ``mock_argmax_rows``.  Draws a uniform, then an index
-    below max(A-1, 1), whatever the outcome.  Returns (index, failed)."""
-    u = rng.random()
-    wrong = rng.integers(max(q_row.size - 1, 1))
-    index, failed = mock_argmax_rows(q_row[None], f, np.array([u]), np.array([wrong]))
-    return int(index[0]), bool(failed[0])
-
-
 def _mock_argmax_draws(seed: int, label: str, sweeps: int, s_n: int, a_n: int):
     """Yield the mock-argmax draws (u, wrong), one (S,) pair per sweep
     l = 1..sweeps, of the streams (label, l, s, "argmax"): each stream's
-    ``random()`` and ``integers(max(A-1, 1))``, as ``mock_argmax`` draws
-    them.  Streams are drawn ARGMAX_CHUNK at a time (one sweep when S is
-    larger), so memory stays bounded for any number of sweeps; their key
+    ``random()`` and then ``integers(max(A-1, 1))``, whatever the outcome.
+    Streams are drawn ARGMAX_CHUNK at a time (one sweep when S is larger),
+    so memory stays bounded for any number of sweeps; their key
     digests are encoded in bulk, and a key tuple is built only for a stream
     ``first_draws`` replays."""
     per_chunk = max(1, ARGMAX_CHUNK // s_n)
@@ -455,6 +445,8 @@ def sampled_vi(
     snapshots: list = []
     if mode == "quantum_mean_and_max":
         argmax_draws = _mock_argmax_draws(oracle.seed, "svi", iters, s_n, a_n)
+        probe_cost = bounded_mean_charge(horizon, err, delta_i, cfg)
+        probes = int(argmax_query_budget(a_n, delta_i, DEFAULT_C_MAX))
 
     for i in range(1, iters + 1):
         phase = f"iter-{i}"
@@ -473,8 +465,6 @@ def sampled_vi(
         q_est = r + gamma * est
 
         if mode == "quantum_mean_and_max":
-            probe_cost = bounded_mean_charge(horizon, err, delta_i, cfg)
-            probes = int(argmax_query_budget(a_n, delta_i, DEFAULT_C_MAX))
             best, failed = mock_argmax_rows(q_est, delta_i, *next(argmax_draws))
             failures += int(failed.sum())
             oracle.ledger.charge_quantum(s_n * probes * probe_cost, f"iter-{i}-argmax")

@@ -126,24 +126,6 @@ class TestTiledInstance:
                 np.testing.assert_array_equal(a.rewards, b.rewards)
                 assert a.discount == b.discount
 
-    def test_copies_are_independent(self):
-        spec = HardInstanceSpec(gamma=0.9, num_actions=2, eps=0.5, copies=3)
-        mdp = tiled_instance(spec, large_arms_per_copy=[{0}, {1}, set()])
-        v, _, _ = exact_value_iteration(mdp, 1e-10)
-        # each copy's source value matches its standalone closed form
-        assert v[0] == pytest.approx(closed_form_arm_value(0.9, spec.p_large), abs=1e-8)
-        assert v[2] == pytest.approx(closed_form_arm_value(0.9, spec.p_large), abs=1e-8)
-        assert v[4] == pytest.approx(closed_form_arm_value(0.9, spec.p_small), abs=1e-8)
-        np.testing.assert_allclose(v[[1, 3, 5]], 0.0, atol=1e-12)
-
-    def test_value_invariant_to_other_copies(self):
-        spec = HardInstanceSpec(gamma=0.95, num_actions=2, eps=0.5, copies=2)
-        va, _, _ = exact_value_iteration(
-            tiled_instance(spec, large_arms_per_copy=[{1}, set()]), 1e-10)
-        vb, _, _ = exact_value_iteration(
-            tiled_instance(spec, large_arms_per_copy=[{1}, {0}]), 1e-10)
-        assert va[0] == pytest.approx(vb[0], abs=1e-9)
-
     def test_no_cross_copy_transitions(self):
         spec = HardInstanceSpec(gamma=0.9, num_actions=2, eps=0.5, copies=3)
         mdp = tiled_instance(spec)
@@ -151,25 +133,6 @@ class TestTiledInstance:
             block = slice(2 * j, 2 * j + 2)
             outside = np.delete(mdp.transitions[block], [2 * j, 2 * j + 1], axis=2)
             assert np.all(outside == 0.0)
-
-
-class TestInstanceExport:
-    def test_provenance_block(self, tmp_path):
-        import json
-
-        from qmdp.hard_instances import save_instance_json
-        from qmdp.mdp import load_mdp_json
-
-        spec = HardInstanceSpec(gamma=0.9, num_actions=3, eps=0.5,
-                                large_arms=frozenset({1}))
-        mdp = multi_arm_instance(spec)
-        path = tmp_path / "inst.json"
-        save_instance_json(mdp, spec, path)
-        doc = json.loads(path.read_text())
-        assert doc["provenance"] == {"gamma": 0.9, "eps": 0.5, "c_alpha": 9.0,
-                                     "large_arms": [1], "copies": 1}
-        again = load_mdp_json(path)  # provenance does not break the loader
-        np.testing.assert_array_equal(again.transitions, mdp.transitions)
 
 
 class TestValueGap:

@@ -55,28 +55,6 @@ class TestQueryLedger:
         with pytest.raises(ValueError):
             QueryLedger().charge_classical(-1)
 
-    def test_merge_is_entrywise_sum_and_commutes(self):
-        a, b, c = QueryLedger(), QueryLedger(), QueryLedger()
-        a.charge_classical(1, "x")
-        b.charge_quantum(2, "x")
-        b.charge_classical(4, "y")
-        c.charge_quantum(8, "z")
-        ab = a.merge(b)
-        assert ab.classical_samples == 5 and ab.quantum_oracle_calls == 2
-        assert ab.phases == {"x": 3, "y": 4}
-        left = a.merge(b).merge(c)
-        right = a.merge(b.merge(c))
-        assert left.to_dict() == right.to_dict()
-        assert a.merge(b).to_dict() == b.merge(a).to_dict()
-
-    def test_json_round_trip(self):
-        led = QueryLedger()
-        led.charge_quantum(7, "phase-1")
-        led.charge_classical(2)
-        doc = led.to_dict()
-        led2 = QueryLedger.from_dict(doc)
-        assert led2.to_dict() == doc
-
 
 class TestSampling:
     def test_deterministic_row_always_hits_successor(self):
@@ -120,17 +98,6 @@ class TestSampling:
             oracle.sample(2, 0)
         with pytest.raises(IndexError):
             oracle.sample(0, 5)
-
-    def test_split_streams_differ_but_replay(self):
-        base = SampleOracle(uniform_mdp(), seed=5)
-        c1 = base.split("worker", 0)
-        c2 = base.split("worker", 1)
-        c1b = base.split("worker", 0)
-        s1 = [c1.sample(0, 0) for _ in range(50)]
-        s2 = [c2.sample(0, 0) for _ in range(50)]
-        s1b = [c1b.sample(0, 0) for _ in range(50)]
-        assert s1 == s1b
-        assert s1 != s2  # astronomically unlikely to collide
 
 
 class TestReversibleMap:

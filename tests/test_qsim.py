@@ -285,15 +285,6 @@ class TestSimulateArgmax:
         assert idx in (0, 1)
         assert led.quantum_oracle_calls == 0
 
-    def test_trace_strictly_improves(self):
-        # thresholds strictly increase in the (value, -index) order
-        for i in range(100):
-            rng = derived_rng(9, "trace", i)
-            values = rng.integers(0, 6, size=20).astype(float)  # plenty of ties
-            _, trace = simulate_argmax(values, 0.1, rng, return_trace=True)
-            keys = [(v, -j) for j, v in trace.threshold_history]
-            assert all(k2 > k1 for k1, k2 in zip(keys, keys[1:]))
-
     def test_probe_cost_multiplies_charges(self):
         led_unit = QueryLedger()
         led_cost = QueryLedger()
@@ -305,9 +296,3 @@ class TestSimulateArgmax:
     def test_empty_rejected(self):
         with pytest.raises(PreconditionError):
             simulate_argmax([], 0.1, derived_rng(11, "empty"))
-
-    def test_trace_export(self):
-        _, trace = simulate_argmax(np.arange(5.0), 0.3, derived_rng(12, "exp"),
-                                   return_trace=True)
-        doc = trace.to_dict()
-        assert set(doc) == {"threshold_history", "grover_queries_charged"}

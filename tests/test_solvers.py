@@ -16,7 +16,6 @@ from qmdp.solvers import (
     MaxFindingParams,
     VarianceReducedParams,
     max_finding_vi,
-    mock_argmax,
     mock_argmax_rows,
     sampled_vi,
     variance_reduced_vi,
@@ -86,30 +85,24 @@ class TestVarianceReducedParams:
 class TestMockArgmax:
     def test_success_is_lowest_index_argmax(self):
         rng = derived_rng(1, "argmax")
-        for _ in range(50):
-            assert mock_argmax(np.array([0.2, 0.9, 0.9, 0.1]), 0.0, rng) == (1, False)
+        q = np.tile([0.2, 0.9, 0.9, 0.1], (50, 1))
+        index, failed = mock_argmax_rows(q, 0.0, rng.random(50), rng.integers(3, size=50))
+        assert index.tolist() == [1] * 50 and not failed.any()
 
     def test_failure_is_uniform_over_other_indices(self):
         rng = derived_rng(2, "argmax")
-        picks = [mock_argmax(np.array([0.0, 0.0, 1.0, 0.0]), 1.0, rng) for _ in range(3000)]
-        assert all(failed for _, failed in picks)
-        counts = np.bincount([i for i, _ in picks], minlength=4)
+        q = np.tile([0.0, 0.0, 1.0, 0.0], (3000, 1))
+        index, failed = mock_argmax_rows(q, 1.0, rng.random(3000), rng.integers(3, size=3000))
+        assert failed.all()
+        counts = np.bincount(index, minlength=4)
         assert counts[2] == 0
         assert np.all(np.abs(counts[[0, 1, 3]] - 1000) < 120)
 
     def test_single_action_never_fails(self):
         rng = derived_rng(3, "argmax")
-        assert all(mock_argmax(np.array([0.4]), 1.0, rng) == (0, False) for _ in range(20))
-
-    def test_draws_a_uniform_then_an_index(self):
-        # two draws per call whatever the outcome, so later draws on a
-        # stream do not depend on whether a call failed
-        for f in (0.0, 1.0):
-            rng, ref = derived_rng(4, "argmax"), derived_rng(4, "argmax")
-            mock_argmax(np.arange(5.0), f, rng)
-            ref.random()
-            ref.integers(4)
-            assert rng.random() == ref.random()
+        index, failed = mock_argmax_rows(np.full((20, 1), 0.4), 1.0, rng.random(20),
+                                         rng.integers(1, size=20))
+        assert index.tolist() == [0] * 20 and not failed.any()
 
 
 def loop_mock_argmax(q_row, f, rng):
