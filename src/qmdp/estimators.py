@@ -221,10 +221,11 @@ def _estimate(mu, upper, eps, delta, cfg, rng, forced=False, sigma=None):
     formula; the draw order is fixed across failure modes.  ``forced`` (a
     voided promise) fails every entry.
 
-    ``rng`` must be a fresh stream used by this call alone (every caller
-    derives one per call).  The mock draws the failure flags and the noise,
-    then the planted-failure draws only when some entry fails: they come
-    last, so skipping them changes no value this call returns.
+    ``rng`` must start a stream this call alone reads; an oracle re-keys
+    one Generator per stream, so take no other until the call returns.
+    The mock draws the failure flags and the noise, then the planted-failure
+    draws only when some entry fails: they come last, so skipping them
+    changes no value this call returns.
     """
     if sigma is None:
         eps_min = float(np.min(eps)) if isinstance(eps, np.ndarray) else eps

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigError
-from .mdp import Mdp
+from .mdp import Mdp, _check_value_vec
 from .rng import derived_rng
 
 __all__ = [
@@ -79,7 +79,8 @@ class SampleOracle:
     """Classical generative model: draw s' ~ p(.|s, a) for any chosen (s, a).
 
     An instance advances a call counter and charges its ledger, so it must
-    not be shared mutably across threads.
+    not be shared mutably across threads.  Each stream it hands out re-keys
+    its one Philox Generator, so a stream is valid until it hands out the next.
     """
 
     def __init__(self, mdp: Mdp, seed: int, ledger: QueryLedger | None = None):
@@ -87,17 +88,19 @@ class SampleOracle:
         self.seed = int(seed)
         self.ledger = ledger if ledger is not None else QueryLedger()
         self._calls = 0
+        self._rng = None  # built by the first stream, re-keyed by every later one
 
     def _next_rng(self) -> np.random.Generator:
-        rng = derived_rng(self.seed, "call", self._calls)
+        self._rng = derived_rng(self.seed, "call", self._calls, reuse=self._rng)
         self._calls += 1
-        return rng
+        return self._rng
 
     def _check_indices(self, s: int, a: int) -> None:
-        if not (0 <= s < self.mdp.num_states):
-            raise IndexError(f"state index {s} out of range [0, {self.mdp.num_states})")
-        if not (0 <= a < self.mdp.num_actions):
-            raise IndexError(f"action index {a} out of range [0, {self.mdp.num_actions})")
+        for name, arg, i, size in (("state", "s", s, self.mdp.num_states),
+                                   ("action", "a", a, self.mdp.num_actions)):
+            _check_int(f"{name} index {arg}", i)
+            if not 0 <= i < size:
+                raise IndexError(f"{name} index {i} out of range [0, {size})")
 
     def sample(self, s: int, a: int, phase: str | None = None) -> int:
         """One successor draw; charges one classical sample."""
@@ -117,15 +120,38 @@ class SampleOracle:
         runnable at their true sample sizes.
         """
         self._check_indices(s, a)
-        if n < 0:
-            raise ValueError("sample count must be non-negative")
-        counts = self._next_rng().multinomial(int(n), self.mdp.transitions[s, a])
+        _check_count(n)
+        counts = self._next_rng().multinomial(n, self.mdp.transitions[s, a])
         self.ledger.charge_classical(n, phase)
         return counts
 
+    def empirical_means(self, v: np.ndarray, n: int, phase: str | None = None) -> np.ndarray:
+        """(S, A) means ``counts @ v / n`` of n successor draws per (s, a), drawn
+        as :meth:`sample_counts` draws them, in row-major order; charges n*S*A."""
+        _check_count(n)
+        v = _check_value_vec(self.mdp, v, "value map")
+        p = self.mdp.transitions
+        sums = np.empty(p.shape[:2])
+        for s, a in np.ndindex(sums.shape):
+            sums[s, a] = self._next_rng().multinomial(n, p[s, a]) @ v
+        self.ledger.charge_classical(n * sums.size, phase)
+        return sums / n
+
     def derive_rng(self, *parts) -> np.random.Generator:
-        """Named auxiliary stream, independent of the sampling call counter."""
-        return derived_rng(self.seed, *parts)
+        """Named auxiliary stream, independent of the call counter; valid until the next stream."""
+        self._rng = derived_rng(self.seed, *parts, reuse=self._rng)
+        return self._rng
+
+
+def _check_int(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_count(n) -> None:
+    _check_int("sample count n", n)
+    if n < 0:
+        raise ValueError("sample count must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -452,11 +452,7 @@ def sampled_vi(
         phase = f"iter-{i}"
         if mode == "classical":
             n = hoeffding_sample_count(horizon, err, delta_i)
-            est = np.empty((s_n, a_n))
-            for s in range(s_n):
-                for a in range(a_n):
-                    counts = oracle.sample_counts(s, a, n, phase)
-                    est[s, a] = counts @ v / n
+            est = oracle.empirical_means(v, n, phase)
         else:
             rng = oracle.derive_rng("svi", i)
             est, fail, _ = batch_bounded_mock(

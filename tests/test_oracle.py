@@ -100,6 +100,118 @@ class TestSampling:
             oracle.sample(0, 5)
 
 
+def dirichlet_mdp(s_n, a_n, seed):
+    rng = derived_rng(seed, "dirichlet-mdp", s_n, a_n)
+    return Mdp(transitions=rng.dirichlet(np.ones(s_n), size=(s_n, a_n)),
+               rewards=np.zeros((s_n, a_n)), discount=0.9)
+
+
+def loop_empirical_means(oracle, v, n, phase):
+    """The per-(s, a) sample_counts loop that empirical_means replaces."""
+    s_n, a_n = oracle.mdp.num_states, oracle.mdp.num_actions
+    est = np.empty((s_n, a_n))
+    for s in range(s_n):
+        for a in range(a_n):
+            counts = oracle.sample_counts(s, a, n, phase)
+            est[s, a] = counts @ v / n
+    return est
+
+
+def _oracle_record(oracle):
+    return oracle._calls, oracle.ledger.to_dict()
+
+
+class TestEmpiricalMeans:
+    @pytest.mark.parametrize("s_n", [1, 2, 4, 64])
+    @pytest.mark.parametrize("a_n", [1, 3, 8])
+    @pytest.mark.parametrize("n", [0, 1, 7, 10**6])
+    def test_equals_sample_counts_loop(self, s_n, a_n, n):
+        mdp = dirichlet_mdp(s_n, a_n, 1)
+        v = derived_rng(2, "v", s_n).uniform(0.0, 10.0, s_n)
+        loop, method = SampleOracle(mdp, 17), SampleOracle(mdp, 17)
+        for oracle in (loop, method):  # start both mid-counter, with a phase charged
+            oracle.sample_counts(0, 0, 5, phase="earlier")
+        with np.errstate(invalid="ignore"):  # n = 0 gives 0/0 means, as the loop does
+            for i in (1, 2):
+                want = loop_empirical_means(loop, v, n, f"iter-{i}")
+                got = method.empirical_means(v, n, f"iter-{i}")
+                assert got.shape == (s_n, a_n) and got.dtype == np.float64
+                assert got.tobytes() == want.tobytes()
+                assert _oracle_record(method) == _oracle_record(loop)
+        assert method._calls == 1 + 2 * s_n * a_n
+
+    def test_interleaved_oracles_equal_sequential(self):
+        def steps(oracle, v):
+            yield oracle.empirical_means(v, 1000, "a")
+            yield oracle.sample_counts(1, 2, 50, "b")
+            yield oracle.derive_rng("aux", 3).random(4)
+            yield np.array([oracle.sample(0, 1, "c")])
+            yield oracle.empirical_means(v + 1.0, 10**6, "d")
+
+        mdp_x, mdp_y = dirichlet_mdp(4, 3, 3), dirichlet_mdp(4, 3, 4)
+        v = np.arange(4.0)
+        alone = []
+        for mdp, seed in ((mdp_x, 5), (mdp_y, 6)):
+            oracle = SampleOracle(mdp, seed)
+            alone.append([out.tobytes() for out in steps(oracle, v)] + [_oracle_record(oracle)])
+        x, y = SampleOracle(mdp_x, 5), SampleOracle(mdp_y, 6)
+        together = [[], []]
+        for out_x, out_y in zip(steps(x, v), steps(y, v)):
+            together[0].append(out_x.tobytes())
+            together[1].append(out_y.tobytes())
+        together[0].append(_oracle_record(x))
+        together[1].append(_oracle_record(y))
+        assert together == alone
+
+
+class TestSampleArguments:
+    """Ill-typed arguments are refused, naming the argument, before any
+    draw, charge or call-counter advance."""
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, False, np.float64(4.0), float("nan"),
+                                   None, "7", np.bool_(True)])
+    def test_sample_count_must_be_an_integer(self, n):
+        oracle = SampleOracle(uniform_mdp(3, 2), seed=0)
+        for call in (lambda: oracle.sample_counts(0, 0, n),
+                     lambda: oracle.empirical_means(np.ones(3), n)):
+            with pytest.raises(TypeError, match="sample count n must be an integer"):
+                call()
+        assert _oracle_record(oracle) == (0, QueryLedger().to_dict())
+
+    @pytest.mark.parametrize("s,a,name", [(True, 0, "state index s"), (0, True, "action index a"),
+                                          (False, 1, "state index s"), (0.0, 0, "state index s"),
+                                          (1, 1.5, "action index a"),
+                                          (np.float64(1.0), 0, "state index s"),
+                                          (None, 0, "state index s")])
+    def test_indices_must_be_integers(self, s, a, name):
+        oracle = SampleOracle(uniform_mdp(3, 2), seed=0)
+        for call in (lambda: oracle.sample_counts(s, a, 3), lambda: oracle.sample(s, a)):
+            with pytest.raises(TypeError, match=f"{name} must be an integer"):
+                call()
+        assert _oracle_record(oracle) == (0, QueryLedger().to_dict())
+
+    def test_negative_count_refused_before_drawing(self):
+        oracle = SampleOracle(uniform_mdp(3, 2), seed=0)
+        for call in (lambda: oracle.sample_counts(0, 0, -1),
+                     lambda: oracle.empirical_means(np.ones(3), -1)):
+            with pytest.raises(ValueError, match="sample count must be non-negative"):
+                call()
+        assert _oracle_record(oracle) == (0, QueryLedger().to_dict())
+
+    @pytest.mark.parametrize("v", [np.ones(2), np.ones(4), np.ones((3, 1)), [[1.0, 2.0, 3.0]]])
+    def test_value_map_shape_checked_before_drawing(self, v):
+        oracle = SampleOracle(uniform_mdp(3, 2), seed=0)
+        with pytest.raises(ValueError, match=r"value map must have shape \(3,\)"):
+            oracle.empirical_means(v, 5)
+        assert _oracle_record(oracle) == (0, QueryLedger().to_dict())
+
+    def test_numpy_integers_accepted(self):
+        a, b = SampleOracle(uniform_mdp(3, 2), seed=9), SampleOracle(uniform_mdp(3, 2), seed=9)
+        got = a.sample_counts(np.int64(2), np.uint8(1), np.int32(40))
+        np.testing.assert_array_equal(got, b.sample_counts(2, 1, 40))
+        assert _oracle_record(a) == _oracle_record(b)
+
+
 class TestReversibleMap:
     def test_single_bit(self):
         row = DyadicRow(1, (1, 1))

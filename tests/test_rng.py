@@ -233,3 +233,83 @@ def test_first_draws_digest_length_checked():
     keys = ArgmaxKeys("mf", range(1, 3), range(2))
     with pytest.raises(ValueError, match="48 digest bytes for 4 keys"):
         first_draws(0, keys, 3, keys.digests(0)[:48])
+
+
+# Re-keying: derived_rng(..., reuse=g) puts g at the start of the stream a
+# new Generator would have, whatever g drew before.
+REUSE_KEYS = KEYS + [(seed, parts) for seed in (-5, np.int64(-5), np.int64(2**62 + 7))
+                     for _, parts in KEYS[::17]]
+
+
+def _mixed_draws(g, i):
+    return [g.random(), g.random(i % 9), g.uniform(-1.0, 1.0, 5), g.integers(7),
+            g.integers(2**31 + 1), g.integers(2**31 + 1, size=3)]
+
+
+def _assert_same_draws(got, want):
+    for a, b in zip(got, want):
+        a, b = np.asarray(a), np.asarray(b)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_reuse_matches_fresh_stream():
+    g = derived_rng(1, "scratch")
+    g.random(3)
+    for i, (seed, parts) in enumerate(REUSE_KEYS):
+        assert derived_rng(seed, *parts, reuse=g) is g
+        assert _state(g) == _state(derived_rng(seed, *parts)), (seed, parts)
+        _assert_same_draws(_mixed_draws(g, i), _mixed_draws(derived_rng(seed, *parts), i))
+
+
+def test_reuse_multinomial_alternating_binomial_regimes():
+    # n*p <= 30 takes numpy's inversion sampler and larger n*p its BTPE
+    # sampler, each caching its setup on the Generator; alternating them on
+    # one Generator across streams must not change a count
+    p = [0.2, 0.3, 0.5]
+    g = derived_rng(2, "scratch")
+    for i, (seed, parts) in enumerate(REUSE_KEYS):
+        fresh = derived_rng(seed, *parts)
+        derived_rng(seed, *parts, reuse=g)
+        for n in ((20, 10**6, 7, 5000) if i % 2 else (10**6, 25, 5000, 3)):
+            _assert_same_draws([g.multinomial(n, p)], [fresh.multinomial(n, p)])
+
+
+@pytest.mark.parametrize("leave", [
+    lambda g: g.random(1),  # one word of a four-word block used
+    lambda g: g.random(6),  # two blocks in, mid-block
+    lambda g: g.integers(0, 10, dtype=np.uint32),  # a 32-bit half buffered
+    lambda g: g.random(dtype=np.float32, size=3),  # a 32-bit half buffered, mid-block
+])
+def test_reuse_after_a_stream_left_mid_block(leave):
+    g = derived_rng(3, "scratch")
+    leave(g)
+    st = g.bit_generator.state
+    assert st["buffer_pos"] != 4 or st["has_uint32"] == 1
+    for i, (seed, parts) in enumerate(KEYS[::29]):
+        derived_rng(seed, *parts, reuse=g)
+        assert _state(g) == _state(derived_rng(seed, *parts))
+        _assert_same_draws(_mixed_draws(g, i), _mixed_draws(derived_rng(seed, *parts), i))
+        leave(g)
+
+
+@pytest.mark.parametrize("seed,parts,randoms,ints,counts", RECORDED)
+def test_recorded_first_draws_on_reused_generator(seed, parts, randoms, ints, counts):
+    g = derived_rng(4, "scratch")
+    g.random(5)
+    rng = derived_rng(seed, *parts, reuse=g)
+    assert rng.random(3).tolist() == randoms
+    assert rng.integers(0, 1000, 4).tolist() == ints
+    assert rng.multinomial(100, [0.2, 0.3, 0.5]).tolist() == counts
+
+
+@pytest.mark.parametrize("bad", [
+    lambda: np.random.default_rng(0),  # a PCG64 Generator
+    lambda: np.random.Generator(np.random.MT19937(0)),
+    lambda: np.random.Philox(0),  # a bit generator, not a Generator
+    lambda: np.random.RandomState(np.random.Philox(0)),
+    lambda: "call",
+])
+def test_reuse_must_be_a_philox_generator(bad):
+    reuse = bad()
+    with pytest.raises(TypeError, match="reuse must be a Philox Generator"):
+        derived_rng(0, "call", 0, reuse=reuse)

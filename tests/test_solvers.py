@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import qmdp.oracle
+import qmdp.rng
 import qmdp.solvers as solvers
 from qmdp.errors import PreconditionError
 from qmdp.estimators import EstimatorConfig
@@ -450,3 +452,44 @@ class TestReportShape:
         assert any(lbl.endswith("line-9") for lbl in labels)
         assert any(lbl.endswith("line-13") for lbl in labels)
         assert sum(report.ledger.phases.values()) == report.ledger.total
+
+
+GUARD_SOLVES = {
+    "variance-reduced": lambda o: variance_reduced_vi(
+        o, VarianceReducedParams.for_mdp(o.mdp, 1.0, 0.1)),
+    "max-finding": lambda o: max_finding_vi(o, MaxFindingParams.for_mdp(o.mdp, 1.0, 0.1)),
+    "max-finding-statevector": lambda o: max_finding_vi(
+        o, MaxFindingParams.for_mdp(o.mdp, 1.0, 0.1), EstimatorConfig(backend="statevector")),
+    "variance-reduced-statevector": lambda o: variance_reduced_vi(
+        o, VarianceReducedParams.for_mdp(o.mdp, 1.0, 0.1), EstimatorConfig(backend="statevector")),
+    **{f"sampled-{mode}": (lambda o, mode=mode: sampled_vi(o, 1.0, 0.1, mode=mode))
+       for mode in solvers.SAMPLED_MODES},
+}
+
+
+@pytest.mark.parametrize("name", sorted(GUARD_SOLVES))
+def test_one_generator_per_oracle(monkeypatch, name):
+    """Each oracle builds one Generator and re-keys it for every later
+    stream; the only other Generators a solve builds are first_draws'
+    replays (rng's own binding of derived_rng)."""
+    real = qmdp.rng.derived_rng
+    built, streams, replays = [], [], []
+
+    def oracle_spy(seed, *parts, reuse=None):
+        if reuse is None:
+            built.append(parts)
+        streams.append(real(seed, *parts, reuse=reuse))
+        return streams[-1]
+
+    def replay_spy(seed, *parts, reuse=None):
+        replays.append(reuse)
+        return real(seed, *parts, reuse=reuse)
+
+    monkeypatch.setattr(qmdp.oracle, "derived_rng", oracle_spy)
+    monkeypatch.setattr(qmdp.rng, "derived_rng", replay_spy)
+    mdp = fig_two(4, 1.0, {1})
+    for seed in (3, 4):
+        GUARD_SOLVES[name](SampleOracle(mdp, seed))
+    assert len(built) == 2
+    assert len(streams) > 20 and len({id(g) for g in streams}) == 2
+    assert all(reuse is None for reuse in replays)
