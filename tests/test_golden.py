@@ -3,7 +3,9 @@
 The golden hashes pin `qmdp solve` output for a few (config, seed) pairs:
 any change to the program that moves a seeded draw, a ledger count or a
 float in a report shows up here.  They are the sha256 of the report file
-with its one nondeterministic line (``timestamp``) removed.
+with its one nondeterministic line (``timestamp``) removed.  Each case is
+pinned a second time with diagnostics on, which adds the one-sided and
+breach diagnostics to the report and writes the snapshots CSV.
 """
 
 import dataclasses
@@ -78,11 +80,58 @@ GOLDEN = (
     ("dirichlet-max-finding", DIRICHLET,
      {"name": "max-finding", "eps": 0.5, "delta": 0.1}, None, 42,
      "f7947ad0c24d1a27f540eed9e7777e9e9ab61baedcd236eddd720cebeab7c5d4"),
+    ("hard-sampled-quantum-mean", HARD,
+     {"name": "sampled", "mode": "quantum_mean", "eps": 0.5, "delta": 0.1}, None, 15,
+     "f334cc8479bf8928da0aafb92fcfb6ee44577780f7b14da3137c62ecae247e9b"),
 )
 
+# name -> (sha256 of the report without timestamp, sha256 of the snapshots
+# CSV) of the GOLDEN case solved with "diagnostics": true and a snapshots_csv
+DIAGNOSTICS = {
+    "hard-variance-reduced": (
+        "f1f4837d667fd5dc831100b4f89f85d3d021823715d2e2e1f59e259c95946339",
+        "6a947e3dff189fb5136f0a0d28552dfbc95d5ac54d7488f4ee38386db9ca389f"),
+    "hard-max-finding": (
+        "115089476da66bae7ab72db49cde56d7770e13a7fe663f39d8e1ecfff5e6882c",
+        "60b5d979c389eb8ade336fcbf6a966627d8dfa2a0fb2d8050775c00db9da8bea"),
+    "hard-sampled-classical": (
+        "84ee2f3886144dde7c3da33560eea98ded4b80f055b28b3ca26228181639e7a2",
+        "b04076c93c35fbf6c4a0e2bced725251d6a6cf2c623c64276f7596dd96656bc5"),
+    "dense-variance-reduced": (
+        "5d76b6106cae231dd3308651065fc883c14714f3e1154ed0f9268e35b0f093cc",
+        "506ea9bf0922abb8f2281693559ef9dac425fc6ae4406f5dbc0d8a8279e652e6"),
+    "dense-max-finding": (
+        "90c24922e4e8b98cbd977e6fb16586f256c201e45dda8228001ca635e0e571f2",
+        "5b9e20eba950a7422b5ea673ec9602d230df3adfcccc34ddb187cb5830f5be32"),
+    "hard-statevector-max-finding": (
+        "9fce0c7b1bf5a2566966780300db72281e0838768bd8b3eaea43a7eeeabe4772",
+        "f5df6ef2712deb37cc855bb8813fff70acbd18cd676ff35efca279c269bc739e"),
+    "hard-sampled-quantum-mean-and-max": (
+        "e8c407813b013b58d2da1c4326779e9007900946ace287866aca8b3f61c18667",
+        "fada5e43f1126988b66ec4f885542f78bbae6ef225dfea73387c63850b6d38a2"),
+    "hard-statevector-sampled-quantum-mean": (
+        "2b273e35b7c4f5eae10aeeecd8f7337eb6b6d416f9090f141c65e8afcf60d13f",
+        "b878e0b99f7b623473ab190b515f7f02071bb9bae1c68a88124228544282e8b2"),
+    "hard-statevector-variance-reduced": (
+        "e3a4016b725913cb902dc0658bf26d77dc0bbc68c7e7788245e5d2463fe8f54a",
+        "f1b04baefd7769089189342005b7932262d7145155ef6a11d7dc220418a8491d"),
+    "dense-sampled-classical": (
+        "32dea38778c3acc130346a6669834b91529debac2bc0efab0516522dbedac68a",
+        "0bb16dc9377ad3cf657b5afaa280e74e62d16cef1d0e4a0a1c73662bb1b0087e"),
+    "dirichlet-variance-reduced": (
+        "588c0dab179b586c8a0556be0d7e0e48f138f3ed3cb9518976a5a0f4d8613574",
+        "75b9259390c87dd36235299195f22aeb8ec04bcd375849c984c9cb2ec163d034"),
+    "dirichlet-max-finding": (
+        "d0d7c6b0402599b7bf6b8a1db47002a1e12dd56cfdbd89b7b23f837d20427e2e",
+        "0ebb126b89a76546fbdc06a928d1610bc90e3fc8f05769dd9e99c823b48488f6"),
+    "hard-sampled-quantum-mean": (
+        "6f83aead0ed4c70e94047474267e0f9f5e5ee6d400def431141aee97fcb9f284",
+        "b6cecc530dde28df33400b5bbd4ded4b764e7a201c8b98c1f1b8bca8c79a3129"),
+}
 
-def _report_sha256(tmp_path, instance, solver, estimator, seed) -> str:
-    config = {"instance": instance, "solver": solver, "seed": seed}
+
+def _report_sha256(tmp_path, instance, solver, estimator, seed, **extra) -> str:
+    config = {"instance": instance, "solver": solver, "seed": seed, **extra}
     if estimator is not None:
         config["estimator"] = estimator
     path, out = tmp_path / "config.json", tmp_path / "report.json"
@@ -97,6 +146,18 @@ def _report_sha256(tmp_path, instance, solver, estimator, seed) -> str:
                          ids=[g[0] for g in GOLDEN])
 def test_golden_report(tmp_path, name, instance, solver, estimator, seed, digest):
     assert _report_sha256(tmp_path, instance, solver, estimator, seed) == digest
+
+
+@pytest.mark.parametrize("name,instance,solver,estimator,seed", [g[:5] for g in GOLDEN],
+                         ids=[g[0] for g in GOLDEN])
+def test_golden_diagnostics(tmp_path, monkeypatch, name, instance, solver, estimator, seed):
+    # a relative CSV path keeps the report, which embeds its config, the same
+    # in every directory
+    monkeypatch.chdir(tmp_path)
+    report = _report_sha256(tmp_path, instance, solver, estimator, seed,
+                            diagnostics=True, snapshots_csv="snapshots.csv")
+    snapshots = hashlib.sha256((tmp_path / "snapshots.csv").read_bytes()).hexdigest()
+    assert (report, snapshots) == DIAGNOSTICS[name]
 
 
 SOLVERS = (
