@@ -144,6 +144,9 @@ def validate_config(doc: dict, source: str = "<config>") -> None:
         _check_number(estimator, key, f"{source}: estimator.", required=False, finite=False)
     for key in ("mock_failure_mode", "backend"):
         _check_string(estimator, key, f"{source}: estimator.")
+    if not isinstance(doc.get("diagnostics", False), bool):
+        raise ConfigError(f"{source}: diagnostics must be a boolean, got {doc['diagnostics']!r}")
+    _check_string(doc, "snapshots_csv", f"{source}: ")
 
 
 def build_instance(instance: dict, source: str = "<config>") -> tuple[Mdp, dict | None]:
@@ -265,7 +268,7 @@ def cmd_solve(args) -> int:
     config = load_config(args.config)
     mdp, provenance = build_instance(config["instance"], source=args.config)
     cfg = estimator_config(config.get("estimator"))
-    diagnostics = bool(config.get("diagnostics", False)) or bool(config.get("snapshots_csv"))
+    diagnostics = config.get("diagnostics", False) or bool(config.get("snapshots_csv"))
     report = run_solver(mdp, config["solver"], cfg, int(config["seed"]), diagnostics)
     _write_json(_report_doc(config, report, provenance), args.out)
     if config.get("snapshots_csv"):

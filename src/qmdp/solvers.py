@@ -199,6 +199,64 @@ class SolveReport:
         }
 
 
+def _phase(scope: str, n: int, line=None) -> str:
+    """Ledger label ``{scope}-{n}``, then ``-line-{line}`` or ``-argmax``."""
+    suffix = "" if line is None else "-argmax" if line == "argmax" else f"-line-{line}"
+    return f"{scope}-{n}{suffix}"
+
+
+class _Iterate:
+    """The iterate (v, pi) of one solve with its flags, failure count and
+    snapshots.  Every estimate and mock argmax of the solve has failure
+    probability f.  A solver with no monotone claim reports its flags as None."""
+
+    def __init__(self, oracle, cfg, f, diagnostics, monotone=True):
+        self.oracle, self.cfg, self.f = oracle, cfg, f
+        self.v = np.zeros(oracle.mdp.num_states)
+        self.pi = np.zeros(oracle.mdp.num_states, dtype=np.int64)
+        self.monotone_ok = self.dominance_ok = True if monotone else None
+        self.one_sided_ok = True if monotone and diagnostics else None
+        self.failures = 0
+        self.snapshots: list = []
+
+    def estimate(self, key, phase, value_map, upper, err, promise_slack=0.0) -> np.ndarray:
+        """Mock range-bounded estimates of P value_map on the stream ``key``."""
+        est, failed, _ = batch_bounded_mock(
+            self.oracle, value_map, upper, err, self.f, self.cfg, self.oracle.derive_rng(*key),
+            phase, promise_slack=promise_slack)
+        self.failures += int(failed.sum())
+        return est
+
+    def keep_better(self, v_new: np.ndarray, pi_new: np.ndarray) -> None:
+        # dominance in its unconditional form: the kept value is at least v_new
+        take = v_new >= self.v
+        v_next = np.where(take, v_new, self.v)
+        self.pi = np.where(take, pi_new, self.pi)
+        self.monotone_ok &= bool((v_next >= self.v).all())
+        self.dominance_ok &= bool((v_next >= v_new).all())
+        self.v = v_next
+
+    def mock_argmax(self, q: np.ndarray, draws, charge: int, phase: str) -> np.ndarray:
+        """Contract-mock max finding over the rows of q on the next ``draws``."""
+        index, failed = mock_argmax_rows(q, self.f, *next(draws))
+        self.failures += int(failed.sum())
+        self.oracle.ledger.charge_quantum(charge, phase)
+        return index
+
+    def check_one_sided(self, mean: np.ndarray) -> None:
+        # meaningful when no estimate failed: a one-sided mean stays below P v
+        exact = expected_next_value(self.oracle.mdp, self.v)
+        self.one_sided_ok &= bool((mean <= exact + 1e-9).all())
+
+    def snapshot(self, epoch: int, step: int, pi: np.ndarray | None = None) -> None:
+        self.snapshots.append((epoch, step, self.v.copy(), self.pi.copy() if pi is None else pi))
+
+    def report(self, solver, params, q_hat=None, **extra) -> SolveReport:
+        return SolveReport(solver, self.oracle.seed, self.v, self.pi, q_hat, self.oracle.ledger,
+                           params, self.monotone_ok, self.dominance_ok, self.one_sided_ok,
+                           self.failures, snapshots=self.snapshots, **extra)
+
+
 def variance_reduced_vi(
     oracle: SampleOracle,
     params: VarianceReducedParams,
@@ -222,35 +280,23 @@ def variance_reduced_vi(
     p = params
     gamma = mdp.discount
     horizon = mdp.effective_horizon
-    s_n, a_n = mdp.num_states, mdp.num_actions
     r = mdp.rewards
 
-    v = np.zeros(s_n)
-    pi = np.zeros(s_n, dtype=np.int64)
-    q = np.zeros((s_n, a_n))
-
-    monotone_ok = True
-    dominance_ok = True
-    one_sided_ok = True if diagnostics else None
-    failures = 0
-    var_breaches = 0
-    slack_breaches = 0
-    snapshots: list = []
+    it = _Iterate(oracle, cfg, p.est_failure_prob, diagnostics)
+    q = np.zeros((mdp.num_states, mdp.num_actions))
+    var_breaches = slack_breaches = 0
 
     for k in range(1, p.num_epochs + 1):
         eps_k = horizon / 2.0**k
-        v_anchor = v.copy()
+        err_d = p.c * (1.0 - gamma) * eps_k
+        v_anchor = it.v.copy()
 
         # second-moment / first-moment estimates feeding the deviation proxy
-        phase8 = f"epoch-{k}-line-8"
-        rng = oracle.derive_rng("vr", k, "line8-sq")
-        est_sq, fail_sq, _ = batch_bounded_mock(
-            oracle, v_anchor**2, horizon**2, p.b, p.est_failure_prob, cfg, rng, phase8)
-        rng = oracle.derive_rng("vr", k, "line8-mean")
-        est_mean, fail_mean, _ = batch_bounded_mock(
-            oracle, v_anchor, horizon, (1.0 - gamma) * p.b, p.est_failure_prob, cfg, rng, phase8)
+        phase8 = _phase("epoch", k, 8)
+        est_sq = it.estimate(("vr", k, "line8-sq"), phase8, v_anchor**2, horizon**2, p.b)
+        est_mean = it.estimate(("vr", k, "line8-mean"), phase8, v_anchor, horizon,
+                               (1.0 - gamma) * p.b)
         y = np.maximum(est_sq - est_mean**2, 0.0)
-        failures += int(fail_sq.sum() + fail_mean.sum())
         if diagnostics:
             # the deviation proxy should track the true variance within 3b
             true_var = successor_variance(mdp, v_anchor)
@@ -259,55 +305,25 @@ def variance_reduced_vi(
         # anchor estimate with per-row deviation-proportional error, one-sided
         sigma_bound = np.sqrt(y + p.b)
         err_x = p.c * (1.0 - gamma) ** 1.5 * p.eps * sigma_bound
-        rng = oracle.derive_rng("vr", k, "line9")
         est_x, fail_x, breaches = batch_variance_mock(
-            oracle, v_anchor, sigma_bound, err_x, p.est_failure_prob, cfg, rng,
-            f"epoch-{k}-line-9")
+            oracle, v_anchor, sigma_bound, err_x, p.est_failure_prob, cfg,
+            oracle.derive_rng("vr", k, "line9"), _phase("epoch", k, 9))
         x = est_x - err_x
-        failures += int(fail_x.sum())
+        it.failures += int(fail_x.sum())
         var_breaches += breaches
 
+        phase13 = _phase("epoch", k, 13)
         for l in range(1, p.iters_per_epoch + 1):
-            vq, piq = greedy(q)
-            take = vq >= v
-            v_next = np.where(take, vq, v)
-            pi = np.where(take, piq, pi)
-            monotone_ok &= bool((v_next >= v).all())
-            dominance_ok &= bool((v_next >= vq).all())
-            v = v_next
-
-            err_d = p.c * (1.0 - gamma) * eps_k
-            rng = oracle.derive_rng("vr", k, l, "line13")
-            est_d, fail_d, _ = batch_bounded_mock(
-                oracle, v - v_anchor, 2.0 * eps_k, err_d, p.est_failure_prob, cfg, rng,
-                f"epoch-{k}-line-13")
-            delta_kl = est_d - err_d
-            failures += int(fail_d.sum())
-
+            it.keep_better(*greedy(q))
+            delta_kl = it.estimate(("vr", k, l, "line13"), phase13, it.v - v_anchor,
+                                   2.0 * eps_k, err_d) - err_d
             q = np.maximum(r + gamma * (x + delta_kl), 0.0)
             if diagnostics:
-                # one-sidedness of the combined estimate (meaningful when no
-                # estimate failed): x + delta <= P v_{k,l} exactly
-                exact_mean = expected_next_value(mdp, v)
-                one_sided_ok &= bool((x + delta_kl <= exact_mean + 1e-9).all())
-                snapshots.append((k, l, v.copy(), pi.copy()))
+                it.check_one_sided(x + delta_kl)
+                it.snapshot(k, l)
 
-    return SolveReport(
-        solver="variance-reduced",
-        seed=oracle.seed,
-        v_hat=v,
-        pi_hat=pi,
-        q_hat=q,
-        ledger=oracle.ledger,
-        params=asdict(p),
-        monotone_iterates_ok=monotone_ok,
-        greedy_dominance_ok=dominance_ok,
-        one_sided_ok=one_sided_ok,
-        estimator_failures=failures,
-        variance_promise_breaches=var_breaches,
-        anchor_slack_breaches=slack_breaches,
-        snapshots=snapshots,
-    )
+    return it.report("variance-reduced", asdict(p), q, variance_promise_breaches=var_breaches,
+                     anchor_slack_breaches=slack_breaches)
 
 
 def max_finding_vi(
@@ -338,23 +354,14 @@ def max_finding_vi(
 
     err_z = (1.0 - gamma) * p.eps / 4.0
     probe_cost = bounded_mean_charge(horizon, err_z, p.est_failure_prob, cfg)
-    mock_probes = int(argmax_query_budget(a_n, p.est_failure_prob, p.c_max))
+    argmax_charge = s_n * int(argmax_query_budget(a_n, p.est_failure_prob, p.c_max)) * probe_cost
 
-    v = np.zeros(s_n)
-    pi = np.zeros(s_n, dtype=np.int64)
+    it = _Iterate(oracle, cfg, p.est_failure_prob, diagnostics)
     q_mem = np.zeros((s_n, a_n))  # memoized estimated Q row per state
-
-    monotone_ok = True
-    dominance_ok = True
-    one_sided_ok = True if diagnostics else None
-    failures = 0
-    snapshots: list = []
-
-    if not use_statevector_argmax:
-        argmax_draws = _mock_argmax_draws(oracle.seed, "mf", p.iters, s_n, a_n)
+    argmax_draws = _mock_argmax_draws(oracle.seed, "mf", p.iters, s_n, a_n)  # drawn lazily
 
     for l in range(1, p.iters + 1):
-        phase_max = f"iter-{l}-argmax"
+        phase_max = _phase("iter", l, "argmax")
         if use_statevector_argmax:
             # simulate_argmax makes a data-dependent number of draws per state
             a_star = np.array([
@@ -363,46 +370,17 @@ def max_finding_vi(
                                 ledger=oracle.ledger, phase=phase_max, probe_cost=probe_cost)
                 for s in range(s_n)], dtype=np.int64)
         else:
-            a_star, failed = mock_argmax_rows(q_mem, p.est_failure_prob, *next(argmax_draws))
-            failures += int(failed.sum())
-            oracle.ledger.charge_quantum(s_n * mock_probes * probe_cost, phase_max)
-
-        v_tilde = q_mem[np.arange(s_n), a_star]
-        take = v_tilde >= v
-        v_next = np.where(take, v_tilde, v)
-        pi = np.where(take, a_star, pi)
-        monotone_ok &= bool((v_next >= v).all())
-        # unconditional form of the dominance guarantee: the kept iterate is
-        # at least the probed row value (equals the row max when the argmax
-        # call succeeded)
-        dominance_ok &= bool((v_next >= v_tilde).all())
-        v = v_next
+            a_star = it.mock_argmax(q_mem, argmax_draws, argmax_charge, phase_max)
+        it.keep_better(q_mem[np.arange(s_n), a_star], a_star)
 
         # next sweep's Q row oracles: one estimate per entry, memoized
-        rng = oracle.derive_rng("mf", l, "line10")
-        est_z, fail_z, _ = batch_bounded_mock(
-            oracle, v, horizon, err_z, p.est_failure_prob, cfg, rng, f"iter-{l}-line-10")
-        z = est_z - err_z
-        failures += int(fail_z.sum())
+        z = it.estimate(("mf", l, "line10"), _phase("iter", l, 10), it.v, horizon, err_z) - err_z
         q_mem = np.maximum(r + gamma * z, 0.0)
         if diagnostics:
-            one_sided_ok &= bool((z <= expected_next_value(mdp, v) + 1e-9).all())
-            snapshots.append((1, l, v.copy(), pi.copy()))
+            it.check_one_sided(z)
+            it.snapshot(1, l)
 
-    return SolveReport(
-        solver="max-finding",
-        seed=oracle.seed,
-        v_hat=v,
-        pi_hat=pi,
-        q_hat=None,
-        ledger=oracle.ledger,
-        params=asdict(p),
-        monotone_iterates_ok=monotone_ok,
-        greedy_dominance_ok=dominance_ok,
-        one_sided_ok=one_sided_ok,
-        estimator_failures=failures,
-        snapshots=snapshots,
-    )
+    return it.report("max-finding", asdict(p))
 
 
 SAMPLED_MODES = ("classical", "quantum_mean", "quantum_mean_and_max")
@@ -436,51 +414,33 @@ def sampled_vi(
     iters = _ceil_fuzz(horizon * math.log(4.0 * horizon / eps)) + 1
     err = (1.0 - gamma) * eps / 4.0
     delta_i = delta / (iters * s_n * a_n)  # union bound over all estimates
-    # iterates may drift up to ~gamma*eps/4 above the horizon without a shift
-    slack = eps / 4.0
 
-    v = np.zeros(s_n)
+    it = _Iterate(oracle, cfg, delta_i, diagnostics, monotone=False)
     q_est = np.zeros((s_n, a_n))
-    failures = 0
-    snapshots: list = []
-    if mode == "quantum_mean_and_max":
+    if mode == "classical":
+        n = hoeffding_sample_count(horizon, err, delta_i)
+        if n > 2**63 - 1:  # numpy's multinomial takes n as a C int64
+            raise PreconditionError(f"classical sample count {n} per estimate exceeds 2^63-1")
+    elif mode == "quantum_mean_and_max":
         argmax_draws = _mock_argmax_draws(oracle.seed, "svi", iters, s_n, a_n)
-        probe_cost = bounded_mean_charge(horizon, err, delta_i, cfg)
-        probes = int(argmax_query_budget(a_n, delta_i, DEFAULT_C_MAX))
+        argmax_charge = (s_n * int(argmax_query_budget(a_n, delta_i, DEFAULT_C_MAX))
+                         * bounded_mean_charge(horizon, err, delta_i, cfg))
 
     for i in range(1, iters + 1):
-        phase = f"iter-{i}"
+        phase = _phase("iter", i)
         if mode == "classical":
-            n = hoeffding_sample_count(horizon, err, delta_i)
-            est = oracle.empirical_means(v, n, phase)
+            est = oracle.empirical_means(it.v, n, phase)
         else:
-            rng = oracle.derive_rng("svi", i)
-            est, fail, _ = batch_bounded_mock(
-                oracle, v, horizon, err, delta_i, cfg, rng, phase, promise_slack=slack)
-            failures += int(fail.sum())
+            # iterates may drift up to ~gamma*eps/4 above the horizon without a shift
+            est = it.estimate(("svi", i), phase, it.v, horizon, err, promise_slack=eps / 4.0)
         q_est = r + gamma * est
-
         if mode == "quantum_mean_and_max":
-            best, failed = mock_argmax_rows(q_est, delta_i, *next(argmax_draws))
-            failures += int(failed.sum())
-            oracle.ledger.charge_quantum(s_n * probes * probe_cost, f"iter-{i}-argmax")
-            v = q_est[np.arange(s_n), best]
+            best = it.mock_argmax(q_est, argmax_draws, argmax_charge, _phase("iter", i, "argmax"))
+            it.v = q_est[np.arange(s_n), best]
         else:
-            v = q_est.max(axis=1)
+            it.v = q_est.max(axis=1)
         if diagnostics:
-            snapshots.append((1, i, v.copy(), q_est.argmax(axis=1)))
+            it.snapshot(1, i, q_est.argmax(axis=1))
 
-    _, pi = greedy(q_est)
-    return SolveReport(
-        solver=f"sampled-{mode}",
-        seed=oracle.seed,
-        v_hat=v,
-        pi_hat=pi,
-        q_hat=None,
-        ledger=oracle.ledger,
-        params={"eps": eps, "delta": delta, "mode": mode, "iters": iters},
-        monotone_iterates_ok=None,
-        greedy_dominance_ok=None,
-        estimator_failures=failures,
-        snapshots=snapshots,
-    )
+    _, it.pi = greedy(q_est)
+    return it.report(f"sampled-{mode}", {"eps": eps, "delta": delta, "mode": mode, "iters": iters})

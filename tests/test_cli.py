@@ -137,6 +137,21 @@ class TestSolveCommand:
         assert main(["solve", "--config", str(cfg), "--out",
                      str(tmp_path / "r.json")]) == 2
 
+    def test_classical_sample_count_overflow_exit_code(self, tmp_path, capsys):
+        # gamma 0.999 and eps 0.001 derive a Hoeffding count near 1e20 per
+        # estimate, past the int64 count numpy's multinomial takes
+        doc = {"instance": {"two_state": {"gamma": 0.999, "p": 0.5}},
+               "solver": {"name": "sampled", "mode": "classical", "eps": 0.001, "delta": 0.1},
+               "seed": 1, "snapshots_csv": str(tmp_path / "snaps.csv")}
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "r.json"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert re.search(r"^error: classical sample count \d{21} per estimate exceeds 2\^63-1$",
+                         captured.err.strip()), captured.err
+        assert captured.out == ""
+        assert not out.exists() and not (tmp_path / "snaps.csv").exists()
+
     @pytest.mark.parametrize("edit,message", [
         (lambda d: d["solver"].update(eps="abc"), r"solver\.eps must be a number, got 'abc'"),
         (lambda d: d.update(seed="x"), r"seed must be an integer, got 'x'"),
@@ -176,6 +191,9 @@ class TestSolveCommand:
         (lambda d: d.update(estimator={"backend": None}),
          r"estimator\.backend must be a string, got None"),
         (lambda d: d["solver"].update(mode=2), r"solver\.mode must be a string, got 2"),
+        (lambda d: d.update(snapshots_csv=True), r": snapshots_csv must be a string, got True"),
+        (lambda d: d.update(snapshots_csv=1), r": snapshots_csv must be a string, got 1"),
+        (lambda d: d.update(diagnostics="no"), r": diagnostics must be a boolean, got 'no'"),
     ])
     def test_malformed_config_exit_code(self, tmp_path, capsys, edit, message):
         doc = fig_two_config()

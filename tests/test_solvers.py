@@ -1,5 +1,6 @@
 """Tests for the sampled solvers: schedules, guarantees, and diagnostics."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -493,3 +494,15 @@ def test_one_generator_per_oracle(monkeypatch, name):
     assert len(built) == 2
     assert len(streams) > 20 and len({id(g) for g in streams}) == 2
     assert all(reuse is None for reuse in replays)
+
+
+PHASE_LABEL = re.compile(r"^(epoch|iter)-\d+(-line-\d+|-argmax)?$")
+
+
+@pytest.mark.parametrize("name", sorted(GUARD_SOLVES))
+def test_phase_labels_follow_one_grammar(name):
+    """Every ledger phase key of a solve is epoch-k or iter-l, optionally
+    followed by an algorithm line or the argmax sweep."""
+    report = GUARD_SOLVES[name](SampleOracle(fig_two(4, 1.0, {1}), 3))
+    labels = set(report.ledger.phases)
+    assert labels and all(PHASE_LABEL.match(label) for label in labels), sorted(labels)
