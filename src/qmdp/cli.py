@@ -24,6 +24,7 @@ import numpy as np
 from .errors import ConfigError, PreconditionError, QmdpError
 from .estimators import EstimatorConfig
 from .hard_instances import (
+    DEFAULT_GAP_CONSTANT,
     HardInstanceSpec,
     multi_arm_instance,
     tiled_instance,
@@ -65,9 +66,16 @@ __all__ = [
 ]
 
 SOLVER_NAMES = ("variance-reduced", "max-finding", "sampled")
-SWEEP_AXES = ("eps", "gamma", "num_actions", "copies")
-SUITES = ("total-variance", "oracle-normalization", "monotone-iterates", "sandwich",
-          "gap", "contraction")
+_INSTANCE_SOURCES = ("path", "mdp", "two_state", "hard_instance")
+INTEGER_AXES = ("num_actions", "copies")
+# sweep axis -> (fit variable, its x at an axis value): the fit is against the
+# variable the scaling laws are stated in
+_SWEEP_FIT = {
+    "eps": ("1/eps", lambda eps: 1.0 / eps),
+    "gamma": ("horizon", lambda gamma: 1.0 / (1.0 - gamma)),
+    **{axis: (axis, float) for axis in INTEGER_AXES},
+}
+SWEEP_AXES = tuple(_SWEEP_FIT)
 
 
 # ---------------------------------------------------------------------------
@@ -119,12 +127,11 @@ def validate_config(doc: dict, source: str = "<config>") -> None:
     instance = doc.get("instance")
     if not isinstance(instance, dict):
         raise ConfigError(f"{source}: missing 'instance' object")
-    sources = [k for k in ("path", "mdp", "two_state", "hard_instance") if k in instance]
+    sources = [k for k in _INSTANCE_SOURCES if k in instance]
     if len(sources) != 1:
         raise ConfigError(
-            f"{source}: instance must name exactly one source of "
-            f"('path', 'mdp', 'two_state', 'hard_instance'), found {sources}"
-        )
+            f"{source}: instance must name exactly one source of {_INSTANCE_SOURCES}, "
+            f"found {sources}")
     solver = doc.get("solver")
     if not isinstance(solver, dict) or "name" not in solver:
         raise ConfigError(f"{source}: missing 'solver' object with a 'name'")
@@ -149,42 +156,43 @@ def validate_config(doc: dict, source: str = "<config>") -> None:
     _check_string(doc, "snapshots_csv", f"{source}: ")
 
 
+def _given(block: dict, keys, cast=float) -> dict:
+    """The entries of ``keys`` that a config block gives, cast; the library
+    owns the defaults of the rest."""
+    return {key: cast(block[key]) for key in keys if key in block}
+
+
 def build_instance(instance: dict, source: str = "<config>") -> tuple[Mdp, dict | None]:
     """Materialize the MDP named by an instance block; returns provenance for
-    generated instances.  Missing or mistyped entries raise ConfigError."""
+    generated instances.  Missing or mistyped entries raise ConfigError, and
+    a generator's range errors are PreconditionErrors naming the entry."""
     where = f"{source}: instance."
-    if "path" in instance:
+    name = next((key for key in _INSTANCE_SOURCES if key in instance), "hard_instance")
+    if name == "path":
         if not isinstance(instance["path"], str):
             raise ConfigError(f"{where}path must be a string, got {instance['path']!r}")
         return load_mdp_json(instance["path"]), None
-    if "mdp" in instance:
-        block = _check_block(instance, "mdp", where)
-        return mdp_from_dict(block, source=f"{source}:instance.mdp"), None
-    if "two_state" in instance:
-        doc = _check_block(instance, "two_state", where)
-        for key in ("gamma", "p"):
-            _check_number(doc, key, f"{where}two_state.")
-        mdp = two_state_chain(doc["gamma"], doc["p"])
-        return mdp, {"two_state": doc}
-    doc = _check_block(instance, "hard_instance", where)
-    where += "hard_instance."
-    for key in ("gamma", "num_actions", "eps", "c_alpha", "copies"):
-        _check_number(doc, key, where, integer=key in ("num_actions", "copies"),
-                      required=key in ("gamma", "num_actions", "eps"))
-    arms = doc.get("large_arms", [])
-    if not isinstance(arms, list) or any(
-            isinstance(a, bool) or not isinstance(a, (int, np.integer)) for a in arms):
-        raise ConfigError(f"{where}large_arms must be a list of integers, got {arms!r}")
-    spec = HardInstanceSpec(
-        gamma=doc["gamma"],
-        num_actions=doc["num_actions"],
-        eps=doc["eps"],
-        large_arms=frozenset(arms),
-        c_alpha=doc.get("c_alpha", 9.0),
-        copies=doc.get("copies", 1),
-    )
-    mdp = tiled_instance(spec)
-    return mdp, {"hard_instance": spec.provenance()}
+    doc = _check_block(instance, name, where)
+    if name == "mdp":
+        return mdp_from_dict(doc, source=f"{source}:instance.mdp"), None
+    where += f"{name}."
+    try:
+        if name == "two_state":
+            for key in ("gamma", "p"):
+                _check_number(doc, key, where)
+            return two_state_chain(doc["gamma"], doc["p"]), {"two_state": doc}
+        keys = ("gamma", "num_actions", "eps", "c_alpha", "copies")
+        for key in keys:
+            _check_number(doc, key, where, integer=key in INTEGER_AXES, required=key in keys[:3])
+        arms = doc.get("large_arms", [])
+        if not isinstance(arms, list) or any(
+                isinstance(a, bool) or not isinstance(a, (int, np.integer)) for a in arms):
+            raise ConfigError(f"{where}large_arms must be a list of integers, got {arms!r}")
+        given = {key: doc[key] for key in keys if key in doc}
+        spec = HardInstanceSpec(large_arms=frozenset(arms), **given)
+    except PreconditionError as exc:
+        raise PreconditionError(f"{where}{exc}") from exc
+    return tiled_instance(spec), {"hard_instance": spec.provenance()}
 
 
 def estimator_config(doc: dict | None) -> EstimatorConfig:
@@ -202,15 +210,13 @@ def run_solver(mdp: Mdp, solver: dict, cfg: EstimatorConfig, seed: int,
     name = solver["name"]
     eps, delta = float(solver["eps"]), float(solver["delta"])
     if name == "variance-reduced":
-        params = VarianceReducedParams.for_mdp(
-            mdp, eps, delta, b=float(solver.get("b", 1.0)), c=float(solver.get("c", 0.01)))
+        params = VarianceReducedParams.for_mdp(mdp, eps, delta, **_given(solver, ("b", "c")))
         return variance_reduced_vi(oracle, params, cfg, diagnostics=diagnostics)
     if name == "max-finding":
-        params = MaxFindingParams.for_mdp(
-            mdp, eps, delta, c_max=float(solver.get("c_max", 4.0)))
+        params = MaxFindingParams.for_mdp(mdp, eps, delta, **_given(solver, ("c_max",)))
         return max_finding_vi(oracle, params, cfg, diagnostics=diagnostics)
-    return sampled_vi(oracle, eps, delta, mode=solver.get("mode", "classical"),
-                      cfg=cfg, diagnostics=diagnostics)
+    return sampled_vi(oracle, eps, delta, cfg=cfg, diagnostics=diagnostics,
+                      **_given(solver, ("mode",), cast=str))
 
 
 def sandwich_success(mdp: Mdp, report: SolveReport, eps: float) -> bool:
@@ -224,20 +230,17 @@ def sandwich_success(mdp: Mdp, report: SolveReport, eps: float) -> bool:
     if report.solver.startswith("sampled"):
         return bool(np.abs(report.v_hat - v_star).max() <= eps)
     v_pi = policy_value_exact(mdp, report.pi_hat)
-    ok = (
-        bool(np.all(v_star - eps <= report.v_hat + 1e-9))
-        and bool(np.all(report.v_hat <= v_pi + 1e-9))
-        and bool(np.all(v_pi <= v_star + 1e-8))
-    )
+    ok = _sandwiched(v_star, report.v_hat, v_pi, eps)
     if report.q_hat is not None:
         q_pi = mdp.rewards + mdp.discount * expected_next_value(mdp, v_pi)
-        ok = (
-            ok
-            and bool(np.all(q_star - eps <= report.q_hat + 1e-9))
-            and bool(np.all(report.q_hat <= q_pi + 1e-9))
-            and bool(np.all(q_pi <= q_star + 1e-8))
-        )
+        ok = _sandwiched(q_star, report.q_hat, q_pi, eps) and ok
     return ok
+
+
+def _sandwiched(star, hat, exact, eps: float) -> bool:
+    """star - eps <= hat <= exact <= star everywhere, to rounding."""
+    return (bool(np.all(star - eps <= hat + 1e-9)) and bool(np.all(hat <= exact + 1e-9))
+            and bool(np.all(exact <= star + 1e-8)))
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +273,9 @@ def cmd_solve(args) -> int:
     cfg = estimator_config(config.get("estimator"))
     diagnostics = config.get("diagnostics", False) or bool(config.get("snapshots_csv"))
     report = run_solver(mdp, config["solver"], cfg, int(config["seed"]), diagnostics)
-    _write_json(_report_doc(config, report, provenance), args.out)
-    if config.get("snapshots_csv"):
+    if config.get("snapshots_csv"):  # first, so that a bad path leaves no report
         _write_snapshots_csv(report, config["snapshots_csv"])
+    _write_json(_report_doc(config, report, provenance), args.out)
     print(f"wrote {args.out}: solver={report.solver} "
           f"quantum={report.ledger.quantum_oracle_calls} "
           f"classical={report.ledger.classical_samples}")
@@ -309,20 +312,8 @@ def _apply_axis(config: dict, axis: str, value: float) -> dict:
         block = instance["two_state"]
     else:
         raise ConfigError(f"axis {axis!r} requires a generated instance block")
-    if axis in ("num_actions", "copies"):
-        block[axis] = int(value)
-    else:
-        block[axis] = value
+    block[axis] = int(value) if axis in INTEGER_AXES else value
     return doc
-
-
-def _fit_x(axis: str, value: float) -> float:
-    # fit against the variable the scaling laws are stated in
-    if axis == "eps":
-        return 1.0 / value
-    if axis == "gamma":
-        return 1.0 / (1.0 - value)  # horizon
-    return float(value)
 
 
 def run_sweep(config: dict, axis: str, values, seeds: int):
@@ -330,8 +321,7 @@ def run_sweep(config: dict, axis: str, values, seeds: int):
 
     Rows are (axis_value, seed, classical_samples, quantum_oracle_calls,
     success); the fit is on the per-point median of total queries, against
-    1/eps for the eps axis, the horizon for the gamma axis, and the raw
-    value otherwise.
+    the axis's variable in ``_SWEEP_FIT``.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
@@ -342,8 +332,8 @@ def run_sweep(config: dict, axis: str, values, seeds: int):
         raise PreconditionError("sweep needs at least 1 seed per point")
     cfg = estimator_config(config.get("estimator"))
     base_seed = int(config["seed"])
-    rows = []
-    points = []
+    x_variable, x_of = _SWEEP_FIT[axis]
+    rows, points = [], []
     for value in values:
         doc = _apply_axis(config, axis, value)
         mdp, _ = build_instance(doc["instance"])
@@ -355,16 +345,15 @@ def run_sweep(config: dict, axis: str, values, seeds: int):
             rows.append((value, seed, report.ledger.classical_samples,
                          report.ledger.quantum_oracle_calls, int(success)))
             totals.append(report.ledger.total)
-        points.append((_fit_x(axis, value), float(np.median(totals))))
+        points.append((x_of(value), float(np.median(totals))))
     slope, r_squared = fit_power_law([p[0] for p in points], [p[1] for p in points])
-    fit = {
+    return rows, {
         "axis": axis,
-        "x_variable": {"eps": "1/eps", "gamma": "horizon"}.get(axis, axis),
+        "x_variable": x_variable,
         "points": [[x, med] for x, med in points],
         "slope": slope,
         "r_squared": r_squared,
     }
-    return rows, fit
 
 
 def _parse_values(text: str, axis: str) -> list[float]:
@@ -380,7 +369,7 @@ def _parse_values(text: str, axis: str) -> list[float]:
             raise ConfigError(f"--values[{i}] = {entry.strip()!r} is not a number") from None
         if not math.isfinite(value):
             raise ConfigError(f"--values[{i}] = {value!r} is not finite")
-        if axis in ("num_actions", "copies") and not value.is_integer():
+        if axis in INTEGER_AXES and not value.is_integer():
             raise ConfigError(f"--values[{i}] = {value!r} is not an integer for axis {axis}")
         values.append(value)
     return values
@@ -416,108 +405,90 @@ def _random_mdp(rng: np.random.Generator, max_states: int = 8, max_actions: int 
                discount=float(gammas[rng.integers(len(gammas))]))
 
 
-def _suite_total_variance(trials: int, seed: int):
-    passed = 0
+def _random_suite(tag: str, check, max_states: int = 8, max_actions: int = 8):
+    """A suite of ``check(mdp, rng)`` on a random MDP from stream (seed, tag, trial)."""
+    def suite(trials: int, seed: int):
+        passed = 0
+        for i in range(trials):
+            rng = derived_rng(seed, tag, i)
+            passed += bool(check(_random_mdp(rng, max_states, max_actions), rng))
+        return passed, trials
+    return suite
+
+
+def _total_variance_bounded(mdp: Mdp, rng) -> bool:
+    pi = rng.integers(mdp.num_actions, size=mdp.num_states)
+    return total_variance_norm(mdp, pi) <= math.sqrt(2.0) * mdp.effective_horizon**1.5
+
+
+def _oracle_normalized(mdp: Mdp, rng) -> bool:
+    dyadic = quantize_mdp(mdp, m=10)
+    states = range(mdp.num_states)
+    return all(sum(dyadic.probability_exact(s, a, t) for t in states) == 1
+               for s in states for a in range(mdp.num_actions))
+
+
+def _contracts(mdp: Mdp, rng) -> bool:
+    pi = rng.integers(mdp.num_actions, size=mdp.num_states)
+    u = rng.uniform(0, mdp.effective_horizon, mdp.num_states)
+    w = rng.uniform(0, mdp.effective_horizon, mdp.num_states)
+    lhs = np.abs(policy_backup(mdp, pi, u) - policy_backup(mdp, pi, w)).max()
+    ok = lhs <= mdp.discount * np.abs(u - w).max() + 1e-12
+    lo = np.minimum(u, w)
+    ok &= bool(np.all(policy_backup(mdp, pi, lo) <= policy_backup(mdp, pi, u) + 1e-12))
+    ok &= bool(np.all(bellman_backup(mdp, lo) <= bellman_backup(mdp, u) + 1e-12))
+    return ok
+
+
+def _arm_solves(trials: int, seed: int, names):
+    """(mdp, report) per trial i (seed + i) and named solver on one hard instance."""
+    spec = HardInstanceSpec(gamma=0.9, num_actions=4, eps=1.0, large_arms=frozenset({1}))
+    mdp = multi_arm_instance(spec)
     for i in range(trials):
-        rng = derived_rng(seed, "tv", i)
-        mdp = _random_mdp(rng)
-        pi = rng.integers(mdp.num_actions, size=mdp.num_states)
-        bound = math.sqrt(2.0) * mdp.effective_horizon**1.5
-        passed += total_variance_norm(mdp, pi) <= bound
-    return passed, trials
-
-
-def _suite_oracle_normalization(trials: int, seed: int):
-    from fractions import Fraction
-
-    passed = 0
-    for i in range(trials):
-        rng = derived_rng(seed, "oracle", i)
-        mdp = _random_mdp(rng, max_states=6, max_actions=4)
-        dyadic = quantize_mdp(mdp, m=10)
-        ok = True
-        for s in range(mdp.num_states):
-            for a in range(mdp.num_actions):
-                total = sum(dyadic.probability_exact(s, a, t) for t in range(mdp.num_states))
-                ok &= total == Fraction(1)
-        passed += ok
-    return passed, trials
+        for name in names:
+            solver = {"name": name, "eps": 1.0, "delta": 0.1}
+            yield mdp, run_solver(mdp, solver, EstimatorConfig(), seed + i)
 
 
 def _suite_monotone(trials: int, seed: int):
-    spec = HardInstanceSpec(gamma=0.9, num_actions=4, eps=1.0, large_arms=frozenset({1}))
-    mdp = multi_arm_instance(spec)
-    params = VarianceReducedParams.for_mdp(mdp, eps=1.0, delta=0.1)
-    passed = 0
-    for i in range(trials):
-        oracle = SampleOracle(mdp, seed + i)
-        report = variance_reduced_vi(oracle, params)
-        passed += bool(report.monotone_iterates_ok)
-    return passed, trials
+    reports = _arm_solves(trials, seed, ("variance-reduced",))
+    return sum(bool(report.monotone_iterates_ok) for _, report in reports), trials
 
 
 def _suite_sandwich(trials: int, seed: int):
-    spec = HardInstanceSpec(gamma=0.9, num_actions=4, eps=1.0, large_arms=frozenset({1}))
-    mdp = multi_arm_instance(spec)
-    ok = 0
-    for i in range(trials):
-        report = run_solver(mdp, {"name": "variance-reduced", "eps": 1.0, "delta": 0.1},
-                            EstimatorConfig(), seed + i)
-        ok += sandwich_success(mdp, report, 1.0)
-        report = run_solver(mdp, {"name": "max-finding", "eps": 1.0, "delta": 0.1},
-                            EstimatorConfig(), seed + i)
-        ok += sandwich_success(mdp, report, 1.0)
-    # probabilistic guarantee: pass at the 1-delta rate, not at 100%
-    return ok, trials * 2, ok >= math.floor(0.9 * 2 * trials)
+    solves = _arm_solves(trials, seed, ("variance-reduced", "max-finding"))
+    return sum(sandwich_success(mdp, report, 1.0) for mdp, report in solves), 2 * trials
 
 
 def _suite_gap(trials: int, seed: int):
-    checks = []
-    for gamma in (0.9, 0.95, 0.99):
-        horizon = 1.0 / (1.0 - gamma)
-        for eps in (0.1, 0.5, 1.0):
-            if eps < horizon / 9.0:
-                checks.append(value_gap(gamma, eps, 9.0) >= 2.0 * eps)
+    checks = [value_gap(gamma, eps) >= 2.0 * eps for gamma in (0.9, 0.95, 0.99)
+              for eps in (0.1, 0.5, 1.0) if eps < 1.0 / (1.0 - gamma) / DEFAULT_GAP_CONSTANT]
     return sum(checks), len(checks)
 
 
-def _suite_contraction(trials: int, seed: int):
-    passed = 0
-    for i in range(trials):
-        rng = derived_rng(seed, "contract", i)
-        mdp = _random_mdp(rng, max_states=6, max_actions=4)
-        pi = rng.integers(mdp.num_actions, size=mdp.num_states)
-        u = rng.uniform(0, mdp.effective_horizon, mdp.num_states)
-        w = rng.uniform(0, mdp.effective_horizon, mdp.num_states)
-        lhs = np.abs(policy_backup(mdp, pi, u) - policy_backup(mdp, pi, w)).max()
-        ok = lhs <= mdp.discount * np.abs(u - w).max() + 1e-12
-        lo = np.minimum(u, w)
-        ok &= bool(np.all(policy_backup(mdp, pi, lo) <= policy_backup(mdp, pi, u) + 1e-12))
-        ok &= bool(np.all(bellman_backup(mdp, lo) <= bellman_backup(mdp, u) + 1e-12))
-        passed += ok
-    return passed, trials
-
-
-_SUITE_IMPL = {
-    "total-variance": (_suite_total_variance, 1000),
-    "oracle-normalization": (_suite_oracle_normalization, 100),
-    "monotone-iterates": (_suite_monotone, 50),
-    "sandwich": (_suite_sandwich, 100),
-    "gap": (_suite_gap, 1),
-    "contraction": (_suite_contraction, 500),
+# suite -> (its function, default trials, fraction of checks that must pass);
+# every function returns (passed, total)
+_SUITES = {
+    "total-variance": (_random_suite("tv", _total_variance_bounded), 1000, 1.0),
+    "oracle-normalization": (_random_suite("oracle", _oracle_normalized, 6, 4), 100, 1.0),
+    "monotone-iterates": (_suite_monotone, 50, 1.0),
+    # probabilistic guarantee: pass at the 1-delta rate, not at 100%
+    "sandwich": (_suite_sandwich, 100, 0.9),
+    "gap": (_suite_gap, 1, 1.0),
+    "contraction": (_random_suite("contract", _contracts, 6, 4), 500, 1.0),
 }
+SUITES = tuple(_SUITES)
 
 
 def run_suite(suite: str, trials: int | None = None, seed: int = 0):
     """Run a named suite; returns (passed, total, suite_ok)."""
-    if suite not in _SUITE_IMPL:
+    if suite not in _SUITES:
         raise ConfigError(f"unknown suite {suite!r}; choose from {SUITES}")
-    impl, default_trials = _SUITE_IMPL[suite]
-    result = impl(trials if trials is not None else default_trials, seed)
-    if len(result) == 2:
-        passed, total = result
-        return passed, total, passed == total
-    return result
+    if trials is not None and trials < 0:
+        raise ConfigError(f"--trials must be at least 0, got {trials}")
+    impl, default_trials, pass_fraction = _SUITES[suite]
+    passed, total = impl(default_trials if trials is None else trials, seed)
+    return passed, total, passed >= math.floor(pass_fraction * total)
 
 
 def cmd_verify(args) -> int:

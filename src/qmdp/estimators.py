@@ -145,16 +145,29 @@ def variance_mean_charge(sigma, eps, delta: float, cfg: EstimatorConfig = DEFAUL
     return int(np.sum(base)) * amplification_reps(delta)
 
 
+def _finite_count(count: float, rule: str, eps: float) -> int:
+    """ceil(count); an eps so small that the count overflows, or that eps**2
+    underflows to 0, raises PreconditionError."""
+    if not math.isfinite(count):
+        raise PreconditionError(f"{rule} sample count for accuracy {eps} is not finite")
+    return math.ceil(count)
+
+
 def hoeffding_sample_count(upper: float, eps: float, delta: float) -> int:
     if eps <= 0:
         raise PreconditionError(f"eps must be positive, got {eps}")
-    return math.ceil(upper**2 * math.log(2.0 / delta) / (2.0 * eps**2))
+    eps_sq = eps**2
+    count = upper**2 * math.log(2.0 / delta) / (2.0 * eps_sq) if eps_sq else math.inf
+    return _finite_count(count, "Hoeffding", eps)
 
 
 def bernstein_sample_count(upper: float, sigma: float, eps: float, delta: float) -> int:
     if eps <= 0:
         raise PreconditionError(f"eps must be positive, got {eps}")
-    return math.ceil(2.0 * (sigma**2 / eps**2 + upper / (3.0 * eps)) * math.log(3.0 / delta))
+    eps_sq = eps**2
+    count = (2.0 * (sigma**2 / eps_sq + upper / (3.0 * eps)) * math.log(3.0 / delta)
+             if eps_sq else math.inf)
+    return _finite_count(count, "Bernstein", eps)
 
 
 def statevector_phase_bits(accuracy: float, cfg: EstimatorConfig = DEFAULT_CONFIG) -> int:

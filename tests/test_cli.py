@@ -152,6 +152,46 @@ class TestSolveCommand:
         assert captured.out == ""
         assert not out.exists() and not (tmp_path / "snaps.csv").exists()
 
+    @pytest.mark.parametrize("eps", [1e-155, 1e-170])
+    def test_classical_sample_count_not_finite_exit_code(self, tmp_path, capsys, eps):
+        # 1e-155 overflows the Hoeffding count to inf; at 1e-170 eps**2 is 0
+        doc = {"instance": {"two_state": {"gamma": 0.9, "p": 0.5}},
+               "solver": {"name": "sampled", "mode": "classical", "eps": eps, "delta": 0.1},
+               "seed": 1}
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "r.json"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: Hoeffding sample count for accuracy \S+ is not finite\n",
+                            err), err
+        assert not out.exists()
+
+    def test_snapshots_csv_in_missing_directory_writes_no_report(self, tmp_path, capsys):
+        doc = fig_two_config(eps=1.0)
+        doc["snapshots_csv"] = str(tmp_path / "missing" / "s.csv")
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "r.json"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("instance,message", [
+        ({"hard_instance": {"gamma": 0.5, "num_actions": 2, "eps": 0.5}},
+         r"config\.json: instance\.hard_instance\.gamma must be in \[0\.9, 1\)"),
+        ({"hard_instance": {"gamma": 0.9, "num_actions": 2, "eps": 0.5, "large_arms": [2]}},
+         r"config\.json: instance\.hard_instance\.large_arms must be valid action indices"),
+        ({"two_state": {"gamma": 1.0, "p": 0.5}},
+         r"config\.json: instance\.two_state\.gamma must be in \[0, 1\)"),
+    ])
+    def test_instance_range_error_names_entry(self, tmp_path, capsys, instance, message):
+        doc = fig_two_config()
+        doc["instance"] = instance
+        cfg = write_config(tmp_path, doc)
+        assert main(["solve", "--config", str(cfg), "--out",
+                     str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and re.search(message, err), err
+
     @pytest.mark.parametrize("edit,message", [
         (lambda d: d["solver"].update(eps="abc"), r"solver\.eps must be a number, got 'abc'"),
         (lambda d: d.update(seed="x"), r"seed must be an integer, got 'x'"),
@@ -359,6 +399,10 @@ class TestVerifyCommand:
 
     def test_unknown_suite(self):
         assert main(["verify", "--suite", "nope"]) == 2
+
+    def test_negative_trials(self, capsys):
+        assert main(["verify", "--suite", "total-variance", "--trials", "-1"]) == 2
+        assert capsys.readouterr().err == "error: --trials must be at least 0, got -1\n"
 
     def test_run_suite_counts(self):
         passed, total, ok = run_suite("gap")

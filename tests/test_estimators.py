@@ -86,6 +86,14 @@ class TestChargeFormulas:
         n_b = bernstein_sample_count(u, u, 0.05, 0.1)
         assert 0.2 <= n_b / n_h <= 5.0
 
+    @pytest.mark.parametrize("eps", [1e-155, 1e-170])
+    def test_counts_past_float_range_raise(self, eps):
+        # 1e-155: the count overflows to inf; 1e-170: eps**2 underflows to 0
+        with pytest.raises(PreconditionError, match="Hoeffding sample count for accuracy"):
+            hoeffding_sample_count(10.0, eps, 0.1)
+        with pytest.raises(PreconditionError, match="Bernstein sample count for accuracy"):
+            bernstein_sample_count(10.0, 1.0, eps, 0.1)
+
     def test_query_monotonicity(self):
         base = bounded_mean_charge(1.0, 0.1, 0.1, CFG)
         assert bounded_mean_charge(1.0, 0.05, 0.1, CFG) >= base  # smaller eps

@@ -8,9 +8,12 @@ pinned a second time with diagnostics on, which adds the one-sided and
 breach diagnostics to the report and writes the snapshots CSV.
 """
 
+import ctypes
 import dataclasses
+import functools
 import hashlib
 import json
+import pathlib
 import re
 
 import numpy as np
@@ -130,6 +133,21 @@ DIAGNOSTICS = {
 }
 
 
+@functools.cache
+def openblas_core() -> str:
+    """The OpenBLAS kernel numpy runs on, read from its bundled
+    libscipy_openblas64_; the digests hold for one kernel, so a failure names it."""
+    libs = pathlib.Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown (no libscipy_openblas64_ beside numpy)"
+
+
 def _report_sha256(tmp_path, instance, solver, estimator, seed, **extra) -> str:
     config = {"instance": instance, "solver": solver, "seed": seed, **extra}
     if estimator is not None:
@@ -145,7 +163,8 @@ def _report_sha256(tmp_path, instance, solver, estimator, seed, **extra) -> str:
 @pytest.mark.parametrize("name,instance,solver,estimator,seed,digest", GOLDEN,
                          ids=[g[0] for g in GOLDEN])
 def test_golden_report(tmp_path, name, instance, solver, estimator, seed, digest):
-    assert _report_sha256(tmp_path, instance, solver, estimator, seed) == digest
+    assert _report_sha256(tmp_path, instance, solver, estimator, seed) == digest, (
+        f"OpenBLAS core {openblas_core()}")
 
 
 @pytest.mark.parametrize("name,instance,solver,estimator,seed", [g[:5] for g in GOLDEN],
@@ -157,7 +176,12 @@ def test_golden_diagnostics(tmp_path, monkeypatch, name, instance, solver, estim
     report = _report_sha256(tmp_path, instance, solver, estimator, seed,
                             diagnostics=True, snapshots_csv="snapshots.csv")
     snapshots = hashlib.sha256((tmp_path / "snapshots.csv").read_bytes()).hexdigest()
-    assert (report, snapshots) == DIAGNOSTICS[name]
+    assert (report, snapshots) == DIAGNOSTICS[name], f"OpenBLAS core {openblas_core()}"
+
+
+def test_openblas_core_is_named():
+    # the failure messages above call it, so it must not raise on any install
+    assert isinstance(openblas_core(), str) and openblas_core()
 
 
 SOLVERS = (
