@@ -20,9 +20,19 @@ import numpy as np
 import pytest
 
 import qmdp.mdp as mdp_mod
+import qmdp.solvers as solvers
 from qmdp.cli import build_instance, main, run_solver, sandwich_success
 from qmdp.estimators import EstimatorConfig
+from qmdp.hard_instances import HardInstanceSpec, multi_arm_instance
 from qmdp.mdp import Mdp, exact_value_iteration
+from qmdp.oracle import SampleOracle
+from qmdp.solvers import (
+    MaxFindingParams,
+    VarianceReducedParams,
+    max_finding_vi,
+    sampled_vi,
+    variance_reduced_vi,
+)
 
 _TIMESTAMP = re.compile(rb'\n *"timestamp": "[^"]*",?')
 
@@ -253,3 +263,98 @@ class TestGroundTruth:
         assert not np.array_equal(v_a, v_b) and not np.array_equal(v_a, v_c)
         np.testing.assert_array_equal(v_b, exact_value_iteration(b, tol=1e-10)[0])
         np.testing.assert_array_equal(v_c, exact_value_iteration(c, tol=1e-10)[0])
+
+
+# Solves that reach the estimators' rarer paths: failure rates forced high, so
+# that most mock batches have a failed entry and draw their planted failures;
+# an all-ones reward instance at v* = horizon, on which failed estimates push
+# the iterate out of the value range and void later batches' promises; and
+# A = 64, where a batch has 128 entries.  Solved in process, pinned by the
+# sha256 of the report dict (sorted JSON) followed by its snapshots.
+_ONES = Mdp(np.array([[[0.5, 0.5], [0.25, 0.75]], [[1.0, 0.0], [0.5, 0.5]]]),
+            np.ones((2, 2)), 0.9)
+
+
+def _hard(num_actions, arm):
+    return multi_arm_instance(HardInstanceSpec(gamma=0.9, num_actions=num_actions, eps=0.5,
+                                               large_arms=frozenset({arm})))
+
+
+def _vr(mdp, eps, f=None):
+    params = VarianceReducedParams.for_mdp(mdp, eps, 0.1)
+    params = params if f is None else dataclasses.replace(params, est_failure_prob=f)
+    return lambda oracle: variance_reduced_vi(oracle, params, diagnostics=True)
+
+
+def _mf(mdp, eps, f=None):
+    params = MaxFindingParams.for_mdp(mdp, eps, 0.1)
+    params = params if f is None else dataclasses.replace(params, est_failure_prob=f)
+    return lambda oracle: max_finding_vi(oracle, params, diagnostics=True)
+
+
+def _svi(eps, delta, mode):
+    return lambda oracle: sampled_vi(oracle, eps, delta, mode=mode, diagnostics=True)
+
+
+# name -> (instance, solve, seed, whether some batch has a failed entry, whether
+# some batch's promise is void, sha256)
+SOLVE_PINS = {
+    "hard-vr-f0.3": (
+        _hard(8, 3), _vr(_hard(8, 3), 0.5, 0.3), 1, True, False,
+        "955b9d9f7e0f3d582683fe6fa6a106e4db2df280a0dcd50fe183a29b81650a53"),
+    "hard-vr-f0.02": (
+        _hard(8, 3), _vr(_hard(8, 3), 0.5, 0.02), 2, True, False,
+        "fb480bbe07bdb3cd97bc73c330064ceb186a828dc68015d5fbb4a7eca3992053"),
+    "hard-mf-f0.3": (
+        _hard(8, 3), _mf(_hard(8, 3), 0.5, 0.3), 3, True, False,
+        "bcb4aac2fe594a46b0a9f2a58da724c4b31a20d780d024587cae8eb423b67e49"),
+    "hard-mf-f0.02": (
+        _hard(8, 3), _mf(_hard(8, 3), 0.5, 0.02), 4, True, False,
+        "4aacfded601eb180dd6c2fe76c0aa2f027a48e5ada4499ff02e4c5ea0765e814"),
+    # delta near 1 gives a few failed estimates per solve on these seeds
+    "hard-svi-quantum-mean": (
+        _hard(8, 3), _svi(5.0, 0.99, "quantum_mean"), 3, True, False,
+        "28a1bd210cb9fed81552b49128920c6d1668fe83249af1a5fa95e328db0ce7be"),
+    "hard-svi-quantum-mean-and-max": (
+        _hard(8, 3), _svi(5.0, 0.99, "quantum_mean_and_max"), 4, True, False,
+        "cb3ce1eeb34e3ab3b6fd656181f217cc7c298ccc332851cd90cf2d90d58ab34f"),
+    "ones-vr-voided": (
+        _ONES, _vr(_ONES, 0.5, 0.3), 1, True, True,
+        "19317071ceec25eb241139bd25a18a13f133f55c9174f847a80a1feb048e8113"),
+    "ones-mf-voided": (
+        _ONES, _mf(_ONES, 0.5, 0.3), 1, True, True,
+        "4907a82124f4fc6f22fb486eaf127da5f02c5b5bd800d1d04bfddbde575f01aa"),
+    "a64-vr": (
+        _hard(64, 5), _vr(_hard(64, 5), 1.0), 7, False, False,
+        "1c57276f9ef145bfac9718dffdb6d0a8a3758d672fa598f9bb41774330535400"),
+    "a64-mf": (
+        _hard(64, 5), _mf(_hard(64, 5), 1.0), 8, False, False,
+        "5173e26b186779ecddfdb86760e11a3157ffcce787cc6664b361d03b1d7293e0"),
+    "a64-svi-quantum-mean": (
+        _hard(64, 5), _svi(1.0, 0.1, "quantum_mean"), 9, False, False,
+        "29ec326e4fc31480dab2dc45a0125e542d45f491f047a7bc99029d5b1f1212ad"),
+}
+
+
+def _solve_sha256(report) -> str:
+    snapshots = [(e, i, v.tolist(), pi.tolist()) for e, i, v, pi in report.snapshots]
+    text = json.dumps(report.to_dict(), sort_keys=True) + repr(snapshots)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(SOLVE_PINS))
+def test_solve_pin(monkeypatch, name):
+    mdp, solve, seed, failures, voided, digest = SOLVE_PINS[name]
+    failed, void = [], []
+    real = solvers.batch_bounded_mock
+
+    def spy(*args, **kwargs):
+        est, fail, violated = real(*args, **kwargs)
+        failed.append(bool(fail.any()))
+        void.append(violated)
+        return est, fail, violated
+
+    monkeypatch.setattr(solvers, "batch_bounded_mock", spy)
+    report = solve(SampleOracle(mdp, seed))
+    assert (any(failed), any(void)) == (failures, voided)
+    assert _solve_sha256(report) == digest, f"OpenBLAS core {openblas_core()}"

@@ -87,6 +87,28 @@ RECORDED = (
 )
 
 
+# sha256 of every KEYS stream's first n uniforms, derived_rng(...).random(n),
+# concatenated in KEYS order; recorded before any bulk path drew them
+FIRST_UNIFORMS = {
+    1: "1024895722f342fba8cf089a93f6af2daef66f0e0eff43d0fa1eed931e8faa34",
+    3: "2817da0f0c14137763d3fcec06ab62bfb919211a5c1a247b302bd6ba51cb32c3",
+    4: "8dd1708b6681e6e231be50b1249ef36b7cfee81c6be4c060c8e8d6110eabe3be",
+    5: "25bfd3920e385de84f520062ccff62022e6017191a48a7aa96ea74c22bc65e16",
+    8: "360038dddf6463b556d8d0ce60df1d8489b842832f88846a250a51a6bd7d422d",
+    9: "73738ba52047e63d31fe0efdf686f13f7d4c6f01358a4e66ea249f2c1a653d55",
+    32: "5e9411fb059eaf026b33627c9c8dab86d1beb9ae7f3b2e6cc4c6f2daf856bf6d",
+    128: "11a754923ffa62a7b499675a8e7e7b16604efd9634ff31a9559b47cf7f34d063",
+}
+
+
+@pytest.mark.parametrize("n", sorted(FIRST_UNIFORMS))
+def test_recorded_first_uniforms(n):
+    digest = hashlib.sha256()
+    for seed, parts in KEYS:
+        digest.update(derived_rng(seed, *parts).random(n).tobytes())
+    assert digest.hexdigest() == FIRST_UNIFORMS[n]
+
+
 @pytest.mark.parametrize("seed,parts,randoms,ints,counts", RECORDED)
 def test_recorded_first_draws(seed, parts, randoms, ints, counts):
     rng = derived_rng(seed, *parts)
