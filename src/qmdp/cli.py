@@ -16,6 +16,7 @@ import csv
 import datetime
 import json
 import math
+import os
 import sys
 import traceback
 
@@ -273,9 +274,15 @@ def cmd_solve(args) -> int:
     cfg = estimator_config(config.get("estimator"))
     diagnostics = config.get("diagnostics", False) or bool(config.get("snapshots_csv"))
     report = run_solver(mdp, config["solver"], cfg, int(config["seed"]), diagnostics)
-    if config.get("snapshots_csv"):  # first, so that a bad path leaves no report
-        _write_snapshots_csv(report, config["snapshots_csv"])
-    _write_json(_report_doc(config, report, provenance), args.out)
+    csv_path = config.get("snapshots_csv")
+    if csv_path:  # first, so that a bad path leaves no report
+        _write_snapshots_csv(report, csv_path)
+    try:
+        _write_json(_report_doc(config, report, provenance), args.out)
+    except OSError:
+        if csv_path:  # and a bad --out leaves no CSV
+            os.remove(csv_path)
+        raise
     print(f"wrote {args.out}: solver={report.solver} "
           f"quantum={report.ledger.quantum_oracle_calls} "
           f"classical={report.ledger.classical_samples}")

@@ -17,7 +17,10 @@ union-bound robustness.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +28,7 @@ from .errors import PreconditionError, PromiseViolationError
 from .mdp import _check_value_vec, expected_next_value, successor_variance
 from .oracle import SampleOracle
 from .qsim import MAX_PHASE_BITS, median_amplitude_estimates
+from .rng import KeyTemplate, first_uniforms
 
 __all__ = [
     "EstimatorConfig",
@@ -220,6 +224,51 @@ def _variance_breached(var, sigma):
     return var > sigma**2 + _PROMISE_TOL * np.maximum(1.0, sigma**2)
 
 
+class MockRow(NamedTuple):
+    """One stream's range-bounded mock draws, taken before its estimate:
+    whether a failure flag is set, the noise already scaled by eps, the
+    batch's charge, and the stream itself, for a replay."""
+
+    failed: bool
+    noise: np.ndarray
+    charge: int
+    stream: Callable[[], np.random.Generator]
+
+
+def mock_rows(oracle: SampleOracle, keys: KeyTemplate, upper, eps, delta: float,
+              cfg: EstimatorConfig, per_pass: int):
+    """Yield a ``MockRow`` per stream of ``keys``, in order, for mock
+    range-bounded estimates of every (s, a) to error eps on [0, upper].
+
+    ``upper`` and ``eps`` are scalars, or sequences with one value per
+    value of the first slot of ``keys``.  A batch draws its failure flags,
+    ``random(shape)``, then its noise, ``uniform(-1, 1, shape)``: the first
+    2*S*A uniforms of its stream, taken here for ``per_pass`` streams at a
+    time in one Philox pass (``rng.first_uniforms``), so memory stays
+    bounded for any number of streams.  ``uniform(-1, 1)`` is -1 + 2u, as
+    numpy computes it, so every value equals the stream's own draw.  A row
+    with a failed entry is replayed by ``_estimate`` through its stream.
+    """
+    shape = (oracle.mdp.num_states, oracle.mdp.num_actions)
+    size = shape[0] * shape[1]
+    upper, eps = np.broadcast_arrays(np.atleast_1d(upper), np.atleast_1d(eps))
+    charges = [bounded_mean_charge(u, e, delta, cfg) * size
+               for u, e in zip(upper.tolist(), eps.tolist())]
+    for first in range(0, len(keys), per_pass):
+        chunk = keys[first:first + per_pass]
+        at = chunk.first_slot() if len(eps) > 1 else np.zeros(len(chunk), dtype=np.intp)
+        u = first_uniforms(chunk.digests(oracle.seed), 2 * size)
+        failed = (u[:, :size] < delta).any(axis=1).tolist()
+        noise = (-1.0 + 2.0 * u[:, size:]) * eps[at, None]
+        for i, j in enumerate(at.tolist()):
+            yield MockRow(failed[i], noise[i].reshape(shape), charges[j],
+                          partial(_replay, oracle, chunk, i))
+
+
+def _replay(oracle: SampleOracle, keys: KeyTemplate, i: int) -> np.random.Generator:
+    return oracle.derive_rng(*keys[i])
+
+
 def _estimate(mu, upper, eps, delta, cfg, rng, forced=False, sigma=None):
     """Estimates of an array of means from one stream, drawn entry by entry
     in row-major order.  Returns (estimates, failed, charge).
@@ -238,7 +287,10 @@ def _estimate(mu, upper, eps, delta, cfg, rng, forced=False, sigma=None):
     one Generator per stream, so take no other until the call returns.
     The mock draws the failure flags and the noise, then the planted-failure
     draws only when some entry fails: they come last, so skipping them
-    changes no value this call returns.
+    changes no value this call returns.  A range-bounded mock ``rng`` may
+    instead be a ``MockRow``, the flags and noise already drawn: without a
+    failure the estimates are the means plus its noise, and otherwise its
+    stream is replayed from the start.
     """
     if sigma is None:
         eps_min = float(np.min(eps)) if isinstance(eps, np.ndarray) else eps
@@ -248,6 +300,10 @@ def _estimate(mu, upper, eps, delta, cfg, rng, forced=False, sigma=None):
             a = np.clip(mu / upper, 0.0, 1.0)
             est = upper * median_amplitude_estimates(a, t, reps, rng).reshape(a.shape)
             return est, np.full(est.shape, forced), ((1 << t) - 1) * reps * est.size
+        if type(rng) is MockRow:
+            if not (forced or rng.failed):
+                return mu + rng.noise, np.zeros(rng.noise.shape, dtype=bool), rng.charge
+            rng = rng.stream()
     elif np.any(eps <= 0.0) or np.any(eps >= 4.0 * sigma):
         raise PreconditionError("variance-bounded estimator needs eps in (0, 4*sigma) per row")
     shape = np.shape(mu)
@@ -394,11 +450,12 @@ def batch_bounded_mock(
     eps,
     delta: float,
     cfg: EstimatorConfig,
-    rng: np.random.Generator,
+    rng: np.random.Generator | MockRow,
     phase: str,
     promise_slack: float = 0.0,
 ):
-    """Mock range-bounded estimates of (P value_map)[s, a] for all rows.
+    """Mock range-bounded estimates of (P value_map)[s, a] for all rows, on
+    a stream or on its ``MockRow`` (see ``mock_rows``).
 
     A value map outside [0, upper] (beyond promise_slack) voids the contract
     of every estimate in the batch; those estimates are flagged and drawn

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .mdp import Mdp, _check_value_vec
-from .rng import derived_rng
+from .rng import KeyTemplate, derived_rng, keyed_rng
 
 __all__ = [
     "QueryLedger",
@@ -127,13 +127,18 @@ class SampleOracle:
 
     def empirical_means(self, v: np.ndarray, n: int, phase: str | None = None) -> np.ndarray:
         """(S, A) means ``counts @ v / n`` of n successor draws per (s, a), drawn
-        as :meth:`sample_counts` draws them, in row-major order; charges n*S*A."""
+        as :meth:`sample_counts` draws them, in row-major order, from call
+        streams whose keys are hashed in bulk; charges n*S*A."""
         _check_count(n)
         v = _check_value_vec(self.mdp, v, "value map")
         p = self.mdp.transitions
         sums = np.empty(p.shape[:2])
-        for s, a in np.ndindex(sums.shape):
-            sums[s, a] = self._next_rng().multinomial(n, p[s, a]) @ v
+        keys = KeyTemplate(("call", range(self._calls, self._calls + sums.size)))
+        digests = keys.digests(self.seed)
+        for i, (s, a) in enumerate(np.ndindex(sums.shape)):
+            self._rng = keyed_rng(digests[16 * i:16 * i + 16], reuse=self._rng)
+            self._calls += 1
+            sums[s, a] = self._rng.multinomial(n, p[s, a]) @ v
         self.ledger.charge_classical(n * sums.size, phase)
         return sums / n
 

@@ -4,14 +4,16 @@ Every random draw in the package comes from a stream derived from a base
 seed plus a structured key (call index, epoch/iteration labels, ...).  Two
 processes that derive the same key from the same seed see the same stream,
 which is what makes solver reports bit-identical across reruns.
-``first_draws`` computes the first draws of many derived streams in one
-vectorized Philox pass, with the values those streams' Generators give;
-``ArgmaxKeys`` encodes the keys of a solve's argmax streams in bulk.
+``first_uniforms`` and ``first_draws`` compute the first draws of many
+derived streams in one vectorized Philox pass, with the values those
+streams' Generators give; ``KeyTemplate`` encodes the keys of a family of
+streams, such as a solve's argmax or line-13 streams, in bulk.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from collections.abc import Sequence
 
@@ -20,11 +22,14 @@ from numpy.random.bit_generator import ISeedSequence
 
 _SEP = "\x1f"  # never appears in the short labels used as key parts
 _UINT64 = np.dtype(np.uint64)
-_LOW32 = np.uint64(0xFFFFFFFF)
-_SHIFT32 = np.uint64(32)
-# Philox4x64 round multipliers and Weyl key increments (Salmon et al., SC 2011)
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+# 0-d arrays: numpy broadcasts them faster than it converts uint64 scalars
+_LOW32 = np.array(0xFFFFFFFF, dtype=np.uint64)
+_SHIFT32 = np.array(32, dtype=np.uint64)
+# Philox4x64 round multipliers, each with its 32-bit halves, and Weyl key
+# increments (Salmon et al., SC 2011)
+_PHILOX_M = tuple(tuple(np.array(v, dtype=np.uint64) for v in (m, m & 0xFFFFFFFF, m >> 32))
+                  for m in (0xD2E7470EE14C6C93, 0xCA5A826395121157))
+_PHILOX_W = tuple(np.array(w, dtype=np.uint64) for w in (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B))
 _PHILOX_ROUNDS = 10
 # Every derived stream starts at counter 0.  Passing Philox this array (it
 # copies it) skips numpy's int -> array conversion of its default counter; a
@@ -88,7 +93,12 @@ def derived_rng(seed: int, *parts, reuse=None) -> np.random.Generator:
     """A Generator at the start of the stream that is a pure function of
     (seed, *parts): a new one, or ``reuse`` (a Philox Generator) re-keyed in
     place at a third of the cost, which ends the stream it was on."""
-    digest = _key_digest(seed, parts)
+    return keyed_rng(_key_digest(seed, parts), reuse)
+
+
+def keyed_rng(digest: bytes, reuse=None) -> np.random.Generator:
+    """``derived_rng`` from the stream's 16-byte key digest, as
+    ``KeyTemplate.digests`` gives it."""
     if reuse is None:
         key = np.frombuffer(digest, dtype=np.uint64)
         return np.random.Generator(np.random.Philox(_PhiloxKey(key), counter=_ZERO_COUNTER))
@@ -103,84 +113,154 @@ def derived_rng(seed: int, *parts, reuse=None) -> np.random.Generator:
     return reuse
 
 
-def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of the 128-bit products m * x, from 32-bit halves."""
-    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+def _mulhilo(m: tuple, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit products m * x, from 32-bit
+    halves (``m`` is a multiplier with its low and high halves); no partial
+    sum can overflow 64 bits."""
+    m, m_lo, m_hi = m
     x_lo, x_hi = x & _LOW32, x >> _SHIFT32
-    lh, hl = x_lo * m_hi, x_hi * m_lo
-    mid = ((x_lo * m_lo) >> _SHIFT32) + (lh & _LOW32) + (hl & _LOW32)
-    hi = x_hi * m_hi + (lh >> _SHIFT32) + (hl >> _SHIFT32) + (mid >> _SHIFT32)
-    return hi, x * np.uint64(m)
+    t = x_hi * m_lo + ((x_lo * m_lo) >> _SHIFT32)
+    mid = x_lo * m_hi + (t & _LOW32)
+    return x_hi * m_hi + (t >> _SHIFT32) + (mid >> _SHIFT32), x * m
 
 
-def _philox_first_words(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Words 0 and 1 of Philox4x64-10's first output block (counter (1, 0, 0, 0))
-    under each of the (n, 2) keys: the first two uint64 a fresh
-    ``np.random.Philox`` with that key produces."""
-    k0, k1 = key[:, 0], key[:, 1]
-    c0 = np.ones(len(key), dtype=np.uint64)
-    c1 = c2 = c3 = np.zeros(len(key), dtype=np.uint64)
+def _philox_words(key: np.ndarray, n: int) -> np.ndarray:
+    """(m, n) uint64: the first n words a fresh ``np.random.Philox`` produces
+    under each of the (m, 2) keys.  Output block j, words 4j to 4j+3, is
+    Philox4x64-10 at counter (j+1, 0, 0, 0); one numpy pass covers every
+    block of every key."""
+    blocks = -(-n // 4)
+    k0, k1 = key[:, :1], key[:, 1:]
+    # (1, blocks) counters and (1, 1) zeros broadcast against the (m, 1)
+    # keys; by the third round every word is (m, blocks)
+    c0 = np.arange(1, blocks + 1, dtype=np.uint64)[None, :]
+    c1 = c2 = c3 = np.zeros((1, 1), dtype=np.uint64)
     for r in range(_PHILOX_ROUNDS):
         if r:
             k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
         hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
         hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
         c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    return c0, c1
+    return np.stack((c0, c1, c2, c3), axis=2).reshape(len(key), 4 * blocks)[:, :n]
 
 
-class ArgmaxKeys(Sequence):
-    """The stream keys (label, l, s, "argmax"), l over ``sweeps`` (outer) and
-    s over ``states`` (inner), as a sequence that builds a key tuple only
-    when indexed."""
+def _digest_keys(digests: bytes) -> np.ndarray:
+    return np.frombuffer(digests, dtype=np.uint64).reshape(-1, 2)
 
-    __slots__ = ("label", "sweeps", "states")
 
-    def __init__(self, label: str, sweeps, states):
-        self.label, self.sweeps, self.states = label, sweeps, states
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """``random()`` of each word: (w >> 11) * 2^-53."""
+    return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+class KeyTemplate(Sequence):
+    """The stream keys a template such as ("vr", range(1, 4), range(1, 11),
+    "line13") spells out.  Each part is fixed (an int or a string) or a slot:
+    a range, list, tuple or array of int values.  Keys run over every
+    combination of slot values, the first slot outermost, as a sequence that
+    builds a key tuple only when indexed.  A slice (step 1) is the same
+    template over part of that run."""
+
+    __slots__ = ("parts", "_slots", "_sizes", "_start", "_stop")
+
+    def __init__(self, parts: tuple, start: int = 0, stop: int | None = None):
+        self.parts = tuple(parts)
+        self._slots = [i for i, p in enumerate(self.parts)
+                       if isinstance(p, (range, list, tuple, np.ndarray))]
+        self._sizes = [len(self.parts[i]) for i in self._slots]
+        self._start, self._stop = start, math.prod(self._sizes) if stop is None else stop
 
     def __len__(self) -> int:
-        return len(self.sweeps) * len(self.states)
+        return self._stop - self._start
 
-    def __getitem__(self, i: int) -> tuple:
-        l, s = divmod(range(len(self))[i], len(self.states))
-        return (self.label, self.sweeps[l], self.states[s], "argmax")
+    def _positions(self, flat: int) -> list:
+        """Each slot's position in the key at ``flat`` in the full run."""
+        pos = []
+        for size in reversed(self._sizes):
+            flat, j = divmod(flat, size)
+            pos.append(j)
+        return pos[::-1]
+
+    def __getitem__(self, i):
+        run = range(self._start, self._stop)[i]
+        if isinstance(i, slice):
+            if run.step != 1:
+                raise ValueError("a KeyTemplate slice must have step 1")
+            return KeyTemplate(self.parts, run.start, run.stop)
+        key = list(self.parts)
+        for slot, j in zip(self._slots, self._positions(run)):
+            key[slot] = self.parts[slot][j]
+        return tuple(key)
+
+    def first_slot(self) -> np.ndarray:
+        """The first slot's position in each key (all 0 without slots)."""
+        inner = math.prod(self._sizes[1:]) or 1
+        return np.arange(self._start, self._stop) // inner
 
     def digests(self, seed: int) -> bytes:
         """Every key's 16-byte digest, in order: byte for byte
         ``b"".join(_key_digest(seed, key) for key in self)``.
 
-        Each key's bytes follow one template, ``_encode_parts``' output
-        with the sweep and the state left open.  blake2b runs on the
-        template's sweep prefix once per sweep, and that state is copied
-        for each state's tail, instead of encoding and hashing every key
-        from scratch.
-        """
-        template = _encode_parts(seed, (self.label.replace("%", "%%"), "%s", "%s", "argmax"))
-        cut = template.rindex(b"%s")  # the state's slot; the sweep's comes before it
-        head, tail = template[:cut], template[cut:]
-        tails = [tail % _encode_part(s).encode() for s in self.states]
-        out = []
-        for l in self.sweeps:
-            copy = hashlib.blake2b(head % _encode_part(l).encode(), digest_size=16).copy
-            for t in tails:
+        Each key's bytes are ``_encode_parts``' output, fixed text with the
+        slot values between.  Keys run over the last slot in runs that share
+        everything before its value: blake2b hashes that prefix once per run
+        and each key copies the state and adds its tail, instead of encoding
+        and hashing every key from scratch."""
+        if not len(self):
+            return b""
+        texts, text = [], str(int(seed))  # the fixed text before, between and after slots
+        for i, p in enumerate(self.parts):
+            if i in self._slots:
+                texts.append((text + _SEP).encode())
+                text = ""
+            else:
+                text += _SEP + _encode_part(p)
+        texts.append(text.encode())
+        root = hashlib.blake2b(texts[0], digest_size=16)
+        if not self._slots:
+            return root.digest()
+        *outer, inner = [self.parts[i] for i in self._slots]
+
+        def tails(lo, hi):  # the last slot's values with the closing text
+            return [_encode_part(v).encode() + texts[-1] for v in inner[lo:hi]]
+
+        every = tails(0, len(inner)) if len(self) > len(inner) else None  # for every run
+        out, flat = [], self._start
+        while flat < self._stop:  # one run over the last slot per pass
+            *at, lo = self._positions(flat)
+            prefix = root
+            for d, (values, j) in enumerate(zip(outer, at)):
+                prefix = prefix.copy()
+                prefix.update(_encode_part(values[j]).encode() + texts[d + 1])
+            hi = min(len(inner), lo + self._stop - flat)
+            copy = prefix.copy
+            for tail in (tails(lo, hi) if every is None else every[lo:hi]):
                 h = copy()
-                h.update(t)
+                h.update(tail)
                 out.append(h.digest())
+            flat += hi - lo
         return b"".join(out)
+
+
+def first_uniforms(digests: bytes, n: int) -> np.ndarray:
+    """(m, n) float64: row i holds the first n uniforms ``random()`` draws on
+    the stream with the i-th 16-byte key digest in ``digests``, that is
+    ``derived_rng(seed, *parts).random(n)``, for all streams in one numpy
+    pass."""
+    return _uniforms(_philox_words(_digest_keys(digests), n))
 
 
 def first_draws(seed: int, keys, k: int,
                 digests: bytes | None = None) -> tuple[np.ndarray, np.ndarray]:
     """For each parts tuple in ``keys``, the uniform and the index that
     ``g = derived_rng(seed, *parts); g.random(); g.integers(k)`` draw, for all
-    streams in one numpy pass over their first Philox output block (w0, w1).
+    streams in one numpy pass over their first two Philox words (w0, w1).
 
-    ``random()`` is (w0 >> 11) * 2^-53.  ``integers(k)`` draws nothing for
+    ``random()`` is ``_uniforms(w0)``.  ``integers(k)`` draws nothing for
     k = 1, and otherwise is numpy's Lemire step on the low 32 bits of w1; a
     stream whose step would reject and draw again (probability below k/2^32)
     is replayed through ``derived_rng`` itself.  ``digests``, when given, are
-    the keys' concatenated 16-byte digests (``ArgmaxKeys.digests``); ``keys``
+    the keys' concatenated 16-byte digests (``KeyTemplate.digests``); ``keys``
     is then indexed only for replayed streams.  Returns (uniforms float64,
     indices int64).
     """
@@ -191,8 +271,9 @@ def first_draws(seed: int, keys, k: int,
         digests = b"".join([_key_digest(seed, parts) for parts in keys])
     elif len(digests) != 16 * len(keys):
         raise ValueError(f"{len(digests)} digest bytes for {len(keys)} keys")
-    w0, w1 = _philox_first_words(np.frombuffer(digests, dtype=np.uint64).reshape(-1, 2))
-    uniforms = (w0 >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    words = _philox_words(_digest_keys(digests), 2)
+    w1 = words[:, 1]
+    uniforms = _uniforms(words[:, 0])
     if k == 1:
         return uniforms, np.zeros(len(uniforms), dtype=np.int64)
     scaled = (w1 & _LOW32) * np.uint64(k)

@@ -34,11 +34,12 @@ from .estimators import (
     batch_variance_mock,
     bounded_mean_charge,
     hoeffding_sample_count,
+    mock_rows,
 )
 from .mdp import Mdp, expected_next_value, greedy, successor_variance
 from .oracle import QueryLedger, SampleOracle
 from .qsim import DEFAULT_C_MAX, argmax_query_budget, simulate_argmax
-from .rng import ArgmaxKeys, first_draws
+from .rng import KeyTemplate, first_draws
 
 __all__ = [
     "VarianceReducedParams",
@@ -52,6 +53,11 @@ __all__ = [
 
 _FUZZ = 1e-9
 ARGMAX_CHUNK = 4096  # streams per vectorized mock-argmax draw
+# A mock estimate's flags and noise take 2*S*A words of its stream.  Up to
+# BULK_STREAM_WORDS they are drawn ahead, BULK_PASS_WORDS words per Philox
+# pass; a longer stream costs more in a pass than its own Generator does.
+BULK_STREAM_WORDS = 128
+BULK_PASS_WORDS = 2**13
 
 
 def _ceil_fuzz(x: float) -> int:
@@ -96,11 +102,12 @@ def _mock_argmax_draws(seed: int, label: str, sweeps: int, s_n: int, a_n: int):
     so memory stays bounded for any number of sweeps; their key
     digests are encoded in bulk, and a key tuple is built only for a stream
     ``first_draws`` replays."""
-    per_chunk = max(1, ARGMAX_CHUNK // s_n)
+    per_chunk = max(1, ARGMAX_CHUNK // s_n) * s_n
     k = max(a_n - 1, 1)
-    for first in range(1, sweeps + 1, per_chunk):
-        keys = ArgmaxKeys(label, range(first, min(first + per_chunk, sweeps + 1)), range(s_n))
-        u, wrong = first_draws(seed, keys, k, keys.digests(seed))
+    keys = KeyTemplate((label, range(1, sweeps + 1), range(s_n), "argmax"))
+    for first in range(0, len(keys), per_chunk):
+        chunk = keys[first:first + per_chunk]
+        u, wrong = first_draws(seed, chunk, k, chunk.digests(seed))
         yield from zip(u.reshape(-1, s_n), wrong.reshape(-1, s_n))
 
 
@@ -219,11 +226,25 @@ class _Iterate:
         self.failures = 0
         self.snapshots: list = []
 
-    def estimate(self, key, phase, value_map, upper, err, promise_slack=0.0) -> np.ndarray:
-        """Mock range-bounded estimates of P value_map on the stream ``key``."""
+    def streams(self, keys: KeyTemplate, upper, err):
+        """The streams of ``keys``, in order, for ``estimate`` to error err on
+        [0, upper]: their ``MockRow``s drawn in bulk (see ``mock_rows``; upper
+        and err may vary with the first slot), or, on the statevector backend
+        and for streams longer than BULK_STREAM_WORDS, the keys themselves."""
+        words = 2 * self.oracle.mdp.num_states * self.oracle.mdp.num_actions
+        if self.cfg.backend == BACKEND_STATEVECTOR or words > BULK_STREAM_WORDS:
+            return iter(keys)
+        return mock_rows(self.oracle, keys, upper, err, self.f, self.cfg,
+                         max(1, BULK_PASS_WORDS // words))
+
+    def estimate(self, stream, phase, value_map, upper, err, promise_slack=0.0) -> np.ndarray:
+        """Mock range-bounded estimates of P value_map on ``stream``: a key,
+        or the next item of ``streams``."""
+        if type(stream) is tuple:
+            stream = self.oracle.derive_rng(*stream)
         est, failed, _ = batch_bounded_mock(
-            self.oracle, value_map, upper, err, self.f, self.cfg, self.oracle.derive_rng(*key),
-            phase, promise_slack=promise_slack)
+            self.oracle, value_map, upper, err, self.f, self.cfg, stream, phase,
+            promise_slack=promise_slack)
         self.failures += int(failed.sum())
         return est
 
@@ -285,10 +306,13 @@ def variance_reduced_vi(
     it = _Iterate(oracle, cfg, p.est_failure_prob, diagnostics)
     q = np.zeros((mdp.num_states, mdp.num_actions))
     var_breaches = slack_breaches = 0
+    epochs = range(1, p.num_epochs + 1)
+    eps_ks = [horizon / 2.0**k for k in epochs]
+    errs_d = [p.c * (1.0 - gamma) * eps_k for eps_k in eps_ks]
+    line13 = it.streams(KeyTemplate(("vr", epochs, range(1, p.iters_per_epoch + 1), "line13")),
+                        [2.0 * eps_k for eps_k in eps_ks], errs_d)
 
-    for k in range(1, p.num_epochs + 1):
-        eps_k = horizon / 2.0**k
-        err_d = p.c * (1.0 - gamma) * eps_k
+    for k, eps_k, err_d in zip(epochs, eps_ks, errs_d):
         v_anchor = it.v.copy()
 
         # second-moment / first-moment estimates feeding the deviation proxy
@@ -315,7 +339,7 @@ def variance_reduced_vi(
         phase13 = _phase("epoch", k, 13)
         for l in range(1, p.iters_per_epoch + 1):
             it.keep_better(*greedy(q))
-            delta_kl = it.estimate(("vr", k, l, "line13"), phase13, it.v - v_anchor,
+            delta_kl = it.estimate(next(line13), phase13, it.v - v_anchor,
                                    2.0 * eps_k, err_d) - err_d
             q = np.maximum(r + gamma * (x + delta_kl), 0.0)
             if diagnostics:
@@ -359,6 +383,7 @@ def max_finding_vi(
     it = _Iterate(oracle, cfg, p.est_failure_prob, diagnostics)
     q_mem = np.zeros((s_n, a_n))  # memoized estimated Q row per state
     argmax_draws = _mock_argmax_draws(oracle.seed, "mf", p.iters, s_n, a_n)  # drawn lazily
+    line10 = it.streams(KeyTemplate(("mf", range(1, p.iters + 1), "line10")), horizon, err_z)
 
     for l in range(1, p.iters + 1):
         phase_max = _phase("iter", l, "argmax")
@@ -374,7 +399,7 @@ def max_finding_vi(
         it.keep_better(q_mem[np.arange(s_n), a_star], a_star)
 
         # next sweep's Q row oracles: one estimate per entry, memoized
-        z = it.estimate(("mf", l, "line10"), _phase("iter", l, 10), it.v, horizon, err_z) - err_z
+        z = it.estimate(next(line10), _phase("iter", l, 10), it.v, horizon, err_z) - err_z
         q_mem = np.maximum(r + gamma * z, 0.0)
         if diagnostics:
             it.check_one_sided(z)
@@ -421,7 +446,9 @@ def sampled_vi(
         n = hoeffding_sample_count(horizon, err, delta_i)
         if n > 2**63 - 1:  # numpy's multinomial takes n as a C int64
             raise PreconditionError(f"classical sample count {n} per estimate exceeds 2^63-1")
-    elif mode == "quantum_mean_and_max":
+    else:
+        means = it.streams(KeyTemplate(("svi", range(1, iters + 1))), horizon, err)
+    if mode == "quantum_mean_and_max":
         argmax_draws = _mock_argmax_draws(oracle.seed, "svi", iters, s_n, a_n)
         argmax_charge = (s_n * int(argmax_query_budget(a_n, delta_i, DEFAULT_C_MAX))
                          * bounded_mean_charge(horizon, err, delta_i, cfg))
@@ -432,7 +459,7 @@ def sampled_vi(
             est = oracle.empirical_means(it.v, n, phase)
         else:
             # iterates may drift up to ~gamma*eps/4 above the horizon without a shift
-            est = it.estimate(("svi", i), phase, it.v, horizon, err, promise_slack=eps / 4.0)
+            est = it.estimate(next(means), phase, it.v, horizon, err, promise_slack=eps / 4.0)
         q_est = r + gamma * est
         if mode == "quantum_mean_and_max":
             best = it.mock_argmax(q_est, argmax_draws, argmax_charge, _phase("iter", i, "argmax"))

@@ -166,6 +166,19 @@ class TestSolveCommand:
                             err), err
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad", ["csv", "out"])
+    def test_bad_destination_writes_neither_file(self, tmp_path, capsys, bad):
+        # the CSV is written first, so a bad --out must take it back
+        doc = fig_two_config(eps=1.0)
+        good_csv, good_out = tmp_path / "s.csv", tmp_path / "r.json"
+        missing = tmp_path / "missing"
+        doc["snapshots_csv"] = str(missing / "s.csv" if bad == "csv" else good_csv)
+        out = missing / "r.json" if bad == "out" else good_out
+        cfg = write_config(tmp_path, doc)
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
     def test_snapshots_csv_in_missing_directory_writes_no_report(self, tmp_path, capsys):
         doc = fig_two_config(eps=1.0)
         doc["snapshots_csv"] = str(tmp_path / "missing" / "s.csv")

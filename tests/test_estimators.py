@@ -23,7 +23,7 @@ from qmdp.estimators import (
 from qmdp.mdp import Mdp
 from qmdp.oracle import SampleOracle
 from qmdp.qsim import median_amplitude_estimates
-from qmdp.rng import derived_rng
+from qmdp.rng import KeyTemplate, derived_rng
 
 CFG = EstimatorConfig()
 
@@ -595,6 +595,52 @@ class TestSameDraws:
         ref.random((2, 8))
         ref.uniform(-1.0, 1.0, (2, 8))
         np.testing.assert_array_equal(rng.random(4), ref.random(4))
+
+
+class TestMockRows:
+    """``mock_rows`` draws each stream's flags and noise ahead; ``_estimate``
+    on a row returns byte for byte what it returns on the row's stream."""
+
+    @pytest.mark.parametrize("delta", [1e-6, 0.05, 0.3, 0.9])
+    @pytest.mark.parametrize("forced", [False, True])
+    @pytest.mark.parametrize("mode", ["adversarial_edge", "uniform_noise"])
+    @pytest.mark.parametrize("per_pass", [1, 4, 100])
+    def test_rows_equal_their_streams(self, delta, forced, mode, per_pass):
+        cfg = EstimatorConfig(mock_failure_mode=mode)
+        keys = derived_rng(36, "rows")
+        mdp = Mdp(keys.dirichlet(np.ones(3), size=(3, 4)), np.zeros((3, 4)), 0.9)
+        oracle = SampleOracle(mdp, 37)
+        template = KeyTemplate(("t", range(1, 4), range(5), "rows"))
+        upper, eps = [1.0, 2.0, 4.0], [0.1, 0.05, 0.2]
+        rows = list(est_mod.mock_rows(oracle, template, upper, eps, delta, cfg, per_pass))
+        assert len(rows) == len(template) == 15
+        for key, row in zip(template, rows):
+            k = key[1] - 1
+            mu = keys.random((3, 4)) * upper[k]
+            got = est_mod._estimate(mu, upper[k], eps[k], delta, cfg, row, forced)
+            want = est_mod._estimate(mu, upper[k], eps[k], delta, cfg, derived_rng(37, *key),
+                                     forced)
+            assert _outcome(*got) == _outcome(*want)
+            assert row.failed == bool((derived_rng(37, *key).random((3, 4)) < delta).any())
+
+    def test_scalar_bounds_and_replays_through_the_oracle(self, monkeypatch):
+        # scalar upper and eps serve every key; only a failed row derives its
+        # stream, through the oracle
+        oracle = SampleOracle(Mdp(np.full((2, 2, 2), 0.5), np.zeros((2, 2)), 0.9), 38)
+        derived = []
+        real = SampleOracle.derive_rng
+        monkeypatch.setattr(SampleOracle, "derive_rng",
+                            lambda self, *parts: derived.append(parts) or real(self, *parts))
+        template = KeyTemplate(("svi", range(1, 41)))
+        mu = np.full((2, 2), 0.5)
+        failed = []
+        for key, row in zip(template, est_mod.mock_rows(oracle, template, 1.0, 0.1, 0.1, CFG, 7)):
+            want = est_mod._estimate(mu, 1.0, 0.1, 0.1, CFG, derived_rng(38, *key))
+            assert _outcome(*est_mod._estimate(mu, 1.0, 0.1, 0.1, CFG, row)) == _outcome(*want)
+            if row.failed:
+                failed.append(key)
+            assert row.charge == est_mod.bounded_mean_charge(1.0, 0.1, 0.1, CFG) * 4
+        assert derived == failed and 0 < len(failed) < 40
 
 
 class TestRangeCheck:

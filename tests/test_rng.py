@@ -1,7 +1,7 @@
 """Stream contract of qmdp.rng: a derived stream is Philox keyed by the
-blake2b digest of its (seed, *parts) key, and nothing else; first_draws
-reproduces each stream's first random() and integers(k) in one pass, and
-ArgmaxKeys encodes the argmax streams' keys in bulk to the same digests."""
+blake2b digest of its (seed, *parts) key, and nothing else; first_uniforms
+and first_draws reproduce each stream's first draws in one pass, and
+KeyTemplate encodes a family of streams' keys in bulk to the same digests."""
 
 import hashlib
 import itertools
@@ -12,7 +12,14 @@ import pytest
 import qmdp.rng
 from qmdp.mdp import Mdp
 from qmdp.oracle import SampleOracle
-from qmdp.rng import ArgmaxKeys, _key_digest, derived_rng, first_draws
+from qmdp.rng import (
+    KeyTemplate,
+    _key_digest,
+    derived_rng,
+    first_draws,
+    first_uniforms,
+    keyed_rng,
+)
 
 
 def reference_rng(seed, *parts):
@@ -205,14 +212,14 @@ ARGMAX_GRIDS = (
 @pytest.mark.parametrize("seed", [0, -5, 2**62, 2**62 + 7, np.int64(12345)])
 def test_argmax_digests_match_key_digest(seed):
     for label, (sweeps, states) in itertools.product(ARGMAX_LABELS, ARGMAX_GRIDS):
-        keys = ArgmaxKeys(label, sweeps, states)
+        keys = KeyTemplate((label, sweeps, states, "argmax"))
         tuples = [(label, l, s, "argmax") for l in sweeps for s in states]
         assert list(keys) == tuples and len(keys) == len(tuples)
         assert keys.digests(seed) == b"".join(_key_digest(seed, parts) for parts in tuples)
 
 
 def test_argmax_keys_index_like_a_list():
-    keys = ArgmaxKeys("mf", range(3, 6), range(4))
+    keys = KeyTemplate(("mf", range(3, 6), range(4), "argmax"))
     tuples = list(keys)
     for i in (0, 5, 11, -1, -12):
         assert keys[i] == tuples[i]
@@ -223,7 +230,8 @@ def test_argmax_keys_index_like_a_list():
 
 @pytest.mark.parametrize("bad", [True, 1.0, None])
 def test_argmax_digests_refuse_what_keys_refuse(bad):
-    for keys in (ArgmaxKeys("mf", [bad], range(2)), ArgmaxKeys("mf", range(2), [0, bad])):
+    for keys in (KeyTemplate(("mf", [bad], range(2), "argmax")),
+                 KeyTemplate(("mf", range(2), [0, bad], "argmax"))):
         with pytest.raises(TypeError, match="ints or strings"):
             keys.digests(0)
 
@@ -238,7 +246,7 @@ def test_first_draws_with_passed_digests(monkeypatch, k):
     monkeypatch.setattr(qmdp.rng, "derived_rng",
                         lambda seed, *parts: replays.append(parts) or real(seed, *parts))
     for seed in (0, -5, 2**62):
-        keys = ArgmaxKeys("mf", range(1, 9), range(64))
+        keys = KeyTemplate(("mf", range(1, 9), range(64), "argmax"))
         plain = first_draws(seed, list(keys), k)
         n_plain = len(replays)
         passed = first_draws(seed, keys, k, keys.digests(seed))
@@ -252,9 +260,100 @@ def test_first_draws_with_passed_digests(monkeypatch, k):
 
 
 def test_first_draws_digest_length_checked():
-    keys = ArgmaxKeys("mf", range(1, 3), range(2))
+    keys = KeyTemplate(("mf", range(1, 3), range(2), "argmax"))
     with pytest.raises(ValueError, match="48 digest bytes for 4 keys"):
         first_draws(0, keys, 3, keys.digests(0)[:48])
+
+
+def _all_digests():
+    return b"".join(_key_digest(seed, parts) for seed, parts in KEYS)
+
+
+@pytest.mark.parametrize("n", sorted(FIRST_UNIFORMS))
+def test_first_uniforms_match_generator(n):
+    uniforms = first_uniforms(_all_digests(), n)
+    assert uniforms.dtype == np.float64 and uniforms.shape == (len(KEYS), n)
+    for (seed, parts), row in zip(KEYS, uniforms):
+        assert row.tobytes() == derived_rng(seed, *parts).random(n).tobytes(), (seed, parts)
+    assert hashlib.sha256(uniforms.tobytes()).hexdigest() == FIRST_UNIFORMS[n]
+
+
+@pytest.mark.parametrize("n", [1, 3, 16, 64])
+def test_first_uniforms_give_uniform_draws(n):
+    # uniform(-1, 1) is numpy's -1 + 2u on the next uniforms of the stream
+    uniforms = first_uniforms(_all_digests(), 2 * n)
+    for (seed, parts), row in zip(KEYS[::3], uniforms[::3]):
+        g = derived_rng(seed, *parts)
+        g.random(n)
+        assert (-1.0 + 2.0 * row[n:]).tobytes() == g.uniform(-1.0, 1.0, n).tobytes()
+
+
+def test_first_uniforms_of_no_streams():
+    assert first_uniforms(b"", 5).shape == (0, 5)
+
+
+def test_keyed_rng_is_derived_rng():
+    g = derived_rng(1, "scratch")
+    for seed, parts in KEYS[::11]:
+        digest = _key_digest(seed, parts)
+        assert _state(keyed_rng(digest)) == _state(derived_rng(seed, *parts))
+        assert keyed_rng(digest, reuse=g) is g
+        assert _state(g) == _state(derived_rng(seed, *parts))
+
+
+TEMPLATES = (
+    ("vr", range(1, 4), range(1, 11), "line13"),
+    ("svi", range(1, 7)),
+    ("mf", range(2, 5), "line10"),
+    ("call", range(5, 40)),
+    ("fixed", 3),
+    (range(3), "a", [7, np.int64(8)], np.arange(2), "z"),
+    ("empty", range(0), "z"),
+    ("%s", [0, -1, 2**40], "%%d"),
+)
+
+
+def _spelled_out(parts):
+    slots = [p for p in parts if isinstance(p, (range, list, tuple, np.ndarray))]
+    keys = []
+    for values in itertools.product(*slots):
+        it = iter(values)
+        keys.append(tuple(next(it) if isinstance(p, (range, list, tuple, np.ndarray)) else p
+                          for p in parts))
+    return keys
+
+
+@pytest.mark.parametrize("parts", TEMPLATES, ids=range(len(TEMPLATES)))
+def test_key_template_spells_out_its_keys(parts):
+    template, keys = KeyTemplate(parts), _spelled_out(parts)
+    assert list(template) == keys and len(template) == len(keys)
+    for seed in (0, -3, 2**62, np.int64(7)):
+        digests = b"".join(_key_digest(seed, key) for key in keys)
+        assert template.digests(seed) == digests
+        for start in range(0, len(keys) + 1, 3):
+            for stop in range(start, len(keys) + 2, 4):
+                part = template[start:stop]
+                assert list(part) == keys[start:stop]
+                assert part.digests(seed) == digests[16 * start:16 * stop]
+                assert part[1:].digests(seed) == digests[16 * (start + 1):16 * stop]
+
+
+def test_key_template_first_slot():
+    template = KeyTemplate(("vr", range(1, 4), range(1, 6), "line13"))
+    assert template.first_slot().tolist() == [0] * 5 + [1] * 5 + [2] * 5
+    assert template[4:12].first_slot().tolist() == [0] + [1] * 5 + [2] * 2
+    assert KeyTemplate(("svi", range(3, 6))).first_slot().tolist() == [0, 1, 2]
+    assert KeyTemplate(("x", 1)).first_slot().tolist() == [0]
+
+
+def test_key_template_indexing():
+    template = KeyTemplate(("mf", range(3, 6), "line10"))
+    assert template[-1] == ("mf", 5, "line10") and template[1:][0] == ("mf", 4, "line10")
+    for i in (3, -4):
+        with pytest.raises(IndexError):
+            template[i]
+    with pytest.raises(ValueError, match="step 1"):
+        template[::2]
 
 
 # Re-keying: derived_rng(..., reuse=g) puts g at the start of the stream a

@@ -1,11 +1,14 @@
 """Tests for the sampled solvers: schedules, guarantees, and diagnostics."""
 
+import dataclasses
+import json
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import qmdp.estimators
 import qmdp.oracle
 import qmdp.rng
 import qmdp.solvers as solvers
@@ -184,6 +187,59 @@ class TestVectorizedMockArgmax:
             tracemalloc.stop()
         assert n == 4096
         assert peak < 2 * 2**20, peak
+
+
+class TestBulkMockRows:
+    def test_vr_memory_does_not_grow_with_streams(self, monkeypatch):
+        # eps 0.01 and 0.001 solve with K*L = 910 and 1,554 line-13 streams
+        # of 32 words each, 256 streams per Philox pass; each pass's
+        # arrays take a few bytes per word, wherever the solve is
+        mdp = fig_two(8, 0.5, {3})
+        passes = []
+        real = qmdp.estimators.first_uniforms
+        monkeypatch.setattr(qmdp.estimators, "first_uniforms",
+                            lambda digests, n: passes.append(len(digests) // 16) or real(digests, n))
+        for eps, streams in ((0.01, 910), (0.001, 1554)):
+            params = VarianceReducedParams.for_mdp(mdp, eps, 0.1)
+            assert params.num_epochs * params.iters_per_epoch == streams
+            passes.clear()
+            tracemalloc.start()
+            try:
+                variance_reduced_vi(SampleOracle(mdp, 1), params)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert sum(passes) == streams and max(passes) == solvers.BULK_PASS_WORDS // 32
+            assert len(passes) >= 4
+            assert peak < 64 * solvers.BULK_PASS_WORDS, (eps, peak)
+
+    @pytest.mark.parametrize("pass_words", [32, 96, 1000, solvers.BULK_PASS_WORDS])
+    @pytest.mark.parametrize("a_n", [1, 3, 8, 32])
+    def test_reports_equal_native_streams(self, monkeypatch, pass_words, a_n):
+        """Reports are byte-identical whether the estimates draw from bulk
+        rows, with passes of one, three or more streams that split epochs,
+        or from their own streams, including solves with failed entries."""
+        mdp = fig_two(a_n, 1.0, {0})
+        vr = dataclasses.replace(VarianceReducedParams.for_mdp(mdp, 1.0, 0.1),
+                                 est_failure_prob=0.01)
+        mf = dataclasses.replace(MaxFindingParams.for_mdp(mdp, 1.0, 0.1), est_failure_prob=0.01)
+        solves = (lambda o: variance_reduced_vi(o, vr, diagnostics=True),
+                  lambda o: max_finding_vi(o, mf, diagnostics=True),
+                  lambda o: sampled_vi(o, 2.0, 0.9, mode="quantum_mean", diagnostics=True),
+                  lambda o: sampled_vi(o, 2.0, 0.9, mode="quantum_mean_and_max"))
+        monkeypatch.setattr(solvers, "BULK_PASS_WORDS", pass_words)
+        failures = 0
+        for solve in solves:
+            reports = []
+            for words in (solvers.BULK_STREAM_WORDS, 0):
+                monkeypatch.setattr(solvers, "BULK_STREAM_WORDS", words)
+                reports.append(solve(SampleOracle(mdp, 6)))
+            bulk, native = [(json.dumps(r.to_dict(), sort_keys=True),
+                             [(e, i, v.tobytes(), pi.tobytes()) for e, i, v, pi in r.snapshots])
+                            for r in reports]
+            assert bulk == native
+            failures += reports[0].estimator_failures
+        assert failures > 0
 
 
 class TestMaxFindingParams:
@@ -468,32 +524,97 @@ GUARD_SOLVES = {
 }
 
 
+# the solves that draw every range-bounded estimate and argmax in bulk on
+# the S*A = 8 test instance: each derives a stream only to replay a batch
+BULK_ONLY = {"max-finding", "sampled-quantum_mean", "sampled-quantum_mean_and_max"}
+
+
 @pytest.mark.parametrize("name", sorted(GUARD_SOLVES))
 def test_one_generator_per_oracle(monkeypatch, name):
-    """Each oracle builds one Generator and re-keys it for every later
-    stream; the only other Generators a solve builds are first_draws'
-    replays (rng's own binding of derived_rng)."""
-    real = qmdp.rng.derived_rng
-    built, streams, replays = [], [], []
+    """Each oracle builds one Generator the first time it hands out a
+    stream, and re-keys it for every later stream; the only other
+    Generators a solve builds are first_draws' replays (rng's own binding of
+    derived_rng).  A solve in BULK_ONLY derives exactly one stream per batch
+    with a failed entry or a voided promise, and these solves have none, so
+    they build no Generator at all; every other solve builds one per oracle."""
+    real_derived, real_keyed = qmdp.rng.derived_rng, qmdp.rng.keyed_rng
+    built, streams, replays, replayed_batches = [], [], [], []
 
-    def oracle_spy(seed, *parts, reuse=None):
-        if reuse is None:
-            built.append(parts)
-        streams.append(real(seed, *parts, reuse=reuse))
-        return streams[-1]
+    def oracle_spy(real):
+        def spy(*args, reuse=None):
+            if reuse is None:
+                built.append(args)
+            streams.append(real(*args, reuse=reuse))
+            return streams[-1]
+        return spy
 
     def replay_spy(seed, *parts, reuse=None):
         replays.append(reuse)
-        return real(seed, *parts, reuse=reuse)
+        return real_derived(seed, *parts, reuse=reuse)
 
-    monkeypatch.setattr(qmdp.oracle, "derived_rng", oracle_spy)
+    real_batch = solvers.batch_bounded_mock
+
+    def batch_spy(*args, **kwargs):
+        est, failed, violated = real_batch(*args, **kwargs)
+        replayed_batches.append(bool(failed.any()) or violated)
+        return est, failed, violated
+
+    monkeypatch.setattr(qmdp.oracle, "derived_rng", oracle_spy(real_derived))
+    monkeypatch.setattr(qmdp.oracle, "keyed_rng", oracle_spy(real_keyed))
     monkeypatch.setattr(qmdp.rng, "derived_rng", replay_spy)
+    monkeypatch.setattr(solvers, "batch_bounded_mock", batch_spy)
     mdp = fig_two(4, 1.0, {1})
     for seed in (3, 4):
         GUARD_SOLVES[name](SampleOracle(mdp, seed))
-    assert len(built) == 2
-    assert len(streams) > 20 and len({id(g) for g in streams}) == 2
+    if name in BULK_ONLY:
+        assert len(replayed_batches) > 20 and not any(replayed_batches)
+        assert built == [] and streams == []
+    else:
+        assert len(built) == 2
+        assert len(streams) > 20 and len({id(g) for g in streams}) == 2
     assert all(reuse is None for reuse in replays)
+
+
+@pytest.mark.parametrize("name", ["variance-reduced", "max-finding", "sampled-quantum_mean"])
+def test_bulk_streams_derived_only_to_replay(monkeypatch, name):
+    """With failures common, a bulk-drawn solve derives the stream of each
+    batch with a failed entry, in order, and no other stream besides the
+    anchors' (lines 8 and 9)."""
+    mdp = fig_two(8, 0.5, {3})
+    if name == "variance-reduced":
+        params = dataclasses.replace(VarianceReducedParams.for_mdp(mdp, 0.5, 0.1),
+                                     est_failure_prob=0.02)
+        solve = lambda o: variance_reduced_vi(o, params)  # noqa: E731
+        keys = [("vr", k, l, "line13") for k in range(1, params.num_epochs + 1)
+                for l in range(1, params.iters_per_epoch + 1)]
+    elif name == "max-finding":
+        params = dataclasses.replace(MaxFindingParams.for_mdp(mdp, 0.5, 0.1),
+                                     est_failure_prob=0.02)
+        solve = lambda o: max_finding_vi(o, params)  # noqa: E731
+        keys = [("mf", l, "line10") for l in range(1, params.iters + 1)]
+    else:
+        solve = lambda o: sampled_vi(o, 5.0, 0.99, mode="quantum_mean")  # noqa: E731
+        keys = [("svi", i) for i in range(1, 23)]
+    derived, replayed = [], []
+    real_derive, real_batch = SampleOracle.derive_rng, solvers.batch_bounded_mock
+
+    def derive_spy(self, *parts):
+        derived.append(parts)
+        return real_derive(self, *parts)
+
+    def batch_spy(*args, **kwargs):
+        est, failed, violated = real_batch(*args, **kwargs)
+        if not args[-1].endswith("line-8"):
+            replayed.append(bool(failed.any()) or violated)
+        return est, failed, violated
+
+    monkeypatch.setattr(SampleOracle, "derive_rng", derive_spy)
+    monkeypatch.setattr(solvers, "batch_bounded_mock", batch_spy)
+    solve(SampleOracle(mdp, 2))
+    assert len(replayed) == len(keys) and 0 < sum(replayed) < len(keys) / 2
+    anchors = ("line8-sq", "line8-mean", "line9")
+    assert [parts for parts in derived if parts[-1] not in anchors] == \
+        [key for key, replay in zip(keys, replayed) if replay]
 
 
 PHASE_LABEL = re.compile(r"^(epoch|iter)-\d+(-line-\d+|-argmax)?$")
