@@ -133,8 +133,8 @@ class SampleOracle:
         v = _check_value_vec(self.mdp, v, "value map")
         p = self.mdp.transitions
         sums = np.empty(p.shape[:2])
-        keys = KeyTemplate(("call", range(self._calls, self._calls + sums.size)))
-        digests = keys.digests(self.seed)
+        calls = range(self._calls, self._calls + sums.size)
+        digests = KeyTemplate(("call", calls)).digests(self.seed)
         for i, (s, a) in enumerate(np.ndindex(sums.shape)):
             self._rng = keyed_rng(digests[16 * i:16 * i + 16], reuse=self._rng)
             self._calls += 1

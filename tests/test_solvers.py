@@ -192,13 +192,17 @@ class TestVectorizedMockArgmax:
 class TestBulkMockRows:
     def test_vr_memory_does_not_grow_with_streams(self, monkeypatch):
         # eps 0.01 and 0.001 solve with K*L = 910 and 1,554 line-13 streams
-        # of 32 words each, 256 streams per Philox pass; each pass's
-        # arrays take a few bytes per word, wherever the solve is
+        # of 32 words each, 256 streams per Philox pass: the peak is a
+        # multiple of one pass's words, however many passes a solve makes
         mdp = fig_two(8, 0.5, {3})
         passes = []
         real = qmdp.estimators.first_uniforms
-        monkeypatch.setattr(qmdp.estimators, "first_uniforms",
-                            lambda digests, n: passes.append(len(digests) // 16) or real(digests, n))
+
+        def counting(digests, n):
+            passes.append(len(digests) // 16)
+            return real(digests, n)
+
+        monkeypatch.setattr(qmdp.estimators, "first_uniforms", counting)
         for eps, streams in ((0.01, 910), (0.001, 1554)):
             params = VarianceReducedParams.for_mdp(mdp, eps, 0.1)
             assert params.num_epochs * params.iters_per_epoch == streams
