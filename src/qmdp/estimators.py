@@ -28,7 +28,7 @@ from .errors import PreconditionError, PromiseViolationError
 from .mdp import _check_value_vec, expected_next_value, successor_variance
 from .oracle import SampleOracle
 from .qsim import MAX_PHASE_BITS, median_amplitude_estimates
-from .rng import KeyTemplate, first_uniforms
+from .rng import KeyTemplate, bulk_passes, uniforms
 
 __all__ = [
     "EstimatorConfig",
@@ -236,37 +236,30 @@ class MockRow(NamedTuple):
 
 
 def mock_rows(oracle: SampleOracle, keys: KeyTemplate, upper, eps, delta: float,
-              cfg: EstimatorConfig, per_pass: int):
+              cfg: EstimatorConfig):
     """Yield a ``MockRow`` per stream of ``keys``, in order, for mock
     range-bounded estimates of every (s, a) to error eps on [0, upper].
 
     ``upper`` and ``eps`` are scalars, or sequences with one value per
     value of the first slot of ``keys``.  A batch draws its failure flags,
     ``random(shape)``, then its noise, ``uniform(-1, 1, shape)``: the first
-    2*S*A uniforms of its stream, taken here for ``per_pass`` streams at a
-    time in one Philox pass (``rng.first_uniforms``), so memory stays
-    bounded for any number of streams.  ``uniform(-1, 1)`` is -1 + 2u, as
-    numpy computes it, so every value equals the stream's own draw.  A row
-    with a failed entry is replayed by ``_estimate`` through its stream.
+    2*S*A uniforms of its stream, taken here from ``rng.bulk_passes``, so
+    every value equals the stream's own draw.  A row with a failed entry is
+    replayed by ``_estimate`` on its stream, re-keyed from its digest.
     """
     shape = (oracle.mdp.num_states, oracle.mdp.num_actions)
     size = shape[0] * shape[1]
     upper, eps = np.broadcast_arrays(np.atleast_1d(upper), np.atleast_1d(eps))
     charges = [bounded_mean_charge(u, e, delta, cfg) * size
                for u, e in zip(upper.tolist(), eps.tolist())]
-    for first in range(0, len(keys), per_pass):
-        chunk = keys[first:first + per_pass]
+    for chunk, digests, words in bulk_passes(oracle.seed, keys, 2 * size):
         at = chunk.first_slot() if len(eps) > 1 else np.zeros(len(chunk), dtype=np.intp)
-        u = first_uniforms(chunk.digests(oracle.seed), 2 * size)
+        u = uniforms(words)
         failed = (u[:, :size] < delta).any(axis=1).tolist()
         noise = (-1.0 + 2.0 * u[:, size:]) * eps[at, None]
         for i, j in enumerate(at.tolist()):
             yield MockRow(failed[i], noise[i].reshape(shape), charges[j],
-                          partial(_replay, oracle, chunk, i))
-
-
-def _replay(oracle: SampleOracle, keys: KeyTemplate, i: int) -> np.random.Generator:
-    return oracle.derive_rng(*keys[i])
+                          partial(oracle.keyed_rng, digests[16 * i:16 * i + 16]))
 
 
 def _estimate(mu, upper, eps, delta, cfg, rng, forced=False, sigma=None):

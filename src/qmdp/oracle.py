@@ -136,15 +136,21 @@ class SampleOracle:
         calls = range(self._calls, self._calls + sums.size)
         digests = KeyTemplate(("call", calls)).digests(self.seed)
         for i, (s, a) in enumerate(np.ndindex(sums.shape)):
-            self._rng = keyed_rng(digests[16 * i:16 * i + 16], reuse=self._rng)
             self._calls += 1
-            sums[s, a] = self._rng.multinomial(n, p[s, a]) @ v
+            sums[s, a] = self.keyed_rng(digests[16 * i:16 * i + 16]).multinomial(n, p[s, a]) @ v
         self.ledger.charge_classical(n * sums.size, phase)
         return sums / n
 
     def derive_rng(self, *parts) -> np.random.Generator:
         """Named auxiliary stream, independent of the call counter; valid until the next stream."""
         self._rng = derived_rng(self.seed, *parts, reuse=self._rng)
+        return self._rng
+
+    def keyed_rng(self, digest: bytes) -> np.random.Generator:
+        """The stream with a 16-byte key digest under this oracle's seed, as
+        ``KeyTemplate.digests`` and ``rng.bulk_passes`` give it; valid until
+        the next stream.  Every replay of a pre-drawn stream comes here."""
+        self._rng = keyed_rng(digest, reuse=self._rng)
         return self._rng
 
 

@@ -4,10 +4,11 @@ Every random draw in the package comes from a stream derived from a base
 seed plus a structured key (call index, epoch/iteration labels, ...).  Two
 processes that derive the same key from the same seed see the same stream,
 which is what makes solver reports bit-identical across reruns.
-``first_uniforms`` and ``first_draws`` compute the first draws of many
-derived streams in one vectorized Philox pass, with the values those
-streams' Generators give; ``KeyTemplate`` encodes the keys of a family of
-streams, such as a solve's argmax or line-13 streams, in bulk.
+``KeyTemplate`` encodes the keys of a family of streams, such as a solve's
+argmax or line-13 streams, in bulk; ``bulk_passes`` computes the first words
+of many of them in vectorized Philox passes under one word budget, and
+``uniforms`` and ``first_draws`` turn those words into the values the
+streams' Generators draw.
 """
 
 from __future__ import annotations
@@ -31,10 +32,7 @@ _PHILOX_M = tuple(tuple(np.array(v, dtype=np.uint64) for v in (m, m & 0xFFFFFFFF
                   for m in (0xD2E7470EE14C6C93, 0xCA5A826395121157))
 _PHILOX_W = tuple(np.array(w, dtype=np.uint64) for w in (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B))
 _PHILOX_ROUNDS = 10
-# Every derived stream starts at counter 0.  Passing Philox this array (it
-# copies it) skips numpy's int -> array conversion of its default counter; a
-# view of immutable bytes, it can never be made writable.
-_ZERO_COUNTER = np.frombuffer(bytes(32), dtype=np.uint64)
+PASS_WORDS = 2**13  # Philox words per bulk pass, over all of its streams
 _ZERO_WORDS = (0, 0, 0, 0)
 _KEY_WORDS = struct.Struct("=2Q").unpack  # the two key words, native order like np.frombuffer
 
@@ -45,20 +43,6 @@ def _encode_part(p) -> str:
     if isinstance(p, str):
         return p
     raise TypeError(f"stream key parts must be ints or strings, got {p!r}")
-
-
-def _encode_parts(seed: int, parts: tuple) -> bytes:
-    pieces = [str(int(seed))]
-    for p in parts:
-        # exact-type fast paths for the common labels; bool is not int here
-        t = type(p)
-        if t is str:
-            pieces.append(p)
-        elif t is int:
-            pieces.append(str(p))
-        else:
-            pieces.append(_encode_part(p))
-    return _SEP.join(pieces).encode()
 
 
 class _PhiloxKey(ISeedSequence):
@@ -86,7 +70,8 @@ class _PhiloxKey(ISeedSequence):
 
 
 def _key_digest(seed: int, parts: tuple) -> bytes:
-    return hashlib.blake2b(_encode_parts(seed, parts), digest_size=16).digest()
+    text = _SEP.join([str(int(seed)), *map(_encode_part, parts)])
+    return hashlib.blake2b(text.encode(), digest_size=16).digest()
 
 
 def derived_rng(seed: int, *parts, reuse=None) -> np.random.Generator:
@@ -101,7 +86,7 @@ def keyed_rng(digest: bytes, reuse=None) -> np.random.Generator:
     ``KeyTemplate.digests`` gives it."""
     if reuse is None:
         key = np.frombuffer(digest, dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(_PhiloxKey(key), counter=_ZERO_COUNTER))
+        return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
     if not (isinstance(reuse, np.random.Generator)
             and type(reuse.bit_generator) is np.random.Philox):
         raise TypeError(f"reuse must be a Philox Generator, got {reuse!r}")
@@ -124,11 +109,12 @@ def _mulhilo(m: tuple, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x_hi * m_hi + (t >> _SHIFT32) + (mid >> _SHIFT32), x * m
 
 
-def _philox_words(key: np.ndarray, n: int) -> np.ndarray:
-    """(m, n) uint64: the first n words a fresh ``np.random.Philox`` produces
-    under each of the (m, 2) keys.  Output block j, words 4j to 4j+3, is
-    Philox4x64-10 at counter (j+1, 0, 0, 0); one numpy pass covers every
-    block of every key."""
+def _philox_words(digests: bytes, n: int) -> np.ndarray:
+    """(m, n) uint64: the first n words of each stream whose 16-byte key
+    digest is in ``digests``, as a fresh ``np.random.Philox`` under that key
+    produces them.  Output block j, words 4j to 4j+3, is Philox4x64-10 at
+    counter (j+1, 0, 0, 0); one numpy pass covers every block of every key."""
+    key = np.frombuffer(digests, dtype=np.uint64).reshape(-1, 2)
     blocks = -(-n // 4)
     k0, k1 = key[:, :1], key[:, 1:]
     # (1, blocks) counters and (1, 1) zeros broadcast against the (m, 1)
@@ -144,12 +130,10 @@ def _philox_words(key: np.ndarray, n: int) -> np.ndarray:
     return np.stack((c0, c1, c2, c3), axis=2).reshape(len(key), 4 * blocks)[:, :n]
 
 
-def _digest_keys(digests: bytes) -> np.ndarray:
-    return np.frombuffer(digests, dtype=np.uint64).reshape(-1, 2)
-
-
-def _uniforms(words: np.ndarray) -> np.ndarray:
-    """``random()`` of each word: (w >> 11) * 2^-53."""
+def uniforms(words: np.ndarray) -> np.ndarray:
+    """``random()`` of each word: (w >> 11) * 2^-53.  On a stream's first n
+    words, as ``bulk_passes`` gives them, that is ``g.random(n)``; and
+    ``g.uniform(-1, 1)`` is -1 + 2u on the next one, as numpy computes it."""
     return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
@@ -201,7 +185,7 @@ class KeyTemplate(Sequence):
         """Every key's 16-byte digest, in order: byte for byte
         ``b"".join(_key_digest(seed, key) for key in self)``.
 
-        Each key's bytes are ``_encode_parts``' output, fixed text with the
+        Each key's bytes are those ``_key_digest`` hashes, fixed text with the
         slot values between.  Keys run over the last slot in runs that share
         everything before its value: blake2b hashes that prefix once per run
         and each key copies the state and adds its tail, instead of encoding
@@ -242,45 +226,42 @@ class KeyTemplate(Sequence):
         return b"".join(out)
 
 
-def first_uniforms(digests: bytes, n: int) -> np.ndarray:
-    """(m, n) float64: row i holds the first n uniforms ``random()`` draws on
-    the stream with the i-th 16-byte key digest in ``digests``, that is
-    ``derived_rng(seed, *parts).random(n)``, for all streams in one numpy
-    pass."""
-    return _uniforms(_philox_words(_digest_keys(digests), n))
+def bulk_passes(seed: int, keys: KeyTemplate, n: int, group: int = 1):
+    """Yield (chunk, digests, words) for consecutive chunks of ``keys``: the
+    chunk's ``KeyTemplate``, its streams' concatenated key digests, and
+    their first n words, (m, n) uint64 from ``_philox_words``.
+
+    A chunk holds ``max(1, PASS_WORDS // (n * group)) * group`` streams, so
+    memory stays bounded for any number of keys, and whole groups of
+    ``group`` consecutive keys (a sweep's states, say) are never split.
+    """
+    per_pass = max(1, PASS_WORDS // (n * group)) * group
+    for first in range(0, len(keys), per_pass):
+        chunk = keys[first:first + per_pass]
+        digests = chunk.digests(seed)
+        yield chunk, digests, _philox_words(digests, n)
 
 
-def first_draws(seed: int, keys, k: int,
-                digests: bytes | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """For each parts tuple in ``keys``, the uniform and the index that
-    ``g = derived_rng(seed, *parts); g.random(); g.integers(k)`` draw, for all
-    streams in one numpy pass over their first two Philox words (w0, w1).
+def first_draws(words: np.ndarray, k: int, stream) -> tuple[np.ndarray, np.ndarray]:
+    """The uniform and the index that ``g.random(); g.integers(k)`` draw on
+    each stream, from the (m, 2) array of its first two Philox words (w0, w1).
 
-    ``random()`` is ``_uniforms(w0)``.  ``integers(k)`` draws nothing for
+    ``random()`` is ``uniforms(w0)``.  ``integers(k)`` draws nothing for
     k = 1, and otherwise is numpy's Lemire step on the low 32 bits of w1; a
     stream whose step would reject and draw again (probability below k/2^32)
-    is replayed through ``derived_rng`` itself.  ``digests``, when given, are
-    the keys' concatenated 16-byte digests (``KeyTemplate.digests``); ``keys``
-    is then indexed only for replayed streams.  Returns (uniforms float64,
-    indices int64).
+    is replayed on ``stream(i)``, the i-th stream's Generator at its start.
+    Returns (uniforms float64, indices int64).
     """
     if not 1 <= k < 2**32:
         raise ValueError(f"k must lie in [1, 2^32), got {k}")
-    if digests is None:
-        keys = list(keys)
-        digests = b"".join([_key_digest(seed, parts) for parts in keys])
-    elif len(digests) != 16 * len(keys):
-        raise ValueError(f"{len(digests)} digest bytes for {len(keys)} keys")
-    words = _philox_words(_digest_keys(digests), 2)
-    w1 = words[:, 1]
-    uniforms = _uniforms(words[:, 0])
+    u = uniforms(words[:, 0])
     if k == 1:
-        return uniforms, np.zeros(len(uniforms), dtype=np.int64)
-    scaled = (w1 & _LOW32) * np.uint64(k)
+        return u, np.zeros(len(u), dtype=np.int64)
+    scaled = (words[:, 1] & _LOW32) * np.uint64(k)
     indices = (scaled >> _SHIFT32).astype(np.int64)
     threshold = (2**32 - k) % k
     for i in np.flatnonzero((scaled & _LOW32) < threshold):
-        g = derived_rng(seed, *keys[i])
+        g = stream(i)
         g.random()
         indices[i] = g.integers(k)
-    return uniforms, indices
+    return u, indices

@@ -39,7 +39,7 @@ from .estimators import (
 from .mdp import Mdp, expected_next_value, greedy, successor_variance
 from .oracle import QueryLedger, SampleOracle
 from .qsim import DEFAULT_C_MAX, argmax_query_budget, simulate_argmax
-from .rng import KeyTemplate, first_draws
+from .rng import KeyTemplate, bulk_passes, first_draws
 
 __all__ = [
     "VarianceReducedParams",
@@ -52,12 +52,10 @@ __all__ = [
 ]
 
 _FUZZ = 1e-9
-ARGMAX_CHUNK = 4096  # streams per vectorized mock-argmax draw
 # A mock estimate's flags and noise take 2*S*A words of its stream.  Up to
-# BULK_STREAM_WORDS they are drawn ahead, BULK_PASS_WORDS words per Philox
-# pass; a longer stream costs more in a pass than its own Generator does.
+# BULK_STREAM_WORDS they are drawn ahead in bulk Philox passes; a longer
+# stream costs more in a pass than its own Generator does.
 BULK_STREAM_WORDS = 128
-BULK_PASS_WORDS = 2**13
 
 
 def _ceil_fuzz(x: float) -> int:
@@ -94,20 +92,16 @@ def mock_argmax_rows(q: np.ndarray, f: float, u: np.ndarray,
     return np.where(failed, wrong + (wrong >= best), best), failed
 
 
-def _mock_argmax_draws(seed: int, label: str, sweeps: int, s_n: int, a_n: int):
+def _mock_argmax_draws(oracle: SampleOracle, label: str, sweeps: int, s_n: int, a_n: int):
     """Yield the mock-argmax draws (u, wrong), one (S,) pair per sweep
     l = 1..sweeps, of the streams (label, l, s, "argmax"): each stream's
     ``random()`` and then ``integers(max(A-1, 1))``, whatever the outcome.
-    Streams are drawn ARGMAX_CHUNK at a time (one sweep when S is larger),
-    so memory stays bounded for any number of sweeps; their key
-    digests are encoded in bulk, and a key tuple is built only for a stream
-    ``first_draws`` replays."""
-    per_chunk = max(1, ARGMAX_CHUNK // s_n) * s_n
-    k = max(a_n - 1, 1)
+    Whole sweeps are drawn per ``rng.bulk_passes`` pass, and a stream that
+    ``first_draws`` replays is re-keyed on the oracle from its digest."""
     keys = KeyTemplate((label, range(1, sweeps + 1), range(s_n), "argmax"))
-    for first in range(0, len(keys), per_chunk):
-        chunk = keys[first:first + per_chunk]
-        u, wrong = first_draws(seed, chunk, k, chunk.digests(seed))
+    for _, digests, words in bulk_passes(oracle.seed, keys, 2, group=s_n):
+        u, wrong = first_draws(words, max(a_n - 1, 1),
+                               lambda i: oracle.keyed_rng(digests[16 * i:16 * i + 16]))
         yield from zip(u.reshape(-1, s_n), wrong.reshape(-1, s_n))
 
 
@@ -234,8 +228,7 @@ class _Iterate:
         words = 2 * self.oracle.mdp.num_states * self.oracle.mdp.num_actions
         if self.cfg.backend == BACKEND_STATEVECTOR or words > BULK_STREAM_WORDS:
             return iter(keys)
-        return mock_rows(self.oracle, keys, upper, err, self.f, self.cfg,
-                         max(1, BULK_PASS_WORDS // words))
+        return mock_rows(self.oracle, keys, upper, err, self.f, self.cfg)
 
     def estimate(self, stream, phase, value_map, upper, err, promise_slack=0.0) -> np.ndarray:
         """Mock range-bounded estimates of P value_map on ``stream``: a key,
@@ -382,7 +375,7 @@ def max_finding_vi(
 
     it = _Iterate(oracle, cfg, p.est_failure_prob, diagnostics)
     q_mem = np.zeros((s_n, a_n))  # memoized estimated Q row per state
-    argmax_draws = _mock_argmax_draws(oracle.seed, "mf", p.iters, s_n, a_n)  # drawn lazily
+    argmax_draws = _mock_argmax_draws(oracle, "mf", p.iters, s_n, a_n)  # drawn lazily
     line10 = it.streams(KeyTemplate(("mf", range(1, p.iters + 1), "line10")), horizon, err_z)
 
     for l in range(1, p.iters + 1):
@@ -449,7 +442,7 @@ def sampled_vi(
     else:
         means = it.streams(KeyTemplate(("svi", range(1, iters + 1))), horizon, err)
     if mode == "quantum_mean_and_max":
-        argmax_draws = _mock_argmax_draws(oracle.seed, "svi", iters, s_n, a_n)
+        argmax_draws = _mock_argmax_draws(oracle, "svi", iters, s_n, a_n)
         argmax_charge = (s_n * int(argmax_query_budget(a_n, delta_i, DEFAULT_C_MAX))
                          * bounded_mean_charge(horizon, err, delta_i, cfg))
 

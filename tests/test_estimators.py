@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import qmdp.estimators as est_mod
+import qmdp.rng
 from qmdp.errors import PreconditionError, PromiseViolationError
 from qmdp.estimators import (
     EstimatorConfig,
@@ -23,7 +24,7 @@ from qmdp.estimators import (
 from qmdp.mdp import Mdp
 from qmdp.oracle import SampleOracle
 from qmdp.qsim import median_amplitude_estimates
-from qmdp.rng import KeyTemplate, derived_rng
+from qmdp.rng import KeyTemplate, _key_digest, derived_rng
 
 CFG = EstimatorConfig()
 
@@ -605,14 +606,15 @@ class TestMockRows:
     @pytest.mark.parametrize("forced", [False, True])
     @pytest.mark.parametrize("mode", ["adversarial_edge", "uniform_noise"])
     @pytest.mark.parametrize("per_pass", [1, 4, 100])
-    def test_rows_equal_their_streams(self, delta, forced, mode, per_pass):
+    def test_rows_equal_their_streams(self, monkeypatch, delta, forced, mode, per_pass):
+        monkeypatch.setattr(qmdp.rng, "PASS_WORDS", 24 * per_pass)  # 2*S*A = 24 words a stream
         cfg = EstimatorConfig(mock_failure_mode=mode)
         keys = derived_rng(36, "rows")
         mdp = Mdp(keys.dirichlet(np.ones(3), size=(3, 4)), np.zeros((3, 4)), 0.9)
         oracle = SampleOracle(mdp, 37)
         template = KeyTemplate(("t", range(1, 4), range(5), "rows"))
         upper, eps = [1.0, 2.0, 4.0], [0.1, 0.05, 0.2]
-        rows = list(est_mod.mock_rows(oracle, template, upper, eps, delta, cfg, per_pass))
+        rows = list(est_mod.mock_rows(oracle, template, upper, eps, delta, cfg))
         assert len(rows) == len(template) == 15
         for key, row in zip(template, rows):
             k = key[1] - 1
@@ -624,23 +626,24 @@ class TestMockRows:
             assert row.failed == bool((derived_rng(37, *key).random((3, 4)) < delta).any())
 
     def test_scalar_bounds_and_replays_through_the_oracle(self, monkeypatch):
-        # scalar upper and eps serve every key; only a failed row derives its
-        # stream, through the oracle
+        # scalar upper and eps serve every key, 7 streams of 8 words per
+        # pass; only a failed row re-keys the oracle, from its key's digest
+        monkeypatch.setattr(qmdp.rng, "PASS_WORDS", 56)
         oracle = SampleOracle(Mdp(np.full((2, 2, 2), 0.5), np.zeros((2, 2)), 0.9), 38)
-        derived = []
-        real = SampleOracle.derive_rng
-        monkeypatch.setattr(SampleOracle, "derive_rng",
-                            lambda self, *parts: derived.append(parts) or real(self, *parts))
+        rekeyed = []
+        real = SampleOracle.keyed_rng
+        monkeypatch.setattr(SampleOracle, "keyed_rng",
+                            lambda self, digest: rekeyed.append(digest) or real(self, digest))
         template = KeyTemplate(("svi", range(1, 41)))
         mu = np.full((2, 2), 0.5)
         failed = []
-        for key, row in zip(template, est_mod.mock_rows(oracle, template, 1.0, 0.1, 0.1, CFG, 7)):
+        for key, row in zip(template, est_mod.mock_rows(oracle, template, 1.0, 0.1, 0.1, CFG)):
             want = est_mod._estimate(mu, 1.0, 0.1, 0.1, CFG, derived_rng(38, *key))
             assert _outcome(*est_mod._estimate(mu, 1.0, 0.1, 0.1, CFG, row)) == _outcome(*want)
             if row.failed:
-                failed.append(key)
+                failed.append(_key_digest(38, key))
             assert row.charge == est_mod.bounded_mean_charge(1.0, 0.1, 0.1, CFG) * 4
-        assert derived == failed and 0 < len(failed) < 40
+        assert rekeyed == failed and 0 < len(failed) < 40
 
 
 class TestRangeCheck:

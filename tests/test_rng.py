@@ -1,7 +1,8 @@
 """Stream contract of qmdp.rng: a derived stream is Philox keyed by the
-blake2b digest of its (seed, *parts) key, and nothing else; first_uniforms
-and first_draws reproduce each stream's first draws in one pass, and
-KeyTemplate encodes a family of streams' keys in bulk to the same digests."""
+blake2b digest of its (seed, *parts) key, and nothing else; bulk_passes
+computes many streams' first words in one pass, uniforms and first_draws
+turn them into each stream's first draws, and KeyTemplate encodes a family
+of streams' keys in bulk to the same digests."""
 
 import hashlib
 import itertools
@@ -15,10 +16,12 @@ from qmdp.oracle import SampleOracle
 from qmdp.rng import (
     KeyTemplate,
     _key_digest,
+    _philox_words,
+    bulk_passes,
     derived_rng,
     first_draws,
-    first_uniforms,
     keyed_rng,
+    uniforms,
 )
 
 
@@ -58,16 +61,6 @@ def test_enough_keys():
 def test_state_matches_reference():
     for seed, parts in KEYS:
         assert _state(derived_rng(seed, *parts)) == _state(reference_rng(seed, *parts)), parts
-
-
-def test_zero_counter_is_read_only():
-    counter = qmdp.rng._ZERO_COUNTER
-    with pytest.raises(ValueError, match="read-only"):
-        counter[0] = 1
-    with pytest.raises(ValueError):
-        counter.setflags(write=True)
-    derived_rng(3, "counter").random(100)  # the stream advances its own copy
-    assert counter.tolist() == [0, 0, 0, 0]
 
 
 def test_draws_match_reference():
@@ -168,35 +161,40 @@ def _keys_by_seed():
     return by_seed
 
 
+def _digests(seed, keys):
+    return b"".join(_key_digest(seed, parts) for parts in keys)
+
+
 # numpy's Lemire step rejects with probability (2^32 mod k) / 2^32: about a
-# half for k = 2^31+1 and a quarter for k = 3*2^30, so the replay through
-# derived_rng runs on real keys; below 2^-24 for the small k
+# half for k = 2^31+1 and a quarter for k = 3*2^30, so the replay on the
+# stream callback runs on real keys; below 2^-24 for the small k
 @pytest.mark.parametrize("k,replay_rate", [(1, 0.0), (2, 0.0), (3, 0.0), (7, 0.0), (15, 0.0),
                                            (63, 0.0), (255, 0.0), (2**31 + 1, 0.5),
                                            (3 * 2**30, 0.25)])
-def test_first_draws_match_generator(monkeypatch, k, replay_rate):
+def test_first_draws_match_generator(k, replay_rate):
     replays = []
-    real = qmdp.rng.derived_rng
-    monkeypatch.setattr(qmdp.rng, "derived_rng",
-                        lambda seed, *parts: replays.append(parts) or real(seed, *parts))
     for seed, keys in _keys_by_seed().items():
-        uniforms, indices = first_draws(seed, keys, k)
-        assert uniforms.dtype == np.float64 and indices.dtype == np.int64
-        for parts, u, i in zip(keys, uniforms.tolist(), indices.tolist()):
+        def stream(i):
+            replays.append(keys[i])
+            return derived_rng(seed, *keys[i])
+
+        u, indices = first_draws(_philox_words(_digests(seed, keys), 2), k, stream)
+        assert u.dtype == np.float64 and indices.dtype == np.int64
+        for parts, u_i, i in zip(keys, u.tolist(), indices.tolist()):
             ref = reference_rng(seed, *parts)
-            assert (u, i) == (ref.random(), int(ref.integers(k))), (seed, parts)
+            assert (u_i, i) == (ref.random(), int(ref.integers(k))), (seed, parts)
     assert abs(len(replays) / len(KEYS) - replay_rate) < 0.1
 
 
 def test_first_draws_of_no_keys():
-    uniforms, indices = first_draws(3, [], 5)
-    assert uniforms.shape == indices.shape == (0,)
+    u, indices = first_draws(np.zeros((0, 2), dtype=np.uint64), 5, None)
+    assert u.shape == indices.shape == (0,)
 
 
 @pytest.mark.parametrize("k", [0, -1, 2**32, 2**40])
 def test_first_draws_range_of_k(k):
     with pytest.raises(ValueError, match="k must lie in"):
-        first_draws(3, [("call", 0)], k)
+        first_draws(_philox_words(_key_digest(3, ("call", 0)), 2), k, None)
 
 
 ARGMAX_LABELS = sorted({"mf", "svi", "50%", "%s%%d"}
@@ -236,33 +234,31 @@ def test_argmax_digests_refuse_what_keys_refuse(bad):
             keys.digests(0)
 
 
-@pytest.mark.parametrize("k", [1, 2, 15, 2**31 + 1])
-def test_first_draws_with_passed_digests(monkeypatch, k):
-    """Identical arrays with and without the bulk digests; the replayed
-    streams (about half of them at k = 2^31+1) take their keys from the
-    lazy sequence."""
-    replays = []
-    real = qmdp.rng.derived_rng
-    monkeypatch.setattr(qmdp.rng, "derived_rng",
-                        lambda seed, *parts: replays.append(parts) or real(seed, *parts))
+@pytest.mark.parametrize("n,group,pass_words", [
+    (2, 1, 14), (2, 3, 14), (2, 40, 14), (5, 1, 32), (5, 4, 96), (7, 5, 1000),
+    (32, 1, 2**13), (2, 64, 2**13), (3, 1, 1)])
+def test_bulk_passes_cover_the_keys_in_whole_groups(monkeypatch, n, group, pass_words):
+    """Chunks run over the keys in order, each of ``max(1, PASS_WORDS //
+    (n * group)) * group`` streams but the last, with their digests and
+    first n words."""
+    monkeypatch.setattr(qmdp.rng, "PASS_WORDS", pass_words)
+    per_pass = max(1, pass_words // (n * group)) * group
     for seed in (0, -5, 2**62):
-        keys = KeyTemplate(("mf", range(1, 9), range(64), "argmax"))
-        plain = first_draws(seed, list(keys), k)
-        n_plain = len(replays)
-        passed = first_draws(seed, keys, k, keys.digests(seed))
-        assert len(replays) == 2 * n_plain
-        assert replays[n_plain:] == replays[:n_plain]
-        for got, want in zip(passed, plain):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        replays.clear()
-        if k == 2**31 + 1:
-            assert n_plain > 100
+        keys = KeyTemplate(("mf", range(1, 6), range(group), "argmax"))
+        digests = keys.digests(seed)
+        chunks = list(bulk_passes(seed, keys, n, group))
+        assert [len(c) for c, _, _ in chunks[:-1]] == [per_pass] * (len(chunks) - 1)
+        assert sum(len(c) for c, _, _ in chunks) == len(keys)
+        assert all(len(c) % group == 0 for c, _, _ in chunks)
+        assert [key for c, _, _ in chunks for key in c] == list(keys)
+        assert b"".join(d for _, d, _ in chunks) == digests
+        words = np.concatenate([w for _, _, w in chunks])
+        assert words.dtype == np.uint64 and words.shape == (len(keys), n)
+        assert words.tobytes() == _philox_words(digests, n).tobytes()
 
 
-def test_first_draws_digest_length_checked():
-    keys = KeyTemplate(("mf", range(1, 3), range(2), "argmax"))
-    with pytest.raises(ValueError, match="48 digest bytes for 4 keys"):
-        first_draws(0, keys, 3, keys.digests(0)[:48])
+def test_bulk_passes_of_no_keys():
+    assert list(bulk_passes(3, KeyTemplate(("empty", range(0))), 4)) == []
 
 
 def _all_digests():
@@ -271,25 +267,25 @@ def _all_digests():
 
 @pytest.mark.parametrize("n", sorted(FIRST_UNIFORMS))
 def test_first_uniforms_match_generator(n):
-    uniforms = first_uniforms(_all_digests(), n)
-    assert uniforms.dtype == np.float64 and uniforms.shape == (len(KEYS), n)
-    for (seed, parts), row in zip(KEYS, uniforms):
+    u = uniforms(_philox_words(_all_digests(), n))
+    assert u.dtype == np.float64 and u.shape == (len(KEYS), n)
+    for (seed, parts), row in zip(KEYS, u):
         assert row.tobytes() == derived_rng(seed, *parts).random(n).tobytes(), (seed, parts)
-    assert hashlib.sha256(uniforms.tobytes()).hexdigest() == FIRST_UNIFORMS[n]
+    assert hashlib.sha256(u.tobytes()).hexdigest() == FIRST_UNIFORMS[n]
 
 
 @pytest.mark.parametrize("n", [1, 3, 16, 64])
 def test_first_uniforms_give_uniform_draws(n):
     # uniform(-1, 1) is numpy's -1 + 2u on the next uniforms of the stream
-    uniforms = first_uniforms(_all_digests(), 2 * n)
-    for (seed, parts), row in zip(KEYS[::3], uniforms[::3]):
+    u = uniforms(_philox_words(_all_digests(), 2 * n))
+    for (seed, parts), row in zip(KEYS[::3], u[::3]):
         g = derived_rng(seed, *parts)
         g.random(n)
         assert (-1.0 + 2.0 * row[n:]).tobytes() == g.uniform(-1.0, 1.0, n).tobytes()
 
 
 def test_first_uniforms_of_no_streams():
-    assert first_uniforms(b"", 5).shape == (0, 5)
+    assert uniforms(_philox_words(b"", 5)).shape == (0, 5)
 
 
 def test_keyed_rng_is_derived_rng():

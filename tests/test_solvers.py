@@ -128,16 +128,18 @@ def tied_rows(s_n, a_n, seed):
 
 
 class TestVectorizedMockArgmax:
-    @pytest.mark.parametrize("chunk", [solvers.ARGMAX_CHUNK, 7])
+    @pytest.mark.parametrize("chunk", [qmdp.rng.PASS_WORDS // 2, 7])
     @pytest.mark.parametrize("a_n", [1, 2, 3, 8, 16])
     @pytest.mark.parametrize("f", [0.0, 0.3, 1.0])
     def test_rows_core_equals_per_state_loop(self, monkeypatch, chunk, a_n, f):
-        # with 7 streams per chunk, 40 states take one sweep per chunk and
-        # 3 states two sweeps per chunk, with a shorter last chunk
-        monkeypatch.setattr(solvers, "ARGMAX_CHUNK", chunk)
+        # two words per stream: with passes of 7 streams' words, 40 states
+        # take one sweep per pass and 3 states two sweeps per pass, with a
+        # shorter last pass
+        monkeypatch.setattr(qmdp.rng, "PASS_WORDS", 2 * chunk)
+        oracle = SampleOracle(zero_reward_mdp(), 11)
         for s_n, sweeps in ((40, 3), (3, 5)):
             q = tied_rows(s_n, a_n, a_n)
-            draws = list(solvers._mock_argmax_draws(11, "mf", sweeps, s_n, a_n))
+            draws = list(solvers._mock_argmax_draws(oracle, "mf", sweeps, s_n, a_n))
             assert len(draws) == sweeps
             for l, (u, wrong) in enumerate(draws, start=1):
                 index, failed = mock_argmax_rows(q, f, u, wrong)
@@ -176,12 +178,33 @@ class TestVectorizedMockArgmax:
             if f == 1.0 and a_n > 1:
                 assert argmax_failures == len(calls) * mdp.num_states
 
+    def test_lemire_replays_rekey_the_oracle(self, monkeypatch):
+        # k = 2^31+1 makes numpy's Lemire step reject on about half of the
+        # streams: each is replayed on the oracle's one Generator, re-keyed
+        # from its digest, and draws what its own stream draws
+        k, s_n, sweeps = 2**31 + 1, 5, 8
+        oracle = SampleOracle(zero_reward_mdp(), 12)
+        rekeyed = []
+        real = SampleOracle.keyed_rng
+        monkeypatch.setattr(SampleOracle, "keyed_rng",
+                            lambda self, digest: rekeyed.append(digest) or real(self, digest))
+        draws = list(solvers._mock_argmax_draws(oracle, "mf", sweeps, s_n, k + 1))
+        assert len(draws) == sweeps
+        for l, (u, wrong) in enumerate(draws, start=1):
+            for s in range(s_n):
+                ref = derived_rng(12, "mf", l, s, "argmax")
+                assert (u[s], wrong[s]) == (ref.random(), ref.integers(k)), (l, s)
+        keys = [("mf", l, s, "argmax") for l in range(1, sweeps + 1) for s in range(s_n)]
+        assert set(rekeyed) <= {qmdp.rng._key_digest(12, key) for key in keys}
+        assert 5 < len(rekeyed) < 35 and oracle._rng is not None
+
     def test_chunked_draws_memory_does_not_grow_with_sweeps(self):
         # 2^18 (sweep, state) pairs; holding all their draws at once would
         # take 4 MiB for the arrays alone
+        oracle = SampleOracle(zero_reward_mdp(), 0)
         tracemalloc.start()
         try:
-            n = sum(1 for _ in solvers._mock_argmax_draws(0, "mf", 4096, 64, 16))
+            n = sum(1 for _ in solvers._mock_argmax_draws(oracle, "mf", 4096, 64, 16))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -196,13 +219,14 @@ class TestBulkMockRows:
         # multiple of one pass's words, however many passes a solve makes
         mdp = fig_two(8, 0.5, {3})
         passes = []
-        real = qmdp.estimators.first_uniforms
+        real = qmdp.estimators.bulk_passes
 
-        def counting(digests, n):
-            passes.append(len(digests) // 16)
-            return real(digests, n)
+        def counting(*args):
+            for chunk, digests, words in real(*args):
+                passes.append(len(chunk))
+                yield chunk, digests, words
 
-        monkeypatch.setattr(qmdp.estimators, "first_uniforms", counting)
+        monkeypatch.setattr(qmdp.estimators, "bulk_passes", counting)
         for eps, streams in ((0.01, 910), (0.001, 1554)):
             params = VarianceReducedParams.for_mdp(mdp, eps, 0.1)
             assert params.num_epochs * params.iters_per_epoch == streams
@@ -213,11 +237,11 @@ class TestBulkMockRows:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert sum(passes) == streams and max(passes) == solvers.BULK_PASS_WORDS // 32
+            assert sum(passes) == streams and max(passes) == qmdp.rng.PASS_WORDS // 32
             assert len(passes) >= 4
-            assert peak < 64 * solvers.BULK_PASS_WORDS, (eps, peak)
+            assert peak < 64 * qmdp.rng.PASS_WORDS, (eps, peak)
 
-    @pytest.mark.parametrize("pass_words", [32, 96, 1000, solvers.BULK_PASS_WORDS])
+    @pytest.mark.parametrize("pass_words", [32, 96, 1000, qmdp.rng.PASS_WORDS])
     @pytest.mark.parametrize("a_n", [1, 3, 8, 32])
     def test_reports_equal_native_streams(self, monkeypatch, pass_words, a_n):
         """Reports are byte-identical whether the estimates draw from bulk
@@ -231,7 +255,7 @@ class TestBulkMockRows:
                   lambda o: max_finding_vi(o, mf, diagnostics=True),
                   lambda o: sampled_vi(o, 2.0, 0.9, mode="quantum_mean", diagnostics=True),
                   lambda o: sampled_vi(o, 2.0, 0.9, mode="quantum_mean_and_max"))
-        monkeypatch.setattr(solvers, "BULK_PASS_WORDS", pass_words)
+        monkeypatch.setattr(qmdp.rng, "PASS_WORDS", pass_words)
         failures = 0
         for solve in solves:
             reports = []
@@ -535,26 +559,20 @@ BULK_ONLY = {"max-finding", "sampled-quantum_mean", "sampled-quantum_mean_and_ma
 
 @pytest.mark.parametrize("name", sorted(GUARD_SOLVES))
 def test_one_generator_per_oracle(monkeypatch, name):
-    """Each oracle builds one Generator the first time it hands out a
-    stream, and re-keys it for every later stream; the only other
-    Generators a solve builds are first_draws' replays (rng's own binding of
-    derived_rng).  A solve in BULK_ONLY derives exactly one stream per batch
-    with a failed entry or a voided promise, and these solves have none, so
-    they build no Generator at all; every other solve builds one per oracle."""
-    real_derived, real_keyed = qmdp.rng.derived_rng, qmdp.rng.keyed_rng
-    built, streams, replays, replayed_batches = [], [], [], []
+    """A solve builds at most one Generator, its oracle's, the first time
+    the oracle hands out a stream, and re-keys it for every later stream;
+    every stream, replays included, is that Generator.  A solve in
+    BULK_ONLY derives a stream only to replay a batch with a failed entry or
+    a voided promise, and these solves have none, so they build no
+    Generator at all; every other solve builds one per oracle."""
+    real_keyed = qmdp.rng.keyed_rng
+    built, streams, replayed_batches = [], [], []
 
-    def oracle_spy(real):
-        def spy(*args, reuse=None):
-            if reuse is None:
-                built.append(args)
-            streams.append(real(*args, reuse=reuse))
-            return streams[-1]
-        return spy
-
-    def replay_spy(seed, *parts, reuse=None):
-        replays.append(reuse)
-        return real_derived(seed, *parts, reuse=reuse)
+    def keyed_spy(digest, reuse=None):  # every Generator is built or re-keyed here
+        streams.append(real_keyed(digest, reuse))
+        if reuse is None:
+            built.append(streams[-1])
+        return streams[-1]
 
     real_batch = solvers.batch_bounded_mock
 
@@ -563,27 +581,28 @@ def test_one_generator_per_oracle(monkeypatch, name):
         replayed_batches.append(bool(failed.any()) or violated)
         return est, failed, violated
 
-    monkeypatch.setattr(qmdp.oracle, "derived_rng", oracle_spy(real_derived))
-    monkeypatch.setattr(qmdp.oracle, "keyed_rng", oracle_spy(real_keyed))
-    monkeypatch.setattr(qmdp.rng, "derived_rng", replay_spy)
+    monkeypatch.setattr(qmdp.rng, "keyed_rng", keyed_spy)
+    monkeypatch.setattr(qmdp.oracle, "keyed_rng", keyed_spy)
     monkeypatch.setattr(solvers, "batch_bounded_mock", batch_spy)
     mdp = fig_two(4, 1.0, {1})
-    for seed in (3, 4):
-        GUARD_SOLVES[name](SampleOracle(mdp, seed))
+    oracles = [SampleOracle(mdp, seed) for seed in (3, 4)]
+    for oracle in oracles:
+        GUARD_SOLVES[name](oracle)
+    owned = {id(o._rng) for o in oracles if o._rng is not None}
+    assert {id(g) for g in built} == {id(g) for g in streams} == owned
+    assert len(built) == len(owned)
     if name in BULK_ONLY:
         assert len(replayed_batches) > 20 and not any(replayed_batches)
         assert built == [] and streams == []
     else:
-        assert len(built) == 2
-        assert len(streams) > 20 and len({id(g) for g in streams}) == 2
-    assert all(reuse is None for reuse in replays)
+        assert len(built) == 2 and len(streams) > 20
 
 
 @pytest.mark.parametrize("name", ["variance-reduced", "max-finding", "sampled-quantum_mean"])
 def test_bulk_streams_derived_only_to_replay(monkeypatch, name):
-    """With failures common, a bulk-drawn solve derives the stream of each
-    batch with a failed entry, in order, and no other stream besides the
-    anchors' (lines 8 and 9)."""
+    """With failures common, a bulk-drawn solve re-keys the oracle to the
+    stream of each batch with a failed entry, in order, from the key's
+    digest, and derives no other stream besides the anchors' (lines 8 and 9)."""
     mdp = fig_two(8, 0.5, {3})
     if name == "variance-reduced":
         params = dataclasses.replace(VarianceReducedParams.for_mdp(mdp, 0.5, 0.1),
@@ -599,12 +618,17 @@ def test_bulk_streams_derived_only_to_replay(monkeypatch, name):
     else:
         solve = lambda o: sampled_vi(o, 5.0, 0.99, mode="quantum_mean")  # noqa: E731
         keys = [("svi", i) for i in range(1, 23)]
-    derived, replayed = [], []
-    real_derive, real_batch = SampleOracle.derive_rng, solvers.batch_bounded_mock
+    derived, rekeyed, replayed = [], [], []
+    real_derive, real_keyed = SampleOracle.derive_rng, SampleOracle.keyed_rng
+    real_batch = solvers.batch_bounded_mock
 
     def derive_spy(self, *parts):
         derived.append(parts)
         return real_derive(self, *parts)
+
+    def keyed_spy(self, digest):
+        rekeyed.append(digest)
+        return real_keyed(self, digest)
 
     def batch_spy(*args, **kwargs):
         est, failed, violated = real_batch(*args, **kwargs)
@@ -613,12 +637,14 @@ def test_bulk_streams_derived_only_to_replay(monkeypatch, name):
         return est, failed, violated
 
     monkeypatch.setattr(SampleOracle, "derive_rng", derive_spy)
+    monkeypatch.setattr(SampleOracle, "keyed_rng", keyed_spy)
     monkeypatch.setattr(solvers, "batch_bounded_mock", batch_spy)
     solve(SampleOracle(mdp, 2))
     assert len(replayed) == len(keys) and 0 < sum(replayed) < len(keys) / 2
     anchors = ("line8-sq", "line8-mean", "line9")
-    assert [parts for parts in derived if parts[-1] not in anchors] == \
-        [key for key, replay in zip(keys, replayed) if replay]
+    assert all(parts[-1] in anchors for parts in derived)
+    assert rekeyed == [qmdp.rng._key_digest(2, key)
+                       for key, replay in zip(keys, replayed) if replay]
 
 
 PHASE_LABEL = re.compile(r"^(epoch|iter)-\d+(-line-\d+|-argmax)?$")
