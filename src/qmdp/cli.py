@@ -68,6 +68,12 @@ __all__ = [
 
 SOLVER_NAMES = ("variance-reduced", "max-finding", "sampled")
 _INSTANCE_SOURCES = ("path", "mdp", "two_state", "hard_instance")
+# the entries each config block may give; MDP documents stay open, because
+# oracle-build output carries m, counts and max_distortion beside the MDP
+_CONFIG_KEYS = ("instance", "solver", "estimator", "seed", "diagnostics", "snapshots_csv")
+_SOLVER_KEYS = ("name", "eps", "delta", "b", "c", "c_max", "mode")
+_TWO_STATE_KEYS = ("gamma", "p")
+_HARD_INSTANCE_KEYS = ("gamma", "num_actions", "eps", "c_alpha", "copies", "large_arms")
 INTEGER_AXES = ("num_actions", "copies")
 # sweep axis -> (fit variable, its x at an axis value): the fit is against the
 # variable the scaling laws are stated in
@@ -115,6 +121,13 @@ def _check_string(doc: dict, key: str, where: str) -> None:
         raise ConfigError(f"{where}{key} must be a string, got {doc[key]!r}")
 
 
+def _check_keys(block: dict, allowed, where: str) -> None:
+    """Raise ConfigError naming the first entry of block that no code reads."""
+    unknown = [key for key in block if key not in allowed]
+    if unknown:
+        raise ConfigError(f"{where}{unknown[0]} is not a known entry; expected one of {allowed}")
+
+
 def _check_block(doc: dict, key: str, where: str) -> dict:
     block = doc[key]
     if not isinstance(block, dict):
@@ -125,9 +138,11 @@ def _check_block(doc: dict, key: str, where: str) -> dict:
 def validate_config(doc: dict, source: str = "<config>") -> None:
     if not isinstance(doc, dict):
         raise ConfigError(f"{source}: config must be a JSON object")
+    _check_keys(doc, _CONFIG_KEYS, f"{source}: ")
     instance = doc.get("instance")
     if not isinstance(instance, dict):
         raise ConfigError(f"{source}: missing 'instance' object")
+    _check_keys(instance, _INSTANCE_SOURCES, f"{source}: instance.")
     sources = [k for k in _INSTANCE_SOURCES if k in instance]
     if len(sources) != 1:
         raise ConfigError(
@@ -138,6 +153,7 @@ def validate_config(doc: dict, source: str = "<config>") -> None:
         raise ConfigError(f"{source}: missing 'solver' object with a 'name'")
     if solver["name"] not in SOLVER_NAMES:
         raise ConfigError(f"{source}: solver.name must be one of {SOLVER_NAMES}")
+    _check_keys(solver, _SOLVER_KEYS, f"{source}: solver.")
     for key in ("eps", "delta", "b", "c", "c_max"):
         _check_number(solver, key, f"{source}: solver.", required=key in ("eps", "delta"))
     _check_string(solver, "mode", f"{source}: solver.")
@@ -179,10 +195,12 @@ def build_instance(instance: dict, source: str = "<config>") -> tuple[Mdp, dict 
     where += f"{name}."
     try:
         if name == "two_state":
-            for key in ("gamma", "p"):
+            _check_keys(doc, _TWO_STATE_KEYS, where)
+            for key in _TWO_STATE_KEYS:
                 _check_number(doc, key, where)
             return two_state_chain(doc["gamma"], doc["p"]), {"two_state": doc}
-        keys = ("gamma", "num_actions", "eps", "c_alpha", "copies")
+        _check_keys(doc, _HARD_INSTANCE_KEYS, where)
+        keys = _HARD_INSTANCE_KEYS[:-1]
         for key in keys:
             _check_number(doc, key, where, integer=key in INTEGER_AXES, required=key in keys[:3])
         arms = doc.get("large_arms", [])

@@ -31,9 +31,11 @@ __all__ = [
     "value_gap",
     "closed_form_arm_value",
     "DEFAULT_GAP_CONSTANT",
+    "MAX_DENSE_BYTES",
 ]
 
 DEFAULT_GAP_CONSTANT = 9.0
+MAX_DENSE_BYTES = 2**30  # largest float64 transition tensor a spec may ask for
 
 
 @dataclass(frozen=True)
@@ -67,6 +69,10 @@ class HardInstanceSpec:
             raise PreconditionError("large_arms must be valid action indices")
         if self.copies < 1:
             raise PreconditionError("copies must be at least 1")
+        size = 8 * (2 * self.copies) ** 2 * self.num_actions
+        if size > MAX_DENSE_BYTES:
+            raise PreconditionError(f"copies must keep the dense transition tensor within 2^30 "
+                                    f"bytes; 8*(2*copies)^2*num_actions = {size}")
 
     @property
     def horizon(self) -> float:

@@ -68,6 +68,35 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="broken.json"):
             load_config(path)
 
+    # an entry no code reads would silently take the default it misspells
+    @pytest.mark.parametrize("edit,path", [
+        (lambda d: d.update(estimatr={"backend": "statevector"}), r": estimatr"),
+        (lambda d: d["instance"].update(hard_instanc={}), r": instance\.hard_instanc"),
+        (lambda d: d["solver"].update(cmax=8.0), r": solver\.cmax"),
+        (lambda d: d.update(instance={"two_state": {"gamma": 0.9, "p": 0.5, "q": 0.1}}),
+         r": instance\.two_state\.q"),
+        (lambda d: d["instance"]["hard_instance"].update(copy=3),
+         r": instance\.hard_instance\.copy"),
+    ], ids=["top-level", "instance", "solver", "two_state", "hard_instance"])
+    def test_unknown_entry_exit_code(self, tmp_path, capsys, edit, path):
+        doc = fig_two_config()
+        edit(doc)
+        out = tmp_path / "r.json"
+        assert main(["solve", "--config", str(write_config(tmp_path, doc)),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert re.search(r"^error: .*config\.json" + path + " is not a known entry", err), err
+        assert not out.exists()
+
+    def test_every_known_entry_is_accepted(self):
+        doc = fig_two_config(solver="sampled")
+        doc["solver"].update(b=1.0, c=0.01, c_max=4.0, mode="classical")
+        doc["instance"]["hard_instance"].update(c_alpha=9.0, copies=2)
+        doc.update(estimator={}, diagnostics=False, snapshots_csv="")
+        validate_config(doc)
+        assert build_instance(doc["instance"])[0].num_states == 4
+        assert build_instance({"two_state": {"gamma": 0.9, "p": 0.5}})[0].num_states == 2
+
     def test_build_instance_variants(self, tmp_path):
         mdp, prov = build_instance({"two_state": {"gamma": 0.9, "p": 0.5}})
         assert mdp.num_states == 2 and prov is not None
@@ -344,6 +373,35 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and re.search(message, err), err
         assert not out_csv.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_copies_beyond_the_dense_bound_exit_code(self, tmp_path, capsys, monkeypatch,
+                                                      command):
+        # refused from the spec, before tiled_instance could allocate the
+        # 8*(2*copies)^2*A-byte tensor; the guard fails a regression instead
+        import qmdp.cli as cli_mod
+
+        real = cli_mod.tiled_instance
+
+        def guarded(spec):
+            assert spec.copies <= 4096, spec
+            return real(spec)
+
+        monkeypatch.setattr(cli_mod, "tiled_instance", guarded)
+        doc = fig_two_config(solver="max-finding")
+        out = tmp_path / "out"
+        if command == "solve":
+            doc["instance"]["hard_instance"]["copies"] = 10**6
+            argv = ["solve", "--out", str(out)]
+        else:
+            argv = ["sweep", "--axis", "copies", "--values", "1,2,100000", "--seeds", "1",
+                    "--out-csv", str(out), "--out-fit", str(tmp_path / "f.json")]
+        assert main(argv + ["--config", str(write_config(tmp_path, doc))]) == 2
+        err = capsys.readouterr().err
+        assert re.search(r"^error: .*instance\.hard_instance\.copies must keep the dense "
+                         r"transition tensor within 2\^30 bytes; 8\*\(2\*copies\)\^2\*num_actions = 6400+$",
+                         err), err
+        assert not out.exists()
 
     def test_integer_values_with_blank_entries(self, tmp_path):
         cfg = write_config(tmp_path, fig_two_config(solver="max-finding"))

@@ -48,6 +48,15 @@ class TestSpecValidation:
         spec = HardInstanceSpec(gamma=0.9, num_actions=2, eps=1.1)
         assert spec.p_large < 1.0
 
+    @pytest.mark.parametrize("copies,num_actions", [(4097, 2), (2048, 9), (1, 2**25 + 1),
+                                                    (10**9, 1)])
+    def test_dense_tensor_bound(self, copies, num_actions):
+        # 8*(2*copies)^2*A bytes above 2^30 is refused before any allocation
+        with pytest.raises(PreconditionError, match=r"copies must keep .* within 2\^30 bytes"):
+            HardInstanceSpec(gamma=0.9, num_actions=num_actions, eps=0.5, copies=copies)
+        for copies, num_actions in ((4096, 2), (2048, 8), (1, 2**25)):  # exactly 2^30
+            HardInstanceSpec(gamma=0.9, num_actions=num_actions, eps=0.5, copies=copies)
+
     def test_large_arm_indices(self):
         with pytest.raises(PreconditionError):
             HardInstanceSpec(gamma=0.9, num_actions=2, eps=0.5, large_arms=frozenset({5}))
