@@ -200,7 +200,7 @@ def build_instance(instance: dict, source: str = "<config>") -> tuple[Mdp, dict 
                 _check_number(doc, key, where)
             return two_state_chain(doc["gamma"], doc["p"]), {"two_state": doc}
         _check_keys(doc, _HARD_INSTANCE_KEYS, where)
-        keys = _HARD_INSTANCE_KEYS[:-1]
+        keys = _HARD_INSTANCE_KEYS[:-1]  # the numbers; large_arms is a list
         for key in keys:
             _check_number(doc, key, where, integer=key in INTEGER_AXES, required=key in keys[:3])
         arms = doc.get("large_arms", [])

@@ -69,7 +69,7 @@ class HardInstanceSpec:
             raise PreconditionError("large_arms must be valid action indices")
         if self.copies < 1:
             raise PreconditionError("copies must be at least 1")
-        size = 8 * (2 * self.copies) ** 2 * self.num_actions
+        size = 8 * (2 * int(self.copies)) ** 2 * int(self.num_actions)  # no int64 wrap
         if size > MAX_DENSE_BYTES:
             raise PreconditionError(f"copies must keep the dense transition tensor within 2^30 "
                                     f"bytes; 8*(2*copies)^2*num_actions = {size}")

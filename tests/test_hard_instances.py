@@ -49,9 +49,10 @@ class TestSpecValidation:
         assert spec.p_large < 1.0
 
     @pytest.mark.parametrize("copies,num_actions", [(4097, 2), (2048, 9), (1, 2**25 + 1),
-                                                    (10**9, 1)])
+                                                    (10**9, 1), (np.int64(2**31), np.int64(8))])
     def test_dense_tensor_bound(self, copies, num_actions):
-        # 8*(2*copies)^2*A bytes above 2^30 is refused before any allocation
+        # 8*(2*copies)^2*A bytes above 2^30 is refused before any allocation,
+        # also where the product would wrap to 0 in int64 (2^70 at the last case)
         with pytest.raises(PreconditionError, match=r"copies must keep .* within 2\^30 bytes"):
             HardInstanceSpec(gamma=0.9, num_actions=num_actions, eps=0.5, copies=copies)
         for copies, num_actions in ((4096, 2), (2048, 8), (1, 2**25)):  # exactly 2^30
