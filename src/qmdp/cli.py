@@ -19,6 +19,7 @@ import math
 import os
 import sys
 import traceback
+from functools import partial
 
 import numpy as np
 
@@ -68,12 +69,23 @@ __all__ = [
 
 SOLVER_NAMES = ("variance-reduced", "max-finding", "sampled")
 _INSTANCE_SOURCES = ("path", "mdp", "two_state", "hard_instance")
-# the entries each config block may give; MDP documents stay open, because
-# oracle-build output carries m, counts and max_distortion beside the MDP
-_CONFIG_KEYS = ("instance", "solver", "estimator", "seed", "diagnostics", "snapshots_csv")
-_SOLVER_KEYS = ("name", "eps", "delta", "b", "c", "c_max", "mode")
-_TWO_STATE_KEYS = ("gamma", "p")
-_HARD_INSTANCE_KEYS = ("gamma", "num_actions", "eps", "c_alpha", "copies", "large_arms")
+# each config block by path: (its entries' kinds, the entries it must give).
+# MDP documents stay open, as oracle-build output carries more; EstimatorConfig
+# checks the estimator's ranges (finiteness included) and its phase_bits
+_SCHEMA = {
+    "": ({"instance": "object", "solver": "object", "estimator": "object", "seed": "integer",
+          "diagnostics": "boolean", "snapshots_csv": "string"}, ("instance", "solver", "seed")),
+    "instance.": ({"path": "string", "mdp": "object", "two_state": "object",
+                   "hard_instance": "object"}, ()),
+    "instance.two_state.": ({"gamma": "finite", "p": "finite"}, ("gamma", "p")),
+    "instance.hard_instance.": ({"gamma": "finite", "num_actions": "integer", "eps": "finite",
+                                 "c_alpha": "finite", "copies": "integer",
+                                 "large_arms": "integers"}, ("gamma", "num_actions", "eps")),
+    "solver.": ({"name": "string", "eps": "finite", "delta": "finite", "b": "finite",
+                 "c": "finite", "c_max": "finite", "mode": "string"}, ("name", "eps", "delta")),
+    "estimator.": ({"c1": "number", "c2": "number", "adversarial_scale": "number",
+                    "mock_failure_mode": "string", "backend": "string", "phase_bits": "any"}, ()),
+}
 INTEGER_AXES = ("num_actions", "copies")
 # sweep axis -> (fit variable, its x at an axis value): the fit is against the
 # variable the scaling laws are stated in
@@ -90,87 +102,64 @@ SWEEP_AXES = tuple(_SWEEP_FIT)
 # ---------------------------------------------------------------------------
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+# kind -> (what an entry of that kind must be, its test); JSON booleans are
+# not numbers here, and a "finite" number is not JSON's NaN or Infinity
+_KINDS = {
+    "number": ("a number", lambda v: _is_integer(v) or isinstance(v, (float, np.floating))),
+    "integer": ("an integer", _is_integer),
+    "integers": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_integer, v))),
+    "string": ("a string", lambda v: isinstance(v, str)),
+    "boolean": ("a boolean", lambda v: isinstance(v, bool)),
+    "object": ("an object", lambda v: isinstance(v, dict)),
+    "any": (None, lambda v: True),
+}
+_KINDS["finite"] = _KINDS["number"]
+
+
+def _check_block(block: dict, path: str, source: str) -> None:
+    """Raise ConfigError, as ``<source>: <path><entry> ...``, at an entry of
+    the block at ``path`` that _SCHEMA does not list, a required one left
+    out, or one of the wrong kind; then check the blocks it holds."""
+    kinds, required = _SCHEMA[path]
+    where = f"{source}: {path}"
+    for key in block:
+        if key not in kinds:
+            raise ConfigError(f"{where}{key} is not a known entry; expected one of {tuple(kinds)}")
+    for key in required:
+        if key not in block:
+            raise ConfigError(f"{where}{key} is required")
+    for key, value in block.items():
+        what, test = _KINDS[kinds[key]]
+        if not test(value):
+            raise ConfigError(f"{where}{key} must be {what}, got {value!r}")
+        if kinds[key] == "finite" and not math.isfinite(value):
+            raise ConfigError(f"{where}{key} must be finite, got {value!r}")
+        if f"{path}{key}." in _SCHEMA:
+            _check_block(value, f"{path}{key}.", source)
+
+
 def load_config(path) -> dict:
     doc = _read_json(path)
     validate_config(doc, source=str(path))
     return doc
 
 
-def _check_number(doc: dict, key: str, where: str, integer: bool = False,
-                  required: bool = True, finite: bool = True) -> None:
-    """Raise ConfigError unless doc[key] is a number (an integer when asked),
-    and a finite one unless ``finite`` is false; JSON booleans are not numbers
-    here, and JSON's NaN and Infinity are not finite.  ``where`` prefixes the
-    entry's path."""
-    if key not in doc:
-        if required:
-            raise ConfigError(f"{where}{key} is required")
-        return
-    value = doc[key]
-    kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        kind = "an integer" if integer else "a number"
-        raise ConfigError(f"{where}{key} must be {kind}, got {value!r}")
-    if finite and isinstance(value, (float, np.floating)) and not math.isfinite(value):
-        raise ConfigError(f"{where}{key} must be finite, got {value!r}")
-
-
-def _check_string(doc: dict, key: str, where: str) -> None:
-    """Raise ConfigError if doc has a non-string entry ``key``."""
-    if not isinstance(doc.get(key, ""), str):
-        raise ConfigError(f"{where}{key} must be a string, got {doc[key]!r}")
-
-
-def _check_keys(block: dict, allowed, where: str) -> None:
-    """Raise ConfigError naming the first entry of block that no code reads."""
-    unknown = [key for key in block if key not in allowed]
-    if unknown:
-        raise ConfigError(f"{where}{unknown[0]} is not a known entry; expected one of {allowed}")
-
-
-def _check_block(doc: dict, key: str, where: str) -> dict:
-    block = doc[key]
-    if not isinstance(block, dict):
-        raise ConfigError(f"{where}{key} must be an object, got {block!r}")
-    return block
-
-
 def validate_config(doc: dict, source: str = "<config>") -> None:
+    """_SCHEMA's check of every block, and the two rules across entries."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{source}: config must be a JSON object")
-    _check_keys(doc, _CONFIG_KEYS, f"{source}: ")
-    instance = doc.get("instance")
-    if not isinstance(instance, dict):
-        raise ConfigError(f"{source}: missing 'instance' object")
-    _check_keys(instance, _INSTANCE_SOURCES, f"{source}: instance.")
-    sources = [k for k in _INSTANCE_SOURCES if k in instance]
+    _check_block(doc, "", source)
+    sources = [k for k in _INSTANCE_SOURCES if k in doc["instance"]]
     if len(sources) != 1:
         raise ConfigError(
             f"{source}: instance must name exactly one source of {_INSTANCE_SOURCES}, "
             f"found {sources}")
-    solver = doc.get("solver")
-    if not isinstance(solver, dict) or "name" not in solver:
-        raise ConfigError(f"{source}: missing 'solver' object with a 'name'")
-    if solver["name"] not in SOLVER_NAMES:
+    if doc["solver"]["name"] not in SOLVER_NAMES:
         raise ConfigError(f"{source}: solver.name must be one of {SOLVER_NAMES}")
-    _check_keys(solver, _SOLVER_KEYS, f"{source}: solver.")
-    for key in ("eps", "delta", "b", "c", "c_max"):
-        _check_number(solver, key, f"{source}: solver.", required=key in ("eps", "delta"))
-    _check_string(solver, "mode", f"{source}: solver.")
-    if "seed" not in doc:
-        raise ConfigError(f"{source}: top-level 'seed' is required")
-    _check_number(doc, "seed", f"{source}: ", integer=True)
-    estimator = doc.get("estimator") or {}
-    if not isinstance(estimator, dict):
-        raise ConfigError(f"{source}: estimator must be an object, got {doc['estimator']!r}")
-    # ranges (finiteness included) are EstimatorConfig's to check and report
-    for key in ("c1", "c2", "adversarial_scale"):
-        _check_number(estimator, key, f"{source}: estimator.", required=False, finite=False)
-    for key in ("mock_failure_mode", "backend"):
-        _check_string(estimator, key, f"{source}: estimator.")
-    if not isinstance(doc.get("diagnostics", False), bool):
-        raise ConfigError(f"{source}: diagnostics must be a boolean, got {doc['diagnostics']!r}")
-    _check_string(doc, "snapshots_csv", f"{source}: ")
 
 
 def _given(block: dict, keys, cast=float) -> dict:
@@ -179,48 +168,37 @@ def _given(block: dict, keys, cast=float) -> dict:
     return {key: cast(block[key]) for key in keys if key in block}
 
 
+def _instance_plan(instance: dict, source: str):
+    """Check an instance block, a generator's ranges included (as
+    PreconditionErrors naming the entry), and return (build, provenance):
+    ``build()`` makes the MDP, and provenance describes a generated one."""
+    _check_block(instance, "instance.", source)
+    name = next((key for key in _INSTANCE_SOURCES if key in instance), "hard_instance")
+    block = instance[name]
+    if name == "path":
+        return partial(load_mdp_json, block), None
+    if name == "mdp":
+        return partial(mdp_from_dict, block, source=f"{source}:instance.mdp"), None
+    try:
+        if name == "two_state":
+            mdp = two_state_chain(block["gamma"], block["p"])  # two states: built to check
+            return (lambda: mdp), {"two_state": block}
+        spec = HardInstanceSpec(**block)
+    except PreconditionError as exc:
+        raise PreconditionError(f"{source}: instance.{name}.{exc}") from exc
+    return partial(tiled_instance, spec), {"hard_instance": spec.provenance()}
+
+
 def build_instance(instance: dict, source: str = "<config>") -> tuple[Mdp, dict | None]:
     """Materialize the MDP named by an instance block; returns provenance for
     generated instances.  Missing or mistyped entries raise ConfigError, and
     a generator's range errors are PreconditionErrors naming the entry."""
-    where = f"{source}: instance."
-    name = next((key for key in _INSTANCE_SOURCES if key in instance), "hard_instance")
-    if name == "path":
-        if not isinstance(instance["path"], str):
-            raise ConfigError(f"{where}path must be a string, got {instance['path']!r}")
-        return load_mdp_json(instance["path"]), None
-    doc = _check_block(instance, name, where)
-    if name == "mdp":
-        return mdp_from_dict(doc, source=f"{source}:instance.mdp"), None
-    where += f"{name}."
-    try:
-        if name == "two_state":
-            _check_keys(doc, _TWO_STATE_KEYS, where)
-            for key in _TWO_STATE_KEYS:
-                _check_number(doc, key, where)
-            return two_state_chain(doc["gamma"], doc["p"]), {"two_state": doc}
-        _check_keys(doc, _HARD_INSTANCE_KEYS, where)
-        keys = _HARD_INSTANCE_KEYS[:-1]  # the numbers; large_arms is a list
-        for key in keys:
-            _check_number(doc, key, where, integer=key in INTEGER_AXES, required=key in keys[:3])
-        arms = doc.get("large_arms", [])
-        if not isinstance(arms, list) or any(
-                isinstance(a, bool) or not isinstance(a, (int, np.integer)) for a in arms):
-            raise ConfigError(f"{where}large_arms must be a list of integers, got {arms!r}")
-        given = {key: doc[key] for key in keys if key in doc}
-        spec = HardInstanceSpec(large_arms=frozenset(arms), **given)
-    except PreconditionError as exc:
-        raise PreconditionError(f"{where}{exc}") from exc
-    return tiled_instance(spec), {"hard_instance": spec.provenance()}
+    build, provenance = _instance_plan(instance, source)
+    return build(), provenance
 
 
 def estimator_config(doc: dict | None) -> EstimatorConfig:
-    if not doc:
-        return EstimatorConfig()
-    try:
-        return EstimatorConfig(**doc)
-    except TypeError as exc:
-        raise ConfigError(f"estimator config: {exc}") from exc
+    return EstimatorConfig(**(doc or {}))
 
 
 def run_solver(mdp: Mdp, solver: dict, cfg: EstimatorConfig, seed: int,
