@@ -319,12 +319,14 @@ def _apply_axis(config: dict, axis: str, value: float) -> dict:
     return doc
 
 
-def run_sweep(config: dict, axis: str, values, seeds: int):
+def run_sweep(config: dict, axis: str, values, seeds: int, source: str = "<config>"):
     """Run the configured solver across an axis; returns (rows, fit_doc).
 
     Rows are (axis_value, seed, classical_samples, quantum_oracle_calls,
     success); the fit is on the per-point median of total queries, against
-    the axis's variable in ``_SWEEP_FIT``.
+    the axis's variable in ``_SWEEP_FIT``.  Every point's config and
+    instance ranges are checked before the first solve, and a point builds
+    its MDP only when its instance block differs from the previous point's.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
@@ -333,13 +335,18 @@ def run_sweep(config: dict, axis: str, values, seeds: int):
         raise PreconditionError("sweep needs at least 3 axis values")
     if seeds < 1:
         raise PreconditionError("sweep needs at least 1 seed per point")
+    docs = [_apply_axis(config, axis, value) for value in values]
+    for doc in docs:
+        validate_config(doc, source)
+        _instance_plan(doc["instance"], source)
     cfg = estimator_config(config.get("estimator"))
     base_seed = int(config["seed"])
     x_variable, x_of = _SWEEP_FIT[axis]
-    rows, points = [], []
-    for value in values:
-        doc = _apply_axis(config, axis, value)
-        mdp, _ = build_instance(doc["instance"])
+    rows, points, instance, mdp = [], [], None, None
+    for value, doc in zip(values, docs):
+        if doc["instance"] != instance:
+            instance, mdp = doc["instance"], None  # one MDP alive at a time
+            mdp, _ = build_instance(instance, source)
         totals = []
         for i in range(seeds):
             seed = base_seed + i
@@ -381,7 +388,7 @@ def _parse_values(text: str, axis: str) -> list[float]:
 def cmd_sweep(args) -> int:
     config = load_config(args.config)
     values = _parse_values(args.values, args.axis)
-    rows, fit = run_sweep(config, args.axis, values, args.seeds)
+    rows, fit = run_sweep(config, args.axis, values, args.seeds, args.config)
     with open(args.out_csv, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["axis_value", "seed", "classical_samples",

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import PreconditionError
-from .mdp import Mdp
+from .mdp import MAX_DENSE_BYTES, Mdp
 
 __all__ = [
     "HardInstanceSpec",
@@ -35,7 +35,6 @@ __all__ = [
 ]
 
 DEFAULT_GAP_CONSTANT = 9.0
-MAX_DENSE_BYTES = 2**30  # largest float64 transition tensor a spec may ask for
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ __all__ = [
     "mdp_to_dict",
     "load_mdp_json",
     "save_mdp_json",
+    "MAX_DENSE_BYTES",
 ]
 
 _ROW_SUM_TOL = 1e-12
@@ -44,6 +45,7 @@ OPTIMUM_TOL = 1e-10  # max-norm certificate of the ground truth held by Mdp.opti
 # float64 cells of the deviation buffer successor_variance reuses across its
 # blocks of whole states (one state's A*S cells when that is more)
 VARIANCE_BLOCK_CELLS = 2**15
+MAX_DENSE_BYTES = 2**30  # largest float64 transition tensor an instance may ask for
 
 
 @dataclass(frozen=True)
@@ -283,6 +285,10 @@ def mdp_from_dict(doc: dict, source: str = "<mdp>") -> Mdp:
     s, a = doc["S"], doc["A"]
     if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in (s, a)):
         raise ConfigError(f"{source}: S and A must be positive integers")
+    size = 8 * s * s * a
+    if size > MAX_DENSE_BYTES:  # before r or p is converted
+        raise ConfigError(f"{source}: S = {s} and A = {a} need a dense transition tensor of "
+                          f"8*S^2*A = {size} bytes, above {MAX_DENSE_BYTES}")
     try:
         p = np.asarray(doc["p"], dtype=float)
         r = np.asarray(doc["r"], dtype=float)

@@ -3,6 +3,7 @@
 import csv
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,7 +78,8 @@ class TestConfigValidation:
          r": instance\.two_state\.q"),
         (lambda d: d["instance"]["hard_instance"].update(copy=3),
          r": instance\.hard_instance\.copy"),
-    ], ids=["top-level", "instance", "solver", "two_state", "hard_instance"])
+        (lambda d: d.update(estimator={"bakend": "statevector"}), r": estimator\.bakend"),
+    ], ids=["top-level", "instance", "solver", "two_state", "hard_instance", "estimator"])
     def test_unknown_entry_exit_code(self, tmp_path, capsys, edit, path):
         doc = fig_two_config()
         edit(doc)
@@ -276,6 +278,14 @@ class TestSolveCommand:
         (lambda d: d.update(snapshots_csv=True), r": snapshots_csv must be a string, got True"),
         (lambda d: d.update(snapshots_csv=1), r": snapshots_csv must be a string, got 1"),
         (lambda d: d.update(diagnostics="no"), r": diagnostics must be a boolean, got 'no'"),
+        # a falsy block is not an empty one
+        (lambda d: d.update(estimator=0), r"config\.json: estimator must be an object, got 0$"),
+        (lambda d: d.update(estimator=False),
+         r"config\.json: estimator must be an object, got False$"),
+        (lambda d: d.update(estimator=""), r"config\.json: estimator must be an object, got ''$"),
+        (lambda d: d.update(estimator=[]), r"config\.json: estimator must be an object, got \[\]$"),
+        (lambda d: d.update(estimator=None),
+         r"config\.json: estimator must be an object, got None$"),
     ])
     def test_malformed_config_exit_code(self, tmp_path, capsys, edit, message):
         doc = fig_two_config()
@@ -403,6 +413,43 @@ class TestSweepCommand:
                          err), err
         assert not out.exists()
 
+    @pytest.mark.parametrize("axis,values,message", [
+        ("copies", "1,2,100000", r"copies must keep the dense transition tensor within 2\^30"),
+        ("gamma", "0.9,0.95,1.0", r"gamma must be in \[0\.9, 1\) \(horizon >= 10\), got 1\.0"),
+    ])
+    def test_bad_last_point_is_refused_before_any_solve(self, tmp_path, capsys, monkeypatch,
+                                                        axis, values, message):
+        import qmdp.cli as cli_mod
+
+        calls = []
+        monkeypatch.setattr(cli_mod, "run_solver", lambda *args: calls.append(args))
+        cfg = write_config(tmp_path, fig_two_config(solver="max-finding"))
+        out_csv, out_fit = tmp_path / "s.csv", tmp_path / "f.json"
+        assert main(["sweep", "--config", str(cfg), "--axis", axis, "--values", values,
+                     "--seeds", "1", "--out-csv", str(out_csv), "--out-fit", str(out_fit)]) == 2
+        err = capsys.readouterr().err
+        where = r"error: \S*config\.json: instance\.hard_instance\."
+        assert re.fullmatch(where + message + r".*\n", err), err
+        assert calls == [] and not out_csv.exists() and not out_fit.exists()
+
+    @pytest.mark.parametrize("axis,values,builds", [
+        ("eps", [1.0, 0.5, 0.25], 1),
+        ("gamma", [0.9, 0.92, 0.95], 3),
+    ])
+    def test_instance_built_once_per_distinct_block(self, monkeypatch, axis, values, builds):
+        import qmdp.cli as cli_mod
+        import qmdp.mdp as mdp_mod
+
+        built, solved = [], []
+        tiled, optimum = cli_mod.tiled_instance, mdp_mod.exact_value_iteration
+        monkeypatch.setattr(cli_mod, "tiled_instance",
+                            lambda spec: built.append(spec) or tiled(spec))
+        monkeypatch.setattr(mdp_mod, "exact_value_iteration",
+                            lambda *args, **kwargs: solved.append(args) or optimum(*args, **kwargs))
+        rows, _ = run_sweep(fig_two_config(solver="max-finding", eps=1.0), axis, values, 2)
+        assert len(rows) == 6
+        assert len(built) == len(solved) == builds
+
     def test_integer_values_with_blank_entries(self, tmp_path):
         cfg = write_config(tmp_path, fig_two_config(solver="max-finding"))
         out_csv = tmp_path / "s.csv"
@@ -507,6 +554,110 @@ class TestOracleBuildCommand:
         assert main(["oracle-build", "--mdp", str(src), "--m", m, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: m must be an integer in [0, 62], got {m}\n"
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("source", ["solve-inline", "solve-path", "oracle-build"])
+    def test_document_over_the_dense_bound_exit_code(self, tmp_path, capsys, monkeypatch,
+                                                      source):
+        import qmdp.mdp as mdp_mod
+
+        monkeypatch.setattr(mdp_mod, "MAX_DENSE_BYTES", 8 * 2 * 2 * 2 - 1)
+        mdp, _ = build_instance({"two_state": {"gamma": 0.9, "p": 0.5}})
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(dict(mdp_to_dict(mdp), A=2)))  # checked before p's shape
+        out = tmp_path / "out.json"
+        if source == "oracle-build":
+            argv = ["oracle-build", "--mdp", str(path), "--out", str(out)]
+        else:
+            doc = fig_two_config()
+            doc["instance"] = ({"path": str(path)} if source == "solve-path"
+                               else {"mdp": json.loads(path.read_text())})
+            argv = ["solve", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: \S*(m\.json|config\.json:instance\.mdp): S = 2 and A = 2 "
+                            r"need a dense transition tensor of 8\*S\^2\*A = 64 bytes, above 63\n",
+                            err), err
+        assert not out.exists()
+
+
+def _generated(report):
+    return report["instance_provenance"]["hard_instance"]
+
+
+class TestConfigSchema:
+    # every optional entry the schema accepts, at a value other than its
+    # default, and how the run shows that it arrived
+    OPTIONAL = {
+        "solver.b": ("variance-reduced", 2.0, lambda r, cfg: r["params"]["b"] == 2.0),
+        "solver.c": ("variance-reduced", 0.02, lambda r, cfg: r["params"]["c"] == 0.02),
+        "solver.c_max": ("max-finding", 5.0, lambda r, cfg: r["params"]["c_max"] == 5.0),
+        "solver.mode": ("sampled", "quantum_mean",
+                        lambda r, cfg: r["params"]["mode"] == "quantum_mean"),
+        "instance.hard_instance.c_alpha": ("max-finding", 8.0,
+                                           lambda r, cfg: _generated(r)["c_alpha"] == 8.0),
+        "instance.hard_instance.copies": ("max-finding", 2,
+                                          lambda r, cfg: _generated(r)["copies"] == 2),
+        "instance.hard_instance.large_arms": ("max-finding", [0],
+                                              lambda r, cfg: _generated(r)["large_arms"] == [0]),
+        "estimator.c1": ("max-finding", 2.0, lambda r, cfg: cfg.c1 == 2.0),
+        "estimator.c2": ("max-finding", 3.0, lambda r, cfg: cfg.c2 == 3.0),
+        "estimator.adversarial_scale": ("max-finding", 5.0,
+                                        lambda r, cfg: cfg.adversarial_scale == 5.0),
+        "estimator.mock_failure_mode": ("max-finding", "uniform_noise",
+                                        lambda r, cfg: cfg.mock_failure_mode == "uniform_noise"),
+        "estimator.backend": ("max-finding", "statevector",
+                              lambda r, cfg: cfg.backend == "statevector"),
+        "estimator.phase_bits": ("max-finding", 6, lambda r, cfg: cfg.phase_bits == 6),
+        "diagnostics": ("variance-reduced", True,
+                        lambda r, cfg: r["diagnostics"]["one_sided_ok"] is not None),
+        "snapshots_csv": ("max-finding", "snaps.csv",
+                          lambda r, cfg: Path("snaps.csv").read_text().startswith("epoch,")),
+    }
+
+    def test_every_optional_entry_is_covered(self):
+        from qmdp.cli import _SCHEMA
+
+        optional = {path + key for path, (kinds, required) in _SCHEMA.items()
+                    for key in kinds
+                    if key not in required and path != "instance."
+                    and path + key + "." not in _SCHEMA}
+        assert optional == set(self.OPTIONAL)
+
+    @pytest.mark.parametrize("entry", sorted(OPTIONAL))
+    def test_optional_entry_reaches_the_run(self, tmp_path, monkeypatch, entry):
+        import qmdp.cli as cli_mod
+
+        solver, value, arrived = self.OPTIONAL[entry]
+        monkeypatch.chdir(tmp_path)
+        doc = fig_two_config(eps=1.0, solver=solver)
+        *blocks, key = entry.split(".")
+        target = doc
+        for block in blocks:
+            target = target.setdefault(block, {})
+        target[key] = value
+        seen = []
+        real = cli_mod.run_solver
+
+        def spy(mdp, solver, cfg, seed, diagnostics=False):
+            seen.append(cfg)
+            return real(mdp, solver, cfg, seed, diagnostics)
+
+        monkeypatch.setattr(cli_mod, "run_solver", spy)
+        out = tmp_path / "r.json"
+        assert main(["solve", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 0
+        assert arrived(json.loads(out.read_text()), seen[0])
+
+
+class TestReadmeExamples:
+    def test_every_json_config_in_the_readme_is_accepted(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        examples = re.findall(r"^```json\n(.*?)^```$", readme, flags=re.M | re.S)
+        assert len(examples) >= 2
+        for text in examples:
+            doc = json.loads(text)
+            validate_config(doc, source="README.md")
+            build_instance(doc["instance"], source="README.md")
 
 
 class TestSandwichSuccessHelper:

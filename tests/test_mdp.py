@@ -469,3 +469,22 @@ class TestJsonRoundTrip:
             mdp_from_dict(
                 {"S": 2, "A": 1, "gamma": 0.9, "r": [[0.0], [0.0]], "p": [[[1.0]]]}
             )
+
+    def test_dense_bound_refused_before_array_conversion(self, monkeypatch):
+        class Unconvertible:
+            def __array__(self, *args, **kwargs):
+                raise AssertionError("converted")
+
+        doc = {"S": 2, "A": 3, "gamma": 0.9, "r": Unconvertible(), "p": Unconvertible()}
+        monkeypatch.setattr(mdp_mod, "MAX_DENSE_BYTES", 8 * 2 * 2 * 3 - 1)
+        with pytest.raises(ConfigError, match=r"^<mdp>: S = 2 and A = 3 need a dense transition "
+                           r"tensor of 8\*S\^2\*A = 96 bytes, above 95$"):
+            mdp_from_dict(doc)
+        monkeypatch.setattr(mdp_mod, "MAX_DENSE_BYTES", 96)  # at the bound: converted
+        with pytest.raises(AssertionError, match="converted"):
+            mdp_from_dict(doc)
+
+    def test_one_dense_bound_for_documents_and_generators(self):
+        from qmdp import hard_instances
+
+        assert hard_instances.MAX_DENSE_BYTES is mdp_mod.MAX_DENSE_BYTES == 2**30
