@@ -106,10 +106,15 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    return _is_integer(value) or isinstance(value, (float, np.floating))
+
+
 # kind -> (what an entry of that kind must be, its test); JSON booleans are
 # not numbers here, and a "finite" number is not JSON's NaN or Infinity
 _KINDS = {
-    "number": ("a number", lambda v: _is_integer(v) or isinstance(v, (float, np.floating))),
+    "number": ("a number", _is_number),
+    "finite": ("a number", _is_number),
     "integer": ("an integer", _is_integer),
     "integers": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_integer, v))),
     "string": ("a string", lambda v: isinstance(v, str)),
@@ -117,7 +122,6 @@ _KINDS = {
     "object": ("an object", lambda v: isinstance(v, dict)),
     "any": (None, lambda v: True),
 }
-_KINDS["finite"] = _KINDS["number"]
 
 
 def _check_block(block: dict, path: str, source: str) -> None:
