@@ -315,6 +315,30 @@ class TestSolveCommand:
                      str(tmp_path / "r.json")]) == 2
         assert re.search(message, capsys.readouterr().err)
 
+    @pytest.mark.parametrize("source", ["solve-inline", "solve-path", "oracle-build"])
+    def test_document_over_the_dense_bound_exit_code(self, tmp_path, capsys, monkeypatch,
+                                                      source):
+        import qmdp.mdp as mdp_mod
+
+        monkeypatch.setattr(mdp_mod, "MAX_DENSE_BYTES", 8 * 2 * 2 * 2 - 1)
+        mdp, _ = build_instance({"two_state": {"gamma": 0.9, "p": 0.5}})
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(dict(mdp_to_dict(mdp), A=2)))  # checked before p's shape
+        out = tmp_path / "out.json"
+        if source == "oracle-build":
+            argv = ["oracle-build", "--mdp", str(path), "--out", str(out)]
+        else:
+            doc = fig_two_config()
+            doc["instance"] = ({"path": str(path)} if source == "solve-path"
+                               else {"mdp": json.loads(path.read_text())})
+            argv = ["solve", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: \S*(m\.json|config\.json:instance\.mdp): S = 2 and A = 2 "
+                            r"need a dense transition tensor of 8\*S\^2\*A = 64 bytes, above 63\n",
+                            err), err
+        assert not out.exists()
+
     def test_internal_error_exit_code(self, tmp_path, monkeypatch):
         import qmdp.cli as cli_mod
 
@@ -553,31 +577,6 @@ class TestOracleBuildCommand:
         out = tmp_path / "dyadic.json"
         assert main(["oracle-build", "--mdp", str(src), "--m", m, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: m must be an integer in [0, 62], got {m}\n"
-        assert not out.exists()
-
-
-    @pytest.mark.parametrize("source", ["solve-inline", "solve-path", "oracle-build"])
-    def test_document_over_the_dense_bound_exit_code(self, tmp_path, capsys, monkeypatch,
-                                                      source):
-        import qmdp.mdp as mdp_mod
-
-        monkeypatch.setattr(mdp_mod, "MAX_DENSE_BYTES", 8 * 2 * 2 * 2 - 1)
-        mdp, _ = build_instance({"two_state": {"gamma": 0.9, "p": 0.5}})
-        path = tmp_path / "m.json"
-        path.write_text(json.dumps(dict(mdp_to_dict(mdp), A=2)))  # checked before p's shape
-        out = tmp_path / "out.json"
-        if source == "oracle-build":
-            argv = ["oracle-build", "--mdp", str(path), "--out", str(out)]
-        else:
-            doc = fig_two_config()
-            doc["instance"] = ({"path": str(path)} if source == "solve-path"
-                               else {"mdp": json.loads(path.read_text())})
-            argv = ["solve", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert re.fullmatch(r"error: \S*(m\.json|config\.json:instance\.mdp): S = 2 and A = 2 "
-                            r"need a dense transition tensor of 8\*S\^2\*A = 64 bytes, above 63\n",
-                            err), err
         assert not out.exists()
 
 
