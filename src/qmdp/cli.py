@@ -68,20 +68,21 @@ __all__ = [
 ]
 
 SOLVER_NAMES = ("variance-reduced", "max-finding", "sampled")
-_INSTANCE_SOURCES = ("path", "mdp", "two_state", "hard_instance")
-# each config block by path: (its entries' kinds, the entries it must give).
-# MDP documents stay open, as oracle-build output carries more; EstimatorConfig
-# checks the estimator's ranges (finiteness included) and its phase_bits
+_EXACTLY_ONE = "exactly one"
+# each config block by path: (its entries' kinds, the entries it must give, or
+# _EXACTLY_ONE); a tuple kind lists the values an entry may take. MDP documents
+# stay open, as oracle-build output carries more; EstimatorConfig checks the
+# estimator's ranges (finiteness included) and its phase_bits
 _SCHEMA = {
     "": ({"instance": "object", "solver": "object", "estimator": "object", "seed": "integer",
           "diagnostics": "boolean", "snapshots_csv": "string"}, ("instance", "solver", "seed")),
     "instance.": ({"path": "string", "mdp": "object", "two_state": "object",
-                   "hard_instance": "object"}, ()),
+                   "hard_instance": "object"}, _EXACTLY_ONE),
     "instance.two_state.": ({"gamma": "finite", "p": "finite"}, ("gamma", "p")),
     "instance.hard_instance.": ({"gamma": "finite", "num_actions": "integer", "eps": "finite",
                                  "c_alpha": "finite", "copies": "integer",
                                  "large_arms": "integers"}, ("gamma", "num_actions", "eps")),
-    "solver.": ({"name": "string", "eps": "finite", "delta": "finite", "b": "finite",
+    "solver.": ({"name": SOLVER_NAMES, "eps": "finite", "delta": "finite", "b": "finite",
                  "c": "finite", "c_max": "finite", "mode": "string"}, ("name", "eps", "delta")),
     "estimator.": ({"c1": "number", "c2": "number", "adversarial_scale": "number",
                     "mock_failure_mode": "string", "backend": "string", "phase_bits": "any"}, ()),
@@ -133,14 +134,20 @@ def _check_block(block: dict, path: str, source: str) -> None:
     for key in block:
         if key not in kinds:
             raise ConfigError(f"{where}{key} is not a known entry; expected one of {tuple(kinds)}")
+    if required == _EXACTLY_ONE:
+        if len(block) != 1:
+            raise ConfigError(f"{where[:-1]} must name exactly one source of {tuple(kinds)}, "
+                              f"found {list(block)}")
+        required = ()
     for key in required:
         if key not in block:
             raise ConfigError(f"{where}{key} is required")
     for key, value in block.items():
-        what, test = _KINDS[kinds[key]]
+        kind = kinds[key]
+        what, test = _KINDS.get(kind) or (f"one of {kind}", kind.__contains__)
         if not test(value):
             raise ConfigError(f"{where}{key} must be {what}, got {value!r}")
-        if kinds[key] == "finite" and not math.isfinite(value):
+        if kind == "finite" and not math.isfinite(value):
             raise ConfigError(f"{where}{key} must be finite, got {value!r}")
         if f"{path}{key}." in _SCHEMA:
             _check_block(value, f"{path}{key}.", source)
@@ -153,17 +160,10 @@ def load_config(path) -> dict:
 
 
 def validate_config(doc: dict, source: str = "<config>") -> None:
-    """_SCHEMA's check of every block, and the two rules across entries."""
+    """_SCHEMA's check of every block."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{source}: config must be a JSON object")
     _check_block(doc, "", source)
-    sources = [k for k in _INSTANCE_SOURCES if k in doc["instance"]]
-    if len(sources) != 1:
-        raise ConfigError(
-            f"{source}: instance must name exactly one source of {_INSTANCE_SOURCES}, "
-            f"found {sources}")
-    if doc["solver"]["name"] not in SOLVER_NAMES:
-        raise ConfigError(f"{source}: solver.name must be one of {SOLVER_NAMES}")
 
 
 def _given(block: dict, keys, cast=float) -> dict:
@@ -177,8 +177,7 @@ def _instance_plan(instance: dict, source: str):
     PreconditionErrors naming the entry), and return (build, provenance):
     ``build()`` makes the MDP, and provenance describes a generated one."""
     _check_block(instance, "instance.", source)
-    name = next((key for key in _INSTANCE_SOURCES if key in instance), "hard_instance")
-    block = instance[name]
+    (name, block), = instance.items()
     if name == "path":
         return partial(load_mdp_json, block), None
     if name == "mdp":
@@ -307,18 +306,15 @@ def fit_power_law(xs, ys) -> tuple[float, float]:
     return float(slope), r_squared
 
 
-def _apply_axis(config: dict, axis: str, value: float) -> dict:
+def _apply_axis(config: dict, axis: str, value: float, source: str = "<config>") -> dict:
+    """A copy of a checked config with the axis set in the solver block, when
+    _SCHEMA lists it there, or else in the config's one instance block."""
     doc = json.loads(json.dumps(config))  # deep copy
-    if axis == "eps":
-        doc["solver"]["eps"] = value
-        return doc
-    instance = doc["instance"]
-    if "hard_instance" in instance:
-        block = instance["hard_instance"]
-    elif "two_state" in instance and axis == "gamma":
-        block = instance["two_state"]
-    else:
-        raise ConfigError(f"axis {axis!r} requires a generated instance block")
+    (name, block), = doc["instance"].items()
+    if axis in _SCHEMA["solver."][0]:
+        block = doc["solver"]
+    elif axis not in _SCHEMA.get(f"instance.{name}.", ({},))[0]:
+        raise ConfigError(f"{source}: instance.{name} has no entry {axis!r} to sweep")
     block[axis] = int(value) if axis in INTEGER_AXES else value
     return doc
 
@@ -339,7 +335,8 @@ def run_sweep(config: dict, axis: str, values, seeds: int, source: str = "<confi
         raise PreconditionError("sweep needs at least 3 axis values")
     if seeds < 1:
         raise PreconditionError("sweep needs at least 1 seed per point")
-    docs = [_apply_axis(config, axis, value) for value in values]
+    validate_config(config, source)
+    docs = [_apply_axis(config, axis, value, source) for value in values]
     for doc in docs:
         validate_config(doc, source)
         _instance_plan(doc["instance"], source)
