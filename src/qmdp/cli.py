@@ -200,8 +200,11 @@ def build_instance(instance: dict, source: str = "<config>") -> tuple[Mdp, dict 
     return build(), provenance
 
 
-def estimator_config(doc: dict | None) -> EstimatorConfig:
-    return EstimatorConfig(**(doc or {}))
+def estimator_config(doc: dict | None, source: str = "<config>") -> EstimatorConfig:
+    try:
+        return EstimatorConfig(**(doc or {}))
+    except PreconditionError as exc:
+        raise PreconditionError(f"{source}: estimator: {exc}") from exc
 
 
 def run_solver(mdp: Mdp, solver: dict, cfg: EstimatorConfig, seed: int,
@@ -270,7 +273,7 @@ def _write_snapshots_csv(report: SolveReport, path) -> None:
 def cmd_solve(args) -> int:
     config = load_config(args.config)
     mdp, provenance = build_instance(config["instance"], source=args.config)
-    cfg = estimator_config(config.get("estimator"))
+    cfg = estimator_config(config.get("estimator"), args.config)
     diagnostics = config.get("diagnostics", False) or bool(config.get("snapshots_csv"))
     report = run_solver(mdp, config["solver"], cfg, int(config["seed"]), diagnostics)
     csv_path = config.get("snapshots_csv")
@@ -340,7 +343,7 @@ def run_sweep(config: dict, axis: str, values, seeds: int, source: str = "<confi
     for doc in docs:
         validate_config(doc, source)
         _instance_plan(doc["instance"], source)
-    cfg = estimator_config(config.get("estimator"))
+    cfg = estimator_config(config.get("estimator"), source)
     base_seed = int(config["seed"])
     x_variable, x_of = _SWEEP_FIT[axis]
     rows, points, instance, mdp = [], [], None, None
@@ -395,7 +398,11 @@ def cmd_sweep(args) -> int:
         writer.writerow(["axis_value", "seed", "classical_samples",
                          "quantum_oracle_calls", "success"])
         writer.writerows(rows)
-    _write_json(fit, args.out_fit)
+    try:
+        _write_json(fit, args.out_fit)
+    except OSError:  # a bad --out-fit leaves no CSV
+        os.remove(args.out_csv)
+        raise
     print(f"wrote {args.out_csv} ({len(rows)} rows) and {args.out_fit}: "
           f"slope={fit['slope']:.4f} r2={fit['r_squared']:.4f}")
     return 0

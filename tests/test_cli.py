@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from qmdp.cli import (
+    _SCHEMA,
     build_instance,
     fit_power_law,
     load_config,
@@ -98,6 +99,15 @@ class TestConfigValidation:
         validate_config(doc)
         assert build_instance(doc["instance"])[0].num_states == 4
         assert build_instance({"two_state": {"gamma": 0.9, "p": 0.5}})[0].num_states == 2
+
+    @pytest.mark.parametrize("instance,found", [
+        ({}, r"\[\]"),
+        ({"two_state": {"gamma": 0.9, "p": 0.5}, "path": "m.json"}, r"\['two_state', 'path'\]"),
+    ], ids=["none", "two"])
+    def test_build_instance_needs_exactly_one_source(self, instance, found):
+        with pytest.raises(ConfigError, match=r"^<config>: instance must name exactly one "
+                                              r"source of .*, found " + found + "$"):
+            build_instance(instance)
 
     def test_build_instance_variants(self, tmp_path):
         mdp, prov = build_instance({"two_state": {"gamma": 0.9, "p": 0.5}})
@@ -456,6 +466,48 @@ class TestSweepCommand:
         assert re.fullmatch(where + message + r".*\n", err), err
         assert calls == [] and not out_csv.exists() and not out_fit.exists()
 
+    @pytest.mark.parametrize("axis,values,instance", [
+        ("copies", "1,2,3", {"two_state": {"gamma": 0.9, "p": 0.5}}),
+        ("gamma", "0.9,0.95,0.99", {"path": "m.json"}),
+    ])
+    def test_axis_the_instance_block_lacks_exit_code(self, tmp_path, capsys, axis, values,
+                                                     instance):
+        doc = fig_two_config(solver="max-finding")
+        doc["instance"] = instance
+        cfg = write_config(tmp_path, doc)
+        assert main(["sweep", "--config", str(cfg), "--axis", axis, "--values", values,
+                     "--seeds", "1", "--out-csv", str(tmp_path / "s.csv"),
+                     "--out-fit", str(tmp_path / "f.json")]) == 2
+        err = capsys.readouterr().err
+        block, = instance
+        assert re.fullmatch(rf"error: \S*config\.json: instance\.{block} has no entry "
+                            rf"'{axis}' to sweep\n", err), err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.parametrize("bad", ["csv", "fit"])
+    def test_bad_destination_writes_neither_file(self, tmp_path, capsys, bad):
+        # the CSV is written first, so a bad --out-fit must take it back
+        cfg = write_config(tmp_path, fig_two_config(solver="max-finding", eps=1.0))
+        missing = tmp_path / "missing"
+        out_csv = (missing if bad == "csv" else tmp_path) / "s.csv"
+        out_fit = (missing if bad == "fit" else tmp_path) / "f.json"
+        assert main(["sweep", "--config", str(cfg), "--axis", "eps", "--values", "1.0,0.5,0.25",
+                     "--seeds", "1", "--out-csv", str(out_csv), "--out-fit", str(out_fit)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_estimator_range_error_names_file_and_block(self, tmp_path, capsys):
+        doc = fig_two_config(solver="max-finding")
+        doc["estimator"] = {"c1": -1}
+        cfg = write_config(tmp_path, doc)
+        assert main(["sweep", "--config", str(cfg), "--axis", "eps", "--values", "1.0,0.5,0.25",
+                     "--seeds", "1", "--out-csv", str(tmp_path / "s.csv"),
+                     "--out-fit", str(tmp_path / "f.json")]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: \S*config\.json: estimator: cost constants c1, c2 must be "
+                            r"positive and finite\n", err), err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
     @pytest.mark.parametrize("axis,values,builds", [
         ("eps", [1.0, 0.5, 0.25], 1),
         ("gamma", [0.9, 0.92, 0.95], 3),
@@ -577,6 +629,68 @@ class TestOracleBuildCommand:
         out = tmp_path / "dyadic.json"
         assert main(["oracle-build", "--mdp", str(src), "--m", m, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: m must be an integer in [0, 62], got {m}\n"
+        assert not out.exists()
+
+
+# values each kind refuses; a tuple kind lists the values it allows
+_REFUSED = {
+    "number": ["1", True, None, [1], {}],
+    "finite": ["1", True, None, [1], {}, float("nan"), float("inf"), float("-inf")],
+    "integer": ["1", True, None, [1], {}, 1.5, 2.0],
+    "integers": ["1", True, None, {}, [1.5], [True], [None]],
+    "string": [1, True, None, [1], {}],
+    "boolean": ["true", 1, None, [1], {}],
+    "object": ["x", True, None, [1], 0],
+    "any": [],
+}
+# values the estimator's kinds let through and EstimatorConfig's ranges refuse
+_ESTIMATOR_RANGES = {
+    "c1": [float("nan"), float("inf"), 0, -1],
+    "c2": [float("nan"), float("-inf"), 0.0],
+    "adversarial_scale": [float("nan"), float("inf"), 1],
+    "mock_failure_mode": ["x"],
+    "backend": ["x"],
+    "phase_bits": ["x", True, [1], {}, 0, 1.5],
+}
+_REFUSALS = [
+    (path + key, value, path + key + " must be ")
+    for path, (kinds, _) in _SCHEMA.items() for key, kind in kinds.items()
+    for value in (["magic", 3, True, None, [kind[0]], {}] if isinstance(kind, tuple)
+                  else _REFUSED[kind])
+] + [("estimator." + key, value, "estimator: ")
+     for key in _SCHEMA["estimator."][0] for value in _ESTIMATOR_RANGES[key]]
+
+
+def _with_entry(entry: str, value) -> dict:
+    """fig_two_config with ``entry`` set to ``value``, in a block of its own
+    when the entry is an instance source or belongs to one."""
+    doc = fig_two_config()
+    *blocks, key = entry.split(".")
+    if blocks == ["instance"]:
+        doc["instance"] = {}
+    elif blocks[1:2] == ["two_state"]:
+        doc["instance"] = {"two_state": {"gamma": 0.9, "p": 0.5}}
+    target = doc
+    for block in blocks:
+        target = target.setdefault(block, {})
+    target[key] = value
+    return doc
+
+
+class TestSchemaRefusals:
+    def test_grid_covers_every_entry(self):
+        entries = {path + key for path, (kinds, _) in _SCHEMA.items() for key in kinds}
+        assert {entry for entry, _, _ in _REFUSALS} == entries
+
+    @pytest.mark.parametrize("entry,value,message", _REFUSALS,
+                             ids=[f"{e}={v!r}" for e, v, _ in _REFUSALS])
+    def test_refused_value_exit_code(self, tmp_path, capsys, entry, value, message):
+        cfg = write_config(tmp_path, _with_entry(entry, value))
+        out = tmp_path / "r.json"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and re.search(re.escape("config.json: " + message),
+                                                        err), err
         assert not out.exists()
 
 
