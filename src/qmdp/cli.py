@@ -572,9 +572,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, PreconditionError, FileNotFoundError) as exc:
+    except (ConfigError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # on a file the command names, else internal
+        if exc.filename is not None:
+            print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+            return 2
+        traceback.print_exc()
+        return 3
     except QmdpError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

@@ -2,11 +2,11 @@
 
 Canonical amplitude estimation is simulated by sampling its closed-form
 measurement distribution (phase estimation applied to the Grover operator of
-the state being measured), not by evolving a statevector: only measurement
-statistics are observable, and the closed form is exact and fast.  Maximum
-finding is simulated as the threshold-improvement loop with exact Grover
-success probabilities derived from the count of items beating the current
-threshold.
+the state being measured), not by evolving a statevector.  Each draw inverts
+that distribution's 2^t-cell float CDF; from t = 11 on the CDF is summed in
+closed form instead, and a bound on the grid's round-off certifies each draw
+as the grid's own (else the grid is built, in fixed chunks).  Maximum finding
+is the threshold-improvement loop with exact Grover success probabilities.
 
 These "honest" backends exist to validate the contract-mock backend's
 query/error model; they expose measured query counts so the mock's constants
@@ -37,6 +37,10 @@ __all__ = [
 MAX_PHASE_BITS = 24  # simulation tractability bound: 2^24 outcome grid
 DEFAULT_C_MAX = 4.0
 MEDIAN_REPS_FACTOR = 18  # Chernoff margin on the 8/pi^2 single-run success
+FAST_MIN_BITS = 11  # from here on the closed-form CDF beats one outcome grid
+_CHUNK = 1 << 16  # cells per grid chunk: a grid's memory does not grow with t
+_W = 32  # cells on either side of a csc^2 pole summed directly
+_WIDE = 192  # cells on either side of each peak whose CDF is tabulated
 
 
 @dataclass(frozen=True)
@@ -72,12 +76,12 @@ def _dirichlet_kernel_sq(x: np.ndarray, m: int) -> np.ndarray:
     return (np.sinc(m * xw) / np.sinc(xw)) ** 2
 
 
-def outcome_distribution(a: float, t: int) -> np.ndarray:
-    """Exact measurement distribution of t-bit amplitude estimation on a."""
+def outcome_distribution(a: float, t: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Exact measurement distribution of t-bit amplitude estimation on a (cells [start, stop))."""
     cfg = AmplitudeEstimationConfig(phase_bits=t, target_amplitude=a)
     m = cfg.grid_size
     omega = math.asin(math.sqrt(cfg.target_amplitude)) / math.pi  # in [0, 1/2]
-    y = np.arange(m) / m
+    y = np.arange(start, m if stop is None else min(stop, m)) / m
     return 0.5 * (_dirichlet_kernel_sq(y - omega, m) + _dirichlet_kernel_sq(y + omega, m))
 
 
@@ -87,12 +91,145 @@ def single_run_error_radius(a: float, t: int) -> float:
     return 2.0 * math.pi * math.sqrt(a * (1.0 - a)) / m + math.pi**2 / m**2
 
 
+def _grid_draws(a: float, t: int, u: np.ndarray) -> np.ndarray:
+    """searchsorted(cumsum(outcome_distribution(a, t)), u, side="right"), last
+    cell set to 1.0, counted over chunks of _CHUNK cells.  A chunk's cumsum
+    starts from the previous chunk's last value, which is the full cumsum bit
+    for bit, and no chunk is built after one that ends above every uniform."""
+    m = 1 << t
+    y = np.zeros(u.shape, dtype=np.int64)
+    carry = 0.0
+    for lo in range(0, m, _CHUNK):
+        cdf = outcome_distribution(a, t, lo, lo + _CHUNK)
+        cdf[0] += carry
+        np.cumsum(cdf, out=cdf)
+        if lo + _CHUNK >= m:
+            cdf[-1] = 1.0  # absorb float round-off in the last bin
+        y += np.searchsorted(cdf, u, side="right")
+        carry = cdf[-1]
+        if carry > u.max(initial=0.0):
+            break
+    return y
+
+
+def _fold(k: np.ndarray, c: float, m: int) -> np.ndarray:
+    # k - c and k + c, each moved into [-m/2, m/2] by whole periods m: the
+    # shift of the integer k is exact, so only the last step rounds
+    pm = np.array([[c], [-c]])
+    return (k - m * np.rint((k - pm) / m)) - pm
+
+
+def _csc2(k: np.ndarray, c: float, m: int) -> np.ndarray:
+    # csc^2(pi (k - c) / m) + csc^2(pi (k + c) / m), as 1 + cot^2 each
+    cot2 = 1.0 / np.tan(math.pi / m * _fold(k, c, m)) ** 2
+    return 2.0 + cot2[0] + cot2[1]
+
+
+def _em(k: np.ndarray, c: float, m: int) -> np.ndarray:
+    """S(k) with sum_{j=a+1}^{b} _csc2(j) = S(b) - S(a) + R when no pole lies
+    in [a, b]: Euler-Maclaurin for csc^2(h y), h = pi / m, with the integral
+    -cot / h, half the end value and three Bernoulli terms, each a polynomial
+    in C = cot(h y).  The sixth derivative of csc^2 keeps one sign, so |R| is
+    at most the change of the last term."""
+    h = math.pi / m
+    a1 = -1.0 / h - h / 6 + h**3 / 45 - 17 * h**5 / 1890
+    a3, a5, a7 = -h / 6 + h**3 / 18 - 11 * h**5 / 270, h**3 / 30 - h**5 / 18, -h**5 / 42
+    x = 1.0 / np.tan(h * _fold(k, c, m))
+    x2 = x * x
+    s = 0.5 + x * (a1 + x * (0.5 + x * (a3 + x2 * (a5 + x2 * a7))))
+    return s[0] + s[1]
+
+
+def _fejer_sum(c: float, m: int):
+    """k -> sum_{j=0}^{k} _csc2(j) for k >= -1 in closed form: summed directly
+    within _W cells of each pole (-c, c, m - c, m + c), by _em elsewhere."""
+    # windows [L, R]: all cells within _W of a pole, with L - 1 and R _W or more
+    # from every pole; overlapping ones merge, those outside [-1, m) go
+    starts = np.floor([-c, c, m - c, m + c]).astype(np.int64) - _W + 1
+    opens = np.r_[True, starts[1:] > starts[:-1] + 2 * _W]
+    L, R = starts[opens], starts[np.r_[opens[1:], True]] + 2 * _W
+    L, R = L[(R >= -1) & (L < m)], R[(R >= -1) & (L < m)]
+    direct = np.concatenate([np.arange(max(lo, 0), min(hi, m - 1) + 1) for lo, hi in zip(L, R)])
+    direct_sum = np.concatenate(([0.0], np.cumsum(_csc2(direct, c, m))))
+    ends = _em(np.concatenate((L - 1, R, [min(L[0] - 1, -1)])), c, m)  # last: the start
+    jumps = np.concatenate(([0.0], np.cumsum(ends[R.size:-1] - ends[:R.size])))
+
+    def total(k):
+        i = np.searchsorted(L, k, side="right") - 1
+        inside = (i >= 0) & (k <= R[i])
+        return (_em(np.where(inside, L[i] - 1, k), c, m) - ends[-1] - jumps[i + 1 - inside]
+                + direct_sum[np.searchsorted(direct, k, side="right")])
+
+    return total
+
+
+def _cdf_bound(f: np.ndarray, k: np.ndarray, m: int, s: float) -> np.ndarray:
+    """Bound on |the grid's float cdf[k] - F(k)| given F(k) as evaluated, f."""
+    # With u = 2^-53, q = m u / s <= 2^-10 and t >= 11, term by term:
+    # - a kernel's sinc numerator: y -/+ omega rounds by 1.5 u (4.71 m u times
+    #   pi m), float pi is 1.1 u off (0.55 m u on |m xw| <= m / 2), pi * (m xw)
+    #   rounds by 1.57 m u: argument off by 6.83 m u, |sin| = s, relative 6.83 q;
+    # - its sinc(xw): argument off by <= 6.83 u against |sin(pi xw)| >=
+    #   2 dist(j -/+ c, mZ) / m >= (2 / pi) s / m, relative 10.7 q; so each
+    #   K^2 and cell is within 35.7 q, the cells up to k within 35.7 q F(k);
+    # - cumsum: k additions, each rounding by u a partial sum <= 1.01 F(k);
+    # - F as evaluated: <= 260 direct and 387 tabulated terms summed, s^2, the
+    #   mirror (where F >= 0.49) and <= 13 Euler-Maclaurin values, each
+    #   <= 0.0033 s^2 and within 20 u: <= 2^11 u F + 1.5 u, where 2^11 u F <=
+    #   q F as m / s >= 2^11; and F -/+ bound rounds by 0.5 u;
+    # - Euler-Maclaurin: <= 5 runs, each within (1/30240) |h5(b) - h5(a)|,
+    #   |h5| <= 2 h^5 p5(cot(h W)) at >= W cells from every pole.
+    h, cw = math.pi / m, 1.0 / math.tan(math.pi * _W / m)
+    p5 = cw * (272.0 + cw**2 * (1232.0 + cw**2 * (1680.0 + 720.0 * cw**2)))
+    bound = 2.0**-53 * ((37.0 * m / s + 1.01 * (k + 1)) * f + 2.0) + (s / m) ** 2 * 10 / 30240 * h**5 * p5
+    bound[(k < 0) | (k == m - 1)] = 0.0  # F(-1) = 0 and the last cell's 1.0 are exact
+    return bound
+
+
+def _certified_draws(omega: float, t: int, u: np.ndarray) -> np.ndarray | None:
+    """_grid_draws for one amplitude from the exact CDF F(k) = sum_{j<=k} p_j
+    at the grid's own omega, without the grid, or None where _cdf_bound does
+    not certify every draw bit for bit.  With m = 2^t, c = m omega and
+    s = |sin(pi c)|, p_j = s^2 / (2 m^2) * _csc2(j).  F is tabulated over the
+    cells within _WIDE of the first peak and mirrored onto the second
+    (p_j = p_{m-j}, so F(k) = 1 + p_0 - F(m - 1 - k)); a uniform between the
+    two runs is placed by bisection on _fejer_sum."""
+    m = 1 << t
+    c = m * omega  # exact: m is a power of two
+    frac = c - math.floor(c)
+    s = math.sin(math.pi * min(frac, 1.0 - frac))
+    if s < m * 2.0**-43:  # a = 1 (s = 0) included; _cdf_bound needs q = m u / s <= 2^-10
+        return None
+    scale = 0.5 * (s / m) ** 2
+    r0, r1 = max(math.floor(c) - _WIDE, 0), math.floor(c) + _WIDE + 1  # the first run
+    p = scale * _csc2(np.concatenate(([0], np.arange(r0, r1 + 1))), c, m)
+    if r0 > 0:  # [-1, r0 - 1] lies over _WIDE cells from every pole: one Euler-Maclaurin run
+        p[1] += scale * np.diff(_em(np.array([-1, r0 - 1]), c, m))[0]
+    f, total = np.cumsum(p[1:]), None
+    m0 = max(m - 1 - r1, r1 + 1)  # mirrored cells past the first run, short of m - 1
+    table = np.concatenate(([-1], np.arange(r0, r1 + 1), np.arange(m0, m - 1 - r0), [m - 1]))
+    # F(-1) = 0; the grid's last cell is 1.0
+    f_table = np.concatenate(([0.0], f, (1.0 + p[0]) - f[1:max(m - r0 - m0, 1)][::-1], [1.0]))
+    i = np.searchsorted(f_table, u, side="right")  # in [1, size - 1]: f_table[0] = 0 <= u < 1
+    lo, hi, f_lo, f_hi = table[i - 1], table[i], f_table[i - 1], f_table[i]
+    while (open_ := np.flatnonzero(hi - lo > 1)).size:  # bisect between the runs
+        total = total or _fejer_sum(c, m)
+        mid = (lo[open_] + hi[open_]) // 2
+        f_mid = scale * total(mid)
+        up = f_mid <= u[open_]
+        lo[open_[up]], f_lo[open_[up]] = mid[up], f_mid[up]
+        hi[open_[~up]], f_hi[open_[~up]] = mid[~up], f_mid[~up]
+    bound = _cdf_bound(np.concatenate((f_lo, f_hi)), np.concatenate((lo, hi)), m, s)
+    ok = (f_lo + bound[:u.size] <= u) & (u < f_hi - bound[u.size:])
+    return hi if ok.all() else None
+
+
 def _estimate_draws(a: np.ndarray, t: int, u: np.ndarray) -> np.ndarray:
     """Estimates sin^2(pi y / 2^t), y drawn for row i of the uniforms u by
-    inverting the outcome CDF of amplitude a[i].  Builds one grid per distinct
-    non-zero amplitude, and only one is alive at a time.  Amplitude 0 needs no
-    grid: its CDF is exactly 1.0 from y = 0 on (both kernel terms there are
-    sinc(0)/sinc(0) = 1), so every u in [0, 1) inverts to y = 0."""
+    inverting the outcome CDF of amplitude a[i], once per distinct amplitude:
+    by _certified_draws from t = FAST_MIN_BITS on, else or where it refuses
+    by _grid_draws.  Amplitude 0 needs neither: its CDF is exactly 1.0 from
+    y = 0 on (sinc(0)/sinc(0) = 1), so every u in [0, 1) inverts to y = 0."""
     groups = {}  # -0.0 joins 0.0
     for i, value in enumerate(a.tolist()):
         groups.setdefault(value, []).append(i)
@@ -101,11 +238,17 @@ def _estimate_draws(a: np.ndarray, t: int, u: np.ndarray) -> np.ndarray:
         if value == 0.0:
             y[rows] = 0
             continue
-        cdf = np.cumsum(outcome_distribution(value, t))
-        cdf[-1] = 1.0  # absorb float round-off in the last bin
-        y[rows] = np.searchsorted(cdf, u[rows], side="right")
-        del cdf
+        ur = u[rows].ravel()
+        omega = math.asin(math.sqrt(value)) / math.pi
+        yr = _certified_draws(omega, t, ur) if t >= FAST_MIN_BITS else None
+        y[rows] = (_grid_draws(value, t, ur) if yr is None else yr).reshape(len(rows), -1)
     return np.sin(np.pi * y / (1 << t)) ** 2
+
+
+def _check_count(name: str, value, least: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise PreconditionError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def median_amplitude_estimates(
@@ -119,6 +262,7 @@ def median_amplitude_estimates(
     """
     a = np.asarray(amplitudes, dtype=float).ravel()
     AmplitudeEstimationConfig(t, 0.0)  # checks t, also for an empty batch
+    _check_count("reps", reps, 1)
     outside = ~((a >= 0.0) & (a <= 1.0))  # NaN is outside too
     if outside.any():
         raise PreconditionError(f"amplitudes must be in [0, 1], got {a[outside][0]}")
@@ -136,7 +280,7 @@ def amplitude_estimation_sample(
 
     Charges 2^t - 1 quantum oracle calls per run when a ledger is given.
     """
-    n = 1 if size is None else int(size)
+    n = 1 if size is None else _check_count("size", size, 0)
     est = _estimate_draws(np.array([cfg.target_amplitude]), cfg.phase_bits, rng.random((1, n)))[0]
     if ledger is not None:
         ledger.charge_quantum(n * cfg.queries_per_run, phase)

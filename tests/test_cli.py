@@ -220,6 +220,22 @@ class TestSolveCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
+    @pytest.mark.parametrize("bad", ["csv", "out"])
+    def test_directory_as_destination_exits_2_naming_it(self, tmp_path, capsys, bad):
+        # an existing directory is a file that cannot be written, not an
+        # internal error, and the both-or-neither rule holds
+        doc = fig_two_config(eps=1.0)
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        doc["snapshots_csv"] = str(folder if bad == "csv" else tmp_path / "s.csv")
+        out = folder if bad == "out" else tmp_path / "r.json"
+        cfg = write_config(tmp_path, doc)
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"error: {re.escape(str(folder))}: [^\n]+\n", err), err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "folder"]
+        assert not any(folder.iterdir())
+
     def test_snapshots_csv_in_missing_directory_writes_no_report(self, tmp_path, capsys):
         doc = fig_two_config(eps=1.0)
         doc["snapshots_csv"] = str(tmp_path / "missing" / "s.csv")
@@ -496,6 +512,20 @@ class TestSweepCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
+    @pytest.mark.parametrize("bad", ["csv", "fit"])
+    def test_directory_as_destination_exits_2_naming_it(self, tmp_path, capsys, bad):
+        cfg = write_config(tmp_path, fig_two_config(solver="max-finding", eps=1.0))
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        out_csv = folder if bad == "csv" else tmp_path / "s.csv"
+        out_fit = folder if bad == "fit" else tmp_path / "f.json"
+        assert main(["sweep", "--config", str(cfg), "--axis", "eps", "--values", "1.0,0.5,0.25",
+                     "--seeds", "1", "--out-csv", str(out_csv), "--out-fit", str(out_fit)]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"error: {re.escape(str(folder))}: [^\n]+\n", err), err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "folder"]
+        assert not any(folder.iterdir())
+
     def test_estimator_range_error_names_file_and_block(self, tmp_path, capsys):
         doc = fig_two_config(solver="max-finding")
         doc["estimator"] = {"c1": -1}
@@ -620,6 +650,17 @@ class TestOracleBuildCommand:
         assert doc["max_distortion"] == 0.0
         assert counts[0, 0].tolist() == [96, 160]
 
+
+    def test_directory_as_destination_exits_2_naming_it(self, tmp_path, capsys):
+        mdp, _ = build_instance({"two_state": {"gamma": 0.9, "p": 0.375}})
+        src = tmp_path / "m.json"
+        src.write_text(json.dumps(mdp_to_dict(mdp)))
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        assert main(["oracle-build", "--mdp", str(src), "--out", str(folder)]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"error: {re.escape(str(folder))}: [^\n]+\n", err), err
+        assert not any(folder.iterdir())
 
     @pytest.mark.parametrize("m", ["63", "70", "-1"])
     def test_m_outside_range_exit_code(self, tmp_path, capsys, m):

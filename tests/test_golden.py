@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 import qmdp.mdp as mdp_mod
+import qmdp.qsim as qsim
 import qmdp.solvers as solvers
 from qmdp.cli import build_instance, main, run_solver, sandwich_success
 from qmdp.estimators import EstimatorConfig
@@ -187,6 +188,37 @@ def test_golden_diagnostics(tmp_path, monkeypatch, name, instance, solver, estim
                             diagnostics=True, snapshots_csv="snapshots.csv")
     snapshots = hashlib.sha256((tmp_path / "snapshots.csv").read_bytes()).hexdigest()
     assert (report, snapshots) == DIAGNOSTICS[name], f"OpenBLAS core {openblas_core()}"
+
+
+STATEVECTOR = [g for g in GOLDEN if g[0].startswith("hard-statevector-")]
+
+
+@pytest.mark.parametrize("name,instance,solver,estimator,seed,digest", STATEVECTOR,
+                         ids=[g[0] for g in STATEVECTOR])
+def test_statevector_golden_through_grid_fallback(tmp_path, monkeypatch, name, instance,
+                                                  solver, estimator, seed, digest):
+    # every closed-form draw refused: the chunked grids give the same digests
+    refused = []
+    monkeypatch.setattr(qsim, "_certified_draws", lambda omega, t, u: refused.append(t))
+    assert _report_sha256(tmp_path, instance, solver, estimator, seed) == digest
+    monkeypatch.chdir(tmp_path)
+    report = _report_sha256(tmp_path, instance, solver, estimator, seed,
+                            diagnostics=True, snapshots_csv="snapshots.csv")
+    snapshots = hashlib.sha256((tmp_path / "snapshots.csv").read_bytes()).hexdigest()
+    assert (report, snapshots) == DIAGNOSTICS[name]
+    assert min(refused) >= qsim.FAST_MIN_BITS  # every solve reached it, at t = 11 or 13
+
+
+def test_statevector_golden_rarely_falls_back(monkeypatch):
+    verdicts = []
+    real = qsim._certified_draws
+    monkeypatch.setattr(qsim, "_certified_draws",
+                        lambda omega, t, u: verdicts.append(real(omega, t, u)) or verdicts[-1])
+    name, instance, solver, estimator, seed, _ = next(
+        g for g in STATEVECTOR if g[0] == "hard-statevector-variance-reduced")
+    run_solver(build_instance(instance)[0], solver, EstimatorConfig(**estimator), seed)
+    fallbacks = sum(v is None for v in verdicts)
+    assert len(verdicts) > 300 and fallbacks <= 0.005 * len(verdicts), (name, fallbacks)
 
 
 def test_openblas_core_is_named():

@@ -105,16 +105,24 @@ class TestMedianAmplification:
         assert led.quantum_oracle_calls == reps * (2**6 - 1)
 
 
+def grid_inverse(a, t, u):
+    """The reference every draw must equal bit for bit: u inverted through the
+    cumsum of the whole outcome grid of a, its last cell set to 1.0."""
+    cdf = np.cumsum(outcome_distribution(float(a), t))
+    cdf[-1] = 1.0
+    return np.searchsorted(cdf, u, side="right")
+
+
+def grid_estimates(a, t, u):
+    return np.sin(np.pi * grid_inverse(a, t, u) / (1 << t)) ** 2
+
+
 def per_entry_medians(amplitudes, t, reps, rng):
     """The per-entry loop the vectorized core replaced, kept as the reference:
     one full outcome grid and one rng.random(reps) per entry, in order."""
     est = np.empty(np.shape(amplitudes))
     for i, a in enumerate(np.asarray(amplitudes, dtype=float).flat):
-        dist = outcome_distribution(float(a), t)
-        cdf = np.cumsum(dist)
-        cdf[-1] = 1.0
-        y = np.searchsorted(cdf, rng.random(reps), side="right")
-        est.flat[i] = float(np.median(np.sin(np.pi * y / (1 << t)) ** 2))
+        est.flat[i] = float(np.median(grid_estimates(a, t, rng.random(reps))))
     return est
 
 
@@ -152,20 +160,16 @@ class TestVectorizedMedians:
         # both consumed exactly n * reps uniforms
         assert rng_new.random() == rng_old.random()
 
-    def test_one_amplitude_views_equal_per_entry_loop(self):
-        for t in (1, 6, 13):
-            for i, a in enumerate((0.0, 0.3, 1.0)):
-                cfg = AmplitudeEstimationConfig(t, a)
-                old = per_entry_medians([a], t, 72, derived_rng(32, "view", t, i))
-                new = median_amplitude_estimate(cfg, 0.1, derived_rng(32, "view", t, i))
-                assert new == old[0]
-                rng = derived_rng(33, "sample", t, i)
-                cdf = np.cumsum(outcome_distribution(a, t))
-                cdf[-1] = 1.0
-                y = np.searchsorted(cdf, rng.random(50), side="right")
-                expected = np.sin(np.pi * y / (1 << t)) ** 2
-                draws = amplitude_estimation_sample(cfg, derived_rng(33, "sample", t, i), size=50)
-                assert draws.tobytes() == expected.tobytes()
+    @pytest.mark.parametrize("t", [1, 6, 13, 16, 20])
+    def test_one_amplitude_views_equal_per_entry_loop(self, t):
+        for i, a in enumerate((0.0, 0.3, 1.0)):
+            cfg = AmplitudeEstimationConfig(t, a)
+            old = per_entry_medians([a], t, 72, derived_rng(32, "view", t, i))
+            new = median_amplitude_estimate(cfg, 0.1, derived_rng(32, "view", t, i))
+            assert new == old[0]
+            expected = grid_estimates(a, t, derived_rng(33, "sample", t, i).random(50))
+            draws = amplitude_estimation_sample(cfg, derived_rng(33, "sample", t, i), size=50)
+            assert draws.tobytes() == expected.tobytes()
 
     def test_empty_batch_draws_nothing(self):
         rng = derived_rng(34, "empty")
@@ -199,12 +203,7 @@ class TestVectorizedMedians:
 def full_grid_draws(amplitudes, t, u):
     """Every row inverted through its own full outcome grid, zero amplitude
     included: the reference the grid-free zero group must equal."""
-    y = np.empty(u.shape, dtype=np.int64)
-    for i, a in enumerate(amplitudes):
-        cdf = np.cumsum(outcome_distribution(float(a), t))
-        cdf[-1] = 1.0
-        y[i] = np.searchsorted(cdf, u[i], side="right")
-    return np.sin(np.pi * y / (1 << t)) ** 2
+    return np.array([grid_estimates(a, t, row) for a, row in zip(amplitudes, u)])
 
 
 class TestZeroAmplitudeWithoutGrid:
@@ -215,9 +214,10 @@ class TestZeroAmplitudeWithoutGrid:
     def test_equal_to_full_grid_inverse(self, t, monkeypatch):
         seen = []
 
-        def spy(a, t):
-            seen.append(a)
-            return outcome_distribution(a, t)
+        def spy(a, t, *cells):
+            if not cells or cells[0] == 0:  # a grid's first chunk
+                seen.append(a)
+            return outcome_distribution(a, t, *cells)
 
         monkeypatch.setattr(qsim_mod, "outcome_distribution", spy)
         a = np.array(self.AMPLITUDES)
@@ -226,8 +226,15 @@ class TestZeroAmplitudeWithoutGrid:
         got = qsim_mod._estimate_draws(a, t, u)
         assert got.tobytes() == full_grid_draws(a, t, u).tobytes()
         assert not got[a == 0.0].any()
-        # one grid per distinct non-zero amplitude, none for the zero group
-        assert sorted(seen) == [1e-7, 0.3, 0.5, 1.0]
+        # one grid per distinct non-zero amplitude below the cutover, none for
+        # the zero group; from it on, grids only for the amplitudes whose
+        # closed-form draws are not certified: 1.0 (c = m/2, so s = 0); 0.5,
+        # whose omega = 1/4 + 2^-54 puts c within 4e-12 of an integer, where
+        # the grid's CDF is exactly 0.5 between the peaks, as is the edge
+        # uniform 0.5; and at t = 16, 0.3, whose grid CDF passes 0.5 within
+        # 6.5e-11 of the edge uniform, inside the certificate's bound of 2.1e-10
+        built = {13: [0.5, 1.0], 16: [0.3, 0.5, 1.0]}.get(t, [1e-7, 0.3, 0.5, 1.0])
+        assert sorted(seen) == built
 
     def test_all_zero_batch_builds_no_grid(self, monkeypatch):
         def no_grid(a, t):
@@ -236,6 +243,118 @@ class TestZeroAmplitudeWithoutGrid:
         monkeypatch.setattr(qsim_mod, "outcome_distribution", no_grid)
         est = median_amplitude_estimates([0.0, -0.0, 0.0], 16, 9, derived_rng(39, "zeros"))
         assert est.tobytes() == np.zeros(3).tobytes()
+
+
+def certified_f(a, t, k):
+    """F(k) in the closed form the certified draws tabulate."""
+    m = 1 << t
+    c = m * math.asin(math.sqrt(a)) / math.pi
+    frac = c - math.floor(c)
+    s = math.sin(math.pi * min(frac, 1.0 - frac))
+    return 0.5 * (s / m) ** 2 * qsim_mod._fejer_sum(c, m)(np.asarray(k)), c, s
+
+
+class TestCertifiedDraws:
+    """From t = FAST_MIN_BITS on, draws come from the closed-form CDF where a
+    bound on the grid's round-off certifies them, else from the chunked grid;
+    either way they equal the full-grid inversion bit for bit."""
+
+    @pytest.mark.parametrize("t", range(1, 17))
+    def test_equal_to_full_grid_inverse(self, t, monkeypatch):
+        fallbacks = []
+        real = qsim_mod._grid_draws
+        monkeypatch.setattr(qsim_mod, "_grid_draws",
+                            lambda a, t, u: fallbacks.append(a) or real(a, t, u))
+        m = 1 << t
+        rng = derived_rng(50, "certified", t)
+        k = max(1, m // 3)
+        near = [math.sin(math.pi * (k + off) / m) ** 2 for off in (1e-9, -1e-9)]
+        random = rng.random(18) ** rng.choice([1, 2, 4, 8], 18)
+        a = np.concatenate(([0.0, -0.0, 1.0, 1e-7], near, random))
+        u = rng.random((a.size, 270))
+        u[:6, :2] = u[6::3, :2] = [0.0, 1.0 - 2.0**-53]
+        for row in range(6, a.size, 3):  # and on or one ulp beside the grid's CDF and F
+            cdf = np.cumsum(outcome_distribution(a[row], t))
+            f = cdf[rng.integers(0, m, 4)]
+            if t >= qsim_mod.FAST_MIN_BITS:
+                c = certified_f(a[row], t, 0)[1]
+                f = np.concatenate((f, certified_f(a[row], t, np.floor([c, c + 1, m - c]))[0]))
+            u[row, 2:2 + 3 * f.size] = np.concatenate((f, np.nextafter(f, 0), np.nextafter(f, 1)))
+        u = np.minimum(u, 1.0 - 2.0**-53)
+        got = qsim_mod._estimate_draws(a, t, u)
+        assert got.tobytes() == full_grid_draws(a, t, u).tobytes()
+        if t >= qsim_mod.FAST_MIN_BITS:  # most rows certified, 1.0 never
+            assert 1.0 in fallbacks and len(fallbacks) <= a.size // 2, fallbacks
+
+    @pytest.mark.parametrize("a", [0.003, 0.3, 0.77])
+    def test_equal_to_full_grid_inverse_at_t20(self, a):
+        u = derived_rng(51, "t20", str(a)).random((1, 64))
+        got = qsim_mod._estimate_draws(np.array([a]), 20, u)
+        assert got.tobytes() == full_grid_draws([a], 20, u).tobytes()
+
+    @pytest.mark.parametrize("t,a,top", [(22, 0.3, 1.0), (24, 0.003, 0.45)])
+    def test_equal_to_forced_fallback(self, t, a, top):
+        # the chunked grid is the full-grid inversion; at t = 24 the uniforms
+        # stay below the mass of the first peak, so it stops after 2% of 2^24
+        u = top * derived_rng(52, "forced", t).random(64)
+        y = qsim_mod._certified_draws(math.asin(math.sqrt(a)) / math.pi, t, u)
+        assert y is not None
+        assert y.tobytes() == qsim_mod._grid_draws(a, t, u).tobytes()
+
+    @pytest.mark.parametrize("t", [11, 13, 16])
+    def test_bound_is_four_times_the_grid_round_off(self, t):
+        m = 1 << t
+        k = np.arange(m - 1)  # the last cell is set to 1.0 exactly
+        for a in (1e-7, 1e-4, 0.003, 0.05, 0.3, 0.77, 0.95):
+            f, c, s = certified_f(a, t, k)
+            err = np.abs(np.cumsum(outcome_distribution(a, t))[:-1] - f)
+            assert np.all(qsim_mod._cdf_bound(f, k, m, s) >= 4 * err), (a, t)
+
+    @pytest.mark.parametrize("t", [22, 24])
+    def test_memory_does_not_grow_with_t(self, t):
+        amplitudes = (np.arange(64) + 0.5) / 64
+        chunk = traced_peak(lambda: outcome_distribution(0.3, 16))  # 2^16 cells
+        batch = traced_peak(lambda: median_amplitude_estimates(
+            amplitudes, t, amplification_reps(0.01), derived_rng(40, "mem", t)))
+        assert batch <= 1.5 * chunk, (batch, chunk)
+
+    def test_fallback_memory_does_not_grow_with_t(self, monkeypatch):
+        monkeypatch.setattr(qsim_mod, "_certified_draws", lambda omega, t, u: None)
+        chunk = traced_peak(lambda: outcome_distribution(0.3, 16))
+        batch = traced_peak(lambda: median_amplitude_estimates(
+            [0.01, 0.3, 0.6, 0.9], 20, amplification_reps(0.01), derived_rng(41, "mem")))
+        assert batch <= 1.5 * chunk, (batch, chunk)
+
+
+class TestCountChecks:
+    @pytest.mark.parametrize("reps", [0, -1, 2.5, True])
+    def test_bad_reps_raise_before_drawing(self, reps):
+        rng = derived_rng(53, "reps")
+        with pytest.raises(PreconditionError, match="reps must be an integer >= 1"):
+            median_amplitude_estimates([0.1, 0.2], 6, reps, rng)
+        assert rng.random() == derived_rng(53, "reps").random()
+
+    def test_scalar_view_refuses_zero_reps_and_charges_nothing(self):
+        rng, led = derived_rng(54, "reps"), QueryLedger()
+        with pytest.raises(PreconditionError, match="reps"):
+            median_amplitude_estimate(AmplitudeEstimationConfig(6, 0.1), 0.1, rng, reps=0,
+                                      ledger=led)
+        assert led.quantum_oracle_calls == 0
+        assert rng.random() == derived_rng(54, "reps").random()
+
+    @pytest.mark.parametrize("size", [-2, 1.5, True])
+    def test_bad_size_raises_before_drawing(self, size):
+        rng = derived_rng(55, "size")
+        with pytest.raises(PreconditionError, match="size must be an integer >= 0"):
+            amplitude_estimation_sample(AmplitudeEstimationConfig(6, 0.1), rng, size=size)
+        assert rng.random() == derived_rng(55, "size").random()
+
+    def test_zero_size_draws_nothing(self):
+        rng, led = derived_rng(56, "size"), QueryLedger()
+        cfg = AmplitudeEstimationConfig(13, 0.1)
+        assert amplitude_estimation_sample(cfg, rng, size=0, ledger=led).shape == (0,)
+        assert led.quantum_oracle_calls == 0
+        assert rng.random() == derived_rng(56, "size").random()
 
 
 class TestSimulateArgmax:
