@@ -113,16 +113,15 @@ def _grid_draws(a: float, t: int, u: np.ndarray) -> np.ndarray:
 
 
 def _fold(k: np.ndarray, c: float, m: int) -> np.ndarray:
-    # k - c and k + c, each moved into [-m/2, m/2] by whole periods m: the
-    # shift of the integer k is exact, so only the last step rounds
+    # k -/+ c moved into [-m/2, m/2] by whole periods m: only the last step rounds
     pm = np.array([[c], [-c]])
     return (k - m * np.rint((k - pm) / m)) - pm
 
 
 def _csc2(k: np.ndarray, c: float, m: int) -> np.ndarray:
-    # csc^2(pi (k - c) / m) + csc^2(pi (k + c) / m), as 1 + cot^2 each
-    cot2 = 1.0 / np.tan(math.pi / m * _fold(k, c, m)) ** 2
-    return 2.0 + cot2[0] + cot2[1]
+    # csc^2(pi (k - c) / m) + csc^2(pi (k + c) / m)
+    csc2 = 1.0 / np.sin(math.pi / m * _fold(k, c, m)) ** 2
+    return csc2[0] + csc2[1]
 
 
 def _em(k: np.ndarray, c: float, m: int) -> np.ndarray:
@@ -134,7 +133,8 @@ def _em(k: np.ndarray, c: float, m: int) -> np.ndarray:
     h = math.pi / m
     a1 = -1.0 / h - h / 6 + h**3 / 45 - 17 * h**5 / 1890
     a3, a5, a7 = -h / 6 + h**3 / 18 - 11 * h**5 / 270, h**3 / 30 - h**5 / 18, -h**5 / 42
-    x = 1.0 / np.tan(h * _fold(k, c, m))
+    y = h * _fold(k, c, m)
+    x = np.cos(y) / np.sin(y)  # sin and cos only: numpy's tan maps 256 KiB more
     x2 = x * x
     s = 0.5 + x * (a1 + x * (0.5 + x * (a3 + x2 * (a5 + x2 * a7))))
     return s[0] + s[1]
@@ -193,11 +193,10 @@ def _certified_draws(omega: float, t: int, u: np.ndarray) -> np.ndarray | None:
     s = |sin(pi c)|, p_j = s^2 / (2 m^2) * _csc2(j).  F is tabulated over the
     cells within _WIDE of the first peak and mirrored onto the second
     (p_j = p_{m-j}, so F(k) = 1 + p_0 - F(m - 1 - k)); a uniform between the
-    two runs is placed by bisection on _fejer_sum."""
+    two runs is placed by 16-section on _fejer_sum."""
     m = 1 << t
     c = m * omega  # exact: m is a power of two
-    frac = c - math.floor(c)
-    s = math.sin(math.pi * min(frac, 1.0 - frac))
+    s = math.sin(math.pi * min(c % 1.0, 1.0 - c % 1.0))
     if s < m * 2.0**-43:  # a = 1 (s = 0) included; _cdf_bound needs q = m u / s <= 2^-10
         return None
     scale = 0.5 * (s / m) ** 2
@@ -208,19 +207,20 @@ def _certified_draws(omega: float, t: int, u: np.ndarray) -> np.ndarray | None:
     f, total = np.cumsum(p[1:]), None
     m0 = max(m - 1 - r1, r1 + 1)  # mirrored cells past the first run, short of m - 1
     table = np.concatenate(([-1], np.arange(r0, r1 + 1), np.arange(m0, m - 1 - r0), [m - 1]))
-    # F(-1) = 0; the grid's last cell is 1.0
     f_table = np.concatenate(([0.0], f, (1.0 + p[0]) - f[1:max(m - r0 - m0, 1)][::-1], [1.0]))
-    i = np.searchsorted(f_table, u, side="right")  # in [1, size - 1]: f_table[0] = 0 <= u < 1
+    # in [1, size - 1]: F(-1) = 0 <= u < 1.0, the grid's last cell
+    i = np.searchsorted(f_table, u, side="right")
     lo, hi, f_lo, f_hi = table[i - 1], table[i], f_table[i - 1], f_table[i]
-    while (open_ := np.flatnonzero(hi - lo > 1)).size:  # bisect between the runs
+    while (open_ := np.flatnonzero(hi - lo > 1)).size:  # 16-section between the runs
         total = total or _fejer_sum(c, m)
-        mid = (lo[open_] + hi[open_]) // 2
-        f_mid = scale * total(mid)
-        up = f_mid <= u[open_]
-        lo[open_[up]], f_lo[open_[up]] = mid[up], f_mid[up]
-        hi[open_[~up]], f_hi[open_[~up]] = mid[~up], f_mid[~up]
+        k = lo[open_, None] + (hi - lo)[open_, None] * np.arange(17) // 16
+        f = scale * total(k.ravel()).reshape(k.shape)
+        f[:, 0], f[:, -1] = f_lo[open_], f_hi[open_]
+        n = np.clip((f <= u[open_, None]).sum(axis=1), 1, 16)[:, None]
+        lo[open_], f_lo[open_] = np.take_along_axis(k, n - 1, 1)[:, 0], np.take_along_axis(f, n - 1, 1)[:, 0]
+        hi[open_], f_hi[open_] = np.take_along_axis(k, n, 1)[:, 0], np.take_along_axis(f, n, 1)[:, 0]
     bound = _cdf_bound(np.concatenate((f_lo, f_hi)), np.concatenate((lo, hi)), m, s)
-    ok = (f_lo + bound[:u.size] <= u) & (u < f_hi - bound[u.size:])
+    ok = (hi - lo == 1) & (f_lo + bound[:u.size] <= u) & (u < f_hi - bound[u.size:])
     return hi if ok.all() else None
 
 
