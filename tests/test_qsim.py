@@ -415,3 +415,61 @@ class TestSimulateArgmax:
     def test_empty_rejected(self):
         with pytest.raises(PreconditionError):
             simulate_argmax([], 0.1, derived_rng(11, "empty"))
+
+
+# simulate_argmax on seeded streams, recorded before its draws were replayed
+# from raw words: (n, values, delta, c_max, probe_cost, entered holding a
+# 32-bit half, index, charge, the rng's next integers(2**31), its next random())
+ARGMAX_PINS = [
+    (1, 'random', 0.1, 4.0, 1, False, 0, 0, 78471993, 0.846402601461167),
+    (1, 'random', 0.1, 4.0, 1, True, 0, 0, 996800181, 0.7317510316587488),
+    (2, 'random', 0.1, 4.0, 1, False, 0, 18, 666158471, 0.38698809938295453),
+    (2, 'ties', 0.3, 4.0, 1, False, 0, 8, 427622633, 0.8680304302055898),
+    (2, 'random', 0.99, 4.0, 1, False, 1, 0, 715008634, 0.40012498184338086),
+    (2, 'ramp', 0.001, 16.0, 1, True, 1, 225, 2129645038, 0.6746481451928541),
+    (3, 'random', 0.05, 0.5, 1, False, 0, 2, 1714824070, 0.4048531428128962),
+    (3, 'coarse', 0.2, 16.0, 1, True, 2, 63, 1623867231, 0.042389975730824925),
+    (3, 'ties', 0.0001, 4.0, 5, False, 0, 460, 331687042, 0.7922082300217085),
+    (8, 'random', 0.1, 4.0, 1, False, 5, 35, 1239276292, 0.5106366288427951),
+    (8, 'random', 0.01, 16.0, 13, False, 6, 3900, 1177826499, 0.0088313579316176),
+    (8, 'ties', 0.2, 4.0, 1, False, 0, 26, 302062503, 0.259008067567411),
+    (8, 'coarse', 0.05, 0.5, 1, True, 3, 5, 1449469033, 0.8564091138635646),
+    (8, 'ramp', 0.1, 4.0, 1, False, 7, 35, 129334476, 0.0462145596745539),
+    (8, 'random', 0.9, 0.5, 1, False, 4, 0, 1846491091, 0.07578619559763466),
+    (8, 'random', 1e-06, 4.0, 1, True, 7, 225, 989094905, 0.4363844909246761),
+    (8, 'coarse', 4e-05, 4.0, 2417, False, 4, 398805, 242742507, 0.020815702899291577),
+    (16, 'random', 0.001, 4.0, 1, False, 7, 156, 14195289, 0.2166913795519384),
+    (16, 'ramp', 0.1, 16.0, 1, True, 15, 212, 1071793544, 0.48918028892903187),
+    (16, 'ties', 0.01, 0.5, 7, False, 1, 91, 2002913175, 0.7637986148152978),
+    (16, 'coarse', 0.0001, 4.0, 1, False, 14, 212, 1447434146, 0.09084100444285925),
+    (16, 'random', 0.5, 0.5, 1, True, 7, 2, 1690857644, 0.9286827210578082),
+    (64, 'random', 1e-06, 4.0, 1, False, 35, 633, 37004078, 0.32361102918470386),
+    (64, 'random', 0.1, 16.0, 3, True, 12, 1260, 2011933968, 0.465240584635066),
+    (64, 'ties', 0.05, 4.0, 1, False, 0, 137, 899608398, 0.9224853448520995),
+    (64, 'coarse', 0.01, 0.5, 1, False, 1, 26, 740439002, 0.38806272834224775),
+    (64, 'ramp', 0.001, 4.0, 1, True, 63, 317, 1355837770, 0.5071693440292743),
+    (64, 'coarse', 0.3, 16.0, 1, True, 2, 222, 203666722, 0.1785520045851705),
+    (64, 'random', 0.999, 0.5, 1, False, 48, 0, 1108300301, 0.3672432397615748),
+    (16, 'coarse', 1e-09, 16.0, 1, True, 0, 1913, 1738083947, 0.6932701823554648),
+]
+
+
+def argmax_values(i, n, kind):
+    if kind == "ties":
+        return np.ones(n)
+    if kind == "ramp":
+        return np.arange(float(n))
+    values = derived_rng(1801, "argmax-values", i).random(n)
+    return np.round(values, 1) if kind == "coarse" else values
+
+
+@pytest.mark.parametrize("i", range(len(ARGMAX_PINS)))
+def test_argmax_pins(i):
+    n, kind, delta, c_max, probe_cost, held, *pinned = ARGMAX_PINS[i]
+    rng = derived_rng(1800, "argmax-pin", i)
+    if held:
+        rng.integers(5)  # leaves the high half of a word held for the next integers()
+    led = QueryLedger()
+    idx = simulate_argmax(argmax_values(i, n, kind), delta, rng, c_max, ledger=led,
+                          probe_cost=probe_cost)
+    assert [idx, led.quantum_oracle_calls, int(rng.integers(2**31)), rng.random()] == pinned
