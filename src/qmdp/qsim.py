@@ -6,7 +6,9 @@ the state being measured), not by evolving a statevector.  Each draw inverts
 that distribution's 2^t-cell float CDF; from t = 11 on the CDF is summed in
 closed form instead, and a bound on the grid's round-off certifies each draw
 as the grid's own (else the grid is built, in fixed chunks).  Maximum finding
-is the threshold-improvement loop with exact Grover success probabilities.
+is the threshold-improvement loop with exact Grover success probabilities,
+on draws replayed from the stream's raw words; the rounds left once the
+maximum is found are resolved in bulk.
 
 These "honest" backends exist to validate the contract-mock backend's
 query/error model; they expose measured query counts so the mock's constants
@@ -22,6 +24,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .oracle import QueryLedger
+from .rng import WordReader
 
 __all__ = [
     "AmplitudeEstimationConfig",
@@ -310,6 +313,23 @@ def argmax_query_budget(n: int, delta: float, c_max: float = DEFAULT_C_MAX) -> f
     return c_max * math.sqrt(n) * math.log2(1.0 / delta)
 
 
+def _argmax_tail(draws: WordReader, k: int, probes: int, limit: int) -> tuple[int, bool]:
+    """simulate_argmax's loop once nothing is marked and ceil(m_max) = k for
+    good, one cumsum per window of ``draws.halves()``: (probes, True) at the
+    break, or (probes, False) before a draw Lemire's step rejects."""
+    threshold = (2**32 - k) % k
+    while True:
+        x = draws.halves() * k
+        low = x & 0xFFFFFFFF
+        r = int(np.argmax(low < threshold)) if low.min() < threshold else x.size
+        spent = np.cumsum((x[:r] >> 32) + 1)  # Grover iterations plus one
+        b = int(np.searchsorted(spent, limit - probes, side="right"))
+        draws.skip(min(b + 1, r))
+        probes += int(spent[b - 1]) if b else 0
+        if b < r or r < x.size:
+            return probes, b < r
+
+
 def simulate_argmax(
     values,
     delta: float,
@@ -329,33 +349,44 @@ def simulate_argmax(
     exhausted (the real algorithm has no stopping certificate), so charged
     queries never exceed the budget.  Each probe charges ``probe_cost`` oracle
     calls, which is how nested value-oracle costs are passed through.
+    Draws are rng's own, replayed from its raw words; once nothing is marked
+    and the schedule is capped, they are resolved in bulk (``_argmax_tail``).
     """
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise PreconditionError("values must be a non-empty vector")
+    if np.isnan(v).any():
+        raise PreconditionError("values must not be NaN")
     if not (0.0 < delta < 1.0):
         raise PreconditionError(f"delta must be in (0, 1), got {delta}")
     n = v.size
+    budget = argmax_query_budget(n, delta, c_max)
+    if not (0.0 < c_max < math.inf and budget < math.inf):
+        raise PreconditionError(f"c_max must be positive and finite, got {c_max}")
     # initial threshold: a uniform index (nothing to search when n == 1)
     j = int(rng.integers(n)) if n > 1 else 0
-    budget = argmax_query_budget(n, delta, c_max)
     if n == 1 or budget < 1.0:
         # no oracle use needed, or not even one affordable: the guess stands
         return j
 
-    idx = np.arange(n)
     probes = 1  # one query reads the initial threshold's value
     grow = 6.0 / 5.0
     m_cap = math.ceil(math.sqrt(n))
     m_max = 1.0
+    draws = WordReader(rng)
+    vl = v.tolist()
 
-    def beating(j):
-        marked = (v > v[j]) | ((v == v[j]) & (idx < j))
-        return marked, int(marked.sum())
+    def beating(j, among):  # the items of among that beat item j, in index order
+        return [i for i in among if vl[i] > vl[j] or (vl[i] == vl[j] and i < j)]
 
-    marked, k = beating(j)
+    marked = beating(j, range(n))
+    k = len(marked)
     while True:
-        m_iter = int(rng.integers(0, math.ceil(m_max)))
+        if k == 0 and m_max == m_cap:
+            probes, done = _argmax_tail(draws, m_cap, probes, math.floor(budget))
+            if done:
+                break
+        m_iter = draws.integers(math.ceil(m_max))
         cost = m_iter + 1  # Grover iterations plus the verifying measurement
         if probes + cost > budget:
             break
@@ -363,15 +394,17 @@ def simulate_argmax(
         if k > 0:
             theta = math.asin(math.sqrt(k / n))
             p_success = math.sin((2 * m_iter + 1) * theta) ** 2
-            if rng.random() < p_success:
+            if draws.random() < p_success:
                 # measurement collapses uniformly onto the marked set
-                j = int(idx[marked][rng.integers(k)])
-                marked, k = beating(j)
+                j = marked[draws.integers(k)]
+                marked = beating(j, marked)  # what beats j beat the old threshold
+                k = len(marked)
                 m_max = 1.0
                 continue
         # failed round (or nothing marked): keep threshold, widen the schedule
         m_max = min(grow * m_max, m_cap)
 
+    draws.close()
     if ledger is not None:
         ledger.charge_quantum(probes * probe_cost, phase)
     return j

@@ -153,8 +153,8 @@ class MaxFindingParams:
                 c_max: float = DEFAULT_C_MAX) -> "MaxFindingParams":
         horizon = mdp.effective_horizon
         _check_eps_delta(eps, delta, horizon, "horizon")
-        if c_max <= 0:
-            raise PreconditionError("c_max must be positive")
+        if not 0.0 < c_max < math.inf:
+            raise PreconditionError(f"c_max must be positive and finite, got {c_max}")
         l = _derived_iterations(horizon, eps)
         f = _failure_prob(delta / (4.0 * c_max * l * mdp.num_states * mdp.num_actions**1.5
                                    * math.log2(1.0 / delta)))

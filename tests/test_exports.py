@@ -1,7 +1,9 @@
-"""Every name a qmdp module lists in ``__all__`` resolves on that module, and
-every qmdp attribute the traced benchmark wraps still exists."""
+"""Every name a qmdp module lists in ``__all__`` resolves on that module,
+every qmdp attribute the traced benchmark wraps still exists, and a traced
+solve counts the calls the benchmark's per-layer metrics assume."""
 
 import importlib
+import json
 import pkgutil
 from functools import reduce
 from pathlib import Path
@@ -9,6 +11,8 @@ from pathlib import Path
 import pytest
 
 import qmdp
+from qmdp import cli
+from qmdp.estimators import EstimatorConfig
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(qmdp.__path__, "qmdp."))
 
@@ -26,11 +30,33 @@ def test_all_names_resolve(name):
     assert not missing, f"{name}.__all__ names {missing}, which {name} does not define"
 
 
+def _perfbench(monkeypatch, name):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    return importlib.import_module(name)
+
+
 def test_perfbench_targets_resolve(monkeypatch):
     # a rename of a wrapped function fails here, not only in the traced run
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    layers = importlib.import_module("layers")
+    layers = _perfbench(monkeypatch, "layers")
     missing = [f"qmdp.{module}.{attr}" for module, attr, *_ in layers.TARGETS
                if reduce(lambda owner, name: getattr(owner, name, None), attr.split("."),
                          importlib.import_module(f"qmdp.{module}")) is None]
     assert len(layers.TARGETS) > 20 and not missing, missing
+
+
+def test_traced_statevector_argmax_calls(monkeypatch):
+    # qsim.argmax.us_per_call is per (sweep, state): max_finding_vi must call
+    # simulate_argmax once for each, and tracing must not change the report
+    layers, tracer = _perfbench(monkeypatch, "layers"), _perfbench(monkeypatch, "tracer")
+    mdp, _ = cli.build_instance({"hard_instance": {"gamma": 0.9, "num_actions": 8, "eps": 1.0,
+                                                   "large_arms": [3]}})
+    solve = ({"name": "max-finding", "eps": 1.0, "delta": 0.1},
+             EstimatorConfig(backend="statevector"), 1)
+    untraced = cli.run_solver(mdp, *solve)
+    with tracer.Tracer() as t:
+        layers.install(t)
+        traced = cli.run_solver(mdp, *solve)
+    argmax = t.names.index("qsim.simulate_argmax")
+    calls = sum(name_id == argmax for name_id, *_ in t.spans)
+    assert calls == mdp.num_states * traced.params["iters"] > 0
+    assert json.dumps(traced.to_dict()) == json.dumps(untraced.to_dict())

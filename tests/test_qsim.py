@@ -416,6 +416,131 @@ class TestSimulateArgmax:
         with pytest.raises(PreconditionError):
             simulate_argmax([], 0.1, derived_rng(11, "empty"))
 
+    @pytest.mark.parametrize("c_max", [math.inf, -math.inf, math.nan, 0.0, -1.0, 1e308])
+    def test_bad_c_max_raises_before_drawing(self, c_max):
+        # inf looped forever, as does 1e308, whose budget overflows
+        rng = derived_rng(14, "c_max")
+        with pytest.raises(PreconditionError, match="c_max must be positive and finite"):
+            simulate_argmax(np.arange(8.0), 1e-3, rng, c_max)
+        assert rng.random() == derived_rng(14, "c_max").random()
+
+    @pytest.mark.parametrize("values", [[np.nan], [1.0, np.nan, 2.0], [np.nan] * 8])
+    def test_nan_values_raise_before_drawing(self, values):
+        rng = derived_rng(15, "nan")
+        with pytest.raises(PreconditionError, match="values must not be NaN"):
+            simulate_argmax(values, 0.1, rng)
+        assert rng.random() == derived_rng(15, "nan").random()
+
+    def test_memory_does_not_grow_with_the_budget(self):
+        # c_max = 1e4: about 1.2e5 iterations, resolved in fixed windows
+        led = QueryLedger()
+        peak = traced_peak(lambda: simulate_argmax(np.arange(64.0), 0.01, derived_rng(16, "mem"),
+                                                   1e4, ledger=led))
+        assert led.quantum_oracle_calls > 5e5 - 100
+        assert peak < 64 * 1024
+
+
+def reference_argmax(values, delta, rng, c_max=4.0, ledger=None, phase=None, probe_cost=1):
+    """simulate_argmax's loop as it was before its draws were replayed from
+    raw words, kept as the reference: one Generator call per draw."""
+    v = np.asarray(values, dtype=float)
+    n = v.size
+    j = int(rng.integers(n)) if n > 1 else 0
+    budget = argmax_query_budget(n, delta, c_max)
+    if n == 1 or budget < 1.0:
+        return j
+    idx = np.arange(n)
+    probes = 1
+    grow = 6.0 / 5.0
+    m_cap = math.ceil(math.sqrt(n))
+    m_max = 1.0
+
+    def beating(j):
+        marked = (v > v[j]) | ((v == v[j]) & (idx < j))
+        return marked, int(marked.sum())
+
+    marked, k = beating(j)
+    while True:
+        m_iter = int(rng.integers(0, math.ceil(m_max)))
+        cost = m_iter + 1
+        if probes + cost > budget:
+            break
+        probes += cost
+        if k > 0:
+            theta = math.asin(math.sqrt(k / n))
+            p_success = math.sin((2 * m_iter + 1) * theta) ** 2
+            if rng.random() < p_success:
+                j = int(idx[marked][rng.integers(k)])
+                marked, k = beating(j)
+                m_max = 1.0
+                continue
+        m_max = min(grow * m_max, m_cap)
+
+    if ledger is not None:
+        ledger.charge_quantum(probes * probe_cost, phase)
+    return j
+
+
+def rng_state(rng):
+    st = rng.bit_generator.state
+    return (tuple(st["state"]["counter"]), tuple(st["state"]["key"]), tuple(st["buffer"]),
+            st["buffer_pos"], st["has_uint32"], st["uinteger"])
+
+
+def argmax_case(i):
+    """Seeded inputs: n in [1, 70), delta from 0.98 to 1e-8, values random,
+    tied, coarse (partly tied) or ordered, and a stream entered fresh, mid
+    block, holding a 32-bit half, or past a taken one."""
+    g = derived_rng(17, "argmax-case", i)
+    n = int(g.integers(1, 70))
+    delta = float(10 ** -g.uniform(0.01, 8))
+    c_max = float(g.choice([0.5, 1.0, 4.0, 16.0]))
+    values = [g.random(n), np.ones(n), np.round(g.random(n), 1), np.arange(float(n))][i % 4]
+    probe_cost = int(g.integers(1, 20))
+    entry = [lambda r: None, lambda r: r.random(int(g.integers(1, 7))),
+             lambda r: r.integers(5), lambda r: (r.integers(5), r.integers(5))][i // 4 % 4]
+    rng = derived_rng(18, "argmax-case", i)
+    entry(rng)
+    return values, delta, rng, c_max, probe_cost
+
+
+def test_argmax_equal_to_reference_loop():
+    for i in range(3200):
+        values, delta, rng, c_max, probe_cost = argmax_case(i)
+        ref = np.random.Generator(np.random.Philox())
+        ref.bit_generator.state = rng.bit_generator.state
+        led, ref_led = QueryLedger(), QueryLedger()
+        got = simulate_argmax(values, delta, rng, c_max, ledger=led, probe_cost=probe_cost)
+        want = reference_argmax(values, delta, ref, c_max, ledger=ref_led, probe_cost=probe_cost)
+        assert (got, led.quantum_oracle_calls) == (want, ref_led.quantum_oracle_calls), i
+        assert rng_state(rng) == rng_state(ref), i
+
+
+def test_argmax_tail_hands_a_rejected_draw_back(monkeypatch):
+    # nine tied values: the first draw's half 5 keeps the top item 0 (k = 9:
+    # 5 * 9 >= (2^32 - 9) mod 9 = 4), so nothing is ever marked; halves of 5
+    # give Grover counts of 0 until m_max reaches m_cap = 3 after the seventh
+    # half.  The tail's window opens on 5 and then 0, which Lemire's step
+    # rejects at k = 3 ((2^32 - 3) mod 3 = 1): the tail takes one draw and
+    # hands the rejected one back.
+    g = derived_rng(19, "crafted")
+    st = g.bit_generator.state
+    st["buffer"] = np.array([5 | 5 << 32] * 3 + [5], dtype=np.uint64)
+    st["buffer_pos"], st["has_uint32"], st["uinteger"] = 0, 1, 5
+    g.bit_generator.state = st
+    ref = np.random.Generator(np.random.Philox())
+    ref.bit_generator.state = st
+    tails = []
+    tail = qsim_mod._argmax_tail
+    monkeypatch.setattr(qsim_mod, "_argmax_tail",
+                        lambda *a: tails.append(tail(*a)) or tails[-1])
+    led, ref_led = QueryLedger(), QueryLedger()
+    got = simulate_argmax(np.ones(9), 0.01, g, 4.0, ledger=led)
+    want = reference_argmax(np.ones(9), 0.01, ref, 4.0, ledger=ref_led)
+    assert tails[0] == (9, False) and tails[-1][1]
+    assert (got, led.quantum_oracle_calls, rng_state(g)) == (want, ref_led.quantum_oracle_calls,
+                                                            rng_state(ref))
+
 
 # simulate_argmax on seeded streams, recorded before its draws were replayed
 # from raw words: (n, values, delta, c_max, probe_cost, entered holding a

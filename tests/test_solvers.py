@@ -78,6 +78,14 @@ class TestVarianceReducedParams:
         with pytest.raises(PreconditionError, match=message):
             VarianceReducedParams.for_mdp(mdp, 0.5, 0.1, b=b, c=c)
 
+    # NaN used to surface as a derived failure probability of nan
+    @pytest.mark.parametrize("c_max", [float("nan"), float("inf"), 0.0, -4.0])
+    def test_c_max_range(self, c_max):
+        mdp = fig_two(2, 0.5, {1})
+        message = f"c_max must be positive and finite, got {c_max}"
+        with pytest.raises(PreconditionError, match=message):
+            MaxFindingParams.for_mdp(mdp, 0.5, 0.1, c_max=c_max)
+
     def test_largest_c_inside_the_window_solves(self):
         # c * (1-gamma)^1.5 * eps just below 4: every anchor estimate stays
         # inside the variance-bounded estimator's (0, 4*sigma) window
