@@ -51,6 +51,7 @@ from .solvers import (
     MaxFindingParams,
     SolveReport,
     VarianceReducedParams,
+    _check_eps_delta,
     max_finding_vi,
     sampled_vi,
     variance_reduced_vi,
@@ -207,19 +208,28 @@ def estimator_config(doc: dict | None, source: str = "<config>") -> EstimatorCon
         raise PreconditionError(f"{source}: estimator: {exc}") from exc
 
 
-def run_solver(mdp: Mdp, solver: dict, cfg: EstimatorConfig, seed: int,
-               diagnostics: bool = False) -> SolveReport:
-    oracle = SampleOracle(mdp, seed)
+def _solver_call(mdp: Mdp, solver: dict, cfg: EstimatorConfig, source: str = "<config>"):
+    """A solver block's solve on mdp, ``solve(oracle, diagnostics)``, its
+    parameters checked first; a range error reads ``<source>: solver: ...``."""
     name = solver["name"]
     eps, delta = float(solver["eps"]), float(solver["delta"])
-    if name == "variance-reduced":
-        params = VarianceReducedParams.for_mdp(mdp, eps, delta, **_given(solver, ("b", "c")))
-        return variance_reduced_vi(oracle, params, cfg, diagnostics=diagnostics)
-    if name == "max-finding":
-        params = MaxFindingParams.for_mdp(mdp, eps, delta, **_given(solver, ("c_max",)))
-        return max_finding_vi(oracle, params, cfg, diagnostics=diagnostics)
-    return sampled_vi(oracle, eps, delta, cfg=cfg, diagnostics=diagnostics,
-                      **_given(solver, ("mode",), cast=str))
+    try:
+        if name == "variance-reduced":
+            params = VarianceReducedParams.for_mdp(mdp, eps, delta, **_given(solver, ("b", "c")))
+            return partial(variance_reduced_vi, params=params, cfg=cfg)
+        if name == "max-finding":
+            params = MaxFindingParams.for_mdp(mdp, eps, delta, **_given(solver, ("c_max",)))
+            return partial(max_finding_vi, params=params, cfg=cfg)
+        _check_eps_delta(eps, delta, mdp.effective_horizon, "horizon")  # as sampled_vi does
+        return partial(sampled_vi, eps=eps, delta=delta, cfg=cfg,
+                       **_given(solver, ("mode",), cast=str))
+    except PreconditionError as exc:
+        raise PreconditionError(f"{source}: solver: {exc}") from exc
+
+
+def run_solver(mdp: Mdp, solver: dict, cfg: EstimatorConfig, seed: int,
+               diagnostics: bool = False) -> SolveReport:
+    return _solver_call(mdp, solver, cfg)(SampleOracle(mdp, seed), diagnostics=diagnostics)
 
 
 def sandwich_success(mdp: Mdp, report: SolveReport, eps: float) -> bool:
@@ -275,6 +285,7 @@ def cmd_solve(args) -> int:
     mdp, provenance = build_instance(config["instance"], source=args.config)
     cfg = estimator_config(config.get("estimator"), args.config)
     diagnostics = config.get("diagnostics", False) or bool(config.get("snapshots_csv"))
+    _solver_call(mdp, config["solver"], cfg, args.config)  # a range error names the file
     report = run_solver(mdp, config["solver"], cfg, int(config["seed"]), diagnostics)
     csv_path = config.get("snapshots_csv")
     if csv_path:  # first, so that a bad path leaves no report
@@ -327,9 +338,10 @@ def run_sweep(config: dict, axis: str, values, seeds: int, source: str = "<confi
 
     Rows are (axis_value, seed, classical_samples, quantum_oracle_calls,
     success); the fit is on the per-point median of total queries, against
-    the axis's variable in ``_SWEEP_FIT``.  Every point's config and
-    instance ranges are checked before the first solve, and a point builds
-    its MDP only when its instance block differs from the previous point's.
+    the axis's variable in ``_SWEEP_FIT``.  Every point's config, instance
+    ranges and, on a solver axis, solver parameters are checked before the
+    first solve, and a point builds its MDP only when its instance block
+    differs from the previous point's.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
@@ -347,14 +359,20 @@ def run_sweep(config: dict, axis: str, values, seeds: int, source: str = "<confi
     base_seed = int(config["seed"])
     x_variable, x_of = _SWEEP_FIT[axis]
     rows, points, instance, mdp = [], [], None, None
+    if axis in _SCHEMA["solver."][0]:
+        instance = config["instance"]
+        mdp, _ = build_instance(instance, source)
+        for doc in docs:
+            _solver_call(mdp, doc["solver"], cfg, source)
     for value, doc in zip(values, docs):
         if doc["instance"] != instance:
             instance, mdp = doc["instance"], None  # one MDP alive at a time
             mdp, _ = build_instance(instance, source)
+        solve = _solver_call(mdp, doc["solver"], cfg, source)
         totals = []
         for i in range(seeds):
             seed = base_seed + i
-            report = run_solver(mdp, doc["solver"], cfg, seed)
+            report = solve(SampleOracle(mdp, seed))
             success = sandwich_success(mdp, report, float(doc["solver"]["eps"]))
             rows.append((value, seed, report.ledger.classical_samples,
                          report.ledger.quantum_oracle_calls, int(success)))

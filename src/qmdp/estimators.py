@@ -252,7 +252,7 @@ def mock_rows(oracle: SampleOracle, keys: KeyTemplate, upper, eps, delta: float,
     upper, eps = np.broadcast_arrays(np.atleast_1d(upper), np.atleast_1d(eps))
     charges = [bounded_mean_charge(u, e, delta, cfg) * size
                for u, e in zip(upper.tolist(), eps.tolist())]
-    for chunk, digests, words in bulk_passes(oracle.seed, keys, 2 * size):
+    for chunk, digests, words in bulk_passes(keys, 2 * size):
         at = chunk.first_slot() if len(eps) > 1 else np.zeros(len(chunk), dtype=np.intp)
         u = uniforms(words)
         failed = (u[:, :size] < delta).any(axis=1).tolist()

@@ -134,7 +134,7 @@ class SampleOracle:
         p = self.mdp.transitions
         sums = np.empty(p.shape[:2])
         calls = range(self._calls, self._calls + sums.size)
-        digests = KeyTemplate(("call", calls)).digests(self.seed)
+        digests = KeyTemplate((self.seed, "call", calls)).digests()
         for i, (s, a) in enumerate(np.ndindex(sums.shape)):
             self._calls += 1
             sums[s, a] = self.keyed_rng(digests[16 * i:16 * i + 16]).multinomial(n, p[s, a]) @ v
@@ -147,9 +147,9 @@ class SampleOracle:
         return self._rng
 
     def keyed_rng(self, digest: bytes) -> np.random.Generator:
-        """The stream with a 16-byte key digest under this oracle's seed, as
-        ``KeyTemplate.digests`` and ``rng.bulk_passes`` give it; valid until
-        the next stream.  Every replay of a pre-drawn stream comes here."""
+        """The stream with a 16-byte key digest, as ``KeyTemplate.digests``,
+        ``rng.key_digests`` and ``rng.bulk_passes`` give it; valid until the
+        next stream.  Every stream a solver reads comes here."""
         self._rng = keyed_rng(digest, reuse=self._rng)
         return self._rng
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .oracle import QueryLedger
-from .rng import WordReader
+from .rng import WordReader, lemire
 
 __all__ = [
     "AmplitudeEstimationConfig",
@@ -35,10 +35,14 @@ __all__ = [
     "median_amplitude_estimates",
     "simulate_argmax",
     "DEFAULT_C_MAX",
+    "MAX_ARGMAX_PROBES",
 ]
 
 MAX_PHASE_BITS = 24  # simulation tractability bound: 2^24 outcome grid
 DEFAULT_C_MAX = 4.0
+# simulate_argmax's largest budget: its time is linear in the budget, and a
+# budget of 2^24 probes takes 0.4-1.0 s a call on a 2-vCPU Xeon (n = 64 and 8)
+MAX_ARGMAX_PROBES = 2**24
 MEDIAN_REPS_FACTOR = 18  # Chernoff margin on the 8/pi^2 single-run success
 FAST_MIN_BITS = 11  # from here on the closed-form CDF beats one outcome grid
 _CHUNK = 1 << 16  # cells per grid chunk: a grid's memory does not grow with t
@@ -317,16 +321,14 @@ def _argmax_tail(draws: WordReader, k: int, probes: int, limit: int) -> tuple[in
     """simulate_argmax's loop once nothing is marked and ceil(m_max) = k for
     good, one cumsum per window of ``draws.halves()``: (probes, True) at the
     break, or (probes, False) before a draw Lemire's step rejects."""
-    threshold = (2**32 - k) % k
     while True:
-        x = draws.halves() * k
-        low = x & 0xFFFFFFFF
-        r = int(np.argmax(low < threshold)) if low.min() < threshold else x.size
-        spent = np.cumsum((x[:r] >> 32) + 1)  # Grover iterations plus one
+        index, rejected = lemire(draws.halves(), k)
+        r = int(np.argmax(rejected)) if rejected.any() else index.size
+        spent = np.cumsum(index[:r] + 1)  # Grover iterations plus one
         b = int(np.searchsorted(spent, limit - probes, side="right"))
         draws.skip(min(b + 1, r))
         probes += int(spent[b - 1]) if b else 0
-        if b < r or r < x.size:
+        if b < r or r < index.size:
             return probes, b < r
 
 
@@ -347,8 +349,9 @@ def simulate_argmax(
     standard geometrically-growing schedule for an unknown number of marked
     items.  Runs until the query budget c_max * sqrt(n) * log2(1/delta) is
     exhausted (the real algorithm has no stopping certificate), so charged
-    queries never exceed the budget.  Each probe charges ``probe_cost`` oracle
-    calls, which is how nested value-oracle costs are passed through.
+    queries never exceed the budget, itself at most MAX_ARGMAX_PROBES.  Each
+    probe charges ``probe_cost`` oracle calls, which is how nested
+    value-oracle costs are passed through.
     Draws are rng's own, replayed from its raw words; once nothing is marked
     and the schedule is capped, they are resolved in bulk (``_argmax_tail``).
     """
@@ -363,6 +366,9 @@ def simulate_argmax(
     budget = argmax_query_budget(n, delta, c_max)
     if not (0.0 < c_max < math.inf and budget < math.inf):
         raise PreconditionError(f"c_max must be positive and finite, got {c_max}")
+    if budget > MAX_ARGMAX_PROBES:
+        raise PreconditionError(f"max-finding budget of {budget:.6g} probes exceeds "
+                                f"MAX_ARGMAX_PROBES = {MAX_ARGMAX_PROBES}; lower c_max")
     # initial threshold: a uniform index (nothing to search when n == 1)
     j = int(rng.integers(n)) if n > 1 else 0
     if n == 1 or budget < 1.0:

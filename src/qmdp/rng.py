@@ -4,11 +4,13 @@ Every random draw in the package comes from a stream derived from a base
 seed plus a structured key (call index, epoch/iteration labels, ...).  Two
 processes that derive the same key from the same seed see the same stream,
 which is what makes solver reports bit-identical across reruns.
-``KeyTemplate`` encodes the keys of a family of streams, such as a solve's
-argmax or line-13 streams, in bulk; ``bulk_passes`` computes the first words
-of many of them in vectorized Philox passes under one word budget, and
-``uniforms`` and ``first_draws`` turn those words into the values the
-streams' Generators draw; ``WordReader`` replays one Generator's draws.
+A key is its parts, the seed first, and its stream is Philox keyed by the
+16-byte blake2b digest of their text joined by "\x1f".  ``KeyTemplate``
+encodes a family of keys, such as a solve's line-13 streams, in bulk, and
+``key_digests`` reads their digests a bounded chunk at a time; ``bulk_passes``
+computes many streams' first words in vectorized Philox passes under one word
+budget, ``uniforms``, ``lemire`` and ``first_draws`` turn them into the
+streams' draws, and ``WordReader`` replays one Generator's draws.
 """
 
 from __future__ import annotations
@@ -16,13 +18,25 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from collections.abc import Sequence
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
+
+__all__ = [
+    "derived_rng",
+    "keyed_rng",
+    "KeyTemplate",
+    "key_digests",
+    "bulk_passes",
+    "uniforms",
+    "lemire",
+    "first_draws",
+    "WordReader",
+    "PASS_WORDS",
+    "READ_WORDS",
+    "DIGEST_KEYS",
+]
 
 _SEP = "\x1f"  # never appears in the short labels used as key parts
-_UINT64 = np.dtype(np.uint64)
 # 0-d arrays: numpy broadcasts them faster than it converts uint64 scalars
 _LOW32 = np.array(0xFFFFFFFF, dtype=np.uint64)
 _SHIFT32 = np.array(32, dtype=np.uint64)
@@ -34,6 +48,7 @@ _PHILOX_W = tuple(np.array(w, dtype=np.uint64) for w in (0x9E3779B97F4A7C15, 0xB
 _PHILOX_ROUNDS = 10
 PASS_WORDS = 2**13  # Philox words per bulk pass, over all of its streams
 READ_WORDS = 128  # raw words per WordReader read, whatever the draws it serves
+DIGEST_KEYS = 2**10  # keys hashed per chunk by key_digests
 _ZERO_WORDS = (0, 0, 0, 0)
 _KEY_WORDS = struct.Struct("=2Q").unpack  # the two key words, native order like np.frombuffer
 
@@ -46,48 +61,21 @@ def _encode_part(p) -> str:
     raise TypeError(f"stream key parts must be ints or strings, got {p!r}")
 
 
-class _PhiloxKey(ISeedSequence):
-    """Hands a precomputed key to ``np.random.Philox``.
-
-    Passing ``key=`` instead makes numpy build, and then discard, an
-    OS-entropy SeedSequence on every construction.  The resulting bit
-    generator state is the same either way.  Any request other than
-    Philox's key (two uint64 words) is refused: this is a key, not a
-    source of further entropy.
-    """
-
-    __slots__ = ("_key",)
-
-    def __init__(self, key: np.ndarray):
-        self._key = key
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 2 or np.dtype(dtype) != _UINT64:
-            raise ValueError(
-                f"a derived stream only provides a Philox key (2 x uint64), "
-                f"not {n_words} x {np.dtype(dtype)}"
-            )
-        return self._key
-
-
-def _key_digest(seed: int, parts: tuple) -> bytes:
-    text = _SEP.join([str(int(seed)), *map(_encode_part, parts)])
-    return hashlib.blake2b(text.encode(), digest_size=16).digest()
-
-
 def derived_rng(seed: int, *parts, reuse=None) -> np.random.Generator:
-    """A Generator at the start of the stream that is a pure function of
-    (seed, *parts): a new one, or ``reuse`` (a Philox Generator) re-keyed in
-    place at a third of the cost, which ends the stream it was on."""
-    return keyed_rng(_key_digest(seed, parts), reuse)
+    """A Generator at the start of the stream of the one key (seed, *parts):
+    a new one, or ``reuse`` (a Philox Generator) re-keyed in place at a third
+    of the cost, which ends the stream it was on."""
+    keys = KeyTemplate((seed, *parts))
+    for i in keys._slots:  # a slot would make a family of keys: refused as a part
+        _encode_part(keys.parts[i])
+    return keyed_rng(keys.digests(), reuse)
 
 
 def keyed_rng(digest: bytes, reuse=None) -> np.random.Generator:
     """``derived_rng`` from the stream's 16-byte key digest, as
     ``KeyTemplate.digests`` gives it."""
     if reuse is None:
-        key = np.frombuffer(digest, dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
+        return np.random.Generator(np.random.Philox(key=np.frombuffer(digest, dtype=np.uint64)))
     if not (isinstance(reuse, np.random.Generator)
             and type(reuse.bit_generator) is np.random.Philox):
         raise TypeError(f"reuse must be a Philox Generator, got {reuse!r}")
@@ -138,13 +126,12 @@ def uniforms(words: np.ndarray) -> np.ndarray:
     return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
-class KeyTemplate(Sequence):
-    """The stream keys a template such as ("vr", range(1, 4), range(1, 11),
-    "line13") spells out.  Each part is fixed (an int or a string) or a slot:
-    a range, list, tuple or array of int values.  Keys run over every
-    combination of slot values, the first slot outermost, as a sequence that
-    builds a key tuple only when indexed.  A slice (step 1) is the same
-    template over part of that run."""
+class KeyTemplate:
+    """The stream keys a template such as (seed, "vr", range(1, 4),
+    range(1, 11), "line13") spells out, the seed first.  Each part is fixed
+    (an int or a string) or a slot: a range, list, tuple or array of such
+    values.  Keys run over every combination of slot values, the first slot
+    outermost.  A slice (step 1) is the same template over part of that run."""
 
     __slots__ = ("parts", "_slots", "_sizes", "_start", "_stop")
 
@@ -166,40 +153,35 @@ class KeyTemplate(Sequence):
             pos.append(j)
         return pos[::-1]
 
-    def __getitem__(self, i):
+    def __getitem__(self, i: slice) -> "KeyTemplate":
         run = range(self._start, self._stop)[i]
-        if isinstance(i, slice):
-            if run.step != 1:
-                raise ValueError("a KeyTemplate slice must have step 1")
-            return KeyTemplate(self.parts, run.start, run.stop)
-        key = list(self.parts)
-        for slot, j in zip(self._slots, self._positions(run)):
-            key[slot] = self.parts[slot][j]
-        return tuple(key)
+        if not isinstance(run, range) or run.step != 1:
+            raise TypeError(f"a KeyTemplate takes slices of step 1, not {i!r}")
+        return KeyTemplate(self.parts, run.start, max(run.start, run.stop))
 
     def first_slot(self) -> np.ndarray:
         """The first slot's position in each key (all 0 without slots)."""
         inner = math.prod(self._sizes[1:]) or 1
         return np.arange(self._start, self._stop) // inner
 
-    def digests(self, seed: int) -> bytes:
-        """Every key's 16-byte digest, in order: byte for byte
-        ``b"".join(_key_digest(seed, key) for key in self)``.
+    def digests(self) -> bytes:
+        """Every key's 16-byte digest, in order: blake2b of its parts' text
+        joined by "\\x1f".
 
-        Each key's bytes are those ``_key_digest`` hashes, fixed text with the
-        slot values between.  Keys run over the last slot in runs that share
-        everything before its value: blake2b hashes that prefix once per run
-        and each key copies the state and adds its tail, instead of encoding
-        and hashing every key from scratch."""
+        That text is fixed text with the slot values between.  Keys run over
+        the last slot in runs that share everything before its value: blake2b
+        hashes that prefix once per run and each key copies the state and adds
+        its tail, instead of encoding and hashing every key from scratch."""
         if not len(self):
             return b""
-        texts, text = [], str(int(seed))  # the fixed text before, between and after slots
+        texts, text = [], ""  # the fixed text before, between and after slots
         for i, p in enumerate(self.parts):
+            sep = _SEP if i else ""
             if i in self._slots:
-                texts.append((text + _SEP).encode())
+                texts.append((text + sep).encode())
                 text = ""
             else:
-                text += _SEP + _encode_part(p)
+                text += sep + _encode_part(p)
         texts.append(text.encode())
         root = hashlib.blake2b(texts[0], digest_size=16)
         if not self._slots:
@@ -227,7 +209,15 @@ class KeyTemplate(Sequence):
         return b"".join(out)
 
 
-def bulk_passes(seed: int, keys: KeyTemplate, n: int, group: int = 1):
+def key_digests(keys: KeyTemplate):
+    """Yield each key's 16-byte digest, in order, hashing DIGEST_KEYS keys
+    at a time, so memory stays bounded for any number of keys."""
+    for first in range(0, len(keys), DIGEST_KEYS):
+        digests = keys[first:first + DIGEST_KEYS].digests()
+        yield from [digests[i:i + 16] for i in range(0, len(digests), 16)]
+
+
+def bulk_passes(keys: KeyTemplate, n: int, group: int = 1):
     """Yield (chunk, digests, words) for consecutive chunks of ``keys``: the
     chunk's ``KeyTemplate``, its streams' concatenated key digests, and
     their first n words, (m, n) uint64 from ``_philox_words``.
@@ -239,29 +229,34 @@ def bulk_passes(seed: int, keys: KeyTemplate, n: int, group: int = 1):
     per_pass = max(1, PASS_WORDS // (n * group)) * group
     for first in range(0, len(keys), per_pass):
         chunk = keys[first:first + per_pass]
-        digests = chunk.digests(seed)
+        digests = chunk.digests()
         yield chunk, digests, _philox_words(digests, n)
+
+
+def lemire(halves: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's ``integers(k)`` step, 1 <= k < 2^32, on each 32-bit x in ``halves``
+    (uint64): its index x * k >> 32, and whether x * k mod 2^32 < (2^32 - k) mod k
+    rejects x and draws again."""
+    x = halves * np.uint64(k)
+    return x >> _SHIFT32, (x & _LOW32) < (2**32 - k) % k
 
 
 def first_draws(words: np.ndarray, k: int, stream) -> tuple[np.ndarray, np.ndarray]:
     """The uniform and the index that ``g.random(); g.integers(k)`` draw on
     each stream, from the (m, 2) array of its first two Philox words (w0, w1).
 
-    ``random()`` is ``uniforms(w0)``.  ``integers(k)`` draws nothing for
-    k = 1, and otherwise is numpy's Lemire step on the low 32 bits of w1; a
-    stream whose step would reject and draw again (probability below k/2^32)
-    is replayed on ``stream(i)``, the i-th stream's Generator at its start.
-    Returns (uniforms float64, indices int64).
+    ``random()`` is ``uniforms(w0)``, and ``integers(k)`` is ``lemire`` on
+    the low 32 bits of w1 (0 for k = 1, which draws nothing); a stream whose
+    step would reject and draw again (probability below k/2^32) is replayed
+    on ``stream(i)``, the i-th stream's Generator at its start.  Returns
+    (uniforms float64, indices int64).
     """
     if not 1 <= k < 2**32:
         raise ValueError(f"k must lie in [1, 2^32), got {k}")
     u = uniforms(words[:, 0])
-    if k == 1:
-        return u, np.zeros(len(u), dtype=np.int64)
-    scaled = (words[:, 1] & _LOW32) * np.uint64(k)
-    indices = (scaled >> _SHIFT32).astype(np.int64)
-    threshold = (2**32 - k) % k
-    for i in np.flatnonzero((scaled & _LOW32) < threshold):
+    index, rejected = lemire(words[:, 1] & _LOW32, k)
+    indices = index.astype(np.int64)
+    for i in np.flatnonzero(rejected):
         g = stream(i)
         g.random()
         indices[i] = g.integers(k)
@@ -310,7 +305,7 @@ class WordReader:
         then both halves of each word left in the block."""
         self._ready()
         words = self._block[self._pos:].astype("<u8", copy=False).view("<u4")  # low, high, ...
-        return np.concatenate((np.full(self.has, self.half, _UINT64), words))
+        return np.concatenate((np.full(self.has, self.half, np.uint64), words))
 
     def skip(self, c: int):
         """Take the first c values halves() gave."""

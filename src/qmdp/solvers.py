@@ -38,8 +38,8 @@ from .estimators import (
 )
 from .mdp import Mdp, expected_next_value, greedy, successor_variance
 from .oracle import QueryLedger, SampleOracle
-from .qsim import DEFAULT_C_MAX, argmax_query_budget, simulate_argmax
-from .rng import KeyTemplate, bulk_passes, first_draws
+from .qsim import DEFAULT_C_MAX, MAX_ARGMAX_PROBES, argmax_query_budget, simulate_argmax
+from .rng import KeyTemplate, bulk_passes, first_draws, key_digests
 
 __all__ = [
     "VarianceReducedParams",
@@ -92,14 +92,13 @@ def mock_argmax_rows(q: np.ndarray, f: float, u: np.ndarray,
     return np.where(failed, wrong + (wrong >= best), best), failed
 
 
-def _mock_argmax_draws(oracle: SampleOracle, label: str, sweeps: int, s_n: int, a_n: int):
-    """Yield the mock-argmax draws (u, wrong), one (S,) pair per sweep
-    l = 1..sweeps, of the streams (label, l, s, "argmax"): each stream's
+def _mock_argmax_draws(oracle: SampleOracle, keys: KeyTemplate, s_n: int, a_n: int):
+    """Yield the mock-argmax draws (u, wrong), one (S,) pair per sweep, of
+    the streams ``keys`` (seed, label, sweeps, range(S), "argmax"): each one's
     ``random()`` and then ``integers(max(A-1, 1))``, whatever the outcome.
     Whole sweeps are drawn per ``rng.bulk_passes`` pass, and a stream that
     ``first_draws`` replays is re-keyed on the oracle from its digest."""
-    keys = KeyTemplate((label, range(1, sweeps + 1), range(s_n), "argmax"))
-    for _, digests, words in bulk_passes(oracle.seed, keys, 2, group=s_n):
+    for _, digests, words in bulk_passes(keys, 2, group=s_n):
         u, wrong = first_draws(words, max(a_n - 1, 1),
                                lambda i: oracle.keyed_rng(digests[16 * i:16 * i + 16]))
         yield from zip(u.reshape(-1, s_n), wrong.reshape(-1, s_n))
@@ -220,21 +219,23 @@ class _Iterate:
         self.failures = 0
         self.snapshots: list = []
 
+    def keyed(self, keys: KeyTemplate) -> map:
+        """The streams of ``keys``, in order, each re-keying the oracle as it is taken."""
+        return map(self.oracle.keyed_rng, key_digests(keys))
+
     def streams(self, keys: KeyTemplate, upper, err):
         """The streams of ``keys``, in order, for ``estimate`` to error err on
         [0, upper]: their ``MockRow``s drawn in bulk (see ``mock_rows``; upper
         and err may vary with the first slot), or, on the statevector backend
-        and for streams longer than BULK_STREAM_WORDS, the keys themselves."""
+        and for streams longer than BULK_STREAM_WORDS, ``keyed(keys)``."""
         words = 2 * self.oracle.mdp.num_states * self.oracle.mdp.num_actions
         if self.cfg.backend == BACKEND_STATEVECTOR or words > BULK_STREAM_WORDS:
-            return iter(keys)
+            return self.keyed(keys)
         return mock_rows(self.oracle, keys, upper, err, self.f, self.cfg)
 
     def estimate(self, stream, phase, value_map, upper, err, promise_slack=0.0) -> np.ndarray:
-        """Mock range-bounded estimates of P value_map on ``stream``: a key,
-        or the next item of ``streams``."""
-        if type(stream) is tuple:
-            stream = self.oracle.derive_rng(*stream)
+        """Mock range-bounded estimates of P value_map on ``stream``, the
+        next item of ``keyed`` or ``streams``."""
         est, failed, _ = batch_bounded_mock(
             self.oracle, value_map, upper, err, self.f, self.cfg, stream, phase,
             promise_slack=promise_slack)
@@ -302,17 +303,19 @@ def variance_reduced_vi(
     epochs = range(1, p.num_epochs + 1)
     eps_ks = [horizon / 2.0**k for k in epochs]
     errs_d = [p.c * (1.0 - gamma) * eps_k for eps_k in eps_ks]
-    line13 = it.streams(KeyTemplate(("vr", epochs, range(1, p.iters_per_epoch + 1), "line13")),
-                        [2.0 * eps_k for eps_k in eps_ks], errs_d)
+    line13 = it.streams(
+        KeyTemplate((oracle.seed, "vr", epochs, range(1, p.iters_per_epoch + 1), "line13")),
+        [2.0 * eps_k for eps_k in eps_ks], errs_d)
+    anchors = it.keyed(KeyTemplate((oracle.seed, "vr", epochs,
+                                    ("line8-sq", "line8-mean", "line9"))))
 
     for k, eps_k, err_d in zip(epochs, eps_ks, errs_d):
         v_anchor = it.v.copy()
 
         # second-moment / first-moment estimates feeding the deviation proxy
         phase8 = _phase("epoch", k, 8)
-        est_sq = it.estimate(("vr", k, "line8-sq"), phase8, v_anchor**2, horizon**2, p.b)
-        est_mean = it.estimate(("vr", k, "line8-mean"), phase8, v_anchor, horizon,
-                               (1.0 - gamma) * p.b)
+        est_sq = it.estimate(next(anchors), phase8, v_anchor**2, horizon**2, p.b)
+        est_mean = it.estimate(next(anchors), phase8, v_anchor, horizon, (1.0 - gamma) * p.b)
         y = np.maximum(est_sq - est_mean**2, 0.0)
         if diagnostics:
             # the deviation proxy should track the true variance within 3b
@@ -324,7 +327,7 @@ def variance_reduced_vi(
         err_x = p.c * (1.0 - gamma) ** 1.5 * p.eps * sigma_bound
         est_x, fail_x, breaches = batch_variance_mock(
             oracle, v_anchor, sigma_bound, err_x, p.est_failure_prob, cfg,
-            oracle.derive_rng("vr", k, "line9"), _phase("epoch", k, 9))
+            next(anchors), _phase("epoch", k, 9))
         x = est_x - err_x
         it.failures += int(fail_x.sum())
         var_breaches += breaches
@@ -366,25 +369,31 @@ def max_finding_vi(
     r = mdp.rewards
 
     use_statevector_argmax = cfg.backend == BACKEND_STATEVECTOR
+    budget = argmax_query_budget(a_n, p.est_failure_prob, p.c_max)
     if use_statevector_argmax and a_n > 64:
         raise PreconditionError("statevector max finding supports at most 64 actions")
+    if use_statevector_argmax and budget > MAX_ARGMAX_PROBES:
+        raise PreconditionError(f"max-finding budget of {budget:.6g} probes exceeds "
+                                f"MAX_ARGMAX_PROBES = {MAX_ARGMAX_PROBES}; lower c_max")
 
     err_z = (1.0 - gamma) * p.eps / 4.0
     probe_cost = bounded_mean_charge(horizon, err_z, p.est_failure_prob, cfg)
-    argmax_charge = s_n * int(argmax_query_budget(a_n, p.est_failure_prob, p.c_max)) * probe_cost
+    argmax_charge = s_n * int(budget) * probe_cost
 
     it = _Iterate(oracle, cfg, p.est_failure_prob, diagnostics)
     q_mem = np.zeros((s_n, a_n))  # memoized estimated Q row per state
-    argmax_draws = _mock_argmax_draws(oracle, "mf", p.iters, s_n, a_n)  # drawn lazily
-    line10 = it.streams(KeyTemplate(("mf", range(1, p.iters + 1), "line10")), horizon, err_z)
+    argmax_keys = KeyTemplate((oracle.seed, "mf", range(1, p.iters + 1), range(s_n), "argmax"))
+    argmax_streams = it.keyed(argmax_keys)  # statevector; both are read lazily
+    argmax_draws = _mock_argmax_draws(oracle, argmax_keys, s_n, a_n)  # contract mock
+    line10 = it.streams(KeyTemplate((oracle.seed, "mf", range(1, p.iters + 1), "line10")),
+                        horizon, err_z)
 
     for l in range(1, p.iters + 1):
         phase_max = _phase("iter", l, "argmax")
         if use_statevector_argmax:
             # simulate_argmax makes a data-dependent number of draws per state
             a_star = np.array([
-                simulate_argmax(q_mem[s], p.est_failure_prob,
-                                oracle.derive_rng("mf", l, s, "argmax"), p.c_max,
+                simulate_argmax(q_mem[s], p.est_failure_prob, next(argmax_streams), p.c_max,
                                 ledger=oracle.ledger, phase=phase_max, probe_cost=probe_cost)
                 for s in range(s_n)], dtype=np.int64)
         else:
@@ -440,9 +449,10 @@ def sampled_vi(
         if n > 2**63 - 1:  # numpy's multinomial takes n as a C int64
             raise PreconditionError(f"classical sample count {n} per estimate exceeds 2^63-1")
     else:
-        means = it.streams(KeyTemplate(("svi", range(1, iters + 1))), horizon, err)
+        means = it.streams(KeyTemplate((oracle.seed, "svi", range(1, iters + 1))), horizon, err)
     if mode == "quantum_mean_and_max":
-        argmax_draws = _mock_argmax_draws(oracle, "svi", iters, s_n, a_n)
+        argmax_keys = KeyTemplate((oracle.seed, "svi", range(1, iters + 1), range(s_n), "argmax"))
+        argmax_draws = _mock_argmax_draws(oracle, argmax_keys, s_n, a_n)
         argmax_charge = (s_n * int(argmax_query_budget(a_n, delta_i, DEFAULT_C_MAX))
                          * bounded_mean_charge(horizon, err, delta_i, cfg))
 

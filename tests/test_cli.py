@@ -178,6 +178,27 @@ class TestSolveCommand:
         assert main(["solve", "--config", str(cfg), "--out",
                      str(tmp_path / "r.json")]) == 2
 
+    def test_solver_range_error_names_file_and_block(self, tmp_path, capsys):
+        doc = fig_two_config()
+        doc["solver"]["eps"] = 9.0  # above sqrt(horizon) for variance-reduced
+        cfg = write_config(tmp_path, doc)
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: \S*config\.json: solver: eps must lie in "
+                            r"\(0, sqrt\(horizon\)\] = \(0, 3\.16228\], got 9\.0\n", err), err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_statevector_argmax_budget_exit_code(self, tmp_path, capsys):
+        # c_max = 1e9 at A = 8 is about 1.4e11 probes per simulated max finding
+        doc = fig_two_config(eps=1.0, solver="max-finding", A=8, arms=(3,))
+        doc["solver"]["c_max"] = 1e9
+        doc["estimator"] = {"backend": "statevector"}
+        cfg = write_config(tmp_path, doc)
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: max-finding budget of \S+ probes exceeds MAX_ARGMAX_PROBES = "
+                            r"16777216; lower c_max\n", err), err
+
     def test_classical_sample_count_overflow_exit_code(self, tmp_path, capsys):
         # gamma 0.999 and eps 0.001 derive a Hoeffding count near 1e20 per
         # estimate, past the int64 count numpy's multinomial takes
@@ -480,6 +501,30 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         where = r"error: \S*config\.json: instance\.hard_instance\."
         assert re.fullmatch(where + message + r".*\n", err), err
+        assert calls == [] and not out_csv.exists() and not out_fit.exists()
+
+    ABOVE_HORIZON = r"eps must lie in \(0, horizon\] = \(0, 10\], got 40\.0"
+
+    @pytest.mark.parametrize("solver,values,message", [
+        ("max-finding", "0.5,0.3,40", ABOVE_HORIZON),
+        ("sampled", "0.5,0.3,40", ABOVE_HORIZON),
+        ("variance-reduced", "0.5,0.3,4",
+         r"eps must lie in \(0, sqrt\(horizon\)\] = \(0, 3\.16228\], got 4\.0"),
+    ])
+    def test_bad_last_eps_is_refused_before_any_solve(self, tmp_path, capsys, monkeypatch,
+                                                      solver, values, message):
+        # each point's solver parameters are derived on the one MDP first
+        import qmdp.cli as cli_mod
+
+        calls = []
+        for name in ("variance_reduced_vi", "max_finding_vi", "sampled_vi"):
+            monkeypatch.setattr(cli_mod, name, lambda *args, **kwargs: calls.append(args))
+        cfg = write_config(tmp_path, fig_two_config(solver=solver))
+        out_csv, out_fit = tmp_path / "s.csv", tmp_path / "f.json"
+        assert main(["sweep", "--config", str(cfg), "--axis", "eps", "--values", values,
+                     "--seeds", "1", "--out-csv", str(out_csv), "--out-fit", str(out_fit)]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: \S*config\.json: solver: " + message + r"\n", err), err
         assert calls == [] and not out_csv.exists() and not out_fit.exists()
 
     @pytest.mark.parametrize("axis,values,instance", [

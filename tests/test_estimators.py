@@ -1,5 +1,7 @@
 """Tests for the mean-estimation layer: contracts, charges, and backends."""
 
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -24,9 +26,16 @@ from qmdp.estimators import (
 from qmdp.mdp import Mdp
 from qmdp.oracle import SampleOracle
 from qmdp.qsim import median_amplitude_estimates
-from qmdp.rng import KeyTemplate, _key_digest, derived_rng
+from qmdp.rng import KeyTemplate, derived_rng
 
 CFG = EstimatorConfig()
+
+
+def key_digest(*parts):
+    """The key format, written out: the 16-byte blake2b digest of the key's
+    parts, the seed first, as text joined by "\x1f"."""
+    text = "\x1f".join(p if isinstance(p, str) else str(int(p)) for p in parts)
+    return hashlib.blake2b(text.encode(), digest_size=16).digest()
 
 
 def bernoulli_mdp(p):
@@ -612,18 +621,18 @@ class TestMockRows:
         keys = derived_rng(36, "rows")
         mdp = Mdp(keys.dirichlet(np.ones(3), size=(3, 4)), np.zeros((3, 4)), 0.9)
         oracle = SampleOracle(mdp, 37)
-        template = KeyTemplate(("t", range(1, 4), range(5), "rows"))
+        template = KeyTemplate((37, "t", range(1, 4), range(5), "rows"))
         upper, eps = [1.0, 2.0, 4.0], [0.1, 0.05, 0.2]
         rows = list(est_mod.mock_rows(oracle, template, upper, eps, delta, cfg))
         assert len(rows) == len(template) == 15
-        for key, row in zip(template, rows):
-            k = key[1] - 1
+        for key, row in zip(itertools.product([37], ["t"], range(1, 4), range(5), ["rows"]),
+                            rows, strict=True):
+            k = key[2] - 1
             mu = keys.random((3, 4)) * upper[k]
             got = est_mod._estimate(mu, upper[k], eps[k], delta, cfg, row, forced)
-            want = est_mod._estimate(mu, upper[k], eps[k], delta, cfg, derived_rng(37, *key),
-                                     forced)
+            want = est_mod._estimate(mu, upper[k], eps[k], delta, cfg, derived_rng(*key), forced)
             assert _outcome(*got) == _outcome(*want)
-            assert row.failed == bool((derived_rng(37, *key).random((3, 4)) < delta).any())
+            assert row.failed == bool((derived_rng(*key).random((3, 4)) < delta).any())
 
     def test_scalar_bounds_and_replays_through_the_oracle(self, monkeypatch):
         # scalar upper and eps serve every key, 7 streams of 8 words per
@@ -634,14 +643,15 @@ class TestMockRows:
         real = SampleOracle.keyed_rng
         monkeypatch.setattr(SampleOracle, "keyed_rng",
                             lambda self, digest: rekeyed.append(digest) or real(self, digest))
-        template = KeyTemplate(("svi", range(1, 41)))
+        template = KeyTemplate((38, "svi", range(1, 41)))
         mu = np.full((2, 2), 0.5)
         failed = []
-        for key, row in zip(template, est_mod.mock_rows(oracle, template, 1.0, 0.1, 0.1, CFG)):
-            want = est_mod._estimate(mu, 1.0, 0.1, 0.1, CFG, derived_rng(38, *key))
+        for key, row in zip(itertools.product([38], ["svi"], range(1, 41)),
+                            est_mod.mock_rows(oracle, template, 1.0, 0.1, 0.1, CFG), strict=True):
+            want = est_mod._estimate(mu, 1.0, 0.1, 0.1, CFG, derived_rng(*key))
             assert _outcome(*est_mod._estimate(mu, 1.0, 0.1, 0.1, CFG, row)) == _outcome(*want)
             if row.failed:
-                failed.append(_key_digest(38, key))
+                failed.append(key_digest(*key))
             assert row.charge == est_mod.bounded_mean_charge(1.0, 0.1, 0.1, CFG) * 4
         assert rekeyed == failed and 0 < len(failed) < 40
 

@@ -424,6 +424,24 @@ class TestSimulateArgmax:
             simulate_argmax(np.arange(8.0), 1e-3, rng, c_max)
         assert rng.random() == derived_rng(14, "c_max").random()
 
+    @pytest.mark.parametrize("n", [1, 8])
+    def test_budget_above_max_probes_raises_before_drawing(self, n):
+        # c_max = 1e9 at n = 8 is 9.4e9 probes, which ran past a 10 s timeout
+        rng = derived_rng(17, "max-probes", n)
+        with pytest.raises(PreconditionError, match="exceeds MAX_ARGMAX_PROBES = 16777216"):
+            simulate_argmax(np.arange(float(n)), 0.1, rng, 1e9)
+        assert rng.random() == derived_rng(17, "max-probes", n).random()
+
+    def test_budget_at_max_probes_runs(self, monkeypatch):
+        # the bound itself is a budget simulate_argmax runs to the end
+        monkeypatch.setattr(qsim_mod, "MAX_ARGMAX_PROBES", 1000)
+        c_max = 1000 / (math.sqrt(8) * math.log2(1 / 0.1))
+        led = QueryLedger()
+        simulate_argmax(np.arange(8.0), 0.1, derived_rng(18, "at-max"), c_max, ledger=led)
+        assert 990 <= led.quantum_oracle_calls <= 1000
+        with pytest.raises(PreconditionError, match="MAX_ARGMAX_PROBES = 1000;"):
+            simulate_argmax(np.arange(8.0), 0.1, derived_rng(18, "at-max"), c_max * 1.001)
+
     @pytest.mark.parametrize("values", [[np.nan], [1.0, np.nan, 2.0], [np.nan] * 8])
     def test_nan_values_raise_before_drawing(self, values):
         rng = derived_rng(15, "nan")

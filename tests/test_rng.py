@@ -1,13 +1,15 @@
 """Stream contract of qmdp.rng: a derived stream is Philox keyed by the
-blake2b digest of its (seed, *parts) key, and nothing else; bulk_passes
-computes many streams' first words in one pass, uniforms and first_draws
-turn them into each stream's first draws, KeyTemplate encodes a family
-of streams' keys in bulk to the same digests, and WordReader replays one
-Generator's random() and integers(k) from its raw words."""
+blake2b digest of its (seed, *parts) key, and nothing else; KeyTemplate
+encodes a family of streams' keys in bulk to the same digests and
+key_digests reads them a bounded chunk at a time; bulk_passes computes many
+streams' first words in one pass, uniforms, lemire and first_draws turn them
+into each stream's first draws, and WordReader replays one Generator's
+random() and integers(k) from its raw words."""
 
 import hashlib
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,24 +18,31 @@ import qmdp.rng
 from qmdp.mdp import Mdp
 from qmdp.oracle import SampleOracle
 from qmdp.rng import (
+    DIGEST_KEYS,
     READ_WORDS,
     KeyTemplate,
     WordReader,
-    _key_digest,
     _philox_words,
     bulk_passes,
     derived_rng,
     first_draws,
+    key_digests,
     keyed_rng,
+    lemire,
     uniforms,
 )
 
 
+def key_digest(*parts):
+    """The key format, written out: the 16-byte blake2b digest of the key's
+    parts, the seed first, as text joined by "\x1f"."""
+    text = "\x1f".join(p if isinstance(p, str) else str(int(p)) for p in parts)
+    return hashlib.blake2b(text.encode(), digest_size=16).digest()
+
+
 def reference_rng(seed, *parts):
     """The stream definition, written out: Philox constructed with key=."""
-    text = "\x1f".join([str(int(seed))] + [p if isinstance(p, str) else str(int(p))
-                                           for p in parts])
-    digest = hashlib.blake2b(text.encode(), digest_size=16).digest()
+    digest = key_digest(seed, *parts)
     return np.random.Generator(np.random.Philox(key=np.frombuffer(digest, dtype=np.uint64)))
 
 
@@ -137,25 +146,22 @@ def test_fresh_generator_per_call():
     np.testing.assert_array_equal(b.random(4), first)  # drawing from a left b untouched
 
 
-@pytest.mark.parametrize("n_words,dtype", [(2, np.uint32), (4, np.uint32), (1, np.uint64),
-                                           (3, np.uint64), (4, np.uint64)])
-def test_key_adapter_refuses_other_requests(n_words, dtype):
-    seed_seq = derived_rng(3, "call", 0).bit_generator.seed_seq
-    with pytest.raises(ValueError, match="Philox key"):
-        seed_seq.generate_state(n_words, dtype)
-    assert seed_seq.generate_state(2, np.uint64).tolist() == \
-        reference_rng(3, "call", 0).bit_generator.state["state"]["key"].tolist()
-
-
 def test_derived_stream_cannot_spawn():
     with pytest.raises(TypeError):
         derived_rng(3, "call", 0).spawn(1)
 
 
-@pytest.mark.parametrize("bad", [True, False, 1.0, 0.5, None, b"x", (1,)])
+@pytest.mark.parametrize("bad", [True, False, 1.0, 0.5, None, b"x", (1,), [2], range(1)])
 def test_key_parts_must_be_ints_or_strings(bad):
     with pytest.raises(TypeError, match="ints or strings"):
         derived_rng(0, "call", bad)
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, 0.5, None])
+def test_seed_must_be_an_int(bad):
+    # the seed is the key's first part, encoded as every other part is
+    with pytest.raises(TypeError, match="ints or strings"):
+        derived_rng(bad, "call", 0)
 
 
 def _keys_by_seed():
@@ -166,7 +172,7 @@ def _keys_by_seed():
 
 
 def _digests(seed, keys):
-    return b"".join(_key_digest(seed, parts) for parts in keys)
+    return b"".join(key_digest(seed, *parts) for parts in keys)
 
 
 # numpy's Lemire step rejects with probability (2^32 mod k) / 2^32: about a
@@ -198,7 +204,7 @@ def test_first_draws_of_no_keys():
 @pytest.mark.parametrize("k", [0, -1, 2**32, 2**40])
 def test_first_draws_range_of_k(k):
     with pytest.raises(ValueError, match="k must lie in"):
-        first_draws(_philox_words(_key_digest(3, ("call", 0)), 2), k, None)
+        first_draws(_philox_words(key_digest(3, "call", 0), 2), k, None)
 
 
 ARGMAX_LABELS = sorted({"mf", "svi", "50%", "%s%%d"}
@@ -212,30 +218,21 @@ ARGMAX_GRIDS = (
 
 
 @pytest.mark.parametrize("seed", [0, -5, 2**62, 2**62 + 7, np.int64(12345)])
-def test_argmax_digests_match_key_digest(seed):
+def test_argmax_digests_match_key_format(seed):
     for label, (sweeps, states) in itertools.product(ARGMAX_LABELS, ARGMAX_GRIDS):
-        keys = KeyTemplate((label, sweeps, states, "argmax"))
-        tuples = [(label, l, s, "argmax") for l in sweeps for s in states]
-        assert list(keys) == tuples and len(keys) == len(tuples)
-        assert keys.digests(seed) == b"".join(_key_digest(seed, parts) for parts in tuples)
-
-
-def test_argmax_keys_index_like_a_list():
-    keys = KeyTemplate(("mf", range(3, 6), range(4), "argmax"))
-    tuples = list(keys)
-    for i in (0, 5, 11, -1, -12):
-        assert keys[i] == tuples[i]
-    for i in (12, -13):
-        with pytest.raises(IndexError):
-            keys[i]
+        keys = KeyTemplate((seed, label, sweeps, states, "argmax"))
+        tuples = list(itertools.product([seed], [label], sweeps, states, ["argmax"]))
+        assert len(keys) == len(tuples)
+        assert keys.digests() == b"".join(key_digest(*parts) for parts in tuples)
 
 
 @pytest.mark.parametrize("bad", [True, 1.0, None])
 def test_argmax_digests_refuse_what_keys_refuse(bad):
-    for keys in (KeyTemplate(("mf", [bad], range(2), "argmax")),
-                 KeyTemplate(("mf", range(2), [0, bad], "argmax"))):
+    for keys in (KeyTemplate((0, "mf", [bad], range(2), "argmax")),
+                 KeyTemplate((0, "mf", range(2), [0, bad], "argmax")),
+                 KeyTemplate((bad, "mf", range(2), "argmax"))):
         with pytest.raises(TypeError, match="ints or strings"):
-            keys.digests(0)
+            keys.digests()
 
 
 @pytest.mark.parametrize("n,group,pass_words", [
@@ -248,13 +245,13 @@ def test_bulk_passes_cover_the_keys_in_whole_groups(monkeypatch, n, group, pass_
     monkeypatch.setattr(qmdp.rng, "PASS_WORDS", pass_words)
     per_pass = max(1, pass_words // (n * group)) * group
     for seed in (0, -5, 2**62):
-        keys = KeyTemplate(("mf", range(1, 6), range(group), "argmax"))
-        digests = keys.digests(seed)
-        chunks = list(bulk_passes(seed, keys, n, group))
+        keys = KeyTemplate((seed, "mf", range(1, 6), range(group), "argmax"))
+        digests = keys.digests()
+        chunks = list(bulk_passes(keys, n, group))
         assert [len(c) for c, _, _ in chunks[:-1]] == [per_pass] * (len(chunks) - 1)
         assert sum(len(c) for c, _, _ in chunks) == len(keys)
         assert all(len(c) % group == 0 for c, _, _ in chunks)
-        assert [key for c, _, _ in chunks for key in c] == list(keys)
+        assert all(c.digests() == d for c, d, _ in chunks)
         assert b"".join(d for _, d, _ in chunks) == digests
         words = np.concatenate([w for _, _, w in chunks])
         assert words.dtype == np.uint64 and words.shape == (len(keys), n)
@@ -262,11 +259,11 @@ def test_bulk_passes_cover_the_keys_in_whole_groups(monkeypatch, n, group, pass_
 
 
 def test_bulk_passes_of_no_keys():
-    assert list(bulk_passes(3, KeyTemplate(("empty", range(0))), 4)) == []
+    assert list(bulk_passes(KeyTemplate((3, "empty", range(0))), 4)) == []
 
 
 def _all_digests():
-    return b"".join(_key_digest(seed, parts) for seed, parts in KEYS)
+    return b"".join(key_digest(seed, *parts) for seed, parts in KEYS)
 
 
 @pytest.mark.parametrize("n", sorted(FIRST_UNIFORMS))
@@ -295,7 +292,7 @@ def test_first_uniforms_of_no_streams():
 def test_keyed_rng_is_derived_rng():
     g = derived_rng(1, "scratch")
     for seed, parts in KEYS[::11]:
-        digest = _key_digest(seed, parts)
+        digest = key_digest(seed, *parts)
         assert _state(keyed_rng(digest)) == _state(derived_rng(seed, *parts))
         assert keyed_rng(digest, reuse=g) is g
         assert _state(g) == _state(derived_rng(seed, *parts))
@@ -303,6 +300,7 @@ def test_keyed_rng_is_derived_rng():
 
 TEMPLATES = (
     ("vr", range(1, 4), range(1, 11), "line13"),
+    ("vr", range(1, 4), ("line8-sq", "line8-mean", "line9")),
     ("svi", range(1, 7)),
     ("mf", range(2, 5), "line10"),
     ("call", range(5, 40)),
@@ -311,6 +309,7 @@ TEMPLATES = (
     ("empty", range(0), "z"),
     ("%s", [0, -1, 2**40], "%%d"),
 )
+SEEDS = (0, -3, 2**62, np.int64(7))
 
 
 def _spelled_out(parts):
@@ -324,36 +323,59 @@ def _spelled_out(parts):
 
 
 @pytest.mark.parametrize("parts", TEMPLATES, ids=range(len(TEMPLATES)))
-def test_key_template_spells_out_its_keys(parts):
-    template, keys = KeyTemplate(parts), _spelled_out(parts)
-    assert list(template) == keys and len(template) == len(keys)
-    for seed in (0, -3, 2**62, np.int64(7)):
-        digests = b"".join(_key_digest(seed, key) for key in keys)
-        assert template.digests(seed) == digests
-        for start in range(0, len(keys) + 1, 3):
-            for stop in range(start, len(keys) + 2, 4):
-                part = template[start:stop]
-                assert list(part) == keys[start:stop]
-                assert part.digests(seed) == digests[16 * start:16 * stop]
-                assert part[1:].digests(seed) == digests[16 * (start + 1):16 * stop]
+@pytest.mark.parametrize("seed", [*SEEDS, SEEDS], ids=[*map(str, range(len(SEEDS))), "slot"])
+def test_key_template_spells_out_its_keys(parts, seed):
+    # each seed alone, and all four as the template's first slot
+    template, keys = KeyTemplate((seed, *parts)), _spelled_out((seed, *parts))
+    assert len(template) == len(keys)
+    digests = b"".join(key_digest(*key) for key in keys)
+    assert template.digests() == digests
+    for start in range(0, len(keys) + 1, 3):
+        for stop in range(start, len(keys) + 2, 4):
+            part = template[start:stop]
+            assert len(part) == len(keys[start:stop])
+            assert part.digests() == digests[16 * start:16 * stop]
+            assert part[1:].digests() == digests[16 * (start + 1):16 * stop]
 
 
 def test_key_template_first_slot():
-    template = KeyTemplate(("vr", range(1, 4), range(1, 6), "line13"))
+    template = KeyTemplate((0, "vr", range(1, 4), range(1, 6), "line13"))
     assert template.first_slot().tolist() == [0] * 5 + [1] * 5 + [2] * 5
     assert template[4:12].first_slot().tolist() == [0] + [1] * 5 + [2] * 2
-    assert KeyTemplate(("svi", range(3, 6))).first_slot().tolist() == [0, 1, 2]
-    assert KeyTemplate(("x", 1)).first_slot().tolist() == [0]
+    assert KeyTemplate((0, "svi", range(3, 6))).first_slot().tolist() == [0, 1, 2]
+    assert KeyTemplate((0, "x", 1)).first_slot().tolist() == [0]
 
 
-def test_key_template_indexing():
-    template = KeyTemplate(("mf", range(3, 6), "line10"))
-    assert template[-1] == ("mf", 5, "line10") and template[1:][0] == ("mf", 4, "line10")
-    for i in (3, -4):
-        with pytest.raises(IndexError):
+def test_key_template_takes_only_unit_step_slices():
+    template = KeyTemplate((0, "mf", range(3, 6), "line10"))
+    assert template[-1:].digests() == key_digest(0, "mf", 5, "line10")
+    assert template[1:][:1].digests() == key_digest(0, "mf", 4, "line10")
+    for i in (0, -1, slice(None, None, 2)):
+        with pytest.raises(TypeError, match="slices of step 1"):
             template[i]
-    with pytest.raises(ValueError, match="step 1"):
-        template[::2]
+
+
+@pytest.mark.parametrize("n", [0, 1, DIGEST_KEYS - 1, DIGEST_KEYS, 2 * DIGEST_KEYS + 5])
+def test_key_digests_read_every_key_in_order(n):
+    keys = KeyTemplate((5, "mf", range(n), "argmax"))
+    digests = list(key_digests(keys))
+    assert all(type(d) is bytes and len(d) == 16 for d in digests)
+    assert b"".join(digests) == keys.digests()
+    assert b"".join(key_digests(keys[3:n - 2])) == keys.digests()[48:16 * (n - 2)]
+
+
+def test_key_digests_memory_does_not_grow_with_keys():
+    # 2^18 keys: holding their digests at once would take 4 MiB for the
+    # bytes alone; the reader holds one chunk of DIGEST_KEYS
+    keys = KeyTemplate((1, "mf", range(2**12), range(2**6), "argmax"))
+    tracemalloc.start()
+    try:
+        n = sum(1 for _ in key_digests(keys))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert n == 2**18
+    assert peak < 2**19, peak
 
 
 # Re-keying: derived_rng(..., reuse=g) puts g at the start of the stream a
@@ -540,3 +562,15 @@ def test_word_reader_halves_are_the_next_32_bit_values(entry):
         assert draws.integers(1000) == ref.integers(1000)
         draws.close()
         assert _state(g) == _state(ref), (entry, c)
+
+
+@pytest.mark.parametrize("k", DRAW_KS[1:])
+def test_lemire_is_numpys_step(k):
+    # the smallest and largest halves, where rejections lie, and random ones
+    edges = np.arange(64, dtype=np.uint64)
+    drawn = derived_rng(14, "lemire", k).integers(0, 2**32, 512, dtype=np.uint64)
+    halves = np.concatenate((edges, 2**32 - 1 - edges, drawn))
+    index, rejected = lemire(halves, k)
+    assert index.dtype == np.uint64 and rejected.dtype == bool
+    want = [(x * k >> 32, x * k % 2**32 < (2**32 - k) % k) for x in halves.tolist()]
+    assert list(zip(index.tolist(), rejected.tolist())) == want

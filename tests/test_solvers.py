@@ -1,6 +1,8 @@
 """Tests for the sampled solvers: schedules, guarantees, and diagnostics."""
 
 import dataclasses
+import hashlib
+import itertools
 import json
 import re
 import tracemalloc
@@ -10,6 +12,7 @@ import pytest
 
 import qmdp.estimators
 import qmdp.oracle
+import qmdp.qsim
 import qmdp.rng
 import qmdp.solvers as solvers
 from qmdp.errors import PreconditionError
@@ -17,7 +20,7 @@ from qmdp.estimators import EstimatorConfig
 from qmdp.hard_instances import HardInstanceSpec, multi_arm_instance, two_state_chain
 from qmdp.mdp import Mdp, exact_value_iteration, policy_value_exact
 from qmdp.oracle import SampleOracle
-from qmdp.rng import derived_rng
+from qmdp.rng import KeyTemplate, derived_rng
 from qmdp.solvers import (
     MaxFindingParams,
     VarianceReducedParams,
@@ -28,6 +31,17 @@ from qmdp.solvers import (
 )
 
 CFG = EstimatorConfig()
+
+
+def key_digest(*parts):
+    """The key format, written out: the 16-byte blake2b digest of the key's
+    parts, the seed first, as text joined by "\x1f"."""
+    text = "\x1f".join(p if isinstance(p, str) else str(int(p)) for p in parts)
+    return hashlib.blake2b(text.encode(), digest_size=16).digest()
+
+
+def argmax_keys(seed, sweeps, s_n):
+    return KeyTemplate((seed, "mf", range(1, sweeps + 1), range(s_n), "argmax"))
 
 
 def fig_two(num_actions, eps, large_arms, gamma=0.9):
@@ -147,7 +161,7 @@ class TestVectorizedMockArgmax:
         oracle = SampleOracle(zero_reward_mdp(), 11)
         for s_n, sweeps in ((40, 3), (3, 5)):
             q = tied_rows(s_n, a_n, a_n)
-            draws = list(solvers._mock_argmax_draws(oracle, "mf", sweeps, s_n, a_n))
+            draws = list(solvers._mock_argmax_draws(oracle, argmax_keys(11, sweeps, s_n), s_n, a_n))
             assert len(draws) == sweeps
             for l, (u, wrong) in enumerate(draws, start=1):
                 index, failed = mock_argmax_rows(q, f, u, wrong)
@@ -196,14 +210,14 @@ class TestVectorizedMockArgmax:
         real = SampleOracle.keyed_rng
         monkeypatch.setattr(SampleOracle, "keyed_rng",
                             lambda self, digest: rekeyed.append(digest) or real(self, digest))
-        draws = list(solvers._mock_argmax_draws(oracle, "mf", sweeps, s_n, k + 1))
+        draws = list(solvers._mock_argmax_draws(oracle, argmax_keys(12, sweeps, s_n), s_n, k + 1))
         assert len(draws) == sweeps
         for l, (u, wrong) in enumerate(draws, start=1):
             for s in range(s_n):
                 ref = derived_rng(12, "mf", l, s, "argmax")
                 assert (u[s], wrong[s]) == (ref.random(), ref.integers(k)), (l, s)
-        keys = [("mf", l, s, "argmax") for l in range(1, sweeps + 1) for s in range(s_n)]
-        assert set(rekeyed) <= {qmdp.rng._key_digest(12, key) for key in keys}
+        keys = itertools.product([12], ["mf"], range(1, sweeps + 1), range(s_n), ["argmax"])
+        assert set(rekeyed) <= {key_digest(*key) for key in keys}
         assert 5 < len(rekeyed) < 35 and oracle._rng is not None
 
     def test_chunked_draws_memory_does_not_grow_with_sweeps(self):
@@ -212,7 +226,7 @@ class TestVectorizedMockArgmax:
         oracle = SampleOracle(zero_reward_mdp(), 0)
         tracemalloc.start()
         try:
-            n = sum(1 for _ in solvers._mock_argmax_draws(oracle, "mf", 4096, 64, 16))
+            n = sum(1 for _ in solvers._mock_argmax_draws(oracle, argmax_keys(0, 4096, 64), 64, 16))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -471,6 +485,27 @@ class TestMaxFindingSolver:
             max_finding_vi(SampleOracle(mdp, 0), params,
                            EstimatorConfig(backend="statevector"))
 
+    @pytest.mark.parametrize("backend", ["contract_mock", "statevector"])
+    def test_argmax_budget_above_max_probes(self, monkeypatch, backend):
+        # c_max = 1e9 at A = 8: the statevector solve is refused before its
+        # first stream; the mock charges the budget without simulating it
+        mdp = fig_two(8, 1.0, {3})
+        params = MaxFindingParams.for_mdp(mdp, 1.0, 0.1, c_max=1e9)
+        keyed = []
+        real = SampleOracle.keyed_rng
+        monkeypatch.setattr(SampleOracle, "keyed_rng",
+                            lambda self, digest: keyed.append(digest) or real(self, digest))
+        oracle = SampleOracle(mdp, 4)
+        if backend == "statevector":
+            with pytest.raises(PreconditionError, match="exceeds MAX_ARGMAX_PROBES"):
+                max_finding_vi(oracle, params, EstimatorConfig(backend=backend))
+            assert keyed == [] and oracle.ledger.total == 0
+        else:
+            report = max_finding_vi(oracle, params, EstimatorConfig(backend=backend))
+            budget = qmdp.qsim.argmax_query_budget(8, params.est_failure_prob, 1e9)
+            assert budget > qmdp.qsim.MAX_ARGMAX_PROBES
+            assert report.ledger.phases["iter-1-argmax"] > mdp.num_states * int(budget)
+
     def test_no_q_output(self):
         mdp = fig_two(2, 1.0, {1})
         report = max_finding_vi(
@@ -607,32 +642,31 @@ def test_one_generator_per_oracle(monkeypatch, name):
 
 
 @pytest.mark.parametrize("name", ["variance-reduced", "max-finding", "sampled-quantum_mean"])
-def test_bulk_streams_derived_only_to_replay(monkeypatch, name):
+def test_bulk_streams_keyed_only_to_replay(monkeypatch, name):
     """With failures common, a bulk-drawn solve re-keys the oracle to the
     stream of each batch with a failed entry, in order, from the key's
-    digest, and derives no other stream besides the anchors' (lines 8 and 9)."""
+    digest, and to no other stream besides the anchors' (lines 8 and 9),
+    each epoch's three before its line-13 replays; it derives none."""
     mdp = fig_two(8, 0.5, {3})
+    epochs = range(1, 2)  # one "epoch" for the solvers without anchors
     if name == "variance-reduced":
         params = dataclasses.replace(VarianceReducedParams.for_mdp(mdp, 0.5, 0.1),
                                      est_failure_prob=0.02)
         solve = lambda o: variance_reduced_vi(o, params)  # noqa: E731
-        keys = [("vr", k, l, "line13") for k in range(1, params.num_epochs + 1)
-                for l in range(1, params.iters_per_epoch + 1)]
+        keys = list(itertools.product([2], ["vr"], range(1, params.num_epochs + 1),
+                                      range(1, params.iters_per_epoch + 1), ["line13"]))
+        epochs = range(1, params.num_epochs + 1)
     elif name == "max-finding":
         params = dataclasses.replace(MaxFindingParams.for_mdp(mdp, 0.5, 0.1),
                                      est_failure_prob=0.02)
         solve = lambda o: max_finding_vi(o, params)  # noqa: E731
-        keys = [("mf", l, "line10") for l in range(1, params.iters + 1)]
+        keys = list(itertools.product([2], ["mf"], range(1, params.iters + 1), ["line10"]))
     else:
         solve = lambda o: sampled_vi(o, 5.0, 0.99, mode="quantum_mean")  # noqa: E731
-        keys = [("svi", i) for i in range(1, 23)]
+        keys = list(itertools.product([2], ["svi"], range(1, 23)))
     derived, rekeyed, replayed = [], [], []
-    real_derive, real_keyed = SampleOracle.derive_rng, SampleOracle.keyed_rng
+    real_keyed = SampleOracle.keyed_rng
     real_batch = solvers.batch_bounded_mock
-
-    def derive_spy(self, *parts):
-        derived.append(parts)
-        return real_derive(self, *parts)
 
     def keyed_spy(self, digest):
         rekeyed.append(digest)
@@ -644,15 +678,55 @@ def test_bulk_streams_derived_only_to_replay(monkeypatch, name):
             replayed.append(bool(failed.any()) or violated)
         return est, failed, violated
 
-    monkeypatch.setattr(SampleOracle, "derive_rng", derive_spy)
+    monkeypatch.setattr(SampleOracle, "derive_rng", lambda self, *parts: derived.append(parts))
     monkeypatch.setattr(SampleOracle, "keyed_rng", keyed_spy)
     monkeypatch.setattr(solvers, "batch_bounded_mock", batch_spy)
     solve(SampleOracle(mdp, 2))
     assert len(replayed) == len(keys) and 0 < sum(replayed) < len(keys) / 2
-    anchors = ("line8-sq", "line8-mean", "line9")
-    assert all(parts[-1] in anchors for parts in derived)
-    assert rekeyed == [qmdp.rng._key_digest(2, key)
-                       for key, replay in zip(keys, replayed) if replay]
+    assert derived == []
+    want = []
+    for k in epochs:  # each epoch's anchors, then its line-13 replays
+        if name == "variance-reduced":
+            want += [key_digest(2, "vr", k, line) for line in ("line8-sq", "line8-mean", "line9")]
+        want += [key_digest(*key) for key, replay in zip(keys, replayed)
+                 if replay and (name != "variance-reduced" or key[2] == k)]
+    assert rekeyed == want
+
+
+# S*A = 2*40 = 80 > 64: no estimate is drawn in bulk, and a failed one is
+# drawn on the stream it was keyed to
+KEYED_ONCE = {
+    "variance-reduced": lambda o, cfg: variance_reduced_vi(o, dataclasses.replace(
+        VarianceReducedParams.for_mdp(o.mdp, 1.0, 0.1), est_failure_prob=0.3), cfg),
+    "max-finding": lambda o, cfg: max_finding_vi(o, dataclasses.replace(
+        MaxFindingParams.for_mdp(o.mdp, 1.0, 0.1), est_failure_prob=0.3), cfg),
+    **{f"sampled-{mode}": (lambda o, cfg, mode=mode: sampled_vi(o, 1.0, 0.99, mode, cfg))
+       for mode in solvers.SAMPLED_MODES},
+}
+
+
+@pytest.mark.parametrize("backend", ["contract_mock", "statevector"])
+@pytest.mark.parametrize("name", sorted(KEYED_ONCE))
+def test_every_stream_keyed_once(monkeypatch, name, backend):
+    """Every stream a solve reads is keyed from its digest exactly once, on
+    S*A > 64 and with failures forced, and no stream is derived from a key
+    tuple."""
+    digests, derived = [], []
+    real_keyed = qmdp.rng.keyed_rng
+
+    def keyed_spy(digest, reuse=None):
+        digests.append(digest)
+        return real_keyed(digest, reuse)
+
+    monkeypatch.setattr(qmdp.rng, "keyed_rng", keyed_spy)
+    monkeypatch.setattr(qmdp.oracle, "keyed_rng", keyed_spy)
+    monkeypatch.setattr(SampleOracle, "derive_rng", lambda self, *parts: derived.append(parts))
+    report = KEYED_ONCE[name](SampleOracle(fig_two(40, 1.0, {3}), 6),
+                              EstimatorConfig(backend=backend))
+    assert len(digests) > 10 and len(set(digests)) == len(digests)
+    assert derived == []
+    if backend == "contract_mock" and not name.startswith("sampled"):
+        assert report.estimator_failures > 0
 
 
 PHASE_LABEL = re.compile(r"^(epoch|iter)-\d+(-line-\d+|-argmax)?$")
