@@ -57,6 +57,7 @@ from .qsim import (
 )
 from .solvers import (
     MaxFindingParams,
+    SampledParams,
     SolveReport,
     VarianceReducedParams,
     max_finding_vi,

@@ -20,6 +20,7 @@ import os
 import sys
 import traceback
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -48,10 +49,11 @@ from .mdp import (
 from .oracle import SampleOracle, quantize_mdp
 from .rng import derived_rng
 from .solvers import (
+    SAMPLED_MODES,
     MaxFindingParams,
+    SampledParams,
     SolveReport,
     VarianceReducedParams,
-    _check_eps_delta,
     max_finding_vi,
     sampled_vi,
     variance_reduced_vi,
@@ -68,7 +70,14 @@ __all__ = [
     "main",
 ]
 
-SOLVER_NAMES = ("variance-reduced", "max-finding", "sampled")
+# solver name -> (its params class, the other block entries its for_mdp takes, with
+# their casts, the solver's name here: looked up at each solve, wrappers included)
+_SOLVERS = {
+    "variance-reduced": (VarianceReducedParams, {"b": float, "c": float}, "variance_reduced_vi"),
+    "max-finding": (MaxFindingParams, {"c_max": float}, "max_finding_vi"),
+    "sampled": (SampledParams, {"mode": str}, "sampled_vi"),
+}
+SOLVER_NAMES = tuple(_SOLVERS)
 _EXACTLY_ONE = "exactly one"
 # each config block by path: (its entries' kinds, the entries it must give, or
 # _EXACTLY_ONE); a tuple kind lists the values an entry may take. MDP documents
@@ -84,7 +93,7 @@ _SCHEMA = {
                                  "c_alpha": "finite", "copies": "integer",
                                  "large_arms": "integers"}, ("gamma", "num_actions", "eps")),
     "solver.": ({"name": SOLVER_NAMES, "eps": "finite", "delta": "finite", "b": "finite",
-                 "c": "finite", "c_max": "finite", "mode": "string"}, ("name", "eps", "delta")),
+                 "c": "finite", "c_max": "finite", "mode": SAMPLED_MODES}, ("name", "eps", "delta")),
     "estimator.": ({"c1": "number", "c2": "number", "adversarial_scale": "number",
                     "mock_failure_mode": "string", "backend": "string", "phase_bits": "any"}, ()),
 }
@@ -167,37 +176,36 @@ def validate_config(doc: dict, source: str = "<config>") -> None:
     _check_block(doc, "", source)
 
 
-def _given(block: dict, keys, cast=float) -> dict:
-    """The entries of ``keys`` that a config block gives, cast; the library
-    owns the defaults of the rest."""
-    return {key: cast(block[key]) for key in keys if key in block}
-
-
 def _instance_plan(instance: dict, source: str):
     """Check an instance block, a generator's ranges included (as
-    PreconditionErrors naming the entry), and return (build, provenance):
-    ``build()`` makes the MDP, and provenance describes a generated one."""
+    PreconditionErrors naming the entry), and return (build, provenance,
+    shape): ``build()`` makes the MDP, provenance describes a generated one,
+    and shape, a generated one's (num_states, num_actions, discount,
+    effective_horizon), is all a solve's plan reads of it."""
     _check_block(instance, "instance.", source)
     (name, block), = instance.items()
     if name == "path":
-        return partial(load_mdp_json, block), None
+        return partial(load_mdp_json, block), None, None
     if name == "mdp":
-        return partial(mdp_from_dict, block, source=f"{source}:instance.mdp"), None
+        return partial(mdp_from_dict, block, source=f"{source}:instance.mdp"), None, None
     try:
         if name == "two_state":
             mdp = two_state_chain(block["gamma"], block["p"])  # two states: built to check
-            return (lambda: mdp), {"two_state": block}
+            return (lambda: mdp), {"two_state": block}, mdp
         spec = HardInstanceSpec(**block)
     except PreconditionError as exc:
         raise PreconditionError(f"{source}: instance.{name}.{exc}") from exc
-    return partial(tiled_instance, spec), {"hard_instance": spec.provenance()}
+    gamma = float(spec.gamma)  # as the built Mdp holds it
+    shape = SimpleNamespace(num_states=2 * spec.copies, num_actions=spec.num_actions,
+                            discount=gamma, effective_horizon=1.0 / (1.0 - gamma))
+    return partial(tiled_instance, spec), {"hard_instance": spec.provenance()}, shape
 
 
 def build_instance(instance: dict, source: str = "<config>") -> tuple[Mdp, dict | None]:
     """Materialize the MDP named by an instance block; returns provenance for
     generated instances.  Missing or mistyped entries raise ConfigError, and
     a generator's range errors are PreconditionErrors naming the entry."""
-    build, provenance = _instance_plan(instance, source)
+    build, provenance, _ = _instance_plan(instance, source)
     return build(), provenance
 
 
@@ -209,22 +217,19 @@ def estimator_config(doc: dict | None, source: str = "<config>") -> EstimatorCon
 
 
 def _solver_call(mdp: Mdp, solver: dict, cfg: EstimatorConfig, source: str = "<config>"):
-    """A solver block's solve on mdp, ``solve(oracle, diagnostics)``, its
-    parameters checked first; a range error reads ``<source>: solver: ...``."""
-    name = solver["name"]
-    eps, delta = float(solver["eps"]), float(solver["delta"])
+    """A solver block's solve on mdp, ``solve(oracle, diagnostics=False)``,
+    planned first: its params and their schedule are derived, so that a range
+    error or a refusal reads ``<source>: solver: ...`` before any draw.  The
+    entries the block leaves out take the library's defaults."""
+    params_class, entries, solve = _SOLVERS[solver["name"]]
+    given = {key: cast(solver[key]) for key, cast in entries.items() if key in solver}
     try:
-        if name == "variance-reduced":
-            params = VarianceReducedParams.for_mdp(mdp, eps, delta, **_given(solver, ("b", "c")))
-            return partial(variance_reduced_vi, params=params, cfg=cfg)
-        if name == "max-finding":
-            params = MaxFindingParams.for_mdp(mdp, eps, delta, **_given(solver, ("c_max",)))
-            return partial(max_finding_vi, params=params, cfg=cfg)
-        _check_eps_delta(eps, delta, mdp.effective_horizon, "horizon")  # as sampled_vi does
-        return partial(sampled_vi, eps=eps, delta=delta, cfg=cfg,
-                       **_given(solver, ("mode",), cast=str))
+        params = params_class.for_mdp(mdp, float(solver["eps"]), float(solver["delta"]), **given)
+        params.schedule(mdp, cfg)
     except PreconditionError as exc:
         raise PreconditionError(f"{source}: solver: {exc}") from exc
+    return lambda oracle, diagnostics=False: globals()[solve](
+        oracle, params=params, cfg=cfg, diagnostics=diagnostics)
 
 
 def run_solver(mdp: Mdp, solver: dict, cfg: EstimatorConfig, seed: int,
@@ -338,10 +343,11 @@ def run_sweep(config: dict, axis: str, values, seeds: int, source: str = "<confi
 
     Rows are (axis_value, seed, classical_samples, quantum_oracle_calls,
     success); the fit is on the per-point median of total queries, against
-    the axis's variable in ``_SWEEP_FIT``.  Every point's config, instance
-    ranges and, on a solver axis, solver parameters are checked before the
-    first solve, and a point builds its MDP only when its instance block
-    differs from the previous point's.
+    the axis's variable in ``_SWEEP_FIT``.  Every point is planned before
+    the first solve: its config and instance ranges checked, and its solver
+    params and schedule derived, on a generated instance's shape.  A point
+    builds its MDP only when its instance block differs from the previous
+    point's.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
@@ -352,23 +358,21 @@ def run_sweep(config: dict, axis: str, values, seeds: int, source: str = "<confi
         raise PreconditionError("sweep needs at least 1 seed per point")
     validate_config(config, source)
     docs = [_apply_axis(config, axis, value, source) for value in values]
+    cfg = estimator_config(config.get("estimator"), source)
+    plans, instance, mdp = [], None, None
     for doc in docs:
         validate_config(doc, source)
-        _instance_plan(doc["instance"], source)
-    cfg = estimator_config(config.get("estimator"), source)
+        build, _, shape = _instance_plan(doc["instance"], source)
+        if shape is None and doc["instance"] != instance:  # read once: no axis changes it
+            instance, mdp = doc["instance"], build()
+        plans.append((build, _solver_call(shape or mdp, doc["solver"], cfg, source)))
     base_seed = int(config["seed"])
     x_variable, x_of = _SWEEP_FIT[axis]
-    rows, points, instance, mdp = [], [], None, None
-    if axis in _SCHEMA["solver."][0]:
-        instance = config["instance"]
-        mdp, _ = build_instance(instance, source)
-        for doc in docs:
-            _solver_call(mdp, doc["solver"], cfg, source)
-    for value, doc in zip(values, docs):
+    rows, points = [], []
+    for value, doc, (build, solve) in zip(values, docs, plans):
         if doc["instance"] != instance:
             instance, mdp = doc["instance"], None  # one MDP alive at a time
-            mdp, _ = build_instance(instance, source)
-        solve = _solver_call(mdp, doc["solver"], cfg, source)
+            mdp = build()
         totals = []
         for i in range(seeds):
             seed = base_seed + i

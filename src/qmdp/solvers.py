@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,11 +31,14 @@ from .estimators import (
     DEFAULT_CONFIG,
     BACKEND_STATEVECTOR,
     EstimatorConfig,
+    amplification_reps,
     batch_bounded_mock,
     batch_variance_mock,
     bounded_mean_charge,
     hoeffding_sample_count,
     mock_rows,
+    statevector_phase_bits,
+    variance_mean_charge,
 )
 from .mdp import Mdp, expected_next_value, greedy, successor_variance
 from .oracle import QueryLedger, SampleOracle
@@ -44,6 +48,8 @@ from .rng import KeyTemplate, bulk_passes, first_draws, key_digests
 __all__ = [
     "VarianceReducedParams",
     "MaxFindingParams",
+    "SampledParams",
+    "Line",
     "SolveReport",
     "variance_reduced_vi",
     "max_finding_vi",
@@ -104,6 +110,48 @@ def _mock_argmax_draws(oracle: SampleOracle, keys: KeyTemplate, s_n: int, a_n: i
         yield from zip(u.reshape(-1, s_n), wrong.reshape(-1, s_n))
 
 
+class Line(NamedTuple):
+    """One line of a solve in one epoch, fixed before its first draw: its
+    ``estimates`` on [0, upper] to error err (on line 9, relative to each
+    row's sigma) at failure probability f, each charged ``charge``, from t
+    phase bits and reps runs on the statevector backend.  An argmax line's
+    estimates are its max findings, each floor(budget) probes of ``probe``."""
+
+    estimates: int
+    upper: float | None
+    err: float
+    f: float
+    charge: int
+    t: int | None = None
+    reps: int | None = None
+    budget: float | None = None
+    probe: int | None = None
+
+
+def _bounded(mdp: Mdp, cfg: EstimatorConfig, batches: int, upper, err, f) -> Line:
+    """``batches`` batches of S*A range-bounded estimates, charged as ``estimators._estimate``."""
+    n = batches * mdp.num_states * mdp.num_actions
+    if cfg.backend != BACKEND_STATEVECTOR:
+        return Line(n, upper, err, f, bounded_mean_charge(upper, err, f, cfg))
+    t, reps = statevector_phase_bits(err / upper, cfg), amplification_reps(f)
+    return Line(n, upper, err, f, ((1 << t) - 1) * reps, t, reps)
+
+
+def _argmax(mdp: Mdp, cfg: EstimatorConfig, line: Line, c_max: float, statevector=False) -> Line:
+    """A max finding per state and sweep of ``line``, each probe charged the
+    mock charge of one of its estimates; a statevector one is refused above 64
+    actions or MAX_ARGMAX_PROBES probes."""
+    budget = argmax_query_budget(mdp.num_actions, line.f, c_max)
+    if statevector and mdp.num_actions > 64:
+        raise PreconditionError("statevector max finding supports at most 64 actions")
+    if statevector and budget > MAX_ARGMAX_PROBES:
+        raise PreconditionError(f"max-finding budget of {budget:.6g} probes exceeds "
+                                f"MAX_ARGMAX_PROBES = {MAX_ARGMAX_PROBES}; lower c_max")
+    probe = bounded_mean_charge(line.upper, line.err, line.f, cfg)
+    return Line(line.estimates // mdp.num_actions, line.upper, line.err, line.f,
+                int(budget) * probe, budget=budget, probe=probe)
+
+
 @dataclass(frozen=True)
 class VarianceReducedParams:
     """Inputs and derived schedule of the epoch solver."""
@@ -136,6 +184,22 @@ class VarianceReducedParams:
         return cls(eps=eps, delta=delta, b=b, c=c, num_epochs=k,
                    iters_per_epoch=l, est_failure_prob=f)
 
+    def schedule(self, mdp: Mdp, cfg: EstimatorConfig = DEFAULT_CONFIG) -> dict:
+        """``(line, k) -> Line`` for lines 8 (its two estimates), 9 and 13 of every epoch k."""
+        h, gamma, f = mdp.effective_horizon, mdp.discount, self.est_failure_prob
+        window = self.c * (1.0 - gamma) ** 1.5 * self.eps
+        line9 = Line(mdp.num_states * mdp.num_actions, None, window, f,
+                     variance_mean_charge(1.0, window, f, cfg))
+        lines = {}
+        for k in range(1, self.num_epochs + 1):
+            lines["line8-sq", k] = _bounded(mdp, cfg, 1, h**2, self.b, f)
+            lines["line8-mean", k] = _bounded(mdp, cfg, 1, h, (1.0 - gamma) * self.b, f)
+            lines["line9", k] = line9
+            eps_k = h / 2.0**k
+            lines["line13", k] = _bounded(mdp, cfg, self.iters_per_epoch, 2.0 * eps_k,
+                                          self.c * (1.0 - gamma) * eps_k, f)
+        return lines
+
 
 @dataclass(frozen=True)
 class MaxFindingParams:
@@ -158,6 +222,52 @@ class MaxFindingParams:
         f = _failure_prob(delta / (4.0 * c_max * l * mdp.num_states * mdp.num_actions**1.5
                                    * math.log2(1.0 / delta)))
         return cls(eps=eps, delta=delta, c_max=c_max, iters=l, est_failure_prob=f)
+
+    def schedule(self, mdp: Mdp, cfg: EstimatorConfig = DEFAULT_CONFIG) -> dict:
+        """``(line, 1) -> Line`` for line 10 and the argmax over all L sweeps."""
+        line10 = _bounded(mdp, cfg, self.iters, mdp.effective_horizon,
+                          (1.0 - mdp.discount) * self.eps / 4.0, self.est_failure_prob)
+        return {("argmax", 1): _argmax(mdp, cfg, line10, self.c_max,
+                                       cfg.backend == BACKEND_STATEVECTOR),
+                ("line10", 1): line10}
+
+
+SAMPLED_MODES = ("classical", "quantum_mean", "quantum_mean_and_max")
+
+
+@dataclass(frozen=True)
+class SampledParams:
+    """Inputs and derived sweep count of the sampled baseline."""
+
+    eps: float
+    delta: float
+    mode: str = "classical"
+    iters: int = 0  # derived
+
+    @classmethod
+    def for_mdp(cls, mdp: Mdp, eps: float, delta: float,
+                mode: str = "classical") -> "SampledParams":
+        if mode not in SAMPLED_MODES:
+            raise PreconditionError(f"mode must be one of {SAMPLED_MODES}, got {mode!r}")
+        horizon = mdp.effective_horizon
+        _check_eps_delta(eps, delta, horizon, "horizon")
+        iters = _ceil_fuzz(horizon * math.log(4.0 * horizon / eps)) + 1
+        return cls(eps=eps, delta=delta, mode=mode, iters=iters)
+
+    def schedule(self, mdp: Mdp, cfg: EstimatorConfig = DEFAULT_CONFIG) -> dict:
+        """``(line, 1) -> Line`` for the row means and, with the quantum max,
+        the mock argmax over all sweeps; f is delta over every estimate."""
+        h, s_a = mdp.effective_horizon, mdp.num_states * mdp.num_actions
+        err, f = (1.0 - mdp.discount) * self.eps / 4.0, self.delta / (self.iters * s_a)
+        if self.mode == "classical":
+            n = hoeffding_sample_count(h, err, f)
+            if n > 2**63 - 1:  # numpy's multinomial takes n as a C int64
+                raise PreconditionError(f"classical sample count {n} per estimate exceeds 2^63-1")
+            return {("mean", 1): Line(self.iters * s_a, h, err, f, n)}
+        lines = {("mean", 1): _bounded(mdp, cfg, self.iters, h, err, f)}
+        if self.mode == "quantum_mean_and_max":
+            lines["argmax", 1] = _argmax(mdp, cfg, lines["mean", 1], DEFAULT_C_MAX)
+        return lines
 
 
 @dataclass
@@ -207,11 +317,14 @@ def _phase(scope: str, n: int, line=None) -> str:
 
 class _Iterate:
     """The iterate (v, pi) of one solve with its flags, failure count and
-    snapshots.  Every estimate and mock argmax of the solve has failure
-    probability f.  A solver with no monotone claim reports its flags as None."""
+    snapshots, and the params' schedule it follows, fixed before the first
+    draw.  Every estimate and mock argmax of the solve has the schedule's
+    failure probability f.  A solver with no monotone claim reports its flags
+    as None."""
 
-    def __init__(self, oracle, cfg, f, diagnostics, monotone=True):
-        self.oracle, self.cfg, self.f = oracle, cfg, f
+    def __init__(self, oracle, params, cfg, diagnostics, monotone=True):
+        self.oracle, self.cfg, self.lines = oracle, cfg, params.schedule(oracle.mdp, cfg)
+        self.f = next((line.f for line in self.lines.values()), None)  # None: no estimates
         self.v = np.zeros(oracle.mdp.num_states)
         self.pi = np.zeros(oracle.mdp.num_states, dtype=np.int64)
         self.monotone_ok = self.dominance_ok = True if monotone else None
@@ -223,21 +336,22 @@ class _Iterate:
         """The streams of ``keys``, in order, each re-keying the oracle as it is taken."""
         return map(self.oracle.keyed_rng, key_digests(keys))
 
-    def streams(self, keys: KeyTemplate, upper, err):
-        """The streams of ``keys``, in order, for ``estimate`` to error err on
-        [0, upper]: their ``MockRow``s drawn in bulk (see ``mock_rows``; upper
-        and err may vary with the first slot), or, on the statevector backend
-        and for streams longer than BULK_STREAM_WORDS, ``keyed(keys)``."""
+    def streams(self, keys: KeyTemplate, *lines: Line):
+        """The streams of ``keys``, in order, for ``estimate`` on ``lines``
+        (one, or one per value of the first slot): their ``MockRow``s drawn in
+        bulk (see ``mock_rows``), or, on the statevector backend and for
+        streams longer than BULK_STREAM_WORDS, ``keyed(keys)``."""
         words = 2 * self.oracle.mdp.num_states * self.oracle.mdp.num_actions
         if self.cfg.backend == BACKEND_STATEVECTOR or words > BULK_STREAM_WORDS:
             return self.keyed(keys)
-        return mock_rows(self.oracle, keys, upper, err, self.f, self.cfg)
+        return mock_rows(self.oracle, keys, [line.upper for line in lines],
+                         [line.err for line in lines], self.f, self.cfg)
 
-    def estimate(self, stream, phase, value_map, upper, err, promise_slack=0.0) -> np.ndarray:
-        """Mock range-bounded estimates of P value_map on ``stream``, the
-        next item of ``keyed`` or ``streams``."""
+    def estimate(self, stream, phase, value_map, line: Line, promise_slack=0.0) -> np.ndarray:
+        """Range-bounded estimates of P value_map on ``stream``, the next
+        item of ``keyed`` or ``streams``, to ``line``'s error on [0, upper]."""
         est, failed, _ = batch_bounded_mock(
-            self.oracle, value_map, upper, err, self.f, self.cfg, stream, phase,
+            self.oracle, value_map, line.upper, line.err, self.f, self.cfg, stream, phase,
             promise_slack=promise_slack)
         self.failures += int(failed.sum())
         return est
@@ -251,11 +365,12 @@ class _Iterate:
         self.dominance_ok &= bool((v_next >= v_new).all())
         self.v = v_next
 
-    def mock_argmax(self, q: np.ndarray, draws, charge: int, phase: str) -> np.ndarray:
-        """Contract-mock max finding over the rows of q on the next ``draws``."""
+    def mock_argmax(self, q: np.ndarray, draws, phase: str) -> np.ndarray:
+        """Contract-mock max finding over the rows of q on the next ``draws``,
+        charged as the schedule's argmax line."""
         index, failed = mock_argmax_rows(q, self.f, *next(draws))
         self.failures += int(failed.sum())
-        self.oracle.ledger.charge_quantum(charge, phase)
+        self.oracle.ledger.charge_quantum(len(q) * self.lines["argmax", 1].charge, phase)
         return index
 
     def check_one_sided(self, mean: np.ndarray) -> None:
@@ -294,28 +409,26 @@ def variance_reduced_vi(
     mdp = oracle.mdp
     p = params
     gamma = mdp.discount
-    horizon = mdp.effective_horizon
     r = mdp.rewards
 
-    it = _Iterate(oracle, cfg, p.est_failure_prob, diagnostics)
+    it = _Iterate(oracle, p, cfg, diagnostics)
+    lines = it.lines
     q = np.zeros((mdp.num_states, mdp.num_actions))
     var_breaches = slack_breaches = 0
     epochs = range(1, p.num_epochs + 1)
-    eps_ks = [horizon / 2.0**k for k in epochs]
-    errs_d = [p.c * (1.0 - gamma) * eps_k for eps_k in eps_ks]
     line13 = it.streams(
         KeyTemplate((oracle.seed, "vr", epochs, range(1, p.iters_per_epoch + 1), "line13")),
-        [2.0 * eps_k for eps_k in eps_ks], errs_d)
+        *[lines["line13", k] for k in epochs])
     anchors = it.keyed(KeyTemplate((oracle.seed, "vr", epochs,
                                     ("line8-sq", "line8-mean", "line9"))))
 
-    for k, eps_k, err_d in zip(epochs, eps_ks, errs_d):
+    for k in epochs:
         v_anchor = it.v.copy()
 
         # second-moment / first-moment estimates feeding the deviation proxy
         phase8 = _phase("epoch", k, 8)
-        est_sq = it.estimate(next(anchors), phase8, v_anchor**2, horizon**2, p.b)
-        est_mean = it.estimate(next(anchors), phase8, v_anchor, horizon, (1.0 - gamma) * p.b)
+        est_sq = it.estimate(next(anchors), phase8, v_anchor**2, lines["line8-sq", k])
+        est_mean = it.estimate(next(anchors), phase8, v_anchor, lines["line8-mean", k])
         y = np.maximum(est_sq - est_mean**2, 0.0)
         if diagnostics:
             # the deviation proxy should track the true variance within 3b
@@ -324,19 +437,18 @@ def variance_reduced_vi(
 
         # anchor estimate with per-row deviation-proportional error, one-sided
         sigma_bound = np.sqrt(y + p.b)
-        err_x = p.c * (1.0 - gamma) ** 1.5 * p.eps * sigma_bound
+        err_x = lines["line9", k].err * sigma_bound
         est_x, fail_x, breaches = batch_variance_mock(
-            oracle, v_anchor, sigma_bound, err_x, p.est_failure_prob, cfg,
+            oracle, v_anchor, sigma_bound, err_x, it.f, cfg,
             next(anchors), _phase("epoch", k, 9))
         x = est_x - err_x
         it.failures += int(fail_x.sum())
         var_breaches += breaches
 
-        phase13 = _phase("epoch", k, 13)
+        phase13, line = _phase("epoch", k, 13), lines["line13", k]
         for l in range(1, p.iters_per_epoch + 1):
             it.keep_better(*greedy(q))
-            delta_kl = it.estimate(next(line13), phase13, it.v - v_anchor,
-                                   2.0 * eps_k, err_d) - err_d
+            delta_kl = it.estimate(next(line13), phase13, it.v - v_anchor, line) - line.err
             q = np.maximum(r + gamma * (x + delta_kl), 0.0)
             if diagnostics:
                 it.check_one_sided(x + delta_kl)
@@ -364,29 +476,18 @@ def max_finding_vi(
     mdp = oracle.mdp
     p = params
     gamma = mdp.discount
-    horizon = mdp.effective_horizon
     s_n, a_n = mdp.num_states, mdp.num_actions
     r = mdp.rewards
-
     use_statevector_argmax = cfg.backend == BACKEND_STATEVECTOR
-    budget = argmax_query_budget(a_n, p.est_failure_prob, p.c_max)
-    if use_statevector_argmax and a_n > 64:
-        raise PreconditionError("statevector max finding supports at most 64 actions")
-    if use_statevector_argmax and budget > MAX_ARGMAX_PROBES:
-        raise PreconditionError(f"max-finding budget of {budget:.6g} probes exceeds "
-                                f"MAX_ARGMAX_PROBES = {MAX_ARGMAX_PROBES}; lower c_max")
 
-    err_z = (1.0 - gamma) * p.eps / 4.0
-    probe_cost = bounded_mean_charge(horizon, err_z, p.est_failure_prob, cfg)
-    argmax_charge = s_n * int(budget) * probe_cost
-
-    it = _Iterate(oracle, cfg, p.est_failure_prob, diagnostics)
+    it = _Iterate(oracle, p, cfg, diagnostics)
+    mean, probe_cost = it.lines["line10", 1], it.lines["argmax", 1].probe
     q_mem = np.zeros((s_n, a_n))  # memoized estimated Q row per state
     argmax_keys = KeyTemplate((oracle.seed, "mf", range(1, p.iters + 1), range(s_n), "argmax"))
     argmax_streams = it.keyed(argmax_keys)  # statevector; both are read lazily
     argmax_draws = _mock_argmax_draws(oracle, argmax_keys, s_n, a_n)  # contract mock
     line10 = it.streams(KeyTemplate((oracle.seed, "mf", range(1, p.iters + 1), "line10")),
-                        horizon, err_z)
+                        mean)
 
     for l in range(1, p.iters + 1):
         phase_max = _phase("iter", l, "argmax")
@@ -397,11 +498,11 @@ def max_finding_vi(
                                 ledger=oracle.ledger, phase=phase_max, probe_cost=probe_cost)
                 for s in range(s_n)], dtype=np.int64)
         else:
-            a_star = it.mock_argmax(q_mem, argmax_draws, argmax_charge, phase_max)
+            a_star = it.mock_argmax(q_mem, argmax_draws, phase_max)
         it.keep_better(q_mem[np.arange(s_n), a_star], a_star)
 
         # next sweep's Q row oracles: one estimate per entry, memoized
-        z = it.estimate(next(line10), _phase("iter", l, 10), it.v, horizon, err_z) - err_z
+        z = it.estimate(next(line10), _phase("iter", l, 10), it.v, mean) - mean.err
         q_mem = np.maximum(r + gamma * z, 0.0)
         if diagnostics:
             it.check_one_sided(z)
@@ -410,14 +511,9 @@ def max_finding_vi(
     return it.report("max-finding", asdict(p))
 
 
-SAMPLED_MODES = ("classical", "quantum_mean", "quantum_mean_and_max")
-
-
 def sampled_vi(
     oracle: SampleOracle,
-    eps: float,
-    delta: float,
-    mode: str = "classical",
+    params: SampledParams,
     cfg: EstimatorConfig = DEFAULT_CONFIG,
     diagnostics: bool = False,
 ) -> SolveReport:
@@ -430,42 +526,31 @@ def sampled_vi(
     ~2*gamma*horizon*eps.
     """
     mdp = oracle.mdp
+    p = params
     gamma = mdp.discount
-    horizon = mdp.effective_horizon
     s_n, a_n = mdp.num_states, mdp.num_actions
     r = mdp.rewards
-    if mode not in SAMPLED_MODES:
-        raise PreconditionError(f"mode must be one of {SAMPLED_MODES}, got {mode!r}")
-    _check_eps_delta(eps, delta, horizon, "horizon")
+    sweeps = range(1, p.iters + 1)
 
-    iters = _ceil_fuzz(horizon * math.log(4.0 * horizon / eps)) + 1
-    err = (1.0 - gamma) * eps / 4.0
-    delta_i = delta / (iters * s_n * a_n)  # union bound over all estimates
-
-    it = _Iterate(oracle, cfg, delta_i, diagnostics, monotone=False)
+    it = _Iterate(oracle, p, cfg, diagnostics, monotone=False)
+    mean = it.lines["mean", 1]
     q_est = np.zeros((s_n, a_n))
-    if mode == "classical":
-        n = hoeffding_sample_count(horizon, err, delta_i)
-        if n > 2**63 - 1:  # numpy's multinomial takes n as a C int64
-            raise PreconditionError(f"classical sample count {n} per estimate exceeds 2^63-1")
-    else:
-        means = it.streams(KeyTemplate((oracle.seed, "svi", range(1, iters + 1))), horizon, err)
-    if mode == "quantum_mean_and_max":
-        argmax_keys = KeyTemplate((oracle.seed, "svi", range(1, iters + 1), range(s_n), "argmax"))
+    if p.mode != "classical":
+        means = it.streams(KeyTemplate((oracle.seed, "svi", sweeps)), mean)
+    if p.mode == "quantum_mean_and_max":
+        argmax_keys = KeyTemplate((oracle.seed, "svi", sweeps, range(s_n), "argmax"))
         argmax_draws = _mock_argmax_draws(oracle, argmax_keys, s_n, a_n)
-        argmax_charge = (s_n * int(argmax_query_budget(a_n, delta_i, DEFAULT_C_MAX))
-                         * bounded_mean_charge(horizon, err, delta_i, cfg))
 
-    for i in range(1, iters + 1):
+    for i in sweeps:
         phase = _phase("iter", i)
-        if mode == "classical":
-            est = oracle.empirical_means(it.v, n, phase)
+        if p.mode == "classical":
+            est = oracle.empirical_means(it.v, mean.charge, phase)
         else:
             # iterates may drift up to ~gamma*eps/4 above the horizon without a shift
-            est = it.estimate(next(means), phase, it.v, horizon, err, promise_slack=eps / 4.0)
+            est = it.estimate(next(means), phase, it.v, mean, promise_slack=p.eps / 4.0)
         q_est = r + gamma * est
-        if mode == "quantum_mean_and_max":
-            best = it.mock_argmax(q_est, argmax_draws, argmax_charge, _phase("iter", i, "argmax"))
+        if p.mode == "quantum_mean_and_max":
+            best = it.mock_argmax(q_est, argmax_draws, _phase("iter", i, "argmax"))
             it.v = q_est[np.arange(s_n), best]
         else:
             it.v = q_est.max(axis=1)
@@ -473,4 +558,4 @@ def sampled_vi(
             it.snapshot(1, i, q_est.argmax(axis=1))
 
     _, it.pi = greedy(q_est)
-    return it.report(f"sampled-{mode}", {"eps": eps, "delta": delta, "mode": mode, "iters": iters})
+    return it.report(f"sampled-{p.mode}", asdict(p))

@@ -48,6 +48,7 @@ from qmdp.qsim import (
 from qmdp.rng import derived_rng
 from qmdp.solvers import (
     MaxFindingParams,
+    SampledParams,
     VarianceReducedParams,
     max_finding_vi,
     sampled_vi,
@@ -206,13 +207,14 @@ def _reps(f):
     return 2 * math.ceil(math.log2(3.0 / f)) + 1
 
 
-def _explicit_factors(report, horizon, eps, delta, s_n, a_n):
+def _explicit_factors(report, horizon, eps, delta, mdp):
     """Product of the explicit non-polynomial factors in a solve's query total.
 
     Closed forms of (horizon, eps, delta, S, A) and the solver constants c
     and c_max.  The schedule they imply (K, L, f, iters) is first asserted
-    equal to the report's params, so a schedule that grows in a way the
-    closed forms do not predict fails here instead of being divided out.
+    equal to the report's params and to the params' ``schedule`` on mdp, so
+    a schedule that grows in a way the closed forms do not predict fails
+    here instead of being divided out.
 
     - variance-reduced: line 9 carries most queries, K * reps(f) * ratio *
       log2^2(ratio) per row with ratio = sigma/err = horizon^1.5 / (c eps);
@@ -226,23 +228,38 @@ def _explicit_factors(report, horizon, eps, delta, s_n, a_n):
       ln(4 horizon / eps) * ln(2/delta_i).
     """
     p = report.params
+    s_n, a_n = mdp.num_states, mdp.num_actions
     log_term = math.log(4.0 * horizon / eps)
     l = math.ceil(horizon * math.ceil(log_term) + 1.0)
+    params_class = {"variance-reduced": VarianceReducedParams,
+                    "max-finding": MaxFindingParams}.get(report.solver, SampledParams)
+    lines = params_class(**p).schedule(mdp)
+
+    def sweeps(line):  # the sweeps (or a VR epoch's steps) a line's estimates cover
+        return line.estimates // (s_n * a_n)
+
     if report.solver == "variance-reduced":
         k = max(1, math.ceil(math.log2(horizon / eps)))
         f = delta / (4.0 * k * l * s_n * a_n)
         assert (p["num_epochs"], p["iters_per_epoch"]) == (k, l), p
         assert math.isclose(p["est_failure_prob"], f, rel_tol=1e-12), (p, f)
+        assert max(epoch for _, epoch in lines) == k, sorted(lines)
+        assert all(sweeps(lines["line13", epoch]) == l for epoch in range(1, k + 1))
+        assert all(math.isclose(line.f, f, rel_tol=1e-12) for line in lines.values())
         ratio = horizon**1.5 / (p["c"] * eps)
         return k * _reps(f) * math.log2(ratio) ** 2
     if report.solver == "max-finding":
         f = delta / (4.0 * p["c_max"] * l * s_n * a_n**1.5 * math.log2(1.0 / delta))
         assert p["iters"] == l, p
         assert math.isclose(p["est_failure_prob"], f, rel_tol=1e-12), (p, f)
+        assert sweeps(lines["line10", 1]) == l and lines["argmax", 1].estimates == l * s_n
+        assert all(math.isclose(line.f, f, rel_tol=1e-12) for line in lines.values())
         return math.ceil(log_term) * _reps(f) * math.log2(1.0 / f)
     assert report.solver == "sampled-classical", report.solver
     iters = math.ceil(horizon * log_term) + 1
     assert p["iters"] == iters, p
+    assert sweeps(lines["mean", 1]) == iters, lines
+    assert math.isclose(lines["mean", 1].f, delta / (iters * s_n * a_n), rel_tol=1e-12), lines
     return log_term * math.log(2.0 * iters * s_n * a_n / delta)
 
 
@@ -262,8 +279,7 @@ def _sweep_slopes(config, axis, values, seeds):
         report = run_solver(mdp, solver, EstimatorConfig(), doc["seed"])
         xs.append(x)
         divided.append(median / _explicit_factors(
-            report, SWEEP_HORIZON, solver["eps"], solver["delta"],
-            mdp.num_states, mdp.num_actions))
+            report, SWEEP_HORIZON, solver["eps"], solver["delta"], mdp))
     slope, _ = fit_power_law(xs, divided)
     return fit["slope"], slope
 
@@ -350,14 +366,13 @@ def test_criterion_08_horizon_scaling():
         reports = {
             "quantum": [variance_reduced_vi(SampleOracle(mdp, 200 + i), params)
                         for i in range(5)],
-            "classical": [sampled_vi(SampleOracle(mdp, 300 + i), eps, delta,
-                                     mode="classical") for i in range(5)],
+            "classical": [sampled_vi(SampleOracle(mdp, 300 + i), SampledParams.for_mdp(
+                mdp, eps, delta, mode="classical")) for i in range(5)],
         }
         for key, runs in reports.items():
             median = np.median([r.ledger.total for r in runs])
             raw[key].append(median)
-            divided[key].append(median / _explicit_factors(
-                runs[0], horizon, eps, delta, mdp.num_states, mdp.num_actions))
+            divided[key].append(median / _explicit_factors(runs[0], horizon, eps, delta, mdp))
     q = (fit_power_law(horizons, raw["quantum"])[0],
          fit_power_law(horizons, divided["quantum"])[0])
     c = (fit_power_law(horizons, raw["classical"])[0],

@@ -21,6 +21,7 @@ from qmdp.cli import (
 )
 from qmdp.errors import ConfigError, InternalError
 from qmdp.mdp import mdp_to_dict
+from qmdp.oracle import SampleOracle
 from qmdp.rng import derived_rng
 
 
@@ -196,8 +197,8 @@ class TestSolveCommand:
         cfg = write_config(tmp_path, doc)
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
         err = capsys.readouterr().err
-        assert re.fullmatch(r"error: max-finding budget of \S+ probes exceeds MAX_ARGMAX_PROBES = "
-                            r"16777216; lower c_max\n", err), err
+        assert re.fullmatch(r"error: \S*config\.json: solver: max-finding budget of \S+ probes "
+                            r"exceeds MAX_ARGMAX_PROBES = 16777216; lower c_max\n", err), err
 
     def test_classical_sample_count_overflow_exit_code(self, tmp_path, capsys):
         # gamma 0.999 and eps 0.001 derive a Hoeffding count near 1e20 per
@@ -209,8 +210,8 @@ class TestSolveCommand:
         out = tmp_path / "r.json"
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
         captured = capsys.readouterr()
-        assert re.search(r"^error: classical sample count \d{21} per estimate exceeds 2\^63-1$",
-                         captured.err.strip()), captured.err
+        assert re.search(r"^error: \S*config\.json: solver: classical sample count \d{21} per "
+                         r"estimate exceeds 2\^63-1$", captured.err.strip()), captured.err
         assert captured.out == ""
         assert not out.exists() and not (tmp_path / "snaps.csv").exists()
 
@@ -224,9 +225,51 @@ class TestSolveCommand:
         out = tmp_path / "r.json"
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert re.fullmatch(r"error: Hoeffding sample count for accuracy \S+ is not finite\n",
-                            err), err
+        assert re.fullmatch(r"error: \S*config\.json: solver: Hoeffding sample count for "
+                            r"accuracy \S+ is not finite\n", err), err
         assert not out.exists()
+
+    @pytest.mark.parametrize("instance,solver,estimator,message", [
+        ({"hard_instance": {"gamma": 0.9, "num_actions": 128, "eps": 0.5, "large_arms": [1]}},
+         {"name": "max-finding", "eps": 0.5, "delta": 0.1}, {"backend": "statevector"},
+         r"statevector max finding supports at most 64 actions"),
+        ({"hard_instance": {"gamma": 0.9, "num_actions": 8, "eps": 1.0, "large_arms": [3]}},
+         {"name": "max-finding", "eps": 1.0, "delta": 0.1, "c_max": 1e9},
+         {"backend": "statevector"}, r"max-finding budget of \S+ probes exceeds MAX_ARGMAX_PROBES"),
+        ({"two_state": {"gamma": 0.9, "p": 0.5}},
+         {"name": "sampled", "mode": "classical", "eps": 1e-155, "delta": 0.1}, None,
+         r"Hoeffding sample count for accuracy \S+ is not finite"),
+        ({"two_state": {"gamma": 0.999, "p": 0.5}},
+         {"name": "sampled", "mode": "classical", "eps": 0.001, "delta": 0.1}, None,
+         r"classical sample count \d{21} per estimate exceeds 2\^63-1"),
+        ({"hard_instance": {"gamma": 0.9, "num_actions": 4, "eps": 1.0, "large_arms": [1]}},
+         {"name": "sampled", "mode": "quantum_mean", "eps": 1e-6, "delta": 0.1},
+         {"backend": "statevector"}, r"statevector backend cannot reach relative accuracy \S+"),
+    ], ids=["actions", "probes", "hoeffding-inf", "hoeffding-int64", "phase-bits"])
+    def test_schedule_refusal_exits_2_before_any_stream(self, tmp_path, capsys, monkeypatch,
+                                                        instance, solver, estimator, message):
+        # each refusal depends only on (mdp, params, cfg): the plan raises it
+        keyed = []
+        monkeypatch.setattr(SampleOracle, "keyed_rng", lambda self, digest: keyed.append(digest))
+        doc = {"instance": instance, "solver": solver, "seed": 1,
+               "snapshots_csv": str(tmp_path / "s.csv")}
+        if estimator:
+            doc["estimator"] = estimator
+        cfg = write_config(tmp_path, doc)
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: \S*config\.json: solver: " + message + r"[^\n]*\n", err), err
+        assert keyed == [] and sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_unknown_sampled_mode_is_refused_at_validation(self, tmp_path, capsys):
+        doc = fig_two_config(solver="sampled")
+        doc["solver"]["mode"] = "quantum"
+        cfg = write_config(tmp_path, doc)
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: \S*config\.json: solver\.mode must be one of \('classical', "
+                            r"'quantum_mean', 'quantum_mean_and_max'\), got 'quantum'\n", err), err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     @pytest.mark.parametrize("bad", ["csv", "out"])
     def test_bad_destination_writes_neither_file(self, tmp_path, capsys, bad):
@@ -321,7 +364,9 @@ class TestSolveCommand:
          r"estimator\.mock_failure_mode must be a string, got 3"),
         (lambda d: d.update(estimator={"backend": None}),
          r"estimator\.backend must be a string, got None"),
-        (lambda d: d["solver"].update(mode=2), r"solver\.mode must be a string, got 2"),
+        (lambda d: d["solver"].update(mode=2),
+         r"solver\.mode must be one of \('classical', 'quantum_mean', 'quantum_mean_and_max'\), "
+         r"got 2"),
         (lambda d: d.update(snapshots_csv=True), r": snapshots_csv must be a string, got True"),
         (lambda d: d.update(snapshots_csv=1), r": snapshots_csv must be a string, got 1"),
         (lambda d: d.update(diagnostics="no"), r": diagnostics must be a boolean, got 'no'"),
@@ -526,6 +571,43 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert re.fullmatch(r"error: \S*config\.json: solver: " + message + r"\n", err), err
         assert calls == [] and not out_csv.exists() and not out_fit.exists()
+
+    @pytest.mark.parametrize("solver,eps,message", [
+        ("max-finding", 15.0, r"solver: eps must lie in \(0, horizon\] = \(0, 10\], got 15\.0"),
+        ("sampled", 15.0, r"solver: eps must lie in \(0, horizon\] = \(0, 10\], got 15\.0"),
+        ("variance-reduced", 4.0,
+         r"solver: eps must lie in \(0, sqrt\(horizon\)\] = \(0, 3\.16228\], got 4\.0"),
+    ])
+    def test_last_gamma_below_eps_is_refused_before_any_solve(self, tmp_path, capsys,
+                                                              monkeypatch, solver, eps, message):
+        # an instance axis plans every point's solver params too, on its shape
+        import qmdp.cli as cli_mod
+
+        calls = []
+        for name in ("variance_reduced_vi", "max_finding_vi", "sampled_vi"):
+            monkeypatch.setattr(cli_mod, name, lambda *args, **kwargs: calls.append(args))
+        doc = fig_two_config(solver=solver)
+        doc["solver"]["eps"] = eps
+        cfg = write_config(tmp_path, doc)
+        out_csv, out_fit = tmp_path / "s.csv", tmp_path / "f.json"
+        assert main(["sweep", "--config", str(cfg), "--axis", "gamma", "--values",
+                     "0.95,0.99,0.9", "--seeds", "1", "--out-csv", str(out_csv),
+                     "--out-fit", str(out_fit)]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: \S*config\.json: " + message + r"\n", err), err
+        assert calls == [] and not out_csv.exists() and not out_fit.exists()
+
+    def test_unknown_sampled_mode_is_refused_at_validation(self, tmp_path, capsys):
+        doc = fig_two_config(solver="sampled")
+        doc["solver"]["mode"] = "quantum"
+        cfg = write_config(tmp_path, doc)
+        assert main(["sweep", "--config", str(cfg), "--axis", "gamma", "--values", "0.9,0.95,0.99",
+                     "--seeds", "1", "--out-csv", str(tmp_path / "s.csv"),
+                     "--out-fit", str(tmp_path / "f.json")]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: \S*config\.json: solver\.mode must be one of \('classical', "
+                            r"'quantum_mean', 'quantum_mean_and_max'\), got 'quantum'\n", err), err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     @pytest.mark.parametrize("axis,values,instance", [
         ("copies", "1,2,3", {"two_state": {"gamma": 0.9, "p": 0.5}}),

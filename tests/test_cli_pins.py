@@ -17,7 +17,7 @@ import pytest
 import qmdp.cli as cli
 from qmdp.hard_instances import HardInstanceSpec
 from qmdp.mdp import Mdp
-from qmdp.solvers import MaxFindingParams, SolveReport, VarianceReducedParams, sampled_vi
+from qmdp.solvers import MaxFindingParams, SampledParams, SolveReport, VarianceReducedParams
 
 INSTANCE = {"hard_instance": {"gamma": 0.9, "num_actions": 2, "eps": 1.0, "large_arms": [1]}}
 
@@ -124,7 +124,7 @@ LIBRARY_DEFAULTS = {
     "b": _default(VarianceReducedParams.for_mdp, "b"),
     "c": _default(VarianceReducedParams.for_mdp, "c"),
     "c_max": _default(MaxFindingParams.for_mdp, "c_max"),
-    "mode": _default(sampled_vi, "mode"),
+    "mode": _default(SampledParams.for_mdp, "mode"),
 }
 INSTANCE_DEFAULTS = {f.name: f.default for f in dataclasses.fields(HardInstanceSpec)
                      if f.name in ("c_alpha", "copies")}

@@ -60,3 +60,20 @@ def test_traced_statevector_argmax_calls(monkeypatch):
     calls = sum(name_id == argmax for name_id, *_ in t.spans)
     assert calls == mdp.num_states * traced.params["iters"] > 0
     assert json.dumps(traced.to_dict()) == json.dumps(untraced.to_dict())
+
+
+@pytest.mark.parametrize("name,function", [("variance-reduced", "variance_reduced_vi"),
+                                           ("max-finding", "max_finding_vi"),
+                                           ("sampled", "sampled_vi")])
+def test_traced_solve_calls_its_solver_once(monkeypatch, name, function):
+    # the CLI must look its solvers up at each solve: one bound at import
+    # would run the unwrapped function and leave no span
+    layers, tracer = _perfbench(monkeypatch, "layers"), _perfbench(monkeypatch, "tracer")
+    mdp, _ = cli.build_instance({"hard_instance": {"gamma": 0.9, "num_actions": 2, "eps": 1.0,
+                                                   "large_arms": [1]}})
+    with tracer.Tracer() as t:
+        layers.install(t)
+        cli.run_solver(mdp, {"name": name, "eps": 1.0, "delta": 0.1}, EstimatorConfig(), 1)
+    spans = [t.names[name_id] for name_id, *_ in t.spans]
+    assert [s for s in spans if s.startswith("solvers.")] == [f"solvers.{function}"]
+    assert spans.count("cli.run_solver") == 1

@@ -11,6 +11,7 @@ breach diagnostics to the report and writes the snapshots CSV.
 import ctypes
 import dataclasses
 import functools
+import math
 import hashlib
 import json
 import pathlib
@@ -23,12 +24,13 @@ import qmdp.mdp as mdp_mod
 import qmdp.qsim as qsim
 import qmdp.solvers as solvers
 from qmdp.cli import build_instance, main, run_solver, sandwich_success
-from qmdp.estimators import EstimatorConfig
+from qmdp.estimators import EstimatorConfig, variance_mean_charge
 from qmdp.hard_instances import HardInstanceSpec, multi_arm_instance
 from qmdp.mdp import Mdp, exact_value_iteration
 from qmdp.oracle import SampleOracle
 from qmdp.solvers import (
     MaxFindingParams,
+    SampledParams,
     VarianceReducedParams,
     max_finding_vi,
     sampled_vi,
@@ -325,7 +327,8 @@ def _mf(mdp, eps, f=None):
 
 
 def _svi(eps, delta, mode):
-    return lambda oracle: sampled_vi(oracle, eps, delta, mode=mode, diagnostics=True)
+    return lambda oracle: sampled_vi(oracle, SampledParams.for_mdp(oracle.mdp, eps, delta, mode),
+                                     diagnostics=True)
 
 
 # name -> (instance, solve, seed, whether some batch has a failed entry, whether
@@ -390,3 +393,62 @@ def test_solve_pin(monkeypatch, name):
     report = solve(SampleOracle(mdp, seed))
     assert (any(failed), any(void)) == (failures, voided)
     assert _solve_sha256(report) == digest, f"OpenBLAS core {openblas_core()}"
+
+
+def _predicted_phases(mdp, report, cfg):
+    """Ledger phase -> the schedule's charge for it, as (least, most): equal
+    bounds, except on VR line 9, whose sigma the line-8 estimates set, and on
+    statevector argmax sweeps, which run at most their budget of probes."""
+    params_class = {"variance-reduced": solvers.VarianceReducedParams,
+                    "max-finding": solvers.MaxFindingParams}.get(report.solver,
+                                                                 solvers.SampledParams)
+    params = params_class(**report.params)
+    lines = params.schedule(mdp, cfg)
+    want = {}
+    if report.solver == "variance-reduced":
+        h, b = mdp.effective_horizon, params.b
+        for k in range(1, params.num_epochs + 1):
+            sq, mean, l9, l13 = (lines[name, k] for name in
+                                 ("line8-sq", "line8-mean", "line9", "line13"))
+            line8 = sq.estimates * sq.charge + mean.estimates * mean.charge
+            want[f"epoch-{k}-line-8"] = (line8, line8)
+            # sigma = sqrt(y + b) with y = max(est_sq - est_mean^2, 0) between 0 and
+            # the second moment's range plus a planted failure's offset
+            sigmas = (math.sqrt(b), math.sqrt(h**2 + cfg.adversarial_scale * b + b))
+            charges = [variance_mean_charge(np.full(l9.estimates, sigma), l9.err * sigma, l9.f, cfg)
+                       for sigma in sigmas]
+            want[f"epoch-{k}-line-9"] = (min(charges), max(charges))
+            want[f"epoch-{k}-line-13"] = (l13.estimates * l13.charge,) * 2
+        return want
+    sweeps = params.iters
+    simulated_argmax = cfg.backend == "statevector" and report.solver == "max-finding"
+    for (name, _), line in lines.items():
+        charge = line.estimates // sweeps * line.charge  # per sweep
+        least = 0 if name == "argmax" and simulated_argmax else charge
+        suffix = {"line10": "-line-10", "argmax": "-argmax", "mean": ""}[name]
+        want.update({f"iter-{i}{suffix}": (least, charge) for i in range(1, sweeps + 1)})
+    return want
+
+
+def _check_schedule(mdp, report, cfg):
+    want, got = _predicted_phases(mdp, report, cfg), report.ledger.phases
+    assert set(got) <= set(want), sorted(set(got) - set(want))
+    for phase, (least, most) in want.items():
+        if phase not in got:  # only a simulated max finding under one probe charges nothing
+            assert most == 0, phase
+        else:
+            assert least <= got[phase] <= most, (phase, got[phase], least, most)
+
+
+@pytest.mark.parametrize("name,instance,solver,estimator,seed", [g[:5] for g in GOLDEN],
+                         ids=[g[0] for g in GOLDEN])
+def test_schedule_predicts_golden_ledger(name, instance, solver, estimator, seed):
+    mdp, _ = build_instance(instance)
+    cfg = EstimatorConfig(**(estimator or {}))
+    _check_schedule(mdp, run_solver(mdp, solver, cfg, seed), cfg)
+
+
+@pytest.mark.parametrize("name", sorted(SOLVE_PINS))
+def test_schedule_predicts_pinned_ledger(name):
+    mdp, solve, seed, *_ = SOLVE_PINS[name]
+    _check_schedule(mdp, solve(SampleOracle(mdp, seed)), EstimatorConfig())

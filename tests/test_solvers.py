@@ -23,6 +23,7 @@ from qmdp.oracle import SampleOracle
 from qmdp.rng import KeyTemplate, derived_rng
 from qmdp.solvers import (
     MaxFindingParams,
+    SampledParams,
     VarianceReducedParams,
     max_finding_vi,
     mock_argmax_rows,
@@ -179,7 +180,8 @@ class TestVectorizedMockArgmax:
         real = solvers.mock_argmax_rows
         for label, solve in (
                 ("mf", lambda o: max_finding_vi(o, MaxFindingParams.for_mdp(mdp, 1.0, 0.1))),
-                ("svi", lambda o: sampled_vi(o, 1.0, 0.1, mode="quantum_mean_and_max"))):
+                ("svi", lambda o: sampled_vi(
+                    o, SampledParams.for_mdp(mdp, 1.0, 0.1, mode="quantum_mean_and_max")))):
             calls = []
 
             def spy(q, f_solver, u, wrong):
@@ -275,8 +277,10 @@ class TestBulkMockRows:
         mf = dataclasses.replace(MaxFindingParams.for_mdp(mdp, 1.0, 0.1), est_failure_prob=0.01)
         solves = (lambda o: variance_reduced_vi(o, vr, diagnostics=True),
                   lambda o: max_finding_vi(o, mf, diagnostics=True),
-                  lambda o: sampled_vi(o, 2.0, 0.9, mode="quantum_mean", diagnostics=True),
-                  lambda o: sampled_vi(o, 2.0, 0.9, mode="quantum_mean_and_max"))
+                  lambda o: sampled_vi(o, SampledParams.for_mdp(mdp, 2.0, 0.9, mode="quantum_mean"),
+                                       diagnostics=True),
+                  lambda o: sampled_vi(
+                      o, SampledParams.for_mdp(mdp, 2.0, 0.9, mode="quantum_mean_and_max")))
         monkeypatch.setattr(qmdp.rng, "PASS_WORDS", pass_words)
         failures = 0
         for solve in solves:
@@ -519,14 +523,16 @@ class TestSampledBaseline:
         r = rng.random((3, 2))
         mdp = Mdp(transitions=rng.dirichlet(np.ones(3), size=(3, 2)), rewards=r,
                   discount=0.0)
-        report = sampled_vi(SampleOracle(mdp, 2), eps=0.1, delta=0.1, mode="classical")
+        report = sampled_vi(SampleOracle(mdp, 2),
+                            SampledParams.for_mdp(mdp, eps=0.1, delta=0.1, mode="classical"))
         np.testing.assert_allclose(report.v_hat, r.max(axis=1), atol=0.1)
 
     def test_value_accuracy_all_modes(self):
         mdp = fig_two(4, 0.5, {1})
         v_star, _, _ = exact_value_iteration(mdp, 1e-10)
         for mode in ("classical", "quantum_mean", "quantum_mean_and_max"):
-            report = sampled_vi(SampleOracle(mdp, 4), eps=0.5, delta=0.1, mode=mode)
+            report = sampled_vi(SampleOracle(mdp, 4),
+                                SampledParams.for_mdp(mdp, eps=0.5, delta=0.1, mode=mode))
             assert np.abs(report.v_hat - v_star).max() <= 0.5, mode
 
     def test_classical_quartering_at_fixed_iteration_count(self):
@@ -534,30 +540,32 @@ class TestSampledBaseline:
         # so halving eps scales total samples by exactly the Hoeffding factor
         mdp = Mdp(transitions=np.full((2, 2, 2), 0.5),
                   rewards=np.array([[0.2, 0.8], [0.5, 0.1]]), discount=0.0)
-        t1 = sampled_vi(SampleOracle(mdp, 0), 0.06, 0.2).ledger.classical_samples
-        t2 = sampled_vi(SampleOracle(mdp, 0), 0.03, 0.2).ledger.classical_samples
+        t1 = sampled_vi(SampleOracle(mdp, 0),
+                        SampledParams.for_mdp(mdp, 0.06, 0.2)).ledger.classical_samples
+        t2 = sampled_vi(SampleOracle(mdp, 0),
+                        SampledParams.for_mdp(mdp, 0.03, 0.2)).ledger.classical_samples
         assert t2 / t1 == pytest.approx(4.0, rel=0.05)
 
     def test_quantum_mean_doubling(self):
         mdp = Mdp(transitions=np.full((2, 2, 2), 0.5),
                   rewards=np.array([[0.2, 0.8], [0.5, 0.1]]), discount=0.0)
-        t1 = sampled_vi(SampleOracle(mdp, 0), 0.06, 0.2,
-                        mode="quantum_mean").ledger.quantum_oracle_calls
-        t2 = sampled_vi(SampleOracle(mdp, 0), 0.03, 0.2,
-                        mode="quantum_mean").ledger.quantum_oracle_calls
+        t1 = sampled_vi(SampleOracle(mdp, 0), SampledParams.for_mdp(
+            mdp, 0.06, 0.2, mode="quantum_mean")).ledger.quantum_oracle_calls
+        t2 = sampled_vi(SampleOracle(mdp, 0), SampledParams.for_mdp(
+            mdp, 0.03, 0.2, mode="quantum_mean")).ledger.quantum_oracle_calls
         assert t2 / t1 == pytest.approx(2.0, rel=0.10)
 
     def test_mode_validation(self):
         mdp = fig_two(2, 1.0, {1})
         with pytest.raises(PreconditionError):
-            sampled_vi(SampleOracle(mdp, 0), 0.5, 0.1, mode="bogus")
+            sampled_vi(SampleOracle(mdp, 0), SampledParams.for_mdp(mdp, 0.5, 0.1, mode="bogus"))
 
     def test_argmax_mode_charges_more(self):
         mdp = fig_two(8, 1.0, {3})
-        q_mean = sampled_vi(SampleOracle(mdp, 1), 1.0, 0.1,
-                            mode="quantum_mean").ledger.quantum_oracle_calls
-        q_max = sampled_vi(SampleOracle(mdp, 1), 1.0, 0.1,
-                           mode="quantum_mean_and_max").ledger.quantum_oracle_calls
+        q_mean = sampled_vi(SampleOracle(mdp, 1), SampledParams.for_mdp(
+            mdp, 1.0, 0.1, mode="quantum_mean")).ledger.quantum_oracle_calls
+        q_max = sampled_vi(SampleOracle(mdp, 1), SampledParams.for_mdp(
+            mdp, 1.0, 0.1, mode="quantum_mean_and_max")).ledger.quantum_oracle_calls
         assert q_max > q_mean
 
 
@@ -590,7 +598,8 @@ GUARD_SOLVES = {
         o, MaxFindingParams.for_mdp(o.mdp, 1.0, 0.1), EstimatorConfig(backend="statevector")),
     "variance-reduced-statevector": lambda o: variance_reduced_vi(
         o, VarianceReducedParams.for_mdp(o.mdp, 1.0, 0.1), EstimatorConfig(backend="statevector")),
-    **{f"sampled-{mode}": (lambda o, mode=mode: sampled_vi(o, 1.0, 0.1, mode=mode))
+    **{f"sampled-{mode}": (lambda o, mode=mode: sampled_vi(
+        o, SampledParams.for_mdp(o.mdp, 1.0, 0.1, mode=mode)))
        for mode in solvers.SAMPLED_MODES},
 }
 
@@ -662,7 +671,8 @@ def test_bulk_streams_keyed_only_to_replay(monkeypatch, name):
         solve = lambda o: max_finding_vi(o, params)  # noqa: E731
         keys = list(itertools.product([2], ["mf"], range(1, params.iters + 1), ["line10"]))
     else:
-        solve = lambda o: sampled_vi(o, 5.0, 0.99, mode="quantum_mean")  # noqa: E731
+        solve = lambda o: sampled_vi(  # noqa: E731
+            o, SampledParams.for_mdp(o.mdp, 5.0, 0.99, mode="quantum_mean"))
         keys = list(itertools.product([2], ["svi"], range(1, 23)))
     derived, rekeyed, replayed = [], [], []
     real_keyed = SampleOracle.keyed_rng
@@ -700,7 +710,8 @@ KEYED_ONCE = {
         VarianceReducedParams.for_mdp(o.mdp, 1.0, 0.1), est_failure_prob=0.3), cfg),
     "max-finding": lambda o, cfg: max_finding_vi(o, dataclasses.replace(
         MaxFindingParams.for_mdp(o.mdp, 1.0, 0.1), est_failure_prob=0.3), cfg),
-    **{f"sampled-{mode}": (lambda o, cfg, mode=mode: sampled_vi(o, 1.0, 0.99, mode, cfg))
+    **{f"sampled-{mode}": (lambda o, cfg, mode=mode: sampled_vi(
+        o, SampledParams.for_mdp(o.mdp, 1.0, 0.99, mode), cfg))
        for mode in solvers.SAMPLED_MODES},
 }
 
@@ -739,3 +750,44 @@ def test_phase_labels_follow_one_grammar(name):
     report = GUARD_SOLVES[name](SampleOracle(fig_two(4, 1.0, {1}), 3))
     labels = set(report.ledger.phases)
     assert labels and all(PHASE_LABEL.match(label) for label in labels), sorted(labels)
+
+
+SV = EstimatorConfig(backend="statevector")
+# name -> (instance, its params, estimator config, solver, the refusal): each
+# depends only on (mdp, params, cfg), so the schedule raises it before any draw
+REFUSALS = {
+    "statevector-actions": (fig_two(128, 0.5, {1}), lambda m: MaxFindingParams.for_mdp(m, 0.5, 0.1),
+                            SV, max_finding_vi, r"^statevector max finding supports at most 64"),
+    "argmax-probes": (fig_two(8, 1.0, {3}),
+                      lambda m: MaxFindingParams.for_mdp(m, 1.0, 0.1, c_max=1e9), SV,
+                      max_finding_vi, r"^max-finding budget of \S+ probes exceeds MAX_ARGMAX"),
+    "hoeffding-not-finite": (two_state_chain(0.9, 0.5),
+                             lambda m: SampledParams.for_mdp(m, 1e-155, 0.1), CFG, sampled_vi,
+                             r"^Hoeffding sample count for accuracy \S+ is not finite$"),
+    "hoeffding-int64": (two_state_chain(0.999, 0.5),
+                        lambda m: SampledParams.for_mdp(m, 0.001, 0.1), CFG, sampled_vi,
+                        r"^classical sample count \d{21} per estimate exceeds 2\^63-1$"),
+    "phase-bits-max-finding": (fig_two(4, 1.0, {1}),
+                               lambda m: MaxFindingParams.for_mdp(m, 1e-5, 0.1), SV,
+                               max_finding_vi, r"^statevector backend cannot reach relative"),
+    "phase-bits-variance-reduced": (fig_two(4, 1.0, {1}),
+                                    lambda m: VarianceReducedParams.for_mdp(m, 1.0, 0.1, c=1e-6),
+                                    SV, variance_reduced_vi, r"^statevector backend cannot reach"),
+    "phase-bits-sampled": (fig_two(4, 1.0, {1}),
+                           lambda m: SampledParams.for_mdp(m, 1e-6, 0.1, mode="quantum_mean"), SV,
+                           sampled_vi, r"^statevector backend cannot reach relative accuracy"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_refusals_come_before_the_first_stream(monkeypatch, name):
+    mdp, make_params, cfg, solve, message = REFUSALS[name]
+    params = make_params(mdp)
+    with pytest.raises(PreconditionError, match=message):
+        params.schedule(mdp, cfg)
+    keyed = []
+    monkeypatch.setattr(SampleOracle, "keyed_rng", lambda self, digest: keyed.append(digest))
+    oracle = SampleOracle(mdp, 1)
+    with pytest.raises(PreconditionError, match=message):
+        solve(oracle, params, cfg)
+    assert keyed == [] and oracle.ledger.total == 0
