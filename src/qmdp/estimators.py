@@ -113,10 +113,9 @@ class MeanEstimate:
 
 
 def amplification_reps(delta: float) -> int:
-    """Median repetitions boosting a 1/3-failure estimator to failure delta.
-
-    Odd by construction so a true median element exists.
-    """
+    """Odd n = 2 ceil(log2(3 / delta)) + 1 runs; their median misses only when (n + 1) / 2 of
+    them miss on one side, each such binomial tail below delta / 4 at a per-side miss <= 0.1033
+    (a grid search, ROADMAP 15, not yet certified: 8/pi^2 leaves 0.19 for both sides)."""
     if not (0.0 < delta < 1.0):
         raise PreconditionError(f"delta must be in (0, 1), got {delta}")
     return 2 * math.ceil(math.log2(3.0 / delta)) + 1
@@ -270,7 +269,7 @@ def _estimate(mu, upper, eps, delta, cfg, rng, forced=False, sigma=None):
     variance-bounded estimator (always contract mock, eps in (0, 4*sigma)).
     Statevector backend: per entry, the median of amplification-reps
     amplitude-estimation runs at the phase bits of the smallest eps, all
-    drawn in one pass with one outcome grid per distinct mean, charged by
+    drawn in one pass and inverted once per distinct mean, charged by
     measured counts.  Contract mock: the true mean plus noise within eps,
     or with probability delta a planted failure, charged by the stated
     formula; the draw order is fixed across failure modes.  ``forced`` (a

@@ -4,8 +4,10 @@ Canonical amplitude estimation is simulated by sampling its closed-form
 measurement distribution (phase estimation applied to the Grover operator of
 the state being measured), not by evolving a statevector.  Each draw inverts
 that distribution's 2^t-cell float CDF; from t = 11 on the CDF is summed in
-closed form instead, and a bound on the grid's round-off certifies each draw
-as the grid's own (else the grid is built, in fixed chunks).  Maximum finding
+closed form instead (tabulated around its peaks, in the gaps between them by
+one Euler-Maclaurin run from the nearest tabulated end), and a bound on the
+grid's round-off certifies each draw as the grid's own (the uniforms it
+refuses go to the grid, built in fixed chunks).  Maximum finding
 is the threshold-improvement loop with exact Grover success probabilities,
 on draws replayed from the stream's raw words; the rounds left once the
 maximum is found are resolved in bulk.
@@ -46,7 +48,7 @@ MAX_ARGMAX_PROBES = 2**24
 MEDIAN_REPS_FACTOR = 18  # Chernoff margin on the 8/pi^2 single-run success
 FAST_MIN_BITS = 11  # from here on the closed-form CDF beats one outcome grid
 _CHUNK = 1 << 16  # cells per grid chunk: a grid's memory does not grow with t
-_W = 32  # cells on either side of a csc^2 pole summed directly
+_W = 32  # pole distance _cdf_bound takes for each Euler-Maclaurin end (_WIDE or more)
 _WIDE = 192  # cells on either side of each peak whose CDF is tabulated
 
 
@@ -125,49 +127,55 @@ def _fold(k: np.ndarray, c: float, m: int) -> np.ndarray:
     return (k - m * np.rint((k - pm) / m)) - pm
 
 
-def _csc2(k: np.ndarray, c: float, m: int) -> np.ndarray:
-    # csc^2(pi (k - c) / m) + csc^2(pi (k + c) / m)
-    csc2 = 1.0 / np.sin(math.pi / m * _fold(k, c, m)) ** 2
-    return csc2[0] + csc2[1]
-
-
-def _em(k: np.ndarray, c: float, m: int) -> np.ndarray:
-    """S(k) with sum_{j=a+1}^{b} _csc2(j) = S(b) - S(a) + R when no pole lies
-    in [a, b]: Euler-Maclaurin for csc^2(h y), h = pi / m, with the integral
-    -cot / h, half the end value and three Bernoulli terms, each a polynomial
-    in C = cot(h y).  The sixth derivative of csc^2 keeps one sign, so |R| is
-    at most the change of the last term."""
+def _em(k, c: float, m: int):
+    """S(k) with sum_{j=a+1}^{b} csc2(j) = S(b) - S(a) + R when no pole lies in
+    [a, b], where csc2(j) = csc^2(h (j - c)) + csc^2(h (j + c)), h = pi / m:
+    Euler-Maclaurin with the integral -cot / h, half the end value and three
+    Bernoulli terms, each a polynomial in C = cot(h y).  The sixth derivative
+    of csc^2 keeps one sign, so |R| is at most the change of the last term.
+    k is one cell, an int evaluated in scalar math, or an array of cells."""
     h = math.pi / m
     a1 = -1.0 / h - h / 6 + h**3 / 45 - 17 * h**5 / 1890
     a3, a5, a7 = -h / 6 + h**3 / 18 - 11 * h**5 / 270, h**3 / 30 - h**5 / 18, -h**5 / 42
+
+    def term(x):
+        return 0.5 + x * (a1 + x * (0.5 + x * (a3 + x * x * (a5 + x * x * a7))))
+
+    if isinstance(k, int):  # _fold in scalar math
+        return sum(term(1.0 / math.tan(h * ((k - m * round((k - pm) / m)) - pm))) for pm in (c, -c))
     y = h * _fold(k, c, m)
-    x = np.cos(y) / np.sin(y)  # sin and cos only: numpy's tan maps 256 KiB more
-    x2 = x * x
-    s = 0.5 + x * (a1 + x * (0.5 + x * (a3 + x2 * (a5 + x2 * a7))))
+    s = term(np.cos(y) / np.sin(y))  # sin and cos only: numpy's tan maps 256 KiB more
     return s[0] + s[1]
 
 
-def _fejer_sum(c: float, m: int):
-    """k -> sum_{j=0}^{k} _csc2(j) for k >= -1 in closed form: summed directly
-    within _W cells of each pole (-c, c, m - c, m + c), by _em elsewhere."""
-    # windows [L, R]: all cells within _W of a pole, with L - 1 and R _W or more
-    # from every pole; overlapping ones merge, those outside [-1, m) go
-    starts = np.floor([-c, c, m - c, m + c]).astype(np.int64) - _W + 1
-    opens = np.r_[True, starts[1:] > starts[:-1] + 2 * _W]
-    L, R = starts[opens], starts[np.r_[opens[1:], True]] + 2 * _W
-    L, R = L[(R >= -1) & (L < m)], R[(R >= -1) & (L < m)]
-    direct = np.concatenate([np.arange(max(lo, 0), min(hi, m - 1) + 1) for lo, hi in zip(L, R)])
-    direct_sum = np.concatenate(([0.0], np.cumsum(_csc2(direct, c, m))))
-    ends = _em(np.concatenate((L - 1, R, [min(L[0] - 1, -1)])), c, m)  # last: the start
-    jumps = np.concatenate(([0.0], np.cumsum(ends[R.size:-1] - ends[:R.size])))
+def _closed_cdf(c: float, m: int, s: float):
+    """(table, f_table, gap): F(k) = sum_{j<=k} p_j, p_j = s^2 / (2 m^2) csc2(j),
+    tabulated at the cells ``table`` over the first run [r0, r1] (the cells
+    within _WIDE of the first peak) and its mirror onto the second (p_j =
+    p_{m-j}, so F(k) = 1 + p_0 - F(m - 1 - k)), and gap(k) = F(k) at cells
+    between them, all _WIDE or more from every pole, by one Euler-Maclaurin
+    run from the nearest tabulated end: -1 (F = 0) left of the first run, r1
+    between the runs, and right of the mirrored run the left gap mirrored."""
+    h, scale = math.pi / m, 0.5 * (s / m) ** 2
+    r0, r1 = max(math.floor(c) - _WIDE, 0), math.floor(c) + _WIDE + 1  # the first run
+    m0 = max(m - 1 - r1, r1 + 1)  # mirrored cells past the first run, short of m - 1
+    table = np.concatenate(([-1], np.arange(r0, r1 + 1), np.arange(m0, m - 1 - r0), [m - 1]))
+    csc2 = 1.0 / np.sin(h * _fold(np.maximum(table[:r1 - r0 + 2], 0), c, m)) ** 2  # cell 0, the run
+    p = scale * (csc2[0] + csc2[1])
+    em_left = _em(-1, c, m) if r0 > 0 else 0.0  # the left gap [0, r0 - 1] in one run
+    p[1] += scale * (_em(r0 - 1, c, m) - em_left) if r0 > 0 else 0.0
+    f = np.cumsum(p[1:])
+    f_table = np.concatenate(([0.0], f, (1.0 + p[0]) - f[1:max(m - r0 - m0, 1)][::-1], [1.0]))
 
-    def total(k):
-        i = np.searchsorted(L, k, side="right") - 1
-        inside = (i >= 0) & (k <= R[i])
-        return (_em(np.where(inside, L[i] - 1, k), c, m) - ends[-1] - jumps[i + 1 - inside]
-                + direct_sum[np.searchsorted(direct, k, side="right")])
+    def gap(k):
+        right = k >= m - 1 - r0  # right of the mirrored run: the left gap mirrored
+        j = np.where(right, m - 1 - k, k)
+        mid = j > r0  # between the runs, where r1 lies _WIDE from every pole
+        em_0 = np.where(mid, _em(r1, c, m) if mid.any() else 0.0, em_left)
+        f_j = np.where(mid, f[-1], 0.0) + scale * (_em(j, c, m) - em_0)
+        return np.where(right, (1.0 + p[0]) - f_j, f_j)
 
-    return total
+    return table, f_table, gap
 
 
 def _cdf_bound(f: np.ndarray, k: np.ndarray, m: int, s: float) -> np.ndarray:
@@ -180,12 +188,12 @@ def _cdf_bound(f: np.ndarray, k: np.ndarray, m: int, s: float) -> np.ndarray:
     #   2 dist(j -/+ c, mZ) / m >= (2 / pi) s / m, relative 10.7 q; so each
     #   K^2 and cell is within 35.7 q, the cells up to k within 35.7 q F(k);
     # - cumsum: k additions, each rounding by u a partial sum <= 1.01 F(k);
-    # - F as evaluated: <= 260 direct and 387 tabulated terms summed, s^2, the
-    #   mirror (where F >= 0.49) and <= 13 Euler-Maclaurin values, each
-    #   <= 0.0033 s^2 and within 20 u: <= 2^11 u F + 1.5 u, where 2^11 u F <=
-    #   q F as m / s >= 2^11; and F -/+ bound rounds by 0.5 u;
-    # - Euler-Maclaurin: <= 5 runs, each within (1/30240) |h5(b) - h5(a)|,
-    #   |h5| <= 2 h^5 p5(cot(h W)) at >= W cells from every pole.
+    # - F as evaluated (_closed_cdf, a gap cell by one run from its tabulated end):
+    #   387 tabulated terms summed, s^2, the mirror (where F >= 0.49) and <= 4
+    #   Euler-Maclaurin values, each <= 0.0033 s^2 and within 20 u: well inside
+    #   2^11 u F + 1.5 u, and 2^11 u F <= q F as m / s >= 2^11; F -/+ bound rounds by 0.5 u;
+    # - Euler-Maclaurin: <= 2 runs, each within (s/m)^2 (2/30240) h^5 p5 (the bound's 10
+    #   covers 5), as |h5| <= 2 h^5 p5(cot(h W)) at >= W cells from every pole.
     h, cw = math.pi / m, 1.0 / math.tan(math.pi * _W / m)
     p5 = cw * (272.0 + cw**2 * (1232.0 + cw**2 * (1680.0 + 720.0 * cw**2)))
     bound = 2.0**-53 * ((37.0 * m / s + 1.01 * (k + 1)) * f + 2.0) + (s / m) ** 2 * 10 / 30240 * h**5 * p5
@@ -194,41 +202,29 @@ def _cdf_bound(f: np.ndarray, k: np.ndarray, m: int, s: float) -> np.ndarray:
 
 
 def _certified_draws(omega: float, t: int, u: np.ndarray) -> np.ndarray | None:
-    """_grid_draws for one amplitude from the exact CDF F(k) = sum_{j<=k} p_j
-    at the grid's own omega, without the grid, or None where _cdf_bound does
-    not certify every draw bit for bit.  With m = 2^t, c = m omega and
-    s = |sin(pi c)|, p_j = s^2 / (2 m^2) * _csc2(j).  F is tabulated over the
-    cells within _WIDE of the first peak and mirrored onto the second
-    (p_j = p_{m-j}, so F(k) = 1 + p_0 - F(m - 1 - k)); a uniform between the
-    two runs is placed by 16-section on _fejer_sum."""
+    """_grid_draws for one amplitude from the exact CDF F at the grid's own
+    omega (_closed_cdf; m = 2^t, c = m omega, s = |sin(pi c)|), without the
+    grid: each draw _cdf_bound certifies bit for bit, -1 for each it refuses,
+    or None for all when s is too small for it."""
     m = 1 << t
     c = m * omega  # exact: m is a power of two
     s = math.sin(math.pi * min(c % 1.0, 1.0 - c % 1.0))
     if s < m * 2.0**-43:  # a = 1 (s = 0) included; _cdf_bound needs q = m u / s <= 2^-10
         return None
-    scale = 0.5 * (s / m) ** 2
-    r0, r1 = max(math.floor(c) - _WIDE, 0), math.floor(c) + _WIDE + 1  # the first run
-    p = scale * _csc2(np.concatenate(([0], np.arange(r0, r1 + 1))), c, m)
-    if r0 > 0:  # [-1, r0 - 1] lies over _WIDE cells from every pole: one Euler-Maclaurin run
-        p[1] += scale * np.diff(_em(np.array([-1, r0 - 1]), c, m))[0]
-    f, total = np.cumsum(p[1:]), None
-    m0 = max(m - 1 - r1, r1 + 1)  # mirrored cells past the first run, short of m - 1
-    table = np.concatenate(([-1], np.arange(r0, r1 + 1), np.arange(m0, m - 1 - r0), [m - 1]))
-    f_table = np.concatenate(([0.0], f, (1.0 + p[0]) - f[1:max(m - r0 - m0, 1)][::-1], [1.0]))
+    table, f_table, gap = _closed_cdf(c, m, s)
     # in [1, size - 1]: F(-1) = 0 <= u < 1.0, the grid's last cell
     i = np.searchsorted(f_table, u, side="right")
     lo, hi, f_lo, f_hi = table[i - 1], table[i], f_table[i - 1], f_table[i]
-    while (open_ := np.flatnonzero(hi - lo > 1)).size:  # 16-section between the runs
-        total = total or _fejer_sum(c, m)
-        k = lo[open_, None] + (hi - lo)[open_, None] * np.arange(17) // 16
-        f = scale * total(k.ravel()).reshape(k.shape)
-        f[:, 0], f[:, -1] = f_lo[open_], f_hi[open_]
-        n = np.clip((f <= u[open_, None]).sum(axis=1), 1, 16)[:, None]
-        lo[open_], f_lo[open_] = np.take_along_axis(k, n - 1, 1)[:, 0], np.take_along_axis(f, n - 1, 1)[:, 0]
-        hi[open_], f_hi[open_] = np.take_along_axis(k, n, 1)[:, 0], np.take_along_axis(f, n, 1)[:, 0]
+    while (open_ := np.flatnonzero(hi - lo > 1)).size:  # 128-section in the gaps
+        lo_o, hi_o = lo[open_, None], hi[open_, None]
+        k = lo_o + (hi_o - lo_o) * np.arange(129) // 128
+        f = np.where(k == lo_o, f_lo[open_, None], f_hi[open_, None])
+        f[inner] = gap(k[inner := (k > lo_o) & (k < hi_o)])
+        n, row = np.clip((f <= u[open_, None]).sum(axis=1), 1, 128), np.arange(open_.size)
+        lo[open_], f_lo[open_], hi[open_], f_hi[open_] = k[row, n - 1], f[row, n - 1], k[row, n], f[row, n]
     bound = _cdf_bound(np.concatenate((f_lo, f_hi)), np.concatenate((lo, hi)), m, s)
     ok = (hi - lo == 1) & (f_lo + bound[:u.size] <= u) & (u < f_hi - bound[u.size:])
-    return hi if ok.all() else None
+    return np.where(ok, hi, -1)
 
 
 def _estimate_draws(a: np.ndarray, t: int, u: np.ndarray) -> np.ndarray:
@@ -248,7 +244,10 @@ def _estimate_draws(a: np.ndarray, t: int, u: np.ndarray) -> np.ndarray:
         ur = u[rows].ravel()
         omega = math.asin(math.sqrt(value)) / math.pi
         yr = _certified_draws(omega, t, ur) if t >= FAST_MIN_BITS else None
-        y[rows] = (_grid_draws(value, t, ur) if yr is None else yr).reshape(len(rows), -1)
+        yr = _grid_draws(value, t, ur) if yr is None else yr
+        if (refused := yr < 0).any():  # only these go to the grid, which stops above them
+            yr[refused] = _grid_draws(value, t, ur[refused])
+        y[rows] = yr.reshape(len(rows), -1)
     return np.sin(np.pi * y / (1 << t)) ** 2
 
 
@@ -273,7 +272,9 @@ def median_amplitude_estimates(
     outside = ~((a >= 0.0) & (a <= 1.0))  # NaN is outside too
     if outside.any():
         raise PreconditionError(f"amplitudes must be in [0, 1], got {a[outside][0]}")
-    return np.median(_estimate_draws(a, t, rng.random((a.size, reps))), axis=1)
+    lo, hi = (reps - 1) // 2, reps // 2  # np.median: the middle pair's mean, (x + x) / 2 = x
+    est = np.partition(_estimate_draws(a, t, rng.random((a.size, reps))), [lo, hi], axis=1)
+    return (est[:, lo] + est[:, hi]) / 2
 
 
 def amplitude_estimation_sample(

@@ -219,7 +219,7 @@ def test_statevector_golden_rarely_falls_back(monkeypatch):
     name, instance, solver, estimator, seed, _ = next(
         g for g in STATEVECTOR if g[0] == "hard-statevector-variance-reduced")
     run_solver(build_instance(instance)[0], solver, EstimatorConfig(**estimator), seed)
-    fallbacks = sum(v is None for v in verdicts)
+    fallbacks = sum(v is None or (v < 0).any() for v in verdicts)  # whole or in part
     assert len(verdicts) > 300 and fallbacks <= 0.005 * len(verdicts), (name, fallbacks)
 
 

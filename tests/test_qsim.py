@@ -171,6 +171,14 @@ class TestVectorizedMedians:
             draws = amplitude_estimation_sample(cfg, derived_rng(33, "sample", t, i), size=50)
             assert draws.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("reps", [1, 3, 45, 85, 2, 90])
+    @pytest.mark.parametrize("t", [6, 13])
+    def test_median_is_np_median_of_the_draws(self, t, reps):
+        a = np.array([0.0, -0.0, 1.0, 0.3, 0.3, 0.77, 1e-7, 0.5])
+        draws = qsim_mod._estimate_draws(a, t, derived_rng(58, "median", t, reps).random((a.size, reps)))
+        got = median_amplitude_estimates(a, t, reps, derived_rng(58, "median", t, reps))
+        assert got.tobytes() == np.median(draws, axis=1).tobytes()
+
     def test_empty_batch_draws_nothing(self):
         rng = derived_rng(34, "empty")
         out = median_amplitude_estimates(np.array([]), 6, 5, rng)
@@ -251,7 +259,12 @@ def certified_f(a, t, k):
     c = m * math.asin(math.sqrt(a)) / math.pi
     frac = c - math.floor(c)
     s = math.sin(math.pi * min(frac, 1.0 - frac))
-    return 0.5 * (s / m) ** 2 * qsim_mod._fejer_sum(c, m)(np.asarray(k)), c, s
+    table, f_table, gap = qsim_mod._closed_cdf(c, m, s)
+    k = np.atleast_1d(k)
+    i = np.searchsorted(table, k)
+    f, off = f_table[i], table[i] != k  # tabulated, else in a gap
+    f[off] = gap(k[off])
+    return f, c, s
 
 
 class TestCertifiedDraws:
@@ -300,6 +313,56 @@ class TestCertifiedDraws:
         y = qsim_mod._certified_draws(math.asin(math.sqrt(a)) / math.pi, t, u)
         assert y is not None
         assert y.tobytes() == qsim_mod._grid_draws(a, t, u).tobytes()
+
+    @pytest.mark.parametrize("t", [11, 13, 16, 20])
+    def test_gaps_placed_from_a_tabulated_end_away_from_every_pole(self, t, monkeypatch):
+        m, wide = 1 << t, qsim_mod._WIDE
+        points, real_em = [], qsim_mod._em
+        monkeypatch.setattr(qsim_mod, "_em",
+                            lambda k, c, m: points.append((np.ravel(k), c)) or real_em(k, c, m))
+        # runs apart, a first run from cell 0 (r0 = 0), and runs that meet (c near m / 2)
+        for c in (m / 3 + 0.29, 57.61, m / 2 - 100.37):
+            a = math.sin(math.pi * c / m) ** 2
+            omega = math.asin(math.sqrt(a)) / math.pi
+            c = m * omega
+            r0, r1 = max(math.floor(c) - wide, 0), math.floor(c) + wide + 1
+            m0 = max(m - 1 - r1, r1 + 1)  # the mirrored run's first cell
+            # each run end, and cells in each gap: left of r0, between the
+            # runs, right of the mirrored run, near their ends and (while the
+            # bound allows) deep inside
+            cells = [r0, r1, m0, m - 2 - r0, r0 - 1, r0 - 9, r1 + 1, r1 + 9, m0 - 1, m0 - 9,
+                     m - 1 - r0, m + 7 - r0]
+            if t <= 13:
+                cells += [r0 // 2, (r1 + m0) // 2, m - 1 - r0 // 2]
+            cells = np.array(sorted({k for k in cells if 0 <= k <= m - 2}))
+            cdf = np.concatenate(([0.0], np.cumsum(outcome_distribution(a, t))))
+            u = 0.5 * (cdf[cells] + cdf[cells + 1])  # the middle of each cell's CDF step
+            y = qsim_mod._certified_draws(omega, t, u)
+            assert (y >= 0).all(), (c, cells[y < 0])
+            assert y.tobytes() == qsim_mod._grid_draws(a, t, u).tobytes() == cells.tobytes()
+            assert points and all(oc == c for _, oc in points)
+            for k, _ in points:
+                distance = np.abs((np.concatenate((k - c, k + c)) + m / 2) % m - m / 2)
+                assert distance.min() >= wide, (c, k)
+            points.clear()
+
+    def test_only_refused_uniforms_reach_the_grid(self, monkeypatch):
+        # one uniform on the grid's CDF just below the middle, inside the bound;
+        # the whole group would have built the grid past the middle for 0.9
+        t, a, m = 20, 0.3, 1 << 20
+        refused = np.cumsum(outcome_distribution(a, t))[m // 2 - 3 * qsim_mod._CHUNK + 123]
+        u = np.concatenate((derived_rng(57, "refused").random(61), [0.9, 0.99, refused]))[None, :]
+        starts, sent = [], []
+        monkeypatch.setattr(qsim_mod, "outcome_distribution",
+                            lambda a, t, start=0, stop=None:
+                            starts.append(start) or outcome_distribution(a, t, start, stop))
+        real = qsim_mod._grid_draws
+        monkeypatch.setattr(qsim_mod, "_grid_draws",
+                            lambda a, t, u: sent.append(u.copy()) or real(a, t, u))
+        got = qsim_mod._estimate_draws(np.array([a]), t, u)
+        assert got.tobytes() == full_grid_draws([a], t, u).tobytes()
+        assert len(sent) == 1 and sent[0].tolist() == [refused]
+        assert starts and max(starts) < m // 2, starts
 
     @pytest.mark.parametrize("t", [11, 13, 16])
     def test_bound_is_four_times_the_grid_round_off(self, t):
