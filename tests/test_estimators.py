@@ -656,6 +656,125 @@ class TestMockRows:
         assert rekeyed == failed and 0 < len(failed) < 40
 
 
+def arms_mdp(p, a_n):
+    """Two states; every action from state 0 lands in state 1 w.p. p."""
+    trans = np.zeros((2, a_n, 2))
+    trans[0, :] = [1.0 - p, p]
+    trans[1, :, 1] = 1.0
+    return Mdp(transitions=trans, rewards=np.zeros((2, a_n)), discount=0.9)
+
+
+def bounded_batch(oracle, values, upper, eps, delta, cfg, rng, phase="ph"):
+    """batch_bounded_mock on [0, upper] to error eps at failure probability delta."""
+    return est_mod.batch_bounded_mock(oracle, np.asarray(values, dtype=float), upper, eps,
+                                      delta, cfg, rng, phase)
+
+
+def variance_batch(oracle, values, sigma, eps, delta, rng, phase="ph"):
+    """batch_variance_mock with the per-row sigma and error eps at failure probability delta."""
+    shape = (oracle.mdp.num_states, oracle.mdp.num_actions)
+    return est_mod.batch_variance_mock(oracle, np.asarray(values, dtype=float),
+                                       np.full(shape, sigma), np.full(shape, eps), delta, CFG,
+                                       rng, phase)
+
+
+class TestBatchEstimates:
+    """The estimator core's contract, checked on whole batches."""
+
+    @pytest.mark.parametrize("mode", ["adversarial_edge", "uniform_noise"])
+    def test_mock_soundness_at_rate_delta(self, mode):
+        # 10,000 entries: the failed ones form a Binomial(delta) count, every
+        # other one lies within eps of its mean, and an adversarial failure
+        # always lands outside
+        delta, eps = 0.2, 0.02
+        cfg = EstimatorConfig(mock_failure_mode=mode)
+        oracle = SampleOracle(arms_mdp(0.4, 500), 4)
+        v = np.array([0.1, 0.9])
+        mu = np.array([[0.6 * 0.1 + 0.4 * 0.9], [0.9]])
+        failed = hits = 0
+        for i in range(10):
+            est, fail, violated = bounded_batch(oracle, v, 1.0, eps, delta, cfg,
+                                                derived_rng(4, "soundness", mode, i))
+            inside = np.abs(est - mu) < eps
+            assert not violated and inside[~fail].all()
+            if mode == "adversarial_edge":
+                assert not inside[fail].any()
+            failed += int(fail.sum())
+            hits += int(inside.sum())
+        sigma = math.sqrt(delta * (1 - delta) / 10000)
+        assert abs(failed / 10000 - delta) <= 4 * sigma
+        assert hits / 10000 >= 1.0 - delta - 4 * sigma
+
+    def test_mock_charge_per_entry(self):
+        oracle = SampleOracle(arms_mdp(0.5, 3), 3)
+        bounded_batch(oracle, np.zeros(2), 1.0, 0.1, 0.1, CFG, derived_rng(3, "charge"))
+        charge = bounded_mean_charge(1.0, 0.1, 0.1, CFG) * 6
+        assert oracle.ledger.quantum_oracle_calls == oracle.ledger.phases["ph"] == charge
+
+    def test_statevector_charge_per_entry(self):
+        cfg = EstimatorConfig(backend="statevector", phase_bits=8)
+        oracle = SampleOracle(arms_mdp(0.5, 3), 13)
+        est, failed, violated = bounded_batch(oracle, [0.0, 1.0], 1.0, 0.05, 0.2, cfg,
+                                              derived_rng(13, "sv-charge"))
+        assert not (violated or failed.any())
+        charge = (2**8 - 1) * amplification_reps(0.2) * 6
+        assert oracle.ledger.quantum_oracle_calls == oracle.ledger.phases["ph"] == charge
+
+    @pytest.mark.parametrize("p", [0.1, 0.7])
+    def test_statevector_soundness(self, p):
+        # 2,000 Bernoulli entries at t = 10: the radius holds in at least
+        # 1 - delta of them
+        cfg = EstimatorConfig(backend="statevector", phase_bits=10)
+        oracle = SampleOracle(arms_mdp(p, 200), 12)
+        eps = 0.01  # within reach of t=10: pi/1024 + pi^2/2^20 < 0.0031 < eps
+        hits = sum(int((np.abs(bounded_batch(oracle, [0.0, 1.0], 1.0, eps, 0.1, cfg,
+                                                derived_rng(12, "sv", int(p * 10), i))[0][0] - p)
+                        < eps).sum()) for i in range(10))
+        assert hits / 2000 >= 0.9
+
+    def test_statevector_charge_calibrates_the_mock(self):
+        # the measured counts anchor the mock's cost constant: at matched
+        # (u, eps, delta) the two charges stay within one order of magnitude
+        cfg = EstimatorConfig(backend="statevector")
+        for i, eps in enumerate((0.05, 0.02, 0.01, 0.005)):
+            oracle = SampleOracle(arms_mdp(0.5, 1), 18)
+            bounded_batch(oracle, [0.0, 1.0], 1.0, eps, 0.1, cfg, derived_rng(18, "cal", i))
+            measured = oracle.ledger.quantum_oracle_calls / 2
+            assert 1.0 <= measured / bounded_mean_charge(1.0, eps, 0.1, CFG) <= 10.0
+
+    @pytest.mark.parametrize("backend", ["contract_mock", "statevector"])
+    def test_voided_promise_flags_every_entry(self, backend):
+        cfg = EstimatorConfig(backend=backend)
+        oracle = SampleOracle(arms_mdp(0.5, 4), 7)
+        est, failed, violated = bounded_batch(oracle, [0.5, 1.5], 1.0, 0.1, 0.1, cfg,
+                                              derived_rng(7, "void", backend))
+        assert violated and failed.shape == (2, 4) and failed.all()
+
+    def test_variance_breach_surfaced_not_raised(self):
+        # a fair coin over values {0, 1} from state 0 has variance 0.25 >
+        # sigma^2 = 0.01; state 1's rows are point masses, within any bound
+        oracle = SampleOracle(arms_mdp(0.5, 3), 10)
+        est, failed, breaches = variance_batch(oracle, [0.0, 1.0], 0.1, 0.05, 0.1,
+                                               derived_rng(10, "breach"))
+        assert breaches == 3
+        assert variance_batch(oracle, [0.4, 0.4], 0.1, 0.05, 0.1,
+                              derived_rng(10, "constant"))[2] == 0
+
+    def test_variance_charge_uses_ratio(self):
+        oracle = SampleOracle(arms_mdp(0.5, 3), 11)
+        variance_batch(oracle, [0.0, 1.0], 2.0, 0.25, 0.1, derived_rng(11, "ratio"))
+        assert oracle.ledger.phases["ph"] == 6 * variance_mean_charge(2.0, 0.25, 0.1, CFG)
+
+    @pytest.mark.parametrize("eps", [0.0, 2.0, 3.0])
+    def test_variance_window_refused_before_drawing(self, eps):
+        # sigma = 0.5: eps must lie in (0, 2)
+        oracle, rng = SampleOracle(arms_mdp(0.5, 2), 8), derived_rng(8, "window")
+        with pytest.raises(PreconditionError, match=r"eps in \(0, 4\*sigma\)"):
+            variance_batch(oracle, [0.0, 1.0], 0.5, eps, 0.1, rng)
+        assert oracle.ledger.total == 0
+        assert rng.random() == derived_rng(8, "window").random()
+
+
 class TestRangeCheck:
     @pytest.mark.parametrize("v", [
         [0.5, math.nan], [math.nan, -1.0], [2.0, math.nan], [math.nan, math.nan],
