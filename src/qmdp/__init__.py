@@ -11,14 +11,7 @@ from .errors import (
     PromiseViolationError,
     QmdpError,
 )
-from .estimators import (
-    EstimatorConfig,
-    MeanEstimate,
-    bernstein_mean,
-    bounded_mean,
-    hoeffding_mean,
-    variance_bounded_mean,
-)
+from .estimators import EstimatorConfig
 from .hard_instances import (
     HardInstanceSpec,
     multi_arm_instance,
@@ -51,7 +44,6 @@ from .oracle import (
 from .qsim import (
     AmplitudeEstimationConfig,
     amplitude_estimation_sample,
-    median_amplitude_estimate,
     outcome_distribution,
     simulate_argmax,
 )

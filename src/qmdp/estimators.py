@@ -1,12 +1,16 @@
-"""Mean-estimation layer shared by both solvers.
+"""Mean-estimation layer shared by the solvers.
 
 Two quantum estimators with explicit cost contracts (range-bounded and
-variance-bounded), classical Hoeffding/Bernstein baselines, and a
+variance-bounded), the classical Hoeffding sample count, and a
 contract-mock backend that returns estimates satisfying exactly the stated
 error/confidence contract while charging the stated query count to the
 ledger.  The statevector backend for the range-bounded estimator goes
 through simulated amplitude estimation and charges its measured counts,
 which is what keeps the mock's accounting honest.
+
+The cost rules here are the schedule's: ``solvers.Line`` fixes each
+estimate's accuracy, failure probability, phase bits, repetitions and
+charge before a solve's first draw, and the batch estimates read them.
 
 Estimate failures in the mock are drawn independently with the requested
 failure probability; the default failure mode plants the estimate a factor
@@ -24,24 +28,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import PreconditionError, PromiseViolationError
-from .mdp import _check_value_vec, expected_next_value, successor_variance
+from .errors import PreconditionError
+from .mdp import expected_next_value, successor_variance
 from .oracle import SampleOracle
 from .qsim import MAX_PHASE_BITS, median_amplitude_estimates
 from .rng import KeyTemplate, bulk_passes, uniforms
 
 __all__ = [
     "EstimatorConfig",
-    "MeanEstimate",
     "amplification_reps",
     "bounded_mean_charge",
     "variance_mean_charge",
     "hoeffding_sample_count",
-    "bernstein_sample_count",
-    "bounded_mean",
-    "variance_bounded_mean",
-    "hoeffding_mean",
-    "bernstein_mean",
     "statevector_phase_bits",
 ]
 
@@ -91,27 +89,6 @@ class EstimatorConfig:
 DEFAULT_CONFIG = EstimatorConfig()
 
 
-@dataclass(frozen=True)
-class MeanEstimate:
-    """An estimate with its guaranteed radius, confidence, and charged cost."""
-
-    value: float
-    error_radius: float
-    confidence: float
-    queries_charged: int
-    backend: str
-    mock_failed: bool = False
-    promise_violated: bool = False
-
-    def __post_init__(self):
-        if self.error_radius <= 0:
-            raise PreconditionError("error_radius must be positive")
-        if not (0.0 < self.confidence < 1.0):
-            raise PreconditionError("confidence must be in (0, 1)")
-        if self.queries_charged < 1:
-            raise PreconditionError("queries_charged must be at least 1")
-
-
 def amplification_reps(delta: float) -> int:
     """Odd n = 2 ceil(log2(3 / delta)) + 1 runs; their median misses only when (n + 1) / 2 of
     them miss on one side, each such binomial tail below delta / 4 at a per-side miss <= 0.1033
@@ -148,29 +125,16 @@ def variance_mean_charge(sigma, eps, delta: float, cfg: EstimatorConfig = DEFAUL
     return int(np.sum(base)) * amplification_reps(delta)
 
 
-def _finite_count(count: float, rule: str, eps: float) -> int:
-    """ceil(count); an eps so small that the count overflows, or that eps**2
-    underflows to 0, raises PreconditionError."""
-    if not math.isfinite(count):
-        raise PreconditionError(f"{rule} sample count for accuracy {eps} is not finite")
-    return math.ceil(count)
-
-
 def hoeffding_sample_count(upper: float, eps: float, delta: float) -> int:
+    """ceil(upper^2 ln(2/delta) / (2 eps^2)); an eps so small that the count
+    overflows, or that eps**2 underflows to 0, raises PreconditionError."""
     if eps <= 0:
         raise PreconditionError(f"eps must be positive, got {eps}")
     eps_sq = eps**2
     count = upper**2 * math.log(2.0 / delta) / (2.0 * eps_sq) if eps_sq else math.inf
-    return _finite_count(count, "Hoeffding", eps)
-
-
-def bernstein_sample_count(upper: float, sigma: float, eps: float, delta: float) -> int:
-    if eps <= 0:
-        raise PreconditionError(f"eps must be positive, got {eps}")
-    eps_sq = eps**2
-    count = (2.0 * (sigma**2 / eps_sq + upper / (3.0 * eps)) * math.log(3.0 / delta)
-             if eps_sq else math.inf)
-    return _finite_count(count, "Bernstein", eps)
+    if not math.isfinite(count):
+        raise PreconditionError(f"Hoeffding sample count for accuracy {eps} is not finite")
+    return math.ceil(count)
 
 
 def statevector_phase_bits(accuracy: float, cfg: EstimatorConfig = DEFAULT_CONFIG) -> int:
@@ -185,29 +149,6 @@ def statevector_phase_bits(accuracy: float, cfg: EstimatorConfig = DEFAULT_CONFI
         f"statevector backend cannot reach relative accuracy {accuracy} with "
         f"{MAX_PHASE_BITS} phase bits"
     )
-
-
-def _value_map(oracle: SampleOracle, values) -> np.ndarray:
-    """A scalar estimator's value map as a checked (S,) vector; a NaN or
-    infinite entry raises PreconditionError naming the first one."""
-    v = _check_value_vec(oracle.mdp, values, "value map")
-    bad = np.flatnonzero(~np.isfinite(v))
-    if bad.size:
-        raise PreconditionError(f"value map[{bad[0]}] = {v[bad[0]]} is not finite")
-    return v
-
-
-def _check_args(eps, delta, upper=None, sigma=None) -> None:
-    """Raise PreconditionError naming the first scalar-estimator argument out
-    of its range; NaN lies outside every range."""
-    if not 0.0 < eps < math.inf:
-        raise PreconditionError(f"eps must be positive and finite, got {eps}")
-    if not 0.0 < delta < 1.0:
-        raise PreconditionError(f"delta must be in (0, 1), got {delta}")
-    if upper is not None and not 0.0 < upper < math.inf:
-        raise PreconditionError(f"upper must be positive and finite, got {upper}")
-    if sigma is not None and not 0.0 <= sigma < math.inf:
-        raise PreconditionError(f"sigma must be non-negative and finite, got {sigma}")
 
 
 def _range_violated(v: np.ndarray, upper: float, slack: float = 0.0) -> bool:
@@ -225,55 +166,53 @@ def _variance_breached(var, sigma):
 
 class MockRow(NamedTuple):
     """One stream's range-bounded mock draws, taken before its estimate:
-    whether a failure flag is set, the noise already scaled by eps, the
-    batch's charge, and the stream itself, for a replay."""
+    whether a failure flag is set, the noise already scaled by the line's
+    err, and the stream itself, for a replay."""
 
     failed: bool
     noise: np.ndarray
-    charge: int
     stream: Callable[[], np.random.Generator]
 
 
-def mock_rows(oracle: SampleOracle, keys: KeyTemplate, upper, eps, delta: float,
-              cfg: EstimatorConfig):
+def mock_rows(oracle: SampleOracle, keys: KeyTemplate, lines):
     """Yield a ``MockRow`` per stream of ``keys``, in order, for mock
-    range-bounded estimates of every (s, a) to error eps on [0, upper].
+    range-bounded estimates of every (s, a) on ``lines`` (``solvers.Line``s):
+    one line, or one per value of the first slot of ``keys``.
 
-    ``upper`` and ``eps`` are scalars, or sequences with one value per
-    value of the first slot of ``keys``.  A batch draws its failure flags,
-    ``random(shape)``, then its noise, ``uniform(-1, 1, shape)``: the first
-    2*S*A uniforms of its stream, taken here from ``rng.bulk_passes``, so
-    every value equals the stream's own draw.  A row with a failed entry is
-    replayed by ``_estimate`` on its stream, re-keyed from its digest.
+    A batch draws its failure flags, ``random(shape) < f``, then its noise,
+    ``uniform(-1, 1, shape)`` times err: the first 2*S*A uniforms of its
+    stream, taken here from ``rng.bulk_passes``, so every value equals the
+    stream's own draw.  A row with a failed entry is replayed by
+    ``_estimate`` on its stream, re-keyed from its digest.
     """
     shape = (oracle.mdp.num_states, oracle.mdp.num_actions)
     size = shape[0] * shape[1]
-    upper, eps = np.broadcast_arrays(np.atleast_1d(upper), np.atleast_1d(eps))
-    charges = [bounded_mean_charge(u, e, delta, cfg) * size
-               for u, e in zip(upper.tolist(), eps.tolist())]
+    f, err = np.array([[line.f, line.err] for line in lines]).T
     for chunk, digests, words in bulk_passes(keys, 2 * size):
-        at = chunk.first_slot() if len(eps) > 1 else np.zeros(len(chunk), dtype=np.intp)
+        at = chunk.first_slot() if len(lines) > 1 else np.zeros(len(chunk), dtype=np.intp)
         u = uniforms(words)
-        failed = (u[:, :size] < delta).any(axis=1).tolist()
-        noise = (-1.0 + 2.0 * u[:, size:]) * eps[at, None]
-        for i, j in enumerate(at.tolist()):
-            yield MockRow(failed[i], noise[i].reshape(shape), charges[j],
+        failed = (u[:, :size] < f[at, None]).any(axis=1).tolist()
+        noise = (-1.0 + 2.0 * u[:, size:]) * err[at, None]
+        for i in range(len(chunk)):
+            yield MockRow(failed[i], noise[i].reshape(shape),
                           partial(oracle.keyed_rng, digests[16 * i:16 * i + 16]))
 
 
-def _estimate(mu, upper, eps, delta, cfg, rng, forced=False, sigma=None):
-    """Estimates of an array of means from one stream, drawn entry by entry
-    in row-major order.  Returns (estimates, failed, charge).
+def _estimate(mu, line, cfg, rng, forced=False, sigma=None):
+    """Estimates of an array of means on ``line`` (a ``solvers.Line``) from
+    one stream, drawn entry by entry in row-major order.  Returns
+    (estimates, failed, charge).
 
-    Range-bounded on [0, upper] unless ``sigma`` is given, which selects the
-    variance-bounded estimator (always contract mock, eps in (0, 4*sigma)).
-    Statevector backend: per entry, the median of amplification-reps
-    amplitude-estimation runs at the phase bits of the smallest eps, all
-    drawn in one pass and inverted once per distinct mean, charged by
-    measured counts.  Contract mock: the true mean plus noise within eps,
-    or with probability delta a planted failure, charged by the stated
-    formula; the draw order is fixed across failure modes.  ``forced`` (a
-    voided promise) fails every entry.
+    Range-bounded on [0, line.upper] to error line.err, each entry charged
+    line.charge, unless ``sigma`` is given, which selects the
+    variance-bounded estimator: always contract mock, to error line.err *
+    sigma in (0, 4*sigma) per entry, charged by ``variance_mean_charge``.
+    Statevector backend: per entry, the median of line.reps runs of
+    line.t-bit amplitude estimation, all drawn in one pass and inverted once
+    per distinct mean.  Contract mock: the true mean plus noise within the
+    error, or with probability line.f a planted failure; the draw order is
+    fixed across failure modes.  ``forced`` (a voided promise) fails every
+    entry.
 
     ``rng`` must start a stream this call alone reads; an oracle re-keys
     one Generator per stream, so take no other until the call returns.
@@ -285,21 +224,22 @@ def _estimate(mu, upper, eps, delta, cfg, rng, forced=False, sigma=None):
     stream is replayed from the start.
     """
     if sigma is None:
-        eps_min = float(np.min(eps)) if isinstance(eps, np.ndarray) else eps
+        charge = line.charge * mu.size
         if cfg.backend == BACKEND_STATEVECTOR:
-            t = statevector_phase_bits(eps_min / upper, cfg)
-            reps = amplification_reps(delta)
-            a = np.clip(mu / upper, 0.0, 1.0)
-            est = upper * median_amplitude_estimates(a, t, reps, rng).reshape(a.shape)
-            return est, np.full(est.shape, forced), ((1 << t) - 1) * reps * est.size
+            a = np.clip(mu / line.upper, 0.0, 1.0)
+            est = line.upper * median_amplitude_estimates(a, line.t, line.reps, rng).reshape(a.shape)
+            return est, np.full(est.shape, forced), charge
         if type(rng) is MockRow:
             if not (forced or rng.failed):
-                return mu + rng.noise, np.zeros(rng.noise.shape, dtype=bool), rng.charge
+                return mu + rng.noise, np.zeros(rng.noise.shape, dtype=bool), charge
             rng = rng.stream()
-    elif np.any(eps <= 0.0) or np.any(eps >= 4.0 * sigma):
-        raise PreconditionError("variance-bounded estimator needs eps in (0, 4*sigma) per row")
+        eps = line.err
+    else:
+        eps = line.err * sigma
+        if np.any(eps <= 0.0) or np.any(eps >= 4.0 * sigma):
+            raise PreconditionError("variance-bounded estimator needs eps in (0, 4*sigma) per row")
     shape = np.shape(mu)
-    fail = rng.random(shape) < delta
+    fail = rng.random(shape) < line.f
     noise = rng.uniform(-1.0, 1.0, shape) * eps
     if forced or fail.any():
         fail |= forced
@@ -310,152 +250,36 @@ def _estimate(mu, upper, eps, delta, cfg, rng, forced=False, sigma=None):
     else:
         est = mu + noise
     if sigma is not None:
-        return est, fail, variance_mean_charge(sigma, eps, delta, cfg)
-    return est, fail, bounded_mean_charge(upper, eps_min, delta, cfg) * est.size
-
-
-def _row_mean(oracle: SampleOracle, s: int, a: int, v: np.ndarray) -> np.ndarray:
-    """The one-entry means array (p_{s,a} . v) a scalar estimator estimates."""
-    oracle._check_indices(s, a)
-    return np.array([oracle.mdp.transitions[s, a] @ v])
+        return est, fail, variance_mean_charge(sigma, eps, line.f, cfg)
+    return est, fail, charge
 
 
 # ---------------------------------------------------------------------------
-# Scalar APIs: one-row views of the core above, each drawing from the
-# oracle's call-counter stream.
-# ---------------------------------------------------------------------------
-
-
-def bounded_mean(
-    oracle: SampleOracle,
-    s: int,
-    a: int,
-    values,
-    upper: float,
-    eps: float,
-    delta: float,
-    cfg: EstimatorConfig = DEFAULT_CONFIG,
-    phase: str | None = None,
-    strict: bool = True,
-) -> MeanEstimate:
-    """Quantum mean estimate under the promise 0 <= values <= upper.
-
-    Mock backend: returns the true mean plus contract noise and charges the
-    stated cost formula.  Statevector backend: simulated amplitude
-    estimation with a median wrapper, charging measured counts.
-    """
-    v = _value_map(oracle, values)
-    _check_args(eps, delta, upper=upper)
-    violated = _range_violated(v, upper)
-    if violated and strict:
-        raise PromiseViolationError(
-            f"value map outside [0, {upper}]: range [{v.min()}, {v.max()}]"
-        )
-    est, failed, charged = _estimate(
-        _row_mean(oracle, s, a, v), upper, eps, delta, cfg, oracle._next_rng(), violated)
-    oracle.ledger.charge_quantum(charged, phase)
-    return MeanEstimate(float(est[0]), eps, 1.0 - delta, charged, cfg.backend,
-                        mock_failed=bool(failed[0]) and cfg.backend == BACKEND_MOCK,
-                        promise_violated=violated)
-
-
-def variance_bounded_mean(
-    oracle: SampleOracle,
-    s: int,
-    a: int,
-    values,
-    sigma: float,
-    eps: float,
-    delta: float,
-    cfg: EstimatorConfig = DEFAULT_CONFIG,
-    phase: str | None = None,
-) -> MeanEstimate:
-    """Quantum mean estimate under the promise Var[values(s')] <= sigma^2.
-
-    Hard precondition eps in (0, 4*sigma); a variance-promise breach is
-    surfaced on the result rather than raised, because the variance bound fed
-    in by the epoch solver is itself estimated and can sit slightly below the
-    truth on perfectly healthy runs.  Always contract-mock: the variance-
-    bounded estimator's internals are out of simulation scope.
-    """
-    v = _value_map(oracle, values)
-    _check_args(eps, delta, sigma=sigma)
-    est, failed, charged = _estimate(_row_mean(oracle, s, a, v), None, eps, delta, cfg,
-                                     oracle._next_rng(), sigma=sigma)
-    oracle.ledger.charge_quantum(charged, phase)
-    breached = _variance_breached(successor_variance(oracle.mdp, v, (s, a)), sigma)
-    return MeanEstimate(float(est[0]), eps, 1.0 - delta, charged, BACKEND_MOCK,
-                        mock_failed=bool(failed[0]), promise_violated=bool(breached))
-
-
-def hoeffding_mean(
-    oracle: SampleOracle,
-    s: int,
-    a: int,
-    values,
-    upper: float,
-    eps: float,
-    delta: float,
-    phase: str | None = None,
-) -> MeanEstimate:
-    """Empirical mean from the Hoeffding sample count; draws real samples."""
-    v = _value_map(oracle, values)
-    _check_args(eps, delta, upper=upper)
-    n = hoeffding_sample_count(upper, eps, delta)
-    counts = oracle.sample_counts(s, a, n, phase)
-    return MeanEstimate(float(counts @ v / n), eps, 1.0 - delta, n, "classical_hoeffding",
-                        promise_violated=_range_violated(v, upper))
-
-
-def bernstein_mean(
-    oracle: SampleOracle,
-    s: int,
-    a: int,
-    values,
-    upper: float,
-    sigma: float,
-    eps: float,
-    delta: float,
-    phase: str | None = None,
-) -> MeanEstimate:
-    """Empirical mean from the Bernstein sample count; draws real samples."""
-    v = _value_map(oracle, values)
-    _check_args(eps, delta, upper=upper, sigma=sigma)
-    n = bernstein_sample_count(upper, sigma, eps, delta)
-    counts = oracle.sample_counts(s, a, n, phase)
-    breached = _variance_breached(successor_variance(oracle.mdp, v, (s, a)), sigma)
-    return MeanEstimate(float(counts @ v / n), eps, 1.0 - delta, n, "classical_bernstein",
-                        promise_violated=bool(breached))
-
-
-# ---------------------------------------------------------------------------
-# Batched internals used by the solvers.  One call estimates (P v)[s, a] for
+# Batched estimates used by the solvers.  One call estimates (P v)[s, a] for
 # every (s, a) at once from a single derived stream, drawing entries in
-# row-major order through the same core as the scalar APIs.
+# row-major order, on the schedule's line for that estimate.
 # ---------------------------------------------------------------------------
 
 
 def batch_bounded_mock(
     oracle: SampleOracle,
     value_map: np.ndarray,
-    upper: float,
-    eps,
-    delta: float,
+    line,
     cfg: EstimatorConfig,
     rng: np.random.Generator | MockRow,
     phase: str,
     promise_slack: float = 0.0,
 ):
-    """Mock range-bounded estimates of (P value_map)[s, a] for all rows, on
-    a stream or on its ``MockRow`` (see ``mock_rows``).
+    """Range-bounded estimates of (P value_map)[s, a] for all rows on
+    ``line``, on a stream or on its ``MockRow`` (see ``mock_rows``).
 
-    A value map outside [0, upper] (beyond promise_slack) voids the contract
-    of every estimate in the batch; those estimates are flagged and drawn
-    from the failure distribution.  Returns (estimates, failed, violated).
+    A value map outside [0, line.upper] (beyond promise_slack) voids the
+    contract of every estimate in the batch; those estimates are flagged and
+    drawn from the failure distribution.  Returns (estimates, failed, violated).
     """
-    violated = _range_violated(value_map, upper, promise_slack)
+    violated = _range_violated(value_map, line.upper, promise_slack)
     est, failed, charged = _estimate(
-        expected_next_value(oracle.mdp, value_map), upper, eps, delta, cfg, rng, violated)
+        expected_next_value(oracle.mdp, value_map), line, cfg, rng, violated)
     oracle.ledger.charge_quantum(charged, phase)
     return est, failed, violated
 
@@ -464,19 +288,20 @@ def batch_variance_mock(
     oracle: SampleOracle,
     value_map: np.ndarray,
     sigma: np.ndarray,
-    eps: np.ndarray,
-    delta: float,
+    line,
     cfg: EstimatorConfig,
     rng: np.random.Generator,
     phase: str,
 ):
-    """Mock variance-bounded estimates for all rows at once.
+    """Mock variance-bounded estimates for all rows at once, each to error
+    line.err * sigma under the promise Var[value_map(s')] <= sigma^2.
 
-    Returns (estimates, failed, n_variance_promise_breaches); breaches are
-    diagnostics, not failures (see variance_bounded_mean).
+    Returns (estimates, failed, n_variance_promise_breaches).  A breach is
+    surfaced, not raised: the sigma the epoch solver feeds in is itself
+    estimated and can sit slightly below the truth on healthy runs.
     """
     est, failed, charged = _estimate(
-        expected_next_value(oracle.mdp, value_map), None, eps, delta, cfg, rng, sigma=sigma)
+        expected_next_value(oracle.mdp, value_map), line, cfg, rng, sigma=sigma)
     oracle.ledger.charge_quantum(charged, phase)
     breached = _variance_breached(successor_variance(oracle.mdp, value_map), sigma)
     return est, failed, int(breached.sum())

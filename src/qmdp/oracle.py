@@ -102,22 +102,11 @@ class SampleOracle:
             if not 0 <= i < size:
                 raise IndexError(f"{name} index {i} out of range [0, {size})")
 
-    def sample(self, s: int, a: int, phase: str | None = None) -> int:
-        """One successor draw; charges one classical sample."""
-        self._check_indices(s, a)
-        u = self._next_rng().random()
-        cdf = np.cumsum(self.mdp.transitions[s, a])  # inverse-transform sampling
-        successor = int(np.searchsorted(cdf, u, side="right"))
-        successor = min(successor, self.mdp.num_states - 1)  # guard u == 1.0 edge
-        self.ledger.charge_classical(1, phase)
-        return successor
-
     def sample_counts(self, s: int, a: int, n: int, phase: str | None = None) -> np.ndarray:
         """Counts of n iid successor draws (multinomial); charges n samples.
 
-        Statistically identical to calling :meth:`sample` n times, but costs
-        O(S) instead of O(n), which is what makes the classical baselines
-        runnable at their true sample sizes.
+        One multinomial draw costs O(S) instead of O(n), which is what makes
+        the classical baselines runnable at their true sample sizes.
         """
         self._check_indices(s, a)
         _check_count(n)

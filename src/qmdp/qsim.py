@@ -33,7 +33,6 @@ __all__ = [
     "outcome_distribution",
     "single_run_error_radius",
     "amplitude_estimation_sample",
-    "median_amplitude_estimate",
     "median_amplitude_estimates",
     "simulate_argmax",
     "DEFAULT_C_MAX",
@@ -45,7 +44,6 @@ DEFAULT_C_MAX = 4.0
 # simulate_argmax's largest budget: its time is linear in the budget, and a
 # budget of 2^24 probes takes 0.4-1.0 s a call on a 2-vCPU Xeon (n = 64 and 8)
 MAX_ARGMAX_PROBES = 2**24
-MEDIAN_REPS_FACTOR = 18  # Chernoff margin on the 8/pi^2 single-run success
 FAST_MIN_BITS = 11  # from here on the closed-form CDF beats one outcome grid
 _CHUNK = 1 << 16  # cells per grid chunk: a grid's memory does not grow with t
 _W = 32  # pole distance _cdf_bound takes for each Euler-Maclaurin end (_WIDE or more)
@@ -263,8 +261,8 @@ def median_amplitude_estimates(
     """Median of ``reps`` t-bit amplitude-estimation runs for each amplitude.
 
     Draws rng.random((n, reps)) in one call, so entry i uses the i-th block of
-    reps uniforms: the same draws as n successive median_amplitude_estimate
-    calls.  Charges nothing; each estimate costs reps * (2^t - 1) queries.
+    reps uniforms: the same draws as n successive one-amplitude calls on the
+    stream.  Charges nothing; each estimate costs reps * (2^t - 1) queries.
     """
     a = np.asarray(amplitudes, dtype=float).ravel()
     AmplitudeEstimationConfig(t, 0.0)  # checks t, also for an empty batch
@@ -293,25 +291,6 @@ def amplitude_estimation_sample(
     if ledger is not None:
         ledger.charge_quantum(n * cfg.queries_per_run, phase)
     return float(est[0]) if size is None else est
-
-
-def median_amplitude_estimate(
-    cfg: AmplitudeEstimationConfig,
-    delta: float,
-    rng: np.random.Generator,
-    reps: int | None = None,
-    ledger: QueryLedger | None = None,
-    phase: str | None = None,
-) -> float:
-    """Median of repeated runs: boosts the 8/pi^2 single-run success to 1-delta."""
-    if not (0.0 < delta < 1.0):
-        raise PreconditionError(f"delta must be in (0, 1), got {delta}")
-    if reps is None:
-        reps = max(1, MEDIAN_REPS_FACTOR * math.ceil(math.log2(1.0 / delta)))
-    est = median_amplitude_estimates([cfg.target_amplitude], cfg.phase_bits, reps, rng)
-    if ledger is not None:
-        ledger.charge_quantum(reps * cfg.queries_per_run, phase)
-    return float(est[0])
 
 
 def argmax_query_budget(n: int, delta: float, c_max: float = DEFAULT_C_MAX) -> float:

@@ -129,7 +129,7 @@ class Line(NamedTuple):
 
 
 def _bounded(mdp: Mdp, cfg: EstimatorConfig, batches: int, upper, err, f) -> Line:
-    """``batches`` batches of S*A range-bounded estimates, charged as ``estimators._estimate``."""
+    """``batches`` batches of S*A range-bounded estimates, as ``estimators._estimate`` reads them."""
     n = batches * mdp.num_states * mdp.num_actions
     if cfg.backend != BACKEND_STATEVECTOR:
         return Line(n, upper, err, f, bounded_mean_charge(upper, err, f, cfg))
@@ -318,13 +318,10 @@ def _phase(scope: str, n: int, line=None) -> str:
 class _Iterate:
     """The iterate (v, pi) of one solve with its flags, failure count and
     snapshots, and the params' schedule it follows, fixed before the first
-    draw.  Every estimate and mock argmax of the solve has the schedule's
-    failure probability f.  A solver with no monotone claim reports its flags
-    as None."""
+    draw.  A solver with no monotone claim reports its flags as None."""
 
     def __init__(self, oracle, params, cfg, diagnostics, monotone=True):
         self.oracle, self.cfg, self.lines = oracle, cfg, params.schedule(oracle.mdp, cfg)
-        self.f = next((line.f for line in self.lines.values()), None)  # None: no estimates
         self.v = np.zeros(oracle.mdp.num_states)
         self.pi = np.zeros(oracle.mdp.num_states, dtype=np.int64)
         self.monotone_ok = self.dominance_ok = True if monotone else None
@@ -344,15 +341,13 @@ class _Iterate:
         words = 2 * self.oracle.mdp.num_states * self.oracle.mdp.num_actions
         if self.cfg.backend == BACKEND_STATEVECTOR or words > BULK_STREAM_WORDS:
             return self.keyed(keys)
-        return mock_rows(self.oracle, keys, [line.upper for line in lines],
-                         [line.err for line in lines], self.f, self.cfg)
+        return mock_rows(self.oracle, keys, lines)
 
     def estimate(self, stream, phase, value_map, line: Line, promise_slack=0.0) -> np.ndarray:
         """Range-bounded estimates of P value_map on ``stream``, the next
         item of ``keyed`` or ``streams``, to ``line``'s error on [0, upper]."""
-        est, failed, _ = batch_bounded_mock(
-            self.oracle, value_map, line.upper, line.err, self.f, self.cfg, stream, phase,
-            promise_slack=promise_slack)
+        est, failed, _ = batch_bounded_mock(self.oracle, value_map, line, self.cfg, stream, phase,
+                                            promise_slack=promise_slack)
         self.failures += int(failed.sum())
         return est
 
@@ -368,9 +363,10 @@ class _Iterate:
     def mock_argmax(self, q: np.ndarray, draws, phase: str) -> np.ndarray:
         """Contract-mock max finding over the rows of q on the next ``draws``,
         charged as the schedule's argmax line."""
-        index, failed = mock_argmax_rows(q, self.f, *next(draws))
+        line = self.lines["argmax", 1]
+        index, failed = mock_argmax_rows(q, line.f, *next(draws))
         self.failures += int(failed.sum())
-        self.oracle.ledger.charge_quantum(len(q) * self.lines["argmax", 1].charge, phase)
+        self.oracle.ledger.charge_quantum(len(q) * line.charge, phase)
         return index
 
     def check_one_sided(self, mean: np.ndarray) -> None:
@@ -437,11 +433,10 @@ def variance_reduced_vi(
 
         # anchor estimate with per-row deviation-proportional error, one-sided
         sigma_bound = np.sqrt(y + p.b)
-        err_x = lines["line9", k].err * sigma_bound
         est_x, fail_x, breaches = batch_variance_mock(
-            oracle, v_anchor, sigma_bound, err_x, it.f, cfg,
-            next(anchors), _phase("epoch", k, 9))
-        x = est_x - err_x
+            oracle, v_anchor, sigma_bound, lines["line9", k], cfg, next(anchors),
+            _phase("epoch", k, 9))
+        x = est_x - lines["line9", k].err * sigma_bound
         it.failures += int(fail_x.sum())
         var_breaches += breaches
 

@@ -29,7 +29,7 @@ from qmdp.cli import (
     run_sweep,
     sandwich_success,
 )
-from qmdp.estimators import EstimatorConfig, bounded_mean
+from qmdp.estimators import EstimatorConfig, batch_bounded_mock
 from qmdp.hard_instances import (
     HardInstanceSpec,
     closed_form_arm_value,
@@ -42,7 +42,7 @@ from qmdp.oracle import SampleOracle, quantize_mdp
 from qmdp.qsim import (
     AmplitudeEstimationConfig,
     amplitude_estimation_sample,
-    median_amplitude_estimate,
+    median_amplitude_estimates,
     single_run_error_radius,
 )
 from qmdp.rng import derived_rng
@@ -50,6 +50,7 @@ from qmdp.solvers import (
     MaxFindingParams,
     SampledParams,
     VarianceReducedParams,
+    _bounded,
     max_finding_vi,
     sampled_vi,
     variance_reduced_vi,
@@ -401,7 +402,8 @@ def test_criterion_09_statevector_soundness():
         radius = single_run_error_radius(p, 10)
         single_ok[p] = float(np.mean(np.abs(draws - p) <= radius))
 
-    # powering wrapper through the bounded-mean estimator on Bernoulli rows
+    # powering wrapper through batch range-bounded estimates of Bernoulli rows,
+    # each on its own call stream, whose entry (0, 0) draws first
     delta = 0.05
     est_cfg = EstimatorConfig(backend="statevector", phase_bits=10)
     eps = 0.005  # above the worst-case t=10 radius of ~0.0031
@@ -410,19 +412,20 @@ def test_criterion_09_statevector_soundness():
         trans = np.array([[[1.0 - p, p]], [[0.0, 1.0]]])
         mdp = Mdp(transitions=trans, rewards=np.zeros((2, 1)), discount=0.9)
         oracle = SampleOracle(mdp, 110)
+        line = _bounded(mdp, est_cfg, 1, 1.0, eps, delta)
         hits = 0
-        for _ in range(2000):
-            est = bounded_mean(oracle, 0, 0, np.array([0.0, 1.0]), 1.0, eps, delta,
-                               est_cfg)
-            hits += abs(est.value - p) < eps
+        for i in range(2000):
+            est, _, _ = batch_bounded_mock(oracle, np.array([0.0, 1.0]), line, est_cfg,
+                                           derived_rng(110, "call", i), "wrapper")
+            hits += bool(abs(est[0, 0] - p) < eps)
         wrapper_ok[p] = hits / 2000
-    # and the bare median wrapper from the simulator layer
-    cfg = AmplitudeEstimationConfig(10, 0.3)
+    # and the bare median wrapper from the simulator layer: 90 runs, 18 per
+    # halving of delta = 0.05
     radius = single_run_error_radius(0.3, 10)
     med_hits = 0
     for i in range(2000):
         rng = derived_rng(109, "median", i)
-        med_hits += abs(median_amplitude_estimate(cfg, delta, rng) - 0.3) <= radius
+        med_hits += abs(median_amplitude_estimates([0.3], 10, 90, rng)[0] - 0.3) <= radius
     med_rate = med_hits / 2000
 
     ok = (all(v >= 0.81 for v in single_ok.values())

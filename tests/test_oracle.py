@@ -59,23 +59,8 @@ class TestQueryLedger:
 class TestSampling:
     def test_deterministic_row_always_hits_successor(self):
         oracle = SampleOracle(point_mass_mdp(target=2), seed=1)
-        for _ in range(20):
-            assert oracle.sample(0, 1) == 2
+        assert oracle.sample_counts(0, 1, 20).tolist() == [0, 0, 20]
         assert oracle.ledger.classical_samples == 20
-
-    def test_fair_coin_frequency(self):
-        oracle = SampleOracle(uniform_mdp(), seed=11)
-        draws = np.array([oracle.sample(0, 0) for _ in range(10000)])
-        freq = np.mean(draws == 0)
-        assert abs(freq - 0.5) <= 0.02
-        assert oracle.ledger.classical_samples == 10000
-
-    def test_equal_seeds_identical_sequences(self):
-        a = SampleOracle(uniform_mdp(3, 2), seed=42)
-        b = SampleOracle(uniform_mdp(3, 2), seed=42)
-        seq_a = [a.sample(i % 3, i % 2) for i in range(1000)]
-        seq_b = [b.sample(i % 3, i % 2) for i in range(1000)]
-        assert seq_a == seq_b
 
     def test_sample_counts_matches_charge_and_determinism(self):
         a = SampleOracle(uniform_mdp(4, 1), seed=3)
@@ -95,9 +80,9 @@ class TestSampling:
     def test_index_errors(self):
         oracle = SampleOracle(uniform_mdp(), seed=0)
         with pytest.raises(IndexError):
-            oracle.sample(2, 0)
+            oracle.sample_counts(2, 0, 1)
         with pytest.raises(IndexError):
-            oracle.sample(0, 5)
+            oracle.sample_counts(0, 5, 1)
 
 
 def dirichlet_mdp(s_n, a_n, seed):
@@ -145,7 +130,7 @@ class TestEmpiricalMeans:
             yield oracle.empirical_means(v, 1000, "a")
             yield oracle.sample_counts(1, 2, 50, "b")
             yield oracle.derive_rng("aux", 3).random(4)
-            yield np.array([oracle.sample(0, 1, "c")])
+            yield oracle.sample_counts(0, 1, 1, "c")
             yield oracle.empirical_means(v + 1.0, 10**6, "d")
 
         mdp_x, mdp_y = dirichlet_mdp(4, 3, 3), dirichlet_mdp(4, 3, 4)
@@ -185,9 +170,8 @@ class TestSampleArguments:
                                           (None, 0, "state index s")])
     def test_indices_must_be_integers(self, s, a, name):
         oracle = SampleOracle(uniform_mdp(3, 2), seed=0)
-        for call in (lambda: oracle.sample_counts(s, a, 3), lambda: oracle.sample(s, a)):
-            with pytest.raises(TypeError, match=f"{name} must be an integer"):
-                call()
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            oracle.sample_counts(s, a, 3)
         assert _oracle_record(oracle) == (0, QueryLedger().to_dict())
 
     def test_negative_count_refused_before_drawing(self):

@@ -14,7 +14,6 @@ from qmdp.qsim import (
     AmplitudeEstimationConfig,
     amplitude_estimation_sample,
     argmax_query_budget,
-    median_amplitude_estimate,
     median_amplitude_estimates,
     outcome_distribution,
     simulate_argmax,
@@ -83,26 +82,18 @@ class TestOutcomeDistribution:
 
 class TestMedianAmplification:
     def test_median_within_single_run_radius(self):
-        # median of 18*ceil(log2(1/delta)) runs stays inside the single-run
-        # radius with empirical frequency >= 1-delta
+        # median of 72 = 18*ceil(log2(1/delta)) runs stays inside the
+        # single-run radius with empirical frequency >= 1-delta
         delta = 0.1
         a, t = 0.3, 10
         radius = single_run_error_radius(a, t)
-        cfg = AmplitudeEstimationConfig(t, a)
         hits = 0
         trials = 5000
         for i in range(trials):
             rng = derived_rng(3, "median", i)
-            est = median_amplitude_estimate(cfg, delta, rng)
+            est = median_amplitude_estimates([a], t, 72, rng)[0]
             hits += abs(est - a) <= radius
         assert hits / trials >= 1.0 - delta
-
-    def test_rep_count_default(self):
-        cfg = AmplitudeEstimationConfig(6, 0.5)
-        led = QueryLedger()
-        median_amplitude_estimate(cfg, 0.05, derived_rng(4, "reps"), ledger=led)
-        reps = 18 * math.ceil(math.log2(1 / 0.05))
-        assert led.quantum_oracle_calls == reps * (2**6 - 1)
 
 
 def grid_inverse(a, t, u):
@@ -165,8 +156,8 @@ class TestVectorizedMedians:
         for i, a in enumerate((0.0, 0.3, 1.0)):
             cfg = AmplitudeEstimationConfig(t, a)
             old = per_entry_medians([a], t, 72, derived_rng(32, "view", t, i))
-            new = median_amplitude_estimate(cfg, 0.1, derived_rng(32, "view", t, i))
-            assert new == old[0]
+            new = median_amplitude_estimates([a], t, 72, derived_rng(32, "view", t, i))
+            assert new.tobytes() == old.tobytes()
             expected = grid_estimates(a, t, derived_rng(33, "sample", t, i).random(50))
             draws = amplitude_estimation_sample(cfg, derived_rng(33, "sample", t, i), size=50)
             assert draws.tobytes() == expected.tobytes()
@@ -396,14 +387,6 @@ class TestCountChecks:
         with pytest.raises(PreconditionError, match="reps must be an integer >= 1"):
             median_amplitude_estimates([0.1, 0.2], 6, reps, rng)
         assert rng.random() == derived_rng(53, "reps").random()
-
-    def test_scalar_view_refuses_zero_reps_and_charges_nothing(self):
-        rng, led = derived_rng(54, "reps"), QueryLedger()
-        with pytest.raises(PreconditionError, match="reps"):
-            median_amplitude_estimate(AmplitudeEstimationConfig(6, 0.1), 0.1, rng, reps=0,
-                                      ledger=led)
-        assert led.quantum_oracle_calls == 0
-        assert rng.random() == derived_rng(54, "reps").random()
 
     @pytest.mark.parametrize("size", [-2, 1.5, True])
     def test_bad_size_raises_before_drawing(self, size):

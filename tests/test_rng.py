@@ -15,8 +15,6 @@ import numpy as np
 import pytest
 
 import qmdp.rng
-from qmdp.mdp import Mdp
-from qmdp.oracle import SampleOracle
 from qmdp.rng import (
     DIGEST_KEYS,
     READ_WORDS,
@@ -129,14 +127,6 @@ def test_recorded_first_draws(seed, parts, randoms, ints, counts):
     assert rng.integers(0, 1000, 4).tolist() == ints
     assert rng.multinomial(100, [0.2, 0.3, 0.5]).tolist() == counts
 
-
-def test_recorded_scalar_samples():
-    p = np.array([[[0.5, 0.25, 0.25], [0.125, 0.125, 0.75]],
-                  [[1 / 3, 1 / 3, 1 / 3], [0.1, 0.6, 0.3]],
-                  [[0.0, 0.0, 1.0], [0.7, 0.2, 0.1]]])
-    oracle = SampleOracle(Mdp(p, np.zeros((3, 2)), 0.9), 99)
-    assert [oracle.sample(i % 3, i % 2) for i in range(12)] == [1, 2, 2, 1, 0, 0, 2, 1, 2, 1, 1, 0]
-    assert oracle.ledger.classical_samples == 12
 
 
 def test_fresh_generator_per_call():
