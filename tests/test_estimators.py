@@ -336,8 +336,8 @@ def variance_batch(oracle, values, sigma, eps, delta, rng, phase="ph"):
     shape = (oracle.mdp.num_states, oracle.mdp.num_actions)
     return est_mod.batch_variance_mock(oracle, np.asarray(values, dtype=float),
                                        np.full(shape, sigma),
-                                       Line(np.prod(shape), None, eps / sigma, delta, 0), CFG,
-                                       rng, phase)
+                                       core_line(np.zeros(shape), None, eps, delta, CFG, sigma),
+                                       CFG, rng, phase)
 
 
 class TestBatchEstimates:
