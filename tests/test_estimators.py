@@ -367,6 +367,34 @@ class TestBatchEstimates:
         assert abs(failed / 10000 - delta) <= 4 * sigma
         assert hits / 10000 >= 1.0 - delta - 4 * sigma
 
+    def test_constant_map_within_eps(self):
+        # a constant map's rows all have mean 0.7, at f = 0.5
+        oracle = SampleOracle(arms_mdp(0.3, 10), 1)
+        failed = 0
+        for i in range(20):
+            est, fail, violated = bounded_batch(oracle, [0.7, 0.7], 1.0, 0.05, 0.5, CFG,
+                                                derived_rng(1, "constant", i))
+            assert not violated and (np.abs(est - 0.7)[~fail] < 0.05).all()
+            failed += int(fail.sum())
+        assert 0 < failed < 400
+
+    def test_point_mass_row(self):
+        # every row of arms_mdp(1.0, .) lands in state 1: each mean is 0.9
+        oracle = SampleOracle(arms_mdp(1.0, 3), 2)
+        est, fail, violated = bounded_batch(oracle, [0.2, 0.9], 1.0, 0.03, 0.1, CFG,
+                                            derived_rng(2, "point-mass"))
+        assert not violated and (np.abs(est - 0.9)[~fail] < 0.03).all()
+
+    @pytest.mark.parametrize("sigma", [0.1, 1.0, 10.0])
+    def test_constant_map_any_sigma(self, sigma):
+        # zero variance lies within any sigma: no breach, and each estimate
+        # that does not fail is within eps = sigma / 4 of its mean 0.4
+        oracle = SampleOracle(arms_mdp(0.5, 50), 9)
+        est, fail, breaches = variance_batch(oracle, [0.4, 0.4], sigma, sigma / 4, 0.3,
+                                             derived_rng(9, "any-sigma", str(sigma)))
+        assert breaches == 0 and 0 < fail.sum() < 100
+        assert (np.abs(est - 0.4)[~fail] < sigma / 4).all()
+
     def test_mock_charge_per_entry(self):
         oracle = SampleOracle(arms_mdp(0.5, 3), 3)
         bounded_batch(oracle, np.zeros(2), 1.0, 0.1, 0.1, CFG, derived_rng(3, "charge"))
@@ -435,6 +463,32 @@ class TestBatchEstimates:
             variance_batch(oracle, [0.0, 1.0], 0.5, eps, 0.1, rng)
         assert oracle.ledger.total == 0
         assert rng.random() == derived_rng(8, "window").random()
+
+
+class TestClassicalEstimates:
+    """The sampled baseline's classical row means: ``empirical_means`` at
+    the Hoeffding count for the error and failure probability."""
+
+    def test_hoeffding_charges_and_accuracy(self):
+        # 200 rows with mean 0.3 at eps 0.02, delta 0.05: at most a
+        # Binomial(200, 0.05) count of them may miss, and none does at this n
+        oracle = SampleOracle(arms_mdp(0.3, 100), 14)
+        n = hoeffding_sample_count(1.0, 0.02, 0.05)
+        means = oracle.empirical_means(np.array([0.0, 1.0]), n, "ph")
+        assert oracle.ledger.classical_samples == oracle.ledger.phases["ph"] == 200 * n
+        assert (np.abs(means[0] - 0.3) < 0.02).all() and (means[1] == 1.0).all()
+
+    def test_hoeffding_deterministic_row_is_exact(self):
+        oracle = SampleOracle(arms_mdp(1.0, 2), 15)
+        means = oracle.empirical_means(np.array([0.25, 0.75]),
+                                       hoeffding_sample_count(1.0, 0.1, 0.1))
+        assert (means == 0.75).all()
+
+    def test_reproducible_sequences(self):
+        a, b = SampleOracle(arms_mdp(0.4, 3), 17), SampleOracle(arms_mdp(0.4, 3), 17)
+        va = [a.empirical_means(np.array([0.0, 1.0]), 150).tobytes() for _ in range(5)]
+        vb = [b.empirical_means(np.array([0.0, 1.0]), 150).tobytes() for _ in range(5)]
+        assert va == vb and len(set(va)) == 5
 
 
 class TestRangeCheck:

@@ -62,6 +62,21 @@ class TestSampling:
         assert oracle.sample_counts(0, 1, 20).tolist() == [0, 0, 20]
         assert oracle.ledger.classical_samples == 20
 
+    def test_fair_coin_frequency(self):
+        oracle = SampleOracle(uniform_mdp(), seed=11)
+        draws = np.concatenate([np.repeat([0, 1], oracle.sample_counts(0, 0, 1))
+                                for _ in range(10000)])
+        freq = np.mean(draws == 0)
+        assert abs(freq - 0.5) <= 0.02
+        assert oracle.ledger.classical_samples == 10000
+
+    def test_equal_seeds_identical_sequences(self):
+        a = SampleOracle(uniform_mdp(3, 2), seed=42)
+        b = SampleOracle(uniform_mdp(3, 2), seed=42)
+        seq_a = [a.sample_counts(i % 3, i % 2, 1 + i % 5).tolist() for i in range(1000)]
+        seq_b = [b.sample_counts(i % 3, i % 2, 1 + i % 5).tolist() for i in range(1000)]
+        assert seq_a == seq_b
+
     def test_sample_counts_matches_charge_and_determinism(self):
         a = SampleOracle(uniform_mdp(4, 1), seed=3)
         b = SampleOracle(uniform_mdp(4, 1), seed=3)

@@ -791,3 +791,27 @@ def test_refusals_come_before_the_first_stream(monkeypatch, name):
     with pytest.raises(PreconditionError, match=message):
         solve(oracle, params, cfg)
     assert keyed == [] and oracle.ledger.total == 0
+
+
+PARAMS_FOR_MDP = {  # (mdp, eps, delta) -> params; eps_max is sqrt(horizon) or horizon
+    "variance-reduced": VarianceReducedParams.for_mdp,
+    "max-finding": MaxFindingParams.for_mdp,
+    "sampled": SampledParams.for_mdp,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARAMS_FOR_MDP))
+@pytest.mark.parametrize("eps,delta,message", [
+    (0.5, 0.0, r"^delta must be in \(0, 1\), got 0\.0$"),
+    (0.5, 1.0, r"^delta must be in \(0, 1\), got 1\.0$"),
+    (0.5, 3.0, r"^delta must be in \(0, 1\), got 3\.0$"),
+    (0.5, float("nan"), r"^delta must be in \(0, 1\), got nan$"),
+    (float("nan"), 0.1, r"^eps must lie in \(0, \S+\] = \(0, \S+\], got nan$"),
+    (float("inf"), 0.1, r"^eps must lie in \(0, \S+\] = \(0, \S+\], got inf$"),
+    (-0.1, 0.1, r"^eps must lie in \(0, \S+\] = \(0, \S+\], got -0\.1$"),
+], ids=["delta-0", "delta-1", "delta-3", "delta-nan", "eps-nan", "eps-inf", "eps-negative"])
+def test_eps_and_delta_rejected_with_name(name, eps, delta, message):
+    # the estimators read eps and delta only through the schedule, so each
+    # solver's parameters refuse them by name, NaN outside every range
+    with pytest.raises(PreconditionError, match=message):
+        PARAMS_FOR_MDP[name](fig_two(2, 0.5, {1}), eps, delta)
