@@ -8,7 +8,6 @@ from .errors import (
     ConfigError,
     InternalError,
     PreconditionError,
-    PromiseViolationError,
     QmdpError,
 )
 from .estimators import EstimatorConfig

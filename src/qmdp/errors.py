@@ -13,10 +13,6 @@ class PreconditionError(QmdpError, ValueError):
     """An operation was called outside its documented parameter range."""
 
 
-class PromiseViolationError(PreconditionError):
-    """A value map handed to an estimator breaks its stated promise."""
-
-
 class InternalError(QmdpError, RuntimeError):
     """A condition that should be impossible for valid inputs (e.g. a
     singular policy-evaluation system at discount < 1)."""

@@ -198,15 +198,15 @@ def mock_rows(oracle: SampleOracle, keys: KeyTemplate, lines):
                           partial(oracle.keyed_rng, digests[16 * i:16 * i + 16]))
 
 
-def _estimate(mu, line, cfg, rng, forced=False, sigma=None):
+def _estimate(mu, line, cfg, rng, forced=False, sigma=None, err=None):
     """Estimates of an array of means on ``line`` (a ``solvers.Line``) from
     one stream, drawn entry by entry in row-major order.  Returns
     (estimates, failed, charge).
 
     Range-bounded on [0, line.upper] to error line.err, each entry charged
     line.charge, unless ``sigma`` is given, which selects the
-    variance-bounded estimator: always contract mock, to error line.err *
-    sigma in (0, 4*sigma) per entry, charged by ``variance_mean_charge``.
+    variance-bounded estimator: always contract mock, to the per-entry error
+    ``err`` in (0, 4*sigma), charged by ``variance_mean_charge``.
     Statevector backend: per entry, the median of line.reps runs of
     line.t-bit amplitude estimation, all drawn in one pass and inverted once
     per distinct mean.  Contract mock: the true mean plus noise within the
@@ -235,7 +235,7 @@ def _estimate(mu, line, cfg, rng, forced=False, sigma=None):
             rng = rng.stream()
         eps = line.err
     else:
-        eps = line.err * sigma
+        eps = err
         if np.any(eps <= 0.0) or np.any(eps >= 4.0 * sigma):
             raise PreconditionError("variance-bounded estimator needs eps in (0, 4*sigma) per row")
     shape = np.shape(mu)
@@ -296,12 +296,14 @@ def batch_variance_mock(
     """Mock variance-bounded estimates for all rows at once, each to error
     line.err * sigma under the promise Var[value_map(s')] <= sigma^2.
 
-    Returns (estimates, failed, n_variance_promise_breaches).  A breach is
+    Returns (estimates, errors, failed, n_variance_promise_breaches), the
+    errors being the per-row array the estimates were drawn to.  A breach is
     surfaced, not raised: the sigma the epoch solver feeds in is itself
     estimated and can sit slightly below the truth on healthy runs.
     """
+    err = line.err * sigma
     est, failed, charged = _estimate(
-        expected_next_value(oracle.mdp, value_map), line, cfg, rng, sigma=sigma)
+        expected_next_value(oracle.mdp, value_map), line, cfg, rng, sigma=sigma, err=err)
     oracle.ledger.charge_quantum(charged, phase)
     breached = _variance_breached(successor_variance(oracle.mdp, value_map), sigma)
-    return est, failed, int(breached.sum())
+    return est, err, failed, int(breached.sum())

@@ -155,10 +155,9 @@ def expected_next_value(mdp: Mdp, v: np.ndarray) -> np.ndarray:
     return (mdp.transitions.reshape(s_n * a_n, s_n) @ v).reshape(s_n, a_n)
 
 
-def successor_variance(mdp: Mdp, v: np.ndarray,
-                       row: tuple[int, int] | None = None) -> np.ndarray | float:
+def successor_variance(mdp: Mdp, v: np.ndarray) -> np.ndarray:
     """Variance of v[s'] under each row's successor distribution, as an
-    (S, A) table, or only row (s, a)'s entry, as a float, when ``row`` is given.
+    (S, A) table.
 
     Computed as sum_s' p * (v - mean)^2, which is algebraically the same as
     the difference-of-moments form but cannot go negative from cancellation;
@@ -170,15 +169,11 @@ def successor_variance(mdp: Mdp, v: np.ndarray,
     tables, never an (S, A, S) temporary.  Every entry is byte-identical to
     the full-tensor form ``einsum("sat,sat->sa", p, (v - mean)**2)``: each
     is the same contraction over s' of the same deviations, and the means
-    are always the one (S*A, S) product ``expected_next_value`` makes, also
-    for a single row (a row's own dot product can differ in the last bit).
+    are the one (S*A, S) product ``expected_next_value`` makes.
     """
     v = _check_value_vec(mdp, v)
     mean = expected_next_value(mdp, v)
     p = mdp.transitions
-    if row is not None:
-        s, a = row
-        p, mean = p[s, a].reshape(1, 1, -1), mean[s, a].reshape(1, 1)
     n, a_n, s_n = p.shape
     per_block = max(1, VARIANCE_BLOCK_CELLS // (a_n * s_n))
     buf = np.empty(min(n, per_block) * a_n * s_n)
@@ -191,8 +186,7 @@ def successor_variance(mdp: Mdp, v: np.ndarray,
         np.einsum("sat,sat->sa", p[lo:hi], dev, out=var[lo:hi])
     if np.any(var < _VARIANCE_CLAMP):
         raise InternalError(f"variance computed below {_VARIANCE_CLAMP}: min {var.min()}")
-    var = np.maximum(var, 0.0)
-    return var if row is None else float(var[0, 0])
+    return np.maximum(var, 0.0)
 
 
 def bellman_backup(mdp: Mdp, v: np.ndarray) -> np.ndarray:

@@ -433,10 +433,10 @@ def variance_reduced_vi(
 
         # anchor estimate with per-row deviation-proportional error, one-sided
         sigma_bound = np.sqrt(y + p.b)
-        est_x, fail_x, breaches = batch_variance_mock(
+        est_x, err_x, fail_x, breaches = batch_variance_mock(
             oracle, v_anchor, sigma_bound, lines["line9", k], cfg, next(anchors),
             _phase("epoch", k, 9))
-        x = est_x - lines["line9", k].err * sigma_bound
+        x = est_x - err_x
         it.failures += int(fail_x.sum())
         var_breaches += breaches
 

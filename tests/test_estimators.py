@@ -228,10 +228,9 @@ class TestSameDraws:
         if kind == "variance":
             upper, forced, sigma = None, False, 0.2 + keys.random(shape)
         line = core_line(mu, upper, eps, delta, cfg, sigma)
-        if kind == "variance":
-            eps = line.err * sigma  # the error the core computes from the line
         label = (kind, mode, int(forced), str(delta), *shape)
-        got = est_mod._estimate(mu, line, cfg, derived_rng(32, *label), forced, sigma)
+        got = est_mod._estimate(mu, line, cfg, derived_rng(32, *label), forced, sigma,
+                                eps if kind == "variance" else None)
         want = reference_estimate(mu, upper, eps, delta, cfg, derived_rng(32, *label),
                                   forced, sigma)
         assert _outcome(*got) == _outcome(*want)
@@ -390,8 +389,9 @@ class TestBatchEstimates:
         # zero variance lies within any sigma: no breach, and each estimate
         # that does not fail is within eps = sigma / 4 of its mean 0.4
         oracle = SampleOracle(arms_mdp(0.5, 50), 9)
-        est, fail, breaches = variance_batch(oracle, [0.4, 0.4], sigma, sigma / 4, 0.3,
-                                             derived_rng(9, "any-sigma", str(sigma)))
+        est, err, fail, breaches = variance_batch(oracle, [0.4, 0.4], sigma, sigma / 4, 0.3,
+                                                  derived_rng(9, "any-sigma", str(sigma)))
+        np.testing.assert_allclose(err, sigma / 4, rtol=1e-15)
         assert breaches == 0 and 0 < fail.sum() < 100
         assert (np.abs(est - 0.4)[~fail] < sigma / 4).all()
 
@@ -444,11 +444,26 @@ class TestBatchEstimates:
         # a fair coin over values {0, 1} from state 0 has variance 0.25 >
         # sigma^2 = 0.01; state 1's rows are point masses, within any bound
         oracle = SampleOracle(arms_mdp(0.5, 3), 10)
-        est, failed, breaches = variance_batch(oracle, [0.0, 1.0], 0.1, 0.05, 0.1,
-                                               derived_rng(10, "breach"))
+        est, err, failed, breaches = variance_batch(oracle, [0.0, 1.0], 0.1, 0.05, 0.1,
+                                                    derived_rng(10, "breach"))
         assert breaches == 3
         assert variance_batch(oracle, [0.4, 0.4], 0.1, 0.05, 0.1,
-                              derived_rng(10, "constant"))[2] == 0
+                              derived_rng(10, "constant"))[3] == 0
+
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 10.0])
+    def test_variance_errors_are_the_drawn_radius(self, scale):
+        # the returned errors are line.err * sigma per row, byte for byte,
+        # and bound every estimate that does not fail: the array the epoch
+        # solver subtracts is the one the estimates were drawn to
+        oracle = SampleOracle(arms_mdp(0.5, 8), 12)
+        sigma = scale * (0.5 + derived_rng(12, "sigma", str(scale)).random((2, 8)))
+        line = Line(16, None, 0.2, 0.3, 0)
+        est, err, failed, _ = est_mod.batch_variance_mock(
+            oracle, np.array([0.0, 1.0]), sigma, line, CFG, derived_rng(12, "radius", str(scale)),
+            "ph")
+        assert err.tobytes() == (line.err * sigma).tobytes()
+        mu = np.array([[0.5] * 8, [1.0] * 8])
+        assert 0 < failed.sum() < 16 and (np.abs(est - mu)[~failed] <= err[~failed]).all()
 
     def test_variance_charge_uses_ratio(self):
         oracle = SampleOracle(arms_mdp(0.5, 3), 11)
