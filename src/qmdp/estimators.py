@@ -152,10 +152,12 @@ def statevector_phase_bits(accuracy: float, cfg: EstimatorConfig = DEFAULT_CONFI
 
 
 def _range_violated(v: np.ndarray, upper: float, slack: float = 0.0) -> bool:
-    """True when the value map leaves [0, upper] by more than slack plus float fuzz."""
+    """True when the value map leaves [0, upper] by more than slack plus float
+    fuzz; a NaN entry, inside no range, raises PreconditionError."""
     tol = slack + _PROMISE_TOL * max(1.0, upper)
-    # fmin/fmax skip NaN entries, as elementwise comparisons would
-    lo, hi = np.fmin.reduce(v, axis=None), np.fmax.reduce(v, axis=None)
+    lo, hi = v.min(), v.max()  # a NaN entry makes both NaN
+    if math.isnan(lo):
+        raise PreconditionError(f"value map[{int(np.isnan(v).argmax())}] is NaN")
     return bool(lo < -tol or hi > upper + tol)
 
 
@@ -192,9 +194,9 @@ def mock_rows(oracle: SampleOracle, keys: KeyTemplate, lines):
         at = chunk.first_slot() if len(lines) > 1 else np.zeros(len(chunk), dtype=np.intp)
         u = uniforms(words)
         failed = (u[:, :size] < f[at, None]).any(axis=1).tolist()
-        noise = (-1.0 + 2.0 * u[:, size:]) * err[at, None]
+        noise = ((-1.0 + 2.0 * u[:, size:]) * err[at, None]).reshape(-1, *shape)
         for i in range(len(chunk)):
-            yield MockRow(failed[i], noise[i].reshape(shape),
+            yield MockRow(failed[i], noise[i],
                           partial(oracle.keyed_rng, digests[16 * i:16 * i + 16]))
 
 
@@ -275,7 +277,8 @@ def batch_bounded_mock(
 
     A value map outside [0, line.upper] (beyond promise_slack) voids the
     contract of every estimate in the batch; those estimates are flagged and
-    drawn from the failure distribution.  Returns (estimates, failed, violated).
+    drawn from the failure distribution; a NaN entry is refused before any
+    draw or charge.  Returns (estimates, failed, violated).
     """
     violated = _range_violated(value_map, line.upper, promise_slack)
     est, failed, charged = _estimate(

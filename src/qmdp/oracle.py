@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .mdp import Mdp, _check_value_vec
-from .rng import KeyTemplate, derived_rng, keyed_rng
+from .rng import DIGEST_KEYS, KeyTemplate, derived_rng, keyed_rng
 
 __all__ = [
     "QueryLedger",
@@ -89,6 +89,7 @@ class SampleOracle:
         self.ledger = ledger if ledger is not None else QueryLedger()
         self._calls = 0
         self._rng = None  # built by the first stream, re-keyed by every later one
+        self._digests, self._digests_at = b"", 0  # call keys' digests from that call on
 
     def _next_rng(self) -> np.random.Generator:
         self._rng = derived_rng(self.seed, "call", self._calls, reuse=self._rng)
@@ -121,14 +122,26 @@ class SampleOracle:
         _check_count(n)
         v = _check_value_vec(self.mdp, v, "value map")
         p = self.mdp.transitions
-        sums = np.empty(p.shape[:2])
-        calls = range(self._calls, self._calls + sums.size)
-        digests = KeyTemplate((self.seed, "call", calls)).digests()
-        for i, (s, a) in enumerate(np.ndindex(sums.shape)):
-            self._calls += 1
-            sums[s, a] = self.keyed_rng(digests[16 * i:16 * i + 16]).multinomial(n, p[s, a]) @ v
-        self.ledger.charge_classical(n * sums.size, phase)
-        return sums / n
+        rows = p.reshape(-1, p.shape[2])
+        digests = self._call_digests(len(rows))
+        self._calls += len(rows)
+        keyed = self.keyed_rng
+        sums = [keyed(digests[16 * i:16 * i + 16]).multinomial(n, row).dot(v)
+                for i, row in enumerate(rows)]
+        self.ledger.charge_classical(n * len(rows), phase)
+        return np.array(sums).reshape(p.shape[:2]) / n
+
+    def _call_digests(self, n: int) -> bytes:
+        """The key digests of the next n call streams.  Keys are hashed at least
+        DIGEST_KEYS calls ahead and kept for later calls, so a classical
+        solve's sweeps share a few hashing passes."""
+        kept = self._digests[16 * (self._calls - self._digests_at):]
+        if len(kept) < 16 * n:
+            first = self._calls + len(kept) // 16
+            calls = range(first, first + max(DIGEST_KEYS, n - len(kept) // 16))
+            kept += KeyTemplate((self.seed, "call", calls)).digests()
+        self._digests, self._digests_at = kept, self._calls
+        return kept[:16 * n]
 
     def derive_rng(self, *parts) -> np.random.Generator:
         """Named auxiliary stream, independent of the call counter; valid until the next stream."""

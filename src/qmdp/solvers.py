@@ -62,6 +62,9 @@ _FUZZ = 1e-9
 # BULK_STREAM_WORDS they are drawn ahead in bulk Philox passes; a longer
 # stream costs more in a pass than its own Generator does.
 BULK_STREAM_WORDS = 128
+# float64 cells of each buffer in which keep_better logs its steps: the
+# flags are checked once per CHECK_CELLS // S steps, not after every step
+CHECK_CELLS = 2**12
 
 
 def _ceil_fuzz(x: float) -> int:
@@ -328,6 +331,11 @@ class _Iterate:
         self.one_sided_ok = True if monotone and diagnostics else None
         self.failures = 0
         self.snapshots: list = []
+        # keep_better's unchecked steps: row j + 1 of _iterates is the iterate
+        # after the step that was offered row j of _offers, row 0 the one before
+        s_n, steps = len(self.v), max(1, CHECK_CELLS // len(self.v))
+        self._iterates, self._offers = np.empty((steps + 1, s_n)), np.empty((steps, s_n))
+        self._iterates[0], self._steps = self.v, 0
 
     def keyed(self, keys: KeyTemplate) -> map:
         """The streams of ``keys``, in order, each re-keying the oracle as it is taken."""
@@ -348,24 +356,33 @@ class _Iterate:
         item of ``keyed`` or ``streams``, to ``line``'s error on [0, upper]."""
         est, failed, _ = batch_bounded_mock(self.oracle, value_map, line, self.cfg, stream, phase,
                                             promise_slack=promise_slack)
-        self.failures += int(failed.sum())
+        self.failures += np.count_nonzero(failed)
         return est
 
     def keep_better(self, v_new: np.ndarray, pi_new: np.ndarray) -> None:
-        # dominance in its unconditional form: the kept value is at least v_new
+        """Keep, per state, the better of v and v_new.  On a monotone solve v
+        changes only here; the step is logged and the flags checked per block."""
         take = v_new >= self.v
-        v_next = np.where(take, v_new, self.v)
         self.pi = np.where(take, pi_new, self.pi)
-        self.monotone_ok &= bool((v_next >= self.v).all())
-        self.dominance_ok &= bool((v_next >= v_new).all())
-        self.v = v_next
+        self._offers[self._steps] = v_new
+        self._iterates[self._steps + 1] = self.v = np.where(take, v_new, self.v)
+        self._steps += 1
+        if self._steps == len(self._offers):
+            self._check_steps()
+
+    def _check_steps(self) -> None:
+        # dominance in its unconditional form: the kept value is at least v_new
+        n, kept = self._steps, self._iterates[1:self._steps + 1]
+        self.monotone_ok &= bool((kept >= self._iterates[:n]).all())
+        self.dominance_ok &= bool((kept >= self._offers[:n]).all())
+        self._iterates[0], self._steps = self._iterates[n], 0
 
     def mock_argmax(self, q: np.ndarray, draws, phase: str) -> np.ndarray:
         """Contract-mock max finding over the rows of q on the next ``draws``,
         charged as the schedule's argmax line."""
         line = self.lines["argmax", 1]
         index, failed = mock_argmax_rows(q, line.f, *next(draws))
-        self.failures += int(failed.sum())
+        self.failures += np.count_nonzero(failed)
         self.oracle.ledger.charge_quantum(len(q) * line.charge, phase)
         return index
 
@@ -378,9 +395,11 @@ class _Iterate:
         self.snapshots.append((epoch, step, self.v.copy(), self.pi.copy() if pi is None else pi))
 
     def report(self, solver, params, q_hat=None, **extra) -> SolveReport:
+        if self._steps:
+            self._check_steps()
         return SolveReport(solver, self.oracle.seed, self.v, self.pi, q_hat, self.oracle.ledger,
                            params, self.monotone_ok, self.dominance_ok, self.one_sided_ok,
-                           self.failures, snapshots=self.snapshots, **extra)
+                           int(self.failures), snapshots=self.snapshots, **extra)
 
 
 def variance_reduced_vi(
@@ -437,7 +456,7 @@ def variance_reduced_vi(
             oracle, v_anchor, sigma_bound, lines["line9", k], cfg, next(anchors),
             _phase("epoch", k, 9))
         x = est_x - err_x
-        it.failures += int(fail_x.sum())
+        it.failures += np.count_nonzero(fail_x)
         var_breaches += breaches
 
         phase13, line = _phase("epoch", k, 13), lines["line13", k]

@@ -440,6 +440,17 @@ class TestBatchEstimates:
                                               derived_rng(7, "void", backend))
         assert violated and failed.shape == (2, 4) and failed.all()
 
+    @pytest.mark.parametrize("backend", ["contract_mock", "statevector"])
+    def test_nan_value_map_refused_before_draw_or_charge(self, backend):
+        # a NaN entry lies inside no range: the batch is refused by name,
+        # not voided into NaN estimates that no flag marks
+        cfg = EstimatorConfig(backend=backend)
+        oracle, rng = SampleOracle(arms_mdp(0.5, 2), 8), derived_rng(8, "nan", backend)
+        with pytest.raises(PreconditionError, match=r"value map\[0\] is NaN"):
+            bounded_batch(oracle, [math.nan, 1.0], 1.0, 0.1, 0.1, cfg, rng)
+        assert oracle.ledger.total == 0 and oracle.ledger.phases == {}
+        assert rng.random() == derived_rng(8, "nan", backend).random()
+
     def test_variance_breach_surfaced_not_raised(self):
         # a fair coin over values {0, 1} from state 0 has variance 0.25 >
         # sigma^2 = 0.01; state 1's rows are point masses, within any bound
@@ -507,6 +518,9 @@ class TestClassicalEstimates:
 
 
 class TestRangeCheck:
+    """The batch estimates' range check: the elementwise comparisons on a map
+    without NaN; a NaN entry, inside no range, is refused by its index."""
+
     @pytest.mark.parametrize("v", [
         [0.5, math.nan], [math.nan, -1.0], [2.0, math.nan], [math.nan, math.nan],
         [-1.0, 2.0], [0.0, 1.0], [1.0 + 1e-10, 0.0], [[0.5, -0.5], [math.nan, 0.2]],
@@ -514,6 +528,11 @@ class TestRangeCheck:
     @pytest.mark.parametrize("slack", [0.0, 0.6])
     def test_same_as_elementwise_comparisons(self, v, slack):
         v = np.array(v)
+        if np.isnan(v).any():
+            with pytest.raises(PreconditionError,
+                               match=rf"value map\[{np.flatnonzero(np.isnan(v))[0]}\] is NaN"):
+                est_mod._range_violated(v, 1.0, slack)
+            return
         tol = slack + 1e-9
         want = bool((v < -tol).any() or (v > 1.0 + tol).any())
         assert est_mod._range_violated(v, 1.0, slack) is want

@@ -17,7 +17,7 @@ from qmdp.oracle import (
     quantize_row,
     reversible_successor_map,
 )
-from qmdp.rng import derived_rng
+from qmdp.rng import DIGEST_KEYS, derived_rng
 
 
 def uniform_mdp(s=2, a=2, gamma=0.9):
@@ -139,6 +139,22 @@ class TestEmpiricalMeans:
                 assert got.tobytes() == want.tobytes()
                 assert _oracle_record(method) == _oracle_record(loop)
         assert method._calls == 1 + 2 * s_n * a_n
+
+    def test_digest_runs_cross_mid_call(self):
+        # 512 rows a call: the second call's streams straddle the end of the
+        # first DIGEST_KEYS run of hashed keys, and the sample_counts calls
+        # before the third advance the counter past every key hashed so far
+        mdp = dirichlet_mdp(64, 8, 5)
+        v = derived_rng(5, "v").uniform(0.0, 10.0, 64)
+        loop, method = SampleOracle(mdp, 21), SampleOracle(mdp, 21)
+        for i, advance in enumerate((1, 1, DIGEST_KEYS + 1)):
+            for oracle in (loop, method):
+                for j in range(advance):
+                    oracle.sample_counts(j % 64, i, 9, phase="between")
+            want = loop_empirical_means(loop, v, 1000, f"iter-{i}")
+            assert method.empirical_means(v, 1000, f"iter-{i}").tobytes() == want.tobytes()
+            assert _oracle_record(method) == _oracle_record(loop)
+        assert method._calls == 3 * 512 + DIGEST_KEYS + 3
 
     def test_interleaved_oracles_equal_sequential(self):
         def steps(oracle, v):

@@ -568,6 +568,81 @@ class TestSampledBaseline:
             mdp, 1.0, 0.1, mode="quantum_mean_and_max")).ledger.quantum_oracle_calls
         assert q_max > q_mean
 
+    def test_classical_call_keys_hashed_in_runs(self, monkeypatch):
+        # one KeyTemplate.digests call per DIGEST_KEYS call streams, not one per sweep
+        runs = []
+        real = KeyTemplate.digests
+        monkeypatch.setattr(KeyTemplate, "digests",
+                            lambda keys: runs.append(len(keys)) or real(keys))
+        mdp = fig_two(8, 0.5, {3})
+        oracle = SampleOracle(mdp, 6)
+        sampled_vi(oracle, SampledParams.for_mdp(mdp, 0.3, 0.1))
+        assert oracle._calls == 50 * 16
+        assert len(runs) <= -(-oracle._calls // qmdp.rng.DIGEST_KEYS) + 1
+
+
+def dense_mdp(s_n, a_n, seed):
+    g = derived_rng(seed, "dense-mdp", s_n, a_n)
+    return Mdp(g.dirichlet(np.ones(s_n), size=(s_n, a_n)), g.random((s_n, a_n)), 0.9)
+
+
+class TestBatchedInvariantChecks:
+    """keep_better checks its flags once per block of CHECK_CELLS // S steps.
+    A NaN offer at the first step, on either side of a block boundary or at
+    the last step gives the flags and iterates the per-step formula gives."""
+
+    SOLVES = {"variance-reduced": (variance_reduced_vi, VarianceReducedParams),
+              "max-finding": (max_finding_vi, MaxFindingParams)}
+
+    @staticmethod
+    def offers(monkeypatch, nan_at=None):
+        """Spy on keep_better: every (v_new, pi_new) offered and the check
+        buffers' bytes, with a NaN put into state 0's offer at step nan_at."""
+        offered, buffers = [], set()
+        real = solvers._Iterate.keep_better
+
+        def spy(it, v_new, pi_new):
+            if len(offered) + 1 == nan_at:
+                v_new = v_new.copy()
+                v_new[0] = np.nan
+            offered.append((v_new, pi_new))
+            buffers.add(it._iterates.nbytes + it._offers.nbytes)
+            real(it, v_new, pi_new)
+
+        monkeypatch.setattr(solvers._Iterate, "keep_better", spy)
+        return offered, buffers
+
+    @pytest.mark.parametrize("solve", sorted(SOLVES))
+    @pytest.mark.parametrize("where", ["first", "block-end", "block-start", "last"])
+    def test_nan_offer_flags_equal_per_step_formula(self, monkeypatch, solve, where):
+        from test_reference_solve import Run
+
+        mdp = dense_mdp(100, 2, 7)
+        block = solvers.CHECK_CELLS // 100  # 40 steps
+        solver, params_class = self.SOLVES[solve]
+        params = params_class.for_mdp(mdp, 0.6, 0.1)
+        steps = params.num_epochs * params.iters_per_epoch if solve == "variance-reduced" \
+            else params.iters
+        assert steps > block + 1
+        step = {"first": 1, "block-end": block, "block-start": block + 1, "last": steps}[where]
+        offered, _ = self.offers(monkeypatch, step)
+        report = solver(SampleOracle(mdp, 8), params)
+        run = Run(mdp, 8, CFG, params.est_failure_prob)
+        for v_new, pi_new in offered:
+            run.keep_better(v_new, pi_new)
+        assert len(offered) == steps
+        assert (report.monotone_iterates_ok, report.greedy_dominance_ok) == \
+            (run.monotone_ok, run.dominance_ok) == (True, False)
+        assert report.v_hat.tobytes() == run.v.tobytes()
+        assert report.pi_hat.tobytes() == run.pi.tobytes()
+
+    def test_check_buffers_do_not_grow_with_steps(self, monkeypatch):
+        mdp = fig_two(8, 0.5, {3})
+        _, buffers = self.offers(monkeypatch)
+        for eps in (1.0, 0.3):  # 164 and 306 steps
+            variance_reduced_vi(SampleOracle(mdp, 9), VarianceReducedParams.for_mdp(mdp, eps, 0.1))
+        assert len(buffers) == 1 and buffers.pop() <= 8 * (2 * solvers.CHECK_CELLS + 2)
+
 
 class TestReportShape:
     def test_report_dict_round_trip_fields(self):
