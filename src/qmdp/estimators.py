@@ -302,8 +302,12 @@ def batch_variance_mock(
     Returns (estimates, errors, failed, n_variance_promise_breaches), the
     errors being the per-row array the estimates were drawn to.  A breach is
     surfaced, not raised: the sigma the epoch solver feeds in is itself
-    estimated and can sit slightly below the truth on healthy runs.
-    """
+    estimated and can sit slightly below the truth on healthy runs.  A value
+    map with a NaN entry, or a sigma that is NaN, infinite or not positive,
+    is refused before any draw or charge."""
+    _range_violated(value_map, math.inf)  # any range will do: only a NaN entry raises
+    if (bad := ~((np.asarray(sigma) > 0.0) & (sigma < math.inf))).any():  # NaN fails both
+        raise PreconditionError(f"sigma must be positive and finite, got {np.ravel(sigma)[bad.argmax()]}")
     err = line.err * sigma
     est, failed, charged = _estimate(
         expected_next_value(oracle.mdp, value_map), line, cfg, rng, sigma=sigma, err=err)

@@ -481,6 +481,24 @@ class TestBatchEstimates:
         variance_batch(oracle, [0.0, 1.0], 2.0, 0.25, 0.1, derived_rng(11, "ratio"))
         assert oracle.ledger.phases["ph"] == 6 * variance_mean_charge(2.0, 0.25, 0.1, CFG)
 
+    @pytest.mark.parametrize("value_map,sigma,message", [
+        ([math.nan, 1.0], 1.0, r"value map\[0\] is NaN"),
+        ([0.0, math.nan], np.ones((2, 2)), r"value map\[1\] is NaN"),
+        ([0.0, 1.0], math.nan, "sigma must be positive and finite, got nan"),
+        ([0.0, 1.0], np.array([[1.0, math.inf], [1.0, 1.0]]), "sigma must be positive and finite, got inf"),
+        ([0.0, 1.0], np.array([[1.0, 1.0], [0.0, 1.0]]), "sigma must be positive and finite, got 0.0"),
+        ([0.0, 1.0], -1.0, "sigma must be positive and finite, got -1.0"),
+    ])
+    def test_variance_nan_map_and_bad_sigma_refused_before_drawing(self, value_map, sigma, message):
+        # without the checks a NaN map came back as unflagged NaN estimates,
+        # charged in full, and a NaN sigma was refused only after the draws
+        oracle, rng = SampleOracle(arms_mdp(0.5, 2), 8), derived_rng(8, "variance-nan")
+        with pytest.raises(PreconditionError, match=message):
+            est_mod.batch_variance_mock(oracle, np.array(value_map), sigma, Line(4, None, 0.2, 0.1, 0),
+                                        CFG, rng, "ph")
+        assert oracle.ledger.total == 0
+        assert rng.random() == derived_rng(8, "variance-nan").random()
+
     @pytest.mark.parametrize("eps", [0.0, 2.0, 3.0])
     def test_variance_window_refused_before_drawing(self, eps):
         # sigma = 0.5: eps must lie in (0, 2)

@@ -250,11 +250,11 @@ def certified_f(a, t, k):
     c = m * math.asin(math.sqrt(a)) / math.pi
     frac = c - math.floor(c)
     s = math.sin(math.pi * min(frac, 1.0 - frac))
-    table, f_table, gap = qsim_mod._closed_cdf(c, m, s)
+    table, f_table, _, gap = qsim_mod._closed_cdf([c], m, [s])
     k = np.atleast_1d(k)
     i = np.searchsorted(table, k)
     f, off = f_table[i], table[i] != k  # tabulated, else in a gap
-    f[off] = gap(k[off])
+    f[off] = gap(k[off], 0)
     return f, c, s
 
 
@@ -301,7 +301,7 @@ class TestCertifiedDraws:
         # the chunked grid is the full-grid inversion; at t = 24 the uniforms
         # stay below the mass of the first peak, so it stops after 2% of 2^24
         u = top * derived_rng(52, "forced", t).random(64)
-        y = qsim_mod._certified_draws(math.asin(math.sqrt(a)) / math.pi, t, u)
+        y = qsim_mod._certified_draws([math.asin(math.sqrt(a)) / math.pi], t, u, [u.size])
         assert y is not None
         assert y.tobytes() == qsim_mod._grid_draws(a, t, u).tobytes()
 
@@ -328,10 +328,10 @@ class TestCertifiedDraws:
             cells = np.array(sorted({k for k in cells if 0 <= k <= m - 2}))
             cdf = np.concatenate(([0.0], np.cumsum(outcome_distribution(a, t))))
             u = 0.5 * (cdf[cells] + cdf[cells + 1])  # the middle of each cell's CDF step
-            y = qsim_mod._certified_draws(omega, t, u)
+            y = qsim_mod._certified_draws([omega], t, u, [u.size])
             assert (y >= 0).all(), (c, cells[y < 0])
             assert y.tobytes() == qsim_mod._grid_draws(a, t, u).tobytes() == cells.tobytes()
-            assert points and all(oc == c for _, oc in points)
+            assert points and all(np.all(oc == c) for _, oc in points)
             for k, _ in points:
                 distance = np.abs((np.concatenate((k - c, k + c)) + m / 2) % m - m / 2)
                 assert distance.min() >= wide, (c, k)
@@ -373,11 +373,75 @@ class TestCertifiedDraws:
         assert batch <= 1.5 * chunk, (batch, chunk)
 
     def test_fallback_memory_does_not_grow_with_t(self, monkeypatch):
-        monkeypatch.setattr(qsim_mod, "_certified_draws", lambda omega, t, u: None)
+        monkeypatch.setattr(qsim_mod, "_certified_draws", lambda omega, t, u, size: np.full(u.size, -1))
         chunk = traced_peak(lambda: outcome_distribution(0.3, 16))
         batch = traced_peak(lambda: median_amplitude_estimates(
             [0.01, 0.3, 0.6, 0.9], 20, amplification_reps(0.01), derived_rng(41, "mem")))
         assert batch <= 1.5 * chunk, (batch, chunk)
+
+
+def gap_cells(a, t):
+    """Cells in each gap of the closed-form CDF of a (left of the first run,
+    between the runs, right of the mirrored run), near their ends and, below
+    t = 16, deep inside; [] when c is too close to an integer to tabulate."""
+    m, wide = 1 << t, qsim_mod._WIDE
+    c = m * math.asin(math.sqrt(a)) / math.pi
+    r0, r1 = max(math.floor(c) - wide, 0), math.floor(c) + wide + 1
+    m0 = max(m - 1 - r1, r1 + 1)
+    cells = [r0 - 1, r0 - 9, r1 + 1, r1 + 9, m0 - 1, m0 - 9, m - 1 - r0, m + 7 - r0]
+    if t < 16:
+        cells += [r0 // 2, (r1 + m0) // 2, m - 1 - r0 // 2]
+    return sorted({k for k in cells if 0 <= k <= m - 2 and (k < r0 or r1 < k < m0 or k > m - 2 - r0)})
+
+
+class TestBatchedPass:
+    """From t = FAST_MIN_BITS on, every distinct non-zero amplitude of a batch
+    (up to _GROUPS of them) is inverted in one closed-form pass."""
+
+    @pytest.mark.parametrize("t", [11, 13, 16])
+    def test_many_amplitudes_equal_full_grid_inverse(self, t, monkeypatch):
+        # 62 distinct amplitudes with 0.0, -0.0, 1.0 and 0.5: uniforms in the
+        # middle of a CDF step in each gap, and one on the grid's CDF, refused
+        sent, real = [], qsim_mod._grid_draws
+        monkeypatch.setattr(qsim_mod, "_grid_draws", lambda a, t, u: sent.append(u.copy()) or real(a, t, u))
+        rng = derived_rng(59, "many", t)
+        a = np.concatenate((rng.random(62) ** rng.choice([1, 2, 4], 62), [0.0, -0.0, 1.0, 0.5]))
+        u = rng.random((a.size, 16))
+        on_cdf = []
+        for row in range(62):
+            cdf = np.concatenate(([0.0], np.cumsum(outcome_distribution(a[row], t))))
+            cells = np.array(gap_cells(a[row], t), dtype=int)
+            u[row, :cells.size] = 0.5 * (cdf[cells] + cdf[cells + 1])  # the middle of each cell's step
+            u[row, -1] = cdf[rng.integers(1, 1 << t)]
+            on_cdf.append(u[row, -1])
+        got = qsim_mod._estimate_draws(a, t, u)
+        assert got.tobytes() == full_grid_draws(a, t, u).tobytes()
+        sent = np.concatenate(sent).tolist()
+        assert all(x in sent for x in on_cdf)
+
+    @pytest.mark.parametrize("t", [11, 16])
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 130])
+    def test_one_table_build_per_pass(self, t, n, monkeypatch):
+        builds, real = [], qsim_mod._closed_cdf
+        monkeypatch.setattr(qsim_mod, "_closed_cdf", lambda c, m, s: builds.append(len(c)) or real(c, m, s))
+        a = np.repeat((np.arange(n) + 0.5) / n, 2)
+        median_amplitude_estimates(a, t, 5, derived_rng(60, "builds", t, n))
+        assert builds == [min(n - g, qsim_mod._GROUPS) for g in range(0, n, qsim_mod._GROUPS)]
+
+    @pytest.mark.parametrize("t", [11, 13, 16])
+    def test_batch_equals_each_amplitude_alone(self, t):
+        # draws and refusals (-1) alike: one uniform per amplitude on the grid's CDF, refused
+        rng = derived_rng(61, "alone", t)
+        a = np.concatenate((rng.random(9), [1.0, 0.5, 1e-7]))
+        omega = (np.arcsin(np.sqrt(a)) / np.pi).tolist()
+        size = rng.integers(1, 40, a.size).tolist()
+        u = [rng.random(n) for n in size]
+        for x, ug in zip(a, u):
+            ug[0] = min(np.cumsum(outcome_distribution(x, t))[rng.integers(0, (1 << t) - 1)], 1.0 - 2.0**-53)
+        batch = qsim_mod._certified_draws(omega, t, np.concatenate(u), size)
+        alone = [qsim_mod._certified_draws([w], t, ug, [ug.size]) for w, ug in zip(omega, u)]
+        assert batch.tobytes() == np.concatenate(alone).tobytes()
+        assert (batch < 0).any() and (batch >= 0).any()
 
 
 class TestCountChecks:
