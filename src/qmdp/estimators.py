@@ -116,10 +116,10 @@ def variance_mean_charge(sigma, eps, delta: float, cfg: EstimatorConfig = DEFAUL
     The log factor is floored at log2(2) = 1 so the charge never vanishes
     when sigma/eps <= 2.
     """
+    if not (fine := np.logical_and(sigma > 0.0, sigma < math.inf)).all():  # NaN fails both
+        raise PreconditionError(f"sigma must be positive and finite, got {np.ravel(sigma)[fine.argmin()]}")
     if not np.all(eps > 0):
         raise PreconditionError(f"eps must be positive, got {eps}")
-    if not np.all(sigma > 0):
-        raise PreconditionError(f"sigma must be positive, got {sigma}")
     ratio = np.divide(sigma, eps)
     base = np.ceil(cfg.c2 * ratio * np.log2(np.maximum(ratio, 2.0)) ** 2)
     return int(np.sum(base)) * amplification_reps(delta)
@@ -155,10 +155,16 @@ def _range_violated(v: np.ndarray, upper: float, slack: float = 0.0) -> bool:
     """True when the value map leaves [0, upper] by more than slack plus float
     fuzz; a NaN entry, inside no range, raises PreconditionError."""
     tol = slack + _PROMISE_TOL * max(1.0, upper)
+    lo, hi = _refuse_nan(v)
+    return bool(lo < -tol or hi > upper + tol)
+
+
+def _refuse_nan(v: np.ndarray):
+    """(min, max) of the value map; a NaN entry raises PreconditionError."""
     lo, hi = v.min(), v.max()  # a NaN entry makes both NaN
     if math.isnan(lo):
         raise PreconditionError(f"value map[{int(np.isnan(v).argmax())}] is NaN")
-    return bool(lo < -tol or hi > upper + tol)
+    return lo, hi
 
 
 def _variance_breached(var, sigma):
@@ -210,11 +216,11 @@ def _estimate(mu, line, cfg, rng, forced=False, sigma=None, err=None):
     variance-bounded estimator: always contract mock, to the per-entry error
     ``err`` in (0, 4*sigma), charged by ``variance_mean_charge``.
     Statevector backend: per entry, the median of line.reps runs of
-    line.t-bit amplitude estimation, all drawn in one pass and inverted once
-    per distinct mean.  Contract mock: the true mean plus noise within the
-    error, or with probability line.f a planted failure; the draw order is
-    fixed across failure modes.  ``forced`` (a voided promise) fails every
-    entry.
+    line.t-bit amplitude estimation, all drawn in one pass and inverted
+    for all distinct means together.  Contract mock: the true mean plus
+    noise within the error, or with probability line.f a planted failure;
+    the draw order is fixed across failure modes.  ``forced`` (a voided
+    promise) fails every entry.
 
     ``rng`` must start a stream this call alone reads; an oracle re-keys
     one Generator per stream, so take no other until the call returns.
@@ -228,7 +234,7 @@ def _estimate(mu, line, cfg, rng, forced=False, sigma=None, err=None):
     if sigma is None:
         charge = line.charge * mu.size
         if cfg.backend == BACKEND_STATEVECTOR:
-            a = np.clip(mu / line.upper, 0.0, 1.0)
+            a = np.minimum(np.maximum(mu / line.upper, 0.0), 1.0)  # np.clip's wrapper costs more than both
             est = line.upper * median_amplitude_estimates(a, line.t, line.reps, rng).reshape(a.shape)
             return est, np.full(est.shape, forced), charge
         if type(rng) is MockRow:
@@ -237,9 +243,7 @@ def _estimate(mu, line, cfg, rng, forced=False, sigma=None, err=None):
             rng = rng.stream()
         eps = line.err
     else:
-        eps = err
-        if np.any(eps <= 0.0) or np.any(eps >= 4.0 * sigma):
-            raise PreconditionError("variance-bounded estimator needs eps in (0, 4*sigma) per row")
+        eps, charge = err, variance_mean_charge(sigma, err, line.f, cfg)  # checks sigma before any draw
     shape = np.shape(mu)
     fail = rng.random(shape) < line.f
     noise = rng.uniform(-1.0, 1.0, shape) * eps
@@ -251,8 +255,6 @@ def _estimate(mu, line, cfg, rng, forced=False, sigma=None, err=None):
         est = mu + np.where(fail, cfg.adversarial_scale * eps * planted, noise)
     else:
         est = mu + noise
-    if sigma is not None:
-        return est, fail, variance_mean_charge(sigma, eps, line.f, cfg)
     return est, fail, charge
 
 
@@ -305,9 +307,9 @@ def batch_variance_mock(
     estimated and can sit slightly below the truth on healthy runs.  A value
     map with a NaN entry, or a sigma that is NaN, infinite or not positive,
     is refused before any draw or charge."""
-    _range_violated(value_map, math.inf)  # any range will do: only a NaN entry raises
-    if (bad := ~((np.asarray(sigma) > 0.0) & (sigma < math.inf))).any():  # NaN fails both
-        raise PreconditionError(f"sigma must be positive and finite, got {np.ravel(sigma)[bad.argmax()]}")
+    _refuse_nan(value_map)
+    if not 0.0 < line.err < 4.0:
+        raise PreconditionError("variance-bounded estimator needs eps in (0, 4*sigma) per row")
     err = line.err * sigma
     est, failed, charged = _estimate(
         expected_next_value(oracle.mdp, value_map), line, cfg, rng, sigma=sigma, err=err)

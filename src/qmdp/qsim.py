@@ -137,12 +137,13 @@ def _em(k, c, m: int):
     a1 = -1.0 / h - h / 6 + h**3 / 45 - 17 * h**5 / 1890
     a3, a5, a7 = -h / 6 + h**3 / 18 - 11 * h**5 / 270, h**3 / 30 - h**5 / 18, -h**5 / 42
 
-    def term(x):
-        return 0.5 + x * (a1 + x * (0.5 + x * (a3 + x * x * (a5 + x * x * a7))))
+    def term(x):  # x * x computed once: the same bits as twice
+        return 0.5 + x * (a1 + x * (0.5 + x * (a3 + (x2 := x * x) * (a5 + x2 * a7))))
 
     if isinstance(k, int):  # _fold in scalar math
-        return sum(term(1.0 / math.tan(h * ((k - m * round((k - pm) / m)) - pm))) for pm in (c, -c))
-    y = h * np.array((_fold(k, c, m), _fold(k, -c, m)))
+        return (term(1.0 / math.tan(h * ((k - m * round((k - c) / m)) - c)))
+                + term(1.0 / math.tan(h * ((k - m * round((k + c) / m)) + c))))
+    y = h * _fold(k, np.array((c, -c)).reshape(2, -1), m)  # both kernels in one pass
     s = term(np.cos(y) / np.sin(y))  # sin and cos only: numpy's tan maps 256 KiB more
     return s[0] + s[1]
 
@@ -161,26 +162,25 @@ def _closed_cdf(c: list, m: int, s: list):
     em_left = [_em(-1, x, m) if a > 0 else 0.0 for x, a in zip(c, r0)]  # the left gap [0, r0 - 1] from -1
     k = np.add.outer(r0, np.arange(-1, max(b - a for a, b in zip(r0, r1)) + 1))
     k[:, 0] = 0  # cell 0, then the run; a row past its run is not read
-    ca = np.array(c)[:, None]  # |k - c| < m / 2: _fold(k, c, m) is k - c, _fold(k, -c, m) k + c below m / 2
-    y = h * np.array((k - ca, k + ca if max(r1) + max(c) < m / 2 else _fold(k, -ca, m)))
+    y = h * _fold(k, np.array((c, [-x for x in c]))[:, :, None], m)  # both kernels in one pass
     csc2 = 1.0 / np.sin(y, out=y) ** 2
     p = np.array(scale)[:, None] * (csc2[0] + csc2[1])
     p[:, 1] += [sc * (_em(a - 1, x, m) - e) if a > 0 else 0.0 for x, a, sc, e in zip(c, r0, scale, em_left)]
     f, one_p0 = p[:, 1:].cumsum(axis=1), 1.0 + p[:, 0]
-    mirror, f_mirror, w = (m - 1) - k[:, :1:-1], one_p0[:, None] - f[:, :0:-1], k.shape[1] - 2
     table = np.concatenate([x for g, (a, b, j) in enumerate(zip(r0, r1, n))
-                            for x in ([-1], k[g, 1:b - a + 2], mirror[g, w - j:w], [m - 1])])
+                            for x in ([-1], k[g, 1:b - a + 2], (m - 1) - k[g, j + 1:1:-1], [m - 1])])
     f_table = np.concatenate([x for g, (a, b, j) in enumerate(zip(r0, r1, n))
-                              for x in ([0.0], f[g, :b - a + 1], f_mirror[g, w - j:w], [1.0])])
+                              for x in ([0.0], f[g, :b - a + 1], one_p0[g] - f[g, j:0:-1], [1.0])])
 
     def gap(k, g):
-        r0_g, r1_g, c_g, sc_g, left_g = (np.array(x)[g] for x in (r0, r1, c, scale, em_left))
+        r0_g, c_g, sc_g, left_g, f_r1, one_g = np.array(
+            (r0, c, scale, em_left, f[range(len(c)), np.subtract(r1, r0)], one_p0))[:, g]
         right = k >= m - 1 - r0_g  # right of the mirrored run: the left gap mirrored
         j = np.where(right, m - 1 - k, k)
         mid = j > r0_g  # between the runs, where r1 lies _WIDE from every pole
         em_r1 = np.array([_em(b, x, m) for x, b in zip(c, r1)])[g] if mid.any() else 0.0
-        f_j = np.where(mid, f[g, r1_g - r0_g], 0.0) + sc_g * (_em(j, c_g, m) - np.where(mid, em_r1, left_g))
-        return np.where(right, one_p0[g] - f_j, f_j)
+        f_j = np.where(mid, f_r1, 0.0) + sc_g * (_em(j, c_g, m) - np.where(mid, em_r1, left_g))
+        return np.where(right, one_g - f_j, f_j)
 
     return table, f_table, list(accumulate((b - a + j + 3 for a, b, j in zip(r0, r1, n)), initial=0)), gap
 
@@ -192,9 +192,8 @@ def _bound_terms(m: int, s: list) -> list:
     return [(37.0 * m / x, (x / m) ** 2 * 10 / 30240 * h**5 * p5) for x in s]
 
 
-def _cdf_bound(f: np.ndarray, k: np.ndarray, m: int, s, size=1) -> np.ndarray:
-    """Bound on |the grid's float cdf[k] - F(k)| given F(k) as evaluated, f,
-    for one amplitude's s, or for s[g] at the next size[g] entries."""
+def _cdf_bound(f: np.ndarray, k: np.ndarray, m: int, s: list, size: list) -> np.ndarray:
+    """Bound on |the grid's float cdf[k] - F(k)| given F(k) as evaluated, f; s[g] for size[g] entries."""
     # With u = 2^-53, q = m u / s <= 2^-10 and t >= 11, term by term:
     # - a kernel's sinc numerator: y -/+ omega rounds by 1.5 u (4.71 m u times
     #   pi m), float pi is 1.1 u off (0.55 m u on |m xw| <= m / 2), pi * (m xw)
@@ -209,10 +208,9 @@ def _cdf_bound(f: np.ndarray, k: np.ndarray, m: int, s, size=1) -> np.ndarray:
     #   2^11 u F + 1.5 u, and 2^11 u F <= q F as m / s >= 2^11; F -/+ bound rounds by 0.5 u;
     # - Euler-Maclaurin: <= 2 runs, each within (s/m)^2 (2/30240) h^5 p5 (the bound's 10
     #   covers 5), as |h5| <= 2 h^5 p5(cot(h W)) at >= W cells from every pole.
-    s = s if isinstance(s, list) else [s]
-    w, em = np.array(_bound_terms(m, s)).T[:, np.arange(len(s)).repeat(size)]
-    bound = 2.0**-53 * ((w + 1.01 * (k + 1)) * f + 2.0) + em
-    bound[(k < 0) | (k == m - 1)] = 0.0  # F(-1) = 0 and the last cell's 1.0 are exact
+    w, em = np.array(_bound_terms(m, s)).repeat(size, 0).T
+    bound = 2.0**-53 * ((w + 1.01 * (k1 := k + 1)) * f + 2.0) + em
+    bound[k1 % m == 0] = 0.0  # k = -1 or m - 1: F(-1) = 0 and the last cell's 1.0 are exact
     return bound
 
 
@@ -234,17 +232,17 @@ def _certified_draws(omega: list, t: int, u: np.ndarray, size: list) -> np.ndarr
     # in [1, size - 1] of its own table: F(-1) = 0 <= u < 1.0, the grid's last cell
     i = np.concatenate([f_table[a:b].searchsorted(u[e:e_], side="right") + a
                         for a, b, e, e_ in zip(start, start[1:], ends, ends[1:])])
-    i = np.concatenate((i - 1, i))
-    (lo, hi), (f_lo, f_hi) = (k_lh := table[i]).reshape(2, -1), (f_lh := f_table[i]).reshape(2, -1)
+    k_lh, f_lh = table[i := np.concatenate((i - 1, i))], f_table[i]  # the views below update them
+    (lo, hi), (f_lo, f_hi) = k_lh.reshape(2, -1), f_lh.reshape(2, -1)
     while (open_ := (hi - lo > 1).nonzero()[0]).size:  # 128-section in the gaps
         lo_o, hi_o = lo[open_, None], hi[open_, None]
         k = lo_o + (hi_o - lo_o) * np.arange(129) // 128
         f = np.where(k == lo_o, f_lo[open_, None], f_hi[open_, None])
         inner = (k > lo_o) & (k < hi_o)
         f[inner] = gap(k[inner], np.arange(len(s)).repeat(size)[open_[inner.nonzero()[0]]])
-        n, row = np.clip((f <= u[open_, None]).sum(axis=1), 1, 128), np.arange(open_.size)
+        n, row = np.minimum(np.maximum((f <= u[open_, None]).sum(axis=1), 1), 128), np.arange(open_.size)
         lo[open_], f_lo[open_], hi[open_], f_hi[open_] = k[row, n - 1], f[row, n - 1], k[row, n], f[row, n]
-    # first against the largest bound of any cell (k <= m - 2, F <= 2; rounding keeps order)
+    # a draw clear of its step by the bound's top (k = m - 2, F = 2: it grows with both) passes its own
     cap = max(2.0**-53 * ((w + 1.01 * (m - 1)) * 2.0 + 2.0) + em for w, em in _bound_terms(m, s))
     if not (ok := (hi - lo == 1) & (f_lo + cap <= u) & (u < f_hi - cap)).all():
         bound = _cdf_bound(f_lh, k_lh, m, s + s, size + size)
@@ -295,7 +293,7 @@ def median_amplitude_estimates(amplitudes, t: int, reps: int, rng: np.random.Gen
     if outside.any():
         raise PreconditionError(f"amplitudes must be in [0, 1], got {a[outside][0]}")
     lo, hi = (reps - 1) // 2, reps // 2  # np.median: the middle pair's mean, (x + x) / 2 = x
-    est = np.partition(_estimate_draws(a, t, rng.random((a.size, reps))), [lo, hi], axis=1)
+    (est := _estimate_draws(a, t, rng.random((a.size, reps)))).partition([lo, hi], axis=1)
     return (est[:, lo] + est[:, hi]) / 2
 
 

@@ -55,6 +55,13 @@ class TestChargeFormulas:
         cfg = EstimatorConfig(c2=2.5)
         assert variance_mean_charge(1.0, 1.0, 0.1, cfg) == 3 * reps
 
+    @pytest.mark.parametrize("sigma,got", [(math.nan, "nan"), (math.inf, "inf"), (0.0, "0.0"),
+                                           (np.array([[1.0, 2.0], [-1.0, math.nan]]), "-1.0")])
+    def test_variance_charge_refuses_sigma_by_name(self, sigma, got):
+        # the one sigma check of the variance-bounded estimator: the first bad entry, named
+        with pytest.raises(PreconditionError, match=f"sigma must be positive and finite, got {got}$"):
+            variance_mean_charge(sigma, 0.1, 0.1, CFG)
+
     def test_hoeffding_example(self):
         # u=1, eps=0.1, delta=0.05: ceil(ln(40)/0.02) = 185
         assert hoeffding_sample_count(1.0, 0.1, 0.05) == 185

@@ -362,7 +362,7 @@ class TestCertifiedDraws:
         for a in (1e-7, 1e-4, 0.003, 0.05, 0.3, 0.77, 0.95):
             f, c, s = certified_f(a, t, k)
             err = np.abs(np.cumsum(outcome_distribution(a, t))[:-1] - f)
-            assert np.all(qsim_mod._cdf_bound(f, k, m, s) >= 4 * err), (a, t)
+            assert np.all(qsim_mod._cdf_bound(f, k, m, [s], [k.size]) >= 4 * err), (a, t)
 
     @pytest.mark.parametrize("t", [22, 24])
     def test_memory_does_not_grow_with_t(self, t):
@@ -442,6 +442,44 @@ class TestBatchedPass:
         alone = [qsim_mod._certified_draws([w], t, ug, [ug.size]) for w, ug in zip(omega, u)]
         assert batch.tobytes() == np.concatenate(alone).tobytes()
         assert (batch < 0).any() and (batch >= 0).any()
+
+    @pytest.mark.parametrize("t", [11, 13, 16])
+    def test_bound_top_covers_every_cell(self, t):
+        # the pass first checks each draw against the bound at k = m - 2 and F = 2; that is
+        # only its own bound's verdict if no cell with F in [0, 2] has a larger bound
+        m = 1 << t
+        k = np.arange(-1, m)
+        rng = derived_rng(62, "top", t)
+        for a in (1e-7, 1e-4, 0.003, 0.05, 0.3, 0.77, 0.95):
+            evaluated, c, s = certified_f(a, t, np.arange(m - 1))
+            (w, em), = qsim_mod._bound_terms(m, [s])
+            top = 2.0**-53 * ((w + 1.01 * (m - 1)) * 2.0 + 2.0) + em
+            for f in (np.full(k.size, 2.0), 2.0 * rng.random(k.size), np.concatenate(([0.0], evaluated, [1.0]))):
+                assert qsim_mod._cdf_bound(f, k, m, [s], [k.size]).max() <= top, (a, t)
+
+    @pytest.mark.parametrize("t", [11, 13])
+    def test_verdicts_are_each_draws_own_bound(self, t, monkeypatch):
+        # uniforms 0.99, 1 and 3 bounds above the last steps of the mirrored run, where F is
+        # near 1 and the bound near half its top: refused, certified and certified, as each
+        # draw's own bound decides; a batch clear of every step by the top makes no
+        # _cdf_bound call at all
+        calls, real = [], qsim_mod._cdf_bound
+        monkeypatch.setattr(qsim_mod, "_cdf_bound", lambda *args: calls.append(1) or real(*args))
+        m, a = 1 << t, 0.3
+        omega = math.asin(math.sqrt(a)) / math.pi
+        peak = math.floor(m * omega)
+        end = m - 2 - (peak - qsim_mod._WIDE) - np.arange(2, 6)
+        f, c, s = certified_f(a, t, end)
+        bound = real(f, end, m, [s], [end.size])
+        for x, want in ((0.99, [-1] * end.size), (1.0, (end + 1).tolist()), (3.0, (end + 1).tolist())):
+            assert qsim_mod._certified_draws([omega], t, f + x * bound, [end.size]).tolist() == want, x
+        assert calls
+        calls.clear()
+        cells = peak + np.arange(-3, 4)
+        cdf = np.concatenate(([0.0], np.cumsum(outcome_distribution(a, t))))
+        u = 0.5 * (cdf[cells] + cdf[cells + 1])
+        y = qsim_mod._certified_draws([omega], t, u, [u.size])
+        assert not calls and y.tobytes() == qsim_mod._grid_draws(a, t, u).tobytes() == cells.tobytes()
 
 
 class TestCountChecks:
