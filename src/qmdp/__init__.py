@@ -48,6 +48,7 @@ from .qsim import (
 )
 from .solvers import (
     MaxFindingParams,
+    Plan,
     SampledParams,
     SolveReport,
     VarianceReducedParams,

@@ -51,6 +51,7 @@ from .rng import derived_rng
 from .solvers import (
     SAMPLED_MODES,
     MaxFindingParams,
+    Plan,
     SampledParams,
     SolveReport,
     VarianceReducedParams,
@@ -217,19 +218,22 @@ def estimator_config(doc: dict | None, source: str = "<config>") -> EstimatorCon
 
 
 def _solver_call(mdp: Mdp, solver: dict, cfg: EstimatorConfig, source: str = "<config>"):
-    """A solver block's solve on mdp, ``solve(oracle, diagnostics=False)``,
-    planned first: its params and their schedule are derived, so that a range
-    error or a refusal reads ``<source>: solver: ...`` before any draw.  The
-    entries the block leaves out take the library's defaults."""
+    """A solver block's solve, ``solve(oracle, diagnostics=False)``, on one
+    plan for mdp (or its shape) built before any draw: a range error reads
+    ``<source>: solver.<entry> ...`` and a refusal of the schedule ``<source>:
+    solver: ...``.  Entries the block leaves out take the library's defaults."""
     params_class, entries, solve = _SOLVERS[solver["name"]]
     given = {key: cast(solver[key]) for key, cast in entries.items() if key in solver}
     try:
         params = params_class.for_mdp(mdp, float(solver["eps"]), float(solver["delta"]), **given)
-        params.schedule(mdp, cfg)
+    except PreconditionError as exc:
+        raise PreconditionError(f"{source}: solver.{exc}") from exc
+    try:
+        plan = Plan.of(mdp, params, cfg)
     except PreconditionError as exc:
         raise PreconditionError(f"{source}: solver: {exc}") from exc
     return lambda oracle, diagnostics=False: globals()[solve](
-        oracle, params=params, cfg=cfg, diagnostics=diagnostics)
+        oracle, plan, diagnostics=diagnostics)
 
 
 def run_solver(mdp: Mdp, solver: dict, cfg: EstimatorConfig, seed: int,
@@ -290,8 +294,8 @@ def cmd_solve(args) -> int:
     mdp, provenance = build_instance(config["instance"], source=args.config)
     cfg = estimator_config(config.get("estimator"), args.config)
     diagnostics = config.get("diagnostics", False) or bool(config.get("snapshots_csv"))
-    _solver_call(mdp, config["solver"], cfg, args.config)  # a range error names the file
-    report = run_solver(mdp, config["solver"], cfg, int(config["seed"]), diagnostics)
+    solve = _solver_call(mdp, config["solver"], cfg, args.config)  # a refusal names the file
+    report = solve(SampleOracle(mdp, int(config["seed"])), diagnostics)
     csv_path = config.get("snapshots_csv")
     if csv_path:  # first, so that a bad path leaves no report
         _write_snapshots_csv(report, csv_path)
@@ -345,9 +349,9 @@ def run_sweep(config: dict, axis: str, values, seeds: int, source: str = "<confi
     success); the fit is on the per-point median of total queries, against
     the axis's variable in ``_SWEEP_FIT``.  Every point is planned before
     the first solve: its config and instance ranges checked, and its solver
-    params and schedule derived, on a generated instance's shape.  A point
-    builds its MDP only when its instance block differs from the previous
-    point's.
+    plan built once, on a generated instance's shape, for all of its seeds.
+    A point builds its MDP only when its instance block differs from the
+    previous point's.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")

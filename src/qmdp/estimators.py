@@ -105,8 +105,10 @@ def bounded_mean_charge(upper: float, eps: float, delta: float, cfg: EstimatorCo
     if upper <= 0:
         raise PreconditionError(f"upper bound must be positive, got {upper}")
     ratio = upper / eps
-    base = math.ceil(cfg.c1 * (ratio + math.sqrt(ratio)))
-    return base * amplification_reps(delta)
+    base = cfg.c1 * (ratio + math.sqrt(ratio))
+    if not math.isfinite(base):
+        raise PreconditionError(f"range-bounded charge is not finite at c1 = {cfg.c1}")
+    return math.ceil(base) * amplification_reps(delta)
 
 
 def variance_mean_charge(sigma, eps, delta: float, cfg: EstimatorConfig = DEFAULT_CONFIG) -> int:
@@ -121,8 +123,11 @@ def variance_mean_charge(sigma, eps, delta: float, cfg: EstimatorConfig = DEFAUL
     if not np.all(eps > 0):
         raise PreconditionError(f"eps must be positive, got {eps}")
     ratio = np.divide(sigma, eps)
-    base = np.ceil(cfg.c2 * ratio * np.log2(np.maximum(ratio, 2.0)) ** 2)
-    return int(np.sum(base)) * amplification_reps(delta)
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        base = np.sum(np.ceil(cfg.c2 * ratio * np.log2(np.maximum(ratio, 2.0)) ** 2))
+    if not math.isfinite(base):
+        raise PreconditionError(f"variance-bounded charge is not finite at c2 = {cfg.c2}")
+    return int(base) * amplification_reps(delta)
 
 
 def hoeffding_sample_count(upper: float, eps: float, delta: float) -> int:

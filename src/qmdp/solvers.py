@@ -50,6 +50,7 @@ __all__ = [
     "MaxFindingParams",
     "SampledParams",
     "Line",
+    "Plan",
     "SolveReport",
     "variance_reduced_vi",
     "max_finding_vi",
@@ -84,9 +85,9 @@ def _check_eps_delta(eps: float, delta: float, eps_max: float, bound: str) -> No
         raise PreconditionError(f"delta must be in (0, 1), got {delta}")
 
 
-def _failure_prob(f: float) -> float:
+def _failure_prob(f: float, entries: str = "delta") -> float:
     if not 0.0 < f < 1.0:
-        raise PreconditionError(f"derived per-estimate failure probability {f} not in (0, 1)")
+        raise PreconditionError(f"{entries} gives a per-estimate failure probability {f} not in (0, 1)")
     return f
 
 
@@ -223,7 +224,7 @@ class MaxFindingParams:
             raise PreconditionError(f"c_max must be positive and finite, got {c_max}")
         l = _derived_iterations(horizon, eps)
         f = _failure_prob(delta / (4.0 * c_max * l * mdp.num_states * mdp.num_actions**1.5
-                                   * math.log2(1.0 / delta)))
+                                   * math.log2(1.0 / delta)), "delta or c_max")
         return cls(eps=eps, delta=delta, c_max=c_max, iters=l, est_failure_prob=f)
 
     def schedule(self, mdp: Mdp, cfg: EstimatorConfig = DEFAULT_CONFIG) -> dict:
@@ -273,6 +274,19 @@ class SampledParams:
         return lines
 
 
+class Plan(NamedTuple):
+    """A solve's params, estimator config and the schedule they fix before its
+    first draw: ``Plan.of`` derives it once, raising each of its refusals."""
+
+    params: VarianceReducedParams | MaxFindingParams | SampledParams
+    cfg: EstimatorConfig
+    lines: dict
+
+    @classmethod
+    def of(cls, mdp: Mdp, params, cfg: EstimatorConfig = DEFAULT_CONFIG) -> "Plan":
+        return cls(params, cfg, params.schedule(mdp, cfg))
+
+
 @dataclass
 class SolveReport:
     """Solver outputs plus the diagnostics the guarantees are tested against."""
@@ -320,11 +334,11 @@ def _phase(scope: str, n: int, line=None) -> str:
 
 class _Iterate:
     """The iterate (v, pi) of one solve with its flags, failure count and
-    snapshots, and the params' schedule it follows, fixed before the first
-    draw.  A solver with no monotone claim reports its flags as None."""
+    snapshots, and the plan's config and lines it follows.  A solver with no
+    monotone claim reports its flags as None."""
 
-    def __init__(self, oracle, params, cfg, diagnostics, monotone=True):
-        self.oracle, self.cfg, self.lines = oracle, cfg, params.schedule(oracle.mdp, cfg)
+    def __init__(self, oracle, plan: Plan, diagnostics, monotone=True):
+        self.oracle, self.cfg, self.lines = oracle, plan.cfg, plan.lines
         self.v = np.zeros(oracle.mdp.num_states)
         self.pi = np.zeros(oracle.mdp.num_states, dtype=np.int64)
         self.monotone_ok = self.dominance_ok = True if monotone else None
@@ -402,12 +416,7 @@ class _Iterate:
                            int(self.failures), snapshots=self.snapshots, **extra)
 
 
-def variance_reduced_vi(
-    oracle: SampleOracle,
-    params: VarianceReducedParams,
-    cfg: EstimatorConfig = DEFAULT_CONFIG,
-    diagnostics: bool = False,
-) -> SolveReport:
+def variance_reduced_vi(oracle: SampleOracle, plan: Plan, diagnostics: bool = False) -> SolveReport:
     """Epoch solver returning (v_hat, pi_hat, q_hat) with the two-sided
     guarantee v* - eps <= v_hat <= v^{pi_hat} <= v* (and the q analogue) at
     confidence 1 - delta.
@@ -422,18 +431,17 @@ def variance_reduced_vi(
     estimates failed.
     """
     mdp = oracle.mdp
-    p = params
+    p = plan.params
     gamma = mdp.discount
     r = mdp.rewards
 
-    it = _Iterate(oracle, p, cfg, diagnostics)
-    lines = it.lines
+    it = _Iterate(oracle, plan, diagnostics)
     q = np.zeros((mdp.num_states, mdp.num_actions))
     var_breaches = slack_breaches = 0
     epochs = range(1, p.num_epochs + 1)
     line13 = it.streams(
         KeyTemplate((oracle.seed, "vr", epochs, range(1, p.iters_per_epoch + 1), "line13")),
-        *[lines["line13", k] for k in epochs])
+        *[plan.lines["line13", k] for k in epochs])
     anchors = it.keyed(KeyTemplate((oracle.seed, "vr", epochs,
                                     ("line8-sq", "line8-mean", "line9"))))
 
@@ -442,8 +450,8 @@ def variance_reduced_vi(
 
         # second-moment / first-moment estimates feeding the deviation proxy
         phase8 = _phase("epoch", k, 8)
-        est_sq = it.estimate(next(anchors), phase8, v_anchor**2, lines["line8-sq", k])
-        est_mean = it.estimate(next(anchors), phase8, v_anchor, lines["line8-mean", k])
+        est_sq = it.estimate(next(anchors), phase8, v_anchor**2, plan.lines["line8-sq", k])
+        est_mean = it.estimate(next(anchors), phase8, v_anchor, plan.lines["line8-mean", k])
         y = np.maximum(est_sq - est_mean**2, 0.0)
         if diagnostics:
             # the deviation proxy should track the true variance within 3b
@@ -453,13 +461,13 @@ def variance_reduced_vi(
         # anchor estimate with per-row deviation-proportional error, one-sided
         sigma_bound = np.sqrt(y + p.b)
         est_x, err_x, fail_x, breaches = batch_variance_mock(
-            oracle, v_anchor, sigma_bound, lines["line9", k], cfg, next(anchors),
+            oracle, v_anchor, sigma_bound, plan.lines["line9", k], plan.cfg, next(anchors),
             _phase("epoch", k, 9))
         x = est_x - err_x
         it.failures += np.count_nonzero(fail_x)
         var_breaches += breaches
 
-        phase13, line = _phase("epoch", k, 13), lines["line13", k]
+        phase13, line = _phase("epoch", k, 13), plan.lines["line13", k]
         for l in range(1, p.iters_per_epoch + 1):
             it.keep_better(*greedy(q))
             delta_kl = it.estimate(next(line13), phase13, it.v - v_anchor, line) - line.err
@@ -472,12 +480,7 @@ def variance_reduced_vi(
                      anchor_slack_breaches=slack_breaches)
 
 
-def max_finding_vi(
-    oracle: SampleOracle,
-    params: MaxFindingParams,
-    cfg: EstimatorConfig = DEFAULT_CONFIG,
-    diagnostics: bool = False,
-) -> SolveReport:
+def max_finding_vi(oracle: SampleOracle, plan: Plan, diagnostics: bool = False) -> SolveReport:
     """Max-finding solver returning (v_hat, pi_hat) with the guarantee
     v* - eps <= v_hat <= v^{pi_hat} <= v* at confidence 1 - delta.
 
@@ -488,14 +491,14 @@ def max_finding_vi(
     nested estimation queries rather than amortizing them.
     """
     mdp = oracle.mdp
-    p = params
+    p = plan.params
     gamma = mdp.discount
     s_n, a_n = mdp.num_states, mdp.num_actions
     r = mdp.rewards
-    use_statevector_argmax = cfg.backend == BACKEND_STATEVECTOR
+    use_statevector_argmax = plan.cfg.backend == BACKEND_STATEVECTOR
 
-    it = _Iterate(oracle, p, cfg, diagnostics)
-    mean, probe_cost = it.lines["line10", 1], it.lines["argmax", 1].probe
+    it = _Iterate(oracle, plan, diagnostics)
+    mean, probe_cost = plan.lines["line10", 1], plan.lines["argmax", 1].probe
     q_mem = np.zeros((s_n, a_n))  # memoized estimated Q row per state
     argmax_keys = KeyTemplate((oracle.seed, "mf", range(1, p.iters + 1), range(s_n), "argmax"))
     argmax_streams = it.keyed(argmax_keys)  # statevector; both are read lazily
@@ -525,12 +528,7 @@ def max_finding_vi(
     return it.report("max-finding", asdict(p))
 
 
-def sampled_vi(
-    oracle: SampleOracle,
-    params: SampledParams,
-    cfg: EstimatorConfig = DEFAULT_CONFIG,
-    diagnostics: bool = False,
-) -> SolveReport:
+def sampled_vi(oracle: SampleOracle, plan: Plan, diagnostics: bool = False) -> SolveReport:
     """Plain sampled value iteration: estimate every row mean to error
     (1-gamma)*eps/4 per sweep and take the row maximum.
 
@@ -540,14 +538,14 @@ def sampled_vi(
     ~2*gamma*horizon*eps.
     """
     mdp = oracle.mdp
-    p = params
+    p = plan.params
     gamma = mdp.discount
     s_n, a_n = mdp.num_states, mdp.num_actions
     r = mdp.rewards
     sweeps = range(1, p.iters + 1)
 
-    it = _Iterate(oracle, p, cfg, diagnostics, monotone=False)
-    mean = it.lines["mean", 1]
+    it = _Iterate(oracle, plan, diagnostics, monotone=False)
+    mean = plan.lines["mean", 1]
     q_est = np.zeros((s_n, a_n))
     if p.mode != "classical":
         means = it.streams(KeyTemplate((oracle.seed, "svi", sweeps)), mean)

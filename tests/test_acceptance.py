@@ -48,6 +48,7 @@ from qmdp.qsim import (
 from qmdp.rng import derived_rng
 from qmdp.solvers import (
     MaxFindingParams,
+    Plan,
     SampledParams,
     VarianceReducedParams,
     _bounded,
@@ -76,12 +77,12 @@ def solver_runs():
     results = {}
     for a_n, arms, eps in SETTINGS:
         mdp = fig_two(a_n, arms, eps)
-        vr_params = VarianceReducedParams.for_mdp(mdp, eps, 0.1)
-        mf_params = MaxFindingParams.for_mdp(mdp, eps, 0.1)
+        vr_plan = Plan.of(mdp, VarianceReducedParams.for_mdp(mdp, eps, 0.1))
+        mf_plan = Plan.of(mdp, MaxFindingParams.for_mdp(mdp, eps, 0.1))
         vr, mf = [], []
         for seed in range(RUNS_PER_SETTING):
-            r1 = variance_reduced_vi(SampleOracle(mdp, seed), vr_params)
-            r2 = max_finding_vi(SampleOracle(mdp, 10_000 + seed), mf_params)
+            r1 = variance_reduced_vi(SampleOracle(mdp, seed), vr_plan)
+            r2 = max_finding_vi(SampleOracle(mdp, 10_000 + seed), mf_plan)
             vr.append((sandwich_success(mdp, r1, eps), r1.monotone_iterates_ok))
             mf.append((sandwich_success(mdp, r2, eps), r2.monotone_iterates_ok))
         results[(a_n, eps)] = {"vr": vr, "mf": mf}
@@ -177,10 +178,9 @@ def test_criterion_05_monotone_iterates(solver_runs):
                 good += bool(monotone)
     # spot-check stored snapshot sequences as well
     mdp = fig_two(4, frozenset({2}), 0.5)
+    plan = Plan.of(mdp, VarianceReducedParams.for_mdp(mdp, 0.5, 0.1))
     for seed in range(10):
-        report = variance_reduced_vi(
-            SampleOracle(mdp, seed), VarianceReducedParams.for_mdp(mdp, 0.5, 0.1),
-            diagnostics=True)
+        report = variance_reduced_vi(SampleOracle(mdp, seed), plan, diagnostics=True)
         vs = [v for _, _, v, _ in report.snapshots]
         assert all(np.all(b >= a) for a, b in zip(vs, vs[1:]))
     ok = good == total
@@ -363,12 +363,12 @@ def test_criterion_08_horizon_scaling():
         eps = 0.05 / math.sqrt(horizon)
         mdp = multi_arm_instance(HardInstanceSpec(
             gamma=gamma, num_actions=2, eps=eps, large_arms=frozenset({1})))
-        params = VarianceReducedParams.for_mdp(mdp, eps, delta)
+        quantum = Plan.of(mdp, VarianceReducedParams.for_mdp(mdp, eps, delta))
+        classical = Plan.of(mdp, SampledParams.for_mdp(mdp, eps, delta, mode="classical"))
         reports = {
-            "quantum": [variance_reduced_vi(SampleOracle(mdp, 200 + i), params)
+            "quantum": [variance_reduced_vi(SampleOracle(mdp, 200 + i), quantum)
                         for i in range(5)],
-            "classical": [sampled_vi(SampleOracle(mdp, 300 + i), SampledParams.for_mdp(
-                mdp, eps, delta, mode="classical")) for i in range(5)],
+            "classical": [sampled_vi(SampleOracle(mdp, 300 + i), classical) for i in range(5)],
         }
         for key, runs in reports.items():
             median = np.median([r.ledger.total for r in runs])

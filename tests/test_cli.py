@@ -14,15 +14,18 @@ from qmdp.cli import (
     fit_power_law,
     load_config,
     main,
+    run_solver,
     run_suite,
     run_sweep,
     sandwich_success,
     validate_config,
 )
 from qmdp.errors import ConfigError, InternalError
+from qmdp.estimators import EstimatorConfig
 from qmdp.mdp import mdp_to_dict
 from qmdp.oracle import SampleOracle
 from qmdp.rng import derived_rng
+from qmdp.solvers import MaxFindingParams, SampledParams, VarianceReducedParams
 
 
 def fig_two_config(eps=0.5, solver="variance-reduced", seed=42, A=2, arms=(1,)):
@@ -185,7 +188,7 @@ class TestSolveCommand:
         cfg = write_config(tmp_path, doc)
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
         err = capsys.readouterr().err
-        assert re.fullmatch(r"error: \S*config\.json: solver: eps must lie in "
+        assert re.fullmatch(r"error: \S*config\.json: solver\.eps must lie in "
                             r"\(0, sqrt\(horizon\)\] = \(0, 3\.16228\], got 9\.0\n", err), err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
@@ -245,7 +248,13 @@ class TestSolveCommand:
         ({"hard_instance": {"gamma": 0.9, "num_actions": 4, "eps": 1.0, "large_arms": [1]}},
          {"name": "sampled", "mode": "quantum_mean", "eps": 1e-6, "delta": 0.1},
          {"backend": "statevector"}, r"statevector backend cannot reach relative accuracy \S+"),
-    ], ids=["actions", "probes", "hoeffding-inf", "hoeffding-int64", "phase-bits"])
+        ({"hard_instance": {"gamma": 0.9, "num_actions": 8, "eps": 0.3, "large_arms": [3]}},
+         {"name": "max-finding", "eps": 0.3, "delta": 0.1}, {"c1": 1e308},
+         r"range-bounded charge is not finite at c1 = 1e\+308"),
+        ({"hard_instance": {"gamma": 0.9, "num_actions": 8, "eps": 0.3, "large_arms": [3]}},
+         {"name": "variance-reduced", "eps": 0.3, "delta": 0.1}, {"c2": 1e308},
+         r"variance-bounded charge is not finite at c2 = 1e\+308"),
+    ], ids=["actions", "probes", "hoeffding-inf", "hoeffding-int64", "phase-bits", "c1", "c2"])
     def test_schedule_refusal_exits_2_before_any_stream(self, tmp_path, capsys, monkeypatch,
                                                         instance, solver, estimator, message):
         # each refusal depends only on (mdp, params, cfg): the plan raises it
@@ -437,7 +446,7 @@ class TestSolveCommand:
         def boom(*args, **kwargs):
             raise InternalError("synthetic")
 
-        monkeypatch.setattr(cli_mod, "run_solver", boom)
+        monkeypatch.setattr(cli_mod, "variance_reduced_vi", boom)
         cfg = write_config(tmp_path, fig_two_config())
         assert main(["solve", "--config", str(cfg), "--out",
                      str(tmp_path / "r.json")]) == 3
@@ -538,7 +547,8 @@ class TestSweepCommand:
         import qmdp.cli as cli_mod
 
         calls = []
-        monkeypatch.setattr(cli_mod, "run_solver", lambda *args: calls.append(args))
+        for name in ("variance_reduced_vi", "max_finding_vi", "sampled_vi"):
+            monkeypatch.setattr(cli_mod, name, lambda *args, **kwargs: calls.append(args))
         cfg = write_config(tmp_path, fig_two_config(solver="max-finding"))
         out_csv, out_fit = tmp_path / "s.csv", tmp_path / "f.json"
         assert main(["sweep", "--config", str(cfg), "--axis", axis, "--values", values,
@@ -569,14 +579,14 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(cfg), "--axis", "eps", "--values", values,
                      "--seeds", "1", "--out-csv", str(out_csv), "--out-fit", str(out_fit)]) == 2
         err = capsys.readouterr().err
-        assert re.fullmatch(r"error: \S*config\.json: solver: " + message + r"\n", err), err
+        assert re.fullmatch(r"error: \S*config\.json: solver\." + message + r"\n", err), err
         assert calls == [] and not out_csv.exists() and not out_fit.exists()
 
     @pytest.mark.parametrize("solver,eps,message", [
-        ("max-finding", 15.0, r"solver: eps must lie in \(0, horizon\] = \(0, 10\], got 15\.0"),
-        ("sampled", 15.0, r"solver: eps must lie in \(0, horizon\] = \(0, 10\], got 15\.0"),
+        ("max-finding", 15.0, r"solver\.eps must lie in \(0, horizon\] = \(0, 10\], got 15\.0"),
+        ("sampled", 15.0, r"solver\.eps must lie in \(0, horizon\] = \(0, 10\], got 15\.0"),
         ("variance-reduced", 4.0,
-         r"solver: eps must lie in \(0, sqrt\(horizon\)\] = \(0, 3\.16228\], got 4\.0"),
+         r"solver\.eps must lie in \(0, sqrt\(horizon\)\] = \(0, 3\.16228\], got 4\.0"),
     ])
     def test_last_gamma_below_eps_is_refused_before_any_solve(self, tmp_path, capsys,
                                                               monkeypatch, solver, eps, message):
@@ -704,6 +714,31 @@ class TestSweepCommand:
         rows, _ = run_sweep(doc, "eps", [1.0, 0.5, 0.25], 2)
         # estimates on these instances succeed essentially always
         assert np.mean([r[4] for r in rows]) >= 0.8
+
+
+@pytest.mark.parametrize("solver", ["variance-reduced", "max-finding", "sampled"])
+def test_one_schedule_per_solve_and_per_sweep_point(tmp_path, monkeypatch, solver):
+    # a solve derives its schedule once, before its first draw, and a sweep
+    # point's one plan serves every seed
+    calls = []
+    for params_class in (VarianceReducedParams, MaxFindingParams, SampledParams):
+        real = params_class.schedule
+        monkeypatch.setattr(params_class, "schedule", lambda self, *args, real=real, **kwargs:
+                            calls.append(self) or real(self, *args, **kwargs))
+    doc = fig_two_config(eps=0.3, solver=solver, A=8, arms=(3,))
+    cfg = write_config(tmp_path, doc)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 0
+    assert len(calls) == 1
+    calls.clear()
+    assert main(["sweep", "--config", str(cfg), "--axis", "eps", "--values", "0.5,0.4,0.3",
+                 "--seeds", "5", "--out-csv", str(tmp_path / "s.csv"),
+                 "--out-fit", str(tmp_path / "f.json")]) == 0
+    assert len(calls) == 3
+    calls.clear()
+    mdp, _ = build_instance(doc["instance"])
+    for seed in (1, 2):
+        run_solver(mdp, doc["solver"], EstimatorConfig(), seed)
+    assert len(calls) == 2
 
 
 class TestFitPowerLaw:
@@ -918,16 +953,17 @@ class TestConfigSchema:
             target = target.setdefault(block, {})
         target[key] = value
         seen = []
-        real = cli_mod.run_solver
+        function = cli_mod._SOLVERS[solver][2]
+        real = getattr(cli_mod, function)
 
-        def spy(mdp, solver, cfg, seed, diagnostics=False):
-            seen.append(cfg)
-            return real(mdp, solver, cfg, seed, diagnostics)
+        def spy(oracle, plan, diagnostics=False):
+            seen.append(plan)
+            return real(oracle, plan, diagnostics=diagnostics)
 
-        monkeypatch.setattr(cli_mod, "run_solver", spy)
+        monkeypatch.setattr(cli_mod, function, spy)
         out = tmp_path / "r.json"
         assert main(["solve", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 0
-        assert arrived(json.loads(out.read_text()), seen[0])
+        assert len(seen) == 1 and arrived(json.loads(out.read_text()), seen[0].cfg)
 
 
 class TestReadmeExamples:

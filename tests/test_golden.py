@@ -30,6 +30,7 @@ from qmdp.mdp import Mdp, exact_value_iteration
 from qmdp.oracle import SampleOracle
 from qmdp.solvers import (
     MaxFindingParams,
+    Plan,
     SampledParams,
     VarianceReducedParams,
     max_finding_vi,
@@ -318,18 +319,21 @@ def _hard(num_actions, arm):
 def _vr(mdp, eps, f=None):
     params = VarianceReducedParams.for_mdp(mdp, eps, 0.1)
     params = params if f is None else dataclasses.replace(params, est_failure_prob=f)
-    return lambda oracle: variance_reduced_vi(oracle, params, diagnostics=True)
+    plan = Plan.of(mdp, params)
+    return lambda oracle: variance_reduced_vi(oracle, plan, diagnostics=True)
 
 
 def _mf(mdp, eps, f=None):
     params = MaxFindingParams.for_mdp(mdp, eps, 0.1)
     params = params if f is None else dataclasses.replace(params, est_failure_prob=f)
-    return lambda oracle: max_finding_vi(oracle, params, diagnostics=True)
+    plan = Plan.of(mdp, params)
+    return lambda oracle: max_finding_vi(oracle, plan, diagnostics=True)
 
 
 def _svi(eps, delta, mode):
-    return lambda oracle: sampled_vi(oracle, SampledParams.for_mdp(oracle.mdp, eps, delta, mode),
-                                     diagnostics=True)
+    return lambda oracle: sampled_vi(
+        oracle, Plan.of(oracle.mdp, SampledParams.for_mdp(oracle.mdp, eps, delta, mode)),
+        diagnostics=True)
 
 
 # name -> (instance, solve, seed, whether some batch has a failed entry, whether

@@ -23,6 +23,7 @@ from qmdp.qsim import DEFAULT_C_MAX, argmax_query_budget
 from qmdp.rng import derived_rng
 from qmdp.solvers import (
     MaxFindingParams,
+    Plan,
     SampledParams,
     SolveReport,
     VarianceReducedParams,
@@ -241,5 +242,5 @@ def test_solve_equals_reference(instance, solve, backend, eps, seeds):
     solver, reference, make_params = SOLVES[solve]
     params = make_params(mdp, eps)
     for seed in seeds:
-        got = solver(SampleOracle(mdp, seed), params, cfg, diagnostics=True)
+        got = solver(SampleOracle(mdp, seed), Plan.of(mdp, params, cfg), diagnostics=True)
         assert _outputs(got) == _outputs(reference(mdp, params, cfg, seed))

@@ -23,6 +23,7 @@ from qmdp.oracle import SampleOracle
 from qmdp.rng import KeyTemplate, derived_rng
 from qmdp.solvers import (
     MaxFindingParams,
+    Plan,
     SampledParams,
     VarianceReducedParams,
     max_finding_vi,
@@ -107,7 +108,7 @@ class TestVarianceReducedParams:
         mdp = fig_two(2, 0.5, {1})
         c = 3.99 / (0.1**1.5 * 0.5)
         params = VarianceReducedParams.for_mdp(mdp, 0.5, 0.1, c=c)
-        report = variance_reduced_vi(SampleOracle(mdp, 1), params)
+        report = variance_reduced_vi(SampleOracle(mdp, 1), Plan.of(mdp, params))
         assert report.ledger.quantum_oracle_calls > 0
 
 
@@ -179,9 +180,10 @@ class TestVectorizedMockArgmax:
         mdp = fig_two(a_n, 1.0, {0, a_n - 1})
         real = solvers.mock_argmax_rows
         for label, solve in (
-                ("mf", lambda o: max_finding_vi(o, MaxFindingParams.for_mdp(mdp, 1.0, 0.1))),
-                ("svi", lambda o: sampled_vi(
-                    o, SampledParams.for_mdp(mdp, 1.0, 0.1, mode="quantum_mean_and_max")))):
+                ("mf", lambda o: max_finding_vi(
+                    o, Plan.of(mdp, MaxFindingParams.for_mdp(mdp, 1.0, 0.1)))),
+                ("svi", lambda o: sampled_vi(o, Plan.of(
+                    mdp, SampledParams.for_mdp(mdp, 1.0, 0.1, mode="quantum_mean_and_max"))))):
             calls = []
 
             def spy(q, f_solver, u, wrong):
@@ -257,7 +259,7 @@ class TestBulkMockRows:
             passes.clear()
             tracemalloc.start()
             try:
-                variance_reduced_vi(SampleOracle(mdp, 1), params)
+                variance_reduced_vi(SampleOracle(mdp, 1), Plan.of(mdp, params))
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -272,15 +274,17 @@ class TestBulkMockRows:
         rows, with passes of one, three or more streams that split epochs,
         or from their own streams, including solves with failed entries."""
         mdp = fig_two(a_n, 1.0, {0})
-        vr = dataclasses.replace(VarianceReducedParams.for_mdp(mdp, 1.0, 0.1),
-                                 est_failure_prob=0.01)
-        mf = dataclasses.replace(MaxFindingParams.for_mdp(mdp, 1.0, 0.1), est_failure_prob=0.01)
+        vr = Plan.of(mdp, dataclasses.replace(VarianceReducedParams.for_mdp(mdp, 1.0, 0.1),
+                                              est_failure_prob=0.01))
+        mf = Plan.of(mdp, dataclasses.replace(MaxFindingParams.for_mdp(mdp, 1.0, 0.1),
+                                              est_failure_prob=0.01))
+        mean = Plan.of(mdp, SampledParams.for_mdp(mdp, 2.0, 0.9, mode="quantum_mean"))
+        mean_and_max = Plan.of(mdp, SampledParams.for_mdp(mdp, 2.0, 0.9,
+                                                          mode="quantum_mean_and_max"))
         solves = (lambda o: variance_reduced_vi(o, vr, diagnostics=True),
                   lambda o: max_finding_vi(o, mf, diagnostics=True),
-                  lambda o: sampled_vi(o, SampledParams.for_mdp(mdp, 2.0, 0.9, mode="quantum_mean"),
-                                       diagnostics=True),
-                  lambda o: sampled_vi(
-                      o, SampledParams.for_mdp(mdp, 2.0, 0.9, mode="quantum_mean_and_max")))
+                  lambda o: sampled_vi(o, mean, diagnostics=True),
+                  lambda o: sampled_vi(o, mean_and_max))
         monkeypatch.setattr(qmdp.rng, "PASS_WORDS", pass_words)
         failures = 0
         for solve in solves:
@@ -315,7 +319,7 @@ class TestVarianceReducedSolver:
         mdp = zero_reward_mdp()
         for seed in range(5):
             report = variance_reduced_vi(
-                SampleOracle(mdp, seed), VarianceReducedParams.for_mdp(mdp, 0.5, 0.1))
+                SampleOracle(mdp, seed), Plan.of(mdp, VarianceReducedParams.for_mdp(mdp, 0.5, 0.1)))
             assert np.all(report.v_hat == 0.0)
             assert np.all(report.q_hat == 0.0)
 
@@ -324,10 +328,10 @@ class TestVarianceReducedSolver:
         # land in [v* - 0.3, v*] and be dominated by its own policy's value
         mdp = two_state_chain(0.9, 0.5)
         v_star = 1.0 / (1.0 - 0.45)
-        params = VarianceReducedParams.for_mdp(mdp, 0.3, 0.1)
+        plan = Plan.of(mdp, VarianceReducedParams.for_mdp(mdp, 0.3, 0.1))
         ok = 0
         for seed in range(200):
-            report = variance_reduced_vi(SampleOracle(mdp, seed), params)
+            report = variance_reduced_vi(SampleOracle(mdp, seed), plan)
             v_pi = policy_value_exact(mdp, report.pi_hat)
             ok += (v_star - 0.3 <= report.v_hat[0] <= v_star + 1e-9
                    and report.v_hat[0] <= v_pi[0] + 1e-9)
@@ -335,10 +339,10 @@ class TestVarianceReducedSolver:
 
     def test_monotone_and_dominance_always(self):
         mdp = fig_two(4, 1.0, {2})
-        params = VarianceReducedParams.for_mdp(mdp, 1.0, 0.1)
+        plan = Plan.of(mdp, VarianceReducedParams.for_mdp(mdp, 1.0, 0.1))
         saw_failure_run = False
         for seed in range(150):
-            report = variance_reduced_vi(SampleOracle(mdp, seed), params)
+            report = variance_reduced_vi(SampleOracle(mdp, seed), plan)
             assert report.monotone_iterates_ok
             assert report.greedy_dominance_ok
             saw_failure_run |= report.estimator_failures > 0
@@ -347,7 +351,7 @@ class TestVarianceReducedSolver:
     def test_snapshots_nondecreasing(self):
         mdp = fig_two(4, 0.5, {1})
         report = variance_reduced_vi(
-            SampleOracle(mdp, 11), VarianceReducedParams.for_mdp(mdp, 0.5, 0.1),
+            SampleOracle(mdp, 11), Plan.of(mdp, VarianceReducedParams.for_mdp(mdp, 0.5, 0.1)),
             diagnostics=True)
         vs = [v for _, _, v, _ in report.snapshots]
         assert len(vs) == report.params["num_epochs"] * report.params["iters_per_epoch"]
@@ -358,11 +362,10 @@ class TestVarianceReducedSolver:
         # with no estimator failures, the shifted estimates stay below the
         # exact one-step expectation
         mdp = fig_two(4, 0.5, {1})
-        params = VarianceReducedParams.for_mdp(mdp, 0.5, 0.1)
+        plan = Plan.of(mdp, VarianceReducedParams.for_mdp(mdp, 0.5, 0.1))
         checked = 0
         for seed in range(40):
-            report = variance_reduced_vi(SampleOracle(mdp, seed), params,
-                                         diagnostics=True)
+            report = variance_reduced_vi(SampleOracle(mdp, seed), plan, diagnostics=True)
             if report.estimator_failures == 0:
                 assert report.one_sided_ok
                 checked += 1
@@ -370,9 +373,9 @@ class TestVarianceReducedSolver:
 
     def test_determinism(self):
         mdp = fig_two(4, 0.5, {1})
-        params = VarianceReducedParams.for_mdp(mdp, 0.5, 0.1)
-        r1 = variance_reduced_vi(SampleOracle(mdp, 123), params)
-        r2 = variance_reduced_vi(SampleOracle(mdp, 123), params)
+        plan = Plan.of(mdp, VarianceReducedParams.for_mdp(mdp, 0.5, 0.1))
+        r1 = variance_reduced_vi(SampleOracle(mdp, 123), plan)
+        r2 = variance_reduced_vi(SampleOracle(mdp, 123), plan)
         np.testing.assert_array_equal(r1.v_hat, r2.v_hat)
         np.testing.assert_array_equal(r1.pi_hat, r2.pi_hat)
         np.testing.assert_array_equal(r1.q_hat, r2.q_hat)
@@ -382,8 +385,8 @@ class TestVarianceReducedSolver:
         # mock charges are formula-level: they depend on the schedule, not
         # on the noise realization
         mdp = fig_two(4, 0.5, {1})
-        params = VarianceReducedParams.for_mdp(mdp, 0.5, 0.1)
-        totals = {variance_reduced_vi(SampleOracle(mdp, s), params).ledger.total
+        plan = Plan.of(mdp, VarianceReducedParams.for_mdp(mdp, 0.5, 0.1))
+        totals = {variance_reduced_vi(SampleOracle(mdp, s), plan).ledger.total
                   for s in range(5)}
         assert len(totals) == 1
 
@@ -392,14 +395,14 @@ class TestVarianceReducedSolver:
         # the contract's confidence level
         mdp = fig_two(4, 1.0, {2})
         params = VarianceReducedParams.for_mdp(mdp, 1.0, 0.1)
+        plan = Plan.of(mdp, params)
         v_star, _, _ = exact_value_iteration(mdp, 1e-10)
         horizon = mdp.effective_horizon
         per_iter = params.iters_per_epoch
         good = 0
         runs = 60
         for seed in range(runs):
-            report = variance_reduced_vi(SampleOracle(mdp, seed), params,
-                                         diagnostics=True)
+            report = variance_reduced_vi(SampleOracle(mdp, seed), plan, diagnostics=True)
             ok = True
             for k in range(1, params.num_epochs + 1):
                 _, _, v_end, _ = report.snapshots[k * per_iter - 1]
@@ -412,19 +415,19 @@ class TestVarianceReducedSolver:
         # confidence level and charge measured (not formula) counts
         mdp = fig_two(2, 1.0, {1})
         params = VarianceReducedParams.for_mdp(mdp, 1.0, 0.2)
-        cfg = EstimatorConfig(backend="statevector")
+        plan = Plan.of(mdp, params, EstimatorConfig(backend="statevector"))
         v_star, _, _ = exact_value_iteration(mdp, 1e-10)
         hits = 0
         charges = set()
         for seed in range(5):
-            report = variance_reduced_vi(SampleOracle(mdp, seed), params, cfg)
+            report = variance_reduced_vi(SampleOracle(mdp, seed), plan)
             hits += bool(np.all(v_star - 1.0 <= report.v_hat + 1e-9)
                          and np.all(report.v_hat <= v_star + 1e-9))
             assert report.monotone_iterates_ok
             charges.add(report.ledger.quantum_oracle_calls)
         assert hits >= 4
         mock_total = variance_reduced_vi(
-            SampleOracle(mdp, 0), params).ledger.quantum_oracle_calls
+            SampleOracle(mdp, 0), Plan.of(mdp, params)).ledger.quantum_oracle_calls
         assert all(c != mock_total for c in charges)
 
     def test_variance_promise_breaches_are_surfaced(self):
@@ -432,8 +435,8 @@ class TestVarianceReducedSolver:
         # with roughly coin-flip odds per row, so breaches must be counted,
         # not raised
         mdp = fig_two(8, 0.5, {3})
-        params = VarianceReducedParams.for_mdp(mdp, 0.5, 0.1)
-        breaches = [variance_reduced_vi(SampleOracle(mdp, s), params)
+        plan = Plan.of(mdp, VarianceReducedParams.for_mdp(mdp, 0.5, 0.1))
+        breaches = [variance_reduced_vi(SampleOracle(mdp, s), plan)
                     .variance_promise_breaches for s in range(10)]
         assert max(breaches) > 0
 
@@ -442,13 +445,13 @@ class TestMaxFindingSolver:
     def test_zero_rewards_exactly_zero(self):
         mdp = zero_reward_mdp()
         report = max_finding_vi(
-            SampleOracle(mdp, 3), MaxFindingParams.for_mdp(mdp, 0.5, 0.1))
+            SampleOracle(mdp, 3), Plan.of(mdp, MaxFindingParams.for_mdp(mdp, 0.5, 0.1)))
         assert np.all(report.v_hat == 0.0)
 
     def test_single_action_reduces_to_shifted_vi(self):
         mdp = two_state_chain(0.9, 0.5)
-        params = MaxFindingParams.for_mdp(mdp, 0.5, 0.1)
-        report = max_finding_vi(SampleOracle(mdp, 5), params)
+        plan = Plan.of(mdp, MaxFindingParams.for_mdp(mdp, 0.5, 0.1))
+        report = max_finding_vi(SampleOracle(mdp, 5), plan)
         assert np.all(report.pi_hat == 0)
         v_star = 1.0 / (1.0 - 0.45)
         assert v_star - 0.5 <= report.v_hat[0] <= v_star + 1e-9
@@ -456,26 +459,26 @@ class TestMaxFindingSolver:
     def test_identifies_large_arm(self):
         # the value gap makes any eps-optimal policy pick the large arm
         mdp = fig_two(8, 1.0, {5})
-        params = MaxFindingParams.for_mdp(mdp, 1.0, 0.1)
+        plan = Plan.of(mdp, MaxFindingParams.for_mdp(mdp, 1.0, 0.1))
         hits = 0
         for seed in range(200):
-            report = max_finding_vi(SampleOracle(mdp, seed), params)
+            report = max_finding_vi(SampleOracle(mdp, seed), plan)
             hits += int(report.pi_hat[0]) == 5
         assert hits / 200 >= 0.90
 
     def test_monotone_always(self):
         mdp = fig_two(4, 1.0, {1})
-        params = MaxFindingParams.for_mdp(mdp, 1.0, 0.1)
+        plan = Plan.of(mdp, MaxFindingParams.for_mdp(mdp, 1.0, 0.1))
         for seed in range(100):
-            report = max_finding_vi(SampleOracle(mdp, seed), params)
+            report = max_finding_vi(SampleOracle(mdp, seed), plan)
             assert report.monotone_iterates_ok
             assert report.greedy_dominance_ok
 
     def test_statevector_argmax_backend(self):
         mdp = fig_two(4, 1.0, {2})
-        params = MaxFindingParams.for_mdp(mdp, 1.0, 0.2)
-        cfg = EstimatorConfig(backend="statevector")
-        report = max_finding_vi(SampleOracle(mdp, 7), params, cfg)
+        plan = Plan.of(mdp, MaxFindingParams.for_mdp(mdp, 1.0, 0.2),
+                       EstimatorConfig(backend="statevector"))
+        report = max_finding_vi(SampleOracle(mdp, 7), plan)
         v_star, _, _ = exact_value_iteration(mdp, 1e-10)
         assert np.all(report.v_hat <= v_star + 1e-8)
         assert np.all(report.v_hat >= v_star - 1.0 - 1e-9)
@@ -486,8 +489,8 @@ class TestMaxFindingSolver:
         mdp = multi_arm_instance(spec)
         params = MaxFindingParams.for_mdp(mdp, 0.5, 0.1)
         with pytest.raises(PreconditionError):
-            max_finding_vi(SampleOracle(mdp, 0), params,
-                           EstimatorConfig(backend="statevector"))
+            max_finding_vi(SampleOracle(mdp, 0),
+                           Plan.of(mdp, params, EstimatorConfig(backend="statevector")))
 
     @pytest.mark.parametrize("backend", ["contract_mock", "statevector"])
     def test_argmax_budget_above_max_probes(self, monkeypatch, backend):
@@ -502,10 +505,10 @@ class TestMaxFindingSolver:
         oracle = SampleOracle(mdp, 4)
         if backend == "statevector":
             with pytest.raises(PreconditionError, match="exceeds MAX_ARGMAX_PROBES"):
-                max_finding_vi(oracle, params, EstimatorConfig(backend=backend))
+                max_finding_vi(oracle, Plan.of(mdp, params, EstimatorConfig(backend=backend)))
             assert keyed == [] and oracle.ledger.total == 0
         else:
-            report = max_finding_vi(oracle, params, EstimatorConfig(backend=backend))
+            report = max_finding_vi(oracle, Plan.of(mdp, params, EstimatorConfig(backend=backend)))
             budget = qmdp.qsim.argmax_query_budget(8, params.est_failure_prob, 1e9)
             assert budget > qmdp.qsim.MAX_ARGMAX_PROBES
             assert report.ledger.phases["iter-1-argmax"] > mdp.num_states * int(budget)
@@ -513,7 +516,7 @@ class TestMaxFindingSolver:
     def test_no_q_output(self):
         mdp = fig_two(2, 1.0, {1})
         report = max_finding_vi(
-            SampleOracle(mdp, 1), MaxFindingParams.for_mdp(mdp, 1.0, 0.1))
+            SampleOracle(mdp, 1), Plan.of(mdp, MaxFindingParams.for_mdp(mdp, 1.0, 0.1)))
         assert report.q_hat is None
 
 
@@ -523,16 +526,16 @@ class TestSampledBaseline:
         r = rng.random((3, 2))
         mdp = Mdp(transitions=rng.dirichlet(np.ones(3), size=(3, 2)), rewards=r,
                   discount=0.0)
-        report = sampled_vi(SampleOracle(mdp, 2),
-                            SampledParams.for_mdp(mdp, eps=0.1, delta=0.1, mode="classical"))
+        report = sampled_vi(SampleOracle(mdp, 2), Plan.of(
+            mdp, SampledParams.for_mdp(mdp, eps=0.1, delta=0.1, mode="classical")))
         np.testing.assert_allclose(report.v_hat, r.max(axis=1), atol=0.1)
 
     def test_value_accuracy_all_modes(self):
         mdp = fig_two(4, 0.5, {1})
         v_star, _, _ = exact_value_iteration(mdp, 1e-10)
         for mode in ("classical", "quantum_mean", "quantum_mean_and_max"):
-            report = sampled_vi(SampleOracle(mdp, 4),
-                                SampledParams.for_mdp(mdp, eps=0.5, delta=0.1, mode=mode))
+            report = sampled_vi(SampleOracle(mdp, 4), Plan.of(
+                mdp, SampledParams.for_mdp(mdp, eps=0.5, delta=0.1, mode=mode)))
             assert np.abs(report.v_hat - v_star).max() <= 0.5, mode
 
     def test_classical_quartering_at_fixed_iteration_count(self):
@@ -540,32 +543,33 @@ class TestSampledBaseline:
         # so halving eps scales total samples by exactly the Hoeffding factor
         mdp = Mdp(transitions=np.full((2, 2, 2), 0.5),
                   rewards=np.array([[0.2, 0.8], [0.5, 0.1]]), discount=0.0)
-        t1 = sampled_vi(SampleOracle(mdp, 0),
-                        SampledParams.for_mdp(mdp, 0.06, 0.2)).ledger.classical_samples
-        t2 = sampled_vi(SampleOracle(mdp, 0),
-                        SampledParams.for_mdp(mdp, 0.03, 0.2)).ledger.classical_samples
+        t1 = sampled_vi(SampleOracle(mdp, 0), Plan.of(
+            mdp, SampledParams.for_mdp(mdp, 0.06, 0.2))).ledger.classical_samples
+        t2 = sampled_vi(SampleOracle(mdp, 0), Plan.of(
+            mdp, SampledParams.for_mdp(mdp, 0.03, 0.2))).ledger.classical_samples
         assert t2 / t1 == pytest.approx(4.0, rel=0.05)
 
     def test_quantum_mean_doubling(self):
         mdp = Mdp(transitions=np.full((2, 2, 2), 0.5),
                   rewards=np.array([[0.2, 0.8], [0.5, 0.1]]), discount=0.0)
-        t1 = sampled_vi(SampleOracle(mdp, 0), SampledParams.for_mdp(
-            mdp, 0.06, 0.2, mode="quantum_mean")).ledger.quantum_oracle_calls
-        t2 = sampled_vi(SampleOracle(mdp, 0), SampledParams.for_mdp(
-            mdp, 0.03, 0.2, mode="quantum_mean")).ledger.quantum_oracle_calls
+        t1 = sampled_vi(SampleOracle(mdp, 0), Plan.of(mdp, SampledParams.for_mdp(
+            mdp, 0.06, 0.2, mode="quantum_mean"))).ledger.quantum_oracle_calls
+        t2 = sampled_vi(SampleOracle(mdp, 0), Plan.of(mdp, SampledParams.for_mdp(
+            mdp, 0.03, 0.2, mode="quantum_mean"))).ledger.quantum_oracle_calls
         assert t2 / t1 == pytest.approx(2.0, rel=0.10)
 
     def test_mode_validation(self):
         mdp = fig_two(2, 1.0, {1})
         with pytest.raises(PreconditionError):
-            sampled_vi(SampleOracle(mdp, 0), SampledParams.for_mdp(mdp, 0.5, 0.1, mode="bogus"))
+            sampled_vi(SampleOracle(mdp, 0),
+                       Plan.of(mdp, SampledParams.for_mdp(mdp, 0.5, 0.1, mode="bogus")))
 
     def test_argmax_mode_charges_more(self):
         mdp = fig_two(8, 1.0, {3})
-        q_mean = sampled_vi(SampleOracle(mdp, 1), SampledParams.for_mdp(
-            mdp, 1.0, 0.1, mode="quantum_mean")).ledger.quantum_oracle_calls
-        q_max = sampled_vi(SampleOracle(mdp, 1), SampledParams.for_mdp(
-            mdp, 1.0, 0.1, mode="quantum_mean_and_max")).ledger.quantum_oracle_calls
+        q_mean = sampled_vi(SampleOracle(mdp, 1), Plan.of(mdp, SampledParams.for_mdp(
+            mdp, 1.0, 0.1, mode="quantum_mean"))).ledger.quantum_oracle_calls
+        q_max = sampled_vi(SampleOracle(mdp, 1), Plan.of(mdp, SampledParams.for_mdp(
+            mdp, 1.0, 0.1, mode="quantum_mean_and_max"))).ledger.quantum_oracle_calls
         assert q_max > q_mean
 
     def test_classical_call_keys_hashed_in_runs(self, monkeypatch):
@@ -576,7 +580,7 @@ class TestSampledBaseline:
                             lambda keys: runs.append(len(keys)) or real(keys))
         mdp = fig_two(8, 0.5, {3})
         oracle = SampleOracle(mdp, 6)
-        sampled_vi(oracle, SampledParams.for_mdp(mdp, 0.3, 0.1))
+        sampled_vi(oracle, Plan.of(mdp, SampledParams.for_mdp(mdp, 0.3, 0.1)))
         assert oracle._calls == 50 * 16
         assert len(runs) <= -(-oracle._calls // qmdp.rng.DIGEST_KEYS) + 1
 
@@ -626,7 +630,7 @@ class TestBatchedInvariantChecks:
         assert steps > block + 1
         step = {"first": 1, "block-end": block, "block-start": block + 1, "last": steps}[where]
         offered, _ = self.offers(monkeypatch, step)
-        report = solver(SampleOracle(mdp, 8), params)
+        report = solver(SampleOracle(mdp, 8), Plan.of(mdp, params))
         run = Run(mdp, 8, CFG, params.est_failure_prob)
         for v_new, pi_new in offered:
             run.keep_better(v_new, pi_new)
@@ -640,7 +644,8 @@ class TestBatchedInvariantChecks:
         mdp = fig_two(8, 0.5, {3})
         _, buffers = self.offers(monkeypatch)
         for eps in (1.0, 0.3):  # 164 and 306 steps
-            variance_reduced_vi(SampleOracle(mdp, 9), VarianceReducedParams.for_mdp(mdp, eps, 0.1))
+            variance_reduced_vi(SampleOracle(mdp, 9),
+                                Plan.of(mdp, VarianceReducedParams.for_mdp(mdp, eps, 0.1)))
         assert len(buffers) == 1 and buffers.pop() <= 8 * (2 * solvers.CHECK_CELLS + 2)
 
 
@@ -648,7 +653,7 @@ class TestReportShape:
     def test_report_dict_round_trip_fields(self):
         mdp = fig_two(2, 1.0, {1})
         report = variance_reduced_vi(
-            SampleOracle(mdp, 9), VarianceReducedParams.for_mdp(mdp, 1.0, 0.1))
+            SampleOracle(mdp, 9), Plan.of(mdp, VarianceReducedParams.for_mdp(mdp, 1.0, 0.1)))
         doc = report.to_dict()
         assert set(doc) >= {"solver", "seed", "v_hat", "pi_hat", "q_hat", "ledger",
                             "params", "diagnostics"}
@@ -657,7 +662,7 @@ class TestReportShape:
     def test_phase_breakdown_labels(self):
         mdp = fig_two(2, 1.0, {1})
         report = variance_reduced_vi(
-            SampleOracle(mdp, 9), VarianceReducedParams.for_mdp(mdp, 1.0, 0.1))
+            SampleOracle(mdp, 9), Plan.of(mdp, VarianceReducedParams.for_mdp(mdp, 1.0, 0.1)))
         labels = set(report.ledger.phases)
         assert any(lbl.endswith("line-8") for lbl in labels)
         assert any(lbl.endswith("line-9") for lbl in labels)
@@ -667,14 +672,16 @@ class TestReportShape:
 
 GUARD_SOLVES = {
     "variance-reduced": lambda o: variance_reduced_vi(
-        o, VarianceReducedParams.for_mdp(o.mdp, 1.0, 0.1)),
-    "max-finding": lambda o: max_finding_vi(o, MaxFindingParams.for_mdp(o.mdp, 1.0, 0.1)),
-    "max-finding-statevector": lambda o: max_finding_vi(
-        o, MaxFindingParams.for_mdp(o.mdp, 1.0, 0.1), EstimatorConfig(backend="statevector")),
-    "variance-reduced-statevector": lambda o: variance_reduced_vi(
-        o, VarianceReducedParams.for_mdp(o.mdp, 1.0, 0.1), EstimatorConfig(backend="statevector")),
+        o, Plan.of(o.mdp, VarianceReducedParams.for_mdp(o.mdp, 1.0, 0.1))),
+    "max-finding": lambda o: max_finding_vi(
+        o, Plan.of(o.mdp, MaxFindingParams.for_mdp(o.mdp, 1.0, 0.1))),
+    "max-finding-statevector": lambda o: max_finding_vi(o, Plan.of(
+        o.mdp, MaxFindingParams.for_mdp(o.mdp, 1.0, 0.1), EstimatorConfig(backend="statevector"))),
+    "variance-reduced-statevector": lambda o: variance_reduced_vi(o, Plan.of(
+        o.mdp, VarianceReducedParams.for_mdp(o.mdp, 1.0, 0.1),
+        EstimatorConfig(backend="statevector"))),
     **{f"sampled-{mode}": (lambda o, mode=mode: sampled_vi(
-        o, SampledParams.for_mdp(o.mdp, 1.0, 0.1, mode=mode)))
+        o, Plan.of(o.mdp, SampledParams.for_mdp(o.mdp, 1.0, 0.1, mode=mode))))
        for mode in solvers.SAMPLED_MODES},
 }
 
@@ -736,18 +743,18 @@ def test_bulk_streams_keyed_only_to_replay(monkeypatch, name):
     if name == "variance-reduced":
         params = dataclasses.replace(VarianceReducedParams.for_mdp(mdp, 0.5, 0.1),
                                      est_failure_prob=0.02)
-        solve = lambda o: variance_reduced_vi(o, params)  # noqa: E731
+        solve = lambda o: variance_reduced_vi(o, Plan.of(mdp, params))  # noqa: E731
         keys = list(itertools.product([2], ["vr"], range(1, params.num_epochs + 1),
                                       range(1, params.iters_per_epoch + 1), ["line13"]))
         epochs = range(1, params.num_epochs + 1)
     elif name == "max-finding":
         params = dataclasses.replace(MaxFindingParams.for_mdp(mdp, 0.5, 0.1),
                                      est_failure_prob=0.02)
-        solve = lambda o: max_finding_vi(o, params)  # noqa: E731
+        solve = lambda o: max_finding_vi(o, Plan.of(mdp, params))  # noqa: E731
         keys = list(itertools.product([2], ["mf"], range(1, params.iters + 1), ["line10"]))
     else:
         solve = lambda o: sampled_vi(  # noqa: E731
-            o, SampledParams.for_mdp(o.mdp, 5.0, 0.99, mode="quantum_mean"))
+            o, Plan.of(o.mdp, SampledParams.for_mdp(o.mdp, 5.0, 0.99, mode="quantum_mean")))
         keys = list(itertools.product([2], ["svi"], range(1, 23)))
     derived, rekeyed, replayed = [], [], []
     real_keyed = SampleOracle.keyed_rng
@@ -781,12 +788,12 @@ def test_bulk_streams_keyed_only_to_replay(monkeypatch, name):
 # S*A = 2*40 = 80 > 64: no estimate is drawn in bulk, and a failed one is
 # drawn on the stream it was keyed to
 KEYED_ONCE = {
-    "variance-reduced": lambda o, cfg: variance_reduced_vi(o, dataclasses.replace(
-        VarianceReducedParams.for_mdp(o.mdp, 1.0, 0.1), est_failure_prob=0.3), cfg),
-    "max-finding": lambda o, cfg: max_finding_vi(o, dataclasses.replace(
-        MaxFindingParams.for_mdp(o.mdp, 1.0, 0.1), est_failure_prob=0.3), cfg),
+    "variance-reduced": lambda o, cfg: variance_reduced_vi(o, Plan.of(o.mdp, dataclasses.replace(
+        VarianceReducedParams.for_mdp(o.mdp, 1.0, 0.1), est_failure_prob=0.3), cfg)),
+    "max-finding": lambda o, cfg: max_finding_vi(o, Plan.of(o.mdp, dataclasses.replace(
+        MaxFindingParams.for_mdp(o.mdp, 1.0, 0.1), est_failure_prob=0.3), cfg)),
     **{f"sampled-{mode}": (lambda o, cfg, mode=mode: sampled_vi(
-        o, SampledParams.for_mdp(o.mdp, 1.0, 0.99, mode), cfg))
+        o, Plan.of(o.mdp, SampledParams.for_mdp(o.mdp, 1.0, 0.99, mode), cfg)))
        for mode in solvers.SAMPLED_MODES},
 }
 
@@ -851,6 +858,12 @@ REFUSALS = {
     "phase-bits-sampled": (fig_two(4, 1.0, {1}),
                            lambda m: SampledParams.for_mdp(m, 1e-6, 0.1, mode="quantum_mean"), SV,
                            sampled_vi, r"^statevector backend cannot reach relative accuracy"),
+    "c1-not-finite": (fig_two(8, 0.3, {3}), lambda m: MaxFindingParams.for_mdp(m, 0.3, 0.1),
+                      EstimatorConfig(c1=1e308), max_finding_vi,
+                      r"^range-bounded charge is not finite at c1 = 1e\+308$"),
+    "c2-not-finite": (fig_two(8, 0.3, {3}), lambda m: VarianceReducedParams.for_mdp(m, 0.3, 0.1),
+                      EstimatorConfig(c2=1e308), variance_reduced_vi,
+                      r"^variance-bounded charge is not finite at c2 = 1e\+308$"),
 }
 
 
@@ -864,7 +877,7 @@ def test_refusals_come_before_the_first_stream(monkeypatch, name):
     monkeypatch.setattr(SampleOracle, "keyed_rng", lambda self, digest: keyed.append(digest))
     oracle = SampleOracle(mdp, 1)
     with pytest.raises(PreconditionError, match=message):
-        solve(oracle, params, cfg)
+        solve(oracle, Plan.of(mdp, params, cfg))
     assert keyed == [] and oracle.ledger.total == 0
 
 
