@@ -1,5 +1,6 @@
 """Tests for the exact tabular-MDP layer."""
 
+import hashlib
 import itertools
 import tracemalloc
 
@@ -420,7 +421,26 @@ class TestOptimalityInvariant:
                 assert np.all(v >= policy_value_exact(m, pi) - 1e-7)
 
 
+def pinned_mdp():
+    """Three states, two actions: a non-trivial float in every row, exact
+    0.0 and 1.0 entries, and entries of 1e-300 and 2^-40."""
+    return Mdp(transitions=[[[0.1, 0.2, 0.7], [1 / 3, 1 / 3, 1 / 3]],
+                            [[0.0, 0.6180339887498949, 0.3819660112501051],
+                             [2**-40, 0.5, 0.5 - 2**-40]],
+                            [[0.123456789, 0.0, 0.876543211], [0.25, 0.75, 1e-300]]],
+               rewards=[[1.0, 1 / 7], [0.0, 0.3141592653589793], [2 / 3, 1e-5]],
+               discount=0.95)
+
+
 class TestJsonRoundTrip:
+    def test_saved_bytes_are_pinned(self, tmp_path):
+        # recorded before the writer streamed its rows: the layout (sorted
+        # keys, two-space indents, one float a line, final newline) is fixed
+        path = tmp_path / "m.json"
+        save_mdp_json(pinned_mdp(), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "b3b32262efd98412f1a96096d30122ecbaae8fbab1405164b49a843f99835684")
+
     def test_round_trip(self, tmp_path):
         rng = derived_rng(15, "json")
         m = random_mdp(rng, max_states=4, max_actions=3)
