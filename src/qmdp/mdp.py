@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -46,6 +47,11 @@ OPTIMUM_TOL = 1e-10  # max-norm certificate of the ground truth held by Mdp.opti
 # blocks of whole states (one state's A*S cells when that is more)
 VARIANCE_BLOCK_CELLS = 2**15
 MAX_DENSE_BYTES = 2**30  # largest float64 transition tensor an instance may ask for
+READ_CHUNK_CHARS = 2**16  # text load_mdp_json reads at a time
+# a whole string, a row (an array with no bracket, brace or quote inside), or either cut off
+# by the text's end; possessive repeats keep no per-char backtracking state for long strings
+_TOKEN = re.compile(r'(?P<str>"[^"\\]*+(?:\\.[^"\\]*+)*+")|(?P<row>\[[^\[\]{}"]*+\])'
+                    r'|(?P<cut>"[^"\\]*+(?:\\.[^"\\]*+)*+\\?\Z|\[[^\[\]{}"]*+\Z)', re.DOTALL)
 
 
 @dataclass(frozen=True)
@@ -271,8 +277,28 @@ def total_variance_norm(mdp: Mdp, pi: np.ndarray) -> float:
     return float(np.abs(z).max())
 
 
+def _shown(x) -> str:
+    """A document or entry as a message shows it: JSON text for a scalar."""
+    return ("an object" if isinstance(x, dict) else "an array" if isinstance(x, (list, np.ndarray))
+            else json.dumps(x, default=repr))
+
+
+def _non_number(x, at=""):
+    """(index path, entry) of the first entry of the nested lists x that is
+    not a number, or None; an array (a row load_mdp_json checked) counts."""
+    for i, e in enumerate(x if isinstance(x, list) else ()):
+        if isinstance(e, list):
+            if found := _non_number(e, f"{at}[{i}]"):
+                return found
+        elif isinstance(e, bool) or not isinstance(e, (int, float, np.number, np.ndarray)):
+            return f"{at}[{i}]", e
+    return None
+
+
 def mdp_from_dict(doc: dict, source: str = "<mdp>") -> Mdp:
     """Build an Mdp from the JSON document format, with path-specific errors."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{source}: MDP document must be a JSON object, got {_shown(doc)}")
     for key in ("S", "A", "gamma", "r", "p"):
         if key not in doc:
             raise ConfigError(f"{source}: missing required key '{key}'")
@@ -283,10 +309,13 @@ def mdp_from_dict(doc: dict, source: str = "<mdp>") -> Mdp:
     if size > MAX_DENSE_BYTES:  # before r or p is converted
         raise ConfigError(f"{source}: S = {s} and A = {a} need a dense transition tensor of "
                           f"8*S^2*A = {size} bytes, above {MAX_DENSE_BYTES}")
+    for key in ("r", "p"):  # np.asarray would take true as 1.0 and "0.5" as 0.5
+        if bad := _non_number(doc[key]):
+            raise ConfigError(f"{source}: {key}{bad[0]} must be a number, got {_shown(bad[1])}")
     try:
         p = np.asarray(doc["p"], dtype=float)
         r = np.asarray(doc["r"], dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{source}: r/p are not numeric arrays: {exc}") from exc
     if p.shape != (s, a, s):
         raise ConfigError(f"{source}: p has shape {p.shape}, expected ({s}, {a}, {s})")
@@ -301,14 +330,12 @@ def mdp_from_dict(doc: dict, source: str = "<mdp>") -> Mdp:
         raise ConfigError(f"{source}: {exc}") from exc
 
 
+def _doc(mdp: Mdp, r, p) -> dict:
+    return {"S": mdp.num_states, "A": mdp.num_actions, "gamma": mdp.discount, "r": r, "p": p}
+
+
 def mdp_to_dict(mdp: Mdp) -> dict:
-    return {
-        "S": mdp.num_states,
-        "A": mdp.num_actions,
-        "gamma": mdp.discount,
-        "r": mdp.rewards.tolist(),
-        "p": mdp.transitions.tolist(),
-    }
+    return _doc(mdp, mdp.rewards.tolist(), mdp.transitions.tolist())
 
 
 def _read_json(path):
@@ -320,16 +347,57 @@ def _read_json(path):
             raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
 
 
-def _write_json(doc, path) -> None:
+def _write_json(doc, path, default=None) -> None:
     """Write doc with sorted keys, two-space indents and a final newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
+        json.dump(doc, fh, sort_keys=True, indent=2, default=default)
         fh.write("\n")
 
 
+def _put_back(x, rows):
+    """Skeleton x with each [i] replaced by rows[i] (every array of scalars was a row)."""
+    if isinstance(x, dict):
+        return {k: _put_back(v, rows) for k, v in x.items()}
+    if isinstance(x, list):
+        return rows[x[0]] if len(x) == 1 and type(x[0]) is int else [_put_back(v, rows) for v in x]
+    return x
+
+
+def _read_rows(path):
+    """The JSON document at path, read READ_CHUNK_CHARS at a time (or the carried piece's length,
+    so a long token stays linear): rows alone as float64 arrays (a list if an entry is not a
+    number), the rest with row i as [i] by one json.loads.  Raises JSONDecodeError where
+    json.load would; r and p within MAX_DENSE_BYTES take at most twice it."""
+    rows, skeleton, carry, cells = [], [], "", 0
+    with open(path, "r", encoding="utf-8") as fh:
+        while chunk := fh.read(max(READ_CHUNK_CHARS, len(carry))):
+            text, pos, end = carry + chunk, 0, len(carry) + len(chunk)
+            for m in _TOKEN.finditer(text):
+                if m.lastgroup == "row":
+                    skeleton += (text[pos:m.start()], f"[{len(rows)}]")
+                    # an int entry becomes float(int(t)) ("-0" too), or inf past float range
+                    row = json.loads(m.group(), parse_int=lambda t: float(t) + 0.0)
+                    rows.append(np.array(row) if set(map(type, row)) <= {float} else row)
+                    pos, cells = m.end(), cells + len(row)
+                elif m.lastgroup == "cut":  # carried into the next chunk
+                    end = m.start()
+            if 8 * cells > 2 * MAX_DENSE_BYTES:
+                raise ConfigError(f"{path}: arrays of more than {2 * MAX_DENSE_BYTES} bytes as float64")
+            skeleton.append(text[pos:end])
+            carry = text[end:]
+    return _put_back(json.loads("".join(skeleton) + carry), rows)
+
+
 def load_mdp_json(path) -> Mdp:
-    return mdp_from_dict(_read_json(path), source=str(path))
+    """The MDP file at path, read a row at a time (``_read_rows``), never as one text."""
+    try:
+        doc = _read_rows(path)
+    except json.JSONDecodeError:
+        doc = _read_json(path)  # raises with json's own message
+    return mdp_from_dict(doc, source=str(path))
 
 
 def save_mdp_json(mdp: Mdp, path) -> None:
-    _write_json(mdp_to_dict(mdp), path)
+    # rows go to the encoder as arrays, each made Python floats as it is written
+    _write_json(_doc(mdp, list(mdp.rewards), [list(x) for x in mdp.transitions]), path,
+                default=np.ndarray.tolist)

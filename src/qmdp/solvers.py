@@ -192,8 +192,11 @@ class VarianceReducedParams:
         """``(line, k) -> Line`` for lines 8 (its two estimates), 9 and 13 of every epoch k."""
         h, gamma, f = mdp.effective_horizon, mdp.discount, self.est_failure_prob
         window = self.c * (1.0 - gamma) ** 1.5 * self.eps
-        line9 = Line(mdp.num_states * mdp.num_actions, None, window, f,
-                     variance_mean_charge(1.0, window, f, cfg))
+        rows = mdp.num_states * mdp.num_actions
+        # a solve sums the charge over all S*A rows at sigma/err = 1/window,
+        # whatever sigma: refuse here the sum it would refuse
+        variance_mean_charge(np.broadcast_to(1.0, rows), np.broadcast_to(window, rows), f, cfg)
+        line9 = Line(rows, None, window, f, variance_mean_charge(1.0, window, f, cfg))
         lines = {}
         for k in range(1, self.num_epochs + 1):
             lines["line8-sq", k] = _bounded(mdp, cfg, 1, h**2, self.b, f)

@@ -254,7 +254,12 @@ class TestSolveCommand:
         ({"hard_instance": {"gamma": 0.9, "num_actions": 8, "eps": 0.3, "large_arms": [3]}},
          {"name": "variance-reduced", "eps": 0.3, "delta": 0.1}, {"c2": 1e308},
          r"variance-bounded charge is not finite at c2 = 1e\+308"),
-    ], ids=["actions", "probes", "hoeffding-inf", "hoeffding-int64", "phase-bits", "c1", "c2"])
+        # one row's charge is finite here, the sum over the S*A = 16 rows a solve charges is not
+        ({"hard_instance": {"gamma": 0.9, "num_actions": 8, "eps": 0.3, "large_arms": [3]}},
+         {"name": "variance-reduced", "eps": 0.3, "delta": 0.1}, {"c2": 1e301},
+         r"variance-bounded charge is not finite at c2 = 1e\+301"),
+    ], ids=["actions", "probes", "hoeffding-inf", "hoeffding-int64", "phase-bits", "c1", "c2",
+            "c2-1e301"])
     def test_schedule_refusal_exits_2_before_any_stream(self, tmp_path, capsys, monkeypatch,
                                                         instance, solver, estimator, message):
         # each refusal depends only on (mdp, params, cfg): the plan raises it
@@ -415,6 +420,20 @@ class TestSolveCommand:
         assert main(["solve", "--config", str(cfg), "--out",
                      str(tmp_path / "r.json")]) == 2
         assert re.search(message, capsys.readouterr().err)
+
+    @pytest.mark.parametrize("text,message", [
+        ("5", r"MDP document must be a JSON object, got 5"),
+        ('{"S": 2, "A": 1, "gamma": 0.9, "r": [[0.5], [0.0]], "p": [[[true, false]], [[0.0, 1.0]]]}',
+         r"p\[0\]\[0\]\[0\] must be a number, got true"),
+    ], ids=["int-document", "bool-entry"])
+    def test_ill_typed_path_file_exit_code(self, tmp_path, capsys, text, message):
+        (tmp_path / "m.json").write_text(text)
+        doc = fig_two_config()
+        doc["instance"] = {"path": str(tmp_path / "m.json")}
+        cfg = write_config(tmp_path, doc)
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: \S*m\.json: " + message + r"\n", err), err
 
     @pytest.mark.parametrize("source", ["solve-inline", "solve-path", "oracle-build"])
     def test_document_over_the_dense_bound_exit_code(self, tmp_path, capsys, monkeypatch,

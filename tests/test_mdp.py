@@ -2,6 +2,8 @@
 
 import hashlib
 import itertools
+import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -489,3 +491,155 @@ class TestJsonRoundTrip:
         from qmdp import hard_instances
 
         assert hard_instances.MAX_DENSE_BYTES is mdp_mod.MAX_DENSE_BYTES == 2**30
+
+    @pytest.mark.parametrize("doc,shown", [
+        (5, "5"), ("m", '"m"'), (None, "null"), ([1, 2], "an array"),
+    ], ids=["int", "string", "null", "array"])
+    def test_document_that_is_not_an_object_is_refused(self, tmp_path, doc, shown):
+        with pytest.raises(ConfigError, match=rf"^<mdp>: MDP document must be a JSON object, "
+                                              rf"got {re.escape(shown)}$"):
+            mdp_from_dict(doc)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: MDP document must be "
+                                              rf"a JSON object, got {re.escape(shown)}$"):
+            load_mdp_json(path)
+
+    @pytest.mark.parametrize("key,index,value,shown", [
+        ("p", (0, 0, 0), True, "true"),
+        ("p", (1, 1, 1), False, "false"),
+        ("p", (1, 0, 1), None, "null"),
+        ("r", (0, 0), "0.5", '"0.5"'),
+        ("r", (1, 1), {"a": 1}, "an object"),
+        ("p", (0, 1), "[0.5, 0.5]", '"[0.5, 0.5]"'),
+    ], ids=["true", "false", "null", "numeric-string", "object", "row-as-string"])
+    def test_entry_that_is_not_a_number_is_refused(self, tmp_path, key, index, value, shown):
+        # np.asarray(..., dtype=float) would take true as 1.0, "0.5" as 0.5
+        # and null as NaN; files, inline blocks and oracle-build share this check
+        doc = mdp_to_dict(uniform_two_state())
+        *outer, last = index
+        target = doc[key]
+        for i in outer:
+            target = target[i]
+        target[last] = value
+        at = "".join(f"[{i}]" for i in index)
+        message = rf"{re.escape(key + at)} must be a number, got {re.escape(shown)}$"
+        with pytest.raises(ConfigError, match=r"^<mdp>: " + message):
+            mdp_from_dict(doc)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc, indent=2))
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: " + message):
+            load_mdp_json(path)
+
+    def test_numpy_scalars_from_python_callers_are_numbers(self):
+        doc = mdp_to_dict(uniform_two_state())
+        doc["r"][0] = [np.float64(0.25), np.int64(1)]
+        assert mdp_from_dict(doc).rewards[0].tolist() == [0.25, 1.0]
+
+    def test_int_beyond_float_range_is_refused(self, tmp_path):
+        doc = mdp_to_dict(uniform_two_state())
+        doc["r"][1][0] = 10**400
+        with pytest.raises(ConfigError, match=r"^<mdp>: r/p are not numeric arrays: int too large"):
+            mdp_from_dict(doc)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))  # a file's int entries are read as floats
+        with pytest.raises(ConfigError, match=r"m\.json: rewards\[1\]\[0\] = inf is not finite$"):
+            load_mdp_json(path)
+
+
+# Documents crossing every kind of cut a chunk of the reader can make: in a
+# string, in an escape, in a row and in a number outside the rows.  Integer
+# entries, strings holding brackets, braces, quotes and escapes, and nested
+# extra keys, in one-line, indent-2 and compact layouts; exponents, -0 and
+# -0.0 in a handwritten one.
+_MATRIX_DOC = {
+    "S": 2, "A": 2, "gamma": 0.9,
+    "name": 'a "quoted" [1, 2] {row} \\ back\\"slash é\n',
+    "meta": {"tags": ["x", "[0.5]", ""], "nested": [[1, 2], [{"k": [3.5e-7]}], []],
+             "n": -12.5e-3, "ok": True, "none": None},
+    "r": [[0.5, 1], [0, 0.3333333333333333]],
+    "p": [[[0.5, 0.5], [1, 0]], [[0.25, 0.75], [0.1, 0.9]]],
+}
+_MATRIX = {
+    "one-line": json.dumps(_MATRIX_DOC),
+    "indent-2": json.dumps(_MATRIX_DOC, indent=2, ensure_ascii=False),
+    "compact": json.dumps(_MATRIX_DOC, separators=(",", ":")),
+    "handwritten": '{"A": 2, "S": 2, "gamma": 9e-1, "r": [[0.5,1], [-0, 25E-2]],\n'
+                   ' "p": [[[ 0.5 ,5e-1 ], [1,-0]], [[-0.0, 1.0], [0.1,0.9 ]]]}',  # "-0" is 0.0
+    "saved": None,  # as save_mdp_json writes the pinned MDP
+}
+
+
+class TestBoundedFileIo:
+    """load_mdp_json holds one row of a file at a time as text or Python
+    floats, and save_mdp_json one row as Python floats."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64, None], ids=["chunk-1", "chunk-7", "chunk-64",
+                                                             "chunk-default"])
+    @pytest.mark.parametrize("layout", sorted(_MATRIX))
+    def test_reader_equals_json_load(self, tmp_path, monkeypatch, layout, chunk):
+        path = tmp_path / "m.json"
+        if _MATRIX[layout] is None:
+            save_mdp_json(pinned_mdp(), path)
+        else:
+            path.write_text(_MATRIX[layout], encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            want = mdp_from_dict(json.load(fh), source=str(path))
+        if chunk is not None:
+            monkeypatch.setattr(mdp_mod, "READ_CHUNK_CHARS", chunk)
+        got = load_mdp_json(path)
+        assert got.transitions.tobytes() == want.transitions.tobytes()
+        assert got.rewards.tobytes() == want.rewards.tobytes()
+        assert got.discount == want.discount
+
+    @pytest.mark.parametrize("chunk", [1, 7, None], ids=["chunk-1", "chunk-7", "chunk-default"])
+    @pytest.mark.parametrize("text", [
+        '{"S": 1, "A": 1, "gamma": 0.9, "r": [[0.5]], "p": [[[1.0]]], "name": "open',
+        '{"S": 1, "A": 1, "gamma": 0.9, "r": [[0.5,]], "p": [[[1.0]]]}',
+        '{"S": 1, "A": 1, "gamma": 0.9, "r": [[0.5]], "p": [[[1.0]]',
+    ], ids=["unterminated-string", "trailing-comma-in-row", "truncated"])
+    def test_invalid_json_keeps_json_message(self, tmp_path, monkeypatch, text, chunk):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        with pytest.raises(json.JSONDecodeError) as want:
+            json.loads(text)
+        if chunk is not None:
+            monkeypatch.setattr(mdp_mod, "READ_CHUNK_CHARS", chunk)
+        with pytest.raises(ConfigError) as got:
+            load_mdp_json(path)
+        assert str(got.value) == f"{path}: not valid JSON ({want.value})"
+
+    def test_rows_past_the_dense_bound_stop_the_reader(self, tmp_path, monkeypatch):
+        # r and p of an MDP within the bound hold 8*S*A*(S+1) <= 2*MAX_DENSE_BYTES
+        # bytes; the reader stops at the chunk that passes that, before the
+        # invalid rest of this file is read
+        path = tmp_path / "m.json"
+        path.write_text('{"p": [' + ", ".join(["[0.5, 0.5]"] * 8) + "] not json")
+        monkeypatch.setattr(mdp_mod, "MAX_DENSE_BYTES", 8 * 2 * 2 * 1)
+        monkeypatch.setattr(mdp_mod, "READ_CHUNK_CHARS", 64)
+        with pytest.raises(ConfigError, match=r"m\.json: arrays of more than 64 bytes as float64"):
+            load_mdp_json(path)
+
+    def test_memory_bounded_at_s128(self, tmp_path):
+        # the (S, A, S) tensor is 1 MiB; json.load held its text and one
+        # Python float per entry (about 8x), the nested-list writer about 4x
+        m = dirichlet_mdp(128, 8)
+        path = tmp_path / "m.json"
+        tensor = m.transitions.nbytes
+        assert TestBlockedSuccessorVariance.peak_bytes(save_mdp_json, m, path) < 0.25 * tensor
+        assert TestBlockedSuccessorVariance.peak_bytes(load_mdp_json, path) < 4 * tensor
+        assert load_mdp_json(path).transitions.tobytes() == m.transitions.tobytes()
+
+    def test_long_string_costs_memory_in_proportion(self, tmp_path):
+        # a 1.5 MB string with an escape every third char, carried across many
+        # chunks: a regex that kept backtracking state per char took about
+        # 100 bytes a char here
+        path = tmp_path / "m.json"
+        text = json.dumps({"note": "x\n" * (1 << 19)})
+        path.write_text(text)
+
+        def load():
+            with pytest.raises(ConfigError, match="missing required key 'S'"):
+                load_mdp_json(path)
+
+        assert TestBlockedSuccessorVariance.peak_bytes(load) < 8 * len(text)

@@ -864,6 +864,10 @@ REFUSALS = {
     "c2-not-finite": (fig_two(8, 0.3, {3}), lambda m: VarianceReducedParams.for_mdp(m, 0.3, 0.1),
                       EstimatorConfig(c2=1e308), variance_reduced_vi,
                       r"^variance-bounded charge is not finite at c2 = 1e\+308$"),
+    # finite for one line-9 row, not summed over the S*A = 16 rows a solve charges
+    "c2-1e301": (fig_two(8, 0.3, {3}), lambda m: VarianceReducedParams.for_mdp(m, 0.3, 0.1),
+                 EstimatorConfig(c2=1e301), variance_reduced_vi,
+                 r"^variance-bounded charge is not finite at c2 = 1e\+301$"),
 }
 
 
