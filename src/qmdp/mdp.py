@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -48,10 +49,7 @@ OPTIMUM_TOL = 1e-10  # max-norm certificate of the ground truth held by Mdp.opti
 VARIANCE_BLOCK_CELLS = 2**15
 MAX_DENSE_BYTES = 2**30  # largest float64 transition tensor an instance may ask for
 READ_CHUNK_CHARS = 2**16  # text load_mdp_json reads at a time
-# a whole string, a row (an array with no bracket, brace or quote inside), or either cut off
-# by the text's end; possessive repeats keep no per-char backtracking state for long strings
-_TOKEN = re.compile(r'(?P<str>"[^"\\]*+(?:\\.[^"\\]*+)*+")|(?P<row>\[[^\[\]{}"]*+\])'
-                    r'|(?P<cut>"[^"\\]*+(?:\\.[^"\\]*+)*+\\?\Z|\[[^\[\]{}"]*+\Z)', re.DOTALL)
+_OPEN = re.compile(r'["\[]')  # where a string or a row may start
 
 
 @dataclass(frozen=True)
@@ -364,32 +362,37 @@ def _put_back(x, rows):
 
 
 def _read_rows(path):
-    """The JSON document at path, read READ_CHUNK_CHARS at a time (or the carried piece's length,
-    so a long token stays linear): rows alone as float64 arrays (a list if an entry is not a
-    number), the rest with row i as [i] by one json.loads.  Raises JSONDecodeError where
-    json.load would; r and p within MAX_DENSE_BYTES take at most twice it."""
+    """The JSON document at path, read READ_CHUNK_CHARS at a time or more: each row (an array with
+    no bracket, brace or quote inside) alone, the rest with row i as [i]; raises where json.load would."""
     rows, skeleton, carry, cells = [], [], "", 0
     with open(path, "r", encoding="utf-8") as fh:
-        while chunk := fh.read(max(READ_CHUNK_CHARS, len(carry))):
-            text, pos, end = carry + chunk, 0, len(carry) + len(chunk)
-            for m in _TOKEN.finditer(text):
-                if m.lastgroup == "row":
-                    skeleton += (text[pos:m.start()], f"[{len(rows)}]")
-                    # an int entry becomes float(int(t)) ("-0" too), or inf past float range
-                    row = json.loads(m.group(), parse_int=lambda t: float(t) + 0.0)
-                    rows.append(np.array(row) if set(map(type, row)) <= {float} else row)
-                    pos, cells = m.end(), cells + len(row)
-                elif m.lastgroup == "cut":  # carried into the next chunk
-                    end = m.start()
-            if 8 * cells > 2 * MAX_DENSE_BYTES:
-                raise ConfigError(f"{path}: arrays of more than {2 * MAX_DENSE_BYTES} bytes as float64")
-            skeleton.append(text[pos:end])
-            carry = text[end:]
+        while chunk := fh.read(max(READ_CHUNK_CHARS, len(carry))):  # a long piece stays linear
+            text, start, pos, stop, carry = carry + chunk, 0, 0, 0, ""
+            while m := _OPEN.search(text, pos):
+                i, pos = m.span()
+                if text[i] == '"':
+                    with suppress(json.JSONDecodeError):  # else cut by the text's end (or not valid): carried
+                        pos = json.decoder.scanstring(text, pos)[1]
+                        continue
+                elif stop <= i and (stop := text.find("]", i)) < 0:
+                    stop = len(text)  # no array ends in this text
+                if text[i] == "[" and any(text.find(c, pos, stop) >= 0 for c in '[{"'):
+                    continue  # an array with an array, object or string inside
+                if text[i] == '"' or stop == len(text):
+                    carry = text[i:]  # a string or a row cut by the text's end
+                    break
+                if 8 * (cells := cells + text.count(",", i, stop) + 1) > 2 * MAX_DENSE_BYTES:
+                    raise ConfigError(f"{path}: arrays of more than {2 * MAX_DENSE_BYTES} bytes as float64")
+                # an int entry becomes float(int(t)) ("-0" too), or inf past float range
+                row = json.loads(text[i:stop + 1], parse_int=lambda t: float(t) + 0.0)
+                skeleton += (text[start:i], f"[{len(rows)}]")
+                rows.append(np.array(row) if set(map(type, row)) <= {float} else row)
+                start = pos = stop + 1
+            skeleton.append(text[start:len(text) - len(carry)])
     return _put_back(json.loads("".join(skeleton) + carry), rows)
 
 
 def load_mdp_json(path) -> Mdp:
-    """The MDP file at path, read a row at a time (``_read_rows``), never as one text."""
     try:
         doc = _read_rows(path)
     except json.JSONDecodeError:

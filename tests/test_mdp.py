@@ -567,6 +567,9 @@ _MATRIX = {
     "handwritten": '{"A": 2, "S": 2, "gamma": 9e-1, "r": [[0.5,1], [-0, 25E-2]],\n'
                    ' "p": [[[ 0.5 ,5e-1 ], [1,-0]], [[-0.0, 1.0], [0.1,0.9 ]]]}',  # "-0" is 0.0
     "saved": None,  # as save_mdp_json writes the pinned MDP
+    # runs of escaped backslashes before quotes, brackets and a row-like text inside strings
+    "escapes": json.dumps(dict(_MATRIX_DOC, name="\\" * 9 + '"[0.5]"' + "\\" * 4,
+                               **{"x]": ['"', "\\", "[1, 2"]})),
 }
 
 
@@ -587,6 +590,7 @@ class TestBoundedFileIo:
             want = mdp_from_dict(json.load(fh), source=str(path))
         if chunk is not None:
             monkeypatch.setattr(mdp_mod, "READ_CHUNK_CHARS", chunk)
+        monkeypatch.setattr(mdp_mod, "_read_json", None)  # a file that parses is read once
         got = load_mdp_json(path)
         assert got.transitions.tobytes() == want.transitions.tobytes()
         assert got.rewards.tobytes() == want.rewards.tobytes()
@@ -618,6 +622,14 @@ class TestBoundedFileIo:
         monkeypatch.setattr(mdp_mod, "MAX_DENSE_BYTES", 8 * 2 * 2 * 1)
         monkeypatch.setattr(mdp_mod, "READ_CHUNK_CHARS", 64)
         with pytest.raises(ConfigError, match=r"m\.json: arrays of more than 64 bytes as float64"):
+            load_mdp_json(path)
+
+    def test_long_row_is_counted_before_it_is_converted(self, tmp_path, monkeypatch):
+        # the row's entries pass the bound before its invalid end is parsed
+        path = tmp_path / "m.json"
+        path.write_text('{"p": [[' + "0.5, " * 8 + "x]]}")
+        monkeypatch.setattr(mdp_mod, "MAX_DENSE_BYTES", 16)
+        with pytest.raises(ConfigError, match=r"m\.json: arrays of more than 32 bytes as float64"):
             load_mdp_json(path)
 
     def test_memory_bounded_at_s128(self, tmp_path):
