@@ -47,7 +47,7 @@ from .mdp import (
     total_variance_norm,
 )
 from .oracle import SampleOracle, quantize_mdp
-from .rng import derived_rng
+from .rng import KeyTemplate, key_digests, keyed_rng
 from .solvers import (
     SAMPLED_MODES,
     MaxFindingParams,
@@ -452,11 +452,9 @@ def _random_mdp(rng: np.random.Generator, max_states: int = 8, max_actions: int 
 def _random_suite(tag: str, check, max_states: int = 8, max_actions: int = 8):
     """A suite of ``check(mdp, rng)`` on a random MDP from stream (seed, tag, trial)."""
     def suite(trials: int, seed: int):
-        passed = 0
-        for i in range(trials):
-            rng = derived_rng(seed, tag, i)
-            passed += bool(check(_random_mdp(rng, max_states, max_actions), rng))
-        return passed, trials
+        rngs = map(keyed_rng, key_digests(KeyTemplate((seed, tag, range(trials)))))
+        return sum(bool(check(_random_mdp(rng, max_states, max_actions), rng))
+                   for rng in rngs), trials
     return suite
 
 

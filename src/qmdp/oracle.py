@@ -11,6 +11,7 @@ identical sample sequences.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .mdp import Mdp, _check_value_vec
-from .rng import DIGEST_KEYS, KeyTemplate, derived_rng, keyed_rng
+from .rng import KeyTemplate, derived_rng, key_digests, keyed_rng
 
 __all__ = [
     "QueryLedger",
@@ -88,13 +89,13 @@ class SampleOracle:
         self.seed = int(seed)
         self.ledger = ledger if ledger is not None else QueryLedger()
         self._calls = 0
+        # the call streams' key digests, hashed a chunk at a time as calls reach them
+        self._call_keys = key_digests(KeyTemplate((self.seed, "call", range(sys.maxsize))))
         self._rng = None  # built by the first stream, re-keyed by every later one
-        self._digests, self._digests_at = b"", 0  # call keys' digests from that call on
 
     def _next_rng(self) -> np.random.Generator:
-        self._rng = derived_rng(self.seed, "call", self._calls, reuse=self._rng)
         self._calls += 1
-        return self._rng
+        return self.keyed_rng(next(self._call_keys))
 
     def _check_indices(self, s: int, a: int) -> None:
         for name, arg, i, size in (("state", "s", s, self.mdp.num_states),
@@ -117,31 +118,15 @@ class SampleOracle:
 
     def empirical_means(self, v: np.ndarray, n: int, phase: str | None = None) -> np.ndarray:
         """(S, A) means ``counts @ v / n`` of n successor draws per (s, a), drawn
-        as :meth:`sample_counts` draws them, in row-major order, from call
-        streams whose keys are hashed in bulk; charges n*S*A."""
+        as :meth:`sample_counts` draws them, in row-major order, on the next
+        S*A call streams; charges n*S*A."""
         _check_count(n)
         v = _check_value_vec(self.mdp, v, "value map")
         p = self.mdp.transitions
         rows = p.reshape(-1, p.shape[2])
-        digests = self._call_digests(len(rows))
-        self._calls += len(rows)
-        keyed = self.keyed_rng
-        sums = [keyed(digests[16 * i:16 * i + 16]).multinomial(n, row).dot(v)
-                for i, row in enumerate(rows)]
+        sums = [self._next_rng().multinomial(n, row).dot(v) for row in rows]
         self.ledger.charge_classical(n * len(rows), phase)
         return np.array(sums).reshape(p.shape[:2]) / n
-
-    def _call_digests(self, n: int) -> bytes:
-        """The key digests of the next n call streams.  Keys are hashed at least
-        DIGEST_KEYS calls ahead and kept for later calls, so a classical
-        solve's sweeps share a few hashing passes."""
-        kept = self._digests[16 * (self._calls - self._digests_at):]
-        if len(kept) < 16 * n:
-            first = self._calls + len(kept) // 16
-            calls = range(first, first + max(DIGEST_KEYS, n - len(kept) // 16))
-            kept += KeyTemplate((self.seed, "call", calls)).digests()
-        self._digests, self._digests_at = kept, self._calls
-        return kept[:16 * n]
 
     def derive_rng(self, *parts) -> np.random.Generator:
         """Named auxiliary stream, independent of the call counter; valid until the next stream."""

@@ -78,14 +78,17 @@ def _derived_iterations(horizon: float, eps: float) -> int:
     return _ceil_fuzz(horizon * _ceil_fuzz(math.log(4.0 * horizon / eps)) + 1.0)
 
 
-def _check_eps_delta(eps: float, delta: float, eps_max: float, bound: str) -> None:
+def _check_eps_delta(eps: float, delta: float, horizon: float, eps_max: float, bound: str) -> None:
     if not 0.0 < eps <= eps_max + _FUZZ:
         raise PreconditionError(f"eps must lie in (0, {bound}] = (0, {eps_max:.6g}], got {eps}")
+    if 4.0 * horizon / eps == math.inf:  # every iteration count takes its log
+        raise PreconditionError(f"eps = {eps} overflows 4*horizon/eps at horizon {horizon:.6g}")
     if not 0.0 < delta < 1.0:
         raise PreconditionError(f"delta must be in (0, 1), got {delta}")
 
 
-def _failure_prob(f: float, entries: str = "delta") -> float:
+def _failure_prob(delta: float, denominator: float, entries: str = "delta") -> float:
+    f = delta / denominator if denominator > 0.0 else math.inf  # it can underflow to 0
     if not 0.0 < f < 1.0:
         raise PreconditionError(f"{entries} gives a per-estimate failure probability {f} not in (0, 1)")
     return f
@@ -119,7 +122,7 @@ class Line(NamedTuple):
     ``estimates`` on [0, upper] to error err (on line 9, relative to each
     row's sigma) at failure probability f, each charged ``charge``, from t
     phase bits and reps runs on the statevector backend.  An argmax line's
-    estimates are its max findings, each floor(budget) probes of ``probe``."""
+    estimates are its max findings, each floor(argmax_query_budget) probes of ``probe``."""
 
     estimates: int
     upper: float | None
@@ -128,7 +131,6 @@ class Line(NamedTuple):
     charge: int
     t: int | None = None
     reps: int | None = None
-    budget: float | None = None
     probe: int | None = None
 
 
@@ -153,7 +155,7 @@ def _argmax(mdp: Mdp, cfg: EstimatorConfig, line: Line, c_max: float, statevecto
                                 f"MAX_ARGMAX_PROBES = {MAX_ARGMAX_PROBES}; lower c_max")
     probe = bounded_mean_charge(line.upper, line.err, line.f, cfg)
     return Line(line.estimates // mdp.num_actions, line.upper, line.err, line.f,
-                int(budget) * probe, budget=budget, probe=probe)
+                int(budget) * probe, probe=probe)
 
 
 @dataclass(frozen=True)
@@ -172,7 +174,7 @@ class VarianceReducedParams:
     def for_mdp(cls, mdp: Mdp, eps: float, delta: float, b: float = 1.0,
                 c: float = 0.01) -> "VarianceReducedParams":
         horizon = mdp.effective_horizon
-        _check_eps_delta(eps, delta, math.sqrt(horizon), "sqrt(horizon)")
+        _check_eps_delta(eps, delta, horizon, math.sqrt(horizon), "sqrt(horizon)")
         if not 0.0 < b < math.inf:
             raise PreconditionError(f"b must be positive and finite, got {b}")
         # keeps every anchor estimate inside the variance-bounded estimator's
@@ -184,7 +186,7 @@ class VarianceReducedParams:
                 f"(c*(1-gamma)^1.5*eps = {window})")
         k = max(1, _ceil_fuzz(math.log2(horizon / eps)))
         l = _derived_iterations(horizon, eps)
-        f = _failure_prob(delta / (4.0 * k * l * mdp.num_states * mdp.num_actions))
+        f = _failure_prob(delta, 4.0 * k * l * mdp.num_states * mdp.num_actions)
         return cls(eps=eps, delta=delta, b=b, c=c, num_epochs=k,
                    iters_per_epoch=l, est_failure_prob=f)
 
@@ -222,12 +224,12 @@ class MaxFindingParams:
     def for_mdp(cls, mdp: Mdp, eps: float, delta: float,
                 c_max: float = DEFAULT_C_MAX) -> "MaxFindingParams":
         horizon = mdp.effective_horizon
-        _check_eps_delta(eps, delta, horizon, "horizon")
+        _check_eps_delta(eps, delta, horizon, horizon, "horizon")
         if not 0.0 < c_max < math.inf:
             raise PreconditionError(f"c_max must be positive and finite, got {c_max}")
         l = _derived_iterations(horizon, eps)
-        f = _failure_prob(delta / (4.0 * c_max * l * mdp.num_states * mdp.num_actions**1.5
-                                   * math.log2(1.0 / delta)), "delta or c_max")
+        f = _failure_prob(delta, 4.0 * c_max * l * mdp.num_states * mdp.num_actions**1.5
+                          * math.log2(1.0 / delta), "delta or c_max")
         return cls(eps=eps, delta=delta, c_max=c_max, iters=l, est_failure_prob=f)
 
     def schedule(self, mdp: Mdp, cfg: EstimatorConfig = DEFAULT_CONFIG) -> dict:
@@ -257,7 +259,7 @@ class SampledParams:
         if mode not in SAMPLED_MODES:
             raise PreconditionError(f"mode must be one of {SAMPLED_MODES}, got {mode!r}")
         horizon = mdp.effective_horizon
-        _check_eps_delta(eps, delta, horizon, "horizon")
+        _check_eps_delta(eps, delta, horizon, horizon, "horizon")
         iters = _ceil_fuzz(horizon * math.log(4.0 * horizon / eps)) + 1
         return cls(eps=eps, delta=delta, mode=mode, iters=iters)
 

@@ -3,13 +3,17 @@
 import csv
 import json
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qmdp.oracle
+import qmdp.rng
 from qmdp.cli import (
     _SCHEMA,
+    SUITES,
     build_instance,
     fit_power_law,
     load_config,
@@ -26,6 +30,9 @@ from qmdp.mdp import mdp_to_dict
 from qmdp.oracle import SampleOracle
 from qmdp.rng import derived_rng
 from qmdp.solvers import MaxFindingParams, SampledParams, VarianceReducedParams
+
+
+EPS_OVERFLOWS = r"eps = \S+ overflows 4\*horizon/eps at horizon \S+"
 
 
 def fig_two_config(eps=0.5, solver="variance-reduced", seed=42, A=2, arms=(1,)):
@@ -231,6 +238,31 @@ class TestSolveCommand:
         assert re.fullmatch(r"error: \S*config\.json: solver: Hoeffding sample count for "
                             r"accuracy \S+ is not finite\n", err), err
         assert not out.exists()
+
+    @pytest.mark.parametrize("instance,solver,message", [
+        ({"two_state": {"gamma": 0.9, "p": 0.5}},
+         {"name": "sampled", "eps": 1e-310, "delta": 0.1}, EPS_OVERFLOWS),
+        ({"hard_instance": {"gamma": 0.9, "num_actions": 2, "eps": 0.5, "large_arms": [1]}},
+         {"name": "max-finding", "eps": 1e-310, "delta": 0.1}, EPS_OVERFLOWS),
+        ({"two_state": {"gamma": 0.9, "p": 0.5}},
+         {"name": "variance-reduced", "eps": 1e-310, "delta": 0.1, "c": 1e300}, EPS_OVERFLOWS),
+        ({"two_state": {"gamma": 1.0 - 1e-12, "p": 0.5}},
+         {"name": "max-finding", "eps": 1e-300, "delta": 0.1}, EPS_OVERFLOWS),
+        ({"two_state": {"gamma": 0.9, "p": 0.5}},
+         {"name": "max-finding", "eps": 0.5, "delta": 0.9999999999999999, "c_max": 5e-324},
+         r"delta or c_max gives a per-estimate failure probability inf not in \(0, 1\)"),
+    ], ids=["sampled", "max-finding", "variance-reduced", "long-horizon", "c_max-underflow"])
+    def test_derived_count_overflow_exits_2_naming_the_entry(self, tmp_path, capsys, monkeypatch,
+                                                             instance, solver, message):
+        # the iteration count takes log(4*horizon/eps), and max finding's f
+        # divides delta by a product that can underflow: refused, not crashed
+        keyed = []
+        monkeypatch.setattr(SampleOracle, "keyed_rng", lambda self, digest: keyed.append(digest))
+        cfg = write_config(tmp_path, {"instance": instance, "solver": solver, "seed": 1})
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: \S*config\.json: solver\." + message + r"\n", err), err
+        assert keyed == [] and sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     @pytest.mark.parametrize("instance,solver,estimator,message", [
         ({"hard_instance": {"gamma": 0.9, "num_actions": 128, "eps": 0.5, "large_arms": [1]}},
@@ -601,6 +633,17 @@ class TestSweepCommand:
         assert re.fullmatch(r"error: \S*config\.json: solver\." + message + r"\n", err), err
         assert calls == [] and not out_csv.exists() and not out_fit.exists()
 
+    def test_overflowing_first_eps_is_refused_before_any_solve(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, fig_two_config(solver="max-finding"))
+        out_csv, out_fit = tmp_path / "s.csv", tmp_path / "f.json"
+        assert main(["sweep", "--config", str(cfg), "--axis", "eps", "--values",
+                     "1e-310,0.5,0.3", "--seeds", "1", "--out-csv", str(out_csv),
+                     "--out-fit", str(out_fit)]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: \S*config\.json: solver\." + EPS_OVERFLOWS + r"\n",
+                            err), err
+        assert not out_csv.exists() and not out_fit.exists()
+
     @pytest.mark.parametrize("solver,eps,message", [
         ("max-finding", 15.0, r"solver\.eps must lie in \(0, horizon\] = \(0, 10\], got 15\.0"),
         ("sampled", 15.0, r"solver\.eps must lie in \(0, horizon\] = \(0, 10\], got 15\.0"),
@@ -758,6 +801,43 @@ def test_one_schedule_per_solve_and_per_sweep_point(tmp_path, monkeypatch, solve
     for seed in (1, 2):
         run_solver(mdp, doc["solver"], EstimatorConfig(), seed)
     assert len(calls) == 2
+
+
+def test_every_command_reads_its_streams_in_bulk(tmp_path, monkeypatch):
+    # every stream the program reads comes through rng.key_digests or
+    # rng.bulk_passes; rng.derived_rng, one key at a time, stays for callers
+    # outside the program, so every binding of it refuses here
+    def one_key(*args, **kwargs):
+        raise AssertionError(f"derived_rng{args} called")
+
+    real = qmdp.rng.derived_rng
+    bindings = [module for name, module in sys.modules.items()
+                if (name == "qmdp" or name.startswith("qmdp."))
+                and getattr(module, "derived_rng", None) is real]
+    assert qmdp.rng in bindings and qmdp.oracle in bindings
+    for module in bindings:
+        monkeypatch.setattr(module, "derived_rng", one_key)
+    solvers = [{"name": "variance-reduced"}, {"name": "max-finding"}] + [
+        {"name": "sampled", "mode": mode} for mode in
+        ("classical", "quantum_mean", "quantum_mean_and_max")]
+    for backend in ("contract_mock", "statevector"):
+        for solver in solvers:
+            doc = fig_two_config(eps=1.0, seed=3)
+            doc["solver"].update(solver)
+            doc["estimator"] = {"backend": backend}
+            cfg = write_config(tmp_path, doc)
+            assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 0
+    cfg = write_config(tmp_path, fig_two_config(eps=1.0, solver="max-finding"))
+    assert main(["sweep", "--config", str(cfg), "--axis", "eps", "--values", "1.0,0.8,0.6",
+                 "--seeds", "1", "--out-csv", str(tmp_path / "s.csv"),
+                 "--out-fit", str(tmp_path / "f.json")]) == 0
+    for suite in SUITES:
+        assert main(["verify", "--suite", suite, "--trials", "2"]) == 0
+    mdp, _ = build_instance({"two_state": {"gamma": 0.9, "p": 0.375}})
+    src = tmp_path / "m.json"
+    src.write_text(json.dumps(mdp_to_dict(mdp)))
+    assert main(["oracle-build", "--mdp", str(src), "--out", str(tmp_path / "o.json")]) == 0
+    assert SampleOracle(mdp, 3).sample_counts(1, 0, 5).sum() == 5
 
 
 class TestFitPowerLaw:

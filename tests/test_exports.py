@@ -1,7 +1,9 @@
 """Every name a qmdp module lists in ``__all__`` resolves on that module,
-every qmdp attribute the traced benchmark wraps still exists, and a traced
-solve counts the calls the benchmark's per-layer metrics assume."""
+every qmdp module parses under the oldest Python it supports, every qmdp
+attribute the traced benchmark wraps still exists, and a traced solve counts
+the calls the benchmark's per-layer metrics assume."""
 
+import ast
 import importlib
 import json
 import pkgutil
@@ -28,6 +30,15 @@ def test_all_names_resolve(name):
     assert len(set(exported)) == len(exported), f"{name}.__all__ repeats a name"
     missing = [n for n in exported if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ names {missing}, which {name} does not define"
+
+
+@pytest.mark.parametrize("path", sorted(Path(qmdp.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_parses_as_python_3_10(path):
+    # pyproject.toml declares requires-python >= 3.10.  This checks grammar
+    # only: a library feature newer than 3.10 (say, a regex construct the
+    # 3.10 re module refuses) fails at run time and passes here.
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
 
 
 def _perfbench(monkeypatch, name):

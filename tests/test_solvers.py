@@ -102,6 +102,14 @@ class TestVarianceReducedParams:
         with pytest.raises(PreconditionError, match=message):
             MaxFindingParams.for_mdp(mdp, 0.5, 0.1, c_max=c_max)
 
+    def test_failure_prob_denominator_underflow(self):
+        # 4*c_max*L*S*A^1.5*log2(1/delta) underflows to 0 at c_max = 5e-324 and
+        # delta = 1 - 2^-53: no probability is left per estimate
+        with pytest.raises(PreconditionError, match=r"^delta or c_max gives a per-estimate "
+                                                    r"failure probability inf not in \(0, 1\)$"):
+            MaxFindingParams.for_mdp(fig_two(2, 0.5, {1}), 0.5, 0.9999999999999999,
+                                     c_max=5e-324)
+
     def test_largest_c_inside_the_window_solves(self):
         # c * (1-gamma)^1.5 * eps just below 4: every anchor estimate stays
         # inside the variance-bounded estimator's (0, 4*sigma) window
@@ -901,7 +909,10 @@ PARAMS_FOR_MDP = {  # (mdp, eps, delta) -> params; eps_max is sqrt(horizon) or h
     (float("nan"), 0.1, r"^eps must lie in \(0, \S+\] = \(0, \S+\], got nan$"),
     (float("inf"), 0.1, r"^eps must lie in \(0, \S+\] = \(0, \S+\], got inf$"),
     (-0.1, 0.1, r"^eps must lie in \(0, \S+\] = \(0, \S+\], got -0\.1$"),
-], ids=["delta-0", "delta-1", "delta-3", "delta-nan", "eps-nan", "eps-inf", "eps-negative"])
+    # 4*horizon/eps is inf: every iteration count would take the log of it
+    (1e-310, 0.1, r"^eps = 1e-310 overflows 4\*horizon/eps at horizon 10$"),
+], ids=["delta-0", "delta-1", "delta-3", "delta-nan", "eps-nan", "eps-inf", "eps-negative",
+        "eps-overflows"])
 def test_eps_and_delta_rejected_with_name(name, eps, delta, message):
     # the estimators read eps and delta only through the schedule, so each
     # solver's parameters refuse them by name, NaN outside every range
