@@ -443,6 +443,17 @@ class TestJsonRoundTrip:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "b3b32262efd98412f1a96096d30122ecbaae8fbab1405164b49a843f99835684")
 
+    def test_oracle_build_bytes_are_pinned(self, tmp_path, capsys):
+        # recorded while the dyadic document was written as nested lists: its
+        # counts, quantized rows and distortion keep this layout
+        from qmdp.cli import main
+
+        path, out = tmp_path / "m.json", tmp_path / "o.json"
+        save_mdp_json(pinned_mdp(), path)
+        assert main(["oracle-build", "--mdp", str(path), "--m", "12", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "ba656b9cb4dd6c16a1bce5618f5039306c17b5089c7107ce5edb9bcdae3c6d9b")
+
     def test_round_trip(self, tmp_path):
         rng = derived_rng(15, "json")
         m = random_mdp(rng, max_states=4, max_actions=3)
