@@ -41,7 +41,6 @@ from .oracle import (
     reversible_successor_map,
 )
 from .qsim import (
-    AmplitudeEstimationConfig,
     amplitude_estimation_sample,
     outcome_distribution,
     simulate_argmax,

@@ -72,11 +72,11 @@ __all__ = [
 ]
 
 # solver name -> (its params class, the other block entries its for_mdp takes, with
-# their casts, the solver's name here: looked up at each solve, wrappers included)
+# their _SCHEMA kinds, the solver's name here: looked up at each solve, wrappers included)
 _SOLVERS = {
-    "variance-reduced": (VarianceReducedParams, {"b": float, "c": float}, "variance_reduced_vi"),
-    "max-finding": (MaxFindingParams, {"c_max": float}, "max_finding_vi"),
-    "sampled": (SampledParams, {"mode": str}, "sampled_vi"),
+    "variance-reduced": (VarianceReducedParams, {"b": "finite", "c": "finite"}, "variance_reduced_vi"),
+    "max-finding": (MaxFindingParams, {"c_max": "finite"}, "max_finding_vi"),
+    "sampled": (SampledParams, {"mode": SAMPLED_MODES}, "sampled_vi"),
 }
 SOLVER_NAMES = tuple(_SOLVERS)
 _EXACTLY_ONE = "exactly one"
@@ -93,8 +93,9 @@ _SCHEMA = {
     "instance.hard_instance.": ({"gamma": "finite", "num_actions": "integer", "eps": "finite",
                                  "c_alpha": "finite", "copies": "integer",
                                  "large_arms": "integers"}, ("gamma", "num_actions", "eps")),
-    "solver.": ({"name": SOLVER_NAMES, "eps": "finite", "delta": "finite", "b": "finite",
-                 "c": "finite", "c_max": "finite", "mode": SAMPLED_MODES}, ("name", "eps", "delta")),
+    "solver.": ({"name": SOLVER_NAMES, "eps": "finite", "delta": "finite",
+                 **{k: v for _, entries, _ in _SOLVERS.values() for k, v in entries.items()}},
+                ("name", "eps", "delta")),
     "estimator.": ({"c1": "number", "c2": "number", "adversarial_scale": "number",
                     "mock_failure_mode": "string", "backend": "string", "phase_bits": "any"}, ()),
 }
@@ -221,9 +222,14 @@ def _solver_call(mdp: Mdp, solver: dict, cfg: EstimatorConfig, source: str = "<c
     """A solver block's solve, ``solve(oracle, diagnostics=False)``, on one
     plan for mdp (or its shape) built before any draw: a range error reads
     ``<source>: solver.<entry> ...`` and a refusal of the schedule ``<source>:
-    solver: ...``.  Entries the block leaves out take the library's defaults."""
+    solver: ...``.  Entries the block leaves out take the library's defaults, and
+    another solver's entries are refused."""
     params_class, entries, solve = _SOLVERS[solver["name"]]
-    given = {key: cast(solver[key]) for key, cast in entries.items() if key in solver}
+    if other := [key for key in solver if key not in entries and key not in ("name", "eps", "delta")]:
+        raise ConfigError(f"{source}: solver.{other[0]} is not an entry of {solver['name']}; "
+                          f"expected one of {tuple(entries)}")
+    given = {key: float(solver[key]) if kind == "finite" else solver[key]
+             for key, kind in entries.items() if key in solver}
     try:
         params = params_class.for_mdp(mdp, float(solver["eps"]), float(solver["delta"]), **given)
     except PreconditionError as exc:
@@ -547,7 +553,7 @@ def cmd_verify(args) -> int:
 def cmd_oracle_build(args) -> int:
     mdp = load_mdp_json(args.mdp)
     dyadic = quantize_mdp(mdp, m=args.m)  # DyadicMdp validates exactness
-    _write_json(dyadic.to_dict(), args.out)
+    _write_json(dyadic.to_dict(), args.out, default=np.ndarray.tolist)
     print(f"wrote {args.out}: m={args.m} max_distortion={dyadic.max_distortion:.3e}")
     return 0
 

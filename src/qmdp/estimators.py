@@ -31,7 +31,7 @@ import numpy as np
 from .errors import PreconditionError
 from .mdp import expected_next_value, successor_variance
 from .oracle import SampleOracle
-from .qsim import MAX_PHASE_BITS, median_amplitude_estimates
+from .qsim import MAX_PHASE_BITS, check_phase_bits, median_amplitude_estimates
 from .rng import KeyTemplate, bulk_passes, uniforms
 
 __all__ = [
@@ -72,15 +72,8 @@ class EstimatorConfig:
             raise PreconditionError(
                 f"adversarial_scale must be finite and above 1, got {self.adversarial_scale!r}"
             )
-        if self.phase_bits is not None and not (
-            isinstance(self.phase_bits, (int, np.integer))
-            and not isinstance(self.phase_bits, bool)
-            and 1 <= self.phase_bits <= MAX_PHASE_BITS
-        ):
-            raise PreconditionError(
-                f"phase_bits must be None or an integer in [1, {MAX_PHASE_BITS}], "
-                f"got {self.phase_bits!r}"
-            )
+        if self.phase_bits is not None:  # None: derived from each line's accuracy
+            check_phase_bits(self.phase_bits)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -93,8 +86,8 @@ def amplification_reps(delta: float) -> int:
     """Odd n = 2 ceil(log2(3 / delta)) + 1 runs; their median misses only when (n + 1) / 2 of
     them miss on one side, each such binomial tail below delta / 4 at a per-side miss <= 0.1033
     (a grid search, ROADMAP 15, not yet certified: 8/pi^2 leaves 0.19 for both sides)."""
-    if not (0.0 < delta < 1.0):
-        raise PreconditionError(f"delta must be in (0, 1), got {delta}")
+    if not (0.0 < delta < 1.0 and 3.0 / delta < math.inf):
+        raise PreconditionError(f"delta must be in (0, 1) with 3/delta finite, got {delta}")
     return 2 * math.ceil(math.log2(3.0 / delta)) + 1
 
 

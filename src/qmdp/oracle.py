@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigError
-from .mdp import Mdp, _check_value_vec
+from .mdp import Mdp, _check_value_vec, _doc
 from .rng import KeyTemplate, derived_rng, key_digests, keyed_rng
 
 __all__ = [
@@ -265,13 +265,12 @@ class DyadicMdp:
         return DyadicRow(self.denominator_bits, tuple(int(k) for k in self.counts[s, a]))
 
     def to_dict(self) -> dict:
-        from .mdp import mdp_to_dict
-
-        doc = mdp_to_dict(self.mdp)
-        doc["m"] = self.denominator_bits
-        doc["counts"] = self.counts.tolist()
-        doc["max_distortion"] = self.max_distortion
-        return doc
+        """The quantized MDP's document with m, counts and max_distortion, each array a
+        list of numpy rows: write it with default=np.ndarray.tolist, a row at a time."""
+        mdp = self.mdp
+        return dict(_doc(mdp, list(mdp.rewards), [list(x) for x in mdp.transitions]),
+                    m=self.denominator_bits, counts=[list(x) for x in self.counts],
+                    max_distortion=self.max_distortion)
 
 
 def quantize_mdp(mdp: Mdp, m: int = 20) -> DyadicMdp:

@@ -20,7 +20,6 @@ can be calibrated instead of guessed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -30,7 +29,7 @@ from .oracle import QueryLedger
 from .rng import WordReader, lemire
 
 __all__ = [
-    "AmplitudeEstimationConfig",
+    "check_phase_bits",
     "outcome_distribution",
     "single_run_error_radius",
     "amplitude_estimation_sample",
@@ -52,30 +51,12 @@ _WIDE = 192  # cells on either side of each peak whose CDF is tabulated
 _GROUPS = 64  # amplitudes per closed-form pass: its (2, groups, 387) arrays stay under _CHUNK cells
 
 
-@dataclass(frozen=True)
-class AmplitudeEstimationConfig:
-    """Phase-estimation resolution and the true squared amplitude."""
-
-    phase_bits: int
-    target_amplitude: float
-
-    def __post_init__(self):
-        if not (1 <= self.phase_bits <= MAX_PHASE_BITS):
-            raise PreconditionError(
-                f"phase_bits must be in [1, {MAX_PHASE_BITS}], got {self.phase_bits}"
-            )
-        if not (0.0 <= self.target_amplitude <= 1.0):
-            raise PreconditionError(
-                f"target_amplitude must be in [0, 1], got {self.target_amplitude}"
-            )
-
-    @property
-    def grid_size(self) -> int:
-        return 1 << self.phase_bits
-
-    @property
-    def queries_per_run(self) -> int:
-        return self.grid_size - 1
+def check_phase_bits(t) -> int:
+    """t as an int when it is an integer, not a bool, in [1, MAX_PHASE_BITS]: the one
+    phase-bits rule, which raises PreconditionError naming phase_bits otherwise."""
+    if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or not 1 <= t <= MAX_PHASE_BITS:
+        raise PreconditionError(f"phase_bits must be an integer in [1, {MAX_PHASE_BITS}], got {t!r}")
+    return int(t)
 
 
 def _dirichlet_kernel_sq(x: np.ndarray, m: int) -> np.ndarray:
@@ -87,9 +68,10 @@ def _dirichlet_kernel_sq(x: np.ndarray, m: int) -> np.ndarray:
 
 def outcome_distribution(a: float, t: int, start: int = 0, stop: int | None = None) -> np.ndarray:
     """Exact measurement distribution of t-bit amplitude estimation on a (cells [start, stop))."""
-    cfg = AmplitudeEstimationConfig(phase_bits=t, target_amplitude=a)
-    m = cfg.grid_size
-    omega = math.asin(math.sqrt(cfg.target_amplitude)) / math.pi  # in [0, 1/2]
+    m = 1 << check_phase_bits(t)
+    if not 0.0 <= a <= 1.0:
+        raise PreconditionError(f"amplitude must be in [0, 1], got {a}")
+    omega = math.asin(math.sqrt(a)) / math.pi  # in [0, 1/2]
     y = np.arange(start, m if stop is None else min(stop, m)) / m
     return 0.5 * (_dirichlet_kernel_sq(y - omega, m) + _dirichlet_kernel_sq(y + omega, m))
 
@@ -287,7 +269,7 @@ def median_amplitude_estimates(amplitudes, t: int, reps: int, rng: np.random.Gen
     for every distinct amplitude at once (``_estimate_draws``).  Charges nothing; each
     estimate costs reps * (2^t - 1) queries."""
     a = np.asarray(amplitudes, dtype=float).ravel()
-    AmplitudeEstimationConfig(t, 0.0)  # checks t, also for an empty batch
+    t = check_phase_bits(t)  # also for an empty batch
     _check_count("reps", reps, 1)
     outside = ~((a >= 0.0) & (a <= 1.0))  # NaN is outside too
     if outside.any():
@@ -297,21 +279,15 @@ def median_amplitude_estimates(amplitudes, t: int, reps: int, rng: np.random.Gen
     return (est[:, lo] + est[:, hi]) / 2
 
 
-def amplitude_estimation_sample(
-    cfg: AmplitudeEstimationConfig,
-    rng: np.random.Generator,
-    size: int | None = None,
-    ledger: QueryLedger | None = None,
-    phase: str | None = None,
-):
-    """Draw estimate(s) sin^2(pi y / 2^t) from the exact outcome distribution.
-
-    Charges 2^t - 1 quantum oracle calls per run when a ledger is given.
-    """
+def amplitude_estimation_sample(a: float, t: int, rng: np.random.Generator, size: int | None = None,
+                                ledger: QueryLedger | None = None, phase: str | None = None):
+    """Estimate(s) sin^2(pi y / 2^t) of amplitude a: median_amplitude_estimates of
+    single runs, the same draws.  Charges 2^t - 1 quantum oracle calls per run
+    when a ledger is given."""
     n = 1 if size is None else _check_count("size", size, 0)
-    est = _estimate_draws(np.array([cfg.target_amplitude]), cfg.phase_bits, rng.random((1, n)))[0]
+    est = median_amplitude_estimates(np.full(n, a), t, 1, rng)
     if ledger is not None:
-        ledger.charge_quantum(n * cfg.queries_per_run, phase)
+        ledger.charge_quantum(n * ((1 << t) - 1), phase)
     return float(est[0]) if size is None else est
 
 

@@ -88,9 +88,13 @@ def _check_eps_delta(eps: float, delta: float, horizon: float, eps_max: float, b
 
 
 def _failure_prob(delta: float, denominator: float, entries: str = "delta") -> float:
+    """delta / denominator, refused outside (0, 1) or below what amplification_reps takes."""
     f = delta / denominator if denominator > 0.0 else math.inf  # it can underflow to 0
     if not 0.0 < f < 1.0:
         raise PreconditionError(f"{entries} gives a per-estimate failure probability {f} not in (0, 1)")
+    if 3.0 / f == math.inf:
+        raise PreconditionError(f"{entries} gives a per-estimate failure probability {f} "
+                                "too small to amplify: 3/f overflows")
     return f
 
 
@@ -261,6 +265,8 @@ class SampledParams:
         horizon = mdp.effective_horizon
         _check_eps_delta(eps, delta, horizon, horizon, "horizon")
         iters = _ceil_fuzz(horizon * math.log(4.0 * horizon / eps)) + 1
+        if mode != "classical":  # schedule's f, which a quantum mean amplifies
+            _failure_prob(delta, iters * mdp.num_states * mdp.num_actions)
         return cls(eps=eps, delta=delta, mode=mode, iters=iters)
 
     def schedule(self, mdp: Mdp, cfg: EstimatorConfig = DEFAULT_CONFIG) -> dict:

@@ -40,8 +40,6 @@ from qmdp.hard_instances import (
 from qmdp.mdp import Mdp, exact_value_iteration, total_variance_norm
 from qmdp.oracle import SampleOracle, quantize_mdp
 from qmdp.qsim import (
-    AmplitudeEstimationConfig,
-    amplitude_estimation_sample,
     median_amplitude_estimates,
     single_run_error_radius,
 )
@@ -397,8 +395,7 @@ def test_criterion_09_statevector_soundness():
     single_ok = {}
     for p in (0.1, 0.3, 0.7):
         rng = derived_rng(109, "single", int(p * 10))
-        cfg = AmplitudeEstimationConfig(10, p)
-        draws = amplitude_estimation_sample(cfg, rng, size=2000)
+        draws = median_amplitude_estimates([p] * 2000, 10, 1, rng)  # single runs
         radius = single_run_error_radius(p, 10)
         single_ok[p] = float(np.mean(np.abs(draws - p) <= radius))
 

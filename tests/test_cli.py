@@ -1,7 +1,9 @@
 """Tests for the command-line harness: configs, reports, sweeps, suites."""
 
 import csv
+import importlib
 import json
+import pkgutil
 import re
 import sys
 from pathlib import Path
@@ -9,10 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qmdp
 import qmdp.oracle
 import qmdp.rng
 from qmdp.cli import (
     _SCHEMA,
+    _SOLVERS,
+    SOLVER_NAMES,
     SUITES,
     build_instance,
     fit_power_law,
@@ -33,6 +38,8 @@ from qmdp.solvers import MaxFindingParams, SampledParams, VarianceReducedParams
 
 
 EPS_OVERFLOWS = r"eps = \S+ overflows 4\*horizon/eps at horizon \S+"
+TOO_SMALL_TO_AMPLIFY = (r"delta gives a per-estimate failure probability \S+ too small to "
+                        r"amplify: 3/f overflows")
 
 
 def fig_two_config(eps=0.5, solver="variance-reduced", seed=42, A=2, arms=(1,)):
@@ -251,7 +258,16 @@ class TestSolveCommand:
         ({"two_state": {"gamma": 0.9, "p": 0.5}},
          {"name": "max-finding", "eps": 0.5, "delta": 0.9999999999999999, "c_max": 5e-324},
          r"delta or c_max gives a per-estimate failure probability inf not in \(0, 1\)"),
-    ], ids=["sampled", "max-finding", "variance-reduced", "long-horizon", "c_max-underflow"])
+        ({"two_state": {"gamma": 0.9, "p": 0.5}},
+         {"name": "variance-reduced", "eps": 0.5, "delta": 1e-310}, TOO_SMALL_TO_AMPLIFY),
+        ({"two_state": {"gamma": 0.9, "p": 0.5}},
+         {"name": "sampled", "mode": "quantum_mean", "eps": 0.5, "delta": 1e-315},
+         TOO_SMALL_TO_AMPLIFY),
+        ({"two_state": {"gamma": 0.9, "p": 0.5}},
+         {"name": "sampled", "mode": "quantum_mean_and_max", "eps": 0.5, "delta": 1e-310},
+         TOO_SMALL_TO_AMPLIFY),
+    ], ids=["sampled", "max-finding", "variance-reduced", "long-horizon", "c_max-underflow",
+            "amplify-variance-reduced", "amplify-quantum-mean", "amplify-quantum-mean-and-max"])
     def test_derived_count_overflow_exits_2_naming_the_entry(self, tmp_path, capsys, monkeypatch,
                                                              instance, solver, message):
         # the iteration count takes log(4*horizon/eps), and max finding's f
@@ -803,6 +819,39 @@ def test_one_schedule_per_solve_and_per_sweep_point(tmp_path, monkeypatch, solve
     assert len(calls) == 2
 
 
+# each (solver, entry) pair whose entry belongs to another solver, at a value that solver takes
+OTHER_SOLVERS_ENTRIES = [
+    (name, key, value) for name in SOLVER_NAMES
+    for key, value in {"b": 2.0, "c": 0.02, "c_max": 5.0, "mode": "quantum_mean"}.items()
+    if key not in _SOLVERS[name][1]]
+assert len(OTHER_SOLVERS_ENTRIES) == 8
+
+
+@pytest.mark.parametrize("name,key,value", OTHER_SOLVERS_ENTRIES)
+def test_another_solvers_entry_is_refused_before_any_stream(tmp_path, capsys, monkeypatch,
+                                                            name, key, value):
+    # an entry of another solver used to be dropped without a word
+    keyed = []
+    monkeypatch.setattr(SampleOracle, "keyed_rng", lambda self, digest: keyed.append(digest))
+    doc = fig_two_config(solver=name)
+    doc["solver"][key] = value
+    message = (rf"solver\.{key} is not an entry of {name}; expected one of "
+               + re.escape(str(tuple(_SOLVERS[name][1]))))
+    cfg = write_config(tmp_path, doc)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: \S*config\.json: " + message + r"\n", err), err
+    assert main(["sweep", "--config", str(cfg), "--axis", "eps", "--values", "0.5,0.4,0.3",
+                 "--seeds", "1", "--out-csv", str(tmp_path / "s.csv"),
+                 "--out-fit", str(tmp_path / "f.json")]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: \S*config\.json: " + message + r"\n", err), err
+    mdp, _ = build_instance(doc["instance"])
+    with pytest.raises(ConfigError, match=r"^<config>: " + message + "$"):
+        run_solver(mdp, doc["solver"], EstimatorConfig(), 1)
+    assert keyed == [] and sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 def test_every_command_reads_its_streams_in_bulk(tmp_path, monkeypatch):
     # every stream the program reads comes through rng.key_digests or
     # rng.bulk_passes; rng.derived_rng, one key at a time, stays for callers
@@ -1074,6 +1123,24 @@ class TestReadmeExamples:
             doc = json.loads(text)
             validate_config(doc, source="README.md")
             build_instance(doc["instance"], source="README.md")
+
+
+    def test_every_module_name_in_the_readme_resolves(self):
+        # a backticked `module.name` of a qmdp module names something it defines;
+        # a call such as `rng.random((n, reps))` is not such a name
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        modules = [info.name for info in pkgutil.iter_modules(qmdp.__path__)]
+        assert len(modules) == 9
+        names = set(re.findall(rf"`((?:{'|'.join(modules)})\.\w+(?:\.\w+)*)`", readme))
+        missing = []
+        for name in sorted(names):
+            module, *attrs = name.split(".")
+            owner = importlib.import_module(f"qmdp.{module}")
+            for attr in attrs:
+                owner = getattr(owner, attr, None)
+            if owner is None:
+                missing.append(name)
+        assert len(names) >= 29 and not missing, missing
 
 
 class TestSandwichSuccessHelper:

@@ -140,7 +140,7 @@ def test_omitted_constants_take_library_defaults(tmp_path, name):
         solver = {"name": name, "eps": 1.0, "delta": 0.1}
         instance = {"hard_instance": dict(INSTANCE["hard_instance"])}
         if spelled:
-            solver.update(LIBRARY_DEFAULTS)
+            solver.update((k, v) for k, v in LIBRARY_DEFAULTS.items() if k in cli._SOLVERS[name][1])
             instance["hard_instance"].update(INSTANCE_DEFAULTS)
         config, out = tmp_path / f"config{spelled}.json", tmp_path / f"report{spelled}.json"
         config.write_text(json.dumps({"instance": instance, "solver": solver, "seed": 9,

@@ -48,6 +48,13 @@ class TestChargeFormulas:
         assert amplification_reps(1 / 3) % 2 == 1
         assert amplification_reps(0.01) > amplification_reps(0.3)
 
+    @pytest.mark.parametrize("delta", [0.0, 1.0, math.nan, 1e-308, 5e-324])
+    def test_amplification_refuses_delta_whose_3_over_delta_overflows(self, delta):
+        # 3/1e-308 is inf: ceil(log2(inf)) was an OverflowError
+        with pytest.raises(PreconditionError, match=r"^delta must be in \(0, 1\) with 3/delta finite"):
+            amplification_reps(delta)
+        assert amplification_reps(2e-308) == 2 * 1024 + 1  # log2(1.5e308) = 1023.4
+
     def test_variance_charge_at_unit_ratio(self):
         # sigma/eps = 1 floors the log factor: base charge = ceil(c2)
         reps = amplification_reps(0.1)

@@ -653,6 +653,18 @@ class TestBoundedFileIo:
         assert TestBlockedSuccessorVariance.peak_bytes(load_mdp_json, path) < 4 * tensor
         assert load_mdp_json(path).transitions.tobytes() == m.transitions.tobytes()
 
+    def test_oracle_build_memory_bounded_at_s128(self, tmp_path, capsys):
+        # reading, quantizing and writing the 1 MiB tensor peaked at 12.4x it
+        # while the dyadic document went out as nested lists; row by row, 5.3x
+        from qmdp.cli import main
+
+        m = dirichlet_mdp(128, 8)
+        path, out = tmp_path / "m.json", tmp_path / "o.json"
+        save_mdp_json(m, path)
+        argv = ["oracle-build", "--mdp", str(path), "--out", str(out)]
+        assert TestBlockedSuccessorVariance.peak_bytes(main, argv) < 7 * m.transitions.nbytes
+        assert (np.array(json.loads(out.read_text())["counts"]).sum(axis=2) == 1 << 20).all()
+
     def test_long_string_costs_memory_in_proportion(self, tmp_path):
         # a 1.5 MB string with an escape every third char, carried across many
         # chunks: a regex that kept backtracking state per char took about

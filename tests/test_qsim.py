@@ -8,12 +8,12 @@ import pytest
 
 import qmdp.qsim as qsim_mod
 from qmdp.errors import PreconditionError
-from qmdp.estimators import amplification_reps
+from qmdp.estimators import EstimatorConfig, amplification_reps
 from qmdp.oracle import QueryLedger
 from qmdp.qsim import (
-    AmplitudeEstimationConfig,
     amplitude_estimation_sample,
     argmax_query_budget,
+    check_phase_bits,
     median_amplitude_estimates,
     outcome_distribution,
     simulate_argmax,
@@ -22,16 +22,29 @@ from qmdp.qsim import (
 from qmdp.rng import derived_rng
 
 
-class TestConfig:
-    def test_phase_bit_bounds(self):
-        with pytest.raises(PreconditionError):
-            AmplitudeEstimationConfig(0, 0.5)
-        with pytest.raises(PreconditionError):
-            AmplitudeEstimationConfig(25, 0.5)
+class TestPhaseBitsRule:
+    @pytest.mark.parametrize("t", [0, 25, -1, True, 1.5, "x", None])
+    def test_one_rule_refuses_before_any_draw(self, t):
+        rng = derived_rng(36, "t")
+        calls = [lambda: check_phase_bits(t), lambda: outcome_distribution(0.5, t),
+                 lambda: median_amplitude_estimates([0.2], t, 5, rng),
+                 lambda: amplitude_estimation_sample(0.2, t, rng, size=3)]
+        if t is not None:  # EstimatorConfig's None derives t from each accuracy
+            calls.append(lambda: EstimatorConfig(phase_bits=t))
+        for call in calls:
+            with pytest.raises(PreconditionError,
+                               match=r"^phase_bits must be an integer in \[1, 24\], got "):
+                call()
+        assert rng.random() == derived_rng(36, "t").random()
 
-    def test_amplitude_bounds(self):
-        with pytest.raises(PreconditionError):
-            AmplitudeEstimationConfig(4, 1.2)
+    @pytest.mark.parametrize("t", [1, 24, np.int64(12)])
+    def test_accepted_as_an_int(self, t):
+        assert check_phase_bits(t) == t and type(check_phase_bits(t)) is int
+
+    @pytest.mark.parametrize("a", [-1e-12, 1.2, math.nan])
+    def test_amplitude_bounds(self, a):
+        with pytest.raises(PreconditionError, match=r"^amplitude must be in \[0, 1\], got "):
+            outcome_distribution(a, 4)
 
 
 class TestOutcomeDistribution:
@@ -43,15 +56,11 @@ class TestOutcomeDistribution:
                 assert d.min() >= -1e-15
 
     def test_zero_amplitude_is_eigenstate(self):
-        rng = derived_rng(0, "ae0")
-        cfg = AmplitudeEstimationConfig(6, 0.0)
-        draws = amplitude_estimation_sample(cfg, rng, size=500)
+        draws = median_amplitude_estimates([0.0] * 500, 6, 1, derived_rng(0, "ae0"))
         np.testing.assert_array_equal(draws, 0.0)
 
     def test_unit_amplitude_is_eigenstate(self):
-        rng = derived_rng(0, "ae1")
-        cfg = AmplitudeEstimationConfig(6, 1.0)
-        draws = amplitude_estimation_sample(cfg, rng, size=500)
+        draws = median_amplitude_estimates([1.0] * 500, 6, 1, derived_rng(0, "ae1"))
         np.testing.assert_array_equal(draws, 1.0)
 
     def test_mirror_symmetry(self):
@@ -65,17 +74,13 @@ class TestOutcomeDistribution:
 
     def test_single_run_success_bound(self):
         # canonical guarantee: radius holds with probability >= 8/pi^2
-        rng = derived_rng(1, "ae-succ")
-        cfg = AmplitudeEstimationConfig(10, 0.3)
-        draws = amplitude_estimation_sample(cfg, rng, size=20000)
+        draws = median_amplitude_estimates([0.3] * 20000, 10, 1, derived_rng(1, "ae-succ"))
         radius = single_run_error_radius(0.3, 10)
         assert np.mean(np.abs(draws - 0.3) <= radius) >= 0.81
 
     def test_query_charging(self):
         led = QueryLedger()
-        cfg = AmplitudeEstimationConfig(5, 0.4)
-        rng = derived_rng(2, "ae-q")
-        amplitude_estimation_sample(cfg, rng, size=7, ledger=led, phase="ae")
+        amplitude_estimation_sample(0.4, 5, derived_rng(2, "ae-q"), size=7, ledger=led, phase="ae")
         assert led.quantum_oracle_calls == 7 * (2**5 - 1)
         assert led.phases["ae"] == 7 * (2**5 - 1)
 
@@ -154,12 +159,11 @@ class TestVectorizedMedians:
     @pytest.mark.parametrize("t", [1, 6, 13, 16, 20])
     def test_one_amplitude_views_equal_per_entry_loop(self, t):
         for i, a in enumerate((0.0, 0.3, 1.0)):
-            cfg = AmplitudeEstimationConfig(t, a)
             old = per_entry_medians([a], t, 72, derived_rng(32, "view", t, i))
             new = median_amplitude_estimates([a], t, 72, derived_rng(32, "view", t, i))
             assert new.tobytes() == old.tobytes()
             expected = grid_estimates(a, t, derived_rng(33, "sample", t, i).random(50))
-            draws = amplitude_estimation_sample(cfg, derived_rng(33, "sample", t, i), size=50)
+            draws = median_amplitude_estimates([a] * 50, t, 1, derived_rng(33, "sample", t, i))
             assert draws.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("reps", [1, 3, 45, 85, 2, 90])
@@ -494,15 +498,28 @@ class TestCountChecks:
     def test_bad_size_raises_before_drawing(self, size):
         rng = derived_rng(55, "size")
         with pytest.raises(PreconditionError, match="size must be an integer >= 0"):
-            amplitude_estimation_sample(AmplitudeEstimationConfig(6, 0.1), rng, size=size)
+            amplitude_estimation_sample(0.1, 6, rng, size=size)
         assert rng.random() == derived_rng(55, "size").random()
 
     def test_zero_size_draws_nothing(self):
         rng, led = derived_rng(56, "size"), QueryLedger()
-        cfg = AmplitudeEstimationConfig(13, 0.1)
-        assert amplitude_estimation_sample(cfg, rng, size=0, ledger=led).shape == (0,)
+        assert amplitude_estimation_sample(0.1, 13, rng, size=0, ledger=led).shape == (0,)
         assert led.quantum_oracle_calls == 0
         assert rng.random() == derived_rng(56, "size").random()
+
+
+@pytest.mark.parametrize("n", [0, 1, 50])
+@pytest.mark.parametrize("t", [1, 6, 10, 11, 13, 16])
+def test_sampler_is_single_run_medians(t, n):
+    # the sampler is kept only as a name: its draws are the one-run medians',
+    # and both equal the one-row inversion it made of its own before
+    for i, a in enumerate((0.0, 1e-9, 0.1, 0.3, 0.5, 0.77, 1.0)):
+        got = amplitude_estimation_sample(a, t, derived_rng(57, t, n, i), size=n)
+        want = median_amplitude_estimates([a] * n, t, 1, derived_rng(57, t, n, i))
+        row = qsim_mod._estimate_draws(np.array([a]), t, derived_rng(57, t, n, i).random((1, n)))[0]
+        assert got.tobytes() == want.tobytes() == row.tobytes()
+    single = amplitude_estimation_sample(0.3, t, derived_rng(57, t))
+    assert single == float(median_amplitude_estimates([0.3], t, 1, derived_rng(57, t))[0])
 
 
 class TestSimulateArgmax:

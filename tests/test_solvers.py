@@ -872,6 +872,19 @@ REFUSALS = {
     "c2-not-finite": (fig_two(8, 0.3, {3}), lambda m: VarianceReducedParams.for_mdp(m, 0.3, 0.1),
                       EstimatorConfig(c2=1e308), variance_reduced_vi,
                       r"^variance-bounded charge is not finite at c2 = 1e\+308$"),
+    # params a library caller builds with an f that for_mdp refuses: amplification_reps refuses it
+    "amplify-variance-reduced": (
+        fig_two(2, 0.5, {1}), lambda m: dataclasses.replace(
+            VarianceReducedParams.for_mdp(m, 0.5, 0.1), delta=1e-310, est_failure_prob=1e-314),
+        CFG, variance_reduced_vi, r"^delta must be in \(0, 1\) with 3/delta finite, got 1e-314$"),
+    "amplify-max-finding": (
+        fig_two(2, 0.5, {1}), lambda m: dataclasses.replace(
+            MaxFindingParams.for_mdp(m, 0.5, 0.1), delta=1e-310, est_failure_prob=1e-317),
+        SV, max_finding_vi, r"^delta must be in \(0, 1\) with 3/delta finite, got 1e-317$"),
+    "amplify-sampled": (
+        two_state_chain(0.9, 0.5), lambda m: dataclasses.replace(
+            SampledParams.for_mdp(m, 0.5, 0.1, mode="quantum_mean_and_max"), delta=1e-310),
+        CFG, sampled_vi, r"^delta must be in \(0, 1\) with 3/delta finite, got \S+$"),
     # finite for one line-9 row, not summed over the S*A = 16 rows a solve charges
     "c2-1e301": (fig_two(8, 0.3, {3}), lambda m: VarianceReducedParams.for_mdp(m, 0.3, 0.1),
                  EstimatorConfig(c2=1e301), variance_reduced_vi,
@@ -891,6 +904,28 @@ def test_refusals_come_before_the_first_stream(monkeypatch, name):
     with pytest.raises(PreconditionError, match=message):
         solve(oracle, Plan.of(mdp, params, cfg))
     assert keyed == [] and oracle.ledger.total == 0
+
+
+@pytest.mark.parametrize("name,mode,delta", [("variance-reduced", None, 1e-310),
+                                             ("max-finding", None, 1e-303),
+                                             ("sampled", "quantum_mean", 1e-310),
+                                             ("sampled", "quantum_mean_and_max", 1e-310)])
+def test_delta_too_small_to_amplify_is_refused_by_name(name, mode, delta):
+    # f = delta / (the schedule's estimates) is a subnormal whose 3/f overflows
+    # (max finding's larger denominator takes f to 0 at 1e-310)
+    make = {"variance-reduced": VarianceReducedParams.for_mdp, "max-finding": MaxFindingParams.for_mdp,
+            "sampled": lambda m, eps, delta: SampledParams.for_mdp(m, eps, delta, mode=mode)}[name]
+    with pytest.raises(PreconditionError, match=r"^delta (or c_max )?gives a per-estimate failure "
+                                                r"probability \S+ too small to amplify: 3/f overflows$"):
+        make(fig_two(2, 0.5, {1}), 0.5, delta)
+
+
+def test_classical_baseline_keeps_its_hoeffding_refusal():
+    # no amplification: a Hoeffding count refuses the same tiny delta in the schedule
+    mdp = fig_two(2, 0.5, {1})
+    params = SampledParams.for_mdp(mdp, 0.5, 1e-310)
+    with pytest.raises(PreconditionError, match=r"^Hoeffding sample count for accuracy \S+ is not finite$"):
+        params.schedule(mdp, CFG)
 
 
 PARAMS_FOR_MDP = {  # (mdp, eps, delta) -> params; eps_max is sqrt(horizon) or horizon
