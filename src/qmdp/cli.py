@@ -36,6 +36,7 @@ from .hard_instances import (
 )
 from .mdp import (
     Mdp,
+    _frozen,
     _read_json,
     _write_json,
     bellman_backup,
@@ -451,7 +452,7 @@ def _random_mdp(rng: np.random.Generator, max_states: int = 8, max_actions: int 
     a = int(rng.integers(1, max_actions + 1))
     transitions = rng.dirichlet(np.ones(s), size=(s, a))
     rewards = rng.random((s, a))
-    return Mdp(transitions=transitions, rewards=rewards,
+    return Mdp(transitions=_frozen(transitions), rewards=_frozen(rewards),
                discount=float(gammas[rng.integers(len(gammas))]))
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import PreconditionError
-from .mdp import MAX_DENSE_BYTES, Mdp
+from .mdp import MAX_DENSE_BYTES, Mdp, _frozen
 
 __all__ = [
     "HardInstanceSpec",
@@ -117,9 +117,8 @@ def two_state_chain(gamma: float, p: float) -> Mdp:
         raise PreconditionError(f"gamma must be in [0, 1), got {gamma}")
     if not (0.0 <= p <= 1.0):
         raise PreconditionError(f"p must be in [0, 1], got {p}")
-    transitions = np.array([[[p, 1.0 - p]], [[0.0, 1.0]]])
-    rewards = np.array([[1.0], [0.0]])
-    return Mdp(transitions=transitions, rewards=rewards, discount=gamma)
+    return Mdp(transitions=_frozen(np.array([[[p, 1.0 - p]], [[0.0, 1.0]]])),
+               rewards=_frozen(np.array([[1.0], [0.0]])), discount=gamma)
 
 
 def multi_arm_instance(spec: HardInstanceSpec) -> Mdp:
@@ -145,7 +144,7 @@ def tiled_instance(spec: HardInstanceSpec) -> Mdp:
             transitions[src, a, sink] = 1.0 - p
             transitions[sink, a, sink] = 1.0
         rewards[src, :] = 1.0
-    return Mdp(transitions=transitions, rewards=rewards, discount=spec.gamma)
+    return Mdp(transitions=_frozen(transitions), rewards=_frozen(rewards), discount=spec.gamma)
 
 
 def value_gap(gamma: float, eps: float, c_alpha: float = DEFAULT_GAP_CONSTANT) -> float:

@@ -52,6 +52,24 @@ READ_CHUNK_CHARS = 2**16  # text load_mdp_json reads at a time
 _OPEN = re.compile(r'["\[]')  # where a string or a row may start
 
 
+def _kept(x, dtype) -> np.ndarray:
+    """x itself if it is a read-only, aligned, C-contiguous array of dtype with no writable array
+    under it (a fresh array handed over, or one an instance keeps), else a read-only copy."""
+    base = x
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base  # None only below a chain of read-only arrays down to their owner
+    if base is not None or not (isinstance(x, np.ndarray) and x.dtype == dtype
+                                and x.flags.c_contiguous and x.flags.aligned):
+        x = _frozen(np.array(x, dtype=dtype, order="C"))
+    return x
+
+
+def _frozen(x: np.ndarray) -> np.ndarray:
+    """x marked read-only: a fresh array an instance may keep without a copy."""
+    x.setflags(write=False)
+    return x
+
+
 @dataclass(frozen=True)
 class Mdp:
     """Tabular discounted MDP: transitions ``p[s,a,s']``, rewards ``r[s,a]``
@@ -62,10 +80,8 @@ class Mdp:
     discount: float
 
     def __post_init__(self):
-        # own copies: no view the caller keeps can change a frozen instance
-        # (or its cached optimum), and the caller's arrays stay writable
-        p = np.array(self.transitions, dtype=float, order="C")
-        r = np.array(self.rewards, dtype=float, order="C")
+        # a caller's writable array, or a view of one, is copied: it cannot change the instance
+        p, r = _kept(self.transitions, np.float64), _kept(self.rewards, np.float64)
         if p.ndim != 3 or p.shape[0] != p.shape[2]:
             raise ConfigError(f"transitions must have shape (S, A, S), got {p.shape}")
         if r.shape != p.shape[:2]:
@@ -94,8 +110,6 @@ class Mdp:
         if np.any(r < 0.0) or np.any(r > 1.0):
             s, a = np.unravel_index(int(np.argmin(np.minimum(r, 1.0 - r))), r.shape)
             raise ConfigError(f"rewards[{s}][{a}] = {r[s, a]} outside [0, 1]")
-        p.setflags(write=False)
-        r.setflags(write=False)
         object.__setattr__(self, "transitions", p)
         object.__setattr__(self, "rewards", r)
         object.__setattr__(self, "discount", float(self.discount))
@@ -121,10 +135,7 @@ class Mdp:
         instance is frozen and its arrays are read-only, so every solve
         checked against it shares one ground truth.
         """
-        out = exact_value_iteration(self, tol=OPTIMUM_TOL)
-        for arr in out:
-            arr.setflags(write=False)
-        return out
+        return tuple(map(_frozen, exact_value_iteration(self, tol=OPTIMUM_TOL)))
 
 
 def _check_value_vec(mdp: Mdp, v: np.ndarray, name: str = "v") -> np.ndarray:
@@ -352,19 +363,31 @@ def _write_json(doc, path, default=None) -> None:
         fh.write("\n")
 
 
-def _put_back(x, rows):
-    """Skeleton x with each [i] replaced by rows[i] (every array of scalars was a row)."""
+def _put_back(x, rows, buf):
+    """Skeleton x with each [i] replaced by rows[i] (every array of scalars was a row); a row of floats,
+    or rows of one shape laid end to end in buf, as (offset, shape) until _view makes it a view."""
     if isinstance(x, dict):
-        return {k: _put_back(v, rows) for k, v in x.items()}
-    if isinstance(x, list):
-        return rows[x[0]] if len(x) == 1 and type(x[0]) is int else [_put_back(v, rows) for v in x]
-    return x
+        return {k: _view(_put_back(v, rows, buf), buf) for k, v in x.items()}
+    if not isinstance(x, list):
+        return x
+    if len(x) == 1 and type(x[0]) is int:
+        return rows[x[0]]
+    x = [_put_back(v, rows, buf) for v in x]
+    lo, shape = x[0] if x and type(x[0]) is tuple else (0, ())
+    if shape and x == [(lo + j * math.prod(shape), shape) for j in range(len(x))]:
+        return lo, (len(x), *shape)  # p's rows: one (S, A, S) view, no copy
+    return [_view(v, buf) for v in x]
+
+
+def _view(x, buf):  # (offset, shape) as a read-only view of buf
+    return buf[x[0]:x[0] + math.prod(x[1])].reshape(x[1]) if type(x) is tuple else x
 
 
 def _read_rows(path):
     """The JSON document at path, read READ_CHUNK_CHARS at a time or more: each row (an array with
-    no bracket, brace or quote inside) alone, the rest with row i as [i]; raises where json.load would."""
-    rows, skeleton, carry, cells = [], [], "", 0
+    no bracket, brace or quote inside) alone into one float64 buffer, the rest with row i as [i];
+    raises where json.load would."""
+    rows, skeleton, carry, cells, held, buf, n = [], [], "", 0, 0, np.empty(0), 0
     with open(path, "r", encoding="utf-8") as fh:
         while chunk := fh.read(max(READ_CHUNK_CHARS, len(carry))):  # a long piece stays linear
             text, start, pos, stop, carry = carry + chunk, 0, 0, 0, ""
@@ -386,10 +409,20 @@ def _read_rows(path):
                 # an int entry becomes float(int(t)) ("-0" too), or inf past float range
                 row = json.loads(text[i:stop + 1], parse_int=lambda t: float(t) + 0.0)
                 skeleton += (text[start:i], f"[{len(rows)}]")
-                rows.append(np.array(row) if set(map(type, row)) <= {float} else row)
+                held += i - start
+                if set(map(type, row)) <= {float}:
+                    if n + len(row) > len(buf):  # realloc, an eighth more each time
+                        buf.resize(n + len(row) + n // 8, refcheck=False)
+                    buf[n:n + len(row)] = row
+                    row, n = (n, (len(row),)), n + len(row)
+                rows.append(row)
                 start = pos = stop + 1
             skeleton.append(text[start:len(text) - len(carry)])
-    return _put_back(json.loads("".join(skeleton) + carry), rows)
+            if max(held := held + len(skeleton[-1]), len(carry)) > MAX_DENSE_BYTES:
+                raise ConfigError(f"{path}: more than {MAX_DENSE_BYTES} characters of text outside "
+                                  "the rows, or in one string or row")
+    buf.resize(n, refcheck=False)
+    return _view(_put_back(json.loads("".join(skeleton) + carry), rows, _frozen(buf)), buf)
 
 
 def load_mdp_json(path) -> Mdp:

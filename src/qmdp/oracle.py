@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigError
-from .mdp import Mdp, _check_value_vec, _doc
+from .mdp import Mdp, _check_value_vec, _doc, _frozen, _kept
 from .rng import KeyTemplate, derived_rng, key_digests, keyed_rng
 
 __all__ = [
@@ -240,9 +240,8 @@ class DyadicMdp:
     max_distortion: float  # max entrywise |quantized - original|
 
     def __post_init__(self):
-        # own read-only copy: no later edit can un-normalise the amplitudes
-        counts = np.array(self.counts, dtype=np.int64)
-        counts.setflags(write=False)
+        # kept read-only, as Mdp keeps its arrays: no later edit can un-normalise the amplitudes
+        counts = _kept(self.counts, np.int64)
         object.__setattr__(self, "counts", counts)
         total = 1 << self.denominator_bits
         sums = counts.sum(axis=2)
@@ -281,12 +280,10 @@ def quantize_mdp(mdp: Mdp, m: int = 20) -> DyadicMdp:
     """
     s_n, a_n = mdp.num_states, mdp.num_actions
     counts = np.zeros((s_n, a_n, s_n), dtype=np.int64)
-    for s in range(s_n):
-        for a in range(a_n):
-            counts[s, a] = quantize_row(mdp.transitions[s, a], m).counts
+    for s, a in np.ndindex(s_n, a_n):
+        counts[s, a] = quantize_row(mdp.transitions[s, a], m).counts
     quantized = counts / float(1 << m)
-    distortion = float(np.abs(quantized - mdp.transitions).max())
-    new_mdp = Mdp(transitions=quantized, rewards=mdp.rewards, discount=mdp.discount)
-    return DyadicMdp(
-        mdp=new_mdp, denominator_bits=m, counts=counts, max_distortion=distortion
-    )
+    error = quantized - mdp.transitions
+    distortion = float(np.abs(error, out=error).max())
+    new_mdp = Mdp(transitions=_frozen(quantized), rewards=mdp.rewards, discount=mdp.discount)
+    return DyadicMdp(new_mdp, m, _frozen(counts), distortion)

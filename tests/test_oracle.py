@@ -457,6 +457,17 @@ class TestAmplitudeOracle:
             np.testing.assert_array_equal(dyadic.counts, 4)
             assert dyadic.probability_exact(1, 0, 0) == Fraction(1, 2)
 
+    def test_read_only_int64_counts_are_kept(self):
+        counts = np.full((2, 2, 2), 4, dtype=np.int64)
+        counts.setflags(write=False)
+        assert DyadicMdp(uniform_mdp(), 3, counts, 0.0).counts is counts
+        view = np.full((2, 2, 2), 4, dtype=np.int64)[:]  # over a writable array: copied
+        view.setflags(write=False)
+        assert not np.shares_memory(DyadicMdp(uniform_mdp(), 3, view, 0.0).counts, view)
+        dyadic = quantize_mdp(uniform_mdp(), m=3)  # its fresh tensors are handed over
+        for arr in (dyadic.counts, dyadic.mdp.transitions):
+            assert arr.base is None and not arr.flags.writeable
+
     def test_quantize_mdp_surfaces_distortion(self):
         rng = derived_rng(24, "qmdp")
         mdp = Mdp(
