@@ -44,8 +44,8 @@ __all__ = [
 _ROW_SUM_TOL = 1e-12
 _VARIANCE_CLAMP = -1e-12
 OPTIMUM_TOL = 1e-10  # max-norm certificate of the ground truth held by Mdp.optimum
-# float64 cells of the deviation buffer successor_variance reuses across its
-# blocks of whole states (one state's A*S cells when that is more)
+# cells of one block: successor_variance's deviation buffer (whole states, or one
+# state's A*S cells when that is more) and empirical_means' counts (whole rows)
 VARIANCE_BLOCK_CELLS = 2**15
 MAX_DENSE_BYTES = 2**30  # largest float64 transition tensor an instance may ask for
 READ_CHUNK_CHARS = 2**16  # text load_mdp_json reads at a time

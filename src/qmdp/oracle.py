@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigError
-from .mdp import Mdp, _check_value_vec, _doc, _frozen, _kept
+from .mdp import VARIANCE_BLOCK_CELLS, Mdp, _check_value_vec, _doc, _frozen, _kept
 from .rng import KeyTemplate, derived_rng, key_digests, keyed_rng
 
 __all__ = [
@@ -105,11 +105,7 @@ class SampleOracle:
                 raise IndexError(f"{name} index {i} out of range [0, {size})")
 
     def sample_counts(self, s: int, a: int, n: int, phase: str | None = None) -> np.ndarray:
-        """Counts of n iid successor draws (multinomial); charges n samples.
-
-        One multinomial draw costs O(S) instead of O(n), which is what makes
-        the classical baselines runnable at their true sample sizes.
-        """
+        """Counts of n iid successor draws, one multinomial on the next call stream; charges n."""
         self._check_indices(s, a)
         _check_count(n)
         counts = self._next_rng().multinomial(n, self.mdp.transitions[s, a])
@@ -117,16 +113,19 @@ class SampleOracle:
         return counts
 
     def empirical_means(self, v: np.ndarray, n: int, phase: str | None = None) -> np.ndarray:
-        """(S, A) means ``counts @ v / n`` of n successor draws per (s, a), drawn
-        as :meth:`sample_counts` draws them, in row-major order, on the next
-        S*A call streams; charges n*S*A."""
+        """(S, A) means ``counts @ v / n`` of n successor draws per (s, a); charges n*S*A.
+        Multinomial counts cost O(S) a row, not O(n), which makes the classical baseline
+        runnable at its true sample sizes.  All rows come from the next call stream, in
+        row-major order as a row loop on it draws them, VARIANCE_BLOCK_CELLS // S at a time."""
         _check_count(n)
         v = _check_value_vec(self.mdp, v, "value map")
-        p = self.mdp.transitions
-        rows = p.reshape(-1, p.shape[2])
-        sums = [self._next_rng().multinomial(n, row).dot(v) for row in rows]
+        p, rng = self.mdp.transitions, self._next_rng()
+        rows, step = p.reshape(-1, p.shape[2]), max(1, VARIANCE_BLOCK_CELLS // p.shape[2])
+        sums = np.empty(len(rows))
+        for lo in range(0, len(rows), step):
+            np.einsum("ij,j->i", rng.multinomial(n, rows[lo:lo + step]), v, out=sums[lo:lo + step])
         self.ledger.charge_classical(n * len(rows), phase)
-        return np.array(sums).reshape(p.shape[:2]) / n
+        return sums.reshape(p.shape[:2]) / n
 
     def derive_rng(self, *parts) -> np.random.Generator:
         """Named auxiliary stream, independent of the call counter; valid until the next stream."""

@@ -14,8 +14,11 @@ import functools
 import math
 import hashlib
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -68,7 +71,7 @@ GOLDEN = (
      None, 12, "1f5529d5e7eed416a1e4c605667c289ce7f1af4c1b464b46c6b2656c5fa8bef9"),
     ("hard-sampled-classical", HARD,
      {"name": "sampled", "mode": "classical", "eps": 0.5, "delta": 0.1}, None, 13,
-     "e2d190b7c6d0d00801e54885c118c3ee185b26189c6c47c077c0ecbdf0ea1d9f"),
+     "e8b7c5cd9b15e28ef4a35d3d8d5529d72d9e5764a84b7bff199581374ca188f0"),
     ("dense-variance-reduced", DENSE, {"name": "variance-reduced", "eps": 0.5, "delta": 0.1},
      None, 21, "7e8cded5996e3c4c40c0c79030607a7e70472c0fba16eff7364e6c522ccdb4e4"),
     ("dense-max-finding", DENSE, {"name": "max-finding", "eps": 0.5, "delta": 0.1},
@@ -90,7 +93,7 @@ GOLDEN = (
      "d79d153117fcb873e99ba85770f2e4fbed9bb756af461ad802b7b425d8ccb92f"),
     ("dense-sampled-classical", DENSE,
      {"name": "sampled", "mode": "classical", "eps": 0.5, "delta": 0.1}, None, 23,
-     "9df461fc595717f986fe96ff16d3d7f8de2662746ed25be21ffdc18aaaa8e58b"),
+     "333dfc2dc0379c9c913355ea882d0869787a2f1f338a5123659c752601b28985"),
     ("dirichlet-variance-reduced", DIRICHLET,
      {"name": "variance-reduced", "eps": 0.5, "delta": 0.1}, None, 41,
      "bd5dd628d4c6311834761947e0a1146e1e4cd02555c5a6b8090576c4d321f081"),
@@ -112,8 +115,8 @@ DIAGNOSTICS = {
         "115089476da66bae7ab72db49cde56d7770e13a7fe663f39d8e1ecfff5e6882c",
         "60b5d979c389eb8ade336fcbf6a966627d8dfa2a0fb2d8050775c00db9da8bea"),
     "hard-sampled-classical": (
-        "84ee2f3886144dde7c3da33560eea98ded4b80f055b28b3ca26228181639e7a2",
-        "b04076c93c35fbf6c4a0e2bced725251d6a6cf2c623c64276f7596dd96656bc5"),
+        "c91c53e764f15f0f77b80b6c6b9892c761445edc463cf6ad44782e293c27dc3b",
+        "ec93d95db078478afcbf0afc6e13cd355024bb9d20e1dcbe3298623a12f083a7"),
     "dense-variance-reduced": (
         "5d76b6106cae231dd3308651065fc883c14714f3e1154ed0f9268e35b0f093cc",
         "506ea9bf0922abb8f2281693559ef9dac425fc6ae4406f5dbc0d8a8279e652e6"),
@@ -133,8 +136,8 @@ DIAGNOSTICS = {
         "e3a4016b725913cb902dc0658bf26d77dc0bbc68c7e7788245e5d2463fe8f54a",
         "f1b04baefd7769089189342005b7932262d7145155ef6a11d7dc220418a8491d"),
     "dense-sampled-classical": (
-        "32dea38778c3acc130346a6669834b91529debac2bc0efab0516522dbedac68a",
-        "0bb16dc9377ad3cf657b5afaa280e74e62d16cef1d0e4a0a1c73662bb1b0087e"),
+        "d814d0ca74a33ac55aaaecdb91b7971ac5279ceb937dd71b6f064d03b94e5494",
+        "965a8c034b69fd340bbaa5bf29a78767eca5482d6edd74bdaa08111dc22ffe95"),
     "dirichlet-variance-reduced": (
         "588c0dab179b586c8a0556be0d7e0e48f138f3ed3cb9518976a5a0f4d8613574",
         "75b9259390c87dd36235299195f22aeb8ec04bcd375849c984c9cb2ec163d034"),
@@ -223,6 +226,39 @@ def test_statevector_golden_rarely_falls_back(monkeypatch):
     run_solver(build_instance(instance)[0], solver, EstimatorConfig(**estimator), seed)
     fallbacks = sum(v is None or (v < 0).any() for v in verdicts)  # whole or in part
     assert len(verdicts) > 300 and fallbacks <= 0.005 * len(verdicts), (name, fallbacks)
+
+
+CLASSICAL = [g for g in GOLDEN if g[0].endswith("-sampled-classical")]
+
+# solves the CLASSICAL cases in the working directory; writes the OpenBLAS
+# kernel and each case's (report, diagnostics report, snapshots) digests
+_KERNEL_RUN = """\
+import hashlib, json, pathlib
+import test_golden as g
+here = pathlib.Path.cwd()
+digests = {name: (g._report_sha256(here, *case),
+                  g._report_sha256(here, *case, diagnostics=True, snapshots_csv="snapshots.csv"),
+                  hashlib.sha256((here / "snapshots.csv").read_bytes()).hexdigest())
+           for name, *case, _ in g.CLASSICAL}
+(here / "digests.json").write_text(json.dumps([g.openblas_core(), digests]))
+"""
+
+
+@pytest.mark.skipif(openblas_core().startswith("unknown"),
+                    reason="numpy has no bundled OpenBLAS whose kernel could be chosen")
+@pytest.mark.parametrize("kernel", ["Haswell", "Sandybridge"])
+def test_classical_goldens_under_other_blas_kernels(tmp_path, kernel):
+    # the classical baseline sums its counts with einsum, which calls no BLAS,
+    # so its goldens hold under every OpenBLAS kernel, not only this host's
+    path = os.pathsep.join([str(pathlib.Path(mdp_mod.__file__).parents[1]),
+                            str(pathlib.Path(__file__).parent), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, OPENBLAS_CORETYPE=kernel, PYTHONPATH=path)
+    subprocess.run([sys.executable, "-c", _KERNEL_RUN], cwd=tmp_path, env=env, check=True,
+                   stdout=subprocess.DEVNULL, timeout=60)
+    core, digests = json.loads((tmp_path / "digests.json").read_text())
+    assert core == kernel  # the kernel asked for is the one that ran
+    assert {name: tuple(d) for name, d in digests.items()} == {
+        name: (digest, *DIAGNOSTICS[name]) for name, *_, digest in CLASSICAL}
 
 
 def test_openblas_core_is_named():

@@ -1,13 +1,15 @@
 """Tests for query accounting, sampling, and the dyadic amplitude oracle."""
 
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmdp.errors import ConfigError
-from qmdp.mdp import Mdp
+from qmdp.mdp import VARIANCE_BLOCK_CELLS, Mdp
 from qmdp.oracle import (
     DyadicRow,
     QueryLedger,
@@ -18,6 +20,7 @@ from qmdp.oracle import (
     reversible_successor_map,
 )
 from qmdp.rng import DIGEST_KEYS, derived_rng
+from test_rng import reference_rng
 
 
 def uniform_mdp(s=2, a=2, gamma=0.9):
@@ -106,15 +109,33 @@ def dirichlet_mdp(s_n, a_n, seed):
                rewards=np.zeros((s_n, a_n)), discount=0.9)
 
 
-def loop_empirical_means(oracle, v, n, phase):
-    """The per-(s, a) sample_counts loop that empirical_means replaces."""
-    s_n, a_n = oracle.mdp.num_states, oracle.mdp.num_actions
+def row_loop_means(transitions, v, n, rng):
+    """empirical_means' draws as a row loop on one stream: a multinomial per
+    (s, a) in row-major order, each summed over s' in einsum's order."""
+    s_n, a_n, _ = transitions.shape
     est = np.empty((s_n, a_n))
-    for s in range(s_n):
-        for a in range(a_n):
-            counts = oracle.sample_counts(s, a, n, phase)
-            est[s, a] = counts @ v / n
+    for s, a in np.ndindex(s_n, a_n):
+        est[s, a] = np.einsum("j,j->", rng.multinomial(n, transitions[s, a]), v) / n
     return est
+
+
+def loop_empirical_means(oracle, v, n, phase):
+    """empirical_means written out on the one call stream (seed, "call", c) it takes."""
+    rng = reference_rng(oracle.seed, "call", oracle._calls)
+    oracle._next_rng()  # the counter moves past that stream
+    oracle.ledger.charge_classical(n * oracle.mdp.num_states * oracle.mdp.num_actions, phase)
+    return row_loop_means(oracle.mdp.transitions, v, n, rng)
+
+
+@st.composite
+def straddling_shapes(draw):
+    """(S, A) with S*A near 64, or with S*A rows near one block of
+    VARIANCE_BLOCK_CELLS // S rows, on either side of it."""
+    if draw(st.booleans()):
+        s_n = draw(st.integers(1, 16))
+        return s_n, max(1, 64 // s_n + draw(st.integers(-1, 1)))
+    s_n = draw(st.integers(24, 200))
+    return s_n, max(1, VARIANCE_BLOCK_CELLS // s_n**2 + draw(st.integers(-1, 1)))
 
 
 def _oracle_record(oracle):
@@ -138,12 +159,12 @@ class TestEmpiricalMeans:
                 assert got.shape == (s_n, a_n) and got.dtype == np.float64
                 assert got.tobytes() == want.tobytes()
                 assert _oracle_record(method) == _oracle_record(loop)
-        assert method._calls == 1 + 2 * s_n * a_n
+        assert method._calls == 1 + 2
 
     def test_digest_runs_cross_mid_call(self):
-        # 512 rows a call: the second call's streams straddle the end of the
-        # first DIGEST_KEYS run of hashed keys, and the sample_counts calls
-        # before the third advance the counter past every key hashed so far
+        # one stream a call: the sample_counts calls before the third advance
+        # the counter past the first DIGEST_KEYS run of hashed keys, so that
+        # call's stream comes from the next run
         mdp = dirichlet_mdp(64, 8, 5)
         v = derived_rng(5, "v").uniform(0.0, 10.0, 64)
         loop, method = SampleOracle(mdp, 21), SampleOracle(mdp, 21)
@@ -154,7 +175,47 @@ class TestEmpiricalMeans:
             want = loop_empirical_means(loop, v, 1000, f"iter-{i}")
             assert method.empirical_means(v, 1000, f"iter-{i}").tobytes() == want.tobytes()
             assert _oracle_record(method) == _oracle_record(loop)
-        assert method._calls == 3 * 512 + DIGEST_KEYS + 3
+        assert method._calls == 3 + DIGEST_KEYS + 3
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(shape=straddling_shapes(), n=st.sampled_from([0, 1, 7, 10**6]),
+           seed=st.integers(0, 2**32))
+    def test_equals_row_loop_on_one_stream(self, shape, n, seed):
+        s_n, a_n = shape
+        g = np.random.default_rng(seed)
+        mdp = Mdp(g.dirichlet(np.ones(s_n), size=(s_n, a_n)), np.zeros((s_n, a_n)), 0.9)
+        v = g.uniform(0.0, 10.0, s_n)
+        oracle = SampleOracle(mdp, seed)
+        oracle.sample_counts(0, 0, 3)  # so the call takes stream 1, not 0
+        rng = reference_rng(seed, "call", 1)
+        with np.errstate(invalid="ignore"):
+            got, want = oracle.empirical_means(v, n), row_loop_means(mdp.transitions, v, n, rng)
+        assert got.tobytes() == want.tobytes()
+        np.testing.assert_equal(oracle._rng.bit_generator.state, rng.bit_generator.state)
+
+    @pytest.mark.parametrize("s_n,rows", [(1, 1), (2, 16), (7, 9), (64, 512), (299, 3)])
+    def test_numpy_2d_multinomial_is_its_row_loop(self, s_n, rows):
+        # the definition empirical_means draws by: a 2-D multinomial is one
+        # 1-D draw per row, in order, on the same Generator
+        p = derived_rng(s_n, "rows", rows).dirichlet(np.ones(s_n), size=rows)
+        whole, loop = reference_rng(3, "call", 0), reference_rng(3, "call", 0)
+        got = whole.multinomial(10**6, p)
+        want = np.array([loop.multinomial(10**6, row) for row in p])
+        assert got.tobytes() == want.tobytes()
+        np.testing.assert_equal(whole.bit_generator.state, loop.bit_generator.state)
+
+    def test_memory_bounded_at_s512(self):
+        # counts are drawn a block of rows at a time: one (S*A, S) draw would
+        # hold 16 MiB here, as many bytes as the tensor itself
+        mdp = Mdp(np.full((512, 8, 512), 1.0 / 512), np.zeros((512, 8)), 0.9)
+        oracle, v = SampleOracle(mdp, 0), np.arange(512.0)
+        tracemalloc.start()
+        try:
+            oracle.empirical_means(v, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"
 
     def test_interleaved_oracles_equal_sequential(self):
         def steps(oracle, v):

@@ -2,12 +2,12 @@
 algorithm lines (variance-reduced lines 8, 9 and 13, max-finding line 10,
 and the sampled baseline), one stream, one estimate and one ledger charge
 at a time, composed from the per-layer references: ``reference_rng`` (the
-key format), ``reference_estimate`` (the estimator core) and
-``reference_argmax`` (statevector max finding), with the literal mock
-argmax loop.  Every solve must equal it byte for byte, report and snapshot
-rows, on instances on both sides of the bulk thresholds: 2*S*A words at
-BULK_STREAM_WORDS = 128 (Dirichlet S*A of 63, 64 and 65), and Philox passes
-that split an epoch's line-13 streams (hard instances with A = 8)."""
+key format), ``reference_estimate`` (the estimator core), ``row_loop_means``
+(the classical sweep) and ``reference_argmax`` (statevector max finding),
+with the literal mock argmax loop.  Every solve must equal it byte for byte,
+report and snapshot rows, on instances on both sides of the bulk thresholds:
+2*S*A words at BULK_STREAM_WORDS = 128 (Dirichlet S*A of 63, 64 and 65), and
+Philox passes that split an epoch's line-13 streams (hard instances with A = 8)."""
 
 import dataclasses
 import json
@@ -32,6 +32,7 @@ from qmdp.solvers import (
     variance_reduced_vi,
 )
 from test_estimators import reference_estimate
+from test_oracle import row_loop_means
 from test_qsim import reference_argmax
 from test_rng import reference_rng
 from test_solvers import loop_mock_argmax
@@ -158,18 +159,12 @@ def reference_sampled(mdp, p, cfg, seed):
     s_n, a_n = mdp.num_states, mdp.num_actions
     err, f = (1.0 - gamma) * p.eps / 4.0, p.delta / (p.iters * s_n * a_n)
     run = Run(mdp, seed, cfg, f, monotone=False)
-    calls = 0
     for i in range(1, p.iters + 1):
         if p.mode == "classical":
             n = hoeffding_sample_count(h, err, f)
-            est = np.empty((s_n, a_n))
-            for s in range(s_n):
-                for a in range(a_n):
-                    counts = reference_rng(seed, "call", calls).multinomial(
-                        n, mdp.transitions[s, a])
-                    calls += 1
-                    est[s, a] = counts @ run.v / n
-                    run.ledger.charge_classical(n, f"iter-{i}")
+            # one call stream per sweep
+            est = row_loop_means(mdp.transitions, run.v, n, reference_rng(seed, "call", i - 1))
+            run.ledger.charge_classical(n * s_n * a_n, f"iter-{i}")
         else:
             est = run.estimate((seed, "svi", i), f"iter-{i}", run.v, h, err, slack=p.eps / 4.0)
         q_est = r + gamma * est

@@ -589,7 +589,7 @@ class TestSampledBaseline:
         mdp = fig_two(8, 0.5, {3})
         oracle = SampleOracle(mdp, 6)
         sampled_vi(oracle, Plan.of(mdp, SampledParams.for_mdp(mdp, 0.3, 0.1)))
-        assert oracle._calls == 50 * 16
+        assert oracle._calls == 50  # one call stream per sweep
         assert len(runs) <= -(-oracle._calls // qmdp.rng.DIGEST_KEYS) + 1
 
 
