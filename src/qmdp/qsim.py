@@ -2,12 +2,13 @@
 
 Canonical amplitude estimation is simulated by sampling its closed-form
 measurement distribution (phase estimation applied to the Grover operator of
-the state being measured), not by evolving a statevector.  Each draw inverts
-that distribution's 2^t-cell float CDF; from t = 11 on the CDF is summed in
-closed form instead (tabulated around its peaks, in the gaps between them by
-one Euler-Maclaurin run from the nearest tabulated end), and a bound on the
-grid's round-off certifies each draw as the grid's own (the uniforms it
-refuses go to the grid, built in fixed chunks).  Maximum finding
+the state being measured), not by evolving a statevector.  A draw inverts
+that distribution's CDF F: below t = 11 the cumsum of its 2^t-cell float grid,
+from t = 11 on F summed in closed form (tabulated around its peaks, in the gaps
+between them by one Euler-Maclaurin run from the nearest tabulated end), within
+4e-15 of the exact sum at every cell at t = 11 and 13, where the grid's cumsum
+is off by up to 2.6e-13.  Amplitudes whose c = 2^t omega lies on or next to an
+integer keep the grid, built in fixed chunks.  Maximum finding
 is the threshold-improvement loop with exact Grover success probabilities,
 on draws replayed from the stream's raw words; the rounds left once the
 maximum is found are resolved in bulk.
@@ -46,7 +47,6 @@ DEFAULT_C_MAX = 4.0
 MAX_ARGMAX_PROBES = 2**24
 FAST_MIN_BITS = 11  # from here on the closed-form CDF beats one outcome grid
 _CHUNK = 1 << 16  # cells per grid chunk: a grid's memory does not grow with t
-_W = 32  # pole distance _cdf_bound takes for each Euler-Maclaurin end (_WIDE or more)
 _WIDE = 192  # cells on either side of each peak whose CDF is tabulated
 _GROUPS = 64  # amplitudes per closed-form pass: its (2, groups, 387) arrays stay under _CHUNK cells
 
@@ -167,89 +167,55 @@ def _closed_cdf(c: list, m: int, s: list):
     return table, f_table, list(accumulate((b - a + j + 3 for a, b, j in zip(r0, r1, n)), initial=0)), gap
 
 
-def _bound_terms(m: int, s: list) -> list:
-    """Each amplitude's (37 m / s, Euler-Maclaurin term) in _cdf_bound."""
-    h, cw = math.pi / m, 1.0 / math.tan(math.pi * _W / m)
-    p5 = cw * (272.0 + cw**2 * (1232.0 + cw**2 * (1680.0 + 720.0 * cw**2)))
-    return [(37.0 * m / x, (x / m) ** 2 * 10 / 30240 * h**5 * p5) for x in s]
-
-
-def _cdf_bound(f: np.ndarray, k: np.ndarray, m: int, s: list, size: list) -> np.ndarray:
-    """Bound on |the grid's float cdf[k] - F(k)| given F(k) as evaluated, f; s[g] for size[g] entries."""
-    # With u = 2^-53, q = m u / s <= 2^-10 and t >= 11, term by term:
-    # - a kernel's sinc numerator: y -/+ omega rounds by 1.5 u (4.71 m u times
-    #   pi m), float pi is 1.1 u off (0.55 m u on |m xw| <= m / 2), pi * (m xw)
-    #   rounds by 1.57 m u: argument off by 6.83 m u, |sin| = s, relative 6.83 q;
-    # - its sinc(xw): argument off by <= 6.83 u against |sin(pi xw)| >=
-    #   2 dist(j -/+ c, mZ) / m >= (2 / pi) s / m, relative 10.7 q; so each
-    #   K^2 and cell is within 35.7 q, the cells up to k within 35.7 q F(k);
-    # - cumsum: k additions, each rounding by u a partial sum <= 1.01 F(k);
-    # - F as evaluated (_closed_cdf, a gap cell by one run from its tabulated end):
-    #   387 tabulated terms summed, s^2, the mirror (where F >= 0.49) and <= 4
-    #   Euler-Maclaurin values, each <= 0.0033 s^2 and within 20 u: well inside
-    #   2^11 u F + 1.5 u, and 2^11 u F <= q F as m / s >= 2^11; F -/+ bound rounds by 0.5 u;
-    # - Euler-Maclaurin: <= 2 runs, each within (s/m)^2 (2/30240) h^5 p5 (the bound's 10
-    #   covers 5), as |h5| <= 2 h^5 p5(cot(h W)) at >= W cells from every pole.
-    w, em = np.array(_bound_terms(m, s)).repeat(size, 0).T
-    bound = 2.0**-53 * ((w + 1.01 * (k1 := k + 1)) * f + 2.0) + em
-    bound[k1 % m == 0] = 0.0  # k = -1 or m - 1: F(-1) = 0 and the last cell's 1.0 are exact
-    return bound
-
-
-def _certified_draws(omega: list, t: int, u: np.ndarray, size: list) -> np.ndarray:
-    """_grid_draws for each amplitude g, at the next size[g] uniforms u, from the exact CDF F
-    at the grid's own omega[g] (_closed_cdf; m = 2^t, c = m omega, s = |sin(pi c)|), for up
-    to _GROUPS amplitudes a pass: each draw _cdf_bound certifies bit for bit, -1 for each
-    it refuses, and for all of an amplitude's when its s is too small."""
+def _closed_form_draws(omega: list, t: int, u: np.ndarray, size: list) -> np.ndarray:
+    """Draws for each amplitude g at the next size[g] uniforms u: u inverted on the CDF F at
+    omega[g] as _closed_cdf evaluates it (m = 2^t, c = m omega, s = |sin(pi c)|), the cell k with
+    F(k - 1) <= u < F(k), for up to _GROUPS amplitudes a pass; -1 for every uniform of an
+    amplitude that F does not fit."""
     m, ends = 1 << t, list(accumulate(size, initial=0))
     if len(size) > _GROUPS:  # a pass's arrays grow with its amplitudes
-        return np.concatenate((_certified_draws(omega[:_GROUPS], t, u[:ends[_GROUPS]], size[:_GROUPS]),
-                               _certified_draws(omega[_GROUPS:], t, u[ends[_GROUPS]:], size[_GROUPS:])))
+        return np.concatenate((_closed_form_draws(omega[:_GROUPS], t, u[:ends[_GROUPS]], size[:_GROUPS]),
+                               _closed_form_draws(omega[_GROUPS:], t, u[ends[_GROUPS]:], size[_GROUPS:])))
     c = [m * x for x in omega]  # exact: m is a power of two
     s = [math.sin(math.pi * min(x % 1.0, 1.0 - x % 1.0)) for x in c]
-    # a = 1 (s = 0) included, _cdf_bound needs q = m u / s <= 2^-10: passed at c = 1/2, refused
+    # F has a pole at a cell when s = 0 (a = 1), and near an integer c, j - c loses its digits:
+    # such amplitudes are passed at c = 1/2 and sent to the grid
     fit = [x >= m * 2.0**-43 for x in s]
     c, s = [x if y else 0.5 for x, y in zip(c, fit)], [x if y else 1.0 for x, y in zip(s, fit)]
     table, f_table, start, gap = _closed_cdf(c, m, s)
-    # in [1, size - 1] of its own table: F(-1) = 0 <= u < 1.0, the grid's last cell
+    # in [1, size - 1] of its own table: F(-1) = 0 <= u < 1.0 = F(m - 1)
     i = np.concatenate([f_table[a:b].searchsorted(u[e:e_], side="right") + a
                         for a, b, e, e_ in zip(start, start[1:], ends, ends[1:])])
-    k_lh, f_lh = table[i := np.concatenate((i - 1, i))], f_table[i]  # the views below update them
-    (lo, hi), (f_lo, f_hi) = k_lh.reshape(2, -1), f_lh.reshape(2, -1)
-    while (open_ := (hi - lo > 1).nonzero()[0]).size:  # 128-section in the gaps
+    lo, hi, f_lo, f_hi = table[i - 1], table[i], f_table[i - 1], f_table[i]
+    while (open_ := (hi - lo > 1).nonzero()[0]).size:  # 128-section in the gaps, down to one cell
         lo_o, hi_o = lo[open_, None], hi[open_, None]
         k = lo_o + (hi_o - lo_o) * np.arange(129) // 128
         f = np.where(k == lo_o, f_lo[open_, None], f_hi[open_, None])
         inner = (k > lo_o) & (k < hi_o)
         f[inner] = gap(k[inner], np.arange(len(s)).repeat(size)[open_[inner.nonzero()[0]]])
-        n, row = np.minimum(np.maximum((f <= u[open_, None]).sum(axis=1), 1), 128), np.arange(open_.size)
+        n, row = (f > u[open_, None]).argmax(axis=1), np.arange(open_.size)  # the first point above u
         lo[open_], f_lo[open_], hi[open_], f_hi[open_] = k[row, n - 1], f[row, n - 1], k[row, n], f[row, n]
-    # a draw clear of its step by the bound's top (k = m - 2, F = 2: it grows with both) passes its own
-    cap = max(2.0**-53 * ((w + 1.01 * (m - 1)) * 2.0 + 2.0) + em for w, em in _bound_terms(m, s))
-    if not (ok := (hi - lo == 1) & (f_lo + cap <= u) & (u < f_hi - cap)).all():
-        bound = _cdf_bound(f_lh, k_lh, m, s + s, size + size)
-        ok = (hi - lo == 1) & (f_lo + bound[:u.size] <= u) & (u < f_hi - bound[u.size:])
-    return np.where(ok if all(fit) else ok & np.repeat(fit, size), hi, -1)
+    return np.where(np.repeat(fit, size), hi, -1)
 
 
 def _estimate_draws(a: np.ndarray, t: int, u: np.ndarray) -> np.ndarray:
     """Estimates sin^2(pi y / 2^t), y drawn for row i of the uniforms u by inverting the
-    outcome CDF of amplitude a[i]: from t = FAST_MIN_BITS on by _certified_draws, every
-    distinct amplitude of the batch in one pass, and by _grid_draws, one amplitude at a
-    time, below it and for the uniforms it refuses.  Amplitude 0 needs neither: its CDF is
-    exactly 1.0 from y = 0 on (sinc(0)/sinc(0) = 1), so every u in [0, 1) inverts to 0."""
+    outcome CDF of amplitude a[i]: from t = FAST_MIN_BITS on the closed-form F
+    (_closed_form_draws), every distinct amplitude of the batch in one pass, and the
+    float grid (_grid_draws), one amplitude at a time, below it and for the amplitudes F
+    does not fit.  Amplitude 0 needs neither: its CDF is exactly 1.0 from y = 0 on
+    (sinc(0)/sinc(0) = 1), so every u in [0, 1) inverts to 0."""
     groups = {}  # -0.0 joins 0.0
     for i, value in enumerate(a.tolist()):
         groups.setdefault(value, []).append(i)
     groups.pop(0.0, None)
     rows, size = [i for r in groups.values() for i in r], [len(r) * u.shape[1] for r in groups.values()]
     u_g = u[rows].ravel()  # the uniforms amplitude by amplitude
-    y = (_certified_draws([math.asin(math.sqrt(x)) / math.pi for x in groups], t, u_g, size)
+    y = (_closed_form_draws([math.asin(math.sqrt(x)) / math.pi for x in groups], t, u_g, size)
          if t >= FAST_MIN_BITS and size else np.full(u_g.size, -1))
-    if np.count_nonzero(y < 0):  # only refused uniforms go to the grid, which stops above them
-        for value, e, e_ in zip(groups, accumulate(size, initial=0), accumulate(size)):
-            if (refused := y[e:e_] < 0).any():
-                y[e:e_][refused] = _grid_draws(value, t, u_g[e:e_][refused])
+    for value, e, e_ in zip(groups, accumulate(size, initial=0), accumulate(size)):
+        if e < e_ and y[e] < 0:  # the whole amplitude, or none of it
+            y[e:e_] = _grid_draws(value, t, u_g[e:e_])
     est = np.zeros(u.shape)
     est[rows] = (np.sin(np.pi * y / (1 << t)) ** 2).reshape(len(rows), u.shape[1])
     return est

@@ -205,7 +205,7 @@ def test_statevector_golden_through_grid_fallback(tmp_path, monkeypatch, name, i
                                                   solver, estimator, seed, digest):
     # every closed-form draw refused: the chunked grids give the same digests
     refused = []
-    monkeypatch.setattr(qsim, "_certified_draws", lambda omega, t, u, size: refused.append(t) or np.full(u.size, -1))
+    monkeypatch.setattr(qsim, "_closed_form_draws", lambda omega, t, u, size: refused.append(t) or np.full(u.size, -1))
     assert _report_sha256(tmp_path, instance, solver, estimator, seed) == digest
     monkeypatch.chdir(tmp_path)
     report = _report_sha256(tmp_path, instance, solver, estimator, seed,
@@ -217,8 +217,8 @@ def test_statevector_golden_through_grid_fallback(tmp_path, monkeypatch, name, i
 
 def test_statevector_golden_rarely_falls_back(monkeypatch):
     verdicts = []
-    real = qsim._certified_draws
-    monkeypatch.setattr(qsim, "_certified_draws",  # one verdict per amplitude of a batch
+    real = qsim._closed_form_draws
+    monkeypatch.setattr(qsim, "_closed_form_draws",  # one verdict per amplitude of a batch
                         lambda omega, t, u, size: verdicts.extend(
                             np.split(y := real(omega, t, u, size), np.cumsum(size)[:-1])) or y)
     name, instance, solver, estimator, seed, _ = next(
