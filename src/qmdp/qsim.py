@@ -3,15 +3,15 @@
 Canonical amplitude estimation is simulated by sampling its closed-form
 measurement distribution (phase estimation applied to the Grover operator of
 the state being measured), not by evolving a statevector.  A draw inverts
-that distribution's CDF F: below t = 11 the cumsum of its 2^t-cell float grid,
-from t = 11 on F summed in closed form (tabulated around its peaks, in the gaps
-between them by one Euler-Maclaurin run from the nearest tabulated end), within
-4e-15 of the exact sum at every cell at t = 11 and 13, where the grid's cumsum
-is off by up to 2.6e-13.  Amplitudes whose c = 2^t omega lies on or next to an
-integer keep the grid, built in fixed chunks.  Maximum finding
-is the threshold-improvement loop with exact Grover success probabilities,
-on draws replayed from the stream's raw words; the rounds left once the
-maximum is found are resolved in bulk.
+that distribution's CDF F at every t, summed in closed form (tabulated around
+its peaks, in the gaps between them by one Euler-Maclaurin run from the nearest
+tabulated end), within 4e-15 of the exact sum at every cell at each t checked
+from 1 to 13, where the cumsum of the 2^t-cell float grid is off by up to 2.6e-13.
+An amplitude whose c = 2^t omega lies on or next to an integer is the pair of
+point masses at round(c) and its mirror, each drawn with probability 1/2.
+Maximum finding is the threshold-improvement loop with exact Grover success
+probabilities, on draws replayed from the stream's raw words; the rounds left
+once the maximum is found are resolved in bulk.
 
 These "honest" backends exist to validate the contract-mock backend's
 query/error model; they expose measured query counts so the mock's constants
@@ -45,10 +45,8 @@ DEFAULT_C_MAX = 4.0
 # simulate_argmax's largest budget: its time is linear in the budget, and a
 # budget of 2^24 probes takes 0.4-1.0 s a call on a 2-vCPU Xeon (n = 64 and 8)
 MAX_ARGMAX_PROBES = 2**24
-FAST_MIN_BITS = 11  # from here on the closed-form CDF beats one outcome grid
-_CHUNK = 1 << 16  # cells per grid chunk: a grid's memory does not grow with t
 _WIDE = 192  # cells on either side of each peak whose CDF is tabulated
-_GROUPS = 64  # amplitudes per closed-form pass: its (2, groups, 387) arrays stay under _CHUNK cells
+_GROUPS = 64  # amplitudes per closed-form pass: its (2, groups, 387) arrays stay under 2^16 cells
 
 
 def check_phase_bits(t) -> int:
@@ -66,13 +64,13 @@ def _dirichlet_kernel_sq(x: np.ndarray, m: int) -> np.ndarray:
     return (np.sinc(m * xw) / np.sinc(xw)) ** 2
 
 
-def outcome_distribution(a: float, t: int, start: int = 0, stop: int | None = None) -> np.ndarray:
-    """Exact measurement distribution of t-bit amplitude estimation on a (cells [start, stop))."""
+def outcome_distribution(a: float, t: int) -> np.ndarray:
+    """Exact measurement distribution of t-bit amplitude estimation on a."""
     m = 1 << check_phase_bits(t)
     if not 0.0 <= a <= 1.0:
         raise PreconditionError(f"amplitude must be in [0, 1], got {a}")
     omega = math.asin(math.sqrt(a)) / math.pi  # in [0, 1/2]
-    y = np.arange(start, m if stop is None else min(stop, m)) / m
+    y = np.arange(m) / m
     return 0.5 * (_dirichlet_kernel_sq(y - omega, m) + _dirichlet_kernel_sq(y + omega, m))
 
 
@@ -80,27 +78,6 @@ def single_run_error_radius(a: float, t: int) -> float:
     """Accuracy radius holding with probability >= 8/pi^2 for a single run."""
     m = float(1 << t)
     return 2.0 * math.pi * math.sqrt(a * (1.0 - a)) / m + math.pi**2 / m**2
-
-
-def _grid_draws(a: float, t: int, u: np.ndarray) -> np.ndarray:
-    """searchsorted(cumsum(outcome_distribution(a, t)), u, side="right"), last
-    cell set to 1.0, counted over chunks of _CHUNK cells.  A chunk's cumsum
-    starts from the previous chunk's last value, which is the full cumsum bit
-    for bit, and no chunk is built after one that ends above every uniform."""
-    m = 1 << t
-    y = np.zeros(u.shape, dtype=np.int64)
-    carry = 0.0
-    for lo in range(0, m, _CHUNK):
-        cdf = outcome_distribution(a, t, lo, lo + _CHUNK)
-        cdf[0] += carry
-        np.cumsum(cdf, out=cdf)
-        if lo + _CHUNK >= m:
-            cdf[-1] = 1.0  # absorb float round-off in the last bin
-        y += np.searchsorted(cdf, u, side="right")
-        carry = cdf[-1]
-        if carry > u.max(initial=0.0):
-            break
-    return y
 
 
 def _fold(k: np.ndarray, c, m: int) -> np.ndarray:
@@ -133,13 +110,15 @@ def _em(k, c, m: int):
 def _closed_cdf(c: list, m: int, s: list):
     """(table, f_table, start, gap) for amplitudes g with c[g], s[g]: F(k) = sum_{j<=k} p_j, p_j =
     s^2 / (2 m^2) csc2(j), tabulated at table[start[g]:start[g + 1]] from -1 (F = 0) over the first
-    run [r0, r1] (the cells within _WIDE of the first peak) and its mirror onto the second (p_j =
-    p_{m-j}, so F(k) = 1 + p_0 - F(m - 1 - k)) to m - 1 (F = 1.0); and gap(k, g) = F(k) of amplitude
-    g[i] at cell k[i] between them, all _WIDE or more from every pole, by one Euler-Maclaurin run from
-    the nearest tabulated end: -1 left of the first run, r1 between the runs, and right of the
-    mirrored run the left gap mirrored.  Row g of one (amplitudes, cells) array sums its run."""
+    run [r0, r1] (the cells within _WIDE of the first peak, up to m - 1) and its mirror onto the
+    second (p_j = p_{m-j}, so F(k) = 1 + p_0 - F(m - 1 - k)) to m - 1 (F = 1.0); and gap(k, g) = F(k)
+    of amplitude g[i] at cell k[i] between them, all _WIDE or more from every pole, by one
+    Euler-Maclaurin run from the nearest tabulated end: -1 left of the first run, r1 between the
+    runs, and right of the mirrored run the left gap mirrored.  Row g of one (amplitudes, cells)
+    array sums its run."""
     h, scale = math.pi / m, [0.5 * (x / m) ** 2 for x in s]
-    r0, r1 = [max(math.floor(x) - _WIDE, 0) for x in c], [math.floor(x) + _WIDE + 1 for x in c]
+    r0 = [max(math.floor(x) - _WIDE, 0) for x in c]
+    r1 = [min(math.floor(x) + _WIDE + 1, m - 1) for x in c]  # past m - 1 at t <= 8 unclipped
     n = [max(min(m - 2 - a - b, b - a), 0) for a, b in zip(r0, r1)]  # its cells mirrored past r1
     em_left = [_em(-1, x, m) if a > 0 else 0.0 for x, a in zip(c, r0)]  # the left gap [0, r0 - 1] from -1
     k = np.add.outer(r0, np.arange(-1, max(b - a for a, b in zip(r0, r1)) + 1))
@@ -170,8 +149,8 @@ def _closed_cdf(c: list, m: int, s: list):
 def _closed_form_draws(omega: list, t: int, u: np.ndarray, size: list) -> np.ndarray:
     """Draws for each amplitude g at the next size[g] uniforms u: u inverted on the CDF F at
     omega[g] as _closed_cdf evaluates it (m = 2^t, c = m omega, s = |sin(pi c)|), the cell k with
-    F(k - 1) <= u < F(k), for up to _GROUPS amplitudes a pass; -1 for every uniform of an
-    amplitude that F does not fit."""
+    F(k - 1) <= u < F(k), for up to _GROUPS amplitudes a pass.  An amplitude that F does not fit
+    is the point masses at j0 = round(c) and (m - j0) mod m: j0 for u < 1/2, else its mirror."""
     m, ends = 1 << t, list(accumulate(size, initial=0))
     if len(size) > _GROUPS:  # a pass's arrays grow with its amplitudes
         return np.concatenate((_closed_form_draws(omega[:_GROUPS], t, u[:ends[_GROUPS]], size[:_GROUPS]),
@@ -179,8 +158,9 @@ def _closed_form_draws(omega: list, t: int, u: np.ndarray, size: list) -> np.nda
     c = [m * x for x in omega]  # exact: m is a power of two
     s = [math.sin(math.pi * min(x % 1.0, 1.0 - x % 1.0)) for x in c]
     # F has a pole at a cell when s = 0 (a = 1), and near an integer c, j - c loses its digits:
-    # such amplitudes are passed at c = 1/2 and sent to the grid
+    # such amplitudes are passed at c = 1/2 and drawn from their point masses
     fit = [x >= m * 2.0**-43 for x in s]
+    j0 = np.repeat([round(x) for x in c], size)
     c, s = [x if y else 0.5 for x, y in zip(c, fit)], [x if y else 1.0 for x, y in zip(s, fit)]
     table, f_table, start, gap = _closed_cdf(c, m, s)
     # in [1, size - 1] of its own table: F(-1) = 0 <= u < 1.0 = F(m - 1)
@@ -195,29 +175,24 @@ def _closed_form_draws(omega: list, t: int, u: np.ndarray, size: list) -> np.nda
         f[inner] = gap(k[inner], np.arange(len(s)).repeat(size)[open_[inner.nonzero()[0]]])
         n, row = (f > u[open_, None]).argmax(axis=1), np.arange(open_.size)  # the first point above u
         lo[open_], f_lo[open_], hi[open_], f_hi[open_] = k[row, n - 1], f[row, n - 1], k[row, n], f[row, n]
-    return np.where(np.repeat(fit, size), hi, -1)
+    return np.where(np.repeat(fit, size), hi, np.where(u < 0.5, j0, (m - j0) % m))
 
 
 def _estimate_draws(a: np.ndarray, t: int, u: np.ndarray) -> np.ndarray:
     """Estimates sin^2(pi y / 2^t), y drawn for row i of the uniforms u by inverting the
-    outcome CDF of amplitude a[i]: from t = FAST_MIN_BITS on the closed-form F
-    (_closed_form_draws), every distinct amplitude of the batch in one pass, and the
-    float grid (_grid_draws), one amplitude at a time, below it and for the amplitudes F
-    does not fit.  Amplitude 0 needs neither: its CDF is exactly 1.0 from y = 0 on
+    outcome CDF of amplitude a[i] (_closed_form_draws), every distinct amplitude of the
+    batch in one pass.  Amplitude 0 needs no pass: its CDF is exactly 1.0 from y = 0 on
     (sinc(0)/sinc(0) = 1), so every u in [0, 1) inverts to 0."""
     groups = {}  # -0.0 joins 0.0
     for i, value in enumerate(a.tolist()):
         groups.setdefault(value, []).append(i)
     groups.pop(0.0, None)
-    rows, size = [i for r in groups.values() for i in r], [len(r) * u.shape[1] for r in groups.values()]
-    u_g = u[rows].ravel()  # the uniforms amplitude by amplitude
-    y = (_closed_form_draws([math.asin(math.sqrt(x)) / math.pi for x in groups], t, u_g, size)
-         if t >= FAST_MIN_BITS and size else np.full(u_g.size, -1))
-    for value, e, e_ in zip(groups, accumulate(size, initial=0), accumulate(size)):
-        if e < e_ and y[e] < 0:  # the whole amplitude, or none of it
-            y[e:e_] = _grid_draws(value, t, u_g[e:e_])
     est = np.zeros(u.shape)
-    est[rows] = (np.sin(np.pi * y / (1 << t)) ** 2).reshape(len(rows), u.shape[1])
+    if groups:
+        rows, size = [i for r in groups.values() for i in r], [len(r) * u.shape[1] for r in groups.values()]
+        omega = [math.asin(math.sqrt(x)) / math.pi for x in groups]
+        y = _closed_form_draws(omega, t, u[rows].ravel(), size)  # the uniforms amplitude by amplitude
+        est[rows] = (np.sin(np.pi * y / (1 << t)) ** 2).reshape(len(rows), u.shape[1])
     return est
 
 

@@ -199,33 +199,53 @@ def test_golden_diagnostics(tmp_path, monkeypatch, name, instance, solver, estim
 STATEVECTOR = [g for g in GOLDEN if g[0].startswith("hard-statevector-")]
 
 
+def _full_grid_draws(omega, t, u, size):
+    """Each amplitude's uniforms inverted through the cumsum of its whole 2^t-cell float
+    outcome grid at omega, the last cell set to 1.0."""
+    m, draws = 1 << t, []
+    for w, u_g in zip(omega, np.split(u, np.cumsum(size)[:-1])):
+        y = np.arange(m) / m
+        cdf = np.cumsum(0.5 * (qsim._dirichlet_kernel_sq(y - w, m) + qsim._dirichlet_kernel_sq(y + w, m)))
+        cdf[-1] = 1.0
+        draws.append(np.searchsorted(cdf, u_g, side="right"))
+    return np.concatenate(draws)
+
+
 @pytest.mark.parametrize("name,instance,solver,estimator,seed,digest", STATEVECTOR,
                          ids=[g[0] for g in STATEVECTOR])
 def test_statevector_golden_through_grid_fallback(tmp_path, monkeypatch, name, instance,
                                                   solver, estimator, seed, digest):
-    # every closed-form draw refused: the chunked grids give the same digests
-    refused = []
-    monkeypatch.setattr(qsim, "_closed_form_draws", lambda omega, t, u, size: refused.append(t) or np.full(u.size, -1))
+    # every draw inverted through the float grid instead of the closed-form CDF: same digests;
+    # the solves themselves build no grid
+    monkeypatch.setattr(qsim, "outcome_distribution", lambda a, t: pytest.fail(f"grid built for {a}"))
+    ts = []
+    monkeypatch.setattr(qsim, "_closed_form_draws",
+                        lambda omega, t, u, size: ts.append(t) or _full_grid_draws(omega, t, u, size))
     assert _report_sha256(tmp_path, instance, solver, estimator, seed) == digest
     monkeypatch.chdir(tmp_path)
     report = _report_sha256(tmp_path, instance, solver, estimator, seed,
                             diagnostics=True, snapshots_csv="snapshots.csv")
     snapshots = hashlib.sha256((tmp_path / "snapshots.csv").read_bytes()).hexdigest()
     assert (report, snapshots) == DIAGNOSTICS[name]
-    assert min(refused) >= qsim.FAST_MIN_BITS  # every solve reached it, at t = 11 or 13
+    assert ts  # every solve drew through it, at t = 9, 11 or 13
 
 
 def test_statevector_golden_rarely_falls_back(monkeypatch):
-    verdicts = []
+    # amplitudes drawn from point masses, where c = 2^t omega lies within 2^t 2^-43 / pi of an integer
+    fits = []
     real = qsim._closed_form_draws
-    monkeypatch.setattr(qsim, "_closed_form_draws",  # one verdict per amplitude of a batch
-                        lambda omega, t, u, size: verdicts.extend(
-                            np.split(y := real(omega, t, u, size), np.cumsum(size)[:-1])) or y)
+
+    def spy(omega, t, u, size):
+        c = [(1 << t) * w for w in omega]
+        fits.extend(math.sin(math.pi * min(x % 1.0, 1.0 - x % 1.0)) >= (1 << t) * 2.0**-43 for x in c)
+        return real(omega, t, u, size)
+
+    monkeypatch.setattr(qsim, "_closed_form_draws", spy)
     name, instance, solver, estimator, seed, _ = next(
         g for g in STATEVECTOR if g[0] == "hard-statevector-variance-reduced")
     run_solver(build_instance(instance)[0], solver, EstimatorConfig(**estimator), seed)
-    fallbacks = sum(v is None or (v < 0).any() for v in verdicts)  # whole or in part
-    assert len(verdicts) > 300 and fallbacks <= 0.005 * len(verdicts), (name, fallbacks)
+    point_masses = fits.count(False)
+    assert len(fits) > 300 and point_masses <= 0.005 * len(fits), (name, point_masses, len(fits))
 
 
 CLASSICAL = [g for g in GOLDEN if g[0].endswith("-sampled-classical")]

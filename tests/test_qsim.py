@@ -2,11 +2,13 @@
 
 import functools
 import math
+import time
 import tracemalloc
 from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qmdp.qsim as qsim_mod
 from qmdp.errors import PreconditionError
@@ -104,8 +106,9 @@ class TestMedianAmplification:
 
 
 def grid_inverse(a, t, u):
-    """The reference every draw must equal bit for bit: u inverted through the
-    cumsum of the whole outcome grid of a, its last cell set to 1.0."""
+    """u inverted through the cumsum of the whole float outcome grid of a, its last cell
+    set to 1.0: an independent evaluation, equal to a draw but for uniforms within the
+    grid's round-off of a CDF step."""
     cdf = np.cumsum(outcome_distribution(float(a), t))
     cdf[-1] = 1.0
     return np.searchsorted(cdf, u, side="right")
@@ -116,8 +119,8 @@ def grid_estimates(a, t, u):
 
 
 def per_entry_medians(amplitudes, t, reps, rng):
-    """The per-entry loop the vectorized core replaced, kept as the reference:
-    one full outcome grid and one rng.random(reps) per entry, in order."""
+    """The per-entry loop the vectorized core replaced, kept as a reference on random
+    uniforms: one full outcome grid and one rng.random(reps) per entry, in order."""
     est = np.empty(np.shape(amplitudes))
     for i, a in enumerate(np.asarray(amplitudes, dtype=float).flat):
         est.flat[i] = float(np.median(grid_estimates(a, t, rng.random(reps))))
@@ -210,37 +213,25 @@ def full_grid_draws(amplitudes, t, u):
     return np.array([grid_estimates(a, t, row) for a, row in zip(amplitudes, u)])
 
 
+def no_grid(a, t):
+    raise AssertionError(f"grid built for amplitude {a}")
+
+
 class TestZeroAmplitudeWithoutGrid:
     AMPLITUDES = [0.0, 0.3, -0.0, 1.0, 0.0, 0.5, -0.0, 1e-7, 0.3]
     EDGE_UNIFORMS = [0.0, 1.0 - 2.0**-53, 0.5, 2.0**-53]
 
     @pytest.mark.parametrize("t", [1, 6, 13, 16])
     def test_equal_to_reference_inverse(self, t, monkeypatch):
-        seen = []
-
-        def spy(a, t, *cells):
-            if not cells or cells[0] == 0:  # a grid's first chunk
-                seen.append(a)
-            return outcome_distribution(a, t, *cells)
-
-        monkeypatch.setattr(qsim_mod, "outcome_distribution", spy)
+        monkeypatch.setattr(qsim_mod, "outcome_distribution", no_grid)
         a = np.array(self.AMPLITUDES)
         u = derived_rng(38, "zero-group", t).random((a.size, 13))
         u[:, :len(self.EDGE_UNIFORMS)] = self.EDGE_UNIFORMS
         got = qsim_mod._estimate_draws(a, t, u)
         assert got.tobytes() == reference_draws(a, t, u).tobytes()
         assert not got[a == 0.0].any()
-        # one grid per distinct non-zero amplitude below the cutover, none for
-        # the zero group; from it on, grids only for the amplitudes the closed
-        # form does not fit: 1.0 (c = m/2, so s = 0) and 0.5, whose
-        # omega = 1/4 + 2^-54 puts c within 4e-12 of an integer
-        built = [1e-7, 0.3, 0.5, 1.0] if t < qsim_mod.FAST_MIN_BITS else [0.5, 1.0]
-        assert sorted(seen) == built
 
     def test_all_zero_batch_builds_no_grid(self, monkeypatch):
-        def no_grid(a, t):
-            raise AssertionError(f"grid built for amplitude {a}")
-
         monkeypatch.setattr(qsim_mod, "outcome_distribution", no_grid)
         est = median_amplitude_estimates([0.0, -0.0, 0.0], 16, 9, derived_rng(39, "zeros"))
         assert est.tobytes() == np.zeros(3).tobytes()
@@ -261,37 +252,37 @@ def closed_form_f(a, t, k):
 
 
 def fits(a, t):
-    """Whether a draw of amplitude a at t bits inverts the closed form: from FAST_MIN_BITS on,
-    unless c = 2^t omega lies within 2^t 2^-43 / pi of an integer (a = 1 and 0 included)."""
+    """Whether the closed form fits amplitude a at t bits: unless c = 2^t omega lies within
+    2^t 2^-43 / pi of an integer (a = 1 and 0 included)."""
     c = (1 << t) * math.asin(math.sqrt(a)) / math.pi
     s = math.sin(math.pi * min(c % 1.0, 1.0 - c % 1.0))
-    return t >= qsim_mod.FAST_MIN_BITS and s >= (1 << t) * 2.0**-43
+    return s >= (1 << t) * 2.0**-43
 
 
 def f_inverse(a, t, u):
-    """u inverted through F over every cell, the last set to 1.0."""
-    f = closed_form_f(a, t, np.arange(1 << t))[0]
+    """u inverted through F over every cell, the last set to 1.0; where F does not fit a,
+    through its point masses: j0 = round(c) for u < 1/2, else (m - j0) mod m."""
+    m = 1 << t
+    if not fits(a, t):
+        j0 = round(m * math.asin(math.sqrt(a)) / math.pi)
+        return np.where(np.asarray(u) < 0.5, j0, (m - j0) % m)
+    f = closed_form_f(a, t, np.arange(m))[0]
     f[-1] = 1.0
     return np.searchsorted(f, u, side="right")
 
 
 def reference_draws(amplitudes, t, u):
-    """Each row's estimates by the definition of a draw: its uniforms inverted through F
-    where the closed form fits its amplitude, else through its full outcome grid."""
-    return np.array([np.sin(np.pi * (f_inverse if fits(a, t) else grid_inverse)(a, t, row) / (1 << t)) ** 2
-                     for a, row in zip(amplitudes, u)])
+    """Each row's estimates by the definition of a draw: its uniforms inverted through F,
+    or through the point masses of an amplitude F does not fit."""
+    return np.array([np.sin(np.pi * f_inverse(a, t, row) / (1 << t)) ** 2 for a, row in zip(amplitudes, u)])
 
 
 class TestClosedFormDraws:
-    """From t = FAST_MIN_BITS on, a draw inverts the closed-form CDF F, and only the
-    amplitudes F does not fit go to the chunked grid; below it every draw inverts the grid."""
+    """At every t a draw inverts the closed-form CDF F, and an amplitude F does not fit
+    draws from its point masses; no draw builds the outcome grid."""
 
     @pytest.mark.parametrize("t", range(1, 17))
     def test_equal_to_reference_inverse(self, t, monkeypatch):
-        fallbacks = []
-        real = qsim_mod._grid_draws
-        monkeypatch.setattr(qsim_mod, "_grid_draws",
-                            lambda a, t, u: fallbacks.append(a) or real(a, t, u))
         m = 1 << t
         rng = derived_rng(50, "certified", t)
         k = max(1, m // 3)
@@ -303,32 +294,20 @@ class TestClosedFormDraws:
         for row in range(6, a.size, 3):  # and on or one ulp beside the grid's CDF and F
             cdf = np.cumsum(outcome_distribution(a[row], t))
             f = cdf[rng.integers(0, m, 4)]
-            if t >= qsim_mod.FAST_MIN_BITS:
+            if fits(a[row], t):
                 c = closed_form_f(a[row], t, 0)[1]
                 f = np.concatenate((f, closed_form_f(a[row], t, np.floor([c, c + 1, m - c]))[0]))
             u[row, 2:2 + 3 * f.size] = np.concatenate((f, np.nextafter(f, 0), np.nextafter(f, 1)))
         u = np.minimum(u, 1.0 - 2.0**-53)
+        monkeypatch.setattr(qsim_mod, "outcome_distribution", no_grid)
         got = qsim_mod._estimate_draws(a, t, u)
         assert got.tobytes() == reference_draws(a, t, u).tobytes()
-        # each amplitude F does not fit reaches the grid once, and no other: from the
-        # cutover on 1.0 and at most the two whose c lies 1e-9 from an integer
-        assert sorted(fallbacks) == sorted({x for x in a.tolist() if x and not fits(x, t)}), fallbacks
-        assert t < qsim_mod.FAST_MIN_BITS or 1.0 in fallbacks and len(fallbacks) <= 3, fallbacks
 
     @pytest.mark.parametrize("a", [0.003, 0.3, 0.77])
     def test_equal_to_full_grid_inverse_at_t20(self, a):
         u = derived_rng(51, "t20", str(a)).random((1, 64))
         got = qsim_mod._estimate_draws(np.array([a]), 20, u)
         assert got.tobytes() == full_grid_draws([a], 20, u).tobytes()
-
-    @pytest.mark.parametrize("t,a,top", [(22, 0.3, 1.0), (24, 0.003, 0.45)])
-    def test_equal_to_forced_fallback(self, t, a, top):
-        # the chunked grid is the full-grid inversion; at t = 24 the uniforms
-        # stay below the mass of the first peak, so it stops after 2% of 2^24
-        u = top * derived_rng(52, "forced", t).random(64)
-        y = qsim_mod._closed_form_draws([math.asin(math.sqrt(a)) / math.pi], t, u, [u.size])
-        assert y is not None
-        assert y.tobytes() == qsim_mod._grid_draws(a, t, u).tobytes()
 
     @pytest.mark.parametrize("t", [11, 13, 16, 20])
     def test_gaps_placed_from_a_tabulated_end_away_from_every_pole(self, t, monkeypatch):
@@ -355,33 +334,17 @@ class TestClosedFormDraws:
             u = 0.5 * (cdf[cells] + cdf[cells + 1])  # the middle of each cell's CDF step
             y = qsim_mod._closed_form_draws([omega], t, u, [u.size])
             assert (y >= 0).all(), (c, cells[y < 0])
-            assert y.tobytes() == qsim_mod._grid_draws(a, t, u).tobytes() == cells.tobytes()
+            assert y.tobytes() == grid_inverse(a, t, u).tobytes() == cells.tobytes()
             assert points and all(np.all(oc == c) for _, oc in points)
             for k, _ in points:
                 distance = np.abs((np.concatenate((k - c, k + c)) + m / 2) % m - m / 2)
                 assert distance.min() >= wide, (c, k)
             points.clear()
 
-    def test_only_unfit_amplitudes_reach_the_grid(self, monkeypatch):
-        # 1.0 and 0.5 send all their uniforms, one call per amplitude; 0.3 sends
-        # none, not even uniforms on the grid's CDF
-        t, m = 20, 1 << 20
-        a = np.array([0.3, 1.0, 0.5, 0.3, 1.0])
-        u = derived_rng(57, "unfit").random((a.size, 16))
-        u[0, :3] = np.cumsum(outcome_distribution(0.3, t))[[1000, m // 2 - 3 * qsim_mod._CHUNK + 123, m - 1000]]
-        sent, real = [], qsim_mod._grid_draws
-        monkeypatch.setattr(qsim_mod, "_grid_draws", lambda a, t, u: sent.append((a, u.tolist())) or real(a, t, u))
-        got = qsim_mod._estimate_draws(a, t, u)
-        assert got.tobytes() == reference_draws(a, t, u).tobytes()
-        assert sent == [(1.0, u[[1, 4]].ravel().tolist()), (0.5, u[2].tolist())]
-
     def test_no_fit_amplitude_reaches_the_grid_at_t24(self, monkeypatch):
-        # 200 random amplitudes with 64 uniforms each, where a grid costs up to
-        # 1.2 s a uniform; each draw y is the cell with F(y - 1) <= u < F(y)
-        def no_grid(a, t, u):
-            raise AssertionError(f"grid built for amplitude {a}")
-
-        monkeypatch.setattr(qsim_mod, "_grid_draws", no_grid)
+        # 200 random amplitudes with 64 uniforms each, where a grid has 2^24 cells;
+        # each draw y is the cell with F(y - 1) <= u < F(y)
+        monkeypatch.setattr(qsim_mod, "outcome_distribution", no_grid)
         rng = derived_rng(60, "refuse", 24)
         a, u = rng.random(200), rng.random((200, 64))
         assert all(fits(x, 24) for x in a)
@@ -400,11 +363,35 @@ class TestClosedFormDraws:
             amplitudes, t, amplification_reps(0.01), derived_rng(40, "mem", t)))
         assert batch <= 1.5 * chunk, (batch, chunk)
 
-    def test_fallback_memory_does_not_grow_with_t(self, monkeypatch):
-        monkeypatch.setattr(qsim_mod, "_closed_form_draws", lambda omega, t, u, size: np.full(u.size, -1))
-        chunk = traced_peak(lambda: outcome_distribution(0.3, 16))
+
+class TestPointMasses:
+    """An amplitude F does not fit (c = 2^t omega on or within 2^t 2^-43 / pi of an integer)
+    is the pair of point masses at j0 = round(c) and (m - j0) mod m, j0 drawn for u < 1/2."""
+
+    @pytest.mark.parametrize("t", [6, 13, 24])
+    def test_unit_amplitude_draws_one_on_every_uniform(self, t):
+        # the float grid's off-peak cells were about 1e-33, not 0, so it drew 0 below that
+        u = np.array([[0.0, 1e-300, 1e-40, 0.5]])
+        assert qsim_mod._estimate_draws(np.array([1.0]), t, u).tolist() == [[1.0] * 4]
+
+    def test_cost_does_not_grow_with_t(self, monkeypatch):
+        # 1.0 (c = m/2), 0.5 (c = m/4 + 2^-30) and c = k + 1e-9 build no grid, where one of
+        # 2^24 cells from cell 0 took 0.6-0.8 s a call
+        t, m = 24, 1 << 24
+        k = m // 3
+        a = np.array([1.0, 0.5, math.sin(math.pi * (k + 1e-9) / m) ** 2])
+        assert not any(fits(x, t) for x in a)
+        u = derived_rng(62, "point-masses").random((a.size, 64))
+        u[:, :4] = [0.0, np.nextafter(0.5, 0), 0.5, 1.0 - 2.0**-53]
+        chunk = traced_peak(lambda: outcome_distribution(0.3, 16))  # 2^16 cells
+        monkeypatch.setattr(qsim_mod, "outcome_distribution", no_grid)
+        start = time.perf_counter()
+        got = qsim_mod._estimate_draws(a, t, u)
+        assert time.perf_counter() - start < 0.1
+        assert got.tobytes() == reference_draws(a, t, u).tobytes()
+        assert sorted(set(f_inverse(a[2], t, u[2]).tolist())) == [k, m - k]
         batch = traced_peak(lambda: median_amplitude_estimates(
-            [0.01, 0.3, 0.6, 0.9], 20, amplification_reps(0.01), derived_rng(41, "mem")))
+            a, t, amplification_reps(0.01), derived_rng(63, "point-masses")))
         assert batch <= 1.5 * chunk, (batch, chunk)
 
 
@@ -431,15 +418,37 @@ def exact_cdf(a, t):
 
 
 class TestClosedFormAccuracy:
-    """The accuracy of the sampler from FAST_MIN_BITS on: F as evaluated is within
-    4e-15 of the exact CDF at every cell, where the float grid's cumsum is off by up
-    to 2.6e-13 at t = 13 on the same amplitudes."""
+    """The accuracy of the sampler at every t: F as evaluated is within 4e-15 of the
+    exact CDF at every cell, where the float grid's cumsum is off by up to 2.6e-13 at
+    t = 13 on the same amplitudes."""
 
     @pytest.mark.parametrize("a", [1e-6, 0.003, 0.05, 0.3, 0.77, 0.95])
-    @pytest.mark.parametrize("t", [11, 13])
+    @pytest.mark.parametrize("t", [1, 4, 8, 9, 10, 11, 13])
     def test_f_within_4e_15_of_the_exact_sum(self, t, a):
         f = closed_form_f(a, t, np.arange(1 << t))[0]
         assert np.abs(f - exact_cdf(a, t)).max() <= 4e-15
+
+    @pytest.mark.parametrize("t", [*range(1, 11), 24])
+    def test_every_draw_is_a_cell(self, t):
+        # on 0.0, 1 - 2^-53, and each value of F with its two float neighbours: F at every
+        # cell up to t = 10 (where the first run reaches m - 1 from t = 8 down), at t = 24
+        # its tabulated values and its gap cells
+        m = 1 << t
+        for a in (1e-6, 0.003, 0.05, 0.3, 0.77, 0.95, 1.0 - 1e-9, 0.5, 1.0):
+            omega = math.asin(math.sqrt(a)) / math.pi
+            if not fits(a, t):
+                f = np.array([0.5])
+            elif t <= 10:
+                f = closed_form_f(a, t, np.arange(m))[0]
+            else:
+                table = qsim_mod._closed_cdf([m * omega], m, [closed_form_f(a, t, 0)[2]])[0]
+                f = closed_form_f(a, t, np.concatenate((table[1:], gap_cells(a, t))))[0]
+            u = np.concatenate(([0.0, 1.0 - 2.0**-53], f, np.nextafter(f, 0), np.nextafter(f, 1)))
+            u = u[(u >= 0.0) & (u < 1.0)]
+            y = qsim_mod._closed_form_draws([omega], t, u, [u.size])
+            assert ((y >= 0) & (y < m)).all(), (a, u[(y < 0) | (y >= m)])
+            if t <= 10:
+                assert y.tobytes() == f_inverse(a, t, u).tobytes(), a
 
     @pytest.mark.parametrize("t", [11, 13])
     def test_euler_maclaurin_run_near_a_pole(self, t):
@@ -462,7 +471,7 @@ def gap_cells(a, t):
     t = 16, deep inside; [] when c is too close to an integer to tabulate."""
     m, wide = 1 << t, qsim_mod._WIDE
     c = m * math.asin(math.sqrt(a)) / math.pi
-    r0, r1 = max(math.floor(c) - wide, 0), math.floor(c) + wide + 1
+    r0, r1 = max(math.floor(c) - wide, 0), min(math.floor(c) + wide + 1, m - 1)
     m0 = max(m - 1 - r1, r1 + 1)
     cells = [r0 - 1, r0 - 9, r1 + 1, r1 + 9, m0 - 1, m0 - 9, m - 1 - r0, m + 7 - r0]
     if t < 16:
@@ -471,15 +480,13 @@ def gap_cells(a, t):
 
 
 class TestBatchedPass:
-    """From t = FAST_MIN_BITS on, every distinct non-zero amplitude of a batch
-    (up to _GROUPS of them) is inverted in one closed-form pass."""
+    """Every distinct non-zero amplitude of a batch (up to _GROUPS of them) is inverted
+    in one closed-form pass."""
 
     @pytest.mark.parametrize("t", [11, 13, 16])
     def test_many_amplitudes_equal_reference_inverse(self, t, monkeypatch):
         # 62 distinct amplitudes with 0.0, -0.0, 1.0 and 0.5: uniforms in the
         # middle of a CDF step in each gap, and one on the grid's CDF
-        sent, real = [], qsim_mod._grid_draws
-        monkeypatch.setattr(qsim_mod, "_grid_draws", lambda a, t, u: sent.append(a) or real(a, t, u))
         rng = derived_rng(59, "many", t)
         a = np.concatenate((rng.random(62) ** rng.choice([1, 2, 4], 62), [0.0, -0.0, 1.0, 0.5]))
         u = rng.random((a.size, 16))
@@ -488,9 +495,9 @@ class TestBatchedPass:
             cells = np.array(gap_cells(a[row], t), dtype=int)
             u[row, :cells.size] = 0.5 * (cdf[cells] + cdf[cells + 1])  # the middle of each cell's step
             u[row, -1] = cdf[rng.integers(1, 1 << t)]
+        monkeypatch.setattr(qsim_mod, "outcome_distribution", no_grid)
         got = qsim_mod._estimate_draws(a, t, u)
         assert got.tobytes() == reference_draws(a, t, u).tobytes()
-        assert sent == [1.0, 0.5]  # only the amplitudes F does not fit
 
     @pytest.mark.parametrize("t", [11, 16])
     @pytest.mark.parametrize("n", [1, 2, 7, 64, 130])
@@ -503,7 +510,7 @@ class TestBatchedPass:
 
     @pytest.mark.parametrize("t", [11, 13, 16])
     def test_batch_equals_each_amplitude_alone(self, t):
-        # draws and the -1s of 1.0 and 0.5 alike, with one uniform per amplitude on the grid's CDF
+        # draws and the point masses of 1.0 and 0.5 alike, with one uniform per amplitude on the grid's CDF
         rng = derived_rng(61, "alone", t)
         a = np.concatenate((rng.random(9), [1.0, 0.5, 1e-7]))
         omega = (np.arcsin(np.sqrt(a)) / np.pi).tolist()
@@ -514,7 +521,21 @@ class TestBatchedPass:
         batch = qsim_mod._closed_form_draws(omega, t, np.concatenate(u), size)
         alone = [qsim_mod._closed_form_draws([w], t, ug, [ug.size]) for w, ug in zip(omega, u)]
         assert batch.tobytes() == np.concatenate(alone).tobytes()
-        assert (batch < 0).any() and (batch >= 0).any()
+        assert (alone[9] == (1 << t) // 2).all() and set(alone[10].tolist()) <= {1 << t - 2, 3 << t - 2}
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(t=st.sampled_from([8, 9]), n=st.integers(1, 2 * qsim_mod._GROUPS + 3),
+           distinct=st.integers(1, 2 * qsim_mod._GROUPS + 3), reps=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_medians_invert_f_with_point_masses(self, t, n, distinct, reps, seed):
+        # n amplitudes drawn from a pool of distinct ones, 0.0, 1.0 and 0.5 among them,
+        # so a batch's passes split across _GROUPS
+        rng = derived_rng(64, "property", seed)
+        pool = np.concatenate(([0.0, 1.0, 0.5], rng.random(distinct) ** rng.choice([1, 2, 4, 8], distinct)))
+        a = rng.choice(pool, n)
+        got = median_amplitude_estimates(a, t, reps, derived_rng(65, "property", seed))
+        want = np.median(reference_draws(a, t, derived_rng(65, "property", seed).random((n, reps))), axis=1)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestCountChecks:
