@@ -48,7 +48,7 @@ from .mdp import (
     total_variance_norm,
 )
 from .oracle import SampleOracle, quantize_mdp
-from .rng import KeyTemplate, key_digests, keyed_rng
+from .rng import key_digests, keyed_rng
 from .solvers import (
     SAMPLED_MODES,
     MaxFindingParams,
@@ -459,7 +459,7 @@ def _random_mdp(rng: np.random.Generator, max_states: int = 8, max_actions: int 
 def _random_suite(tag: str, check, max_states: int = 8, max_actions: int = 8):
     """A suite of ``check(mdp, rng)`` on a random MDP from stream (seed, tag, trial)."""
     def suite(trials: int, seed: int):
-        rngs = map(keyed_rng, key_digests(KeyTemplate((seed, tag, range(trials)))))
+        rngs = map(keyed_rng, key_digests((seed, tag, range(trials))))
         return sum(bool(check(_random_mdp(rng, max_states, max_actions), rng))
                    for rng in rngs), trials
     return suite

@@ -32,7 +32,7 @@ from .errors import PreconditionError
 from .mdp import expected_next_value, successor_variance
 from .oracle import SampleOracle
 from .qsim import MAX_PHASE_BITS, check_phase_bits, median_amplitude_estimates
-from .rng import KeyTemplate, bulk_passes, uniforms
+from .rng import bulk_passes, uniforms
 
 __all__ = [
     "EstimatorConfig",
@@ -172,36 +172,35 @@ def _variance_breached(var, sigma):
 
 class MockRow(NamedTuple):
     """One stream's range-bounded mock draws, taken before its estimate:
-    whether a failure flag is set, the noise already scaled by the line's
-    err, and the stream itself, for a replay."""
+    whether a failure flag is set, the noise in [-1, 1), unscaled until
+    ``_estimate`` scales it by the line's err, and the stream itself, for a
+    replay."""
 
     failed: bool
     noise: np.ndarray
     stream: Callable[[], np.random.Generator]
 
 
-def mock_rows(oracle: SampleOracle, keys: KeyTemplate, lines):
-    """Yield a ``MockRow`` per stream of ``keys``, in order, for mock
-    range-bounded estimates of every (s, a) on ``lines`` (``solvers.Line``s):
-    one line, or one per value of the first slot of ``keys``.
+def mock_rows(oracle: SampleOracle, keys: tuple, f: float):
+    """Yield a ``MockRow`` per stream of the keys that the parts ``keys``
+    spell out (see ``rng.key_digests``), in order, for mock range-bounded
+    estimates of every (s, a) at failure probability f.
 
     A batch draws its failure flags, ``random(shape) < f``, then its noise,
-    ``uniform(-1, 1, shape)`` times err: the first 2*S*A uniforms of its
-    stream, taken here from ``rng.bulk_passes``, so every value equals the
-    stream's own draw.  A row with a failed entry is replayed by
-    ``_estimate`` on its stream, re-keyed from its digest.
+    ``uniform(-1, 1, shape)``, which ``_estimate`` scales by its line's err:
+    the first 2*S*A uniforms of its stream, taken here from
+    ``rng.bulk_passes``, so every value equals the stream's own draw.  A row
+    with a failed entry is replayed by ``_estimate`` on its stream, re-keyed
+    from its digest.
     """
     shape = (oracle.mdp.num_states, oracle.mdp.num_actions)
     size = shape[0] * shape[1]
-    f, err = np.array([[line.f, line.err] for line in lines]).T
-    for chunk, digests, words in bulk_passes(keys, 2 * size):
-        at = chunk.first_slot() if len(lines) > 1 else np.zeros(len(chunk), dtype=np.intp)
+    for digests, words in bulk_passes(keys, 2 * size):
         u = uniforms(words)
-        failed = (u[:, :size] < f[at, None]).any(axis=1).tolist()
-        noise = ((-1.0 + 2.0 * u[:, size:]) * err[at, None]).reshape(-1, *shape)
-        for i in range(len(chunk)):
-            yield MockRow(failed[i], noise[i],
-                          partial(oracle.keyed_rng, digests[16 * i:16 * i + 16]))
+        failed = (u[:, :size] < f).any(axis=1).tolist()
+        noise = (-1.0 + 2.0 * u[:, size:]).reshape(-1, *shape)
+        for i, row in enumerate(noise):
+            yield MockRow(failed[i], row, partial(oracle.keyed_rng, digests[16 * i:16 * i + 16]))
 
 
 def _estimate(mu, line, cfg, rng, forced=False, sigma=None, err=None):
@@ -225,9 +224,10 @@ def _estimate(mu, line, cfg, rng, forced=False, sigma=None, err=None):
     The mock draws the failure flags and the noise, then the planted-failure
     draws only when some entry fails: they come last, so skipping them
     changes no value this call returns.  A range-bounded mock ``rng`` may
-    instead be a ``MockRow``, the flags and noise already drawn: without a
-    failure the estimates are the means plus its noise, and otherwise its
-    stream is replayed from the start.
+    instead be a ``MockRow``, the flags and unscaled noise already drawn:
+    without a failure the estimates are the means plus its noise times
+    line.err, as the stream's own draws give them, and otherwise its stream
+    is replayed from the start.
     """
     if sigma is None:
         charge = line.charge * mu.size
@@ -237,7 +237,7 @@ def _estimate(mu, line, cfg, rng, forced=False, sigma=None, err=None):
             return est, np.full(est.shape, forced), charge
         if type(rng) is MockRow:
             if not (forced or rng.failed):
-                return mu + rng.noise, np.zeros(rng.noise.shape, dtype=bool), charge
+                return mu + rng.noise * line.err, np.zeros(rng.noise.shape, dtype=bool), charge
             rng = rng.stream()
         eps = line.err
     else:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .mdp import VARIANCE_BLOCK_CELLS, Mdp, _check_value_vec, _doc, _frozen, _kept
-from .rng import KeyTemplate, derived_rng, key_digests, keyed_rng
+from .rng import derived_rng, key_digests, keyed_rng
 
 __all__ = [
     "QueryLedger",
@@ -89,8 +89,8 @@ class SampleOracle:
         self.seed = int(seed)
         self.ledger = ledger if ledger is not None else QueryLedger()
         self._calls = 0
-        # the call streams' key digests, hashed a chunk at a time as calls reach them
-        self._call_keys = key_digests(KeyTemplate((self.seed, "call", range(sys.maxsize))))
+        # the call streams' key digests, each hashed when a call reaches it
+        self._call_keys = key_digests((self.seed, "call", range(sys.maxsize)))
         self._rng = None  # built by the first stream, re-keyed by every later one
 
     def _next_rng(self) -> np.random.Generator:
@@ -133,9 +133,9 @@ class SampleOracle:
         return self._rng
 
     def keyed_rng(self, digest: bytes) -> np.random.Generator:
-        """The stream with a 16-byte key digest, as ``KeyTemplate.digests``,
-        ``rng.key_digests`` and ``rng.bulk_passes`` give it; valid until the
-        next stream.  Every stream a solver reads comes here."""
+        """The stream with a 16-byte key digest, as ``rng.key_digests`` and
+        ``rng.bulk_passes`` give it; valid until the next stream.  Every
+        stream a solver reads comes here."""
         self._rng = keyed_rng(digest, reuse=self._rng)
         return self._rng
 

@@ -99,9 +99,9 @@ def _em(k, c, m: int):
     def term(x):  # x * x computed once: the same bits as twice
         return 0.5 + x * (a1 + x * (0.5 + x * (a3 + (x2 := x * x) * (a5 + x2 * a7))))
 
-    if isinstance(k, int):  # _fold in scalar math
-        return (term(1.0 / math.tan(h * ((k - m * round((k - c) / m)) - c)))
-                + term(1.0 / math.tan(h * ((k - m * round((k + c) / m)) + c))))
+    if isinstance(k, int):  # _fold and cot in scalar math, as the array branch takes them
+        y0, y1 = h * ((k - m * round((k - c) / m)) - c), h * ((k - m * round((k + c) / m)) + c)
+        return term(math.cos(y0) / math.sin(y0)) + term(math.cos(y1) / math.sin(y1))
     y = h * _fold(k, np.array((c, -c)).reshape(2, -1), m)  # both kernels in one pass
     s = term(np.cos(y) / np.sin(y))  # sin and cos only: numpy's tan maps 256 KiB more
     return s[0] + s[1]

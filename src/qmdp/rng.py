@@ -5,18 +5,19 @@ seed plus a structured key (call index, epoch/iteration labels, ...).  Two
 processes that derive the same key from the same seed see the same stream,
 which is what makes solver reports bit-identical across reruns.
 A key is its parts, the seed first, and its stream is Philox keyed by the
-16-byte blake2b digest of their text joined by "\x1f".  ``KeyTemplate``
-encodes a family of keys, such as a solve's line-13 streams, in bulk, and
-``key_digests`` reads their digests a bounded chunk at a time; ``bulk_passes``
-computes many streams' first words in vectorized Philox passes under one word
-budget, ``uniforms``, ``lemire`` and ``first_draws`` turn them into the
-streams' draws, and ``WordReader`` replays one Generator's draws.
+16-byte blake2b digest of their text joined by "\x1f".  ``key_digests``
+reads the digests of a family of keys, such as a solve's line-13 streams,
+lazily and in order from a tuple of parts that spells them out;
+``bulk_passes`` computes many streams' first words in vectorized Philox
+passes under one word budget, ``uniforms``, ``lemire`` and ``first_draws``
+turn them into the streams' draws, and ``WordReader`` replays one
+Generator's draws.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
+import itertools
 import struct
 
 import numpy as np
@@ -24,7 +25,6 @@ import numpy as np
 __all__ = [
     "derived_rng",
     "keyed_rng",
-    "KeyTemplate",
     "key_digests",
     "bulk_passes",
     "uniforms",
@@ -33,7 +33,6 @@ __all__ = [
     "WordReader",
     "PASS_WORDS",
     "READ_WORDS",
-    "DIGEST_KEYS",
 ]
 
 _SEP = "\x1f"  # never appears in the short labels used as key parts
@@ -48,7 +47,6 @@ _PHILOX_W = tuple(np.array(w, dtype=np.uint64) for w in (0x9E3779B97F4A7C15, 0xB
 _PHILOX_ROUNDS = 10
 PASS_WORDS = 2**13  # Philox words per bulk pass, over all of its streams
 READ_WORDS = 128  # raw words per WordReader read, whatever the draws it serves
-DIGEST_KEYS = 2**10  # keys hashed per chunk by key_digests
 _ZERO_WORDS = (0, 0, 0, 0)
 _KEY_WORDS = struct.Struct("=2Q").unpack  # the two key words, native order like np.frombuffer
 
@@ -65,15 +63,15 @@ def derived_rng(seed: int, *parts, reuse=None) -> np.random.Generator:
     """A Generator at the start of the stream of the one key (seed, *parts):
     a new one, or ``reuse`` (a Philox Generator) re-keyed in place at a third
     of the cost, which ends the stream it was on."""
-    keys = KeyTemplate((seed, *parts))
-    for i in keys._slots:  # a slot would make a family of keys: refused as a part
-        _encode_part(keys.parts[i])
-    return keyed_rng(keys.digests(), reuse)
+    key = (seed, *parts)
+    for p in key:  # a slot would spell out a family of keys: refused as a part
+        _encode_part(p)
+    return keyed_rng(next(key_digests(key)), reuse)
 
 
 def keyed_rng(digest: bytes, reuse=None) -> np.random.Generator:
     """``derived_rng`` from the stream's 16-byte key digest, as
-    ``KeyTemplate.digests`` gives it."""
+    ``key_digests`` gives it."""
     if reuse is None:
         return np.random.Generator(np.random.Philox(key=np.frombuffer(digest, dtype=np.uint64)))
     if not (isinstance(reuse, np.random.Generator)
@@ -126,111 +124,59 @@ def uniforms(words: np.ndarray) -> np.ndarray:
     return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
-class KeyTemplate:
-    """The stream keys a template such as (seed, "vr", range(1, 4),
-    range(1, 11), "line13") spells out, the seed first.  Each part is fixed
-    (an int or a string) or a slot: a range, list, tuple or array of such
-    values.  Keys run over every combination of slot values, the first slot
-    outermost.  A slice (step 1) is the same template over part of that run."""
+def key_digests(parts: tuple):
+    """Yield, in order, the 16-byte digest of each key that ``parts`` such as
+    (seed, "vr", range(1, 4), range(1, 11), "line13") spells out: blake2b of
+    the key's parts' text joined by "\x1f", the seed first.  Each part is
+    fixed (an int or a string) or a slot: a range, list, tuple or array of
+    such values.  Keys run over every combination of slot values, the first
+    slot outermost.
 
-    __slots__ = ("parts", "_slots", "_sizes", "_start", "_stop")
-
-    def __init__(self, parts: tuple, start: int = 0, stop: int | None = None):
-        self.parts = tuple(parts)
-        self._slots = [i for i, p in enumerate(self.parts)
-                       if isinstance(p, (range, list, tuple, np.ndarray))]
-        self._sizes = [len(self.parts[i]) for i in self._slots]
-        self._start, self._stop = start, math.prod(self._sizes) if stop is None else stop
-
-    def __len__(self) -> int:
-        return self._stop - self._start
-
-    def _positions(self, flat: int) -> list:
-        """Each slot's position in the key at ``flat`` in the full run."""
-        pos = []
-        for size in reversed(self._sizes):
-            flat, j = divmod(flat, size)
-            pos.append(j)
-        return pos[::-1]
-
-    def __getitem__(self, i: slice) -> "KeyTemplate":
-        run = range(self._start, self._stop)[i]
-        if not isinstance(run, range) or run.step != 1:
-            raise TypeError(f"a KeyTemplate takes slices of step 1, not {i!r}")
-        return KeyTemplate(self.parts, run.start, max(run.start, run.stop))
-
-    def first_slot(self) -> np.ndarray:
-        """The first slot's position in each key (all 0 without slots)."""
-        inner = math.prod(self._sizes[1:]) or 1
-        return np.arange(self._start, self._stop) // inner
-
-    def digests(self) -> bytes:
-        """Every key's 16-byte digest, in order: blake2b of its parts' text
-        joined by "\\x1f".
-
-        That text is fixed text with the slot values between.  Keys run over
-        the last slot in runs that share everything before its value: blake2b
-        hashes that prefix once per run and each key copies the state and adds
-        its tail, instead of encoding and hashing every key from scratch."""
-        if not len(self):
-            return b""
-        texts, text = [], ""  # the fixed text before, between and after slots
-        for i, p in enumerate(self.parts):
-            sep = _SEP if i else ""
-            if i in self._slots:
-                texts.append((text + sep).encode())
-                text = ""
-            else:
-                text += sep + _encode_part(p)
-        texts.append(text.encode())
-        root = hashlib.blake2b(texts[0], digest_size=16)
-        if not self._slots:
-            return root.digest()
-        *outer, inner = [self.parts[i] for i in self._slots]
-
-        def tails(lo, hi):  # the last slot's values with the closing text
-            return [_encode_part(v).encode() + texts[-1] for v in inner[lo:hi]]
-
-        every = tails(0, len(inner)) if len(self) > len(inner) else None  # for every run
-        out, flat = [], self._start
-        while flat < self._stop:  # one run over the last slot per pass
-            *at, lo = self._positions(flat)
-            prefix = root
-            for d, (values, j) in enumerate(zip(outer, at)):
-                prefix = prefix.copy()
-                prefix.update(_encode_part(values[j]).encode() + texts[d + 1])
-            hi = min(len(inner), lo + self._stop - flat)
-            copy = prefix.copy
-            for tail in (tails(lo, hi) if every is None else every[lo:hi]):
-                h = copy()
-                h.update(tail)
-                out.append(h.digest())
-            flat += hi - lo
-        return b"".join(out)
+    Keys run over the last slot in runs that share everything before its
+    value: blake2b hashes that prefix once per run, and each key copies the
+    state and adds its tail when it is read.  Memory holds the outer slots'
+    values and, with outer slots, the last slot's tails, never the keys read."""
+    texts, text, slots = [], "", []  # the fixed text before, between and after slots
+    for i, p in enumerate(parts):
+        sep = _SEP if i else ""
+        if isinstance(p, (range, list, tuple, np.ndarray)):
+            texts.append((text + sep).encode())
+            text = ""
+            slots.append(p)
+        else:
+            text += sep + _encode_part(p)
+    texts.append(text.encode())
+    root = hashlib.blake2b(texts[0], digest_size=16)
+    if not slots:
+        yield root.digest()
+        return
+    *outer, inner = slots
+    tails = (_encode_part(v).encode() + texts[-1] for v in inner)  # the last slot's values
+    if outer:  # every run takes the same tails: encode them once
+        tails = list(tails)
+    for values in itertools.product(*outer):  # one run over the last slot each
+        prefix = root.copy()
+        prefix.update(b"".join(_encode_part(v).encode() + t for v, t in zip(values, texts[1:])))
+        copy = prefix.copy
+        for tail in tails:
+            h = copy()
+            h.update(tail)
+            yield h.digest()
 
 
-def key_digests(keys: KeyTemplate):
-    """Yield each key's 16-byte digest, in order, hashing DIGEST_KEYS keys
-    at a time, so memory stays bounded for any number of keys."""
-    for first in range(0, len(keys), DIGEST_KEYS):
-        digests = keys[first:first + DIGEST_KEYS].digests()
-        yield from [digests[i:i + 16] for i in range(0, len(digests), 16)]
-
-
-def bulk_passes(keys: KeyTemplate, n: int, group: int = 1):
-    """Yield (chunk, digests, words) for consecutive chunks of ``keys``: the
-    chunk's ``KeyTemplate``, its streams' concatenated key digests, and
-    their first n words, (m, n) uint64 from ``_philox_words``.
+def bulk_passes(parts: tuple, n: int, group: int = 1):
+    """Yield (digests, words) for consecutive chunks of the keys of
+    ``parts``: the chunk's concatenated key digests and its streams' first n
+    words, (m, n) uint64 from ``_philox_words``.
 
     A chunk holds ``max(1, PASS_WORDS // (n * group)) * group`` streams, so
     memory stays bounded for any number of keys, and whole groups of
     ``group`` consecutive keys (a sweep's states, say) are never split.
     """
     per_pass = max(1, PASS_WORDS // (n * group)) * group
-    for first in range(0, len(keys), per_pass):
-        chunk = keys[first:first + per_pass]
-        digests = chunk.digests()
-        yield chunk, digests, _philox_words(digests, n)
+    keys = key_digests(parts)
+    while digests := b"".join(itertools.islice(keys, per_pass)):
+        yield digests, _philox_words(digests, n)
 
 
 def lemire(halves: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

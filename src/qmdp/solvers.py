@@ -43,7 +43,7 @@ from .estimators import (
 from .mdp import Mdp, expected_next_value, greedy, successor_variance
 from .oracle import QueryLedger, SampleOracle
 from .qsim import DEFAULT_C_MAX, MAX_ARGMAX_PROBES, argmax_query_budget, simulate_argmax
-from .rng import KeyTemplate, bulk_passes, first_draws, key_digests
+from .rng import bulk_passes, first_draws, key_digests
 
 __all__ = [
     "VarianceReducedParams",
@@ -109,13 +109,13 @@ def mock_argmax_rows(q: np.ndarray, f: float, u: np.ndarray,
     return np.where(failed, wrong + (wrong >= best), best), failed
 
 
-def _mock_argmax_draws(oracle: SampleOracle, keys: KeyTemplate, s_n: int, a_n: int):
+def _mock_argmax_draws(oracle: SampleOracle, keys: tuple, s_n: int, a_n: int):
     """Yield the mock-argmax draws (u, wrong), one (S,) pair per sweep, of
-    the streams ``keys`` (seed, label, sweeps, range(S), "argmax"): each one's
+    the streams of ``keys`` (seed, label, sweeps, range(S), "argmax"): each one's
     ``random()`` and then ``integers(max(A-1, 1))``, whatever the outcome.
     Whole sweeps are drawn per ``rng.bulk_passes`` pass, and a stream that
     ``first_draws`` replays is re-keyed on the oracle from its digest."""
-    for _, digests, words in bulk_passes(keys, 2, group=s_n):
+    for digests, words in bulk_passes(keys, 2, group=s_n):
         u, wrong = first_draws(words, max(a_n - 1, 1),
                                lambda i: oracle.keyed_rng(digests[16 * i:16 * i + 16]))
         yield from zip(u.reshape(-1, s_n), wrong.reshape(-1, s_n))
@@ -362,19 +362,20 @@ class _Iterate:
         self._iterates, self._offers = np.empty((steps + 1, s_n)), np.empty((steps, s_n))
         self._iterates[0], self._steps = self.v, 0
 
-    def keyed(self, keys: KeyTemplate) -> map:
-        """The streams of ``keys``, in order, each re-keying the oracle as it is taken."""
+    def keyed(self, keys: tuple) -> map:
+        """The streams of the keys that the parts ``keys`` spell out (see
+        ``rng.key_digests``), in order, each re-keying the oracle as it is taken."""
         return map(self.oracle.keyed_rng, key_digests(keys))
 
-    def streams(self, keys: KeyTemplate, *lines: Line):
-        """The streams of ``keys``, in order, for ``estimate`` on ``lines``
-        (one, or one per value of the first slot): their ``MockRow``s drawn in
-        bulk (see ``mock_rows``), or, on the statevector backend and for
-        streams longer than BULK_STREAM_WORDS, ``keyed(keys)``."""
+    def streams(self, keys: tuple, f: float):
+        """The streams of ``keys``, in order, for ``estimate`` at the solve's
+        failure probability f, which every line of a plan shares: their
+        ``MockRow``s drawn in bulk (see ``mock_rows``), or, on the statevector
+        backend and for streams longer than BULK_STREAM_WORDS, ``keyed(keys)``."""
         words = 2 * self.oracle.mdp.num_states * self.oracle.mdp.num_actions
         if self.cfg.backend == BACKEND_STATEVECTOR or words > BULK_STREAM_WORDS:
             return self.keyed(keys)
-        return mock_rows(self.oracle, keys, lines)
+        return mock_rows(self.oracle, keys, f)
 
     def estimate(self, stream, phase, value_map, line: Line, promise_slack=0.0) -> np.ndarray:
         """Range-bounded estimates of P value_map on ``stream``, the next
@@ -450,11 +451,9 @@ def variance_reduced_vi(oracle: SampleOracle, plan: Plan, diagnostics: bool = Fa
     q = np.zeros((mdp.num_states, mdp.num_actions))
     var_breaches = slack_breaches = 0
     epochs = range(1, p.num_epochs + 1)
-    line13 = it.streams(
-        KeyTemplate((oracle.seed, "vr", epochs, range(1, p.iters_per_epoch + 1), "line13")),
-        *[plan.lines["line13", k] for k in epochs])
-    anchors = it.keyed(KeyTemplate((oracle.seed, "vr", epochs,
-                                    ("line8-sq", "line8-mean", "line9"))))
+    line13 = it.streams((oracle.seed, "vr", epochs, range(1, p.iters_per_epoch + 1), "line13"),
+                        p.est_failure_prob)
+    anchors = it.keyed((oracle.seed, "vr", epochs, ("line8-sq", "line8-mean", "line9")))
 
     for k in epochs:
         v_anchor = it.v.copy()
@@ -511,11 +510,10 @@ def max_finding_vi(oracle: SampleOracle, plan: Plan, diagnostics: bool = False) 
     it = _Iterate(oracle, plan, diagnostics)
     mean, probe_cost = plan.lines["line10", 1], plan.lines["argmax", 1].probe
     q_mem = np.zeros((s_n, a_n))  # memoized estimated Q row per state
-    argmax_keys = KeyTemplate((oracle.seed, "mf", range(1, p.iters + 1), range(s_n), "argmax"))
+    argmax_keys = (oracle.seed, "mf", range(1, p.iters + 1), range(s_n), "argmax")
     argmax_streams = it.keyed(argmax_keys)  # statevector; both are read lazily
     argmax_draws = _mock_argmax_draws(oracle, argmax_keys, s_n, a_n)  # contract mock
-    line10 = it.streams(KeyTemplate((oracle.seed, "mf", range(1, p.iters + 1), "line10")),
-                        mean)
+    line10 = it.streams((oracle.seed, "mf", range(1, p.iters + 1), "line10"), mean.f)
 
     for l in range(1, p.iters + 1):
         phase_max = _phase("iter", l, "argmax")
@@ -559,9 +557,9 @@ def sampled_vi(oracle: SampleOracle, plan: Plan, diagnostics: bool = False) -> S
     mean = plan.lines["mean", 1]
     q_est = np.zeros((s_n, a_n))
     if p.mode != "classical":
-        means = it.streams(KeyTemplate((oracle.seed, "svi", sweeps)), mean)
+        means = it.streams((oracle.seed, "svi", sweeps), mean.f)
     if p.mode == "quantum_mean_and_max":
-        argmax_keys = KeyTemplate((oracle.seed, "svi", sweeps, range(s_n), "argmax"))
+        argmax_keys = (oracle.seed, "svi", sweeps, range(s_n), "argmax")
         argmax_draws = _mock_argmax_draws(oracle, argmax_keys, s_n, a_n)
 
     for i in sweeps:

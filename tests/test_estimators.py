@@ -21,7 +21,7 @@ from qmdp.estimators import (
 from qmdp.mdp import Mdp
 from qmdp.oracle import SampleOracle
 from qmdp.qsim import median_amplitude_estimates
-from qmdp.rng import KeyTemplate, derived_rng
+from qmdp.rng import derived_rng
 from qmdp.solvers import Line
 
 CFG = EstimatorConfig()
@@ -290,11 +290,11 @@ class TestMockRows:
         keys = derived_rng(36, "rows")
         mdp = Mdp(keys.dirichlet(np.ones(3), size=(3, 4)), np.zeros((3, 4)), 0.9)
         oracle = SampleOracle(mdp, 37)
-        template = KeyTemplate((37, "t", range(1, 4), range(5), "rows"))
+        # one f for every line, each line's err scaling its rows' noise
         upper, eps = [1.0, 2.0, 4.0], [0.1, 0.05, 0.2]
         lines = [core_line(np.zeros((3, 4)), u, e, delta, cfg) for u, e in zip(upper, eps)]
-        rows = list(est_mod.mock_rows(oracle, template, lines))
-        assert len(rows) == len(template) == 15
+        rows = list(est_mod.mock_rows(oracle, (37, "t", range(1, 4), range(5), "rows"), delta))
+        assert len(rows) == 15
         for key, row in zip(itertools.product([37], ["t"], range(1, 4), range(5), ["rows"]),
                             rows, strict=True):
             k = key[2] - 1
@@ -313,12 +313,12 @@ class TestMockRows:
         real = SampleOracle.keyed_rng
         monkeypatch.setattr(SampleOracle, "keyed_rng",
                             lambda self, digest: rekeyed.append(digest) or real(self, digest))
-        template = KeyTemplate((38, "svi", range(1, 41)))
         mu = np.full((2, 2), 0.5)
         line = core_line(mu, 1.0, 0.1, 0.1, CFG)
         failed = []
         for key, row in zip(itertools.product([38], ["svi"], range(1, 41)),
-                            est_mod.mock_rows(oracle, template, [line]), strict=True):
+                            est_mod.mock_rows(oracle, (38, "svi", range(1, 41)), 0.1),
+                            strict=True):
             want = est_mod._estimate(mu, line, CFG, derived_rng(*key))
             got = est_mod._estimate(mu, line, CFG, row)
             assert _outcome(*got) == _outcome(*want)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qmdp.rng
 from qmdp.errors import ConfigError
 from qmdp.mdp import VARIANCE_BLOCK_CELLS, Mdp
 from qmdp.oracle import (
@@ -19,7 +20,7 @@ from qmdp.oracle import (
     quantize_row,
     reversible_successor_map,
 )
-from qmdp.rng import DIGEST_KEYS, derived_rng
+from qmdp.rng import derived_rng
 from test_rng import reference_rng
 
 
@@ -161,21 +162,34 @@ class TestEmpiricalMeans:
                 assert _oracle_record(method) == _oracle_record(loop)
         assert method._calls == 1 + 2
 
-    def test_digest_runs_cross_mid_call(self):
-        # one stream a call: the sample_counts calls before the third advance
-        # the counter past the first DIGEST_KEYS run of hashed keys, so that
-        # call's stream comes from the next run
+    def test_one_call_hashes_one_call_key(self, monkeypatch):
+        # a call hashes the key of the stream it takes and none ahead of it:
+        # the oracle's only encoded parts are the seed, "call" and index 0
+        mdp = dirichlet_mdp(64, 8, 5)
+        v = derived_rng(5, "v").uniform(0.0, 10.0, 64)
+        encoded = []
+        real = qmdp.rng._encode_part
+        monkeypatch.setattr(qmdp.rng, "_encode_part", lambda p: encoded.append(p) or real(p))
+        oracle = SampleOracle(mdp, 21)
+        oracle.empirical_means(v, 1000)
+        assert encoded == [21, "call", 0]
+        oracle.sample_counts(0, 0, 9)
+        assert encoded == [21, "call", 0, 1]
+
+    def test_late_call_streams_equal_the_loop(self):
+        # one stream a call, its key hashed when the call reaches it: the
+        # third call comes after more than a thousand others
         mdp = dirichlet_mdp(64, 8, 5)
         v = derived_rng(5, "v").uniform(0.0, 10.0, 64)
         loop, method = SampleOracle(mdp, 21), SampleOracle(mdp, 21)
-        for i, advance in enumerate((1, 1, DIGEST_KEYS + 1)):
+        for i, advance in enumerate((1, 1, 1025)):
             for oracle in (loop, method):
                 for j in range(advance):
                     oracle.sample_counts(j % 64, i, 9, phase="between")
             want = loop_empirical_means(loop, v, 1000, f"iter-{i}")
             assert method.empirical_means(v, 1000, f"iter-{i}").tobytes() == want.tobytes()
             assert _oracle_record(method) == _oracle_record(loop)
-        assert method._calls == 3 + DIGEST_KEYS + 3
+        assert method._calls == 3 + 1024 + 3
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(shape=straddling_shapes(), n=st.sampled_from([0, 1, 7, 10**6]),

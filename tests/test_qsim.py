@@ -464,6 +464,21 @@ class TestClosedFormAccuracy:
             got = qsim_mod._em(b, c, m) - qsim_mod._em(a, c, m)
             assert abs(got - exact) <= 1e-11 * exact, (c, got, exact)
 
+    def test_euler_maclaurin_scalar_cell_is_the_array_cell(self):
+        # F's anchors (the left end, the r0 correction, r1) take S(k) at an int k, and the gap
+        # cells they are subtracted from take it on arrays: both must be the same bits
+        g = np.random.default_rng(34)
+        for _ in range(3000):
+            t = int(g.integers(1, 25))
+            m = 1 << t
+            c = float(g.uniform(0.0, m / 2))
+            r0 = max(math.floor(c) - qsim_mod._WIDE, 0)
+            r1 = min(math.floor(c) + qsim_mod._WIDE + 1, m - 1)
+            for k in (-1, r0 - 1, r1, int(g.integers(-1, m))):
+                if min(abs(k - c), abs(k + c), abs(k + c - m)) >= 0.5:  # off the poles
+                    want = qsim_mod._em(np.array([k]), c, m)[0]
+                    assert qsim_mod._em(k, c, m) == want, (k, c, m)
+
 
 def gap_cells(a, t):
     """Cells in each gap of the closed-form CDF of a (left of the first run,

@@ -1,24 +1,25 @@
 """Stream contract of qmdp.rng: a derived stream is Philox keyed by the
-blake2b digest of its (seed, *parts) key, and nothing else; KeyTemplate
-encodes a family of streams' keys in bulk to the same digests and
-key_digests reads them a bounded chunk at a time; bulk_passes computes many
-streams' first words in one pass, uniforms, lemire and first_draws turn them
-into each stream's first draws, and WordReader replays one Generator's
-random() and integers(k) from its raw words."""
+blake2b digest of its (seed, *parts) key, and nothing else; key_digests
+reads a family of streams' keys, spelled out by a tuple of parts, lazily to
+the same digests; bulk_passes computes many streams' first words in one
+pass, uniforms, lemire and first_draws turn them into each stream's first
+draws, and WordReader replays one Generator's random() and integers(k) from
+its raw words."""
 
 import hashlib
 import itertools
 import json
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qmdp.rng
 from qmdp.rng import (
-    DIGEST_KEYS,
     READ_WORDS,
-    KeyTemplate,
     WordReader,
     _philox_words,
     bulk_passes,
@@ -210,19 +211,18 @@ ARGMAX_GRIDS = (
 @pytest.mark.parametrize("seed", [0, -5, 2**62, 2**62 + 7, np.int64(12345)])
 def test_argmax_digests_match_key_format(seed):
     for label, (sweeps, states) in itertools.product(ARGMAX_LABELS, ARGMAX_GRIDS):
-        keys = KeyTemplate((seed, label, sweeps, states, "argmax"))
+        digests = list(key_digests((seed, label, sweeps, states, "argmax")))
         tuples = list(itertools.product([seed], [label], sweeps, states, ["argmax"]))
-        assert len(keys) == len(tuples)
-        assert keys.digests() == b"".join(key_digest(*parts) for parts in tuples)
+        assert digests == [key_digest(*parts) for parts in tuples]
 
 
 @pytest.mark.parametrize("bad", [True, 1.0, None])
 def test_argmax_digests_refuse_what_keys_refuse(bad):
-    for keys in (KeyTemplate((0, "mf", [bad], range(2), "argmax")),
-                 KeyTemplate((0, "mf", range(2), [0, bad], "argmax")),
-                 KeyTemplate((bad, "mf", range(2), "argmax"))):
+    for parts in ((0, "mf", [bad], range(2), "argmax"),
+                  (0, "mf", range(2), [0, bad], "argmax"),
+                  (bad, "mf", range(2), "argmax")):
         with pytest.raises(TypeError, match="ints or strings"):
-            keys.digests()
+            list(key_digests(parts))
 
 
 @pytest.mark.parametrize("n,group,pass_words", [
@@ -235,21 +235,21 @@ def test_bulk_passes_cover_the_keys_in_whole_groups(monkeypatch, n, group, pass_
     monkeypatch.setattr(qmdp.rng, "PASS_WORDS", pass_words)
     per_pass = max(1, pass_words // (n * group)) * group
     for seed in (0, -5, 2**62):
-        keys = KeyTemplate((seed, "mf", range(1, 6), range(group), "argmax"))
-        digests = keys.digests()
-        chunks = list(bulk_passes(keys, n, group))
-        assert [len(c) for c, _, _ in chunks[:-1]] == [per_pass] * (len(chunks) - 1)
-        assert sum(len(c) for c, _, _ in chunks) == len(keys)
-        assert all(len(c) % group == 0 for c, _, _ in chunks)
-        assert all(c.digests() == d for c, d, _ in chunks)
-        assert b"".join(d for _, d, _ in chunks) == digests
-        words = np.concatenate([w for _, _, w in chunks])
-        assert words.dtype == np.uint64 and words.shape == (len(keys), n)
+        parts = (seed, "mf", range(1, 6), range(group), "argmax")
+        digests = b"".join(key_digest(*key) for key in _spelled_out(parts))
+        chunks = list(bulk_passes(parts, n, group))
+        sizes = [len(d) // 16 for d, _ in chunks]
+        assert sizes[:-1] == [per_pass] * (len(chunks) - 1)
+        assert sum(sizes) == 5 * group and all(m % group == 0 for m in sizes)
+        assert all(w.shape == (m, n) for m, (_, w) in zip(sizes, chunks))
+        assert b"".join(d for d, _ in chunks) == digests
+        words = np.concatenate([w for _, w in chunks])
+        assert words.dtype == np.uint64 and words.shape == (5 * group, n)
         assert words.tobytes() == _philox_words(digests, n).tobytes()
 
 
 def test_bulk_passes_of_no_keys():
-    assert list(bulk_passes(KeyTemplate((3, "empty", range(0))), 4)) == []
+    assert list(bulk_passes((3, "empty", range(0)), 4)) == []
 
 
 def _all_digests():
@@ -314,58 +314,79 @@ def _spelled_out(parts):
 
 @pytest.mark.parametrize("parts", TEMPLATES, ids=range(len(TEMPLATES)))
 @pytest.mark.parametrize("seed", [*SEEDS, SEEDS], ids=[*map(str, range(len(SEEDS))), "slot"])
-def test_key_template_spells_out_its_keys(parts, seed):
-    # each seed alone, and all four as the template's first slot
-    template, keys = KeyTemplate((seed, *parts)), _spelled_out((seed, *parts))
-    assert len(template) == len(keys)
-    digests = b"".join(key_digest(*key) for key in keys)
-    assert template.digests() == digests
-    for start in range(0, len(keys) + 1, 3):
-        for stop in range(start, len(keys) + 2, 4):
-            part = template[start:stop]
-            assert len(part) == len(keys[start:stop])
-            assert part.digests() == digests[16 * start:16 * stop]
-            assert part[1:].digests() == digests[16 * (start + 1):16 * stop]
+def test_key_digests_spell_out_their_keys(parts, seed):
+    # each seed alone, and all four as the first slot
+    keys = _spelled_out((seed, *parts))
+    digests = [key_digest(*key) for key in keys]
+    assert list(key_digests((seed, *parts))) == digests
+    for stop in range(0, len(keys) + 2, 4):  # a partial read is the same keys' digests
+        assert list(itertools.islice(key_digests((seed, *parts)), stop)) == digests[:stop]
 
 
-def test_key_template_first_slot():
-    template = KeyTemplate((0, "vr", range(1, 4), range(1, 6), "line13"))
-    assert template.first_slot().tolist() == [0] * 5 + [1] * 5 + [2] * 5
-    assert template[4:12].first_slot().tolist() == [0] + [1] * 5 + [2] * 2
-    assert KeyTemplate((0, "svi", range(3, 6))).first_slot().tolist() == [0, 1, 2]
-    assert KeyTemplate((0, "x", 1)).first_slot().tolist() == [0]
-
-
-def test_key_template_takes_only_unit_step_slices():
-    template = KeyTemplate((0, "mf", range(3, 6), "line10"))
-    assert template[-1:].digests() == key_digest(0, "mf", 5, "line10")
-    assert template[1:][:1].digests() == key_digest(0, "mf", 4, "line10")
-    for i in (0, -1, slice(None, None, 2)):
-        with pytest.raises(TypeError, match="slices of step 1"):
-            template[i]
-
-
-@pytest.mark.parametrize("n", [0, 1, DIGEST_KEYS - 1, DIGEST_KEYS, 2 * DIGEST_KEYS + 5])
+@pytest.mark.parametrize("n", [0, 1, 1023, 1024, 2053])
 def test_key_digests_read_every_key_in_order(n):
-    keys = KeyTemplate((5, "mf", range(n), "argmax"))
-    digests = list(key_digests(keys))
+    digests = list(key_digests((5, "mf", range(n), "argmax")))
     assert all(type(d) is bytes and len(d) == 16 for d in digests)
-    assert b"".join(digests) == keys.digests()
-    assert b"".join(key_digests(keys[3:n - 2])) == keys.digests()[48:16 * (n - 2)]
+    assert digests == [key_digest(5, "mf", i, "argmax") for i in range(n)]
+    assert list(key_digests((5, "mf", range(3, n - 2), "argmax"))) == digests[3:n - 2]
 
 
 def test_key_digests_memory_does_not_grow_with_keys():
     # 2^18 keys: holding their digests at once would take 4 MiB for the
-    # bytes alone; the reader holds one chunk of DIGEST_KEYS
-    keys = KeyTemplate((1, "mf", range(2**12), range(2**6), "argmax"))
+    # bytes alone; the reader hashes each key as it is read
+    parts = (1, "mf", range(2**12), range(2**6), "argmax")
     tracemalloc.start()
     try:
-        n = sum(1 for _ in key_digests(keys))
+        n = sum(1 for _ in key_digests(parts))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert n == 2**18
     assert peak < 2**19, peak
+
+
+# Key parts drawn at random: ints (np.int64 among them) and strings, with up
+# to three slots of any kind (ranges, lists, tuples of strings, int64 arrays),
+# empty ones included, anywhere, the seed's position too.
+_INTS = st.integers(-2**63, 2**63 - 1)
+_TEXTS = st.text("ab%\x1f-1", max_size=3)
+_FIXED = st.one_of(_INTS, _INTS.map(np.int64), _TEXTS)
+_SLOTS = st.one_of(
+    st.builds(range, st.integers(-3, 3), st.integers(-3, 4)),
+    st.lists(_FIXED, max_size=3),
+    st.lists(_TEXTS, max_size=3).map(tuple),
+    st.lists(_INTS, max_size=3).map(lambda v: np.array(v, dtype=np.int64)))
+
+
+@st.composite
+def key_parts(draw):
+    parts = draw(st.lists(_FIXED, min_size=1, max_size=4))
+    for _ in range(draw(st.integers(0, 3))):
+        parts.insert(draw(st.integers(0, len(parts))), draw(_SLOTS))
+    return tuple(parts)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(parts=key_parts())
+def test_key_digests_are_the_product_of_their_slots(parts):
+    assert list(key_digests(parts)) == [key_digest(*key) for key in _spelled_out(parts)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(parts=key_parts(), n=st.integers(1, 9), group=st.integers(1, 5),
+       pass_words=st.integers(1, 64))
+def test_bulk_passes_are_the_keys_in_whole_groups(parts, n, group, pass_words):
+    # every pass but the last holds whole groups, per_pass keys; together
+    # they are every key's digest and first n words, in order
+    digests = b"".join(key_digest(*key) for key in _spelled_out(parts))
+    per_pass = max(1, pass_words // (n * group)) * group
+    with mock.patch.object(qmdp.rng, "PASS_WORDS", pass_words):
+        passes = list(bulk_passes(parts, n, group))
+    assert b"".join(d for d, _ in passes) == digests
+    assert [len(d) for d, _ in passes[:-1]] == [16 * per_pass] * (len(passes) - 1)
+    assert all(0 < len(d) <= 16 * per_pass for d, _ in passes)
+    for d, words in passes:
+        assert words.tobytes() == _philox_words(d, n).tobytes()
 
 
 # Re-keying: derived_rng(..., reuse=g) puts g at the start of the stream a

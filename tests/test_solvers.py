@@ -20,7 +20,7 @@ from qmdp.estimators import EstimatorConfig
 from qmdp.hard_instances import HardInstanceSpec, multi_arm_instance, two_state_chain
 from qmdp.mdp import Mdp, exact_value_iteration, policy_value_exact
 from qmdp.oracle import SampleOracle
-from qmdp.rng import KeyTemplate, derived_rng
+from qmdp.rng import derived_rng
 from qmdp.solvers import (
     MaxFindingParams,
     Plan,
@@ -43,7 +43,7 @@ def key_digest(*parts):
 
 
 def argmax_keys(seed, sweeps, s_n):
-    return KeyTemplate((seed, "mf", range(1, sweeps + 1), range(s_n), "argmax"))
+    return (seed, "mf", range(1, sweeps + 1), range(s_n), "argmax")
 
 
 def fig_two(num_actions, eps, large_arms, gamma=0.9):
@@ -256,9 +256,9 @@ class TestBulkMockRows:
         real = qmdp.estimators.bulk_passes
 
         def counting(*args):
-            for chunk, digests, words in real(*args):
-                passes.append(len(chunk))
-                yield chunk, digests, words
+            for digests, words in real(*args):
+                passes.append(len(words))
+                yield digests, words
 
         monkeypatch.setattr(qmdp.estimators, "bulk_passes", counting)
         for eps, streams in ((0.01, 910), (0.001, 1554)):
@@ -274,6 +274,17 @@ class TestBulkMockRows:
             assert sum(passes) == streams and max(passes) == qmdp.rng.PASS_WORDS // 32
             assert len(passes) >= 4
             assert peak < 64 * qmdp.rng.PASS_WORDS, (eps, peak)
+
+    @pytest.mark.parametrize("backend", ["contract_mock", "statevector"])
+    def test_every_line_of_a_plan_shares_one_f(self, backend):
+        # mock_rows draws the flags of every line it serves at one f
+        mdp, cfg = fig_two(8, 0.5, {3}), EstimatorConfig(backend=backend)
+        plans = [Plan.of(mdp, VarianceReducedParams.for_mdp(mdp, 0.5, 0.1), cfg),
+                 Plan.of(mdp, MaxFindingParams.for_mdp(mdp, 1.0, 0.1, c_max=0.5), cfg)]
+        plans += [Plan.of(mdp, SampledParams.for_mdp(mdp, 0.5, 0.1, mode=mode), cfg)
+                  for mode in ("classical", "quantum_mean", "quantum_mean_and_max")]
+        for plan in plans:
+            assert len({line.f for line in plan.lines.values()}) == 1, plan.params
 
     @pytest.mark.parametrize("pass_words", [32, 96, 1000, qmdp.rng.PASS_WORDS])
     @pytest.mark.parametrize("a_n", [1, 3, 8, 32])
@@ -581,16 +592,16 @@ class TestSampledBaseline:
         assert q_max > q_mean
 
     def test_classical_call_keys_hashed_in_runs(self, monkeypatch):
-        # one KeyTemplate.digests call per DIGEST_KEYS call streams, not one per sweep
-        runs = []
-        real = KeyTemplate.digests
-        monkeypatch.setattr(KeyTemplate, "digests",
-                            lambda keys: runs.append(len(keys)) or real(keys))
+        # a classical solve hashes the call key of each sweep it takes, and
+        # no key ahead of them: one encoded call index per sweep
+        encoded = []
+        real = qmdp.rng._encode_part
+        monkeypatch.setattr(qmdp.rng, "_encode_part", lambda p: encoded.append(p) or real(p))
         mdp = fig_two(8, 0.5, {3})
         oracle = SampleOracle(mdp, 6)
         sampled_vi(oracle, Plan.of(mdp, SampledParams.for_mdp(mdp, 0.3, 0.1)))
         assert oracle._calls == 50  # one call stream per sweep
-        assert len(runs) <= -(-oracle._calls // qmdp.rng.DIGEST_KEYS) + 1
+        assert encoded == [6, "call", *range(50)]
 
 
 def dense_mdp(s_n, a_n, seed):
