@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import PreconditionError
-from .mdp import expected_next_value, successor_variance
+from .mdp import _frozen, expected_next_value, successor_variance
 from .oracle import SampleOracle
 from .qsim import MAX_PHASE_BITS, check_phase_bits, median_amplitude_estimates
 from .rng import bulk_passes, uniforms
@@ -153,7 +153,9 @@ def _range_violated(v: np.ndarray, upper: float, slack: float = 0.0) -> bool:
     """True when the value map leaves [0, upper] by more than slack plus float
     fuzz; a NaN entry, inside no range, raises PreconditionError."""
     tol = slack + _PROMISE_TOL * max(1.0, upper)
-    lo, hi = _refuse_nan(v)
+    lo, hi = np.minimum.reduce(v, axis=None), np.maximum.reduce(v, axis=None)  # a 2-D map too
+    if lo != lo:  # a NaN entry makes both NaN
+        _refuse_nan(v)
     return bool(lo < -tol or hi > upper + tol)
 
 
@@ -173,12 +175,13 @@ def _variance_breached(var, sigma):
 class MockRow(NamedTuple):
     """One stream's range-bounded mock draws, taken before its estimate:
     whether a failure flag is set, the noise in [-1, 1), unscaled until
-    ``_estimate`` scales it by the line's err, and the stream itself, for a
-    replay."""
+    ``_estimate`` scales it by the line's err, the stream itself, for a replay, and the
+    read-only all-False flags its estimate returns with no flag set (one per ``mock_rows``)."""
 
     failed: bool
     noise: np.ndarray
     stream: Callable[[], np.random.Generator]
+    none_failed: np.ndarray
 
 
 def mock_rows(oracle: SampleOracle, keys: tuple, f: float):
@@ -195,12 +198,14 @@ def mock_rows(oracle: SampleOracle, keys: tuple, f: float):
     """
     shape = (oracle.mdp.num_states, oracle.mdp.num_actions)
     size = shape[0] * shape[1]
+    none_failed = _frozen(np.zeros(shape, dtype=bool))
     for digests, words in bulk_passes(keys, 2 * size):
         u = uniforms(words)
         failed = (u[:, :size] < f).any(axis=1).tolist()
         noise = (-1.0 + 2.0 * u[:, size:]).reshape(-1, *shape)
         for i, row in enumerate(noise):
-            yield MockRow(failed[i], row, partial(oracle.keyed_rng, digests[16 * i:16 * i + 16]))
+            yield MockRow(failed[i], row, partial(oracle.keyed_rng, digests[16 * i:16 * i + 16]),
+                          none_failed)
 
 
 def _estimate(mu, line, cfg, rng, forced=False, sigma=None, err=None):
@@ -237,7 +242,7 @@ def _estimate(mu, line, cfg, rng, forced=False, sigma=None, err=None):
             return est, np.full(est.shape, forced), charge
         if type(rng) is MockRow:
             if not (forced or rng.failed):
-                return mu + rng.noise * line.err, np.zeros(rng.noise.shape, dtype=bool), charge
+                return mu + rng.noise * line.err, rng.none_failed, charge
             rng = rng.stream()
         eps = line.err
     else:
@@ -279,10 +284,17 @@ def batch_bounded_mock(
     contract of every estimate in the batch; those estimates are flagged and
     drawn from the failure distribution; a NaN entry is refused before any
     draw or charge.  Returns (estimates, failed, violated).
+
+    A ``MockRow`` with no flag set on a batch not voided skips ``_estimate``: the means
+    plus its noise times line.err, the expression ``_estimate`` evaluates for it, so
+    the same bits, with the row's read-only all-False flags.
     """
     violated = _range_violated(value_map, line.upper, promise_slack)
-    est, failed, charged = _estimate(
-        expected_next_value(oracle.mdp, value_map), line, cfg, rng, violated)
+    mu = expected_next_value(oracle.mdp, value_map)
+    if type(rng) is MockRow and not (violated or rng.failed):
+        est, failed, charged = mu + rng.noise * line.err, rng.none_failed, line.charge * mu.size
+    else:
+        est, failed, charged = _estimate(mu, line, cfg, rng, violated)
     oracle.ledger.charge_quantum(charged, phase)
     return est, failed, violated
 

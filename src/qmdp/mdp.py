@@ -73,7 +73,9 @@ def _frozen(x: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class Mdp:
     """Tabular discounted MDP: transitions ``p[s,a,s']``, rewards ``r[s,a]``
-    in [0, 1], and discount ``gamma`` in [0, 1)."""
+    in [0, 1], and discount ``gamma`` in [0, 1).  It keeps ``rows``, the read-only
+    (S*A, S) view of p (row s*A + a is p[s, a]; not a copy), which the operators
+    over every row read without reshaping p on each call."""
 
     transitions: np.ndarray
     rewards: np.ndarray
@@ -111,6 +113,7 @@ class Mdp:
             s, a = np.unravel_index(int(np.argmin(np.minimum(r, 1.0 - r))), r.shape)
             raise ConfigError(f"rewards[{s}][{a}] = {r[s, a]} outside [0, 1]")
         object.__setattr__(self, "transitions", p)
+        object.__setattr__(self, "rows", p.reshape(-1, p.shape[2]))
         object.__setattr__(self, "rewards", r)
         object.__setattr__(self, "discount", float(self.discount))
 
@@ -164,10 +167,10 @@ def _policy_rows(mdp: Mdp, pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def expected_next_value(mdp: Mdp, v: np.ndarray) -> np.ndarray:
-    """One-step expectation of v under every row: out[s, a] = p_{s,a} . v."""
+    """One-step expectation of v under every row: out[s, a] = p_{s,a} . v, as
+    ``mdp.rows.dot(v)``: the BLAS call ``@`` makes on the reshaped p, so the same bits."""
     v = _check_value_vec(mdp, v)
-    s_n, a_n = mdp.num_states, mdp.num_actions
-    return (mdp.transitions.reshape(s_n * a_n, s_n) @ v).reshape(s_n, a_n)
+    return mdp.rows.dot(v).reshape(mdp.transitions.shape[:2])
 
 
 def successor_variance(mdp: Mdp, v: np.ndarray) -> np.ndarray:
@@ -235,7 +238,7 @@ def greedy(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     q = np.asarray(q, dtype=float)
     if q.ndim != 2:
         raise ValueError(f"q must be a (S, A) table, got shape {q.shape}")
-    return q.max(axis=1), q.argmax(axis=1).astype(np.int64)
+    return q.max(axis=1), q.argmax(axis=1)
 
 
 def exact_value_iteration(

@@ -34,6 +34,23 @@ __all__ = [
 _UNLABELED = "(unlabeled)"
 
 
+def _charger(classical: bool):
+    """The ledger's charge of n >= 0 classical samples or quantum calls, one call deep."""
+
+    def charge(self, n: int, phase: str | None = None) -> None:
+        n = int(n)
+        if n < 0:
+            raise ValueError("ledger charges must be non-negative")
+        if classical:
+            self.classical_samples += n
+        else:
+            self.quantum_oracle_calls += n
+        label = phase if phase is not None else _UNLABELED
+        self.phases[label] = self.phases.get(label, 0) + n
+
+    return charge
+
+
 @dataclass
 class QueryLedger:
     """Monotone counters of generative-oracle invocations.
@@ -47,22 +64,8 @@ class QueryLedger:
     quantum_oracle_calls: int = 0
     phases: dict = field(default_factory=dict)
 
-    def charge_classical(self, n: int, phase: str | None = None) -> None:
-        self._charge(n, phase, classical=True)
-
-    def charge_quantum(self, n: int, phase: str | None = None) -> None:
-        self._charge(n, phase, classical=False)
-
-    def _charge(self, n, phase, classical):
-        n = int(n)
-        if n < 0:
-            raise ValueError("ledger charges must be non-negative")
-        if classical:
-            self.classical_samples += n
-        else:
-            self.quantum_oracle_calls += n
-        label = phase if phase is not None else _UNLABELED
-        self.phases[label] = self.phases.get(label, 0) + n
+    charge_classical = _charger(classical=True)
+    charge_quantum = _charger(classical=False)
 
     @property
     def total(self) -> int:
@@ -113,19 +116,25 @@ class SampleOracle:
         return counts
 
     def empirical_means(self, v: np.ndarray, n: int, phase: str | None = None) -> np.ndarray:
-        """(S, A) means ``counts @ v / n`` of n successor draws per (s, a); charges n*S*A.
+        """(S, A) means ``counts @ v / n`` of n >= 1 successor draws per (s, a); charges n*S*A.
         Multinomial counts cost O(S) a row, not O(n), which makes the classical baseline
         runnable at its true sample sizes.  All rows come from the next call stream, in
         row-major order as a row loop on it draws them, VARIANCE_BLOCK_CELLS // S at a time."""
         _check_count(n)
+        if n == 0:  # no draw to average: refused before any stream or charge
+            raise ValueError(f"empirical_means needs n >= 1 draws per row, got n = {n}")
         v = _check_value_vec(self.mdp, v, "value map")
-        p, rng = self.mdp.transitions, self._next_rng()
-        rows, step = p.reshape(-1, p.shape[2]), max(1, VARIANCE_BLOCK_CELLS // p.shape[2])
-        sums = np.empty(len(rows))
-        for lo in range(0, len(rows), step):
-            np.einsum("ij,j->i", rng.multinomial(n, rows[lo:lo + step]), v, out=sums[lo:lo + step])
+        rows, rng = self.mdp.rows, self._next_rng()
+        step = max(1, VARIANCE_BLOCK_CELLS // rows.shape[1])
+        if len(rows) <= step:  # one block: one einsum, no buffer
+            sums = np.einsum("ij,j->i", rng.multinomial(n, rows), v)
+        else:
+            sums = np.empty(len(rows))
+            for lo in range(0, len(rows), step):
+                block = slice(lo, lo + step)
+                np.einsum("ij,j->i", rng.multinomial(n, rows[block]), v, out=sums[block])
         self.ledger.charge_classical(n * len(rows), phase)
-        return sums.reshape(p.shape[:2]) / n
+        return sums.reshape(self.mdp.transitions.shape[:2]) / n
 
     def derive_rng(self, *parts) -> np.random.Generator:
         """Named auxiliary stream, independent of the call counter; valid until the next stream."""

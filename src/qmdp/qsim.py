@@ -159,15 +159,16 @@ def _closed_form_draws(omega: list, t: int, u: np.ndarray, size: list) -> np.nda
     s = [math.sin(math.pi * min(x % 1.0, 1.0 - x % 1.0)) for x in c]
     # F has a pole at a cell when s = 0 (a = 1), and near an integer c, j - c loses its digits:
     # such amplitudes are passed at c = 1/2 and drawn from their point masses
-    fit = [x >= m * 2.0**-43 for x in s]
-    j0 = np.repeat([round(x) for x in c], size)
+    fit, j0 = [x >= m * 2.0**-43 for x in s], [round(x) for x in c]
     c, s = [x if y else 0.5 for x, y in zip(c, fit)], [x if y else 1.0 for x, y in zip(s, fit)]
     table, f_table, start, gap = _closed_cdf(c, m, s)
     # in [1, size - 1] of its own table: F(-1) = 0 <= u < 1.0 = F(m - 1)
     i = np.concatenate([f_table[a:b].searchsorted(u[e:e_], side="right") + a
                         for a, b, e, e_ in zip(start, start[1:], ends, ends[1:])])
-    lo, hi, f_lo, f_hi = table[i - 1], table[i], f_table[i - 1], f_table[i]
-    while (open_ := (hi - lo > 1).nonzero()[0]).size:  # 128-section in the gaps, down to one cell
+    lo, hi = table[i - 1], table[i]
+    if (open_ := (hi - lo > 1).nonzero()[0]).size:  # a u between table cells reads their F
+        f_lo, f_hi = f_table[i - 1], f_table[i]
+    while open_.size:  # 128-section in the gaps, down to one cell
         lo_o, hi_o = lo[open_, None], hi[open_, None]
         k = lo_o + (hi_o - lo_o) * np.arange(129) // 128
         f = np.where(k == lo_o, f_lo[open_, None], f_hi[open_, None])
@@ -175,7 +176,10 @@ def _closed_form_draws(omega: list, t: int, u: np.ndarray, size: list) -> np.nda
         f[inner] = gap(k[inner], np.arange(len(s)).repeat(size)[open_[inner.nonzero()[0]]])
         n, row = (f > u[open_, None]).argmax(axis=1), np.arange(open_.size)  # the first point above u
         lo[open_], f_lo[open_], hi[open_], f_hi[open_] = k[row, n - 1], f[row, n - 1], k[row, n], f[row, n]
-    return np.where(np.repeat(fit, size), hi, np.where(u < 0.5, j0, (m - j0) % m))
+        open_ = (hi - lo > 1).nonzero()[0]
+    if all(fit):  # no point masses to draw
+        return hi
+    return np.where(np.repeat(fit, size), hi, np.where(u < 0.5, j0 := np.repeat(j0, size), (m - j0) % m))
 
 
 def _estimate_draws(a: np.ndarray, t: int, u: np.ndarray) -> np.ndarray:

@@ -151,6 +151,8 @@ def key_digests(parts: tuple):
         yield root.digest()
         return
     *outer, inner = slots
+    if len(inner) == 0:  # no keys, whatever the outer slots hold: no run over them
+        return
     tails = (_encode_part(v).encode() + texts[-1] for v in inner)  # the last slot's values
     if outer:  # every run takes the same tails: encode them once
         tails = list(tails)

@@ -31,6 +31,7 @@ from .estimators import (
     DEFAULT_CONFIG,
     BACKEND_STATEVECTOR,
     EstimatorConfig,
+    MockRow,
     amplification_reps,
     batch_bounded_mock,
     batch_variance_mock,
@@ -103,9 +104,11 @@ def mock_argmax_rows(q: np.ndarray, f: float, u: np.ndarray,
     """Contract-mock quantum maximum finding over each row of q (S, A): the
     row argmax (lowest index on ties), or, where the row's uniform u < f and
     A > 1, its index ``wrong`` (drawn below A-1) mapped onto the other A-1
-    entries.  Returns (index, failed) arrays."""
-    best = np.argmax(q, axis=1)
+    entries.  Returns (index, failed) arrays; with no flag set, the argmax as it is."""
+    best = q.argmax(axis=1)
     failed = (u < f) & (q.shape[1] > 1)
+    if not np.count_nonzero(failed):
+        return best, failed
     return np.where(failed, wrong + (wrong >= best), best), failed
 
 
@@ -380,18 +383,22 @@ class _Iterate:
     def estimate(self, stream, phase, value_map, line: Line, promise_slack=0.0) -> np.ndarray:
         """Range-bounded estimates of P value_map on ``stream``, the next
         item of ``keyed`` or ``streams``, to ``line``'s error on [0, upper]."""
-        est, failed, _ = batch_bounded_mock(self.oracle, value_map, line, self.cfg, stream, phase,
-                                            promise_slack=promise_slack)
-        self.failures += np.count_nonzero(failed)
+        est, failed, violated = batch_bounded_mock(self.oracle, value_map, line, self.cfg, stream,
+                                                   phase, promise_slack=promise_slack)
+        if violated or type(stream) is not MockRow or stream.failed:  # else none is set
+            self.failures += np.count_nonzero(failed)
         return est
 
     def keep_better(self, v_new: np.ndarray, pi_new: np.ndarray) -> None:
         """Keep, per state, the better of v and v_new.  On a monotone solve v
-        changes only here; the step is logged and the flags checked per block."""
+        changes only here; the step is logged and the flags checked per block.
+        If no state takes v_new, v and pi stay as they are, as np.where keeps them."""
         take = v_new >= self.v
-        self.pi = np.where(take, pi_new, self.pi)
+        if np.count_nonzero(take):
+            self.pi = np.where(take, pi_new, self.pi)
+            self.v = np.where(take, v_new, self.v)
         self._offers[self._steps] = v_new
-        self._iterates[self._steps + 1] = self.v = np.where(take, v_new, self.v)
+        self._iterates[self._steps + 1] = self.v
         self._steps += 1
         if self._steps == len(self._offers):
             self._check_steps()
@@ -508,6 +515,7 @@ def max_finding_vi(oracle: SampleOracle, plan: Plan, diagnostics: bool = False) 
     use_statevector_argmax = plan.cfg.backend == BACKEND_STATEVECTOR
 
     it = _Iterate(oracle, plan, diagnostics)
+    states = np.arange(s_n)
     mean, probe_cost = plan.lines["line10", 1], plan.lines["argmax", 1].probe
     q_mem = np.zeros((s_n, a_n))  # memoized estimated Q row per state
     argmax_keys = (oracle.seed, "mf", range(1, p.iters + 1), range(s_n), "argmax")
@@ -525,7 +533,7 @@ def max_finding_vi(oracle: SampleOracle, plan: Plan, diagnostics: bool = False) 
                 for s in range(s_n)], dtype=np.int64)
         else:
             a_star = it.mock_argmax(q_mem, argmax_draws, phase_max)
-        it.keep_better(q_mem[np.arange(s_n), a_star], a_star)
+        it.keep_better(q_mem[states, a_star], a_star)
 
         # next sweep's Q row oracles: one estimate per entry, memoized
         z = it.estimate(next(line10), _phase("iter", l, 10), it.v, mean) - mean.err

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import qmdp.rng
 from qmdp.errors import ConfigError
+from qmdp.hard_instances import two_state_chain
 from qmdp.mdp import VARIANCE_BLOCK_CELLS, Mdp
 from qmdp.oracle import (
     DyadicRow,
@@ -153,14 +154,17 @@ class TestEmpiricalMeans:
         loop, method = SampleOracle(mdp, 17), SampleOracle(mdp, 17)
         for oracle in (loop, method):  # start both mid-counter, with a phase charged
             oracle.sample_counts(0, 0, 5, phase="earlier")
-        with np.errstate(invalid="ignore"):  # n = 0 gives 0/0 means, as the loop does
-            for i in (1, 2):
+        for i in (1, 2):
+            if n == 0:  # no draw to average: refused, taking no stream and charging nothing
+                with pytest.raises(ValueError, match=r"needs n >= 1 draws per row, got n = 0"):
+                    method.empirical_means(v, n, f"iter-{i}")
+            else:
                 want = loop_empirical_means(loop, v, n, f"iter-{i}")
                 got = method.empirical_means(v, n, f"iter-{i}")
                 assert got.shape == (s_n, a_n) and got.dtype == np.float64
                 assert got.tobytes() == want.tobytes()
-                assert _oracle_record(method) == _oracle_record(loop)
-        assert method._calls == 1 + 2
+            assert _oracle_record(method) == _oracle_record(loop)
+        assert method._calls == 1 + (2 if n else 0)
 
     def test_one_call_hashes_one_call_key(self, monkeypatch):
         # a call hashes the key of the stream it takes and none ahead of it:
@@ -192,7 +196,7 @@ class TestEmpiricalMeans:
         assert method._calls == 3 + 1024 + 3
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
-    @given(shape=straddling_shapes(), n=st.sampled_from([0, 1, 7, 10**6]),
+    @given(shape=straddling_shapes(), n=st.sampled_from([1, 7, 10**6]),
            seed=st.integers(0, 2**32))
     def test_equals_row_loop_on_one_stream(self, shape, n, seed):
         s_n, a_n = shape
@@ -202,8 +206,7 @@ class TestEmpiricalMeans:
         oracle = SampleOracle(mdp, seed)
         oracle.sample_counts(0, 0, 3)  # so the call takes stream 1, not 0
         rng = reference_rng(seed, "call", 1)
-        with np.errstate(invalid="ignore"):
-            got, want = oracle.empirical_means(v, n), row_loop_means(mdp.transitions, v, n, rng)
+        got, want = oracle.empirical_means(v, n), row_loop_means(mdp.transitions, v, n, rng)
         assert got.tobytes() == want.tobytes()
         np.testing.assert_equal(oracle._rng.bit_generator.state, rng.bit_generator.state)
 
@@ -287,6 +290,18 @@ class TestSampleArguments:
             with pytest.raises(ValueError, match="sample count must be non-negative"):
                 call()
         assert _oracle_record(oracle) == (0, QueryLedger().to_dict())
+
+    def test_zero_draw_means_refused_before_drawing(self):
+        # n = 0 has no draw to average (its means would be 0/0): refused by its
+        # value before the first call stream is taken or anything is charged;
+        # zero counts are well defined and stay legal
+        oracle = SampleOracle(two_state_chain(0.9, 0.5), seed=0)
+        with pytest.raises(ValueError, match=r"needs n >= 1 draws per row, got n = 0"):
+            oracle.empirical_means(np.array([0.0, 1.0]), 0, phase="iter-1")
+        assert _oracle_record(oracle) == (0, QueryLedger().to_dict())
+        assert oracle.sample_counts(0, 0, 0, phase="iter-1").tolist() == [0, 0]
+        assert _oracle_record(oracle) == (1, {"classical_samples": 0, "quantum_oracle_calls": 0,
+                                              "phases": {"iter-1": 0}})
 
     @pytest.mark.parametrize("v", [np.ones(2), np.ones(4), np.ones((3, 1)), [[1.0, 2.0, 3.0]]])
     def test_value_map_shape_checked_before_drawing(self, v):

@@ -252,6 +252,20 @@ def test_bulk_passes_of_no_keys():
     assert list(bulk_passes((3, "empty", range(0)), 4)) == []
 
 
+@pytest.mark.parametrize("parts", [(0, "x", range(10**6), range(0)),
+                                   (0, range(3), "x", [], "y"),
+                                   (0, ("a", "b"), range(10**6), np.arange(0), "z")])
+def test_empty_last_slot_walks_no_outer_combination(monkeypatch, parts):
+    # a family whose last slot is empty has no keys, however many the outer
+    # slots' combinations: it ends before it would run over them
+    def product(*slots):
+        raise AssertionError("walked the outer slots of a family with no keys")
+
+    monkeypatch.setattr(qmdp.rng, "itertools", mock.Mock(product=product, islice=itertools.islice))
+    assert list(key_digests(parts)) == []
+    assert list(bulk_passes(parts, 4)) == []
+
+
 def _all_digests():
     return b"".join(key_digest(seed, *parts) for seed, parts in KEYS)
 
