@@ -175,8 +175,8 @@ def _variance_breached(var, sigma):
 class MockRow(NamedTuple):
     """One stream's range-bounded mock draws, taken before its estimate:
     whether a failure flag is set, the noise in [-1, 1), unscaled until
-    ``_estimate`` scales it by the line's err, the stream itself, for a replay, and the
-    read-only all-False flags its estimate returns with no flag set (one per ``mock_rows``)."""
+    ``batch_bounded_mock`` scales it by the line's err, the stream itself, for a replay, and
+    the read-only all-False flags its estimate returns with no flag set (one per ``mock_rows``)."""
 
     failed: bool
     noise: np.ndarray
@@ -190,7 +190,7 @@ def mock_rows(oracle: SampleOracle, keys: tuple, f: float):
     estimates of every (s, a) at failure probability f.
 
     A batch draws its failure flags, ``random(shape) < f``, then its noise,
-    ``uniform(-1, 1, shape)``, which ``_estimate`` scales by its line's err:
+    ``uniform(-1, 1, shape)``, which ``batch_bounded_mock`` scales by its line's err:
     the first 2*S*A uniforms of its stream, taken here from
     ``rng.bulk_passes``, so every value equals the stream's own draw.  A row
     with a failed entry is replayed by ``_estimate`` on its stream, re-keyed
@@ -218,8 +218,8 @@ def _estimate(mu, line, cfg, rng, forced=False, sigma=None, err=None):
     variance-bounded estimator: always contract mock, to the per-entry error
     ``err`` in (0, 4*sigma), charged by ``variance_mean_charge``.
     Statevector backend: per entry, the median of line.reps runs of
-    line.t-bit amplitude estimation, all drawn in one pass and inverted
-    for all distinct means together.  Contract mock: the true mean plus
+    line.t-bit amplitude estimation, drawn as one order statistic and
+    inverted for all distinct means together.  Contract mock: the true mean plus
     noise within the error, or with probability line.f a planted failure;
     the draw order is fixed across failure modes.  ``forced`` (a voided
     promise) fails every entry.
@@ -229,10 +229,9 @@ def _estimate(mu, line, cfg, rng, forced=False, sigma=None, err=None):
     The mock draws the failure flags and the noise, then the planted-failure
     draws only when some entry fails: they come last, so skipping them
     changes no value this call returns.  A range-bounded mock ``rng`` may
-    instead be a ``MockRow``, the flags and unscaled noise already drawn:
-    without a failure the estimates are the means plus its noise times
-    line.err, as the stream's own draws give them, and otherwise its stream
-    is replayed from the start.
+    instead be a ``MockRow``, whose stream is replayed from the start: the
+    same draws as its flags and noise (``batch_bounded_mock`` returns before
+    this call for a row with no flag set on a batch not voided).
     """
     if sigma is None:
         charge = line.charge * mu.size
@@ -240,9 +239,7 @@ def _estimate(mu, line, cfg, rng, forced=False, sigma=None, err=None):
             a = np.minimum(np.maximum(mu / line.upper, 0.0), 1.0)  # np.clip's wrapper costs more than both
             est = line.upper * median_amplitude_estimates(a, line.t, line.reps, rng).reshape(a.shape)
             return est, np.full(est.shape, forced), charge
-        if type(rng) is MockRow:
-            if not (forced or rng.failed):
-                return mu + rng.noise * line.err, rng.none_failed, charge
+        if type(rng) is MockRow:  # batch_bounded_mock returns first when no flag is set
             rng = rng.stream()
         eps = line.err
     else:
@@ -286,7 +283,7 @@ def batch_bounded_mock(
     draw or charge.  Returns (estimates, failed, violated).
 
     A ``MockRow`` with no flag set on a batch not voided skips ``_estimate``: the means
-    plus its noise times line.err, the expression ``_estimate`` evaluates for it, so
+    plus its noise times line.err, what ``_estimate`` draws on the row's replayed stream, so
     the same bits, with the row's read-only all-False flags.
     """
     violated = _range_violated(value_map, line.upper, promise_slack)

@@ -1,17 +1,12 @@
 """Exact-distribution simulation of the two quantum subroutines.
 
-Canonical amplitude estimation is simulated by sampling its closed-form
-measurement distribution (phase estimation applied to the Grover operator of
-the state being measured), not by evolving a statevector.  A draw inverts
-that distribution's CDF F at every t, summed in closed form (tabulated around
-its peaks, in the gaps between them by one Euler-Maclaurin run from the nearest
-tabulated end), within 4e-15 of the exact sum at every cell at each t checked
-from 1 to 13, where the cumsum of the 2^t-cell float grid is off by up to 2.6e-13.
-An amplitude whose c = 2^t omega lies on or next to an integer is the pair of
-point masses at round(c) and its mirror, each drawn with probability 1/2.
-Maximum finding is the threshold-improvement loop with exact Grover success
-probabilities, on draws replayed from the stream's raw words; the rounds left
-once the maximum is found are resolved in bulk.
+Canonical amplitude estimation is simulated by sampling its closed-form measurement
+distribution (phase estimation applied to the Grover operator of the state being
+measured), not by evolving a statevector.  Its CDF F is summed in closed form, and the
+median of an odd number of runs is one order statistic: a Beta variate inverted on the
+folded CDF.  Maximum finding is the threshold-improvement loop with exact Grover success
+probabilities, on draws replayed from the stream's raw words; the rounds left once the
+maximum is found are resolved in bulk.
 
 These "honest" backends exist to validate the contract-mock backend's
 query/error model; they expose measured query counts so the mock's constants
@@ -40,7 +35,7 @@ __all__ = [
     "MAX_ARGMAX_PROBES",
 ]
 
-MAX_PHASE_BITS = 24  # simulation tractability bound: 2^24 outcome grid
+MAX_PHASE_BITS = 24  # largest t accepted: outcome_distribution's 2^t-cell grid is 128 MiB there
 DEFAULT_C_MAX = 4.0
 # simulate_argmax's largest budget: its time is linear in the budget, and a
 # budget of 2^24 probes takes 0.4-1.0 s a call on a 2-vCPU Xeon (n = 64 and 8)
@@ -108,14 +103,14 @@ def _em(k, c, m: int):
 
 
 def _closed_cdf(c: list, m: int, s: list):
-    """(table, f_table, start, gap) for amplitudes g with c[g], s[g]: F(k) = sum_{j<=k} p_j, p_j =
+    """(table, f_table, start, gap, p0) for amplitudes g with c[g], s[g]: F(k) = sum_{j<=k} p_j, p_j =
     s^2 / (2 m^2) csc2(j), tabulated at table[start[g]:start[g + 1]] from -1 (F = 0) over the first
     run [r0, r1] (the cells within _WIDE of the first peak, up to m - 1) and its mirror onto the
     second (p_j = p_{m-j}, so F(k) = 1 + p_0 - F(m - 1 - k)) to m - 1 (F = 1.0); and gap(k, g) = F(k)
     of amplitude g[i] at cell k[i] between them, all _WIDE or more from every pole, by one
     Euler-Maclaurin run from the nearest tabulated end: -1 left of the first run, r1 between the
-    runs, and right of the mirrored run the left gap mirrored.  Row g of one (amplitudes, cells)
-    array sums its run."""
+    runs, and right of the mirrored run the left gap mirrored; and p0[g] = F(0) = p_0.  Row g of
+    one (amplitudes, cells) array sums its run."""
     h, scale = math.pi / m, [0.5 * (x / m) ** 2 for x in s]
     r0 = [max(math.floor(x) - _WIDE, 0) for x in c]
     r1 = [min(math.floor(x) + _WIDE + 1, m - 1) for x in c]  # past m - 1 at t <= 8 unclipped
@@ -143,25 +138,30 @@ def _closed_cdf(c: list, m: int, s: list):
         f_j = np.where(mid, f_r1, 0.0) + sc_g * (_em(j, c_g, m) - np.where(mid, em_r1, left_g))
         return np.where(right, one_g - f_j, f_j)
 
-    return table, f_table, list(accumulate((b - a + j + 3 for a, b, j in zip(r0, r1, n)), initial=0)), gap
+    start = list(accumulate((b - a + j + 3 for a, b, j in zip(r0, r1, n)), initial=0))
+    return table, f_table, start, gap, p[:, 0]
 
 
-def _closed_form_draws(omega: list, t: int, u: np.ndarray, size: list) -> np.ndarray:
+def _closed_form_draws(omega: list, t: int, u: np.ndarray, size: list, folded=False) -> np.ndarray:
     """Draws for each amplitude g at the next size[g] uniforms u: u inverted on the CDF F at
     omega[g] as _closed_cdf evaluates it (m = 2^t, c = m omega, s = |sin(pi c)|), the cell k with
     F(k - 1) <= u < F(k), for up to _GROUPS amplitudes a pass.  An amplitude that F does not fit
-    is the point masses at j0 = round(c) and (m - j0) mod m: j0 for u < 1/2, else its mirror."""
-    m, ends = 1 << t, list(accumulate(size, initial=0))
-    if len(size) > _GROUPS:  # a pass's arrays grow with its amplitudes
-        return np.concatenate((_closed_form_draws(omega[:_GROUPS], t, u[:ends[_GROUPS]], size[:_GROUPS]),
-                               _closed_form_draws(omega[_GROUPS:], t, u[ends[_GROUPS]:], size[_GROUPS:])))
+    is the point masses at j0 = round(c) and (m - j0) mod m: j0 for u < 1/2, else its mirror.
+    folded reads u as w and draws G's inverse at w, G(j) = 2F(j) - F(0) the CDF of the folded index
+    min(k, m - k) (p_k = p_{m-k}): k at (w + F(0)) / 2, F(0) = p_0 from _closed_cdf, capped at m/2."""
+    m, ends, g = 1 << t, list(accumulate(size, initial=0)), _GROUPS
+    if len(size) > g:  # a pass's arrays grow with its amplitudes
+        return np.concatenate((_closed_form_draws(omega[:g], t, u[:ends[g]], size[:g], folded),
+                               _closed_form_draws(omega[g:], t, u[ends[g]:], size[g:], folded)))
     c = [m * x for x in omega]  # exact: m is a power of two
     s = [math.sin(math.pi * min(x % 1.0, 1.0 - x % 1.0)) for x in c]
     # F has a pole at a cell when s = 0 (a = 1), and near an integer c, j - c loses its digits:
     # such amplitudes are passed at c = 1/2 and drawn from their point masses
     fit, j0 = [x >= m * 2.0**-43 for x in s], [round(x) for x in c]
     c, s = [x if y else 0.5 for x, y in zip(c, fit)], [x if y else 1.0 for x, y in zip(s, fit)]
-    table, f_table, start, gap = _closed_cdf(c, m, s)
+    table, f_table, start, gap, p0 = _closed_cdf(c, m, s)
+    if folded:  # below 1.0 = F(m - 1), even where w and F(0) both round to 1.0
+        u = np.minimum((u + p0.repeat(size)) / 2, 1.0 - 2.0**-53)
     # in [1, size - 1] of its own table: F(-1) = 0 <= u < 1.0 = F(m - 1)
     i = np.concatenate([f_table[a:b].searchsorted(u[e:e_], side="right") + a
                         for a, b, e, e_ in zip(start, start[1:], ends, ends[1:])])
@@ -177,16 +177,18 @@ def _closed_form_draws(omega: list, t: int, u: np.ndarray, size: list) -> np.nda
         n, row = (f > u[open_, None]).argmax(axis=1), np.arange(open_.size)  # the first point above u
         lo[open_], f_lo[open_], hi[open_], f_hi[open_] = k[row, n - 1], f[row, n - 1], k[row, n], f[row, n]
         open_ = (hi - lo > 1).nonzero()[0]
+    hi = np.minimum(hi, m // 2) if folded else hi  # G(m/2) = 1 caps a folded index
     if all(fit):  # no point masses to draw
         return hi
-    return np.where(np.repeat(fit, size), hi, np.where(u < 0.5, j0 := np.repeat(j0, size), (m - j0) % m))
+    j0 = np.repeat(j0, size)  # the point masses; j0 = round(c) <= m/2 is their folded index
+    return np.where(np.repeat(fit, size), hi, j0 if folded else np.where(u < 0.5, j0, (m - j0) % m))
 
 
-def _estimate_draws(a: np.ndarray, t: int, u: np.ndarray) -> np.ndarray:
-    """Estimates sin^2(pi y / 2^t), y drawn for row i of the uniforms u by inverting the
-    outcome CDF of amplitude a[i] (_closed_form_draws), every distinct amplitude of the
-    batch in one pass.  Amplitude 0 needs no pass: its CDF is exactly 1.0 from y = 0 on
-    (sinc(0)/sinc(0) = 1), so every u in [0, 1) inverts to 0."""
+def _estimate_draws(a: np.ndarray, t: int, u: np.ndarray, folded=False) -> np.ndarray:
+    """Estimates sin^2(pi y / 2^t), y drawn for row i of u by inverting the outcome CDF of
+    amplitude a[i] (_closed_form_draws, folded or not), every distinct amplitude of the batch
+    in one pass.  Amplitude 0 needs no pass: its CDF is exactly 1.0 from y = 0 on
+    (sinc(0)/sinc(0) = 1), so every u in [0, 1), and every folded w, inverts to 0."""
     groups = {}  # -0.0 joins 0.0
     for i, value in enumerate(a.tolist()):
         groups.setdefault(value, []).append(i)
@@ -195,40 +197,39 @@ def _estimate_draws(a: np.ndarray, t: int, u: np.ndarray) -> np.ndarray:
     if groups:
         rows, size = [i for r in groups.values() for i in r], [len(r) * u.shape[1] for r in groups.values()]
         omega = [math.asin(math.sqrt(x)) / math.pi for x in groups]
-        y = _closed_form_draws(omega, t, u[rows].ravel(), size)  # the uniforms amplitude by amplitude
+        y = _closed_form_draws(omega, t, u[rows].ravel(), size, folded)  # the uniforms amplitude by amplitude
         est[rows] = (np.sin(np.pi * y / (1 << t)) ** 2).reshape(len(rows), u.shape[1])
     return est
 
 
-def _check_count(name: str, value, least: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise PreconditionError(f"{name} must be an integer >= {least}, got {value!r}")
+def _check_count(name: str, value, least: int, odd=False) -> int:
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least
+            or odd and value % 2 == 0):
+        raise PreconditionError(f"{name} must be an {'odd ' * odd}integer >= {least}, got {value!r}")
     return int(value)
 
 
 def median_amplitude_estimates(amplitudes, t: int, reps: int, rng: np.random.Generator) -> np.ndarray:
-    """Median of ``reps`` t-bit amplitude-estimation runs for each amplitude.
-
-    Draws rng.random((n, reps)) in one call, so entry i uses the i-th block of reps
-    uniforms: the same draws as n successive one-amplitude calls on the stream, inverted
-    for every distinct amplitude at once (``_estimate_draws``).  Charges nothing; each
-    estimate costs reps * (2^t - 1) queries."""
+    """Median of ``reps`` (odd) t-bit amplitude-estimation runs for each amplitude, as one
+    order statistic: an estimate rises with its folded index j = min(y, 2^t - y) alone, and the
+    run at the h-th smallest of reps uniforms, h = (reps + 1) / 2, is at w ~ Beta(h, h), so each
+    j is the folded draw at one w (``_closed_form_draws``).  Draws rng.beta(h, h, n) in one call:
+    the same draws as n successive one-amplitude calls, inverted for every distinct amplitude
+    at once (``_estimate_draws``).  Charges nothing; each estimate costs reps * (2^t - 1) queries."""
     a = np.asarray(amplitudes, dtype=float).ravel()
     t = check_phase_bits(t)  # also for an empty batch
-    _check_count("reps", reps, 1)
+    h = (_check_count("reps", reps, 1, odd=True) + 1) // 2
     outside = ~((a >= 0.0) & (a <= 1.0))  # NaN is outside too
     if outside.any():
         raise PreconditionError(f"amplitudes must be in [0, 1], got {a[outside][0]}")
-    lo, hi = (reps - 1) // 2, reps // 2  # np.median: the middle pair's mean, (x + x) / 2 = x
-    (est := _estimate_draws(a, t, rng.random((a.size, reps)))).partition([lo, hi], axis=1)
-    return (est[:, lo] + est[:, hi]) / 2
+    return _estimate_draws(a, t, rng.beta(h, h, (a.size, 1)), folded=True).ravel()
 
 
 def amplitude_estimation_sample(a: float, t: int, rng: np.random.Generator, size: int | None = None,
                                 ledger: QueryLedger | None = None, phase: str | None = None):
     """Estimate(s) sin^2(pi y / 2^t) of amplitude a: median_amplitude_estimates of
-    single runs, the same draws.  Charges 2^t - 1 quantum oracle calls per run
-    when a ledger is given."""
+    single runs (reps = 1, so w ~ Beta(1, 1)), the same draws.  Charges 2^t - 1
+    quantum oracle calls per run when a ledger is given."""
     n = 1 if size is None else _check_count("size", size, 0)
     est = median_amplitude_estimates(np.full(n, a), t, 1, rng)
     if ledger is not None:

@@ -306,7 +306,8 @@ class TestMockRows:
 
     def test_scalar_bounds_and_replays_through_the_oracle(self, monkeypatch):
         # scalar upper and eps serve every key, 7 streams of 8 words per
-        # pass; only a failed row re-keys the oracle, from its key's digest
+        # pass; through batch_bounded_mock only a failed row re-keys the
+        # oracle, from its key's digest
         monkeypatch.setattr(qmdp.rng, "PASS_WORDS", 56)
         oracle = SampleOracle(Mdp(np.full((2, 2, 2), 0.5), np.zeros((2, 2)), 0.9), 38)
         rekeyed = []
@@ -320,11 +321,13 @@ class TestMockRows:
                             est_mod.mock_rows(oracle, (38, "svi", range(1, 41)), 0.1),
                             strict=True):
             want = est_mod._estimate(mu, line, CFG, derived_rng(*key))
-            got = est_mod._estimate(mu, line, CFG, row)
-            assert _outcome(*got) == _outcome(*want)
+            before = oracle.ledger.quantum_oracle_calls
+            est, fail, violated = est_mod.batch_bounded_mock(oracle, np.full(2, 0.5), line, CFG, row, "svi")
+            charge = oracle.ledger.quantum_oracle_calls - before
+            assert _outcome(est, fail, charge) == _outcome(*want) and not violated
             if row.failed:
                 failed.append(key_digest(*key))
-            assert got[2] == est_mod.bounded_mean_charge(1.0, 0.1, 0.1, CFG) * 4
+            assert charge == est_mod.bounded_mean_charge(1.0, 0.1, 0.1, CFG) * 4
         assert rekeyed == failed and 0 < len(failed) < 40
 
 

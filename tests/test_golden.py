@@ -78,7 +78,7 @@ GOLDEN = (
      None, 22, "c4663b378079be56c4e22431c77d7c0ec98a91aa95ded003c5027d0c15b3d7da"),
     ("hard-statevector-max-finding", {"hard_instance": dict(HARD["hard_instance"], eps=1.0)},
      {"name": "max-finding", "eps": 1.0, "delta": 0.1}, {"backend": "statevector"}, 31,
-     "c319296c9a0070f2db7f843ab5d44ef25038467e37d1481a0a9f8105977d1800"),
+     "68e0c1be04dc60d620be659e29865703d316f59541844ddcbf9a2182b60e049f"),
     ("hard-sampled-quantum-mean-and-max", HARD,
      {"name": "sampled", "mode": "quantum_mean_and_max", "eps": 0.5, "delta": 0.1}, None, 14,
      "ccf965a7527dc4f2636bf553775baf6e0b71a2d0bb3eeae10b94ee9c4e0d42eb"),
@@ -86,11 +86,11 @@ GOLDEN = (
      {"hard_instance": dict(HARD["hard_instance"], eps=1.0)},
      {"name": "sampled", "mode": "quantum_mean", "eps": 1.0, "delta": 0.1},
      {"backend": "statevector"}, 32,
-     "1d0a76feb05370336fcecff6af4cbc9f30dd4225197fa45f368569e0e80df060"),
+     "78e07e0f16ed069dd99d3be2ed4a68dc003d25f2d7fccf1a46db775e0ad71ac6"),
     ("hard-statevector-variance-reduced",
      {"hard_instance": dict(HARD["hard_instance"], eps=1.0)},
      {"name": "variance-reduced", "eps": 1.0, "delta": 0.1}, {"backend": "statevector"}, 33,
-     "d79d153117fcb873e99ba85770f2e4fbed9bb756af461ad802b7b425d8ccb92f"),
+     "8cbba534f2d33b8a2c7673ab50966b2e1a859db655224b48de57a211cf0764d9"),
     ("dense-sampled-classical", DENSE,
      {"name": "sampled", "mode": "classical", "eps": 0.5, "delta": 0.1}, None, 23,
      "333dfc2dc0379c9c913355ea882d0869787a2f1f338a5123659c752601b28985"),
@@ -124,17 +124,17 @@ DIAGNOSTICS = {
         "90c24922e4e8b98cbd977e6fb16586f256c201e45dda8228001ca635e0e571f2",
         "5b9e20eba950a7422b5ea673ec9602d230df3adfcccc34ddb187cb5830f5be32"),
     "hard-statevector-max-finding": (
-        "9fce0c7b1bf5a2566966780300db72281e0838768bd8b3eaea43a7eeeabe4772",
-        "f5df6ef2712deb37cc855bb8813fff70acbd18cd676ff35efca279c269bc739e"),
+        "5bbd83659d342799d56967fedea118baf125adf20c3a05bc02b6d5c660fffb0f",
+        "b09f23ba56f963f4c0357cf4defa9d1a287a9a12781fcc79d36c60a1fecee1a4"),
     "hard-sampled-quantum-mean-and-max": (
         "e8c407813b013b58d2da1c4326779e9007900946ace287866aca8b3f61c18667",
         "fada5e43f1126988b66ec4f885542f78bbae6ef225dfea73387c63850b6d38a2"),
     "hard-statevector-sampled-quantum-mean": (
-        "2b273e35b7c4f5eae10aeeecd8f7337eb6b6d416f9090f141c65e8afcf60d13f",
-        "b878e0b99f7b623473ab190b515f7f02071bb9bae1c68a88124228544282e8b2"),
+        "bdec713596af436125c8aeb122817d3483b5b1a6ead48ba888ac2f252cdc8a32",
+        "aa9293cb387cc843559d3707aaf1e4895dc01d1878c7cc61fc447a2dd9787abc"),
     "hard-statevector-variance-reduced": (
-        "e3a4016b725913cb902dc0658bf26d77dc0bbc68c7e7788245e5d2463fe8f54a",
-        "f1b04baefd7769089189342005b7932262d7145155ef6a11d7dc220418a8491d"),
+        "8f7603bd06bea2962fbb95f964c387a9207027aec0384b52a818e6df67ff2da2",
+        "c88f559a3d3317c49c14a9352a99bcf6e4d17bdae39acccf1647a436c4fbdfac"),
     "dense-sampled-classical": (
         "d814d0ca74a33ac55aaaecdb91b7971ac5279ceb937dd71b6f064d03b94e5494",
         "965a8c034b69fd340bbaa5bf29a78767eca5482d6edd74bdaa08111dc22ffe95"),
@@ -199,15 +199,16 @@ def test_golden_diagnostics(tmp_path, monkeypatch, name, instance, solver, estim
 STATEVECTOR = [g for g in GOLDEN if g[0].startswith("hard-statevector-")]
 
 
-def _full_grid_draws(omega, t, u, size):
-    """Each amplitude's uniforms inverted through the cumsum of its whole 2^t-cell float
-    outcome grid at omega, the last cell set to 1.0."""
+def _folded_grid_draws(omega, t, w, size):
+    """Each amplitude's Beta variates w inverted through its folded CDF from the whole 2^t-cell
+    float outcome grid at omega: F, the grid's cumsum with its last cell set to 1.0, inverted at
+    (w + F(0)) / 2 and capped at m/2."""
     m, draws = 1 << t, []
-    for w, u_g in zip(omega, np.split(u, np.cumsum(size)[:-1])):
+    for x, w_g in zip(omega, np.split(w, np.cumsum(size)[:-1])):
         y = np.arange(m) / m
-        cdf = np.cumsum(0.5 * (qsim._dirichlet_kernel_sq(y - w, m) + qsim._dirichlet_kernel_sq(y + w, m)))
+        cdf = np.cumsum(0.5 * (qsim._dirichlet_kernel_sq(y - x, m) + qsim._dirichlet_kernel_sq(y + x, m)))
         cdf[-1] = 1.0
-        draws.append(np.searchsorted(cdf, u_g, side="right"))
+        draws.append(np.minimum(np.searchsorted(cdf, (w_g + cdf[0]) / 2, side="right"), m // 2))
     return np.concatenate(draws)
 
 
@@ -215,12 +216,17 @@ def _full_grid_draws(omega, t, u, size):
                          ids=[g[0] for g in STATEVECTOR])
 def test_statevector_golden_through_grid_fallback(tmp_path, monkeypatch, name, instance,
                                                   solver, estimator, seed, digest):
-    # every draw inverted through the float grid instead of the closed-form CDF: same digests;
-    # the solves themselves build no grid
+    # every median inverted through the float grid's folded CDF instead of the closed-form
+    # one: same digests; the solves themselves build no grid
     monkeypatch.setattr(qsim, "outcome_distribution", lambda a, t: pytest.fail(f"grid built for {a}"))
     ts = []
-    monkeypatch.setattr(qsim, "_closed_form_draws",
-                        lambda omega, t, u, size: ts.append(t) or _full_grid_draws(omega, t, u, size))
+
+    def grid_draws(omega, t, w, size, folded):
+        assert folded  # a solve draws medians only
+        ts.append(t)
+        return _folded_grid_draws(omega, t, w, size)
+
+    monkeypatch.setattr(qsim, "_closed_form_draws", grid_draws)
     assert _report_sha256(tmp_path, instance, solver, estimator, seed) == digest
     monkeypatch.chdir(tmp_path)
     report = _report_sha256(tmp_path, instance, solver, estimator, seed,
@@ -235,10 +241,10 @@ def test_statevector_golden_rarely_falls_back(monkeypatch):
     fits = []
     real = qsim._closed_form_draws
 
-    def spy(omega, t, u, size):
+    def spy(omega, t, u, size, folded):
         c = [(1 << t) * w for w in omega]
         fits.extend(math.sin(math.pi * min(x % 1.0, 1.0 - x % 1.0)) >= (1 << t) * 2.0**-43 for x in c)
-        return real(omega, t, u, size)
+        return real(omega, t, u, size, folded)
 
     monkeypatch.setattr(qsim, "_closed_form_draws", spy)
     name, instance, solver, estimator, seed, _ = next(

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import re
 import time
 import tracemalloc
 from itertools import accumulate
@@ -91,8 +92,9 @@ class TestOutcomeDistribution:
 
 class TestMedianAmplification:
     def test_median_within_single_run_radius(self):
-        # median of 72 = 18*ceil(log2(1/delta)) runs stays inside the
-        # single-run radius with empirical frequency >= 1-delta
+        # median of 73 = 18*ceil(log2(1/delta)) + 1 runs (an odd count: an even
+        # one is refused) stays inside the single-run radius with empirical
+        # frequency >= 1-delta
         delta = 0.1
         a, t = 0.3, 10
         radius = single_run_error_radius(a, t)
@@ -100,7 +102,7 @@ class TestMedianAmplification:
         trials = 5000
         for i in range(trials):
             rng = derived_rng(3, "median", i)
-            est = median_amplitude_estimates([a], t, 72, rng)[0]
+            est = median_amplitude_estimates([a], t, 73, rng)[0]
             hits += abs(est - a) <= radius
         assert hits / trials >= 1.0 - delta
 
@@ -118,13 +120,32 @@ def grid_estimates(a, t, u):
     return np.sin(np.pi * grid_inverse(a, t, u) / (1 << t)) ** 2
 
 
+def folded_grid_inverse(a, t, w):
+    """w inverted through the CDF of the folded index j = min(y, m - y) built from the whole
+    float outcome grid of a: G(j) = 2F(j) - F(0) below m/2, F the grid's cumsum, and G(m/2) = 1."""
+    m, d = 1 << t, outcome_distribution(float(a), t)
+    g = 2.0 * np.cumsum(d[:m // 2 + 1]) - d[0]
+    g[-1] = 1.0
+    return np.searchsorted(g, w, side="right")
+
+
 def per_entry_medians(amplitudes, t, reps, rng):
-    """The per-entry loop the vectorized core replaced, kept as a reference on random
-    uniforms: one full outcome grid and one rng.random(reps) per entry, in order."""
-    est = np.empty(np.shape(amplitudes))
+    """The draw entry by entry, kept as a reference on random variates: one rng.beta(h, h),
+    h = (reps + 1) / 2, and one full outcome grid per entry, in order."""
+    h, est = (reps + 1) // 2, np.empty(np.shape(amplitudes))
     for i, a in enumerate(np.asarray(amplitudes, dtype=float).flat):
-        est.flat[i] = float(np.median(grid_estimates(a, t, rng.random(reps))))
+        est.flat[i] = (np.sin(np.pi * folded_grid_inverse(a, t, [rng.beta(h, h)]) / (1 << t)) ** 2)[0]
     return est
+
+
+def reference_medians(amplitudes, t, reps, rng):
+    """The sampler the one-order-statistic draw replaced, kept as the reference for its law:
+    rng.random((n, reps)) in one call, every uniform inverted on F, and the median of each
+    row's estimates, the mean of its middle pair."""
+    a = np.asarray(amplitudes, dtype=float).ravel()
+    lo, hi = (reps - 1) // 2, reps // 2
+    (est := qsim_mod._estimate_draws(a, t, rng.random((a.size, reps)))).partition([lo, hi], axis=1)
+    return (est[:, lo] + est[:, hi]) / 2
 
 
 def traced_peak(fn):
@@ -158,26 +179,36 @@ class TestVectorizedMedians:
         new = median_amplitude_estimates(amplitudes, t, reps, rng_new)
         assert new.shape == old.shape
         assert new.tobytes() == old.tobytes()
-        # both consumed exactly n * reps uniforms
+        # both consumed exactly n Beta variates
         assert rng_new.random() == rng_old.random()
 
     @pytest.mark.parametrize("t", [1, 6, 13, 16, 20])
     def test_one_amplitude_views_equal_per_entry_loop(self, t):
         for i, a in enumerate((0.0, 0.3, 1.0)):
-            old = per_entry_medians([a], t, 72, derived_rng(32, "view", t, i))
-            new = median_amplitude_estimates([a], t, 72, derived_rng(32, "view", t, i))
+            old = per_entry_medians([a], t, 73, derived_rng(32, "view", t, i))
+            new = median_amplitude_estimates([a], t, 73, derived_rng(32, "view", t, i))
             assert new.tobytes() == old.tobytes()
-            expected = grid_estimates(a, t, derived_rng(33, "sample", t, i).random(50))
+            w = derived_rng(33, "sample", t, i).beta(1, 1, 50)
+            expected = np.sin(np.pi * folded_grid_inverse(a, t, w) / (1 << t)) ** 2
             draws = median_amplitude_estimates([a] * 50, t, 1, derived_rng(33, "sample", t, i))
             assert draws.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("reps", [1, 3, 45, 85, 2, 90])
+    @pytest.mark.parametrize("reps", [1, 3, 45, 85])
     @pytest.mark.parametrize("t", [6, 13])
-    def test_median_is_np_median_of_the_draws(self, t, reps):
+    def test_median_is_np_median_of_folded_runs(self, t, reps):
+        # the folded draw rises with w, so the run at the h-th smallest of reps uniforms is
+        # their median run: Beta(h, h) is that order statistic's law
         a = np.array([0.0, -0.0, 1.0, 0.3, 0.3, 0.77, 1e-7, 0.5])
-        draws = qsim_mod._estimate_draws(a, t, derived_rng(58, "median", t, reps).random((a.size, reps)))
-        got = median_amplitude_estimates(a, t, reps, derived_rng(58, "median", t, reps))
-        assert got.tobytes() == np.median(draws, axis=1).tobytes()
+        u = derived_rng(58, "median", t, reps).random((a.size, reps))
+        runs = qsim_mod._estimate_draws(a, t, u, folded=True)
+
+        class Stream:  # hands the h-th smallest uniform of each row over as its w
+            def beta(self, p, q, size):
+                assert p == q and size == (a.size, 1)
+                return np.sort(u, axis=1)[:, [p - 1]]
+
+        got = median_amplitude_estimates(a, t, reps, Stream())
+        assert got.tobytes() == np.median(runs, axis=1).tobytes()
 
     def test_empty_batch_draws_nothing(self):
         rng = derived_rng(34, "empty")
@@ -243,7 +274,7 @@ def closed_form_f(a, t, k):
     c = m * math.asin(math.sqrt(a)) / math.pi
     frac = c - math.floor(c)
     s = math.sin(math.pi * min(frac, 1.0 - frac))
-    table, f_table, _, gap = qsim_mod._closed_cdf([c], m, [s])
+    table, f_table, _, gap, _ = qsim_mod._closed_cdf([c], m, [s])
     k = np.atleast_1d(k)
     i = np.searchsorted(table, k)
     f, off = f_table[i], table[i] != k  # tabulated, else in a gap
@@ -275,6 +306,25 @@ def reference_draws(amplitudes, t, u):
     """Each row's estimates by the definition of a draw: its uniforms inverted through F,
     or through the point masses of an amplitude F does not fit."""
     return np.array([np.sin(np.pi * f_inverse(a, t, row) / (1 << t)) ** 2 for a, row in zip(amplitudes, u)])
+
+
+def reference_folded(amplitudes, t, w):
+    """Each entry's estimate by the definition of a median draw at its w: F's inverse at
+    (w + F(0)) / 2, F(0) = p_0 as _closed_cdf evaluates it, capped at m/2, or the point mass
+    j0 = round(c) of an amplitude F does not fit."""
+    m = 1 << t
+    a, w = np.asarray(amplitudes, dtype=float), np.asarray(w, dtype=float)
+    y = np.zeros(a.size, dtype=int)
+    for x in set(a.tolist()):  # -0.0 joins 0.0, whose point mass is cell 0
+        rows = a == x
+        if fits(x, t):
+            f, c, s = closed_form_f(x, t, np.arange(m))
+            f[-1] = 1.0
+            p0 = qsim_mod._closed_cdf([c], m, [s])[4][0]
+            y[rows] = np.searchsorted(f, np.minimum((w[rows] + p0) / 2, 1.0 - 2.0**-53), side="right")
+        else:
+            y[rows] = round(m * math.asin(math.sqrt(x)) / math.pi)
+    return np.sin(np.pi * np.minimum(y, m // 2) / m) ** 2
 
 
 class TestClosedFormDraws:
@@ -540,16 +590,16 @@ class TestBatchedPass:
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=40)
     @given(t=st.sampled_from([8, 9]), n=st.integers(1, 2 * qsim_mod._GROUPS + 3),
-           distinct=st.integers(1, 2 * qsim_mod._GROUPS + 3), reps=st.integers(1, 4),
+           distinct=st.integers(1, 2 * qsim_mod._GROUPS + 3), h=st.integers(1, 4),
            seed=st.integers(0, 2**32 - 1))
-    def test_medians_invert_f_with_point_masses(self, t, n, distinct, reps, seed):
+    def test_medians_invert_f_with_point_masses(self, t, n, distinct, h, seed):
         # n amplitudes drawn from a pool of distinct ones, 0.0, 1.0 and 0.5 among them,
         # so a batch's passes split across _GROUPS
         rng = derived_rng(64, "property", seed)
         pool = np.concatenate(([0.0, 1.0, 0.5], rng.random(distinct) ** rng.choice([1, 2, 4, 8], distinct)))
         a = rng.choice(pool, n)
-        got = median_amplitude_estimates(a, t, reps, derived_rng(65, "property", seed))
-        want = np.median(reference_draws(a, t, derived_rng(65, "property", seed).random((n, reps))), axis=1)
+        got = median_amplitude_estimates(a, t, 2 * h - 1, derived_rng(65, "property", seed))
+        want = reference_folded(a, t, derived_rng(65, "property", seed).beta(h, h, n))
         assert got.tobytes() == want.tobytes()
 
 
@@ -557,9 +607,18 @@ class TestCountChecks:
     @pytest.mark.parametrize("reps", [0, -1, 2.5, True])
     def test_bad_reps_raise_before_drawing(self, reps):
         rng = derived_rng(53, "reps")
-        with pytest.raises(PreconditionError, match="reps must be an integer >= 1"):
+        with pytest.raises(PreconditionError, match="^reps must be an odd integer >= 1, got "):
             median_amplitude_estimates([0.1, 0.2], 6, reps, rng)
         assert rng.random() == derived_rng(53, "reps").random()
+
+    @pytest.mark.parametrize("reps", [2, 90, np.int64(4)])
+    def test_even_reps_refused_before_drawing(self, reps):
+        # the median of an even count is the mean of two runs, not one order statistic
+        rng = derived_rng(54, "reps")
+        message = f"^reps must be an odd integer >= 1, got {re.escape(repr(reps))}$"
+        with pytest.raises(PreconditionError, match=message):
+            median_amplitude_estimates([0.1, 0.0, 0.2], 6, reps, rng)
+        assert rng.random() == derived_rng(54, "reps").random()
 
     @pytest.mark.parametrize("size", [-2, 1.5, True])
     def test_bad_size_raises_before_drawing(self, size):
@@ -579,14 +638,104 @@ class TestCountChecks:
 @pytest.mark.parametrize("t", [1, 6, 10, 11, 13, 16])
 def test_sampler_is_single_run_medians(t, n):
     # the sampler is kept only as a name: its draws are the one-run medians',
-    # and both equal the one-row inversion it made of its own before
+    # and both equal one row of folded draws at Beta(1, 1) variates
     for i, a in enumerate((0.0, 1e-9, 0.1, 0.3, 0.5, 0.77, 1.0)):
         got = amplitude_estimation_sample(a, t, derived_rng(57, t, n, i), size=n)
         want = median_amplitude_estimates([a] * n, t, 1, derived_rng(57, t, n, i))
-        row = qsim_mod._estimate_draws(np.array([a]), t, derived_rng(57, t, n, i).random((1, n)))[0]
+        w = derived_rng(57, t, n, i).beta(1, 1, (1, n))
+        row = qsim_mod._estimate_draws(np.array([a]), t, w, folded=True)[0]
         assert got.tobytes() == want.tobytes() == row.tobytes()
     single = amplitude_estimation_sample(0.3, t, derived_rng(57, t))
     assert single == float(median_amplitude_estimates([0.3], t, 1, derived_rng(57, t))[0])
+
+
+def median_law(a, t, reps):
+    """The exact law of the median's folded index over cells 0 to m/2: the binomial tail
+    P(at least h of reps runs fold to j or below), h = (reps + 1) / 2, at the folded CDF G."""
+    m, d = 1 << t, outcome_distribution(a, t)
+    g = np.minimum(2.0 * np.cumsum(d[:m // 2 + 1]) - d[0], 1.0)
+    g[-1] = 1.0
+    return np.array([sum(math.comb(reps, k) * x**k * (1.0 - x) ** (reps - k)
+                         for k in range((reps + 1) // 2, reps + 1)) for x in g])
+
+
+def folded_cells(est, t):
+    """The folded index j = min(y, m - y) of each estimate sin^2(pi y / m)."""
+    m = 1 << t
+    y = np.rint(np.arcsin(np.sqrt(est)) * m / np.pi).astype(int)
+    return np.minimum(y, m - y)
+
+
+class TestOneOrderStatistic:
+    """A median of an odd number of runs is drawn as one order statistic: w ~ Beta(h, h)
+    inverted on the folded CDF G = 2F - F(0), one variate and one inversion an estimate."""
+
+    # G as the grid sums it and G as the draw inverts it, 2F - F(0) with F from _closed_cdf,
+    # differ by at most 1.5e-15 on these amplitudes at t <= 10
+    ROUND_OFF = 4e-15
+
+    @pytest.mark.parametrize("t", range(1, 11))
+    def test_draw_is_the_inverse_of_the_folded_cdf(self, t):
+        # w on each value of G, one ulp either side, and midway between successive values:
+        # the draw is G's inverse wherever G has no step within its round-off of w, and on a
+        # step one of the cells the round-off spans
+        m = 1 << t
+        for a in (1e-9, 0.07, 0.3, 0.5, 0.55, 1.0):
+            d = outcome_distribution(a, t)
+            g = 2.0 * np.cumsum(d[:m // 2 + 1]) - d[0]
+            g[-1] = 1.0
+            w = np.concatenate(([0.0, 1.0], g, np.nextafter(g, 0), np.nextafter(g, 1), (g[1:] + g[:-1]) / 2))
+            w = w[(w >= 0.0) & (w <= 1.0)]
+            j = qsim_mod._closed_form_draws([math.asin(math.sqrt(a)) / math.pi], t, w, [w.size], True)
+            lo, hi = (np.minimum(np.searchsorted(g, w + x, side="right"), m // 2)
+                      for x in (-self.ROUND_OFF, self.ROUND_OFF))
+            assert ((lo <= j) & (j <= hi)).all(), (a, w[(j < lo) | (j > hi)])
+            assert (j[lo == hi] == lo[lo == hi]).all(), a
+            assert (lo == hi).sum() >= min(m // 4, 20) or not fits(a, t), a  # a point mass has one step
+
+    @pytest.mark.parametrize("a,t,reps", [(0.3, 6, 5), (0.07, 8, 9), (0.55, 7, 15), (0.2, 9, 45)])
+    @pytest.mark.parametrize("sampler", [median_amplitude_estimates, reference_medians],
+                             ids=["one-order-statistic", "reference"])
+    def test_medians_follow_the_exact_median_law(self, sampler, a, t, reps):
+        # Kolmogorov-Smirnov at 1%: the new draw and the sampler it replaced alike
+        n = 200_000
+        law = median_law(a, t, reps)
+        cells = folded_cells(sampler([a] * n, t, reps, derived_rng(66, "law", str(a), t, reps)), t)
+        empirical = np.bincount(cells, minlength=law.size).cumsum() / n
+        assert np.abs(empirical - law).max() < 1.63 / math.sqrt(n)
+
+    @pytest.mark.parametrize("t", [1, 6, 10])
+    def test_w_of_one_draws_the_top_cell(self, t):
+        # G reaches 1 only at m/2; at 1e-20, F(0) rounds to 1 - 2^-53 or 1.0 and F saturates
+        # below m/2 in floats, and (w + F(0)) / 2 must still read inside the amplitude's table
+        for a in (1e-20, 1e-9, 0.3, 0.77):
+            j = qsim_mod._closed_form_draws([math.asin(math.sqrt(a)) / math.pi], t, np.ones(1), [1], True)
+            assert j.tolist() == [1 << t - 1], a
+
+    def test_memory_does_not_grow_with_reps(self):
+        # reps = 10^7 + 1 is one Beta(5 000 001, 5 000 001) variate an entry, where the
+        # (n, reps) block of uniforms it replaced held 16 x 10^7 floats (1.2 GiB)
+        amplitudes = (np.arange(16) + 0.5) / 16
+        peak = traced_peak(lambda: median_amplitude_estimates(amplitudes, 13, 10**7 + 1,
+                                                              derived_rng(67, "reps")))
+        assert peak < 2**20, peak
+
+    def test_zero_amplitudes_take_no_pass(self, monkeypatch):
+        monkeypatch.setattr(qsim_mod, "_closed_cdf", lambda c, m, s: pytest.fail(f"pass built for {c}"))
+        est = median_amplitude_estimates([0.0, -0.0, 0.0, -0.0], 9, 45, derived_rng(68, "zeros"))
+        assert est.tobytes() == np.zeros(4).tobytes()
+
+
+@pytest.mark.parametrize("h", [1, 23, 33, 43])
+def test_numpy_beta_is_its_scalar_loop(h):
+    # the definition the median draw rests on: one beta(h, h, n) call is n successive
+    # beta(h, h) calls on the same Generator (h = 1 takes numpy's Johnk branch, a larger h
+    # its gamma ratio), and leaves it in the same state
+    whole, loop = derived_rng(69, "beta", h), derived_rng(69, "beta", h)
+    got = whole.beta(h, h, 1000)
+    want = np.array([loop.beta(h, h) for _ in range(1000)])
+    assert got.tobytes() == want.tobytes()
+    np.testing.assert_equal(whole.bit_generator.state, loop.bit_generator.state)
 
 
 class TestSimulateArgmax:
