@@ -2,11 +2,11 @@
 
 Canonical amplitude estimation is simulated by sampling its closed-form measurement
 distribution (phase estimation applied to the Grover operator of the state being
-measured), not by evolving a statevector.  Its CDF F is summed in closed form, and the
-median of an odd number of runs is one order statistic: a Beta variate inverted on the
-folded CDF.  Maximum finding is the threshold-improvement loop with exact Grover success
-probabilities, on draws replayed from the stream's raw words; the rounds left once the
-maximum is found are resolved in bulk.
+measured), not by evolving a statevector.  Its CDF F is summed in closed form over cells 0
+to 2^t / 2, and the median of an odd number of runs is one order statistic: a Beta variate
+inverted on the CDF of min(y, 2^t - y).  Maximum finding is the threshold-improvement loop
+with exact Grover success probabilities, on draws replayed from the stream's raw words; the
+rounds left once the maximum is found are resolved in bulk.
 
 These "honest" backends exist to validate the contract-mock backend's
 query/error model; they expose measured query counts so the mock's constants
@@ -40,7 +40,7 @@ DEFAULT_C_MAX = 4.0
 # simulate_argmax's largest budget: its time is linear in the budget, and a
 # budget of 2^24 probes takes 0.4-1.0 s a call on a 2-vCPU Xeon (n = 64 and 8)
 MAX_ARGMAX_PROBES = 2**24
-_WIDE = 192  # cells on either side of each peak whose CDF is tabulated
+_WIDE = 192  # cells on either side of the peak at c whose CDF is tabulated
 _GROUPS = 64  # amplitudes per closed-form pass: its (2, groups, 387) arrays stay under 2^16 cells
 
 
@@ -103,56 +103,47 @@ def _em(k, c, m: int):
 
 
 def _closed_cdf(c: list, m: int, s: list):
-    """(table, f_table, start, gap, p0) for amplitudes g with c[g], s[g]: F(k) = sum_{j<=k} p_j, p_j =
-    s^2 / (2 m^2) csc2(j), tabulated at table[start[g]:start[g + 1]] from -1 (F = 0) over the first
-    run [r0, r1] (the cells within _WIDE of the first peak, up to m - 1) and its mirror onto the
-    second (p_j = p_{m-j}, so F(k) = 1 + p_0 - F(m - 1 - k)) to m - 1 (F = 1.0); and gap(k, g) = F(k)
-    of amplitude g[i] at cell k[i] between them, all _WIDE or more from every pole, by one
-    Euler-Maclaurin run from the nearest tabulated end: -1 left of the first run, r1 between the
-    runs, and right of the mirrored run the left gap mirrored; and p0[g] = F(0) = p_0.  Row g of
-    one (amplitudes, cells) array sums its run."""
+    """(table, f_table, start, gap, p0) for amplitudes g with c[g] <= m/2, s[g]: F(k) = sum_{j<=k} p_j,
+    p_j = s^2 / (2 m^2) csc2(j), tabulated at table[start[g]:start[g + 1]] from -1 (F = 0) over the run
+    [r0, r1] of cells within _WIDE of the peak at c, up to m/2 - 1, to m/2, read as 1.0 because
+    G(j) = 2F(j) - F(0), the CDF of min(k, m - k), is 1 there; gap(k, g) = F(k) of amplitude g[i] at
+    cell k[i] off the run, _WIDE or more from every pole, by one Euler-Maclaurin run from -1 up to r0
+    and from r1 past it; p0[g] = F(0) = p_0.  Row g of one (amplitudes, cells) array sums its run."""
     h, scale = math.pi / m, [0.5 * (x / m) ** 2 for x in s]
     r0 = [max(math.floor(x) - _WIDE, 0) for x in c]
-    r1 = [min(math.floor(x) + _WIDE + 1, m - 1) for x in c]  # past m - 1 at t <= 8 unclipped
-    n = [max(min(m - 2 - a - b, b - a), 0) for a, b in zip(r0, r1)]  # its cells mirrored past r1
+    r1 = [min(math.floor(x) + _WIDE + 1, m // 2 - 1) for x in c]
+    n = [b - a + 1 for a, b in zip(r0, r1)]  # cells in each run
     em_left = [_em(-1, x, m) if a > 0 else 0.0 for x, a in zip(c, r0)]  # the left gap [0, r0 - 1] from -1
-    k = np.add.outer(r0, np.arange(-1, max(b - a for a, b in zip(r0, r1)) + 1))
+    k = np.add.outer(r0, np.arange(-1, max(n)))
     k[:, 0] = 0  # cell 0, then the run; a row past its run is not read
     y = h * _fold(k, np.array((c, [-x for x in c]))[:, :, None], m)  # both kernels in one pass
     csc2 = 1.0 / np.sin(y, out=y) ** 2
     p = np.array(scale)[:, None] * (csc2[0] + csc2[1])
     p[:, 1] += [sc * (_em(a - 1, x, m) - e) if a > 0 else 0.0 for x, a, sc, e in zip(c, r0, scale, em_left)]
-    f, one_p0 = p[:, 1:].cumsum(axis=1), 1.0 + p[:, 0]
-    table = np.concatenate([x for g, (a, b, j) in enumerate(zip(r0, r1, n))
-                            for x in ([-1], k[g, 1:b - a + 2], (m - 1) - k[g, j + 1:1:-1], [m - 1])])
-    f_table = np.concatenate([x for g, (a, b, j) in enumerate(zip(r0, r1, n))
-                              for x in ([0.0], f[g, :b - a + 1], one_p0[g] - f[g, j:0:-1], [1.0])])
+    f = p[:, 1:].cumsum(axis=1)
+    table = np.concatenate([x for g, j in enumerate(n) for x in ([-1], k[g, 1:j + 1], [m // 2])])
+    f_table = np.concatenate([x for g, j in enumerate(n) for x in ([0.0], f[g, :j], [1.0])])
 
     def gap(k, g):
-        r0_g, c_g, sc_g, left_g, f_r1, one_g = np.array(
-            (r0, c, scale, em_left, f[range(len(c)), np.subtract(r1, r0)], one_p0))[:, g]
-        right = k >= m - 1 - r0_g  # right of the mirrored run: the left gap mirrored
-        j = np.where(right, m - 1 - k, k)
-        mid = j > r0_g  # between the runs, where r1 lies _WIDE from every pole
+        r0_g, c_g, sc_g, left_g, f_r1 = np.array(
+            (r0, c, scale, em_left, f[range(len(c)), np.subtract(n, 1)]))[:, g]
+        mid = k > r0_g  # right of the run, where r1 lies _WIDE from every pole
         em_r1 = np.array([_em(b, x, m) for x, b in zip(c, r1)])[g] if mid.any() else 0.0
-        f_j = np.where(mid, f_r1, 0.0) + sc_g * (_em(j, c_g, m) - np.where(mid, em_r1, left_g))
-        return np.where(right, one_g - f_j, f_j)
+        return np.where(mid, f_r1, 0.0) + sc_g * (_em(k, c_g, m) - np.where(mid, em_r1, left_g))
 
-    start = list(accumulate((b - a + j + 3 for a, b, j in zip(r0, r1, n)), initial=0))
+    start = list(accumulate((j + 2 for j in n), initial=0))
     return table, f_table, start, gap, p[:, 0]
 
 
-def _closed_form_draws(omega: list, t: int, u: np.ndarray, size: list, folded=False) -> np.ndarray:
-    """Draws for each amplitude g at the next size[g] uniforms u: u inverted on the CDF F at
-    omega[g] as _closed_cdf evaluates it (m = 2^t, c = m omega, s = |sin(pi c)|), the cell k with
-    F(k - 1) <= u < F(k), for up to _GROUPS amplitudes a pass.  An amplitude that F does not fit
-    is the point masses at j0 = round(c) and (m - j0) mod m: j0 for u < 1/2, else its mirror.
-    folded reads u as w and draws G's inverse at w, G(j) = 2F(j) - F(0) the CDF of the folded index
-    min(k, m - k) (p_k = p_{m-k}): k at (w + F(0)) / 2, F(0) = p_0 from _closed_cdf, capped at m/2."""
+def _closed_form_draws(omega: list, t: int, w: np.ndarray, size: list) -> np.ndarray:
+    """j = min(k, m - k) for each amplitude g at its next size[g] variates w: G's inverse at w, the cell
+    j <= m/2 with F(j - 1) <= u < F(j) at u = (w + F(0)) / 2, F the outcome CDF at omega[g] as
+    _closed_cdf evaluates it (m = 2^t, c = m omega, s = |sin(pi c)|), up to _GROUPS amplitudes a
+    pass.  An amplitude that F does not fit is its point mass j0 = round(c) <= m/2."""
     m, ends, g = 1 << t, list(accumulate(size, initial=0)), _GROUPS
     if len(size) > g:  # a pass's arrays grow with its amplitudes
-        return np.concatenate((_closed_form_draws(omega[:g], t, u[:ends[g]], size[:g], folded),
-                               _closed_form_draws(omega[g:], t, u[ends[g]:], size[g:], folded)))
+        return np.concatenate((_closed_form_draws(omega[:g], t, w[:ends[g]], size[:g]),
+                               _closed_form_draws(omega[g:], t, w[ends[g]:], size[g:])))
     c = [m * x for x in omega]  # exact: m is a power of two
     s = [math.sin(math.pi * min(x % 1.0, 1.0 - x % 1.0)) for x in c]
     # F has a pole at a cell when s = 0 (a = 1), and near an integer c, j - c loses its digits:
@@ -160,9 +151,8 @@ def _closed_form_draws(omega: list, t: int, u: np.ndarray, size: list, folded=Fa
     fit, j0 = [x >= m * 2.0**-43 for x in s], [round(x) for x in c]
     c, s = [x if y else 0.5 for x, y in zip(c, fit)], [x if y else 1.0 for x, y in zip(s, fit)]
     table, f_table, start, gap, p0 = _closed_cdf(c, m, s)
-    if folded:  # below 1.0 = F(m - 1), even where w and F(0) both round to 1.0
-        u = np.minimum((u + p0.repeat(size)) / 2, 1.0 - 2.0**-53)
-    # in [1, size - 1] of its own table: F(-1) = 0 <= u < 1.0 = F(m - 1)
+    u = np.minimum((w + p0.repeat(size)) / 2, 1.0 - 2.0**-53)  # < 1.0 even where w and F(0) round to 1.0
+    # in [1, size - 1] of its own table: F(-1) = 0 <= u < 1.0
     i = np.concatenate([f_table[a:b].searchsorted(u[e:e_], side="right") + a
                         for a, b, e, e_ in zip(start, start[1:], ends, ends[1:])])
     lo, hi = table[i - 1], table[i]
@@ -177,28 +167,23 @@ def _closed_form_draws(omega: list, t: int, u: np.ndarray, size: list, folded=Fa
         n, row = (f > u[open_, None]).argmax(axis=1), np.arange(open_.size)  # the first point above u
         lo[open_], f_lo[open_], hi[open_], f_hi[open_] = k[row, n - 1], f[row, n - 1], k[row, n], f[row, n]
         open_ = (hi - lo > 1).nonzero()[0]
-    hi = np.minimum(hi, m // 2) if folded else hi  # G(m/2) = 1 caps a folded index
-    if all(fit):  # no point masses to draw
-        return hi
-    j0 = np.repeat(j0, size)  # the point masses; j0 = round(c) <= m/2 is their folded index
-    return np.where(np.repeat(fit, size), hi, j0 if folded else np.where(u < 0.5, j0, (m - j0) % m))
+    return hi if all(fit) else np.where(np.repeat(fit, size), hi, np.repeat(j0, size))  # point masses
 
 
-def _estimate_draws(a: np.ndarray, t: int, u: np.ndarray, folded=False) -> np.ndarray:
-    """Estimates sin^2(pi y / 2^t), y drawn for row i of u by inverting the outcome CDF of
-    amplitude a[i] (_closed_form_draws, folded or not), every distinct amplitude of the batch
-    in one pass.  Amplitude 0 needs no pass: its CDF is exactly 1.0 from y = 0 on
-    (sinc(0)/sinc(0) = 1), so every u in [0, 1), and every folded w, inverts to 0."""
+def _estimate_draws(a: np.ndarray, t: int, w: np.ndarray) -> np.ndarray:
+    """Estimates sin^2(pi j / 2^t), j drawn for entry i at variate w[i] by _closed_form_draws on
+    amplitude a[i], every distinct amplitude of the batch in one pass.  Amplitude 0 takes no pass:
+    its CDF is exactly 1.0 from y = 0 on (sinc(0)/sinc(0) = 1), so every w inverts to 0."""
     groups = {}  # -0.0 joins 0.0
     for i, value in enumerate(a.tolist()):
         groups.setdefault(value, []).append(i)
     groups.pop(0.0, None)
-    est = np.zeros(u.shape)
+    est = np.zeros(a.size)
     if groups:
-        rows, size = [i for r in groups.values() for i in r], [len(r) * u.shape[1] for r in groups.values()]
+        rows = [i for r in groups.values() for i in r]  # the variates amplitude by amplitude
         omega = [math.asin(math.sqrt(x)) / math.pi for x in groups]
-        y = _closed_form_draws(omega, t, u[rows].ravel(), size, folded)  # the uniforms amplitude by amplitude
-        est[rows] = (np.sin(np.pi * y / (1 << t)) ** 2).reshape(len(rows), u.shape[1])
+        y = _closed_form_draws(omega, t, w[rows], [len(r) for r in groups.values()])
+        est[rows] = np.sin(np.pi * y / (1 << t)) ** 2
     return est
 
 
@@ -213,7 +198,7 @@ def median_amplitude_estimates(amplitudes, t: int, reps: int, rng: np.random.Gen
     """Median of ``reps`` (odd) t-bit amplitude-estimation runs for each amplitude, as one
     order statistic: an estimate rises with its folded index j = min(y, 2^t - y) alone, and the
     run at the h-th smallest of reps uniforms, h = (reps + 1) / 2, is at w ~ Beta(h, h), so each
-    j is the folded draw at one w (``_closed_form_draws``).  Draws rng.beta(h, h, n) in one call:
+    j is drawn at one w (``_closed_form_draws``).  Draws rng.beta(h, h, n) in one call:
     the same draws as n successive one-amplitude calls, inverted for every distinct amplitude
     at once (``_estimate_draws``).  Charges nothing; each estimate costs reps * (2^t - 1) queries."""
     a = np.asarray(amplitudes, dtype=float).ravel()
@@ -222,7 +207,7 @@ def median_amplitude_estimates(amplitudes, t: int, reps: int, rng: np.random.Gen
     outside = ~((a >= 0.0) & (a <= 1.0))  # NaN is outside too
     if outside.any():
         raise PreconditionError(f"amplitudes must be in [0, 1], got {a[outside][0]}")
-    return _estimate_draws(a, t, rng.beta(h, h, (a.size, 1)), folded=True).ravel()
+    return _estimate_draws(a, t, rng.beta(h, h, a.size))
 
 
 def amplitude_estimation_sample(a: float, t: int, rng: np.random.Generator, size: int | None = None,

@@ -221,8 +221,7 @@ def test_statevector_golden_through_grid_fallback(tmp_path, monkeypatch, name, i
     monkeypatch.setattr(qsim, "outcome_distribution", lambda a, t: pytest.fail(f"grid built for {a}"))
     ts = []
 
-    def grid_draws(omega, t, w, size, folded):
-        assert folded  # a solve draws medians only
+    def grid_draws(omega, t, w, size):
         ts.append(t)
         return _folded_grid_draws(omega, t, w, size)
 
@@ -241,10 +240,10 @@ def test_statevector_golden_rarely_falls_back(monkeypatch):
     fits = []
     real = qsim._closed_form_draws
 
-    def spy(omega, t, u, size, folded):
+    def spy(omega, t, u, size):
         c = [(1 << t) * w for w in omega]
         fits.extend(math.sin(math.pi * min(x % 1.0, 1.0 - x % 1.0)) >= (1 << t) * 2.0**-43 for x in c)
-        return real(omega, t, u, size, folded)
+        return real(omega, t, u, size)
 
     monkeypatch.setattr(qsim, "_closed_form_draws", spy)
     name, instance, solver, estimator, seed, _ = next(

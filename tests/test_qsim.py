@@ -139,12 +139,15 @@ def per_entry_medians(amplitudes, t, reps, rng):
 
 
 def reference_medians(amplitudes, t, reps, rng):
-    """The sampler the one-order-statistic draw replaced, kept as the reference for its law:
-    rng.random((n, reps)) in one call, every uniform inverted on F, and the median of each
-    row's estimates, the mean of its middle pair."""
+    """The sampler the one-order-statistic draw replaced, kept as an independent reference for
+    its law: rng.random((n, reps)) in one call, every uniform inverted through the float grid's
+    CDF (grid_inverse), and the median of each row's estimates, the mean of its middle pair."""
     a = np.asarray(amplitudes, dtype=float).ravel()
     lo, hi = (reps - 1) // 2, reps // 2
-    (est := qsim_mod._estimate_draws(a, t, rng.random((a.size, reps)))).partition([lo, hi], axis=1)
+    u, est = rng.random((a.size, reps)), np.empty((a.size, reps))
+    for x in set(a.tolist()):
+        est[a == x] = grid_estimates(x, t, u[a == x])
+    est.partition([lo, hi], axis=1)
     return (est[:, lo] + est[:, hi]) / 2
 
 
@@ -200,12 +203,12 @@ class TestVectorizedMedians:
         # their median run: Beta(h, h) is that order statistic's law
         a = np.array([0.0, -0.0, 1.0, 0.3, 0.3, 0.77, 1e-7, 0.5])
         u = derived_rng(58, "median", t, reps).random((a.size, reps))
-        runs = qsim_mod._estimate_draws(a, t, u, folded=True)
+        runs = qsim_mod._estimate_draws(a.repeat(reps), t, u.ravel()).reshape(u.shape)
 
         class Stream:  # hands the h-th smallest uniform of each row over as its w
             def beta(self, p, q, size):
-                assert p == q and size == (a.size, 1)
-                return np.sort(u, axis=1)[:, [p - 1]]
+                assert p == q and size == a.size
+                return np.sort(u, axis=1)[:, p - 1]
 
         got = median_amplitude_estimates(a, t, reps, Stream())
         assert got.tobytes() == np.median(runs, axis=1).tobytes()
@@ -239,27 +242,22 @@ class TestVectorizedMedians:
         assert batch <= 1.5 * one_grid, (batch, one_grid)
 
 
-def full_grid_draws(amplitudes, t, u):
-    """Every row inverted through its own full outcome grid, zero amplitude included."""
-    return np.array([grid_estimates(a, t, row) for a, row in zip(amplitudes, u)])
-
-
 def no_grid(a, t):
     raise AssertionError(f"grid built for amplitude {a}")
 
 
 class TestZeroAmplitudeWithoutGrid:
     AMPLITUDES = [0.0, 0.3, -0.0, 1.0, 0.0, 0.5, -0.0, 1e-7, 0.3]
-    EDGE_UNIFORMS = [0.0, 1.0 - 2.0**-53, 0.5, 2.0**-53]
+    EDGE_VARIATES = [0.0, 1.0 - 2.0**-53, 0.5, 2.0**-53, 1.0]
 
     @pytest.mark.parametrize("t", [1, 6, 13, 16])
     def test_equal_to_reference_inverse(self, t, monkeypatch):
         monkeypatch.setattr(qsim_mod, "outcome_distribution", no_grid)
-        a = np.array(self.AMPLITUDES)
-        u = derived_rng(38, "zero-group", t).random((a.size, 13))
-        u[:, :len(self.EDGE_UNIFORMS)] = self.EDGE_UNIFORMS
-        got = qsim_mod._estimate_draws(a, t, u)
-        assert got.tobytes() == reference_draws(a, t, u).tobytes()
+        a = np.repeat(self.AMPLITUDES, 13)
+        w = derived_rng(38, "zero-group", t).random((len(self.AMPLITUDES), 13))
+        w[:, :len(self.EDGE_VARIATES)] = self.EDGE_VARIATES
+        got = qsim_mod._estimate_draws(a, t, w.ravel())
+        assert got.tobytes() == reference_folded(a, t, w.ravel()).tobytes()
         assert not got[a == 0.0].any()
 
     def test_all_zero_batch_builds_no_grid(self, monkeypatch):
@@ -269,17 +267,17 @@ class TestZeroAmplitudeWithoutGrid:
 
 
 def closed_form_f(a, t, k):
-    """F(k) as the closed-form draws evaluate it."""
+    """(F(k), c, s, F(0)): F at cells k in 0..m/2 as the closed-form draws read it (1.0 at m/2)."""
     m = 1 << t
     c = m * math.asin(math.sqrt(a)) / math.pi
     frac = c - math.floor(c)
     s = math.sin(math.pi * min(frac, 1.0 - frac))
-    table, f_table, _, gap, _ = qsim_mod._closed_cdf([c], m, [s])
+    table, f_table, _, gap, p0 = qsim_mod._closed_cdf([c], m, [s])
     k = np.atleast_1d(k)
     i = np.searchsorted(table, k)
     f, off = f_table[i], table[i] != k  # tabulated, else in a gap
     f[off] = gap(k[off], 0)
-    return f, c, s
+    return f, c, s, p0[0]
 
 
 def fits(a, t):
@@ -290,46 +288,30 @@ def fits(a, t):
     return s >= (1 << t) * 2.0**-43
 
 
-def f_inverse(a, t, u):
-    """u inverted through F over every cell, the last set to 1.0; where F does not fit a,
-    through its point masses: j0 = round(c) for u < 1/2, else (m - j0) mod m."""
+def g_inverse(a, t, w):
+    """The folded index at each variate w by the definition of a draw: F over cells 0..m/2
+    inverted at (w + F(0)) / 2, kept below the 1.0 read at m/2, or the point mass
+    j0 = round(c) of an amplitude F does not fit."""
     m = 1 << t
     if not fits(a, t):
-        j0 = round(m * math.asin(math.sqrt(a)) / math.pi)
-        return np.where(np.asarray(u) < 0.5, j0, (m - j0) % m)
-    f = closed_form_f(a, t, np.arange(m))[0]
-    f[-1] = 1.0
-    return np.searchsorted(f, u, side="right")
-
-
-def reference_draws(amplitudes, t, u):
-    """Each row's estimates by the definition of a draw: its uniforms inverted through F,
-    or through the point masses of an amplitude F does not fit."""
-    return np.array([np.sin(np.pi * f_inverse(a, t, row) / (1 << t)) ** 2 for a, row in zip(amplitudes, u)])
+        return np.full(np.shape(w), round(m * math.asin(math.sqrt(a)) / math.pi))
+    f, _, _, p0 = closed_form_f(a, t, np.arange(m // 2 + 1))
+    return np.searchsorted(f, np.minimum((np.asarray(w) + p0) / 2, 1.0 - 2.0**-53), side="right")
 
 
 def reference_folded(amplitudes, t, w):
-    """Each entry's estimate by the definition of a median draw at its w: F's inverse at
-    (w + F(0)) / 2, F(0) = p_0 as _closed_cdf evaluates it, capped at m/2, or the point mass
-    j0 = round(c) of an amplitude F does not fit."""
-    m = 1 << t
+    """Each entry's estimate sin^2(pi j / m) by the definition of a median draw at its w,
+    j = g_inverse; -0.0 joins 0.0, whose point mass is cell 0."""
     a, w = np.asarray(amplitudes, dtype=float), np.asarray(w, dtype=float)
-    y = np.zeros(a.size, dtype=int)
-    for x in set(a.tolist()):  # -0.0 joins 0.0, whose point mass is cell 0
-        rows = a == x
-        if fits(x, t):
-            f, c, s = closed_form_f(x, t, np.arange(m))
-            f[-1] = 1.0
-            p0 = qsim_mod._closed_cdf([c], m, [s])[4][0]
-            y[rows] = np.searchsorted(f, np.minimum((w[rows] + p0) / 2, 1.0 - 2.0**-53), side="right")
-        else:
-            y[rows] = round(m * math.asin(math.sqrt(x)) / math.pi)
-    return np.sin(np.pi * np.minimum(y, m // 2) / m) ** 2
+    j = np.zeros(a.size, dtype=int)
+    for x in set(a.tolist()):
+        j[a == x] = g_inverse(x, t, w[a == x])
+    return np.sin(np.pi * j / (1 << t)) ** 2
 
 
 class TestClosedFormDraws:
-    """At every t a draw inverts the closed-form CDF F, and an amplitude F does not fit
-    draws from its point masses; no draw builds the outcome grid."""
+    """At every t a draw inverts the closed-form CDF F on cells 0..m/2, and an amplitude F
+    does not fit is its point mass; no draw builds the outcome grid."""
 
     @pytest.mark.parametrize("t", range(1, 17))
     def test_equal_to_reference_inverse(self, t, monkeypatch):
@@ -338,26 +320,28 @@ class TestClosedFormDraws:
         k = max(1, m // 3)
         near = [math.sin(math.pi * (k + off) / m) ** 2 for off in (1e-9, -1e-9)]
         random = rng.random(18) ** rng.choice([1, 2, 4, 8], 18)
-        a = np.concatenate(([0.0, -0.0, 1.0, 1e-7], near, random))
-        u = rng.random((a.size, 270))
-        u[:6, :2] = u[6::3, :2] = [0.0, 1.0 - 2.0**-53]
-        for row in range(6, a.size, 3):  # and on or one ulp beside the grid's CDF and F
-            cdf = np.cumsum(outcome_distribution(a[row], t))
-            f = cdf[rng.integers(0, m, 4)]
-            if fits(a[row], t):
-                c = closed_form_f(a[row], t, 0)[1]
-                f = np.concatenate((f, closed_form_f(a[row], t, np.floor([c, c + 1, m - c]))[0]))
-            u[row, 2:2 + 3 * f.size] = np.concatenate((f, np.nextafter(f, 0), np.nextafter(f, 1)))
-        u = np.minimum(u, 1.0 - 2.0**-53)
+        amplitudes = np.concatenate(([0.0, -0.0, 1.0, 1e-7], near, random))
+        w = rng.random((amplitudes.size, 270))
+        w[:6, :3] = w[6::3, :3] = [0.0, 1.0 - 2.0**-53, 1.0]
+        for row in range(6, amplitudes.size, 3):  # and on or one ulp beside the grid's G and the draws'
+            d = outcome_distribution(amplitudes[row], t)
+            g = (2.0 * np.cumsum(d[:m // 2]) - d[0])[rng.integers(0, m // 2, 4)]
+            if fits(amplitudes[row], t):
+                c = closed_form_f(amplitudes[row], t, 0)[1]
+                cells = [min(math.floor(c), m // 2 - 1), min(math.floor(c) + 1, m // 2 - 1), m // 2 - 1]
+                f, _, _, p0 = closed_form_f(amplitudes[row], t, np.array(cells))
+                g = np.concatenate((g, 2.0 * f - p0))
+            w[row, 3:3 + 3 * g.size] = np.concatenate((g, np.nextafter(g, 0), np.nextafter(g, 1)))
+        a, w = np.repeat(amplitudes, 270), np.clip(w, 0.0, 1.0).ravel()
         monkeypatch.setattr(qsim_mod, "outcome_distribution", no_grid)
-        got = qsim_mod._estimate_draws(a, t, u)
-        assert got.tobytes() == reference_draws(a, t, u).tobytes()
+        got = qsim_mod._estimate_draws(a, t, w)
+        assert got.tobytes() == reference_folded(a, t, w).tobytes()
 
     @pytest.mark.parametrize("a", [0.003, 0.3, 0.77])
     def test_equal_to_full_grid_inverse_at_t20(self, a):
-        u = derived_rng(51, "t20", str(a)).random((1, 64))
-        got = qsim_mod._estimate_draws(np.array([a]), 20, u)
-        assert got.tobytes() == full_grid_draws([a], 20, u).tobytes()
+        w = derived_rng(51, "t20", str(a)).random(64)
+        got = qsim_mod._estimate_draws(np.full(64, a), 20, w)
+        assert got.tobytes() == (np.sin(np.pi * folded_grid_inverse(a, 20, w) / (1 << 20)) ** 2).tobytes()
 
     @pytest.mark.parametrize("t", [11, 13, 16, 20])
     def test_gaps_placed_from_a_tabulated_end_away_from_every_pole(self, t, monkeypatch):
@@ -365,26 +349,23 @@ class TestClosedFormDraws:
         points, real_em = [], qsim_mod._em
         monkeypatch.setattr(qsim_mod, "_em",
                             lambda k, c, m: points.append((np.ravel(k), c)) or real_em(k, c, m))
-        # runs apart, a first run from cell 0 (r0 = 0), and runs that meet (c near m / 2)
+        # a run apart from both ends, a run from cell 0 (r0 = 0), and a run that ends at m/2 - 1
         for c in (m / 3 + 0.29, 57.61, m / 2 - 100.37):
             a = math.sin(math.pi * c / m) ** 2
             omega = math.asin(math.sqrt(a)) / math.pi
             c = m * omega
-            r0, r1 = max(math.floor(c) - wide, 0), math.floor(c) + wide + 1
-            m0 = max(m - 1 - r1, r1 + 1)  # the mirrored run's first cell
-            # each run end, and cells in each gap: left of r0, between the
-            # runs, right of the mirrored run, near their ends and (up to
-            # t = 13) deep inside
-            cells = [r0, r1, m0, m - 2 - r0, r0 - 1, r0 - 9, r1 + 1, r1 + 9, m0 - 1, m0 - 9,
-                     m - 1 - r0, m + 7 - r0]
+            r0, r1 = max(math.floor(c) - wide, 0), min(math.floor(c) + wide + 1, m // 2 - 1)
+            # each run end, the end cell m/2, and cells in each gap: left of r0 and right of r1,
+            # near their ends and (up to t = 13) deep inside
+            cells = [r0, r1, m // 2, r0 - 1, r0 - 9, r1 + 1, r1 + 9, m // 2 - 1, m // 2 - 9]
             if t <= 13:
-                cells += [r0 // 2, (r1 + m0) // 2, m - 1 - r0 // 2]
-            cells = np.array(sorted({k for k in cells if 0 <= k <= m - 2}))
-            cdf = np.concatenate(([0.0], np.cumsum(outcome_distribution(a, t))))
-            u = 0.5 * (cdf[cells] + cdf[cells + 1])  # the middle of each cell's CDF step
-            y = qsim_mod._closed_form_draws([omega], t, u, [u.size])
-            assert (y >= 0).all(), (c, cells[y < 0])
-            assert y.tobytes() == grid_inverse(a, t, u).tobytes() == cells.tobytes()
+                cells += [r0 // 2, (r1 + m // 2) // 2]
+            cells = np.array(sorted({k for k in cells if 0 <= k <= m // 2}))
+            d = outcome_distribution(a, t)
+            g = np.concatenate(([0.0], 2.0 * np.cumsum(d[:m // 2]) - d[0], [1.0]))
+            w = 0.5 * (g[cells] + g[cells + 1])  # the middle of each cell's step of G
+            j = qsim_mod._closed_form_draws([omega], t, w, [w.size])
+            assert j.tobytes() == folded_grid_inverse(a, t, w).tobytes() == cells.tobytes()
             assert points and all(np.all(oc == c) for _, oc in points)
             for k, _ in points:
                 distance = np.abs((np.concatenate((k - c, k + c)) + m / 2) % m - m / 2)
@@ -392,18 +373,20 @@ class TestClosedFormDraws:
             points.clear()
 
     def test_no_fit_amplitude_reaches_the_grid_at_t24(self, monkeypatch):
-        # 200 random amplitudes with 64 uniforms each, where a grid has 2^24 cells;
-        # each draw y is the cell with F(y - 1) <= u < F(y)
+        # 200 random amplitudes with 64 variates each, where a grid has 2^24 cells; each draw
+        # j is the cell with F(j - 1) <= u < F(j) at u = (w + F(0)) / 2, F read as 1.0 at m/2
         monkeypatch.setattr(qsim_mod, "outcome_distribution", no_grid)
         rng = derived_rng(60, "refuse", 24)
-        a, u = rng.random(200), rng.random((200, 64))
+        a, w = rng.random(200), rng.random((200, 64))
         assert all(fits(x, 24) for x in a)
-        est = qsim_mod._estimate_draws(a, 24, u)
-        y = qsim_mod._closed_form_draws((np.arcsin(np.sqrt(a)) / np.pi).tolist(), 24, u.ravel(), [64] * 200)
-        assert est.ravel().tobytes() == (np.sin(np.pi * y / (1 << 24)) ** 2).tobytes()
-        for x, row, y_row in zip(a, u, y.reshape(u.shape)):
-            f = closed_form_f(x, 24, np.concatenate((y_row - 1, y_row)))[0].reshape(2, -1)
-            assert np.all((f[0] <= row) & (row < f[1])), x
+        est = qsim_mod._estimate_draws(a.repeat(64), 24, w.ravel())
+        j = qsim_mod._closed_form_draws((np.arcsin(np.sqrt(a)) / np.pi).tolist(), 24, w.ravel(), [64] * 200)
+        assert est.tobytes() == (np.sin(np.pi * j / (1 << 24)) ** 2).tobytes()
+        assert (j <= 1 << 23).all()
+        for x, row, j_row in zip(a, w, j.reshape(w.shape)):
+            f, _, _, p0 = closed_form_f(x, 24, np.concatenate((j_row - 1, j_row)))
+            u = np.minimum((row + p0) / 2, 1.0 - 2.0**-53)
+            assert np.all((f[:64] <= u) & (u < f[64:])), x
 
     @pytest.mark.parametrize("t", [22, 24])
     def test_memory_does_not_grow_with_t(self, t):
@@ -413,35 +396,66 @@ class TestClosedFormDraws:
             amplitudes, t, amplification_reps(0.01), derived_rng(40, "mem", t)))
         assert batch <= 1.5 * chunk, (batch, chunk)
 
+    @pytest.mark.parametrize("t", [1, 2, 8, 9, 10, 13, 24])
+    def test_table_ends_at_half(self, t):
+        # each amplitude's table: -1 (F = 0), its run of at most 2 _WIDE + 2 cells in a row, and
+        # m/2 read as 1.0; no cell above m/2 and none twice
+        m, wide = 1 << t, qsim_mod._WIDE
+        peaks = (0.5, 0.3, 57.61, m / 3 + 0.29, m / 2 - 100.37, m / 2 - 0.7, m / 2 - 2.5)
+        c = [x for x in peaks if 0 < x <= m / 2]
+        s = [math.sin(math.pi * min(x % 1.0, 1.0 - x % 1.0)) for x in c]
+        table, f_table, start, _, _ = qsim_mod._closed_cdf(c, m, s)
+        assert start[0] == 0 and start[-1] == table.size == f_table.size and len(start) == len(c) + 1
+        for g, x in enumerate(c):
+            cells, f = table[start[g]:start[g + 1]], f_table[start[g]:start[g + 1]]
+            assert 3 <= cells.size <= 2 * wide + 4, (x, cells.size)
+            assert cells[0] == -1 and cells[-1] == m // 2 and (np.diff(cells[1:-1]) == 1).all(), x
+            assert cells[-2] < m // 2 and max(math.floor(x) - wide, 0) == cells[1], x
+            assert f[0] == 0.0 and f[-1] == 1.0 and (np.diff(f) >= 0).all(), x
+
+    @pytest.mark.parametrize("t", [10, 13, 16, 24])
+    def test_gap_meets_the_run_at_both_ends(self, t):
+        # gap reads F from -1 up to r0 and from r1 on: at r0 it is the tabulated F to within
+        # the round-off of both sums, and at r1 the tabulated F itself
+        m = 1 << t
+        for c in (m / 3 + 0.29, m / 2 - 300.37, 400.5):
+            s = math.sin(math.pi * min(c % 1.0, 1.0 - c % 1.0))
+            table, f_table, _, gap, _ = qsim_mod._closed_cdf([c], m, [s])
+            assert table[1] > 0 and abs(gap(table[[1]], 0)[0] - f_table[1]) <= 4e-15, c
+            assert gap(table[[-2]], 0)[0] == f_table[-2], c
+
 
 class TestPointMasses:
     """An amplitude F does not fit (c = 2^t omega on or within 2^t 2^-43 / pi of an integer)
-    is the pair of point masses at j0 = round(c) and (m - j0) mod m, j0 drawn for u < 1/2."""
+    is its point mass j0 = round(c) <= m/2 at every variate."""
 
     @pytest.mark.parametrize("t", [6, 13, 24])
     def test_unit_amplitude_draws_one_on_every_uniform(self, t):
         # the float grid's off-peak cells were about 1e-33, not 0, so it drew 0 below that
-        u = np.array([[0.0, 1e-300, 1e-40, 0.5]])
-        assert qsim_mod._estimate_draws(np.array([1.0]), t, u).tolist() == [[1.0] * 4]
+        w = np.array([0.0, 1e-300, 1e-40, 0.5, 1.0])
+        assert qsim_mod._estimate_draws(np.ones(5), t, w).tolist() == [1.0] * 5
 
     def test_cost_does_not_grow_with_t(self, monkeypatch):
         # 1.0 (c = m/2), 0.5 (c = m/4 + 2^-30) and c = k + 1e-9 build no grid, where one of
         # 2^24 cells from cell 0 took 0.6-0.8 s a call
         t, m = 24, 1 << 24
         k = m // 3
-        a = np.array([1.0, 0.5, math.sin(math.pi * (k + 1e-9) / m) ** 2])
-        assert not any(fits(x, t) for x in a)
-        u = derived_rng(62, "point-masses").random((a.size, 64))
-        u[:, :4] = [0.0, np.nextafter(0.5, 0), 0.5, 1.0 - 2.0**-53]
+        amplitudes = np.array([1.0, 0.5, math.sin(math.pi * (k + 1e-9) / m) ** 2])
+        assert not any(fits(x, t) for x in amplitudes)
+        w = derived_rng(62, "point-masses").random((amplitudes.size, 64))
+        w[:, :5] = [0.0, np.nextafter(0.5, 0), 0.5, 1.0 - 2.0**-53, 1.0]
+        a, w = amplitudes.repeat(64), w.ravel()
         chunk = traced_peak(lambda: outcome_distribution(0.3, 16))  # 2^16 cells
         monkeypatch.setattr(qsim_mod, "outcome_distribution", no_grid)
         start = time.perf_counter()
-        got = qsim_mod._estimate_draws(a, t, u)
+        got = qsim_mod._estimate_draws(a, t, w)
         assert time.perf_counter() - start < 0.1
-        assert got.tobytes() == reference_draws(a, t, u).tobytes()
-        assert sorted(set(f_inverse(a[2], t, u[2]).tolist())) == [k, m - k]
+        assert got.tobytes() == reference_folded(a, t, w).tobytes()
+        omega = (np.arcsin(np.sqrt(amplitudes)) / np.pi).tolist()
+        j = qsim_mod._closed_form_draws(omega, t, w, [64] * 3)
+        assert j.tolist() == [m // 2] * 64 + [m // 4] * 64 + [k] * 64  # folded: never m - j0
         batch = traced_peak(lambda: median_amplitude_estimates(
-            a, t, amplification_reps(0.01), derived_rng(63, "point-masses")))
+            amplitudes, t, amplification_reps(0.01), derived_rng(63, "point-masses")))
         assert batch <= 1.5 * chunk, (batch, chunk)
 
 
@@ -469,36 +483,40 @@ def exact_cdf(a, t):
 
 class TestClosedFormAccuracy:
     """The accuracy of the sampler at every t: F as evaluated is within 4e-15 of the
-    exact CDF at every cell, where the float grid's cumsum is off by up to 2.6e-13 at
-    t = 13 on the same amplitudes."""
+    exact CDF at every cell below m/2, where the float grid's cumsum is off by up to
+    2.6e-13 at t = 13 on the same amplitudes."""
 
     @pytest.mark.parametrize("a", [1e-6, 0.003, 0.05, 0.3, 0.77, 0.95])
     @pytest.mark.parametrize("t", [1, 4, 8, 9, 10, 11, 13])
     def test_f_within_4e_15_of_the_exact_sum(self, t, a):
-        f = closed_form_f(a, t, np.arange(1 << t))[0]
-        assert np.abs(f - exact_cdf(a, t)).max() <= 4e-15
+        half = (1 << t) // 2  # the draws read 1.0 at m/2 and never F above it
+        f = closed_form_f(a, t, np.arange(half))[0]
+        assert np.abs(f - exact_cdf(a, t)[:half]).max() <= 4e-15
 
     @pytest.mark.parametrize("t", [*range(1, 11), 24])
     def test_every_draw_is_a_cell(self, t):
-        # on 0.0, 1 - 2^-53, and each value of F with its two float neighbours: F at every
-        # cell up to t = 10 (where the first run reaches m - 1 from t = 8 down), at t = 24
-        # its tabulated values and its gap cells
+        # on 0.0, 1 - 2^-53, 1.0, and each value of G = 2F - F(0) with its two float
+        # neighbours: G at every cell below m/2 up to t = 10, at t = 24 at its run cells and
+        # its gap cells; every draw is a cell in 0..m/2
         m = 1 << t
         for a in (1e-6, 0.003, 0.05, 0.3, 0.77, 0.95, 1.0 - 1e-9, 0.5, 1.0):
             omega = math.asin(math.sqrt(a)) / math.pi
             if not fits(a, t):
-                f = np.array([0.5])
-            elif t <= 10:
-                f = closed_form_f(a, t, np.arange(m))[0]
+                g = np.array([0.5])
             else:
-                table = qsim_mod._closed_cdf([m * omega], m, [closed_form_f(a, t, 0)[2]])[0]
-                f = closed_form_f(a, t, np.concatenate((table[1:], gap_cells(a, t))))[0]
-            u = np.concatenate(([0.0, 1.0 - 2.0**-53], f, np.nextafter(f, 0), np.nextafter(f, 1)))
-            u = u[(u >= 0.0) & (u < 1.0)]
-            y = qsim_mod._closed_form_draws([omega], t, u, [u.size])
-            assert ((y >= 0) & (y < m)).all(), (a, u[(y < 0) | (y >= m)])
+                if t <= 10:
+                    cells = np.arange(m // 2)
+                else:
+                    table = qsim_mod._closed_cdf([m * omega], m, [closed_form_f(a, t, 0)[2]])[0]
+                    cells = np.concatenate((table[1:-1], gap_cells(a, t)))
+                f, _, _, p0 = closed_form_f(a, t, cells)
+                g = 2.0 * f - p0
+            w = np.concatenate(([0.0, 1.0 - 2.0**-53, 1.0], g, np.nextafter(g, 0), np.nextafter(g, 1)))
+            w = w[(w >= 0.0) & (w <= 1.0)]
+            j = qsim_mod._closed_form_draws([omega], t, w, [w.size])
+            assert ((j >= 0) & (j <= m // 2)).all(), (a, w[(j < 0) | (j > m // 2)])
             if t <= 10:
-                assert y.tobytes() == f_inverse(a, t, u).tobytes(), a
+                assert j.tobytes() == g_inverse(a, t, w).tobytes(), a
 
     @pytest.mark.parametrize("t", [11, 13])
     def test_euler_maclaurin_run_near_a_pole(self, t):
@@ -523,7 +541,7 @@ class TestClosedFormAccuracy:
             m = 1 << t
             c = float(g.uniform(0.0, m / 2))
             r0 = max(math.floor(c) - qsim_mod._WIDE, 0)
-            r1 = min(math.floor(c) + qsim_mod._WIDE + 1, m - 1)
+            r1 = min(math.floor(c) + qsim_mod._WIDE + 1, m // 2 - 1)
             for k in (-1, r0 - 1, r1, int(g.integers(-1, m))):
                 if min(abs(k - c), abs(k + c), abs(k + c - m)) >= 0.5:  # off the poles
                     want = qsim_mod._em(np.array([k]), c, m)[0]
@@ -531,17 +549,16 @@ class TestClosedFormAccuracy:
 
 
 def gap_cells(a, t):
-    """Cells in each gap of the closed-form CDF of a (left of the first run,
-    between the runs, right of the mirrored run), near their ends and, below
-    t = 16, deep inside; [] when c is too close to an integer to tabulate."""
+    """Cells in each gap of the closed-form CDF of a (left of the run, and right of it up to
+    m/2 - 1), near their ends and, below t = 16, deep inside; [] when c is too close to an
+    integer to tabulate."""
     m, wide = 1 << t, qsim_mod._WIDE
     c = m * math.asin(math.sqrt(a)) / math.pi
-    r0, r1 = max(math.floor(c) - wide, 0), min(math.floor(c) + wide + 1, m - 1)
-    m0 = max(m - 1 - r1, r1 + 1)
-    cells = [r0 - 1, r0 - 9, r1 + 1, r1 + 9, m0 - 1, m0 - 9, m - 1 - r0, m + 7 - r0]
+    r0, r1 = max(math.floor(c) - wide, 0), min(math.floor(c) + wide + 1, m // 2 - 1)
+    cells = [r0 - 1, r0 - 9, r1 + 1, r1 + 9, m // 2 - 1, m // 2 - 9]
     if t < 16:
-        cells += [r0 // 2, (r1 + m0) // 2, m - 1 - r0 // 2]
-    return sorted({k for k in cells if 0 <= k <= m - 2 and (k < r0 or r1 < k < m0 or k > m - 2 - r0)})
+        cells += [r0 // 2, (r1 + m // 2) // 2]
+    return sorted({k for k in cells if 0 <= k < m // 2 and (k < r0 or k > r1)})
 
 
 class TestBatchedPass:
@@ -550,19 +567,21 @@ class TestBatchedPass:
 
     @pytest.mark.parametrize("t", [11, 13, 16])
     def test_many_amplitudes_equal_reference_inverse(self, t, monkeypatch):
-        # 62 distinct amplitudes with 0.0, -0.0, 1.0 and 0.5: uniforms in the
-        # middle of a CDF step in each gap, and one on the grid's CDF
-        rng = derived_rng(59, "many", t)
-        a = np.concatenate((rng.random(62) ** rng.choice([1, 2, 4], 62), [0.0, -0.0, 1.0, 0.5]))
-        u = rng.random((a.size, 16))
+        # 62 distinct amplitudes with 0.0, -0.0, 1.0 and 0.5: variates in the
+        # middle of a step of G in each gap, and one on the grid's G
+        m, rng = 1 << t, derived_rng(59, "many", t)
+        amplitudes = np.concatenate((rng.random(62) ** rng.choice([1, 2, 4], 62), [0.0, -0.0, 1.0, 0.5]))
+        w = rng.random((amplitudes.size, 16))
         for row in range(62):
-            cdf = np.concatenate(([0.0], np.cumsum(outcome_distribution(a[row], t))))
-            cells = np.array(gap_cells(a[row], t), dtype=int)
-            u[row, :cells.size] = 0.5 * (cdf[cells] + cdf[cells + 1])  # the middle of each cell's step
-            u[row, -1] = cdf[rng.integers(1, 1 << t)]
+            d = outcome_distribution(amplitudes[row], t)
+            g = np.concatenate(([0.0], 2.0 * np.cumsum(d[:m // 2]) - d[0]))
+            cells = np.array(gap_cells(amplitudes[row], t), dtype=int)
+            w[row, :cells.size] = 0.5 * (g[cells] + g[cells + 1])  # the middle of each cell's step
+            w[row, -1] = g[rng.integers(1, m // 2 + 1)]
         monkeypatch.setattr(qsim_mod, "outcome_distribution", no_grid)
-        got = qsim_mod._estimate_draws(a, t, u)
-        assert got.tobytes() == reference_draws(a, t, u).tobytes()
+        a, w = amplitudes.repeat(16), w.ravel()
+        got = qsim_mod._estimate_draws(a, t, w)
+        assert got.tobytes() == reference_folded(a, t, w).tobytes()
 
     @pytest.mark.parametrize("t", [11, 16])
     @pytest.mark.parametrize("n", [1, 2, 7, 64, 130])
@@ -586,7 +605,7 @@ class TestBatchedPass:
         batch = qsim_mod._closed_form_draws(omega, t, np.concatenate(u), size)
         alone = [qsim_mod._closed_form_draws([w], t, ug, [ug.size]) for w, ug in zip(omega, u)]
         assert batch.tobytes() == np.concatenate(alone).tobytes()
-        assert (alone[9] == (1 << t) // 2).all() and set(alone[10].tolist()) <= {1 << t - 2, 3 << t - 2}
+        assert (alone[9] == (1 << t) // 2).all() and (alone[10] == 1 << t - 2).all()
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=40)
     @given(t=st.sampled_from([8, 9]), n=st.integers(1, 2 * qsim_mod._GROUPS + 3),
@@ -638,12 +657,12 @@ class TestCountChecks:
 @pytest.mark.parametrize("t", [1, 6, 10, 11, 13, 16])
 def test_sampler_is_single_run_medians(t, n):
     # the sampler is kept only as a name: its draws are the one-run medians',
-    # and both equal one row of folded draws at Beta(1, 1) variates
+    # and both equal folded draws at Beta(1, 1) variates
     for i, a in enumerate((0.0, 1e-9, 0.1, 0.3, 0.5, 0.77, 1.0)):
         got = amplitude_estimation_sample(a, t, derived_rng(57, t, n, i), size=n)
         want = median_amplitude_estimates([a] * n, t, 1, derived_rng(57, t, n, i))
-        w = derived_rng(57, t, n, i).beta(1, 1, (1, n))
-        row = qsim_mod._estimate_draws(np.array([a]), t, w, folded=True)[0]
+        w = derived_rng(57, t, n, i).beta(1, 1, n)
+        row = qsim_mod._estimate_draws(np.full(n, a), t, w)
         assert got.tobytes() == want.tobytes() == row.tobytes()
     single = amplitude_estimation_sample(0.3, t, derived_rng(57, t))
     assert single == float(median_amplitude_estimates([0.3], t, 1, derived_rng(57, t))[0])
@@ -686,7 +705,7 @@ class TestOneOrderStatistic:
             g[-1] = 1.0
             w = np.concatenate(([0.0, 1.0], g, np.nextafter(g, 0), np.nextafter(g, 1), (g[1:] + g[:-1]) / 2))
             w = w[(w >= 0.0) & (w <= 1.0)]
-            j = qsim_mod._closed_form_draws([math.asin(math.sqrt(a)) / math.pi], t, w, [w.size], True)
+            j = qsim_mod._closed_form_draws([math.asin(math.sqrt(a)) / math.pi], t, w, [w.size])
             lo, hi = (np.minimum(np.searchsorted(g, w + x, side="right"), m // 2)
                       for x in (-self.ROUND_OFF, self.ROUND_OFF))
             assert ((lo <= j) & (j <= hi)).all(), (a, w[(j < lo) | (j > hi)])
@@ -709,8 +728,39 @@ class TestOneOrderStatistic:
         # G reaches 1 only at m/2; at 1e-20, F(0) rounds to 1 - 2^-53 or 1.0 and F saturates
         # below m/2 in floats, and (w + F(0)) / 2 must still read inside the amplitude's table
         for a in (1e-20, 1e-9, 0.3, 0.77):
-            j = qsim_mod._closed_form_draws([math.asin(math.sqrt(a)) / math.pi], t, np.ones(1), [1], True)
+            j = qsim_mod._closed_form_draws([math.asin(math.sqrt(a)) / math.pi], t, np.ones(1), [1])
             assert j.tolist() == [1 << t - 1], a
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(t=st.integers(10, 16), seed=st.integers(0, 2**32 - 1),
+           peaks=st.lists(st.tuples(st.sampled_from(["left", "any", "right"]), st.floats(0.0, 1.0)),
+                          min_size=1, max_size=3),
+           picks=st.lists(st.integers(0, 13), min_size=1, max_size=12))
+    def test_medians_invert_f_where_run_gaps_and_top_meet(self, t, seed, peaks, picks):
+        # w on G = 2F - F(0) and one ulp either side at r0, r1, r1 + 1 and m/2 - 1, at
+        # 1 - 2^-53 and at 1.0: where the run, the sections of the gap past it and the end
+        # cell m/2 meet, for peaks near cell 0, anywhere, and near m/2
+        m, wide = 1 << t, qsim_mod._WIDE
+        a, w, rng = [], [], derived_rng(70, "meet", seed)
+        for where, x in peaks:
+            c = {"left": 400 * x, "any": m / 2 * x, "right": m / 2 - 400 * x}[where]
+            amplitude, edges = math.sin(math.pi * c / m) ** 2, [1.0, 1.0 - 2.0**-53, rng.random()]
+            if fits(amplitude, t):
+                c, p0 = closed_form_f(amplitude, t, 0)[1::2]
+                r0, r1 = max(math.floor(c) - wide, 0), min(math.floor(c) + wide + 1, m // 2 - 1)
+                g = 2.0 * closed_form_f(amplitude, t, np.unique(np.minimum([r0, r1, r1 + 1, m // 2 - 1],
+                                                                           m // 2 - 1)))[0] - p0
+                edges += [*g, *np.nextafter(g, 0), *np.nextafter(g, 2)]
+            a += [amplitude] * len(picks)
+            w += [min(max(edges[i % len(edges)], 0.0), 1.0) for i in picks]
+
+        class Stream:  # hands the chosen variates over as single-run medians
+            def beta(self, p, q, size):
+                assert p == q == 1 and size == len(w)
+                return np.array(w)
+
+        got = median_amplitude_estimates(a, t, 1, Stream())
+        assert got.tobytes() == reference_folded(a, t, w).tobytes()
 
     def test_memory_does_not_grow_with_reps(self):
         # reps = 10^7 + 1 is one Beta(5 000 001, 5 000 001) variate an entry, where the
