@@ -4,7 +4,8 @@ Canonical amplitude estimation is simulated by sampling its closed-form measurem
 distribution (phase estimation applied to the Grover operator of the state being
 measured), not by evolving a statevector.  Its CDF F is summed in closed form over cells 0
 to 2^t / 2, and the median of an odd number of runs is one order statistic: a Beta variate
-inverted on the CDF of min(y, 2^t - y).  Maximum finding is the threshold-improvement loop
+inverted on the CDF of min(y, 2^t - y), searched in the rows of F that its pass built, once
+for a pass the same as the one before it.  Maximum finding is the threshold-improvement loop
 with exact Grover success probabilities, on draws replayed from the stream's raw words; the
 rounds left once the maximum is found are resolved in bulk.
 
@@ -15,6 +16,7 @@ can be calibrated instead of guessed.
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import accumulate
 
@@ -70,59 +72,68 @@ def outcome_distribution(a: float, t: int) -> np.ndarray:
 
 
 def single_run_error_radius(a: float, t: int) -> float:
-    """Accuracy radius holding with probability >= 8/pi^2 for a single run."""
-    m = float(1 << t)
+    """Radius holding with probability >= 8/pi^2 for one run; a and t as outcome_distribution takes them."""
+    m = float(1 << check_phase_bits(t))
+    if not 0.0 <= a <= 1.0:
+        raise PreconditionError(f"amplitude must be in [0, 1], got {a}")
     return 2.0 * math.pi * math.sqrt(a * (1.0 - a)) / m + math.pi**2 / m**2
 
 
-def _fold(k: np.ndarray, c, m: int) -> np.ndarray:
-    # k - c moved into [-m/2, m/2] by whole periods m: only the last step rounds
-    return (k - m * np.rint((k - c) / m)) - c
+@functools.cache  # one entry per t
+def _em_coefficients(m: int) -> tuple:
+    h = math.pi / m
+    return (h, -1.0 / h - h / 6 + h**3 / 45 - 17 * h**5 / 1890, -h / 6 + h**3 / 18 - 11 * h**5 / 270,
+            h**3 / 30 - h**5 / 18, -h**5 / 42)
 
 
 def _em(k, c, m: int):
     """S(k) with sum_{j=a+1}^{b} csc2(j) = S(b) - S(a) + R when no pole lies in
     [a, b], where csc2(j) = csc^2(h (j - c)) + csc^2(h (j + c)), h = pi / m:
     Euler-Maclaurin with the integral -cot / h, half the end value and three
-    Bernoulli terms, each a polynomial in C = cot(h y).  The sixth derivative
-    of csc^2 keeps one sign, so |R| is at most the change of the last term.
+    Bernoulli terms, each a polynomial in C = cot(h y) (its coefficients kept per m).  The sixth
+    derivative of csc^2 keeps one sign, so |R| is at most the change of the last term.
     k is one cell, an int in scalar math, or an array of cells (c one or one per cell)."""
-    h = math.pi / m
-    a1 = -1.0 / h - h / 6 + h**3 / 45 - 17 * h**5 / 1890
-    a3, a5, a7 = -h / 6 + h**3 / 18 - 11 * h**5 / 270, h**3 / 30 - h**5 / 18, -h**5 / 42
+    h, a1, a3, a5, a7 = _em_coefficients(m)
 
     def term(x):  # x * x computed once: the same bits as twice
         return 0.5 + x * (a1 + x * (0.5 + x * (a3 + (x2 := x * x) * (a5 + x2 * a7))))
 
-    if isinstance(k, int):  # _fold and cot in scalar math, as the array branch takes them
+    # k -+ c moved into [-m/2, m/2] by whole periods m (only the last step rounds), and cot
+    if isinstance(k, int):  # in scalar math, as the array branch takes them
         y0, y1 = h * ((k - m * round((k - c) / m)) - c), h * ((k - m * round((k + c) / m)) + c)
         return term(math.cos(y0) / math.sin(y0)) + term(math.cos(y1) / math.sin(y1))
-    y = h * _fold(k, np.array((c, -c)).reshape(2, -1), m)  # both kernels in one pass
+    c = np.array((c, -c)).reshape(2, -1)  # both kernels in one pass
+    y = h * ((k - m * np.rint((k - c) / m)) - c)
     s = term(np.cos(y) / np.sin(y))  # sin and cos only: numpy's tan maps 256 KiB more
     return s[0] + s[1]
 
 
-def _closed_cdf(c: list, m: int, s: list):
-    """(table, f_table, start, gap, p0) for amplitudes g with c[g] <= m/2, s[g]: F(k) = sum_{j<=k} p_j,
-    p_j = s^2 / (2 m^2) csc2(j), tabulated at table[start[g]:start[g + 1]] from -1 (F = 0) over the run
-    [r0, r1] of cells within _WIDE of the peak at c, up to m/2 - 1, to m/2, read as 1.0 because
-    G(j) = 2F(j) - F(0), the CDF of min(k, m - k), is 1 there; gap(k, g) = F(k) of amplitude g[i] at
-    cell k[i] off the run, _WIDE or more from every pole, by one Euler-Maclaurin run from -1 up to r0
-    and from r1 past it; p0[g] = F(0) = p_0.  Row g of one (amplitudes, cells) array sums its run."""
+@functools.lru_cache(maxsize=1)  # a pass often repeats the one before it: keep_better left v as it was
+def _closed_cdf(c: tuple, m: int, s: tuple):
+    """(f, r0, n, gap, p0) for amplitudes g with c[g] < m/2, s[g]: F(k) = sum_{j<=k} p_j, p_j =
+    s^2 / (2 m^2) csc2(j), at f[g, :n[g]] over the run r0[g]..r1 of cells within _WIDE of the peak at c,
+    up to m/2 - 1; below r0 F rises from 0 at -1, and past r1 to 1.0 at m/2, as G(j) = 2F(j) - F(0),
+    the CDF of min(k, m - k), is 1 there.  gap(k, g) = F(k) of amplitude g[i] at cell k[i] off the run,
+    _WIDE or more from every pole, by one Euler-Maclaurin run from -1 up to r0 and from r1 past it;
+    p0[g] = F(0).  Row g of one (amplitudes, cells) array sums its run.  One build per distinct pass:
+    a call with the last call's (c, m, s) returns that build, whose arrays are read-only."""
     h, scale = math.pi / m, [0.5 * (x / m) ** 2 for x in s]
     r0 = [max(math.floor(x) - _WIDE, 0) for x in c]
     r1 = [min(math.floor(x) + _WIDE + 1, m // 2 - 1) for x in c]
     n = [b - a + 1 for a, b in zip(r0, r1)]  # cells in each run
     em_left = [_em(-1, x, m) if a > 0 else 0.0 for x, a in zip(c, r0)]  # the left gap [0, r0 - 1] from -1
-    k = np.add.outer(r0, np.arange(-1, max(n)))
-    k[:, 0] = 0  # cell 0, then the run; a row past its run is not read
-    y = h * _fold(k, np.array((c, [-x for x in c]))[:, :, None], m)  # both kernels in one pass
-    csc2 = 1.0 / np.sin(y, out=y) ** 2
-    p = np.array(scale)[:, None] * (csc2[0] + csc2[1])
+    k = np.arange(-1.0, max(n)) + np.array(r0, dtype=float)[:, None]
+    k[:, 0], c_ = 0.0, np.array(([-x for x in c], c))[:, :, None]  # cell 0, then the run; past it unread
+    # both kernels folded as _em folds them: on cells 0..m/2, k - c needs no shift, and k + c
+    # is taken m back where it passes m/2 (rint's half rounds to 0), as (k - m) + c
+    y = k + c_
+    if max(map(sum, zip(r1, c))) > m / 2:
+        np.add(k - m, c_[1], out=y[1], where=y[1] > m / 2)
+    y *= h
+    csc2 = np.divide(1.0, np.square(np.sin(y, out=y), out=y), out=y)
+    p = np.multiply(np.array(scale)[:, None], np.add(csc2[0], csc2[1], out=csc2[0]), out=csc2[0])
     p[:, 1] += [sc * (_em(a - 1, x, m) - e) if a > 0 else 0.0 for x, a, sc, e in zip(c, r0, scale, em_left)]
-    f = p[:, 1:].cumsum(axis=1)
-    table = np.concatenate([x for g, j in enumerate(n) for x in ([-1], k[g, 1:j + 1], [m // 2])])
-    f_table = np.concatenate([x for g, j in enumerate(n) for x in ([0.0], f[g, :j], [1.0])])
+    f, p0 = p[:, 1:].cumsum(axis=1), p[:, 0].copy()
 
     def gap(k, g):
         r0_g, c_g, sc_g, left_g, f_r1 = np.array(
@@ -131,15 +142,17 @@ def _closed_cdf(c: list, m: int, s: list):
         em_r1 = np.array([_em(b, x, m) for x, b in zip(c, r1)])[g] if mid.any() else 0.0
         return np.where(mid, f_r1, 0.0) + sc_g * (_em(k, c_g, m) - np.where(mid, em_r1, left_g))
 
-    start = list(accumulate((j + 2 for j in n), initial=0))
-    return table, f_table, start, gap, p[:, 0]
+    out = f, np.array(r0), np.array(n), gap, p0
+    for x in out[:3] + out[4:]:  # the arrays, which a repeated pass reads again
+        x.flags.writeable = False
+    return out
 
 
 def _closed_form_draws(omega: list, t: int, w: np.ndarray, size: list) -> np.ndarray:
     """j = min(k, m - k) for each amplitude g at its next size[g] variates w: G's inverse at w, the cell
-    j <= m/2 with F(j - 1) <= u < F(j) at u = (w + F(0)) / 2, F the outcome CDF at omega[g] as
-    _closed_cdf evaluates it (m = 2^t, c = m omega, s = |sin(pi c)|), up to _GROUPS amplitudes a
-    pass.  An amplitude that F does not fit is its point mass j0 = round(c) <= m/2."""
+    j <= m/2 with F(j - 1) <= u < F(j) at u = (w + F(0)) / 2, searched in the rows of F, the outcome CDF
+    at omega[g] (m = 2^t, c = m omega, s = |sin(pi c)|), that _closed_cdf built, with F(-1) = 0 and
+    F(m/2) = 1.0 implied; up to _GROUPS amplitudes a pass.  An amplitude F does not fit draws round(c)."""
     m, ends, g = 1 << t, list(accumulate(size, initial=0)), _GROUPS
     if len(size) > g:  # a pass's arrays grow with its amplitudes
         return np.concatenate((_closed_form_draws(omega[:g], t, w[:ends[g]], size[:g]),
@@ -150,20 +163,22 @@ def _closed_form_draws(omega: list, t: int, w: np.ndarray, size: list) -> np.nda
     # such amplitudes are passed at c = 1/2 and drawn from their point masses
     fit, j0 = [x >= m * 2.0**-43 for x in s], [round(x) for x in c]
     c, s = [x if y else 0.5 for x, y in zip(c, fit)], [x if y else 1.0 for x, y in zip(s, fit)]
-    table, f_table, start, gap, p0 = _closed_cdf(c, m, s)
+    f_run, r0, n_run, gap, p0 = _closed_cdf(tuple(c), m, tuple(s))
     u = np.minimum((w + p0.repeat(size)) / 2, 1.0 - 2.0**-53)  # < 1.0 even where w and F(0) round to 1.0
-    # in [1, size - 1] of its own table: F(-1) = 0 <= u < 1.0
-    i = np.concatenate([f_table[a:b].searchsorted(u[e:e_], side="right") + a
-                        for a, b, e, e_ in zip(start, start[1:], ends, ends[1:])])
-    lo, hi = table[i - 1], table[i]
-    if (open_ := (hi - lo > 1).nonzero()[0]).size:  # a u between table cells reads their F
-        f_lo, f_hi = f_table[i - 1], f_table[i]
+    i = np.concatenate([f_run[g, :b].searchsorted(u[e:e_], side="right")
+                        for g, (b, e, e_) in enumerate(zip(n_run.tolist(), ends, ends[1:]))])
+    hi, n_u = r0.repeat(size) + i, n_run.repeat(size)  # in the run, hi = r0 + i and lo = hi - 1
+    lo, hi[i == n_u] = hi - 1, m // 2  # i = n: u >= F(r1), so (lo, hi) = (r1, m/2)
+    lo[i == 0] = -1  # i = 0: u < F(r0), so (lo, hi) = (-1, r0)
+    if (open_ := (hi - lo > 1).nonzero()[0]).size:  # a u in a gap reads F at its ends
+        rows = np.arange(len(s)).repeat(size)
+        f_lo, f_hi = np.where(i == 0, 0.0, f_run[rows, n_u - 1]), np.where(i == 0, f_run[rows, 0], 1.0)
     while open_.size:  # 128-section in the gaps, down to one cell
         lo_o, hi_o = lo[open_, None], hi[open_, None]
         k = lo_o + (hi_o - lo_o) * np.arange(129) // 128
         f = np.where(k == lo_o, f_lo[open_, None], f_hi[open_, None])
         inner = (k > lo_o) & (k < hi_o)
-        f[inner] = gap(k[inner], np.arange(len(s)).repeat(size)[open_[inner.nonzero()[0]]])
+        f[inner] = gap(k[inner], rows[open_[inner.nonzero()[0]]])
         n, row = (f > u[open_, None]).argmax(axis=1), np.arange(open_.size)  # the first point above u
         lo[open_], f_lo[open_], hi[open_], f_hi[open_] = k[row, n - 1], f[row, n - 1], k[row, n], f[row, n]
         open_ = (hi - lo > 1).nonzero()[0]
@@ -180,7 +195,7 @@ def _estimate_draws(a: np.ndarray, t: int, w: np.ndarray) -> np.ndarray:
     groups.pop(0.0, None)
     est = np.zeros(a.size)
     if groups:
-        rows = [i for r in groups.values() for i in r]  # the variates amplitude by amplitude
+        rows = np.array([i for r in groups.values() for i in r])  # the variates amplitude by amplitude
         omega = [math.asin(math.sqrt(x)) / math.pi for x in groups]
         y = _closed_form_draws(omega, t, w[rows], [len(r) for r in groups.values()])
         est[rows] = np.sin(np.pi * y / (1 << t)) ** 2

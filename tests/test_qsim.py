@@ -32,6 +32,7 @@ class TestPhaseBitsRule:
     def test_one_rule_refuses_before_any_draw(self, t):
         rng = derived_rng(36, "t")
         calls = [lambda: check_phase_bits(t), lambda: outcome_distribution(0.5, t),
+                 lambda: single_run_error_radius(0.5, t),
                  lambda: median_amplitude_estimates([0.2], t, 5, rng),
                  lambda: amplitude_estimation_sample(0.2, t, rng, size=3)]
         if t is not None:  # EstimatorConfig's None derives t from each accuracy
@@ -48,8 +49,18 @@ class TestPhaseBitsRule:
 
     @pytest.mark.parametrize("a", [-1e-12, 1.2, math.nan])
     def test_amplitude_bounds(self, a):
-        with pytest.raises(PreconditionError, match=r"^amplitude must be in \[0, 1\], got "):
-            outcome_distribution(a, 4)
+        for call in (outcome_distribution, single_run_error_radius):
+            with pytest.raises(PreconditionError, match=r"^amplitude must be in \[0, 1\], got "):
+                call(a, 4)
+
+    @pytest.mark.parametrize("a,t", [(math.nan, 10), (1.5, 10), (0.3, 10.5), (0.3, 0), (0.3, True),
+                                     (0.3, 40)])
+    def test_radius_refuses_what_the_distribution_refuses(self, a, t):
+        # the radius returned nan at a = nan, raised a bare math domain error at 1.5 and a
+        # TypeError at t = 10.5, and took t = 0, True and 40
+        for call in (outcome_distribution, single_run_error_radius):
+            with pytest.raises(PreconditionError, match="^(amplitude|phase_bits) must be "):
+                call(a, t)
 
 
 class TestOutcomeDistribution:
@@ -272,12 +283,81 @@ def closed_form_f(a, t, k):
     c = m * math.asin(math.sqrt(a)) / math.pi
     frac = c - math.floor(c)
     s = math.sin(math.pi * min(frac, 1.0 - frac))
-    table, f_table, _, gap, p0 = qsim_mod._closed_cdf([c], m, [s])
+    f_run, (r0,), (n,), gap, p0 = qsim_mod._closed_cdf((c,), m, (s,))
     k = np.atleast_1d(k)
-    i = np.searchsorted(table, k)
-    f, off = f_table[i], table[i] != k  # tabulated, else in a gap
-    f[off] = gap(k[off], 0)
+    run, top = (k >= r0) & (k < r0 + n), k == m // 2  # in the run, at m/2, else in a gap
+    f = np.where(top, 1.0, f_run[0, np.clip(k - r0, 0, n - 1)])
+    f[~run & ~top] = gap(k[~run & ~top], 0)
     return f, c, s, p0[0]
+
+
+def reference_cdf(c, m, s):
+    """The closed-form CDF as the draws tabulated it before they searched _closed_cdf's own rows,
+    kept as the reference for its bits: (table, f_table, start, gap, p0), amplitude g's cells at
+    table[start[g]:start[g + 1]], -1 (F = 0), its run r0..r1, and m/2 (read as 1.0), in one
+    concatenated pair of arrays, both kernels folded as k - m rint((k -+ c) / m) -+ c."""
+    h, scale, wide, em = math.pi / m, [0.5 * (x / m) ** 2 for x in s], qsim_mod._WIDE, qsim_mod._em
+    r0 = [max(math.floor(x) - wide, 0) for x in c]
+    r1 = [min(math.floor(x) + wide + 1, m // 2 - 1) for x in c]
+    n = [b - a + 1 for a, b in zip(r0, r1)]
+    em_left = [em(-1, x, m) if a > 0 else 0.0 for x, a in zip(c, r0)]
+    k = np.add.outer(r0, np.arange(-1, max(n)))
+    k[:, 0] = 0
+    both = np.array((c, [-x for x in c]))[:, :, None]
+    y = h * ((k - m * np.rint((k - both) / m)) - both)
+    csc2 = 1.0 / np.sin(y, out=y) ** 2
+    p = np.array(scale)[:, None] * (csc2[0] + csc2[1])
+    p[:, 1] += [sc * (em(a - 1, x, m) - e) if a > 0 else 0.0 for x, a, sc, e in zip(c, r0, scale, em_left)]
+    f = p[:, 1:].cumsum(axis=1)
+    table = np.concatenate([x for g, j in enumerate(n) for x in ([-1], k[g, 1:j + 1], [m // 2])])
+    f_table = np.concatenate([x for g, j in enumerate(n) for x in ([0.0], f[g, :j], [1.0])])
+
+    def gap(k, g):
+        r0_g, c_g, sc_g, left_g, f_r1 = np.array(
+            (r0, c, scale, em_left, f[range(len(c)), np.subtract(n, 1)]))[:, g]
+        mid = k > r0_g
+        em_r1 = np.array([em(b, x, m) for x, b in zip(c, r1)])[g] if mid.any() else 0.0
+        return np.where(mid, f_r1, 0.0) + sc_g * (em(k, c_g, m) - np.where(mid, em_r1, left_g))
+
+    return table, f_table, list(accumulate((j + 2 for j in n), initial=0)), gap, p[:, 0]
+
+
+def pass_args(omega, t):
+    """(c, s, fit) as a pass hands them to its table: an amplitude F does not fit at c = 1/2, s = 1."""
+    m = 1 << t
+    c = [m * x for x in omega]
+    s = [math.sin(math.pi * min(x % 1.0, 1.0 - x % 1.0)) for x in c]
+    fit = [x >= m * 2.0**-43 for x in s]
+    return [x if y else 0.5 for x, y in zip(c, fit)], [x if y else 1.0 for x, y in zip(s, fit)], fit
+
+
+def reference_pass(omega, t, w, size):
+    """The folded draws of one pass as they were made before they searched _closed_cdf's own rows:
+    u = (w + F(0)) / 2 searched in each amplitude's slice of reference_cdf's concatenated table,
+    then 128-sections in its gaps; kept as the reference the draws must equal bit for bit."""
+    m, ends, g = 1 << t, list(accumulate(size, initial=0)), qsim_mod._GROUPS
+    if len(size) > g:
+        return np.concatenate((reference_pass(omega[:g], t, w[:ends[g]], size[:g]),
+                               reference_pass(omega[g:], t, w[ends[g]:], size[g:])))
+    c, s, fit = pass_args(omega, t)
+    j0 = [round(m * x) for x in omega]
+    table, f_table, start, gap, p0 = reference_cdf(c, m, s)
+    u = np.minimum((w + p0.repeat(size)) / 2, 1.0 - 2.0**-53)
+    i = np.concatenate([f_table[a:b].searchsorted(u[e:e_], side="right") + a
+                        for a, b, e, e_ in zip(start, start[1:], ends, ends[1:])])
+    lo, hi = table[i - 1], table[i]
+    f_lo, f_hi = f_table[i - 1], f_table[i]
+    open_ = (hi - lo > 1).nonzero()[0]
+    while open_.size:
+        lo_o, hi_o = lo[open_, None], hi[open_, None]
+        k = lo_o + (hi_o - lo_o) * np.arange(129) // 128
+        f = np.where(k == lo_o, f_lo[open_, None], f_hi[open_, None])
+        inner = (k > lo_o) & (k < hi_o)
+        f[inner] = gap(k[inner], np.arange(len(s)).repeat(size)[open_[inner.nonzero()[0]]])
+        n, row = (f > u[open_, None]).argmax(axis=1), np.arange(open_.size)
+        lo[open_], f_lo[open_], hi[open_], f_hi[open_] = k[row, n - 1], f[row, n - 1], k[row, n], f[row, n]
+        open_ = (hi - lo > 1).nonzero()[0]
+    return hi if all(fit) else np.where(np.repeat(fit, size), hi, np.repeat(j0, size))
 
 
 def fits(a, t):
@@ -398,20 +478,20 @@ class TestClosedFormDraws:
 
     @pytest.mark.parametrize("t", [1, 2, 8, 9, 10, 13, 24])
     def test_table_ends_at_half(self, t):
-        # each amplitude's table: -1 (F = 0), its run of at most 2 _WIDE + 2 cells in a row, and
-        # m/2 read as 1.0; no cell above m/2 and none twice
+        # each amplitude's row: its run r0..r1 of at most 2 _WIDE + 2 cells in a row, below m/2,
+        # between the implied F(-1) = 0 and F(m/2) = 1.0; no cell above m/2 and none twice
         m, wide = 1 << t, qsim_mod._WIDE
         peaks = (0.5, 0.3, 57.61, m / 3 + 0.29, m / 2 - 100.37, m / 2 - 0.7, m / 2 - 2.5)
         c = [x for x in peaks if 0 < x <= m / 2]
         s = [math.sin(math.pi * min(x % 1.0, 1.0 - x % 1.0)) for x in c]
-        table, f_table, start, _, _ = qsim_mod._closed_cdf(c, m, s)
-        assert start[0] == 0 and start[-1] == table.size == f_table.size and len(start) == len(c) + 1
+        f_run, r0, n, _, p0 = qsim_mod._closed_cdf(tuple(c), m, tuple(s))
+        assert f_run.shape == (len(c), max(n)) and len(r0) == len(n) == p0.size == len(c)
         for g, x in enumerate(c):
-            cells, f = table[start[g]:start[g + 1]], f_table[start[g]:start[g + 1]]
-            assert 3 <= cells.size <= 2 * wide + 4, (x, cells.size)
-            assert cells[0] == -1 and cells[-1] == m // 2 and (np.diff(cells[1:-1]) == 1).all(), x
-            assert cells[-2] < m // 2 and max(math.floor(x) - wide, 0) == cells[1], x
-            assert f[0] == 0.0 and f[-1] == 1.0 and (np.diff(f) >= 0).all(), x
+            f = f_run[g, :n[g]]
+            assert 1 <= n[g] <= 2 * wide + 2, (x, n[g])
+            assert r0[g] == max(math.floor(x) - wide, 0), x
+            assert r0[g] + n[g] - 1 == min(math.floor(x) + wide + 1, m // 2 - 1) < m // 2, x
+            assert 0.0 <= f[0] and f[-1] <= 1.0 and (np.diff(f) >= 0).all(), x
 
     @pytest.mark.parametrize("t", [10, 13, 16, 24])
     def test_gap_meets_the_run_at_both_ends(self, t):
@@ -420,9 +500,9 @@ class TestClosedFormDraws:
         m = 1 << t
         for c in (m / 3 + 0.29, m / 2 - 300.37, 400.5):
             s = math.sin(math.pi * min(c % 1.0, 1.0 - c % 1.0))
-            table, f_table, _, gap, _ = qsim_mod._closed_cdf([c], m, [s])
-            assert table[1] > 0 and abs(gap(table[[1]], 0)[0] - f_table[1]) <= 4e-15, c
-            assert gap(table[[-2]], 0)[0] == f_table[-2], c
+            f_run, (r0,), (n,), gap, _ = qsim_mod._closed_cdf((c,), m, (s,))
+            assert r0 > 0 and abs(gap(np.array([r0]), 0)[0] - f_run[0, 0]) <= 4e-15, c
+            assert gap(np.array([r0 + n - 1]), 0)[0] == f_run[0, n - 1], c
 
 
 class TestPointMasses:
@@ -507,8 +587,8 @@ class TestClosedFormAccuracy:
                 if t <= 10:
                     cells = np.arange(m // 2)
                 else:
-                    table = qsim_mod._closed_cdf([m * omega], m, [closed_form_f(a, t, 0)[2]])[0]
-                    cells = np.concatenate((table[1:-1], gap_cells(a, t)))
+                    _, (r0,), (n,), _, _ = qsim_mod._closed_cdf((m * omega,), m, (closed_form_f(a, t, 0)[2],))
+                    cells = np.concatenate((np.arange(r0, r0 + n), gap_cells(a, t)))
                 f, _, _, p0 = closed_form_f(a, t, cells)
                 g = 2.0 * f - p0
             w = np.concatenate(([0.0, 1.0 - 2.0**-53, 1.0], g, np.nextafter(g, 0), np.nextafter(g, 1)))
@@ -620,6 +700,141 @@ class TestBatchedPass:
         got = median_amplitude_estimates(a, t, 2 * h - 1, derived_rng(65, "property", seed))
         want = reference_folded(a, t, derived_rng(65, "property", seed).beta(h, h, n))
         assert got.tobytes() == want.tobytes()
+
+
+class TestPassEqualsReference:
+    """A pass searches F in the rows _closed_cdf built, F(-1) = 0 and F(m/2) = 1.0 implied at the
+    ends, with both kernels folded in order and no division: draw for draw, and its F rows bit
+    for bit, the pass that searched one concatenated table (reference_pass)."""
+
+    @staticmethod
+    def peak(kind, m, rng):
+        """c = m omega near cell 0, anywhere, near m/2, or within m 2^-43 / pi of a cell (or on it)."""
+        half, near = m / 2, min(m / 2, 2 * qsim_mod._WIDE + 8)
+        if kind == "point":
+            return min(max(int(rng.integers(0, m // 2 + 1)) + rng.uniform(-0.9, 0.9) * m * 2.0**-43 / math.pi
+                           * rng.integers(0, 2), 0.0), half)
+        x = near * rng.random() ** rng.choice([1, 4, 16])
+        return {"low": x, "any": half * rng.random(), "high": half - x}[kind]
+
+    def test_draws_and_rows_equal_reference_pass(self):
+        reached = {"left": 0, "right": 0}
+
+        @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+        @given(t=st.sampled_from(range(1, 25)), n=st.integers(1, 2 * qsim_mod._GROUPS + 2),
+               seed=st.integers(0, 2**32 - 1))
+        def check(t, n, seed):
+            m, rng, wide = 1 << t, np.random.default_rng(seed), qsim_mod._WIDE
+            omega = [self.peak(k, m, rng) / m for k in rng.choice(["low", "any", "high", "point"], n)]
+            size, w = rng.integers(1, 7, n).tolist(), []
+            for lo in range(0, n, qsim_mod._GROUPS):  # one pass each
+                group = omega[lo:lo + qsim_mod._GROUPS]
+                c, s, fit = pass_args(group, t)
+                table, f_table, start, gap, p0 = reference_cdf(c, m, s)
+                f_run, r0, n_run, _, p0_run = qsim_mod._closed_cdf(tuple(c), m, tuple(s))
+                assert p0_run.tobytes() == p0.tobytes()
+                for g, x in enumerate(c):
+                    cells, f = table[start[g]:start[g + 1]], f_table[start[g]:start[g + 1]]
+                    assert (r0[g], n_run[g]) == (cells[1], cells.size - 2)
+                    assert f_run[g, :n_run[g]].tobytes() == f[1:-1].tobytes()
+                    edges = [0.0, 1.0 - 2.0**-53, 1.0, rng.random()]
+                    if fit[g]:  # w on G = 2F - F(0) and one ulp either side at the run's ends and in its gaps
+                        k = {r0[g] - 1, r0[g], math.floor(x), math.floor(x) + 1, cells[-2], cells[-2] + 1,
+                             m // 2 - 1}  # cells[-2] = r1
+                        k = np.array(sorted(j for j in k if 0 <= j < m // 2))
+                        i = np.minimum(np.searchsorted(cells, k), cells.size - 1)
+                        f_k = np.where(cells[i] == k, f[i], 0.0)
+                        f_k[cells[i] != k] = gap(k[cells[i] != k], g)
+                        g_k = 2.0 * f_k - p0[g]
+                        edges += np.clip([*g_k, *np.nextafter(g_k, 0), *np.nextafter(g_k, 2)], 0, 1).tolist()
+                    w += rng.choice(edges, size[lo + g]).tolist()
+            w = np.array(w)
+            got, want = qsim_mod._closed_form_draws(omega, t, w, size), reference_pass(omega, t, w, size)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            c, _, fit = pass_args(omega, t)
+            on_f = np.repeat(fit, size)
+            for x, j in zip(np.repeat(c, size)[on_f], got[on_f]):  # the gaps 128-sections searched
+                r0, r1 = max(math.floor(x) - wide, 0), min(math.floor(x) + wide + 1, m // 2 - 1)
+                reached["left"] += int(j < r0)
+                reached["right"] += int(r1 < j < m // 2)
+
+        check()
+        assert reached["left"] and reached["right"], reached
+
+    @pytest.mark.parametrize("t", [9, 13, 18, 24])
+    def test_rows_at_the_fold_tie_equal_reference(self, t):
+        # c a few ulps from m/2 - k, where k + c may round to m/2 itself (a pass would draw such a c
+        # from its point mass; this is the table alone): rint's half goes to 0, and shifted or not,
+        # sin^2(h (k + c)) at +-pi/2 reads 1.0 alike
+        m, rng, ties = 1 << t, derived_rng(73, "tie", t), 0
+        for k in rng.integers(1, 2 * qsim_mod._WIDE, 40).tolist():
+            for ulps in (-3, -2, -1, 1, 2, 3):  # c = m/2 - k, a pole, is a point mass
+                c = m / 2 - k + ulps * math.ulp(m / 2 - k)
+                ties += k + c == m / 2
+                s = abs(math.sin(math.pi * c))
+                f_run, (r0,), (n,), _, p0 = qsim_mod._closed_cdf((c,), m, (s,))
+                table, f_table, _, _, p0_ref = reference_cdf([c], m, [s])
+                assert f_run[0, :n].tobytes() == f_table[1:-1].tobytes() and p0.tobytes() == p0_ref.tobytes()
+        assert ties, t
+
+
+class TestPassMemo:
+    """_closed_cdf keeps the one pass it built last: a repeat takes its table, any other pass
+    builds its own, and nothing it keeps can be written to."""
+
+    C, T = (0.3, 700.61), 11  # F(0) = 0.74 at c = 0.3: a changed F(0) moves the draws
+
+    def key(self, c=C, t=T):
+        return c, 1 << t, tuple(math.sin(math.pi * min(x % 1.0, 1.0 - x % 1.0)) for x in c)
+
+    def test_same_pass_twice_builds_one_table(self):
+        omega, w, size = [x / (1 << self.T) for x in self.C], derived_rng(71, "memo").random(12), [7, 5]
+        qsim_mod._closed_cdf.cache_clear()
+        first = qsim_mod._closed_form_draws(omega, self.T, w, size)
+        again = qsim_mod._closed_form_draws(omega, self.T, w, size)
+        info = qsim_mod._closed_cdf.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        assert first.tobytes() == again.tobytes() == reference_pass(omega, self.T, w, size).tobytes()
+
+    @pytest.mark.parametrize("change", ["t", "c", "s"])
+    def test_a_changed_key_builds_its_own_table(self, change):
+        c, m, s = self.key()
+        other = {"t": (c, 2 * m, s), "c": ((c[0], c[1] + 0.25), m, s), "s": (c, m, (s[0], s[1] / 2))}[change]
+        qsim_mod._closed_cdf.cache_clear()
+        qsim_mod._closed_cdf(c, m, s)
+        got, want = qsim_mod._closed_cdf(*other), qsim_mod._closed_cdf.__wrapped__(*other)
+        assert qsim_mod._closed_cdf.cache_info().misses == 2
+        assert all(x.tobytes() == y.tobytes() for i, (x, y) in enumerate(zip(got, want)) if i != 3)
+        assert got[0].tobytes() != qsim_mod._closed_cdf.__wrapped__(c, m, s)[0].tobytes()
+
+    def test_an_interleaved_pass_evicts_it(self):
+        a, b = self.key(), self.key(c=(50.5,))
+        qsim_mod._closed_cdf.cache_clear()
+        for key in (a, b, a):
+            qsim_mod._closed_cdf(*key)
+        info = qsim_mod._closed_cdf.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (3, 0, 1)
+
+    def test_what_it_keeps_is_read_only(self):
+        f_run, r0, n, _, p0 = qsim_mod._closed_cdf(*self.key())
+        for x in (f_run, r0, n, p0):
+            with pytest.raises(ValueError, match="read-only"):
+                x[0] = 0
+
+    def test_memory_held_after_a_64_amplitude_pass_at_t24(self):
+        # the memo keeps one pass: its (64, 2 _WIDE + 2) run rows and a few KiB of per-amplitude lists
+        omega, w = ((np.arange(64) + 0.37) / 129).tolist(), derived_rng(72, "memo").random(64)
+        qsim_mod._closed_cdf.cache_clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            qsim_mod._closed_form_draws(omega, 24, w, [1] * 64)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        rows = 64 * (2 * qsim_mod._WIDE + 2) * 8
+        assert qsim_mod._closed_cdf.cache_info().currsize == 1
+        assert rows <= held <= rows + 2**15, (held, rows)
 
 
 class TestCountChecks:
