@@ -5,9 +5,9 @@ distribution (phase estimation applied to the Grover operator of the state being
 measured), not by evolving a statevector.  Its CDF F is summed in closed form over cells 0
 to 2^t / 2, and the median of an odd number of runs is one order statistic: a Beta variate
 inverted on the CDF of min(y, 2^t - y), searched in the rows of F that its pass built, once
-for a pass the same as the one before it.  Maximum finding is the threshold-improvement loop
-with exact Grover success probabilities, on draws replayed from the stream's raw words; the
-rounds left once the maximum is found are resolved in bulk.
+for a pass the same as the one before it.  Maximum finding is the threshold-improvement search
+with exact Grover success probabilities, drawn with one uniform from the exact joint law of the
+rank it returns and the probes it runs, tabulated once per (items, budget).
 
 These "honest" backends exist to validate the contract-mock backend's
 query/error model; they expose measured query counts so the mock's constants
@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import PreconditionError
 from .oracle import QueryLedger
-from .rng import WordReader, lemire
 
 __all__ = [
     "check_phase_bits",
@@ -34,14 +33,18 @@ __all__ = [
     "median_amplitude_estimates",
     "simulate_argmax",
     "DEFAULT_C_MAX",
+    "MAX_ARGMAX_ITEMS",
     "MAX_ARGMAX_PROBES",
 ]
 
 MAX_PHASE_BITS = 24  # largest t accepted: outcome_distribution's 2^t-cell grid is 128 MiB there
 DEFAULT_C_MAX = 4.0
-# simulate_argmax's largest budget: its time is linear in the budget, and a
-# budget of 2^24 probes takes 0.4-1.0 s a call on a 2-vCPU Xeon (n = 64 and 8)
+MAX_ARGMAX_ITEMS = 64  # simulate_argmax's largest n: its law's ring holds 8 x 13 x 64 cells there
+# simulate_argmax's largest budget: a law takes the same time and memory to build at any budget,
+# about 30 ms and 116 KiB at n = 64 on a 2-vCPU Xeon
 MAX_ARGMAX_PROBES = 2**24
+_LAW_CUT = 2.0**-64  # mass _argmax_law drops once all of it is below this
+_CHUNK_CELLS = 2**10  # cells of (counts, levels, ranks) an _argmax_law step takes at once
 _WIDE = 192  # cells on either side of the peak at c whose CDF is tabulated
 _GROUPS = 64  # amplitudes per closed-form pass: its (2, groups, 387) arrays stay under 2^16 cells
 
@@ -238,24 +241,76 @@ def amplitude_estimation_sample(a: float, t: int, rng: np.random.Generator, size
 
 
 def argmax_query_budget(n: int, delta: float, c_max: float = DEFAULT_C_MAX) -> float:
-    """c_max sqrt(n) log2(1 / delta) probes: at c_max = 4 and delta = 1e-6 simulate_argmax misses with
-    probability 2.5e-21 at n = 8 and 4.5e-32 at n = 64 (ROADMAP 15's dynamic program, not yet certified)."""
+    """c_max sqrt(n) log2(1 / delta) probes: simulate_argmax then misses with probability at most delta,
+    certified at c_max = 4 for n in [2, 64] and delta in [1e-12, 0.5] by an exact dynamic program
+    (tests/test_certificates.py); at delta = 1e-6 it misses with probability 2.5e-21 at n = 8."""
     return c_max * math.sqrt(n) * math.log2(1.0 / delta)
 
 
-def _argmax_tail(draws: WordReader, k: int, probes: int, limit: int) -> tuple[int, bool]:
-    """simulate_argmax's loop once nothing is marked and ceil(m_max) = k for
-    good, one cumsum per window of ``draws.halves()``: (probes, True) at the
-    break, or (probes, False) before a draw Lemire's step rejects."""
-    while True:
-        index, rejected = lemire(draws.halves(), k)
-        r = int(np.argmax(rejected)) if rejected.any() else index.size
-        spent = np.cumsum(index[:r] + 1)  # Grover iterations plus one
-        b = int(np.searchsorted(spent, limit - probes, side="right"))
-        draws.skip(min(b + 1, r))
-        probes += int(spent[b - 1]) if b else 0
-        if b < r or r < index.size:
-            return probes, b < r
+@functools.lru_cache(maxsize=1)  # a solve's max findings share one (n, budget)
+def _argmax_law(n: int, b: int) -> np.ndarray:
+    """The exact law of simulate_argmax's search on n >= 2 items and b = floor(budget) >= 1 probes: a
+    read-only CDF, rank-major over cells r * c + j, c = ceil(sqrt(n)), of returning the item of rank r
+    (r items beat it) after b - c + 1 + j probes.  The search reads a uniform first threshold with one
+    probe; a round at level x (1.0 at first) draws a Grover count i uniform below ceil(x) for i + 1
+    probes, unless that passes b, which ends it (so in the last c probe counts).  With k items above the
+    threshold it succeeds with probability sin^2((2i + 1) asin sqrt(k / n)), moving the threshold to one
+    of them uniformly and x to 1.0, or else x to min(6/5 x, c).  A forward dynamic program over probe
+    counts on (level, rank), pending mass in a ring of c slots: once the mass above rank 0 or below the
+    top level falls under 2^-64 (the uniform drawn on the law has a 2^-53 grid) it is dropped, and the
+    renewal left, costs uniform on 1..c, is carried to probe b - c + 1 by a power of its c x c step,
+    rescaled to its total.  A build takes the same time and memory at any b."""
+    c, levels = math.ceil(math.sqrt(n)), [1.0]
+    while levels[-1] < c:  # the level sequence as floats, as the search grows it
+        levels.append(min(6.0 / 5.0 * levels[-1], c))
+    top, size = len(levels) - 1, len(levels)
+    draws = np.array([math.ceil(x) for x in levels])
+    w = (np.arange(c)[:, None] < draws).astype(float)  # w[i, l] = 1: level l draws count i
+    a = np.zeros((c, size, size))  # count i's failed rounds, level l to min(l + 1, top)
+    a[:, np.minimum(np.arange(1, size + 1), top), np.arange(size)] = w
+    a = a.reshape(c * size, size)
+    hit = np.array([[math.sin((2 * i + 1) * math.asin(math.sqrt(k / n))) ** 2 for k in range(n)]
+                    for i in range(c)])
+    miss, hit_k = 1.0 - hit, hit / np.maximum(np.arange(n), 1)  # hit_k: to each rank below k
+    per_draw = np.repeat(draws[:, None].astype(float), n, axis=1)
+    chunk = max(1, _CHUNK_CELLS // (size * n))  # Grover counts a step takes at once
+    ring, law = np.zeros((c, size, n)), np.zeros((n, c))
+    ring[1 % c, 0] = 1.0 / n  # probe 1 read the uniform first threshold
+    first, p = b - c + 1, 1
+    while p <= b:
+        if (p < first and p % c == 0
+                and ring[:, :top].sum(axis=(1, 2)).sum() + ring[:, top, 1:].sum() < _LAW_CUT):
+            r = ring[(p + np.arange(c)) % c, top, 0]  # pending at probes p..p + c - 1
+            step = np.eye(c, k=1)
+            step[:, 0] += 1.0 / c
+            r_b = np.linalg.matrix_power(step, first - p) @ r
+            ring[:] = 0.0
+            ring[(first + np.arange(c)) % c, top, 0] = r_b * (r.sum() / r_b.sum())
+            p = first
+        y = ring[p % c]
+        np.divide(y, per_draw, out=y)  # the mass drawing each of its level's counts
+        d = w @ y
+        if p >= first:  # counts i >= b - p stop the search here
+            law[:, p - first] = d[b - p:].sum(axis=0)
+        x = d * hit_k
+        for i0 in range(0, c, chunk):
+            i1 = min(i0 + chunk, c)
+            f = (a[i0 * size:i1 * size] @ y).reshape(i1 - i0, size, n)
+            f *= miss[i0:i1, None, :]
+            np.add.accumulate(x[i0:i1, :0:-1], axis=1, out=f[:, 0, -2::-1])  # a hit lands on level 0
+            if i1 == c:  # slot p % c now holds probe p + c
+                y.fill(0.0)
+            lo, hi = (p + 1 + i0) % c, (p + i1) % c + 1  # the slots of probes p + 1 + i0..p + i1
+            if lo < hi:
+                ring[lo:hi] += f
+            else:
+                ring[lo:] += f[:c - lo]
+                ring[:hi] += f[c - lo:]
+        p += 1
+    cdf = law.ravel().cumsum()
+    cdf[-1] = 1.0
+    cdf.flags.writeable = False
+    return cdf
 
 
 def simulate_argmax(
@@ -267,19 +322,14 @@ def simulate_argmax(
     phase: str | None = None,
     probe_cost: int = 1,
 ) -> int:
-    """Threshold-improvement maximum finding with exact Grover statistics.
-
-    Items are ordered lexicographically by (value, -index), so the unique top
-    element is the lowest-index argmax; the loop marks items beating the
-    current threshold and runs Grover with the iteration count drawn from the
-    standard geometrically-growing schedule for an unknown number of marked
-    items.  Runs until the query budget c_max * sqrt(n) * log2(1/delta) is
-    exhausted (the real algorithm has no stopping certificate), so charged
-    queries never exceed the budget, itself at most MAX_ARGMAX_PROBES.  Each
-    probe charges ``probe_cost`` oracle calls, which is how nested
-    value-oracle costs are passed through.
-    Draws are rng's own, replayed from its raw words; once nothing is marked
-    and the schedule is capped, they are resolved in bulk (``_argmax_tail``).
+    """Dürr-Høyer maximum finding with exact Grover statistics: the index of the top item of values,
+    ordered by (value, -index), at failure probability delta.  The search runs until its budget of
+    c_max * sqrt(n) * log2(1/delta) probes is spent (the real algorithm has no stopping certificate);
+    its result depends only on ranks and its charge only on probes, so one rng.random() draws both
+    from their exact joint law (``_argmax_law``), the rank is mapped to its item, and each probe
+    charges ``probe_cost`` oracle calls, which passes nested value-oracle costs through.  n = 1 draws
+    and charges nothing; a budget under one probe returns rng.integers(n), uncharged.  NaN values,
+    more than MAX_ARGMAX_ITEMS items and a budget above MAX_ARGMAX_PROBES are refused before any draw.
     """
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size == 0:
@@ -295,48 +345,15 @@ def simulate_argmax(
     if budget > MAX_ARGMAX_PROBES:
         raise PreconditionError(f"max-finding budget of {budget:.6g} probes exceeds "
                                 f"MAX_ARGMAX_PROBES = {MAX_ARGMAX_PROBES}; lower c_max")
-    # initial threshold: a uniform index (nothing to search when n == 1)
-    j = int(rng.integers(n)) if n > 1 else 0
-    if n == 1 or budget < 1.0:
-        # no oracle use needed, or not even one affordable: the guess stands
-        return j
-
-    probes = 1  # one query reads the initial threshold's value
-    grow = 6.0 / 5.0
-    m_cap = math.ceil(math.sqrt(n))
-    m_max = 1.0
-    draws = WordReader(rng)
-    vl = v.tolist()
-
-    def beating(j, among):  # the items of among that beat item j, in index order
-        return [i for i in among if vl[i] > vl[j] or (vl[i] == vl[j] and i < j)]
-
-    marked = beating(j, range(n))
-    k = len(marked)
-    while True:
-        if k == 0 and m_max == m_cap:
-            probes, done = _argmax_tail(draws, m_cap, probes, math.floor(budget))
-            if done:
-                break
-        m_iter = draws.integers(math.ceil(m_max))
-        cost = m_iter + 1  # Grover iterations plus the verifying measurement
-        if probes + cost > budget:
-            break
-        probes += cost
-        if k > 0:
-            theta = math.asin(math.sqrt(k / n))
-            p_success = math.sin((2 * m_iter + 1) * theta) ** 2
-            if draws.random() < p_success:
-                # measurement collapses uniformly onto the marked set
-                j = marked[draws.integers(k)]
-                marked = beating(j, marked)  # what beats j beat the old threshold
-                k = len(marked)
-                m_max = 1.0
-                continue
-        # failed round (or nothing marked): keep threshold, widen the schedule
-        m_max = min(grow * m_max, m_cap)
-
-    draws.close()
+    if n > MAX_ARGMAX_ITEMS:
+        raise PreconditionError(f"statevector max finding supports at most {MAX_ARGMAX_ITEMS} "
+                                f"items, got {n}")
+    if n == 1:
+        return 0
+    if budget < 1.0:  # not even one probe affordable: a uniform guess stands
+        return int(rng.integers(n))
+    b, c = math.floor(budget), math.ceil(math.sqrt(n))
+    rank, j = divmod(int(_argmax_law(n, b).searchsorted(rng.random(), side="right")), c)
     if ledger is not None:
-        ledger.charge_quantum(probes * probe_cost, phase)
-    return j
+        ledger.charge_quantum((b - c + 1 + j) * probe_cost, phase)
+    return int(v.argmax()) if rank == 0 else int(np.argsort(-v, kind="stable")[rank])

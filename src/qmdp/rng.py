@@ -9,9 +9,8 @@ A key is its parts, the seed first, and its stream is Philox keyed by the
 reads the digests of a family of keys, such as a solve's line-13 streams,
 lazily and in order from a tuple of parts that spells them out;
 ``bulk_passes`` computes many streams' first words in vectorized Philox
-passes under one word budget, ``uniforms``, ``lemire`` and ``first_draws``
-turn them into the streams' draws, and ``WordReader`` replays one
-Generator's draws.
+passes under one word budget, and ``uniforms``, ``lemire`` and
+``first_draws`` turn them into the streams' draws.
 """
 
 from __future__ import annotations
@@ -30,9 +29,7 @@ __all__ = [
     "uniforms",
     "lemire",
     "first_draws",
-    "WordReader",
     "PASS_WORDS",
-    "READ_WORDS",
 ]
 
 _SEP = "\x1f"  # never appears in the short labels used as key parts
@@ -46,7 +43,6 @@ _PHILOX_M = tuple(tuple(np.array(v, dtype=np.uint64) for v in (m, m & 0xFFFFFFFF
 _PHILOX_W = tuple(np.array(w, dtype=np.uint64) for w in (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B))
 _PHILOX_ROUNDS = 10
 PASS_WORDS = 2**13  # Philox words per bulk pass, over all of its streams
-READ_WORDS = 128  # raw words per WordReader read, whatever the draws it serves
 _ZERO_WORDS = (0, 0, 0, 0)
 _KEY_WORDS = struct.Struct("=2Q").unpack  # the two key words, native order like np.frombuffer
 
@@ -209,61 +205,3 @@ def first_draws(words: np.ndarray, k: int, stream) -> tuple[np.ndarray, np.ndarr
         g.random()
         indices[i] = g.integers(k)
     return u, indices
-
-
-class WordReader:
-    """A Generator's ``random()`` and ``integers(k)``, replayed from its raw
-    words, READ_WORDS read at a time: (w >> 11) * 2^-53, and numpy's Lemire
-    step on 32-bit halves (a fresh word's low half, its high half held for the
-    next step; again while x * k mod 2^32 < (2^32 - k) mod k; none for k = 1).
-    ``close`` leaves the Generator where numpy's calls would have, with the
-    held half's value kept once taken, as numpy keeps it; until then, draw
-    only through the reader.  For bit generators that hold halves so
-    (Philox, PCG64, SFC64; not MT19937)."""
-
-    def __init__(self, rng: np.random.Generator):
-        self._bg, self._start = rng.bit_generator, rng.bit_generator.state
-        if "has_uint32" not in self._start:
-            raise TypeError(f"{type(self._bg).__name__} does not hold 32-bit halves")
-        self.has, self.half = self._start["has_uint32"], self._start["uinteger"]
-        self._block, self._words, self._pos, self._used = None, [], 0, 0
-
-    def _ready(self):  # a fresh block when this one is spent
-        if self._pos == len(self._words):
-            self._used += self._pos
-            self._block = self._bg.random_raw(READ_WORDS)
-            self._words, self._pos = self._block.tolist(), 0
-
-    def random(self) -> float:
-        self._ready()
-        self._pos += 1
-        return (self._words[self._pos - 1] >> 11) * 2.0**-53
-
-    def integers(self, k: int) -> int:
-        while k > 1:
-            self._ready()
-            x = (self.half if self.has else self._words[self._pos] & 0xFFFFFFFF) * k
-            self.skip(1)
-            if (x & 0xFFFFFFFF) >= (2**32 - k) % k:
-                return x >> 32
-        return 0
-
-    def halves(self) -> np.ndarray:
-        """What the next integers() steps take, as uint64: the held half,
-        then both halves of each word left in the block."""
-        self._ready()
-        words = self._block[self._pos:].astype("<u8", copy=False).view("<u4")  # low, high, ...
-        return np.concatenate((np.full(self.has, self.half, np.uint64), words))
-
-    def skip(self, c: int):
-        """Take the first c values halves() gave."""
-        if c and self.has:
-            self.has, c = 0, c - 1
-        if c:
-            self._pos += (c + 1) // 2
-            self.has, self.half = c % 2, self._words[self._pos - 1] >> 32
-
-    def close(self):
-        self._start["has_uint32"], self._start["uinteger"] = self.has, self.half
-        self._bg.state = self._start
-        self._bg.random_raw(self._used + self._pos, output=False)

@@ -43,7 +43,8 @@ from .estimators import (
 )
 from .mdp import Mdp, expected_next_value, greedy, successor_variance
 from .oracle import QueryLedger, SampleOracle
-from .qsim import DEFAULT_C_MAX, MAX_ARGMAX_PROBES, argmax_query_budget, simulate_argmax
+from .qsim import (DEFAULT_C_MAX, MAX_ARGMAX_ITEMS, MAX_ARGMAX_PROBES, argmax_query_budget,
+                   simulate_argmax)
 from .rng import bulk_passes, first_draws, key_digests
 
 __all__ = [
@@ -152,11 +153,11 @@ def _bounded(mdp: Mdp, cfg: EstimatorConfig, batches: int, upper, err, f) -> Lin
 
 def _argmax(mdp: Mdp, cfg: EstimatorConfig, line: Line, c_max: float, statevector=False) -> Line:
     """A max finding per state and sweep of ``line``, each probe charged the
-    mock charge of one of its estimates; a statevector one is refused above 64
-    actions or MAX_ARGMAX_PROBES probes."""
+    mock charge of one of its estimates; a statevector one is refused above
+    MAX_ARGMAX_ITEMS actions or MAX_ARGMAX_PROBES probes."""
     budget = argmax_query_budget(mdp.num_actions, line.f, c_max)
-    if statevector and mdp.num_actions > 64:
-        raise PreconditionError("statevector max finding supports at most 64 actions")
+    if statevector and mdp.num_actions > MAX_ARGMAX_ITEMS:
+        raise PreconditionError(f"statevector max finding supports at most {MAX_ARGMAX_ITEMS} actions")
     if statevector and budget > MAX_ARGMAX_PROBES:
         raise PreconditionError(f"max-finding budget of {budget:.6g} probes exceeds "
                                 f"MAX_ARGMAX_PROBES = {MAX_ARGMAX_PROBES}; lower c_max")
@@ -526,7 +527,7 @@ def max_finding_vi(oracle: SampleOracle, plan: Plan, diagnostics: bool = False) 
     for l in range(1, p.iters + 1):
         phase_max = _phase("iter", l, "argmax")
         if use_statevector_argmax:
-            # simulate_argmax makes a data-dependent number of draws per state
+            # simulate_argmax draws on each state's own stream
             a_star = np.array([
                 simulate_argmax(q_mem[s], p.est_failure_prob, next(argmax_streams), p.c_max,
                                 ledger=oracle.ledger, phase=phase_max, probe_cost=probe_cost)

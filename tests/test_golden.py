@@ -31,6 +31,7 @@ from qmdp.estimators import EstimatorConfig, variance_mean_charge
 from qmdp.hard_instances import HardInstanceSpec, multi_arm_instance
 from qmdp.mdp import Mdp, exact_value_iteration
 from qmdp.oracle import SampleOracle
+from qmdp.qsim import argmax_query_budget
 from qmdp.solvers import (
     MaxFindingParams,
     Plan,
@@ -78,7 +79,7 @@ GOLDEN = (
      None, 22, "c4663b378079be56c4e22431c77d7c0ec98a91aa95ded003c5027d0c15b3d7da"),
     ("hard-statevector-max-finding", {"hard_instance": dict(HARD["hard_instance"], eps=1.0)},
      {"name": "max-finding", "eps": 1.0, "delta": 0.1}, {"backend": "statevector"}, 31,
-     "68e0c1be04dc60d620be659e29865703d316f59541844ddcbf9a2182b60e049f"),
+     "978c3f3cc14799bfbc739a50f9769ccb7f610e0adc75fdd7a83a814c3963d611"),
     ("hard-sampled-quantum-mean-and-max", HARD,
      {"name": "sampled", "mode": "quantum_mean_and_max", "eps": 0.5, "delta": 0.1}, None, 14,
      "ccf965a7527dc4f2636bf553775baf6e0b71a2d0bb3eeae10b94ee9c4e0d42eb"),
@@ -124,7 +125,7 @@ DIAGNOSTICS = {
         "90c24922e4e8b98cbd977e6fb16586f256c201e45dda8228001ca635e0e571f2",
         "5b9e20eba950a7422b5ea673ec9602d230df3adfcccc34ddb187cb5830f5be32"),
     "hard-statevector-max-finding": (
-        "5bbd83659d342799d56967fedea118baf125adf20c3a05bc02b6d5c660fffb0f",
+        "9c64d2a0799ec61f92dd2bb920e20d9ebb85a52da7d3d72e416c38a4b7ad94de",
         "b09f23ba56f963f4c0357cf4defa9d1a287a9a12781fcc79d36c60a1fecee1a4"),
     "hard-sampled-quantum-mean-and-max": (
         "e8c407813b013b58d2da1c4326779e9007900946ace287866aca8b3f61c18667",
@@ -464,7 +465,8 @@ def test_solve_pin(monkeypatch, name):
 def _predicted_phases(mdp, report, cfg):
     """Ledger phase -> the schedule's charge for it, as (least, most): equal
     bounds, except on VR line 9, whose sigma the line-8 estimates set, and on
-    statevector argmax sweeps, which run at most their budget of probes."""
+    statevector argmax sweeps: a max finding over A > 1 actions with a budget
+    of B >= 1 probes stops in its last ceil(sqrt(A)) probe counts."""
     params_class = {"variance-reduced": solvers.VarianceReducedParams,
                     "max-finding": solvers.MaxFindingParams}.get(report.solver,
                                                                  solvers.SampledParams)
@@ -490,7 +492,12 @@ def _predicted_phases(mdp, report, cfg):
     simulated_argmax = cfg.backend == "statevector" and report.solver == "max-finding"
     for (name, _), line in lines.items():
         charge = line.estimates // sweeps * line.charge  # per sweep
-        least = 0 if name == "argmax" and simulated_argmax else charge
+        least = charge
+        if name == "argmax" and simulated_argmax:
+            a_n = mdp.num_actions
+            budget = math.floor(argmax_query_budget(a_n, line.f, params.c_max))
+            stop = max(1, budget - math.ceil(math.sqrt(a_n)) + 1) if a_n > 1 and budget >= 1 else 0
+            least = line.estimates // sweeps * stop * line.probe
         suffix = {"line10": "-line-10", "argmax": "-argmax", "mean": ""}[name]
         want.update({f"iter-{i}{suffix}": (least, charge) for i in range(1, sweeps + 1)})
     return want

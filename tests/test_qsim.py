@@ -16,6 +16,7 @@ from qmdp.errors import PreconditionError
 from qmdp.estimators import EstimatorConfig, amplification_reps
 from qmdp.oracle import QueryLedger
 from qmdp.qsim import (
+    MAX_ARGMAX_PROBES,
     amplitude_estimation_sample,
     argmax_query_budget,
     check_phase_bits,
@@ -947,7 +948,7 @@ class TestOneOrderStatistic:
             assert j.tolist() == [1 << t - 1], a
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=100)
-    @given(t=st.integers(10, 16), seed=st.integers(0, 2**32 - 1),
+    @given(t=st.sampled_from(range(10, 17)), seed=st.integers(0, 2**32 - 1),
            peaks=st.lists(st.tuples(st.sampled_from(["left", "any", "right"]), st.floats(0.0, 1.0)),
                           min_size=1, max_size=3),
            picks=st.lists(st.integers(0, 13), min_size=1, max_size=12))
@@ -1034,7 +1035,7 @@ class TestSimulateArgmax:
     def test_budget_never_exceeded_random_cases(self):
         for i in range(100):
             rng = derived_rng(8, "budget", i)
-            n = int(rng.integers(1, 80))
+            n = int(rng.integers(1, 65))
             delta = float(rng.uniform(0.01, 0.9))
             values = rng.random(n)
             led = QueryLedger()
@@ -1088,6 +1089,16 @@ class TestSimulateArgmax:
         with pytest.raises(PreconditionError, match="MAX_ARGMAX_PROBES = 1000;"):
             simulate_argmax(np.arange(8.0), 0.1, derived_rng(18, "at-max"), c_max * 1.001)
 
+    @pytest.mark.parametrize("n", [65, 1000])
+    def test_more_than_64_items_raise_before_drawing(self, n):
+        rng = derived_rng(20, "items", n)
+        with pytest.raises(PreconditionError,
+                           match=f"statevector max finding supports at most 64 items, got {n}"):
+            simulate_argmax(np.arange(float(n)), 0.1, rng)
+        assert rng.random() == derived_rng(20, "items", n).random()
+        assert qsim_mod.MAX_ARGMAX_ITEMS == 64
+        simulate_argmax(np.arange(64.0), 0.1, derived_rng(20, "items", 64))
+
     @pytest.mark.parametrize("values", [[np.nan], [1.0, np.nan, 2.0], [np.nan] * 8])
     def test_nan_values_raise_before_drawing(self, values):
         rng = derived_rng(15, "nan")
@@ -1096,17 +1107,29 @@ class TestSimulateArgmax:
         assert rng.random() == derived_rng(15, "nan").random()
 
     def test_memory_does_not_grow_with_the_budget(self):
-        # c_max = 1e4: about 1.2e5 iterations, resolved in fixed windows
+        # c_max = 1e4: about 5.3e5 probes, drawn from a law whose build holds a ring of
+        # 8 x 13 x 64 cells (52 KiB) at any budget; each call builds it afresh
         led = QueryLedger()
-        peak = traced_peak(lambda: simulate_argmax(np.arange(64.0), 0.01, derived_rng(16, "mem"),
-                                                   1e4, ledger=led))
+
+        def call(c_max):
+            qsim_mod._argmax_law.cache_clear()
+            return simulate_argmax(np.arange(64.0), 0.01, derived_rng(16, "mem"), c_max, ledger=led)
+
+        per_probe = argmax_query_budget(64, 0.01, 1.0)
+        c_maxes = (1e4 / per_probe, 1e4, (MAX_ARGMAX_PROBES - 0.5) / per_probe)
+        traced_peak(lambda: call(1e4))  # warms numpy's caches
+        peaks = [traced_peak(lambda: call(c_max)) for c_max in c_maxes]
+        assert led.quantum_oracle_calls > 2**24 - 100
+        led = QueryLedger()
+        call(1e4)
         assert led.quantum_oracle_calls > 5e5 - 100
-        assert peak < 64 * 1024
+        assert max(peaks) - min(peaks) <= 1024, peaks
+        assert max(peaks) < 128 * 1024, peaks
 
 
 def reference_argmax(values, delta, rng, c_max=4.0, ledger=None, phase=None, probe_cost=1):
-    """simulate_argmax's loop as it was before its draws were replayed from
-    raw words, kept as the reference: one Generator call per draw."""
+    """simulate_argmax's threshold-improvement loop as it ran probe by probe before it was drawn
+    from its law, kept as the reference: one Generator call per draw."""
     v = np.asarray(values, dtype=float)
     n = v.size
     j = int(rng.integers(n)) if n > 1 else 0
@@ -1145,101 +1168,192 @@ def reference_argmax(values, delta, rng, c_max=4.0, ledger=None, phase=None, pro
     return j
 
 
+@functools.cache
+def plain_argmax_law(n, b):
+    """The law of reference_argmax's loop on n >= 2 items and floor(budget) = b >= 1 probes, as an
+    (n, c) table, c = ceil(sqrt(n)): cell [r, j] is the chance that it returns the item of rank r
+    (r items beat it) after b - c + 1 + j probes.  A forward dynamic program over the whole
+    (probes, level, rank of the threshold) array, one Grover count at a time, with no cut: the
+    independent reference for qsim._argmax_law."""
+    c, levels = math.ceil(math.sqrt(n)), [1.0]
+    while levels[-1] < c:
+        levels.append(min(6.0 / 5.0 * levels[-1], c))
+    top = len(levels) - 1
+    draws = np.array([[math.ceil(x)] for x in levels], dtype=float)
+    hits = [np.array([math.sin((2 * i + 1) * math.asin(math.sqrt(k / n))) ** 2 for k in range(n)])
+            for i in range(c)]
+    mass = np.zeros((b + c + 1, top + 1, n))  # pending, not yet stopped
+    mass[1, 0] = 1.0 / n  # a uniform first threshold, read by one probe
+    law = np.zeros((n, c))
+    for p in range(1, b + 1):
+        y = mass[p] / draws
+        for i in range(c):  # Grover count i, at the levels that draw it, costs i + 1 probes
+            y_i = np.where(draws > i, y, 0.0)
+            if p + i + 1 > b:
+                law[:, p - (b - c + 1)] += y_i.sum(axis=0)
+                continue
+            hit = y_i * hits[i]
+            fail, after = y_i - hit, mass[p + i + 1]
+            after[1:] += fail[:-1]
+            after[top] += fail[top]
+            lands = hit.sum(axis=0) / np.maximum(np.arange(n), 1)  # on each rank below
+            after[0, :-1] += np.cumsum(lands[:0:-1])[::-1]
+    return law
+
+
+def law_argmax(values, delta, rng, c_max=4.0, ledger=None, phase=None, probe_cost=1):
+    """simulate_argmax as its law defines it, from plain_argmax_law: one rng.random() inverted
+    on the rank-major CDF of (rank, probes), the rank mapped to its item by sorting."""
+    v = [float(x) for x in values]
+    n, budget = len(v), argmax_query_budget(len(values), delta, c_max)
+    if n == 1:
+        return 0
+    if budget < 1.0:
+        return int(rng.integers(n))
+    b, c = math.floor(budget), math.ceil(math.sqrt(n))
+    cdf = plain_argmax_law(n, b).ravel().cumsum()
+    cdf[-1] = 1.0
+    rank, j = divmod(int(np.argmax(cdf > rng.random())), c)
+    if ledger is not None:
+        ledger.charge_quantum((b - c + 1 + j) * probe_cost, phase)
+    return sorted(range(n), key=lambda i: (-v[i], i))[rank]
+
+
+@pytest.mark.parametrize("n,budget", [(2, 18.9), (3, 20.2), (8, 6.0), (8, 37.6), (8, 225.7),
+                                      (16, 40.0), (33, 300.0), (64, 633.5), (64, 2.5), (5, 1.0)])
+def test_argmax_law_equals_plain_dynamic_program(n, budget):
+    b = math.floor(budget)
+    qsim_mod._argmax_law.cache_clear()
+    cdf, want = qsim_mod._argmax_law(n, b), plain_argmax_law(n, b)
+    assert not cdf.flags.writeable and cdf.shape == (want.size,) and cdf[-1] == 1.0
+    got = np.diff(cdf, prepend=0.0)
+    # every cell but the last, which reads what is left of 1.0
+    assert np.abs(got[:-1] - want.ravel()[:-1]).max() <= 1e-15
+    assert abs(got[-1] - want[-1, -1]) <= 1e-14 and abs(want.sum() - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 33, 64])
+def test_argmax_law_sums_to_one_at_every_budget(n):
+    # by 10^4 probes the mass above rank 0 is under 2^-64 and dropped: the rows of rank > 0 are
+    # 0 and rank 0's cells hold the whole law, carried by the renewal's matrix power
+    c = math.ceil(math.sqrt(n))
+    for b in [1, 2, c, c + 1, 10, 97, 1000, 10**4, 10**5 + 3, 2**20, MAX_ARGMAX_PROBES - 1,
+              MAX_ARGMAX_PROBES]:
+        qsim_mod._argmax_law.cache_clear()
+        start = time.perf_counter()
+        cdf = qsim_mod._argmax_law(n, b)
+        assert time.perf_counter() - start < 0.5, (n, b)
+        cells = np.diff(cdf[:-1], prepend=0.0)  # the last reads what is left of 1.0
+        assert (cells >= 0.0).all() and cells.size == n * c - 1 and cdf[-1] == 1.0
+        if b < c:  # probe counts below 1 take nothing
+            assert not np.append(cells, 0.0).reshape(n, c)[:, :c - b].any()
+        if b >= 10**4:
+            assert not cells[c:].any() and abs(cdf[-2] - 1.0) <= 1e-14, (n, b)
+        else:
+            assert abs(cdf[-2] + plain_argmax_law(n, b)[-1, -1] - 1.0) <= 1e-14, (n, b)
+
+
+def chi_square_bound(dof, z=3.719):
+    """The chi-square quantile at 1 - 1e-4 (z its normal quantile), by Wilson and Hilferty."""
+    return dof * (1.0 - 2.0 / (9 * dof) + z * math.sqrt(2.0 / (9 * dof))) ** 3
+
+
+@pytest.mark.parametrize("n,budget", [(3, 20.2), (8, 6.0), (8, 37.6), (16, 40.0)])
+def test_argmax_law_matches_the_reference_loop(n, budget):
+    # budgets small enough that the ranks above 0 carry mass
+    runs, b, c = 4000, math.floor(budget), math.ceil(math.sqrt(n))
+    c_max = (budget + 1e-9) / math.sqrt(n)
+    assert math.floor(argmax_query_budget(n, 0.5, c_max)) == b
+    law = np.diff(qsim_mod._argmax_law(n, b), prepend=0.0).reshape(n, c)
+    seen = np.zeros((n, c))
+    for i in range(runs):
+        values = derived_rng(21, "law-values", n, i).permutation(n).astype(float)
+        led = QueryLedger()
+        j = reference_argmax(values, 0.5, derived_rng(21, "law", n, i), c_max, ledger=led)
+        seen[int((values > values[j]).sum()), led.quantum_oracle_calls - (b - c + 1)] += 1
+    assert law[1:].sum() > 5e-5
+    want = runs * law.ravel()
+    assert not seen.ravel()[want == 0.0].any()  # nothing the law rules out
+    big = want >= 5.0  # cells expected five times or more, and the rest pooled
+    got = np.append(seen.ravel()[big], seen.ravel()[~big].sum())
+    want = np.append(want[big], want[~big].sum())
+    stat = ((got - want)[want > 0] ** 2 / want[want > 0]).sum()
+    assert stat <= chi_square_bound((want > 0).sum() - 1), stat
+
+
 def rng_state(rng):
     st = rng.bit_generator.state
     return (tuple(st["state"]["counter"]), tuple(st["state"]["key"]), tuple(st["buffer"]),
             st["buffer_pos"], st["has_uint32"], st["uinteger"])
 
 
+# (n, delta, c_max): budgets from under one probe to 1,914, with few distinct (n, budget)
+ARGMAX_CASES = [(1, 0.1, 4.0), (2, 0.98, 0.5), (2, 1e-3, 4.0), (3, 0.2, 16.0), (5, 1e-8, 0.5),
+                (8, 0.1, 4.0), (8, 1e-6, 4.0), (16, 0.01, 1.0), (33, 0.3, 4.0), (64, 1e-6, 4.0)]
+
+
 def argmax_case(i):
-    """Seeded inputs: n in [1, 70), delta from 0.98 to 1e-8, values random,
-    tied, coarse (partly tied) or ordered, and a stream entered fresh, mid
-    block, holding a 32-bit half, or past a taken one."""
+    """Seeded inputs on ARGMAX_CASES: values random, tied, coarse (partly tied) or ordered, and a
+    stream entered fresh, mid block, holding a 32-bit half, or past a taken one."""
+    n, delta, c_max = ARGMAX_CASES[i % len(ARGMAX_CASES)]
     g = derived_rng(17, "argmax-case", i)
-    n = int(g.integers(1, 70))
-    delta = float(10 ** -g.uniform(0.01, 8))
-    c_max = float(g.choice([0.5, 1.0, 4.0, 16.0]))
-    values = [g.random(n), np.ones(n), np.round(g.random(n), 1), np.arange(float(n))][i % 4]
+    values = [g.random(n), np.ones(n), np.round(g.random(n), 1), np.arange(float(n))][i // 10 % 4]
     probe_cost = int(g.integers(1, 20))
     entry = [lambda r: None, lambda r: r.random(int(g.integers(1, 7))),
-             lambda r: r.integers(5), lambda r: (r.integers(5), r.integers(5))][i // 4 % 4]
+             lambda r: r.integers(5), lambda r: (r.integers(5), r.integers(5))][i // 40 % 4]
     rng = derived_rng(18, "argmax-case", i)
     entry(rng)
     return values, delta, rng, c_max, probe_cost
 
 
-def test_argmax_equal_to_reference_loop():
-    for i in range(3200):
+def test_argmax_draws_its_law():
+    # the same index, charge and stream left behind as law_argmax, draw for draw; cases in
+    # (n, budget) order, so that each law is built once
+    for i in sorted(range(800), key=lambda i: i % len(ARGMAX_CASES)):
         values, delta, rng, c_max, probe_cost = argmax_case(i)
         ref = np.random.Generator(np.random.Philox())
         ref.bit_generator.state = rng.bit_generator.state
         led, ref_led = QueryLedger(), QueryLedger()
         got = simulate_argmax(values, delta, rng, c_max, ledger=led, probe_cost=probe_cost)
-        want = reference_argmax(values, delta, ref, c_max, ledger=ref_led, probe_cost=probe_cost)
+        want = law_argmax(values, delta, ref, c_max, ledger=ref_led, probe_cost=probe_cost)
         assert (got, led.quantum_oracle_calls) == (want, ref_led.quantum_oracle_calls), i
         assert rng_state(rng) == rng_state(ref), i
 
 
-def test_argmax_tail_hands_a_rejected_draw_back(monkeypatch):
-    # nine tied values: the first draw's half 5 keeps the top item 0 (k = 9:
-    # 5 * 9 >= (2^32 - 9) mod 9 = 4), so nothing is ever marked; halves of 5
-    # give Grover counts of 0 until m_max reaches m_cap = 3 after the seventh
-    # half.  The tail's window opens on 5 and then 0, which Lemire's step
-    # rejects at k = 3 ((2^32 - 3) mod 3 = 1): the tail takes one draw and
-    # hands the rejected one back.
-    g = derived_rng(19, "crafted")
-    st = g.bit_generator.state
-    st["buffer"] = np.array([5 | 5 << 32] * 3 + [5], dtype=np.uint64)
-    st["buffer_pos"], st["has_uint32"], st["uinteger"] = 0, 1, 5
-    g.bit_generator.state = st
-    ref = np.random.Generator(np.random.Philox())
-    ref.bit_generator.state = st
-    tails = []
-    tail = qsim_mod._argmax_tail
-    monkeypatch.setattr(qsim_mod, "_argmax_tail",
-                        lambda *a: tails.append(tail(*a)) or tails[-1])
-    led, ref_led = QueryLedger(), QueryLedger()
-    got = simulate_argmax(np.ones(9), 0.01, g, 4.0, ledger=led)
-    want = reference_argmax(np.ones(9), 0.01, ref, 4.0, ledger=ref_led)
-    assert tails[0] == (9, False) and tails[-1][1]
-    assert (got, led.quantum_oracle_calls, rng_state(g)) == (want, ref_led.quantum_oracle_calls,
-                                                            rng_state(ref))
-
-
-# simulate_argmax on seeded streams, recorded before its draws were replayed
-# from raw words: (n, values, delta, c_max, probe_cost, entered holding a
-# 32-bit half, index, charge, the rng's next integers(2**31), its next random())
+# simulate_argmax on seeded streams, recorded when it was first drawn from its law:
+# (n, values, delta, c_max, probe_cost, entered holding a 32-bit half, index, charge,
+# the rng's next integers(2**31), its next random())
 ARGMAX_PINS = [
     (1, 'random', 0.1, 4.0, 1, False, 0, 0, 78471993, 0.846402601461167),
     (1, 'random', 0.1, 4.0, 1, True, 0, 0, 996800181, 0.7317510316587488),
-    (2, 'random', 0.1, 4.0, 1, False, 0, 18, 666158471, 0.38698809938295453),
-    (2, 'ties', 0.3, 4.0, 1, False, 0, 8, 427622633, 0.8680304302055898),
+    (2, 'random', 0.1, 4.0, 1, False, 0, 18, 1139488192, 0.85187385058006),
+    (2, 'ties', 0.3, 4.0, 1, False, 0, 8, 1439800504, 0.2069827427399995),
     (2, 'random', 0.99, 4.0, 1, False, 1, 0, 715008634, 0.40012498184338086),
-    (2, 'ramp', 0.001, 16.0, 1, True, 1, 225, 2129645038, 0.6746481451928541),
-    (3, 'random', 0.05, 0.5, 1, False, 0, 2, 1714824070, 0.4048531428128962),
-    (3, 'coarse', 0.2, 16.0, 1, True, 2, 63, 1623867231, 0.042389975730824925),
-    (3, 'ties', 0.0001, 4.0, 5, False, 0, 460, 331687042, 0.7922082300217085),
-    (8, 'random', 0.1, 4.0, 1, False, 5, 35, 1239276292, 0.5106366288427951),
-    (8, 'random', 0.01, 16.0, 13, False, 6, 3900, 1177826499, 0.0088313579316176),
-    (8, 'ties', 0.2, 4.0, 1, False, 0, 26, 302062503, 0.259008067567411),
-    (8, 'coarse', 0.05, 0.5, 1, True, 3, 5, 1449469033, 0.8564091138635646),
-    (8, 'ramp', 0.1, 4.0, 1, False, 7, 35, 129334476, 0.0462145596745539),
+    (2, 'ramp', 0.001, 16.0, 1, True, 1, 224, 870241239, 0.4921585335176162),
+    (3, 'random', 0.05, 0.5, 1, False, 2, 3, 1714824070, 0.4048531428128962),
+    (3, 'coarse', 0.2, 16.0, 1, True, 2, 64, 453915139, 0.061249930386730655),
+    (3, 'ties', 0.0001, 4.0, 5, False, 0, 460, 1414217110, 0.6536343619312566),
+    (8, 'random', 0.1, 4.0, 1, False, 5, 36, 600571266, 0.3796643339424689),
+    (8, 'random', 0.01, 16.0, 13, False, 6, 3900, 249783049, 0.38489692603064796),
+    (8, 'ties', 0.2, 4.0, 1, False, 0, 25, 2016544901, 0.7569521462609373),
+    (8, 'coarse', 0.05, 0.5, 1, True, 0, 6, 1901797019, 0.8611102874374775),
+    (8, 'ramp', 0.1, 4.0, 1, False, 7, 37, 1422956393, 0.16363195861388324),
     (8, 'random', 0.9, 0.5, 1, False, 4, 0, 1846491091, 0.07578619559763466),
-    (8, 'random', 1e-06, 4.0, 1, True, 7, 225, 989094905, 0.4363844909246761),
-    (8, 'coarse', 4e-05, 4.0, 2417, False, 4, 398805, 242742507, 0.020815702899291577),
-    (16, 'random', 0.001, 4.0, 1, False, 7, 156, 14195289, 0.2166913795519384),
-    (16, 'ramp', 0.1, 16.0, 1, True, 15, 212, 1071793544, 0.48918028892903187),
-    (16, 'ties', 0.01, 0.5, 7, False, 1, 91, 2002913175, 0.7637986148152978),
-    (16, 'coarse', 0.0001, 4.0, 1, False, 14, 212, 1447434146, 0.09084100444285925),
-    (16, 'random', 0.5, 0.5, 1, True, 7, 2, 1690857644, 0.9286827210578082),
-    (64, 'random', 1e-06, 4.0, 1, False, 35, 633, 37004078, 0.32361102918470386),
-    (64, 'random', 0.1, 16.0, 3, True, 12, 1260, 2011933968, 0.465240584635066),
-    (64, 'ties', 0.05, 4.0, 1, False, 0, 137, 899608398, 0.9224853448520995),
-    (64, 'coarse', 0.01, 0.5, 1, False, 1, 26, 740439002, 0.38806272834224775),
-    (64, 'ramp', 0.001, 4.0, 1, True, 63, 317, 1355837770, 0.5071693440292743),
-    (64, 'coarse', 0.3, 16.0, 1, True, 2, 222, 203666722, 0.1785520045851705),
+    (8, 'random', 1e-06, 4.0, 1, True, 7, 224, 584825333, 0.8237057971539301),
+    (8, 'coarse', 4e-05, 4.0, 2417, False, 4, 398805, 1148721919, 0.6890683379546307),
+    (16, 'random', 0.001, 4.0, 1, False, 7, 159, 623985709, 0.6204595392891159),
+    (16, 'ramp', 0.1, 16.0, 1, True, 15, 209, 330550410, 0.30363124441148603),
+    (16, 'ties', 0.01, 0.5, 7, False, 1, 84, 990986751, 0.14434126720891194),
+    (16, 'coarse', 0.0001, 4.0, 1, False, 14, 211, 363660099, 0.7189223154586857),
+    (16, 'random', 0.5, 0.5, 1, True, 1, 2, 954763954, 0.7873669474394166),
+    (64, 'random', 1e-06, 4.0, 1, False, 35, 633, 1272551886, 0.0918491246394385),
+    (64, 'random', 0.1, 16.0, 3, True, 12, 1272, 654712139, 0.09200225481679969),
+    (64, 'ties', 0.05, 4.0, 1, False, 0, 133, 1501813493, 0.7991788381861469),
+    (64, 'coarse', 0.01, 0.5, 1, False, 38, 26, 1005804666, 0.3442065253740545),
+    (64, 'ramp', 0.001, 4.0, 1, True, 63, 316, 441671718, 0.6962221006922112),
+    (64, 'coarse', 0.3, 16.0, 1, True, 2, 220, 1495237220, 0.976761225396676),
     (64, 'random', 0.999, 0.5, 1, False, 48, 0, 1108300301, 0.3672432397615748),
-    (16, 'coarse', 1e-09, 16.0, 1, True, 0, 1913, 1738083947, 0.6932701823554648),
+    (16, 'coarse', 1e-09, 16.0, 1, True, 0, 1913, 1734455905, 0.15168439613984463),
 ]
 
 

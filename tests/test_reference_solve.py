@@ -3,7 +3,8 @@ algorithm lines (variance-reduced lines 8, 9 and 13, max-finding line 10,
 and the sampled baseline), one stream, one estimate and one ledger charge
 at a time, composed from the per-layer references: ``reference_rng`` (the
 key format), ``reference_estimate`` (the estimator core), ``row_loop_means``
-(the classical sweep) and ``reference_argmax`` (statevector max finding),
+(the classical sweep) and ``law_argmax`` (statevector max finding, one uniform
+inverted on the tests' own dynamic program for its law),
 with the literal mock argmax loop.  Every solve must equal it byte for byte,
 report and snapshot rows, on instances on both sides of the bulk thresholds:
 2*S*A words at BULK_STREAM_WORDS = 128 (Dirichlet S*A of 63, 64 and 65), and
@@ -33,7 +34,7 @@ from qmdp.solvers import (
 )
 from test_estimators import reference_estimate
 from test_oracle import row_loop_means
-from test_qsim import reference_argmax
+from test_qsim import law_argmax
 from test_rng import reference_rng
 from test_solvers import loop_mock_argmax
 
@@ -139,8 +140,8 @@ def reference_mf(mdp, p, cfg, seed):
         phase = f"iter-{l}-argmax"
         if cfg.backend == "statevector":
             a_star = np.array([
-                reference_argmax(q_mem[s], f, reference_rng(seed, "mf", l, s, "argmax"), p.c_max,
-                                 ledger=run.ledger, phase=phase, probe_cost=probe)
+                law_argmax(q_mem[s], f, reference_rng(seed, "mf", l, s, "argmax"), p.c_max,
+                           ledger=run.ledger, phase=phase, probe_cost=probe)
                 for s in range(s_n)], dtype=np.int64)
         else:
             budget = argmax_query_budget(mdp.num_actions, f, p.c_max)

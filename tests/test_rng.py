@@ -2,13 +2,11 @@
 blake2b digest of its (seed, *parts) key, and nothing else; key_digests
 reads a family of streams' keys, spelled out by a tuple of parts, lazily to
 the same digests; bulk_passes computes many streams' first words in one
-pass, uniforms, lemire and first_draws turn them into each stream's first
-draws, and WordReader replays one Generator's random() and integers(k) from
-its raw words."""
+pass, and uniforms, lemire and first_draws turn them into each stream's
+first draws."""
 
 import hashlib
 import itertools
-import json
 import tracemalloc
 from unittest import mock
 
@@ -19,8 +17,6 @@ from hypothesis import strategies as st
 
 import qmdp.rng
 from qmdp.rng import (
-    READ_WORDS,
-    WordReader,
     _philox_words,
     bulk_passes,
     derived_rng,
@@ -483,113 +479,11 @@ def test_reuse_must_be_a_philox_generator(bad):
         derived_rng(0, "call", 0, reuse=reuse)
 
 
-# WordReader: random() and integers(k) replayed from raw words, the Generator
-# left where its own calls would have left it.
-ENTRIES = {
-    "fresh": lambda g: None,
-    "mid-block": lambda g: g.random(3),
-    "held half": lambda g: g.integers(5),
-    "held half, mid-block": lambda g: (g.random(6), g.integers(2**31 + 1)),
-    "taken half": lambda g: (g.integers(5), g.integers(5)),
-}
-# None is random(); the large k reject a quarter and half of their steps
-DRAW_KS = [None, 1, 2, 3, 9, 64, 1000, 2**31 + 1, 3 * 2**30, 2**32 - 1]
+# integers(k) bounds for lemire: the large k reject a quarter and half of their steps
+LEMIRE_KS = [1, 2, 3, 9, 64, 1000, 2**31 + 1, 3 * 2**30, 2**32 - 1]
 
 
-def _script(i, length):
-    rng = np.random.default_rng([7, i])
-    return [DRAW_KS[j] for j in rng.integers(len(DRAW_KS), size=length)]
-
-
-def _any_state(g):
-    return json.dumps(g.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
-
-
-def _generator_draws(g, script):
-    return [g.random() if k is None else int(g.integers(k)) for k in script]
-
-
-def _reader_draws(g, script):
-    draws = WordReader(g)
-    out = [draws.random() if k is None else draws.integers(k) for k in script]
-    draws.close()
-    return out
-
-
-@pytest.mark.parametrize("entry", ENTRIES)
-@pytest.mark.parametrize("make", [lambda i: derived_rng(11, "reader", i),
-                                  lambda i: np.random.Generator(np.random.PCG64(i)),
-                                  lambda i: np.random.Generator(np.random.SFC64(i))])
-def test_word_reader_replays_the_generator(entry, make):
-    # scripts from empty to several blocks long
-    for i, length in enumerate([0, 1, 2, 5, 40, 130, 300, 700]):
-        g, ref = make(i), make(i)
-        ENTRIES[entry](g)
-        ENTRIES[entry](ref)
-        script = _script(i, length)
-        assert _reader_draws(g, script) == _generator_draws(ref, script), (entry, length)
-        assert _any_state(g) == _any_state(ref)
-        assert _generator_draws(g, DRAW_KS) == _generator_draws(ref, DRAW_KS)
-
-
-def _crafted(words, held=None):
-    """A Philox Generator whose next four words are ``words``, holding the
-    32-bit half ``held`` if given."""
-    g = derived_rng(12, "crafted")
-    st = g.bit_generator.state
-    st["buffer"], st["buffer_pos"] = np.array(words, dtype=np.uint64), 0
-    st["has_uint32"], st["uinteger"] = int(held is not None), held or 0
-    g.bit_generator.state = st
-    return g
-
-
-def _word(low, high):
-    return low | high << 32
-
-
-@pytest.mark.parametrize("held", [None, 0])
-def test_word_reader_draws_again_where_lemire_rejects(held):
-    # k = 9: (2^32 - 9) mod 9 = 4, so a half of 0 is rejected (0 * 9 < 4) and
-    # 1 is kept (9 >= 4); k = 3: only 0 is rejected
-    words = [_word(0, 0), _word(0, 1), _word(2**31, 0), _word(5, 6)]
-    script = [9, 3, 9, 3, None]
-    ref = _crafted(words, held)
-    want = _generator_draws(ref, script)
-    g = _crafted(words, held)
-    assert _reader_draws(g, script) == want
-    assert _state(g) == _state(ref)
-
-
-def test_word_reader_refuses_generators_without_held_halves():
-    with pytest.raises(TypeError, match="MT19937 does not hold 32-bit halves"):
-        WordReader(np.random.Generator(np.random.MT19937(0)))
-
-
-@pytest.mark.parametrize("entry", ["fresh", "held half", "taken half", "held half, mid-block"])
-def test_word_reader_halves_are_the_next_32_bit_values(entry):
-    # integers(2**32) takes a 32-bit half as it is: halves() must be the
-    # values it would give, and skip(c) take c of them
-    for c in [0, 1, 2, 3, 17, 2 * READ_WORDS - 1, 2 * READ_WORDS, 2 * READ_WORDS + 1]:
-        g, ref = derived_rng(13, "halves", c), derived_rng(13, "halves", c)
-        ENTRIES[entry](g)
-        ENTRIES[entry](ref)
-        draws = WordReader(g)
-        draws.random()
-        ref.random()
-        taken = 0
-        while taken < c:
-            halves = draws.halves()
-            step = min(c - taken, halves.size)
-            assert halves.dtype == np.uint64
-            assert halves[:step].tolist() == [int(ref.integers(2**32)) for _ in range(step)]
-            draws.skip(step)
-            taken += step
-        assert draws.integers(1000) == ref.integers(1000)
-        draws.close()
-        assert _state(g) == _state(ref), (entry, c)
-
-
-@pytest.mark.parametrize("k", DRAW_KS[1:])
+@pytest.mark.parametrize("k", LEMIRE_KS)
 def test_lemire_is_numpys_step(k):
     # the smallest and largest halves, where rejections lie, and random ones
     edges = np.arange(64, dtype=np.uint64)
