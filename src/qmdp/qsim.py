@@ -4,8 +4,8 @@ Canonical amplitude estimation is simulated by sampling its closed-form measurem
 distribution (phase estimation applied to the Grover operator of the state being
 measured), not by evolving a statevector.  Its CDF F is summed in closed form over cells 0
 to 2^t / 2, and the median of an odd number of runs is one order statistic: a Beta variate
-inverted on the CDF of min(y, 2^t - y), searched in the rows of F that its pass built, once
-for a pass the same as the one before it.  Maximum finding is the threshold-improvement search
+inverted on the CDF of min(y, 2^t - y), searched in rows of F that a pass tabulates only to a
+few cells past the peak, where medians fall.  Maximum finding is the threshold-improvement search
 with exact Grover success probabilities, drawn with one uniform from the exact joint law of the
 rank it returns and the probes it runs, tabulated once per (items, budget).
 
@@ -45,7 +45,8 @@ MAX_ARGMAX_ITEMS = 64  # simulate_argmax's largest n: its law's ring holds 8 x 1
 MAX_ARGMAX_PROBES = 2**24
 _LAW_CUT = 2.0**-64  # mass _argmax_law drops once all of it is below this
 _CHUNK_CELLS = 2**10  # cells of (counts, levels, ranks) an _argmax_law step takes at once
-_WIDE = 192  # cells on either side of the peak at c whose CDF is tabulated
+_WIDE = 192  # cells on either side of the peak at c in an amplitude's run
+_REACH = 9  # cells past floor(c) a pass tabulates first: medians of 31 or more runs fall within it
 _GROUPS = 64  # amplitudes per closed-form pass: its (2, groups, 387) arrays stay under 2^16 cells
 
 
@@ -97,94 +98,92 @@ def _em(k, c, m: int):
     derivative of csc^2 keeps one sign, so |R| is at most the change of the last term.
     k is one cell, an int in scalar math, or an array of cells (c one or one per cell)."""
     h, a1, a3, a5, a7 = _em_coefficients(m)
-
-    def term(x):  # x * x computed once: the same bits as twice
-        return 0.5 + x * (a1 + x * (0.5 + x * (a3 + (x2 := x * x) * (a5 + x2 * a7))))
-
     # k -+ c moved into [-m/2, m/2] by whole periods m (only the last step rounds), and cot
     if isinstance(k, int):  # in scalar math, as the array branch takes them
         y0, y1 = h * ((k - m * round((k - c) / m)) - c), h * ((k - m * round((k + c) / m)) + c)
-        return term(math.cos(y0) / math.sin(y0)) + term(math.cos(y1) / math.sin(y1))
-    c = np.array((c, -c)).reshape(2, -1)  # both kernels in one pass
-    y = h * ((k - m * np.rint((k - c) / m)) - c)
-    s = term(np.cos(y) / np.sin(y))  # sin and cos only: numpy's tan maps 256 KiB more
-    return s[0] + s[1]
+        x, z = math.cos(y0) / math.sin(y0), math.cos(y1) / math.sin(y1)
+    else:
+        c = np.array((c, -c)).reshape(2, -1)  # both kernels in one pass
+        y = h * ((k - m * np.rint((k - c) / m)) - c)
+        x, z = np.cos(y) / np.sin(y)  # sin and cos only: numpy's tan maps 256 KiB more
+    x2, z2 = x * x, z * z  # each square computed once: the same bits as twice
+    return (0.5 + x * (a1 + x * (0.5 + x * (a3 + x2 * (a5 + x2 * a7))))
+            + (0.5 + z * (a1 + z * (0.5 + z * (a3 + z2 * (a5 + z2 * a7))))))
 
 
-@functools.lru_cache(maxsize=1)  # a pass often repeats the one before it: keep_better left v as it was
-def _closed_cdf(c: tuple, m: int, s: tuple):
-    """(f, r0, n, gap, p0) for amplitudes g with c[g] < m/2, s[g]: F(k) = sum_{j<=k} p_j, p_j =
-    s^2 / (2 m^2) csc2(j), at f[g, :n[g]] over the run r0[g]..r1 of cells within _WIDE of the peak at c,
-    up to m/2 - 1; below r0 F rises from 0 at -1, and past r1 to 1.0 at m/2, as G(j) = 2F(j) - F(0),
-    the CDF of min(k, m - k), is 1 there.  gap(k, g) = F(k) of amplitude g[i] at cell k[i] off the run,
-    _WIDE or more from every pole, by one Euler-Maclaurin run from -1 up to r0 and from r1 past it;
-    p0[g] = F(0).  Row g of one (amplitudes, cells) array sums its run.  One build per distinct pass:
-    a call with the last call's (c, m, s) returns that build, whose arrays are read-only."""
-    h, scale = math.pi / m, [0.5 * (x / m) ** 2 for x in s]
-    r0 = [max(math.floor(x) - _WIDE, 0) for x in c]
-    r1 = [min(math.floor(x) + _WIDE + 1, m // 2 - 1) for x in c]
-    n = [b - a + 1 for a, b in zip(r0, r1)]  # cells in each run
-    em_left = [_em(-1, x, m) if a > 0 else 0.0 for x, a in zip(c, r0)]  # the left gap [0, r0 - 1] from -1
-    k = np.arange(-1.0, max(n)) + np.array(r0, dtype=float)[:, None]
-    k[:, 0], c_ = 0.0, np.array(([-x for x in c], c))[:, :, None]  # cell 0, then the run; past it unread
+def _closed_cdf(m: int, c, scale, r0, em_r0, n):
+    """(f, p0): F(k) = sum_{j<=k} p_j, p_j = scale[g] csc2(j), of amplitude g (c[g] <= m/2) at
+    f[g, k - r0[g]] for its n[g] cells from r0[g], up to m/2 - 1, the mass em_r0[g] of cells
+    0..r0[g] - 1 added at r0[g]; p0[g] = F(0).  A cell takes the same steps in any row, and F is one
+    cumsum from r0: a row is, bit for bit, the start of any longer one, and is not read past n[g]."""
+    col = np.array((r0, scale, em_r0))[:, :, None]  # one column per amplitude
+    k = np.arange(-1.0, max(n)) + col[0]
+    k[:, 0], c_ = 0.0, np.array(([-x for x in c], c))[:, :, None]  # cell 0, then the cells from r0
     # both kernels folded as _em folds them: on cells 0..m/2, k - c needs no shift, and k + c
     # is taken m back where it passes m/2 (rint's half rounds to 0), as (k - m) + c
     y = k + c_
-    if max(map(sum, zip(r1, c))) > m / 2:
+    if max(r0) + max(n) + max(c) > m / 2 + 1:  # some row's k + c may pass m/2
         np.add(k - m, c_[1], out=y[1], where=y[1] > m / 2)
-    y *= h
+    y *= math.pi / m
     csc2 = np.divide(1.0, np.square(np.sin(y, out=y), out=y), out=y)
-    p = np.multiply(np.array(scale)[:, None], np.add(csc2[0], csc2[1], out=csc2[0]), out=csc2[0])
-    p[:, 1] += [sc * (_em(a - 1, x, m) - e) if a > 0 else 0.0 for x, a, sc, e in zip(c, r0, scale, em_left)]
-    f, p0 = p[:, 1:].cumsum(axis=1), p[:, 0].copy()
-
-    def gap(k, g):
-        r0_g, c_g, sc_g, left_g, f_r1 = np.array(
-            (r0, c, scale, em_left, f[range(len(c)), np.subtract(n, 1)]))[:, g]
-        mid = k > r0_g  # right of the run, where r1 lies _WIDE from every pole
-        em_r1 = np.array([_em(b, x, m) for x, b in zip(c, r1)])[g] if mid.any() else 0.0
-        return np.where(mid, f_r1, 0.0) + sc_g * (_em(k, c_g, m) - np.where(mid, em_r1, left_g))
-
-    out = f, np.array(r0), np.array(n), gap, p0
-    for x in out[:3] + out[4:]:  # the arrays, which a repeated pass reads again
-        x.flags.writeable = False
-    return out
+    p = np.multiply(col[1], np.add(csc2[0], csc2[1], out=csc2[0]), out=csc2[0])
+    p[:, 1] += col[2, :, 0]
+    return p[:, 1:].cumsum(axis=1), p[:, 0]
 
 
 def _closed_form_draws(omega: list, t: int, w: np.ndarray, size: list) -> np.ndarray:
     """j = min(k, m - k) for each amplitude g at its next size[g] variates w: G's inverse at w, the cell
-    j <= m/2 with F(j - 1) <= u < F(j) at u = (w + F(0)) / 2, searched in the rows of F, the outcome CDF
-    at omega[g] (m = 2^t, c = m omega, s = |sin(pi c)|), that _closed_cdf built, with F(-1) = 0 and
-    F(m/2) = 1.0 implied; up to _GROUPS amplitudes a pass.  An amplitude F does not fit draws round(c)."""
+    j <= m/2 with F(j - 1) <= u < F(j) at u = (w + F(0)) / 2, F the outcome CDF at omega[g] (m = 2^t,
+    c = m omega, s = |sin(pi c)|), F(-1) = 0 and F(m/2) = 1.0; up to _GROUPS amplitudes a pass.  F is
+    tabulated (_closed_cdf) from r0 = floor(c) - _WIDE to floor(c) + _REACH, and on to the end of its run
+    r1 = floor(c) + _WIDE + 1 (r0, r1 in 0..m/2 - 1) for a u at or past that.  Off the run, u is placed
+    by 128-section on Euler-Maclaurin sums from -1 or r1.  An amplitude F does not fit draws round(c)."""
     m, ends, g = 1 << t, list(accumulate(size, initial=0)), _GROUPS
     if len(size) > g:  # a pass's arrays grow with its amplitudes
         return np.concatenate((_closed_form_draws(omega[:g], t, w[:ends[g]], size[:g]),
                                _closed_form_draws(omega[g:], t, w[ends[g]:], size[g:])))
-    c = [m * x for x in omega]  # exact: m is a power of two
-    s = [math.sin(math.pi * min(x % 1.0, 1.0 - x % 1.0)) for x in c]
-    # F has a pole at a cell when s = 0 (a = 1), and near an integer c, j - c loses its digits:
-    # such amplitudes are passed at c = 1/2 and drawn from their point masses
-    fit, j0 = [x >= m * 2.0**-43 for x in s], [round(x) for x in c]
-    c, s = [x if y else 0.5 for x, y in zip(c, fit)], [x if y else 1.0 for x, y in zip(s, fit)]
-    f_run, r0, n_run, gap, p0 = _closed_cdf(tuple(c), m, tuple(s))
+    runs = []
+    for c in omega:
+        c *= m  # exact: m is a power of two
+        s, j0 = math.sin(math.pi * min(c % 1.0, 1.0 - c % 1.0)), round(c)
+        # F has a pole at a cell when s = 0 (a = 1), and near an integer c, j - c loses its digits:
+        # such amplitudes are passed at c = 1/2 and drawn from their point masses
+        c, s = (c, s) if (fit := s >= m * 2.0**-43) else (0.5, 1.0)
+        peak, scale = math.floor(c), 0.5 * (s / m) ** 2
+        r0, r1 = max(peak - _WIDE, 0), min(peak + _WIDE + 1, m // 2 - 1)
+        left = _em(-1, c, m) if r0 else 0.0  # S(-1), from which cells 0..r0 - 1 are summed
+        runs.append((c, scale, r0, scale * (_em(r0 - 1, c, m) - left) if r0 else 0.0,
+                     min(peak + _REACH, r1) - r0 + 1, r1 - r0 + 1, left, fit, j0))
+    c, scale, r0, em_r0, n, n_run, left, fit, j0 = zip(*runs)  # n: cells in each row, n_run in the run
+    f, p0 = _closed_cdf(m, c, scale, r0, em_r0, n)
     u = np.minimum((w + p0.repeat(size)) / 2, 1.0 - 2.0**-53)  # < 1.0 even where w and F(0) round to 1.0
-    i = np.concatenate([f_run[g, :b].searchsorted(u[e:e_], side="right")
-                        for g, (b, e, e_) in enumerate(zip(n_run.tolist(), ends, ends[1:]))])
-    hi, n_u = r0.repeat(size) + i, n_run.repeat(size)  # in the run, hi = r0 + i and lo = hi - 1
-    lo, hi[i == n_u] = hi - 1, m // 2  # i = n: u >= F(r1), so (lo, hi) = (r1, m/2)
-    lo[i == 0] = -1  # i = 0: u < F(r0), so (lo, hi) = (-1, r0)
-    if (open_ := (hi - lo > 1).nonzero()[0]).size:  # a u in a gap reads F at its ends
-        rows = np.arange(len(s)).repeat(size)
-        f_lo, f_hi = np.where(i == 0, 0.0, f_run[rows, n_u - 1]), np.where(i == 0, f_run[rows, 0], 1.0)
-    while open_.size:  # 128-section in the gaps, down to one cell
-        lo_o, hi_o = lo[open_, None], hi[open_, None]
-        k = lo_o + (hi_o - lo_o) * np.arange(129) // 128
-        f = np.where(k == lo_o, f_lo[open_, None], f_hi[open_, None])
-        inner = (k > lo_o) & (k < hi_o)
-        f[inner] = gap(k[inner], rows[open_[inner.nonzero()[0]]])
-        n, row = (f > u[open_, None]).argmax(axis=1), np.arange(open_.size)  # the first point above u
-        lo[open_], f_lo[open_], hi[open_], f_hi[open_] = k[row, n - 1], f[row, n - 1], k[row, n], f[row, n]
-        open_ = (hi - lo > 1).nonzero()[0]
+    while True:  # twice at most; i: the count of F <= u in a row of n cells (1 for a point mass)
+        i = np.concatenate([f[g, :x].searchsorted(u[e:e_], side="right") if fit[g] else np.ones(e_ - e, int)
+                            for g, (x, e, e_) in enumerate(zip(n, ends, ends[1:]))])
+        hi, n_u = np.array((r0, n)).repeat(size, axis=1)
+        hi += i  # in the row, hi = r0 + i and lo = hi - 1
+        if inside := (i % n_u).all():
+            break
+        rows = np.arange(len(c)).repeat(size)
+        if not (past := {g for g in rows[i == n_u].tolist() if n[g] < n_run[g]}):
+            break  # i = 0: u < F(r0), so (lo, hi) = (-1, r0); i = n: u >= F(r1), so (r1, m/2)
+        n = [b if g in past else x for g, (x, b) in enumerate(zip(n, n_run))]  # u past a row: its run
+        f = _closed_cdf(m, c, scale, r0, em_r0, n)[0]
+    if not inside:  # F in a gap from a run's end: F(-1) = 0 and S(-1) left of it, F(r1) and S(r1) right
+        lo, hi[i == n_u] = np.where(i == 0, -1, hi - 1), m // 2
+        c_u, scale_u, f_end, em_end = np.array((c, scale, f[range(len(c)), np.subtract(n, 1)],
+                                                left))[:, rows]
+        f_end[i == 0] = 0.0
+        if (right := (i > 0) & (hi - lo > 1)).any():  # at lo = r1, _WIDE or more from every pole
+            em_end[right] = _em(lo[right], c_u[right], m)
+        while (open_ := (hi - lo > 1).nonzero()[0]).size:  # 128-section to one cell: F(lo) <= u < F(hi)
+            lo_o, hi_o = lo[open_, None], hi[open_, None]
+            k = lo_o + (hi_o - lo_o) * np.arange(129) // 128
+            above, inner = k >= hi_o, (k > lo_o) & (k < hi_o)
+            x = open_[inner.nonzero()[0]]  # the u of each inner point
+            above[inner] = f_end[x] + scale_u[x] * (_em(k[inner], c_u[x], m) - em_end[x]) > u[x]
+            j, row = above.argmax(axis=1), np.arange(open_.size)  # the first point above u
+            lo[open_], hi[open_] = k[row, j - 1], k[row, j]
     return hi if all(fit) else np.where(np.repeat(fit, size), hi, np.repeat(j0, size))  # point masses
 
 
@@ -199,9 +198,9 @@ def _estimate_draws(a: np.ndarray, t: int, w: np.ndarray) -> np.ndarray:
     est = np.zeros(a.size)
     if groups:
         rows = np.array([i for r in groups.values() for i in r])  # the variates amplitude by amplitude
-        omega = [math.asin(math.sqrt(x)) / math.pi for x in groups]
-        y = _closed_form_draws(omega, t, w[rows], [len(r) for r in groups.values()])
-        est[rows] = np.sin(np.pi * y / (1 << t)) ** 2
+        y = _closed_form_draws([math.asin(math.sqrt(x)) / math.pi for x in groups], t, w[rows],
+                               [len(r) for r in groups.values()])
+        est[rows] = np.square(np.sin(y * (np.pi / (1 << t))))  # (pi y) / 2^t, as pi / 2^t is exact
     return est
 
 

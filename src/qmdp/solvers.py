@@ -45,7 +45,7 @@ from .mdp import Mdp, expected_next_value, greedy, successor_variance
 from .oracle import QueryLedger, SampleOracle
 from .qsim import (DEFAULT_C_MAX, MAX_ARGMAX_ITEMS, MAX_ARGMAX_PROBES, argmax_query_budget,
                    simulate_argmax)
-from .rng import bulk_passes, first_draws, key_digests
+from .rng import bulk_passes, first_draws, key_digests, uniforms
 
 __all__ = [
     "VarianceReducedParams",
@@ -123,6 +123,30 @@ def _mock_argmax_draws(oracle: SampleOracle, keys: tuple, s_n: int, a_n: int):
         u, wrong = first_draws(words, max(a_n - 1, 1),
                                lambda i: oracle.keyed_rng(digests[16 * i:16 * i + 16]))
         yield from zip(u.reshape(-1, s_n), wrong.reshape(-1, s_n))
+
+
+class _FirstUniform(NamedTuple):
+    """A statevector argmax stream, which ``simulate_argmax`` draws on once: ``random()`` is its
+    first uniform, read in bulk, and ``integers(n)`` (a budget under one probe) is numpy's own,
+    drawn on the stream re-keyed on the oracle from its digest."""
+
+    u: float
+    digest: bytes
+    oracle: SampleOracle
+
+    def random(self) -> float:
+        return self.u
+
+    def integers(self, n: int) -> int:
+        return self.oracle.keyed_rng(self.digest).integers(n)
+
+
+def _argmax_streams(oracle: SampleOracle, keys: tuple, s_n: int):
+    """Yield the streams of ``keys`` (seed, label, sweeps, range(S), "argmax") in order, as
+    ``_FirstUniform``s: whole sweeps' first words per ``rng.bulk_passes`` pass."""
+    for digests, words in bulk_passes(keys, 1, group=s_n):
+        for i, u in enumerate(uniforms(words[:, 0]).tolist()):
+            yield _FirstUniform(u, digests[16 * i:16 * i + 16], oracle)
 
 
 class Line(NamedTuple):
@@ -520,14 +544,14 @@ def max_finding_vi(oracle: SampleOracle, plan: Plan, diagnostics: bool = False) 
     mean, probe_cost = plan.lines["line10", 1], plan.lines["argmax", 1].probe
     q_mem = np.zeros((s_n, a_n))  # memoized estimated Q row per state
     argmax_keys = (oracle.seed, "mf", range(1, p.iters + 1), range(s_n), "argmax")
-    argmax_streams = it.keyed(argmax_keys)  # statevector; both are read lazily
+    argmax_streams = _argmax_streams(oracle, argmax_keys, s_n)  # statevector; both are read lazily
     argmax_draws = _mock_argmax_draws(oracle, argmax_keys, s_n, a_n)  # contract mock
     line10 = it.streams((oracle.seed, "mf", range(1, p.iters + 1), "line10"), mean.f)
 
     for l in range(1, p.iters + 1):
         phase_max = _phase("iter", l, "argmax")
         if use_statevector_argmax:
-            # simulate_argmax draws on each state's own stream
+            # simulate_argmax draws once on each state's own stream
             a_star = np.array([
                 simulate_argmax(q_mem[s], p.est_failure_prob, next(argmax_streams), p.c_max,
                                 ledger=oracle.ledger, phase=phase_max, probe_cost=probe_cost)

@@ -47,7 +47,7 @@ LINES = list(_max_finding_lines())
 
 
 def test_every_pinned_max_finding_line_is_certified():
-    assert len(LINES) == 8  # four golden schedules and four SOLVE_PINS ones
+    assert len(LINES) == 9  # five golden schedules and four SOLVE_PINS ones
     for name, n, f, c_max in LINES:
         assert argmax_miss(n, f, c_max) <= f, name
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import qmdp.estimators as est_mod
+import qmdp.qsim as qsim_mod
 import qmdp.rng
 from qmdp.errors import PreconditionError
 from qmdp.estimators import (
@@ -20,9 +21,9 @@ from qmdp.estimators import (
 )
 from qmdp.mdp import Mdp
 from qmdp.oracle import SampleOracle
-from qmdp.qsim import median_amplitude_estimates
 from qmdp.rng import derived_rng
 from qmdp.solvers import Line
+from test_qsim import reference_pass
 
 CFG = EstimatorConfig()
 
@@ -172,14 +173,30 @@ class TestStatevectorBackend:
         assert EstimatorConfig(phase_bits=bits).phase_bits == bits
 
 
+def reference_median_estimates(a, t, reps, rng):
+    """The median of reps t-bit runs for each amplitude of a as its own draws, free of the pass
+    under test: one rng.beta(h, h, n) variate an entry, h = (reps + 1) / 2, each distinct
+    non-zero amplitude's inverted through test_qsim.reference_pass, and amplitude 0 at cell 0."""
+    a, h = np.ravel(a), (reps + 1) // 2
+    w, j = rng.beta(h, h, a.size), np.zeros(a.size, dtype=np.int64)
+    values = [x for x in dict.fromkeys(a.tolist()) if x != 0.0]  # -0.0 joins 0.0
+    if values:
+        rows = [np.flatnonzero(a == x) for x in values]
+        order = np.concatenate(rows)
+        j[order] = reference_pass([math.asin(math.sqrt(x)) / math.pi for x in values], t, w[order],
+                                  [r.size for r in rows])
+    return np.sin(np.pi * j / (1 << t)) ** 2
+
+
 def reference_estimate(mu, upper, eps, delta, cfg, rng, forced=False, sigma=None):
     """The estimator core as it drew before the unread planted-failure draws
-    were skipped, kept verbatim: every draw it returns is pinned to it."""
+    were skipped, kept verbatim but for its statevector medians, drawn by
+    reference_median_estimates: every draw it returns is pinned to it."""
     if sigma is None and cfg.backend == est_mod.BACKEND_STATEVECTOR:
         t = statevector_phase_bits(float(np.min(eps)) / upper, cfg)
         reps = amplification_reps(delta)
         a = np.clip(mu / upper, 0.0, 1.0)
-        est = upper * median_amplitude_estimates(a, t, reps, rng).reshape(a.shape)
+        est = upper * reference_median_estimates(a, t, reps, rng).reshape(a.shape)
         return est, np.full(est.shape, forced), ((1 << t) - 1) * reps * est.size
     if sigma is not None and (np.any(eps <= 0.0) or np.any(eps >= 4.0 * sigma)):
         raise PreconditionError("variance-bounded estimator needs eps in (0, 4*sigma) per row")
@@ -274,6 +291,41 @@ class TestSameDraws:
         ref.random((2, 8))
         ref.uniform(-1.0, 1.0, (2, 8))
         np.testing.assert_array_equal(rng.random(4), ref.random(4))
+
+
+class TestStatevectorRareBranches:
+    """Single runs (reps = 1, so each w is uniform) through ``_estimate`` reach the pass's rare
+    branches, which the solvers' medians of 31 or more runs almost never read: a u in the left
+    gap and in the right gap (the 128-section), a cell past the row a pass builds first (the
+    whole-run rebuild), and amplitudes drawn from their point masses.  Every draw equals
+    test_qsim.reference_pass's."""
+
+    @pytest.mark.parametrize("t", [13, 18])
+    def test_single_runs_reach_every_branch(self, t, monkeypatch):
+        m, wide, reach, upper = 1 << t, qsim_mod._WIDE, qsim_mod._REACH, 2.0
+        builds, real = [], qsim_mod._closed_cdf
+        monkeypatch.setattr(qsim_mod, "_closed_cdf",
+                            lambda m, c, *rest: builds.append(list(rest[-1])) or real(m, c, *rest))
+        # 14 peaks c = k + 1/2 (s = 1, the most mass in the gaps) more than _WIDE cells from both
+        # ends of 0..m/2, and a = 0.5 (its float omega is 1/4 + 2^-54) and a = 1, point masses
+        c = np.floor(derived_rng(37, "rare", t).uniform(wide + 1, m / 2 - wide - 2, 14)) + 0.5
+        a = np.concatenate((np.sin(np.pi * c / m) ** 2, [0.5, 1.0]))
+        mu = upper * a.repeat(2048).reshape(16, 2048)
+        line = Line(mu.size, upper, 0.01, 0.1, (1 << t) - 1, t, 1)
+        est, failed, charge = est_mod._estimate(mu, line, EstimatorConfig(backend="statevector"),
+                                                derived_rng(38, "rare", t))
+        want = upper * reference_median_estimates(mu / upper, t, 1, derived_rng(38, "rare", t))
+        assert est.tobytes() == want.reshape(mu.shape).tobytes()
+        assert not failed.any() and charge == mu.size * line.charge
+        # each draw's cell j against its peak's run floor(c) - _WIDE..floor(c) + _WIDE + 1
+        j = np.rint(np.arcsin(np.sqrt(est / upper)) * m / np.pi).astype(int)
+        peak = np.array([math.floor(m * (math.asin(math.sqrt(x)) / math.pi)) for x in a[:14]])[:, None]
+        left, right = (j[:14] < peak - wide).sum(), (j[:14] > peak + wide + 1).sum()
+        past = ((j[:14] > peak + reach) & (j[:14] <= peak + wide + 1)).sum()
+        assert min(left, right, past) > 0, (left, right, past)
+        assert (j[14] == m // 4).all() and (j[15] == m // 2).all()
+        assert builds[0] == [wide + reach + 1] * 14 + [reach + 1] * 2  # a = 1/2 is passed at c = 1/2
+        assert builds[1:] == [[2 * wide + 2] * 14 + [reach + 1] * 2]  # every peak read past its row
 
 
 class TestMockRows:

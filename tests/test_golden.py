@@ -104,6 +104,15 @@ GOLDEN = (
     ("hard-sampled-quantum-mean", HARD,
      {"name": "sampled", "mode": "quantum_mean", "eps": 0.5, "delta": 0.1}, None, 15,
      "f334cc8479bf8928da0aafb92fcfb6ee44577780f7b14da3137c62ecae247e9b"),
+    # statevector passes of 16 amplitudes (eight tiled copies, S = 16) at t = 13 and 9, and
+    # passes at t = 18 (gamma = 0.99)
+    ("tiled-statevector-variance-reduced",
+     {"hard_instance": dict(HARD["hard_instance"], eps=1.0, copies=8)},
+     {"name": "variance-reduced", "eps": 1.0, "delta": 0.1}, {"backend": "statevector"}, 34,
+     "2f9ee871cdce65f9db948fe78ab385c6ce90626da2c06a4070af6b0b532cb969"),
+    ("gamma99-statevector-max-finding", {"hard_instance": dict(HARD["hard_instance"], gamma=0.99)},
+     {"name": "max-finding", "eps": 0.5, "delta": 0.1}, {"backend": "statevector"}, 35,
+     "9986193e8710041d19c1ed57afecf1acb76208f2e8729bdc4c707eefa1848ac7"),
 )
 
 # name -> (sha256 of the report without timestamp, sha256 of the snapshots
@@ -148,6 +157,12 @@ DIAGNOSTICS = {
     "hard-sampled-quantum-mean": (
         "6f83aead0ed4c70e94047474267e0f9f5e5ee6d400def431141aee97fcb9f284",
         "b6cecc530dde28df33400b5bbd4ded4b764e7a201c8b98c1f1b8bca8c79a3129"),
+    "tiled-statevector-variance-reduced": (
+        "1ee0ad53587d742fdfd36d3bc85f214b74d8819bf64aab58501e2328ce3842d2",
+        "d80a57fa8f9ad7dd2b9768cfe2d99a1f38541c0fcfd7c36e49709fe915defd4e"),
+    "gamma99-statevector-max-finding": (
+        "2a7aa8e80596ca8541ce661319c2fea1e6be6e7c255d41c097ccf7134c3dde2c",
+        "93500ad6c0ca5bfec8817131395955244472aef7b1796b4afa531f6542a6d456"),
 }
 
 

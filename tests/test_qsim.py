@@ -278,17 +278,39 @@ class TestZeroAmplitudeWithoutGrid:
         assert est.tobytes() == np.zeros(3).tobytes()
 
 
+def run_args(c, m, s):
+    """(scale, r0, r1, em_r0) of peaks c with sines s, as a pass hands them to _closed_cdf: each run
+    r0..r1 within _WIDE of the peak and below m/2, and the mass of cells 0..r0 - 1 added at r0."""
+    wide, em = qsim_mod._WIDE, qsim_mod._em
+    scale = [0.5 * (x / m) ** 2 for x in s]
+    r0 = [max(math.floor(x) - wide, 0) for x in c]
+    r1 = [min(math.floor(x) + wide + 1, m // 2 - 1) for x in c]
+    em_r0 = [sc * (em(a - 1, x, m) - em(-1, x, m)) if a > 0 else 0.0 for x, a, sc in zip(c, r0, scale)]
+    return scale, r0, r1, em_r0
+
+
+def closed_rows(c, m, s, last=None):
+    """(f, r0, n, p0): the rows _closed_cdf builds for peaks c with sines s, row g over the n[g] cells
+    r0[g]..last[g] (its whole run to r1 when last is None), and F(0) of each."""
+    scale, r0, r1, em_r0 = run_args(c, m, s)
+    n = [b - a + 1 for a, b in zip(r0, r1 if last is None else last)]
+    f, p0 = qsim_mod._closed_cdf(m, c, scale, r0, em_r0, n)
+    return f, r0, n, p0
+
+
 def closed_form_f(a, t, k):
-    """(F(k), c, s, F(0)): F at cells k in 0..m/2 as the closed-form draws read it (1.0 at m/2)."""
+    """(F(k), c, s, F(0)): F at cells k in 0..m/2 as the closed-form draws read it (1.0 at m/2): the
+    rows of _closed_cdf in the run, and the reference's Euler-Maclaurin sums in its gaps."""
     m = 1 << t
     c = m * math.asin(math.sqrt(a)) / math.pi
     frac = c - math.floor(c)
     s = math.sin(math.pi * min(frac, 1.0 - frac))
-    f_run, (r0,), (n,), gap, p0 = qsim_mod._closed_cdf((c,), m, (s,))
+    f_run, (r0,), (n,), p0 = closed_rows([c], m, [s])
     k = np.atleast_1d(k)
     run, top = (k >= r0) & (k < r0 + n), k == m // 2  # in the run, at m/2, else in a gap
     f = np.where(top, 1.0, f_run[0, np.clip(k - r0, 0, n - 1)])
-    f[~run & ~top] = gap(k[~run & ~top], 0)
+    if (gap := ~run & ~top).any():
+        f[gap] = reference_cdf([c], m, [s])[3](k[gap], 0)
     return f, c, s, p0[0]
 
 
@@ -485,7 +507,7 @@ class TestClosedFormDraws:
         peaks = (0.5, 0.3, 57.61, m / 3 + 0.29, m / 2 - 100.37, m / 2 - 0.7, m / 2 - 2.5)
         c = [x for x in peaks if 0 < x <= m / 2]
         s = [math.sin(math.pi * min(x % 1.0, 1.0 - x % 1.0)) for x in c]
-        f_run, r0, n, _, p0 = qsim_mod._closed_cdf(tuple(c), m, tuple(s))
+        f_run, r0, n, p0 = closed_rows(c, m, s)
         assert f_run.shape == (len(c), max(n)) and len(r0) == len(n) == p0.size == len(c)
         for g, x in enumerate(c):
             f = f_run[g, :n[g]]
@@ -496,12 +518,13 @@ class TestClosedFormDraws:
 
     @pytest.mark.parametrize("t", [10, 13, 16, 24])
     def test_gap_meets_the_run_at_both_ends(self, t):
-        # gap reads F from -1 up to r0 and from r1 on: at r0 it is the tabulated F to within
-        # the round-off of both sums, and at r1 the tabulated F itself
+        # F in a gap is summed from -1 up to r0 and from r1 on: at r0 it is the tabulated F to
+        # within the round-off of both sums, and at r1 the tabulated F itself
         m = 1 << t
         for c in (m / 3 + 0.29, m / 2 - 300.37, 400.5):
             s = math.sin(math.pi * min(c % 1.0, 1.0 - c % 1.0))
-            f_run, (r0,), (n,), gap, _ = qsim_mod._closed_cdf((c,), m, (s,))
+            f_run, (r0,), (n,), _ = closed_rows([c], m, [s])
+            gap = reference_cdf([c], m, [s])[3]
             assert r0 > 0 and abs(gap(np.array([r0]), 0)[0] - f_run[0, 0]) <= 4e-15, c
             assert gap(np.array([r0 + n - 1]), 0)[0] == f_run[0, n - 1], c
 
@@ -588,7 +611,7 @@ class TestClosedFormAccuracy:
                 if t <= 10:
                     cells = np.arange(m // 2)
                 else:
-                    _, (r0,), (n,), _, _ = qsim_mod._closed_cdf((m * omega,), m, (closed_form_f(a, t, 0)[2],))
+                    _, (r0,), (n,), _ = closed_rows([m * omega], m, [closed_form_f(a, t, 0)[2]])
                     cells = np.concatenate((np.arange(r0, r0 + n), gap_cells(a, t)))
                 f, _, _, p0 = closed_form_f(a, t, cells)
                 g = 2.0 * f - p0
@@ -668,7 +691,8 @@ class TestBatchedPass:
     @pytest.mark.parametrize("n", [1, 2, 7, 64, 130])
     def test_one_table_build_per_pass(self, t, n, monkeypatch):
         builds, real = [], qsim_mod._closed_cdf
-        monkeypatch.setattr(qsim_mod, "_closed_cdf", lambda c, m, s: builds.append(len(c)) or real(c, m, s))
+        monkeypatch.setattr(qsim_mod, "_closed_cdf",
+                            lambda m, c, *rest: builds.append(len(c)) or real(m, c, *rest))
         a = np.repeat((np.arange(n) + 0.5) / n, 2)
         median_amplitude_estimates(a, t, 5, derived_rng(60, "builds", t, n))
         assert builds == [min(n - g, qsim_mod._GROUPS) for g in range(0, n, qsim_mod._GROUPS)]
@@ -706,7 +730,9 @@ class TestBatchedPass:
 class TestPassEqualsReference:
     """A pass searches F in the rows _closed_cdf built, F(-1) = 0 and F(m/2) = 1.0 implied at the
     ends, with both kernels folded in order and no division: draw for draw, and its F rows bit
-    for bit, the pass that searched one concatenated table (reference_pass)."""
+    for bit, the pass that searched one concatenated table (reference_pass).  A row built to any
+    last cell, the first rows of a pass to floor(c) + _REACH among them, is the start of the whole
+    run's row, bit for bit."""
 
     @staticmethod
     def peak(kind, m, rng):
@@ -732,12 +758,20 @@ class TestPassEqualsReference:
                 group = omega[lo:lo + qsim_mod._GROUPS]
                 c, s, fit = pass_args(group, t)
                 table, f_table, start, gap, p0 = reference_cdf(c, m, s)
-                f_run, r0, n_run, _, p0_run = qsim_mod._closed_cdf(tuple(c), m, tuple(s))
-                assert p0_run.tobytes() == p0.tobytes()
+                f_run, r0, n_run, p0_run = closed_rows(c, m, s)
+                # and the rows a pass builds first, to floor(c) + _REACH, and rows to random ends
+                last = [min(math.floor(x) + qsim_mod._REACH, a + n - 1) for x, a, n in zip(c, r0, n_run)]
+                f_pre, _, n_pre, p0_pre = closed_rows(c, m, s, last)
+                ends = np.random.default_rng([seed, lo])  # its own stream: w is drawn from rng
+                last = [int(ends.integers(a, a + n)) for a, n in zip(r0, n_run)]
+                f_any, _, n_any, _ = closed_rows(c, m, s, last)
+                assert p0_run.tobytes() == p0.tobytes() == p0_pre.tobytes()
                 for g, x in enumerate(c):
                     cells, f = table[start[g]:start[g + 1]], f_table[start[g]:start[g + 1]]
                     assert (r0[g], n_run[g]) == (cells[1], cells.size - 2)
                     assert f_run[g, :n_run[g]].tobytes() == f[1:-1].tobytes()
+                    assert f_pre[g, :n_pre[g]].tobytes() == f[1:1 + n_pre[g]].tobytes()
+                    assert f_any[g, :n_any[g]].tobytes() == f[1:1 + n_any[g]].tobytes()
                     edges = [0.0, 1.0 - 2.0**-53, 1.0, rng.random()]
                     if fit[g]:  # w on G = 2F - F(0) and one ulp either side at the run's ends and in its gaps
                         k = {r0[g] - 1, r0[g], math.floor(x), math.floor(x) + 1, cells[-2], cells[-2] + 1,
@@ -773,69 +807,73 @@ class TestPassEqualsReference:
                 c = m / 2 - k + ulps * math.ulp(m / 2 - k)
                 ties += k + c == m / 2
                 s = abs(math.sin(math.pi * c))
-                f_run, (r0,), (n,), _, p0 = qsim_mod._closed_cdf((c,), m, (s,))
+                f_run, (r0,), (n,), p0 = closed_rows([c], m, [s])
                 table, f_table, _, _, p0_ref = reference_cdf([c], m, [s])
                 assert f_run[0, :n].tobytes() == f_table[1:-1].tobytes() and p0.tobytes() == p0_ref.tobytes()
         assert ties, t
 
 
-class TestPassMemo:
-    """_closed_cdf keeps the one pass it built last: a repeat takes its table, any other pass
-    builds its own, and nothing it keeps can be written to."""
+class TestPrefixBuild:
+    """A pass tabulates each amplitude's F from r0 to floor(c) + _REACH, where medians of the
+    solvers' reps fall, builds the whole run r0..r1 of an amplitude only for a u at or past that
+    last F, and keeps nothing once it returns."""
 
-    C, T = (0.3, 700.61), 11  # F(0) = 0.74 at c = 0.3: a changed F(0) moves the draws
+    @staticmethod
+    def spy(monkeypatch):
+        """The cells of each row of each table the passes build, in build order."""
+        builds, real = [], qsim_mod._closed_cdf
 
-    def key(self, c=C, t=T):
-        return c, 1 << t, tuple(math.sin(math.pi * min(x % 1.0, 1.0 - x % 1.0)) for x in c)
+        def spy(m, c, scale, r0, em_r0, n):
+            builds.append(list(n))
+            return real(m, c, scale, r0, em_r0, n)
 
-    def test_same_pass_twice_builds_one_table(self):
-        omega, w, size = [x / (1 << self.T) for x in self.C], derived_rng(71, "memo").random(12), [7, 5]
-        qsim_mod._closed_cdf.cache_clear()
-        first = qsim_mod._closed_form_draws(omega, self.T, w, size)
-        again = qsim_mod._closed_form_draws(omega, self.T, w, size)
-        info = qsim_mod._closed_cdf.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-        assert first.tobytes() == again.tobytes() == reference_pass(omega, self.T, w, size).tobytes()
+        monkeypatch.setattr(qsim_mod, "_closed_cdf", spy)
+        return builds
 
-    @pytest.mark.parametrize("change", ["t", "c", "s"])
-    def test_a_changed_key_builds_its_own_table(self, change):
-        c, m, s = self.key()
-        other = {"t": (c, 2 * m, s), "c": ((c[0], c[1] + 0.25), m, s), "s": (c, m, (s[0], s[1] / 2))}[change]
-        qsim_mod._closed_cdf.cache_clear()
-        qsim_mod._closed_cdf(c, m, s)
-        got, want = qsim_mod._closed_cdf(*other), qsim_mod._closed_cdf.__wrapped__(*other)
-        assert qsim_mod._closed_cdf.cache_info().misses == 2
-        assert all(x.tobytes() == y.tobytes() for i, (x, y) in enumerate(zip(got, want)) if i != 3)
-        assert got[0].tobytes() != qsim_mod._closed_cdf.__wrapped__(c, m, s)[0].tobytes()
+    @pytest.mark.parametrize("t", [9, 11, 13])
+    @pytest.mark.parametrize("reps", [31, 45])
+    def test_medians_build_one_short_table_a_pass(self, t, reps, monkeypatch):
+        # the statevector solves' passes: two amplitudes of 8 entries, away from both ends of 0..m/2
+        m, rng, row = 1 << t, derived_rng(74, "prefix", t, reps), qsim_mod._WIDE + qsim_mod._REACH + 1
+        builds = self.spy(monkeypatch)
+        for _ in range(60):
+            c = rng.uniform(qsim_mod._WIDE, m / 2 - qsim_mod._REACH - 1, 2)
+            median_amplitude_estimates(np.repeat(np.sin(np.pi * c / m) ** 2, 8), t, reps, rng)
+        assert builds == [[row, row]] * 60
 
-    def test_an_interleaved_pass_evicts_it(self):
-        a, b = self.key(), self.key(c=(50.5,))
-        qsim_mod._closed_cdf.cache_clear()
-        for key in (a, b, a):
-            qsim_mod._closed_cdf(*key)
-        info = qsim_mod._closed_cdf.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (3, 0, 1)
+    @pytest.mark.parametrize("t", [11, 13, 20])
+    def test_a_u_past_its_row_builds_that_amplitude_whole_run(self, t, monkeypatch):
+        # u at or past F(floor(c) + _REACH): in the run past it, past r1, and at w = 1.0
+        m, wide, reach = 1 << t, qsim_mod._WIDE, qsim_mod._REACH
+        omega = [(m / 3 + 0.29) / m, 700.61 / m]
+        c = m * omega[0]
+        cells = np.array([math.floor(c) + reach + 1, math.floor(c) + wide, math.floor(c) + wide + 2])
+        a = math.sin(math.pi * omega[0]) ** 2
+        f, _, _, p0 = closed_form_f(a, t, np.concatenate((cells - 1, cells)))
+        g = 2.0 * f - p0
+        w = np.array([*(g[:3] + g[3:]) / 2, 1.0, 0.5, 0.5, 0.3])  # the middle of each cell's step of G
+        size = [5, 2]
+        builds = self.spy(monkeypatch)
+        got = qsim_mod._closed_form_draws(omega, t, w, size)
+        assert got.tobytes() == reference_pass(omega, t, w, size).tobytes()
+        assert got[:3].tolist() == cells.tolist() and got[3] == m // 2
+        row = wide + reach + 1
+        assert builds == [[row, row], [2 * wide + 2, row]]
 
-    def test_what_it_keeps_is_read_only(self):
-        f_run, r0, n, _, p0 = qsim_mod._closed_cdf(*self.key())
-        for x in (f_run, r0, n, p0):
-            with pytest.raises(ValueError, match="read-only"):
-                x[0] = 0
-
-    def test_memory_held_after_a_64_amplitude_pass_at_t24(self):
-        # the memo keeps one pass: its (64, 2 _WIDE + 2) run rows and a few KiB of per-amplitude lists
+    def test_a_pass_keeps_nothing(self):
+        # no memo: a repeated 64-amplitude pass at t = 24 holds none of its rows (64 x 387 cells,
+        # 198 KB) once it returns, only numpy's cache of small freed buffers
         omega, w = ((np.arange(64) + 0.37) / 129).tolist(), derived_rng(72, "memo").random(64)
-        qsim_mod._closed_cdf.cache_clear()
+        first = qsim_mod._closed_form_draws(omega, 24, w, [1] * 64)  # numpy's buffer cache warmed
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            qsim_mod._closed_form_draws(omega, 24, w, [1] * 64)
-            held = tracemalloc.get_traced_memory()[0] - before
+            again = qsim_mod._closed_form_draws(omega, 24, w, [1] * 64)
+            held = tracemalloc.get_traced_memory()[0] - before - again.nbytes
         finally:
             tracemalloc.stop()
-        rows = 64 * (2 * qsim_mod._WIDE + 2) * 8
-        assert qsim_mod._closed_cdf.cache_info().currsize == 1
-        assert rows <= held <= rows + 2**15, (held, rows)
+        assert first.tobytes() == again.tobytes() == reference_pass(omega, 24, w, [1] * 64).tobytes()
+        assert held <= 2**15, held
 
 
 class TestCountChecks:
@@ -987,7 +1025,7 @@ class TestOneOrderStatistic:
         assert peak < 2**20, peak
 
     def test_zero_amplitudes_take_no_pass(self, monkeypatch):
-        monkeypatch.setattr(qsim_mod, "_closed_cdf", lambda c, m, s: pytest.fail(f"pass built for {c}"))
+        monkeypatch.setattr(qsim_mod, "_closed_cdf", lambda m, c, *_: pytest.fail(f"pass built for {c}"))
         est = median_amplitude_estimates([0.0, -0.0, 0.0, -0.0], 9, 45, derived_rng(68, "zeros"))
         assert est.tobytes() == np.zeros(4).tobytes()
 

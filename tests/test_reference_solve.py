@@ -193,7 +193,13 @@ def dirichlet(s_n, a_n):
 
 INSTANCES = {"hard-A1": hard(1), "hard-A2": hard(2), "hard-A8": hard(8),
              "dirichlet-63": dirichlet(9, 7), "dirichlet-64": dirichlet(8, 8),
-             "dirichlet-65": dirichlet(13, 5)}
+             "dirichlet-65": dirichlet(13, 5),
+             # the two statevector goldens' instances: eight tiled copies (S = 16), whose passes
+             # carry 16 amplitudes, and gamma = 0.99, whose passes reach t = 18
+             "hard-tiled": multi_arm_instance(HardInstanceSpec(gamma=0.9, num_actions=8, eps=1.0,
+                                                               large_arms=frozenset({3}), copies=8)),
+             "hard-gamma99": multi_arm_instance(HardInstanceSpec(gamma=0.99, num_actions=8, eps=0.5,
+                                                                 large_arms=frozenset({3})))}
 # name -> (solver, its reference, params for (mdp, eps)); a high failure rate
 # reaches the replays of failed bulk rows and the planted failures
 SOLVES = {
@@ -205,6 +211,8 @@ SOLVES = {
                                      est_failure_prob=0.02)),
     "max-finding": (max_finding_vi, reference_mf,
                     lambda m, eps: MaxFindingParams.for_mdp(m, eps, 0.1)),
+    "max-finding-under-one-probe": (max_finding_vi, reference_mf,
+                                    lambda m, eps: MaxFindingParams.for_mdp(m, eps, 0.1, c_max=1e-3)),
     "max-finding-failing": (max_finding_vi, reference_mf,
                             lambda m, eps: dataclasses.replace(
                                 MaxFindingParams.for_mdp(m, eps, 0.1), est_failure_prob=0.05)),
@@ -226,10 +234,12 @@ def _outputs(report):
             [(e, i, v.tobytes(), pi.tobytes()) for e, i, v, pi in report.snapshots])
 
 
-CASES = ([(name, solve, "contract_mock", MOCK_EPS[name], (3, 4)) for name in INSTANCES
+CASES = ([(name, solve, "contract_mock", MOCK_EPS[name], (3, 4)) for name in MOCK_EPS
           for solve in SOLVES]
          + [(name, solve, "statevector", STATEVECTOR_EPS[name], (3,)) for name in STATEVECTOR_EPS
-            for solve in SOLVES if solve != "sampled-classical"])
+            for solve in SOLVES if solve != "sampled-classical"]
+         + [("hard-tiled", "variance-reduced", "statevector", 1.0, (34,)),  # the goldens' solves
+            ("hard-gamma99", "max-finding", "statevector", 0.5, (35,))])
 
 
 @pytest.mark.parametrize("instance,solve,backend,eps,seeds", CASES)

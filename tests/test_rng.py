@@ -493,3 +493,29 @@ def test_lemire_is_numpys_step(k):
     assert index.dtype == np.uint64 and rejected.dtype == bool
     want = [(x * k >> 32, x * k % 2**32 < (2**32 - k) % k) for x in halves.tolist()]
     assert list(zip(index.tolist(), rejected.tolist())) == want
+
+
+# numpy's Generator methods that every seeded draw rests on: the mock estimates' random() and
+# uniform(-1, 1), the statevector medians' beta(h, h) (h = 1 takes numpy's Johnk branch, a larger
+# h its gamma ratio), the argmax under one probe's integers(k), and the classical sweep's
+# multinomial on 2-D pvals.  Each method's draws on one fixed stream, pinned as the first 16
+# hex digits of their sha256, so that a numpy whose streams differ fails here, naming the method,
+# before any golden report does.  Recorded with numpy 2.4.6.
+NUMPY_STREAM_PINS = {
+    "random": (lambda g: g.random(64), "56c1e07e043dbcd6"),
+    "uniform": (lambda g: g.uniform(-1.0, 1.0, 64), "a1d7ac42625a1cad"),
+    "beta": (lambda g: np.concatenate((g.beta(1, 1, 32), g.beta(16, 16, 32), g.beta(23, 23, 32))),
+             "fb02cf06d35815f0"),
+    "integers": (lambda g: np.concatenate([g.integers(k, size=32) for k in (2, 7, 63, 64)]),
+                 "054876d886ddc3c6"),
+    "multinomial": (lambda g: g.multinomial(1000, [[0.5, 0.25, 0.125, 0.125], [0.1, 0.2, 0.3, 0.4]]),
+                    "b133b01f2c7d905f"),
+}
+
+
+@pytest.mark.parametrize("method", NUMPY_STREAM_PINS)
+def test_numpy_stream_methods_are_pinned(method):
+    draw, pin = NUMPY_STREAM_PINS[method]
+    x = draw(keyed_rng(key_digest(7, "numpy-stream-pins", method)))
+    digest = hashlib.sha256(x.tobytes()).hexdigest()[:16]
+    assert digest == pin, f"numpy {np.__version__} Generator.{method} draws other values: {digest}"

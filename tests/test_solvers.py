@@ -532,6 +532,23 @@ class TestMaxFindingSolver:
             assert budget > qmdp.qsim.MAX_ARGMAX_PROBES
             assert report.ledger.phases["iter-1-argmax"] > mdp.num_states * int(budget)
 
+    @pytest.mark.parametrize("c_max", [4.0, 1e-3])
+    def test_statevector_argmax_streams_read_in_bulk(self, monkeypatch, c_max):
+        # each (sweep, state) argmax stream's one uniform comes from a bulk pass, so the oracle
+        # keys only the line-10 streams; under one probe (c_max = 1e-3) a max finding is numpy's
+        # own integers(A) on its stream, keyed for it, each sweep's states before its line 10
+        mdp = fig_two(8, 1.0, {3})
+        params = MaxFindingParams.for_mdp(mdp, 1.0, 0.1, c_max=c_max)
+        under_one = qmdp.qsim.argmax_query_budget(8, params.est_failure_prob, c_max) < 1.0
+        assert under_one == (c_max < 1.0)
+        keyed, real = [], SampleOracle.keyed_rng
+        monkeypatch.setattr(SampleOracle, "keyed_rng",
+                            lambda self, digest: keyed.append(digest) or real(self, digest))
+        max_finding_vi(SampleOracle(mdp, 5), Plan.of(mdp, params, EstimatorConfig(backend="statevector")))
+        assert keyed == [key for l in range(1, params.iters + 1) for key in (
+            [key_digest(5, "mf", l, s, "argmax") for s in range(mdp.num_states)] * under_one
+            + [key_digest(5, "mf", l, "line10")])]
+
     def test_no_q_output(self):
         mdp = fig_two(2, 1.0, {1})
         report = max_finding_vi(
