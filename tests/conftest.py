@@ -11,14 +11,15 @@ import qmdp.cli  # noqa: F401
 
 # hypothesis draws examples from a pool of the constants of every local module loaded when
 # it draws: load here every one a test loads (tests/test_exports.py takes perfbench's
-# layers and tracer as top-level modules), so that a derandomized property draws the same
-# examples when run alone as in the whole suite
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-try:
-    for name in ("layers", "tracer"):
-        importlib.import_module(name)
-finally:
-    del sys.path[0]
+# layers and tracer as top-level modules, tests/test_qsim.py tools/replay_passes.py), so
+# that a derandomized property draws the same examples when run alone as in the whole suite
+for folder, names in (("perfbench", ("layers", "tracer")), ("tools", ("replay_passes",))):
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / folder))
+    try:
+        for name in names:
+            importlib.import_module(name)
+    finally:
+        del sys.path[0]
 
 
 def pytest_configure(config):

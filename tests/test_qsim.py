@@ -1,11 +1,13 @@
 """Tests for the simulated quantum subroutines."""
 
 import functools
+import importlib
 import math
 import re
 import time
 import tracemalloc
 from itertools import accumulate
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -874,6 +876,16 @@ class TestPrefixBuild:
             tracemalloc.stop()
         assert first.tobytes() == again.tobytes() == reference_pass(omega, 24, w, [1] * 64).tobytes()
         assert held <= 2**15, held
+
+    def test_replay_tool_counts_rebuilds_of_a_split_call(self, monkeypatch):
+        # 65 distinct amplitudes: two passes of 64 and 1, the last amplitude read past its row
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "tools"))
+        replay = importlib.import_module("replay_passes")
+        t, c = 13, 300.37 + 50 * np.arange(qsim_mod._GROUPS + 1)
+        a, w = np.sin(np.pi * c / (1 << t)) ** 2, np.full(c.size, 0.5)
+        assert replay.rebuilt_amplitudes([(a, t, w, None)]) == 0
+        w[-1] = 1.0
+        assert replay.rebuilt_amplitudes([(a, t, w, None)]) == 1
 
 
 class TestCountChecks:

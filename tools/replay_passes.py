@@ -2,20 +2,18 @@
 
 Solves the shape of the benchmark's ``statevector`` rounds through the ``qmdp`` API alone: on
 the hard instance (gamma 0.9, 8 actions, eps 1.0, its large arm picked from the seed), one
-``variance-reduced``, one ``max-finding`` and one ``sampled`` ``quantum_mean`` solve per round
-at eps 1.0 and delta 0.1, round r on solve seed ``seed * 1_000_003 + r + 1``.  Every
-``qsim._estimate_draws(a, t, w)`` call the solves make is recorded with what it returned.
+``variance-reduced``, one ``max-finding`` and one ``sampled`` ``quantum_mean`` solve in each of
+``ROUNDS`` rounds at eps 1.0 and delta 0.1, round r on solve seed ``seed * 1_000_003 + r + 1``.
+Every ``qsim._estimate_draws(a, t, w)`` call the solves make is recorded with what it returned.
 
 The replay calls ``_estimate_draws`` again on each recorded input, checks that it returns the
-same bytes, and prints the fastest of ``--repeat`` replays in microseconds per call, with the
+same bytes, and prints the fastest of ``REPLAYS`` replays in microseconds per call, with the
 number of amplitudes whose pass built their whole run after its first table (full-run
 rebuilds).  ``--against <checkout>/src`` loads that checkout's ``qmdp/qsim.py`` beside this
 one, checks that it draws the same bytes, and alternates the two replays in this one process,
-so that both are timed on the same calls under the same load.  ``--save`` writes the calls and
-their draws to an ``.npz`` file, which ``--load`` replays in place of new solves:
+so that both are timed on the same calls under the same load:
 
-    PYTHONPATH=src python tools/replay_passes.py --rounds 4 --save /tmp/passes.npz
-    PYTHONPATH=src python tools/replay_passes.py --load /tmp/passes.npz --against ../parent/src
+    PYTHONPATH=src python tools/replay_passes.py --seed 7801 --against ../parent/src
 """
 
 from __future__ import annotations
@@ -34,10 +32,12 @@ from qmdp.estimators import EstimatorConfig
 
 SOLVERS = ({"name": "variance-reduced"}, {"name": "max-finding"},
            {"name": "sampled", "mode": "quantum_mean"})
+ROUNDS = 4  # rounds of three solves captured
+REPLAYS = 9  # timed replays of the captured calls; the fastest is printed
 
 
-def capture(seed: int, rounds: int) -> list:
-    """(a, t, w, draws) of every _estimate_draws call of `rounds` rounds of solves."""
+def capture(seed: int) -> list:
+    """(a, t, w, draws) of every _estimate_draws call of ROUNDS rounds of solves."""
     large_arm = int(np.random.default_rng([seed, 8]).integers(8))
     mdp = build_instance({"hard_instance": {"gamma": 0.9, "num_actions": 8, "eps": 1.0,
                                             "large_arms": [large_arm]}})[0]
@@ -50,7 +50,7 @@ def capture(seed: int, rounds: int) -> list:
 
     qsim._estimate_draws = record
     try:
-        for rnd in range(rounds):
+        for rnd in range(ROUNDS):
             for solver in SOLVERS:
                 run_solver(mdp, dict(solver, eps=1.0, delta=0.1),
                            EstimatorConfig(backend="statevector"), seed * 1_000_003 + rnd + 1)
@@ -73,7 +73,8 @@ def rebuilt_amplitudes(calls: list) -> int:
     passes, real_draws, real_cdf = [], qsim._closed_form_draws, qsim._closed_cdf
 
     def draws(omega, t, w, size):
-        passes.append([])
+        if len(omega) <= qsim._GROUPS:  # a larger call is split into passes that come back here
+            passes.append([])
         return real_draws(omega, t, w, size)
 
     def cdf(m, c, scale, r0, em_r0, n):
@@ -102,44 +103,23 @@ def replay(module, calls: list) -> float:
     return time.perf_counter() - start
 
 
-def save(path: str, calls: list) -> None:
-    np.savez(path, t=np.array([t for _, t, _, _ in calls]),
-             sizes=np.array([a.size for a, _, _, _ in calls]),
-             a=np.concatenate([a for a, _, _, _ in calls]),
-             w=np.concatenate([w for _, _, w, _ in calls]),
-             draws=np.concatenate([d for _, _, _, d in calls]))
-
-
-def load(path: str) -> list:
-    with np.load(path) as f:
-        ends = np.cumsum(f["sizes"])[:-1]
-        return [(a, int(t), w, d) for t, a, w, d in zip(
-            f["t"], np.split(f["a"], ends), np.split(f["w"], ends), np.split(f["draws"], ends))]
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seed", type=int, default=7801, help="workload seed of the solves")
-    ap.add_argument("--rounds", type=int, default=4, help="rounds of three solves to capture")
-    ap.add_argument("--repeat", type=int, default=7, help="replays timed; the fastest is printed")
-    ap.add_argument("--save", help="write the captured calls to this .npz file")
-    ap.add_argument("--load", help="replay the calls of this .npz file instead of solving")
     ap.add_argument("--against", help="another checkout's src directory, timed beside this one")
     args = ap.parse_args(argv)
-    calls = load(args.load) if args.load else capture(args.seed, args.rounds)
-    if args.save:
-        save(args.save, calls)
+    calls = capture(args.seed)
     modules = {"this": qsim} | ({"against": load_qsim(args.against)} if args.against else {})
     for name, module in modules.items():
         check(module, calls, name)
     best = dict.fromkeys(modules, float("inf"))
-    for _ in range(args.repeat):  # alternated, so that both see the same load
+    for _ in range(REPLAYS):  # alternated, so that both see the same load
         for name, module in modules.items():
             best[name] = min(best[name], replay(module, calls))
     print(f"{len(calls)} calls, {sum(a.size for a, _, _, _ in calls)} estimates, t in "
           f"{sorted({t for _, t, _, _ in calls})}: all draws equal")
     for name, seconds in best.items():
-        print(f"{name}: {seconds / len(calls) * 1e6:.1f} us per call (fastest of {args.repeat} replays)")
+        print(f"{name}: {seconds / len(calls) * 1e6:.1f} us per call (fastest of {REPLAYS} replays)")
     if args.against:
         print(f"this / against: {best['this'] / best['against']:.3f}")
     print(f"full-run rebuilds: {rebuilt_amplitudes(calls)} amplitudes")
