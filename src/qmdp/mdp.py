@@ -234,11 +234,12 @@ def policy_value_exact(mdp: Mdp, pi: np.ndarray) -> np.ndarray:
 
 
 def greedy(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-max value and row-argmax policy of a Q table (lowest index wins ties)."""
+    """Row-max value and row-argmax policy of a Q table (lowest index wins ties).
+    The maxima are ``np.maximum.reduce``, the ufunc ``q.max`` wraps: the same bits."""
     q = np.asarray(q, dtype=float)
     if q.ndim != 2:
         raise ValueError(f"q must be a (S, A) table, got shape {q.shape}")
-    return q.max(axis=1), q.argmax(axis=1)
+    return np.maximum.reduce(q, axis=1), q.argmax(axis=1)
 
 
 def exact_value_iteration(

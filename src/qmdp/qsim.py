@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import accumulate
+from itertools import accumulate, compress
 
 import numpy as np
 
@@ -137,28 +137,33 @@ def _closed_form_draws(omega: list, t: int, w: np.ndarray, size: list) -> np.nda
     c = m omega, s = |sin(pi c)|), F(-1) = 0 and F(m/2) = 1.0; up to _GROUPS amplitudes a pass.  F is
     tabulated (_closed_cdf) from r0 = floor(c) - _WIDE to floor(c) + _REACH, and on to the end of its run
     r1 = floor(c) + _WIDE + 1 (r0, r1 in 0..m/2 - 1) for a u at or past that.  Off the run, u is placed
-    by 128-section on Euler-Maclaurin sums from -1 or r1.  An amplitude F does not fit draws round(c)."""
+    by 128-section on Euler-Maclaurin sums from -1 or r1.  An amplitude F does not fit draws round(c)
+    and has no row: the pass is made for the others alone, and none for none."""
     m, ends, g = 1 << t, list(accumulate(size, initial=0)), _GROUPS
     if len(size) > g:  # a pass's arrays grow with its amplitudes
         return np.concatenate((_closed_form_draws(omega[:g], t, w[:ends[g]], size[:g]),
                                _closed_form_draws(omega[g:], t, w[ends[g]:], size[g:])))
+    c = [x * m for x in omega]  # exact: m is a power of two
+    s = [math.sin(math.pi * min(x % 1.0, 1.0 - x % 1.0)) for x in c]
+    # F has a pole at a cell when s = 0 (a = 1), and near an integer c, j - c loses its digits:
+    # such amplitudes are drawn from their point masses
+    if not all(fit := [x >= m * 2.0**-43 for x in s]):
+        j, rows = np.repeat([round(x) for x in c], size), np.repeat(fit, size)
+        if any(fit):
+            j[rows] = _closed_form_draws(list(compress(omega, fit)), t, w[rows], list(compress(size, fit)))
+        return j
     runs = []
-    for c in omega:
-        c *= m  # exact: m is a power of two
-        s, j0 = math.sin(math.pi * min(c % 1.0, 1.0 - c % 1.0)), round(c)
-        # F has a pole at a cell when s = 0 (a = 1), and near an integer c, j - c loses its digits:
-        # such amplitudes are passed at c = 1/2 and drawn from their point masses
-        c, s = (c, s) if (fit := s >= m * 2.0**-43) else (0.5, 1.0)
+    for c, s in zip(c, s):
         peak, scale = math.floor(c), 0.5 * (s / m) ** 2
         r0, r1 = max(peak - _WIDE, 0), min(peak + _WIDE + 1, m // 2 - 1)
         left = _em(-1, c, m) if r0 else 0.0  # S(-1), from which cells 0..r0 - 1 are summed
         runs.append((c, scale, r0, scale * (_em(r0 - 1, c, m) - left) if r0 else 0.0,
-                     min(peak + _REACH, r1) - r0 + 1, r1 - r0 + 1, left, fit, j0))
-    c, scale, r0, em_r0, n, n_run, left, fit, j0 = zip(*runs)  # n: cells in each row, n_run in the run
+                     min(peak + _REACH, r1) - r0 + 1, r1 - r0 + 1, left))
+    c, scale, r0, em_r0, n, n_run, left = zip(*runs)  # n: cells in each row, n_run in the run
     f, p0 = _closed_cdf(m, c, scale, r0, em_r0, n)
     u = np.minimum((w + p0.repeat(size)) / 2, 1.0 - 2.0**-53)  # < 1.0 even where w and F(0) round to 1.0
-    while True:  # twice at most; i: the count of F <= u in a row of n cells (1 for a point mass)
-        i = np.concatenate([f[g, :x].searchsorted(u[e:e_], side="right") if fit[g] else np.ones(e_ - e, int)
+    while True:  # twice at most; i: the count of F <= u in a row of n cells
+        i = np.concatenate([f[g, :x].searchsorted(u[e:e_], side="right")
                             for g, (x, e, e_) in enumerate(zip(n, ends, ends[1:]))])
         hi, n_u = np.array((r0, n)).repeat(size, axis=1)
         hi += i  # in the row, hi = r0 + i and lo = hi - 1
@@ -184,7 +189,7 @@ def _closed_form_draws(omega: list, t: int, w: np.ndarray, size: list) -> np.nda
             above[inner] = f_end[x] + scale_u[x] * (_em(k[inner], c_u[x], m) - em_end[x]) > u[x]
             j, row = above.argmax(axis=1), np.arange(open_.size)  # the first point above u
             lo[open_], hi[open_] = k[row, j - 1], k[row, j]
-    return hi if all(fit) else np.where(np.repeat(fit, size), hi, np.repeat(j0, size))  # point masses
+    return hi
 
 
 def _estimate_draws(a: np.ndarray, t: int, w: np.ndarray) -> np.ndarray:

@@ -32,6 +32,7 @@ from .estimators import (
     BACKEND_STATEVECTOR,
     EstimatorConfig,
     MockRow,
+    _PROMISE_TOL,
     amplification_reps,
     batch_bounded_mock,
     batch_variance_mock,
@@ -389,6 +390,7 @@ class _Iterate:
         s_n, steps = len(self.v), max(1, CHECK_CELLS // len(self.v))
         self._iterates, self._offers = np.empty((steps + 1, s_n)), np.empty((steps, s_n))
         self._iterates[0], self._steps = self.v, 0
+        self._checked, self._mu = None, None  # estimate's last no-flag key and its P value_map
 
     def keyed(self, keys: tuple) -> map:
         """The streams of the keys that the parts ``keys`` spell out (see
@@ -406,12 +408,25 @@ class _Iterate:
         return mock_rows(self.oracle, keys, f)
 
     def estimate(self, stream, phase, value_map, line: Line, promise_slack=0.0) -> np.ndarray:
-        """Range-bounded estimates of P value_map on ``stream``, the next
-        item of ``keyed`` or ``streams``, to ``line``'s error on [0, upper]."""
-        est, failed, violated = batch_bounded_mock(self.oracle, value_map, line, self.cfg, stream,
-                                                   phase, promise_slack=promise_slack)
-        if violated or type(stream) is not MockRow or stream.failed:  # else none is set
-            self.failures += np.count_nonzero(failed)
+        """Range-bounded estimates of P value_map on ``stream``, the next item of ``keyed`` or
+        ``streams``, to ``line``'s error on [0, upper].  A ``MockRow`` with no flag set on a map
+        in range is estimated here, with no failure: P value_map plus its noise times line.err,
+        the bits of its replayed stream.  P value_map is kept under the key (line, promise_slack,
+        the map's bytes); a map under an equal key reuses it unchecked.  Any other row or stream,
+        or a map out of range or with a NaN entry, goes to ``batch_bounded_mock``."""
+        if type(stream) is MockRow and not stream.failed:
+            key = (line, promise_slack, value_map.tobytes())  # -0.0 and 0.0 differ here
+            if key != self._checked:  # a NaN entry fails both bounds
+                tol = promise_slack + _PROMISE_TOL * max(1.0, line.upper)  # _range_violated's
+                if all(-tol <= x <= line.upper + tol for x in value_map.tolist()):
+                    mu = self.oracle.mdp.rows.dot(value_map)  # expected_next_value's, unchecked
+                    self._checked, self._mu = key, mu.reshape(len(self.v), -1)
+            if key == self._checked:
+                self.oracle.ledger.charge_quantum(line.charge * self._mu.size, phase)
+                return self._mu + stream.noise * line.err
+        est, failed, _ = batch_bounded_mock(self.oracle, value_map, line, self.cfg, stream, phase,
+                                            promise_slack=promise_slack)
+        self.failures += np.count_nonzero(failed)
         return est
 
     def keep_better(self, v_new: np.ndarray, pi_new: np.ndarray) -> None:
@@ -607,7 +622,7 @@ def sampled_vi(oracle: SampleOracle, plan: Plan, diagnostics: bool = False) -> S
             best = it.mock_argmax(q_est, argmax_draws, _phase("iter", i, "argmax"))
             it.v = q_est[np.arange(s_n), best]
         else:
-            it.v = q_est.max(axis=1)
+            it.v = np.maximum.reduce(q_est, axis=1)  # what q_est.max(axis=1) calls
         if diagnostics:
             it.snapshot(1, i, q_est.argmax(axis=1))
 

@@ -11,9 +11,10 @@ import qmdp.cli  # noqa: F401
 
 # hypothesis draws examples from a pool of the constants of every local module loaded when
 # it draws: load here every one a test loads (tests/test_exports.py takes perfbench's
-# layers and tracer as top-level modules, tests/test_qsim.py tools/replay_passes.py), so
-# that a derandomized property draws the same examples when run alone as in the whole suite
-for folder, names in (("perfbench", ("layers", "tracer")), ("tools", ("replay_passes",))):
+# layers and tracer as top-level modules, tests/test_qsim.py tools/replay_passes.py and
+# tests/test_fast_paths.py tools/time_slots.py), so that a derandomized property draws the
+# same examples when run alone as in the whole suite
+for folder, names in (("perfbench", ("layers", "tracer")), ("tools", ("replay_passes", "time_slots"))):
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / folder))
     try:
         for name in names:

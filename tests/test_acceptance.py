@@ -71,7 +71,8 @@ def fig_two(num_actions, arms, eps):
 
 @pytest.fixture(scope="module")
 def solver_runs():
-    """200 seeded runs per solver per setting, shared by criteria 3-5."""
+    """200 seeded runs per solver per setting, shared by criteria 3-5: each run's
+    (sandwich verdict, monotone flag, estimator failures)."""
     results = {}
     for a_n, arms, eps in SETTINGS:
         mdp = fig_two(a_n, arms, eps)
@@ -81,8 +82,10 @@ def solver_runs():
         for seed in range(RUNS_PER_SETTING):
             r1 = variance_reduced_vi(SampleOracle(mdp, seed), vr_plan)
             r2 = max_finding_vi(SampleOracle(mdp, 10_000 + seed), mf_plan)
-            vr.append((sandwich_success(mdp, r1, eps), r1.monotone_iterates_ok))
-            mf.append((sandwich_success(mdp, r2, eps), r2.monotone_iterates_ok))
+            vr.append((sandwich_success(mdp, r1, eps), r1.monotone_iterates_ok,
+                       r1.estimator_failures))
+            mf.append((sandwich_success(mdp, r2, eps), r2.monotone_iterates_ok,
+                       r2.estimator_failures))
         results[(a_n, eps)] = {"vr": vr, "mf": mf}
     return results
 
@@ -147,7 +150,7 @@ def test_criterion_03_sandwich_variance_reduced(solver_runs):
     """Sandwich (v and q) holds in >= 90% of 200 runs per setting."""
     fractions = {}
     for (a_n, eps), runs in solver_runs.items():
-        fractions[(a_n, eps)] = np.mean([ok for ok, _ in runs["vr"]])
+        fractions[(a_n, eps)] = np.mean([ok for ok, _, _ in runs["vr"]])
     ok = all(f >= 0.9 for f in fractions.values())
     _report_line(3, "sandwich, variance-reduced", ok,
                  ", ".join(f"A={a} eps={e}: {f:.3f}" for (a, e), f in fractions.items()))
@@ -158,7 +161,7 @@ def test_criterion_04_sandwich_max_finding(solver_runs):
     """Value sandwich holds in >= 90% of 200 runs per setting."""
     fractions = {}
     for (a_n, eps), runs in solver_runs.items():
-        fractions[(a_n, eps)] = np.mean([ok for ok, _ in runs["mf"]])
+        fractions[(a_n, eps)] = np.mean([ok for ok, _, _ in runs["mf"]])
     ok = all(f >= 0.9 for f in fractions.values())
     _report_line(4, "sandwich, max-finding", ok,
                  ", ".join(f"A={a} eps={e}: {f:.3f}" for (a, e), f in fractions.items()))
@@ -171,7 +174,7 @@ def test_criterion_05_monotone_iterates(solver_runs):
     good = 0
     for runs in solver_runs.values():
         for key in ("vr", "mf"):
-            for _, monotone in runs[key]:
+            for _, monotone, _ in runs[key]:
                 total += 1
                 good += bool(monotone)
     # spot-check stored snapshot sequences as well
@@ -184,6 +187,19 @@ def test_criterion_05_monotone_iterates(solver_runs):
     ok = good == total
     _report_line(5, "monotone iterates", ok, f"{good}/{total} runs monotone")
     assert ok
+
+
+def test_every_sandwich_miss_has_a_counted_failure(solver_runs):
+    """A run that misses its sandwich counted at least one estimator failure: the
+    criteria above bound how often a miss happens, and this test, why."""
+    misses = [(a_n, eps, key, seed) for (a_n, eps), runs in solver_runs.items()
+              for key in ("vr", "mf") for seed, (ok, _, failures) in enumerate(runs[key])
+              if not ok and failures == 0]
+    total = sum(not ok for runs in solver_runs.values() for key in ("vr", "mf")
+                for ok, _, _ in runs[key])
+    _report_line("5b", "every sandwich miss has a failure", not misses,
+                 f"{total} misses, {len(misses)} with no estimator failure")
+    assert total > 0 and not misses, misses
 
 
 def _sweep_config(solver, instance_eps=0.5, a_n=8, arms=(3,), mode=None):

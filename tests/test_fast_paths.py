@@ -3,17 +3,26 @@
 Each property draws its cases from a derandomized ``hypothesis`` search:
 ``expected_next_value`` on the kept (S*A, S) view against the product on
 the reshaped tensor, ``_Iterate.keep_better`` against its two-``np.where``
-form, the ``MockRow`` early return of ``batch_bounded_mock`` against
-``_estimate`` on the same row, and ``mock_argmax_rows`` against its
-``np.where`` form.
+form, ``batch_bounded_mock`` on a ``MockRow`` against ``_estimate`` on
+the same row, and ``mock_argmax_rows`` against its
+``np.where`` form.  A scripted test runs ``_Iterate.estimate``, whose
+no-flag rows skip the estimator layers and reuse an unchanged map's
+expectation, against ``batch_bounded_mock`` on each row's replayed stream,
+and ``tools/time_slots.py``, which times those steps, runs once.
 """
 
+import importlib
+import re
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import qmdp.solvers as solvers
+from qmdp.errors import PreconditionError
 from qmdp.estimators import EstimatorConfig, _estimate, batch_bounded_mock, mock_rows
 from qmdp.mdp import Mdp, expected_next_value
 from qmdp.oracle import SampleOracle
@@ -113,3 +122,66 @@ def test_mock_argmax_rows_is_its_where_form(data, s_n, a_n, f):
     assert index.tolist() == np.where(want, wrong + (wrong >= best), best).tolist()
     if not want.any():  # no flag set: the row argmax itself
         assert index.tolist() == q.argmax(axis=1).tolist() and index.dtype == np.int64
+
+
+# value maps on S = 2, every one with its own bytes: 0.0 and -0.0 apart, a NaN first and last,
+# and maps that one line or slack voids and another does not
+MAPS = ([0.25, 0.75], [0.5, 1.5], [0.0, 0.0], [-0.0, -0.0], [np.nan, 0.5], [2.5, 0.0],
+        [-0.5, 1.0], [0.5, np.nan])
+SLACKS = (0.0, 0.6)
+# (map, line, slack) per step: repeats, the same bytes under another line or slack, -0.0
+# after 0.0, a NaN, and maps voided at one slack and not at the other
+SCRIPT = [(0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 1, 0), (0, 1, 1), (0, 0, 1),
+          (1, 0, 0), (1, 1, 1), (1, 1, 0), (1, 1, 1), (1, 1, 0),
+          (2, 0, 0), (3, 0, 0), (3, 0, 0), (2, 0, 0), (4, 0, 0), (0, 0, 0), (7, 0, 0),
+          (5, 0, 0), (5, 0, 1), (5, 0, 1), (5, 0, 0), (6, 0, 1), (6, 0, 0), (1, 0, 0), (1, 0, 0)] * 3
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_iterate_estimate_is_batch_bounded_mock_on_the_replayed_stream(seed):
+    mdp, cfg = random_mdp(2, 3, seed), EstimatorConfig()
+    it = solvers._Iterate(SampleOracle(mdp, seed), Plan.of(mdp, MaxFindingParams.for_mdp(mdp, 1.0, 0.1)),
+                          False)
+    ref = SampleOracle(mdp, seed)
+    lines = [solvers._bounded(mdp, cfg, 1, upper, 0.1, 0.05) for upper in (2.0, 1.0)]
+    value_map = np.empty(2)  # one buffer, written in place before every step
+    failures, last, hits, seen = 0, None, 0, set()
+    rows = mock_rows(it.oracle, (seed, "differential", range(len(SCRIPT))), 0.05)
+    for row, (m, l, s) in zip(rows, SCRIPT, strict=True):
+        value_map[:] = MAPS[m]
+        line, slack, phase, before = lines[l], SLACKS[s], f"line-{l}", it._mu
+        try:
+            want, failed, violated = batch_bounded_mock(ref, value_map, line, cfg,
+                                                        ref.keyed_rng(row.digest), phase, slack)
+        except PreconditionError as exc:  # refused before any draw or charge, either way
+            with pytest.raises(PreconditionError, match=f"^{re.escape(str(exc))}$"):
+                it.estimate(row, phase, value_map, line, slack)
+            seen.add("nan")
+        else:
+            failures += np.count_nonzero(failed)
+            assert it.estimate(row, phase, value_map, line, slack).tobytes() == want.tobytes()
+            seen.add("flagged" if row.failed else "voided" if violated else "no-flag")
+            if not (row.failed or violated):  # the expectation is reused for an equal key only
+                assert (it._mu is before) == ((m, l, s) == last)
+                assert it._mu.tobytes() == expected_next_value(mdp, value_map).tobytes()
+                hits, last = hits + (it._mu is before), (m, l, s)
+        assert it.failures == failures
+        assert it.oracle.ledger.to_dict() == ref.ledger.to_dict()
+    assert seen == {"nan", "flagged", "voided", "no-flag"} and hits > 0
+
+
+def test_time_slots_tool_runs_against_a_checkout(monkeypatch, capsys):
+    # this checkout against itself: every slot's reports equal, and variance-reduced steps
+    # reuse their expectation
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "tools"))
+    time_slots = importlib.import_module("time_slots")
+    try:
+        assert time_slots.main(["--seed", "3", "--rounds", "1", "--against", str(root / "src")]) == 0
+    finally:
+        for name in [n for n in sys.modules if n.split(".")[0] == "qmdp_against"]:
+            del sys.modules[name]
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "12 slots x 1 rounds, seed 3: all reports equal"
+    rows = {line.split()[0] + " " + line.split()[1]: line.split() for line in out[2:]}
+    assert len(out) == 2 + 12 + 3 and int(rows["variance-reduced mean"][-1]) > 0

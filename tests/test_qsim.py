@@ -697,7 +697,10 @@ class TestBatchedPass:
                             lambda m, c, *rest: builds.append(len(c)) or real(m, c, *rest))
         a = np.repeat((np.arange(n) + 0.5) / n, 2)
         median_amplitude_estimates(a, t, 5, derived_rng(60, "builds", t, n))
-        assert builds == [min(n - g, qsim_mod._GROUPS) for g in range(0, n, qsim_mod._GROUPS)]
+        # at odd n, a = 1/2 is a point mass: its pass builds rows for the others alone
+        fit = ((np.arange(n) + 0.5) / n != 0.5).tolist()
+        want = [sum(fit[g:g + qsim_mod._GROUPS]) for g in range(0, n, qsim_mod._GROUPS)]
+        assert builds == [x for x in want if x]
 
     @pytest.mark.parametrize("t", [11, 13, 16])
     def test_batch_equals_each_amplitude_alone(self, t):

@@ -744,16 +744,19 @@ def test_one_generator_per_oracle(monkeypatch, name):
             built.append(streams[-1])
         return streams[-1]
 
-    real_batch = solvers.batch_bounded_mock
+    real_estimate = solvers._Iterate.estimate
 
-    def batch_spy(*args, **kwargs):
-        est, failed, violated = real_batch(*args, **kwargs)
-        replayed_batches.append(bool(failed.any()) or violated)
-        return est, failed, violated
+    def estimate_spy(self, *args, **kwargs):
+        # a batch with a failed entry or a voided promise counts a failure, and only such a
+        # batch does
+        before = self.failures
+        est = real_estimate(self, *args, **kwargs)
+        replayed_batches.append(self.failures > before)
+        return est
 
     monkeypatch.setattr(qmdp.rng, "keyed_rng", keyed_spy)
     monkeypatch.setattr(qmdp.oracle, "keyed_rng", keyed_spy)
-    monkeypatch.setattr(solvers, "batch_bounded_mock", batch_spy)
+    monkeypatch.setattr(solvers._Iterate, "estimate", estimate_spy)
     mdp = fig_two(4, 1.0, {1})
     oracles = [SampleOracle(mdp, seed) for seed in (3, 4)]
     for oracle in oracles:
@@ -794,21 +797,24 @@ def test_bulk_streams_keyed_only_to_replay(monkeypatch, name):
         keys = list(itertools.product([2], ["svi"], range(1, 23)))
     derived, rekeyed, replayed = [], [], []
     real_keyed = SampleOracle.keyed_rng
-    real_batch = solvers.batch_bounded_mock
+    real_estimate = solvers._Iterate.estimate
 
     def keyed_spy(self, digest):
         rekeyed.append(digest)
         return real_keyed(self, digest)
 
-    def batch_spy(*args, **kwargs):
-        est, failed, violated = real_batch(*args, **kwargs)
-        if not args[-1].endswith("line-8"):
-            replayed.append(bool(failed.any()) or violated)
-        return est, failed, violated
+    def estimate_spy(self, stream, phase, *args, **kwargs):
+        # a batch with a failed entry or a voided promise counts a failure, and only such a
+        # batch does
+        before = self.failures
+        est = real_estimate(self, stream, phase, *args, **kwargs)
+        if not phase.endswith("line-8"):
+            replayed.append(self.failures > before)
+        return est
 
     monkeypatch.setattr(SampleOracle, "derive_rng", lambda self, *parts: derived.append(parts))
     monkeypatch.setattr(SampleOracle, "keyed_rng", keyed_spy)
-    monkeypatch.setattr(solvers, "batch_bounded_mock", batch_spy)
+    monkeypatch.setattr(solvers._Iterate, "estimate", estimate_spy)
     solve(SampleOracle(mdp, 2))
     assert len(replayed) == len(keys) and 0 < sum(replayed) < len(keys) / 2
     assert derived == []

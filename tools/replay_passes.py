@@ -87,7 +87,8 @@ def rebuilt_amplitudes(calls: list) -> int:
             qsim._estimate_draws(a, t, w)
     finally:
         qsim._closed_form_draws, qsim._closed_cdf = real_draws, real_cdf
-    return sum(sum(x != y for x, y in zip(built[0], built[-1])) for built in passes)
+    # a pass with a point mass hands the others to a pass of their own, and builds nothing itself
+    return sum(sum(x != y for x, y in zip(built[0], built[-1])) for built in passes if built)
 
 
 def check(module, calls: list, name: str) -> None:
