@@ -157,6 +157,12 @@ def _range_violated(v: np.ndarray, upper: float, slack: float = 0.0) -> bool:
     return bool(lo < -tol or hi > upper + tol)
 
 
+def _in_range(v: np.ndarray, upper: float, slack: float = 0.0) -> bool:
+    """not _range_violated(v, upper, slack), False on a NaN entry: a scan in Python, for a short map."""
+    tol = slack + _PROMISE_TOL * max(1.0, upper)
+    return all(-tol <= x <= upper + tol for x in v.tolist())
+
+
 def _refuse_nan(v: np.ndarray):
     """(min, max) of the value map; a NaN entry raises PreconditionError."""
     lo, hi = v.min(), v.max()  # a NaN entry makes both NaN
@@ -228,9 +234,8 @@ def _estimate(mu, line, cfg, rng, forced=False, sigma=None, err=None):
     The mock draws the failure flags and the noise, then the planted-failure
     draws only when some entry fails: they come last, so skipping them
     changes no value this call returns.  A range-bounded mock ``rng`` may
-    instead be a ``MockRow``: with no flag set on a batch not voided, the
-    means plus its noise times line.err with no flag, else its stream replayed
-    from the start, the same draws as its flags and noise.
+    instead be a ``MockRow``: with no flag set on a batch not voided, the means plus its noise
+    times line.err, else its stream replayed from the start, the same draws as its flags and noise.
     """
     if sigma is None:
         charge = line.charge * mu.size
@@ -280,8 +285,8 @@ def batch_bounded_mock(
     A value map outside [0, line.upper] (beyond promise_slack) voids the
     contract of every estimate in the batch; those estimates are flagged and
     drawn from the failure distribution; a NaN entry is refused before any
-    draw or charge.  Returns (estimates, failed, violated).  This is the drawing path:
-    ``solvers._Iterate.estimate`` takes a no-flag ``MockRow`` on a batch not voided itself.
+    draw or charge.  Returns (estimates, failed, violated).  This is the drawing path: the
+    solvers' steps take a no-flag ``MockRow`` on a batch not voided to ``_estimate`` directly.
     """
     violated = _range_violated(value_map, line.upper, promise_slack)
     est, failed, charged = _estimate(expected_next_value(oracle.mdp, value_map), line, cfg, rng, violated)

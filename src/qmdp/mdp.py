@@ -234,8 +234,7 @@ def policy_value_exact(mdp: Mdp, pi: np.ndarray) -> np.ndarray:
 
 
 def greedy(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-max value and row-argmax policy of a Q table (lowest index wins ties).
-    The maxima are ``np.maximum.reduce``, the ufunc ``q.max`` wraps: the same bits."""
+    """Row maxima (np.maximum.reduce: q.max's bits) and row-argmax policy of q (lowest index wins ties)."""
     q = np.asarray(q, dtype=float)
     if q.ndim != 2:
         raise ValueError(f"q must be a (S, A) table, got shape {q.shape}")

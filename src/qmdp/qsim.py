@@ -137,23 +137,23 @@ def _closed_form_draws(omega: list, t: int, w: np.ndarray, size: list) -> np.nda
     c = m omega, s = |sin(pi c)|), F(-1) = 0 and F(m/2) = 1.0; up to _GROUPS amplitudes a pass.  F is
     tabulated (_closed_cdf) from r0 = floor(c) - _WIDE to floor(c) + _REACH, and on to the end of its run
     r1 = floor(c) + _WIDE + 1 (r0, r1 in 0..m/2 - 1) for a u at or past that.  Off the run, u is placed
-    by 128-section on Euler-Maclaurin sums from -1 or r1.  An amplitude F does not fit draws round(c)
-    and has no row: the pass is made for the others alone, and none for none."""
+    by 128-section on Euler-Maclaurin sums from -1 or r1.  An amplitude F does not fit draws round(c)."""
     m, ends, g = 1 << t, list(accumulate(size, initial=0)), _GROUPS
     if len(size) > g:  # a pass's arrays grow with its amplitudes
         return np.concatenate((_closed_form_draws(omega[:g], t, w[:ends[g]], size[:g]),
                                _closed_form_draws(omega[g:], t, w[ends[g]:], size[g:])))
-    c = [x * m for x in omega]  # exact: m is a power of two
-    s = [math.sin(math.pi * min(x % 1.0, 1.0 - x % 1.0)) for x in c]
-    # F has a pole at a cell when s = 0 (a = 1), and near an integer c, j - c loses its digits:
-    # such amplitudes are drawn from their point masses
-    if not all(fit := [x >= m * 2.0**-43 for x in s]):
-        j, rows = np.repeat([round(x) for x in c], size), np.repeat(fit, size)
-        if any(fit):
-            j[rows] = _closed_form_draws(list(compress(omega, fit)), t, w[rows], list(compress(size, fit)))
-        return j
     runs = []
-    for c, s in zip(c, s):
+    for c in omega:
+        c *= m  # exact: m is a power of two
+        s = math.sin(math.pi * min(c % 1.0, 1.0 - c % 1.0))
+        # F has a pole at a cell when s = 0 (a = 1), and near an integer c, j - c loses its digits:
+        # such amplitudes are drawn from their point masses and get no row: the others get a pass
+        if s < m * 2.0**-43:  # of their own, or none if there are none
+            fit = [math.sin(math.pi * min(x * m % 1.0, 1.0 - x * m % 1.0)) >= m * 2.0**-43 for x in omega]
+            j, rows = np.repeat([round(x * m) for x in omega], size), np.repeat(fit, size)
+            if any(fit):
+                j[rows] = _closed_form_draws([*compress(omega, fit)], t, w[rows], [*compress(size, fit)])
+            return j
         peak, scale = math.floor(c), 0.5 * (s / m) ** 2
         r0, r1 = max(peak - _WIDE, 0), min(peak + _WIDE + 1, m // 2 - 1)
         left = _em(-1, c, m) if r0 else 0.0  # S(-1), from which cells 0..r0 - 1 are summed

@@ -32,7 +32,8 @@ from .estimators import (
     BACKEND_STATEVECTOR,
     EstimatorConfig,
     MockRow,
-    _PROMISE_TOL,
+    _estimate,
+    _in_range,
     amplification_reps,
     batch_bounded_mock,
     batch_variance_mock,
@@ -409,21 +410,16 @@ class _Iterate:
 
     def estimate(self, stream, phase, value_map, line: Line, promise_slack=0.0) -> np.ndarray:
         """Range-bounded estimates of P value_map on ``stream``, the next item of ``keyed`` or
-        ``streams``, to ``line``'s error on [0, upper].  A ``MockRow`` with no flag set on a map
-        in range is estimated here, with no failure: P value_map plus its noise times line.err,
-        the bits of its replayed stream.  P value_map is kept under the key (line, promise_slack,
-        the map's bytes); a map under an equal key reuses it unchecked.  Any other row or stream,
-        or a map out of range or with a NaN entry, goes to ``batch_bounded_mock``."""
+        ``streams``, to ``line``'s error on [0, upper].  A no-flag ``MockRow`` on a map in range is
+        estimated here, with no failure, from P value_map kept under the key (line, promise_slack,
+        the map's bytes) and reused unchecked under an equal key; all else goes to batch_bounded_mock."""
         if type(stream) is MockRow and not stream.failed:
             key = (line, promise_slack, value_map.tobytes())  # -0.0 and 0.0 differ here
-            if key != self._checked:  # a NaN entry fails both bounds
-                tol = promise_slack + _PROMISE_TOL * max(1.0, line.upper)  # _range_violated's
-                if all(-tol <= x <= line.upper + tol for x in value_map.tolist()):
-                    mu = self.oracle.mdp.rows.dot(value_map)  # expected_next_value's, unchecked
-                    self._checked, self._mu = key, mu.reshape(len(self.v), -1)
+            if key != self._checked and _in_range(value_map, line.upper, promise_slack):
+                self._checked, self._mu = key, self.oracle.mdp.rows.dot(value_map).reshape(len(self.v), -1)
             if key == self._checked:
                 self.oracle.ledger.charge_quantum(line.charge * self._mu.size, phase)
-                return self._mu + stream.noise * line.err
+                return _estimate(self._mu, line, self.cfg, stream)[0]
         est, failed, _ = batch_bounded_mock(self.oracle, value_map, line, self.cfg, stream, phase,
                                             promise_slack=promise_slack)
         self.failures += np.count_nonzero(failed)

@@ -3,8 +3,8 @@
 Each property draws its cases from a derandomized ``hypothesis`` search:
 ``expected_next_value`` on the kept (S*A, S) view against the product on
 the reshaped tensor, ``_Iterate.keep_better`` against its two-``np.where``
-form, ``batch_bounded_mock`` on a ``MockRow`` against ``_estimate`` on
-the same row, and ``mock_argmax_rows`` against its
+form, ``_Iterate.estimate`` on a ``MockRow`` against ``_estimate`` on
+the row's replayed stream, and ``mock_argmax_rows`` against its
 ``np.where`` form.  A scripted test runs ``_Iterate.estimate``, whose
 no-flag rows skip the estimator layers and reuse an unchanged map's
 expectation, against ``batch_bounded_mock`` on each row's replayed stream,
@@ -89,21 +89,23 @@ def test_keep_better_is_its_two_where_form(data, s_n, cells):
 @given(s_n=st.integers(1, 3), a_n=st.integers(1, 8), f=st.sampled_from([1e-6, 0.05, 0.5]),
        mode=st.sampled_from(["adversarial_edge", "uniform_noise"]),
        scale=st.sampled_from([0.5, 1.0, 1.5]), seed=st.integers(0, 2**32 - 1))
-def test_batch_bounded_mock_early_return_is_estimate(s_n, a_n, f, mode, scale, seed):
-    # value maps at scale 1.5 leave [0, upper] and void their batch
+def test_iterate_estimate_on_a_mock_row_is_estimate_on_its_stream(s_n, a_n, f, mode, scale, seed):
+    # value maps at scale 1.5 leave [0, upper] and void their batch; each map is offered twice
     mdp, cfg = random_mdp(s_n, a_n, seed), EstimatorConfig(mock_failure_mode=mode)
-    oracle = SampleOracle(mdp, seed)
+    it = solvers._Iterate(SampleOracle(mdp, seed), Plan.of(mdp, MaxFindingParams.for_mdp(mdp, 1.0, 0.1),
+                                                          cfg), False)
+    ref = SampleOracle(mdp, seed)
     line = solvers._bounded(mdp, cfg, 1, 2.0, 0.1, f)
-    g = np.random.default_rng(seed + 1)
-    for row in mock_rows(oracle, (seed, "fast", range(6)), f):
-        value_map = g.uniform(0.0, 2.0 * scale, s_n)
-        before = oracle.ledger.quantum_oracle_calls
-        est, failed, violated = batch_bounded_mock(oracle, value_map, line, cfg, row, "p")
-        charged = oracle.ledger.quantum_oracle_calls - before
-        want = _estimate(expected_next_value(mdp, value_map), line, cfg, row, violated)
-        assert (est.tobytes(), failed.tobytes(), charged) == (
-            want[0].tobytes(), want[1].tobytes(), want[2])
-        assert violated == bool(value_map.max() > 2.0 + 2e-9)
+    g, failures = np.random.default_rng(seed + 1), 0
+    for k, row in enumerate(it.streams((seed, "fast", range(6)), f)):
+        value_map = g.uniform(0.0, 2.0 * scale, s_n) if k % 2 == 0 else value_map
+        before = it.oracle.ledger.quantum_oracle_calls
+        est = it.estimate(row, "p", value_map, line)
+        charged = it.oracle.ledger.quantum_oracle_calls - before
+        violated = bool(value_map.max() > 2.0 + 2e-9)
+        want = _estimate(expected_next_value(mdp, value_map), line, cfg, ref.keyed_rng(row.digest), violated)
+        failures += np.count_nonzero(want[1])
+        assert (est.tobytes(), charged, it.failures) == (want[0].tobytes(), want[2], failures)
 
 
 @FAST
@@ -177,7 +179,8 @@ def test_time_slots_tool_runs_against_a_checkout(monkeypatch, capsys):
     monkeypatch.syspath_prepend(str(root / "tools"))
     time_slots = importlib.import_module("time_slots")
     try:
-        assert time_slots.main(["--seed", "3", "--rounds", "1", "--against", str(root / "src")]) == 0
+        monkeypatch.setattr(time_slots, "ROUNDS", 1)
+        assert time_slots.main(["--seed", "3", "--against", str(root / "src")]) == 0
     finally:
         for name in [n for n in sys.modules if n.split(".")[0] == "qmdp_against"]:
             del sys.modules[name]

@@ -4,8 +4,9 @@ Solves through the ``qmdp`` API alone: on the hard instance (gamma 0.9, 8 action
 large arm picked from the seed), one ``variance-reduced``, one ``max-finding`` and one ``sampled``
 ``classical`` solve at each eps in ``EPS``, delta 0.1, on the contract mock: 12 slots a round,
 round r on solve seed ``seed * 1_000_003 + r + 1``.  Prints the median milliseconds per solve of
-each slot and how often a slot's step reused its previous step's expectation (memo hits: a
-no-flag row whose value map was the last one checked, bit for bit).
+each slot over ``ROUNDS`` rounds and how often a slot's step reused its previous step's
+expectation over as many rounds (memo hits: a no-flag row whose value map was the last one
+checked, bit for bit).
 
 ``--against <checkout>/src`` loads that checkout's whole ``qmdp`` package beside this one, as
 ``qmdp_against``, checks that every solve reports the same bytes in both, and alternates the two
@@ -36,6 +37,7 @@ SOLVERS = ({"name": "variance-reduced"}, {"name": "max-finding"},
            {"name": "sampled", "mode": "classical"})
 EPS = (1.0, 0.6, 0.4, 0.3)
 DELTA = 0.1
+ROUNDS = 30  # timed rounds of 12 solves
 
 
 def load_package(src: str):
@@ -67,8 +69,8 @@ def digest(report) -> str:
     return hashlib.sha256(json.dumps(report.to_dict(), sort_keys=True).encode()).hexdigest()
 
 
-def memo_hits(seed: int, rounds: int) -> list:
-    """Per slot, the steps that reused the expectation, over ``rounds`` rounds of this package."""
+def memo_hits(seed: int) -> list:
+    """Per slot, the steps that reused the expectation, over ROUNDS rounds of this package."""
     hits, real = [0], solvers._Iterate.estimate
 
     def counted(self, stream, *args, **kwargs):
@@ -84,7 +86,7 @@ def memo_hits(seed: int, rounds: int) -> list:
     try:
         for _, mdp, solver in slots(qmdp, seed):
             hits[0] = 0
-            for rnd in range(rounds):
+            for rnd in range(ROUNDS):
                 solve(qmdp, mdp, solver, seed * 1_000_003 + rnd + 1)
             out.append(hits[0])
     finally:
@@ -95,14 +97,13 @@ def memo_hits(seed: int, rounds: int) -> list:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seed", type=int, default=7801, help="workload seed of the solves")
-    ap.add_argument("--rounds", type=int, default=20, help="timed rounds of 12 solves")
     ap.add_argument("--against", help="another checkout's src directory, timed beside this one")
     args = ap.parse_args(argv)
     packages = {"this": qmdp} | ({"against": load_package(args.against)} if args.against else {})
     plans = {name: slots(package, args.seed) for name, package in packages.items()}
     names = [name for name, _, _ in plans["this"]]
     ms = {name: [[] for _ in names] for name in packages}
-    for rnd in range(-1, args.rounds):  # round -1 warms both up and is not timed
+    for rnd in range(-1, ROUNDS):  # round -1 warms both up and is not timed
         order = list(packages) if rnd % 2 else list(reversed(packages))  # alternated
         for i in range(len(names)):
             reports = {}
@@ -114,8 +115,8 @@ def main(argv=None) -> int:
                     ms[name][i].append((time.perf_counter() - start) * 1e3)
             if len({digest(r) for r in reports.values()}) > 1:
                 raise SystemExit(f"{names[i]}, round {rnd}: the reports differ")
-    hits = memo_hits(args.seed, args.rounds)
-    print(f"{len(names)} slots x {args.rounds} rounds, seed {args.seed}: "
+    hits = memo_hits(args.seed)
+    print(f"{len(names)} slots x {ROUNDS} rounds, seed {args.seed}: "
           f"{'all reports equal' if args.against else 'one checkout'}")
     print(f"{'slot':<26}" + "".join(f"{name + ' ms':>12}" for name in packages)
           + ("  this/against" if args.against else "") + f"{'memo hits':>11}")
