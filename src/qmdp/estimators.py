@@ -44,6 +44,7 @@ __all__ = [
 BACKEND_MOCK = "contract_mock"
 BACKEND_STATEVECTOR = "statevector"
 _PROMISE_TOL = 1e-9
+_SHORT_MAP = 16  # entries up to which a scan in Python beats two numpy reductions
 
 
 @dataclass(frozen=True)
@@ -149,26 +150,22 @@ def statevector_phase_bits(accuracy: float, cfg: EstimatorConfig = DEFAULT_CONFI
 
 def _range_violated(v: np.ndarray, upper: float, slack: float = 0.0) -> bool:
     """True when the value map leaves [0, upper] by more than slack plus float
-    fuzz; a NaN entry, inside no range, raises PreconditionError."""
+    fuzz; a NaN entry, inside no range, raises PreconditionError.  A map of up to
+    _SHORT_MAP entries that a scan in Python finds in range is not reduced."""
     tol = slack + _PROMISE_TOL * max(1.0, upper)
+    if v.size <= _SHORT_MAP and all(-tol <= x <= upper + tol for x in v.ravel().tolist()):
+        return False  # a NaN entry fails the scan, like an entry out of range
     lo, hi = np.minimum.reduce(v, axis=None), np.maximum.reduce(v, axis=None)  # a 2-D map too
     if lo != lo:  # a NaN entry makes both NaN
         _refuse_nan(v)
     return bool(lo < -tol or hi > upper + tol)
 
 
-def _in_range(v: np.ndarray, upper: float, slack: float = 0.0) -> bool:
-    """not _range_violated(v, upper, slack), False on a NaN entry: a scan in Python, for a short map."""
-    tol = slack + _PROMISE_TOL * max(1.0, upper)
-    return all(-tol <= x <= upper + tol for x in v.tolist())
-
-
-def _refuse_nan(v: np.ndarray):
-    """(min, max) of the value map; a NaN entry raises PreconditionError."""
-    lo, hi = v.min(), v.max()  # a NaN entry makes both NaN
-    if math.isnan(lo):
-        raise PreconditionError(f"value map[{int(np.isnan(v).argmax())}] is NaN")
-    return lo, hi
+def _refuse_nan(v: np.ndarray) -> None:
+    """Raise PreconditionError, naming its flat index, if an entry of the value map is NaN."""
+    nan = np.isnan(v)
+    if nan.any():
+        raise PreconditionError(f"value map[{int(nan.argmax())}] is NaN")
 
 
 def _variance_breached(var, sigma):
@@ -180,7 +177,9 @@ class MockRow(NamedTuple):
     """One stream's range-bounded mock draws, taken before its estimate:
     whether a failure flag is set, the noise in [-1, 1), unscaled until an
     estimate scales it by its line's err, and the stream's 16-byte key digest
-    on its oracle, which ``stream`` re-keys to replay the stream from the start."""
+    on its oracle, which ``stream`` re-keys to replay the stream from the start.
+    ``_estimate`` reads the noise alone when no flag is set on a batch not
+    voided, and replays the stream otherwise."""
 
     failed: bool
     noise: np.ndarray
@@ -216,7 +215,8 @@ def mock_rows(oracle: SampleOracle, keys: tuple, f: float):
 def _estimate(mu, line, cfg, rng, forced=False, sigma=None, err=None):
     """Estimates of an array of means on ``line`` (a ``solvers.Line``) from
     one stream, drawn entry by entry in row-major order.  Returns
-    (estimates, failed, charge).
+    (estimates, failed, charge), charging nothing itself: ``solvers._Iterate.estimate``,
+    ``batch_bounded_mock`` and ``batch_variance_mock`` charge the ledger.
 
     Range-bounded on [0, line.upper] to error line.err, each entry charged
     line.charge, unless ``sigma`` is given, which selects the
@@ -264,7 +264,7 @@ def _estimate(mu, line, cfg, rng, forced=False, sigma=None, err=None):
 
 
 # ---------------------------------------------------------------------------
-# Batched estimates used by the solvers.  One call estimates (P v)[s, a] for
+# Batched estimates.  One call estimates (P v)[s, a] for
 # every (s, a) at once from a single derived stream, drawing entries in
 # row-major order, on the schedule's line for that estimate.
 # ---------------------------------------------------------------------------
@@ -285,8 +285,9 @@ def batch_bounded_mock(
     A value map outside [0, line.upper] (beyond promise_slack) voids the
     contract of every estimate in the batch; those estimates are flagged and
     drawn from the failure distribution; a NaN entry is refused before any
-    draw or charge.  Returns (estimates, failed, violated).  This is the drawing path: the
-    solvers' steps take a no-flag ``MockRow`` on a batch not voided to ``_estimate`` directly.
+    draw or charge.  Returns (estimates, failed, violated).  This is the unmemoized
+    reference form of ``solvers._Iterate.estimate``, which keeps P value_map and the
+    verdict between steps: the same estimates, failures and charge on the same stream.
     """
     violated = _range_violated(value_map, line.upper, promise_slack)
     est, failed, charged = _estimate(expected_next_value(oracle.mdp, value_map), line, cfg, rng, violated)

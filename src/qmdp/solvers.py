@@ -33,9 +33,8 @@ from .estimators import (
     EstimatorConfig,
     MockRow,
     _estimate,
-    _in_range,
+    _range_violated,
     amplification_reps,
-    batch_bounded_mock,
     batch_variance_mock,
     bounded_mean_charge,
     hoeffding_sample_count,
@@ -47,7 +46,7 @@ from .mdp import Mdp, expected_next_value, greedy, successor_variance
 from .oracle import QueryLedger, SampleOracle
 from .qsim import (DEFAULT_C_MAX, MAX_ARGMAX_ITEMS, MAX_ARGMAX_PROBES, argmax_query_budget,
                    simulate_argmax)
-from .rng import bulk_passes, first_draws, key_digests, uniforms
+from .rng import bulk_passes, first_draws, key_digests
 
 __all__ = [
     "VarianceReducedParams",
@@ -115,22 +114,23 @@ def mock_argmax_rows(q: np.ndarray, f: float, u: np.ndarray,
     return np.where(failed, wrong + (wrong >= best), best), failed
 
 
-def _mock_argmax_draws(oracle: SampleOracle, keys: tuple, s_n: int, a_n: int):
-    """Yield the mock-argmax draws (u, wrong), one (S,) pair per sweep, of
-    the streams of ``keys`` (seed, label, sweeps, range(S), "argmax"): each one's
-    ``random()`` and then ``integers(max(A-1, 1))``, whatever the outcome.
-    Whole sweeps are drawn per ``rng.bulk_passes`` pass, and a stream that
-    ``first_draws`` replays is re-keyed on the oracle from its digest."""
+def _argmax_draws(oracle: SampleOracle, keys: tuple, s_n: int, a_n: int):
+    """Yield the argmax draws (u, wrong, digests) of each sweep of the streams of ``keys``
+    (seed, label, sweeps, range(S), "argmax"): each stream's ``random()`` and then
+    ``integers(max(A-1, 1))``, whatever the outcome, as (S,) arrays, and the sweep's S
+    16-byte key digests laid end to end.  Whole sweeps are drawn per ``rng.bulk_passes``
+    pass, and a stream that ``first_draws`` replays is re-keyed on the oracle from its digest."""
     for digests, words in bulk_passes(keys, 2, group=s_n):
         u, wrong = first_draws(words, max(a_n - 1, 1),
                                lambda i: oracle.keyed_rng(digests[16 * i:16 * i + 16]))
-        yield from zip(u.reshape(-1, s_n), wrong.reshape(-1, s_n))
+        for j in range(0, len(u), s_n):
+            yield u[j:j + s_n], wrong[j:j + s_n], digests[16 * j:16 * (j + s_n)]
 
 
 class _FirstUniform(NamedTuple):
     """A statevector argmax stream, which ``simulate_argmax`` draws on once: ``random()`` is its
-    first uniform, read in bulk, and ``integers(n)`` (a budget under one probe) is numpy's own,
-    drawn on the stream re-keyed on the oracle from its digest."""
+    first uniform, a ``u`` of ``_argmax_draws``, and ``integers(n)`` (a budget under one probe)
+    is numpy's own, drawn on the stream re-keyed on the oracle from its digest."""
 
     u: float
     digest: bytes
@@ -141,14 +141,6 @@ class _FirstUniform(NamedTuple):
 
     def integers(self, n: int) -> int:
         return self.oracle.keyed_rng(self.digest).integers(n)
-
-
-def _argmax_streams(oracle: SampleOracle, keys: tuple, s_n: int):
-    """Yield the streams of ``keys`` (seed, label, sweeps, range(S), "argmax") in order, as
-    ``_FirstUniform``s: whole sweeps' first words per ``rng.bulk_passes`` pass."""
-    for digests, words in bulk_passes(keys, 1, group=s_n):
-        for i, u in enumerate(uniforms(words[:, 0]).tolist()):
-            yield _FirstUniform(u, digests[16 * i:16 * i + 16], oracle)
 
 
 class Line(NamedTuple):
@@ -391,7 +383,8 @@ class _Iterate:
         s_n, steps = len(self.v), max(1, CHECK_CELLS // len(self.v))
         self._iterates, self._offers = np.empty((steps + 1, s_n)), np.empty((steps, s_n))
         self._iterates[0], self._steps = self.v, 0
-        self._checked, self._mu = None, None  # estimate's last no-flag key and its P value_map
+        # estimate's last key, its P value_map and its range verdict
+        self._key, self._mu, self._violated = None, None, False
 
     def keyed(self, keys: tuple) -> map:
         """The streams of the keys that the parts ``keys`` spell out (see
@@ -410,19 +403,18 @@ class _Iterate:
 
     def estimate(self, stream, phase, value_map, line: Line, promise_slack=0.0) -> np.ndarray:
         """Range-bounded estimates of P value_map on ``stream``, the next item of ``keyed`` or
-        ``streams``, to ``line``'s error on [0, upper].  A no-flag ``MockRow`` on a map in range is
-        estimated here, with no failure, from P value_map kept under the key (line, promise_slack,
-        the map's bytes) and reused unchecked under an equal key; all else goes to batch_bounded_mock."""
-        if type(stream) is MockRow and not stream.failed:
-            key = (line, promise_slack, value_map.tobytes())  # -0.0 and 0.0 differ here
-            if key != self._checked and _in_range(value_map, line.upper, promise_slack):
-                self._checked, self._mu = key, self.oracle.mdp.rows.dot(value_map).reshape(len(self.v), -1)
-            if key == self._checked:
-                self.oracle.ledger.charge_quantum(line.charge * self._mu.size, phase)
-                return _estimate(self._mu, line, self.cfg, stream)[0]
-        est, failed, _ = batch_bounded_mock(self.oracle, value_map, line, self.cfg, stream, phase,
-                                            promise_slack=promise_slack)
-        self.failures += np.count_nonzero(failed)
+        ``streams``, to ``line``'s error on [0, upper]: the estimates, failures and charge of
+        ``batch_bounded_mock`` on any stream.  P value_map and the range verdict are kept under
+        the key (line.upper, promise_slack, the map's bytes) and reused unchecked under an equal
+        key; a map with a NaN entry is refused before its key is kept, any draw or charge."""
+        key = (line.upper, promise_slack, value_map.tobytes())  # -0.0 and 0.0 differ here
+        if key != self._key:
+            self._violated = _range_violated(value_map, line.upper, promise_slack)
+            self._key, self._mu = key, self.oracle.mdp.rows.dot(value_map).reshape(len(self.v), -1)
+        est, failed, charge = _estimate(self._mu, line, self.cfg, stream, self._violated)
+        self.oracle.ledger.charge_quantum(charge, phase)
+        if self._violated or type(stream) is not MockRow or stream.failed:  # rows that can fail
+            self.failures += np.count_nonzero(failed)
         return est
 
     def keep_better(self, v_new: np.ndarray, pi_new: np.ndarray) -> None:
@@ -450,7 +442,8 @@ class _Iterate:
         """Contract-mock max finding over the rows of q on the next ``draws``,
         charged as the schedule's argmax line."""
         line = self.lines["argmax", 1]
-        index, failed = mock_argmax_rows(q, line.f, *next(draws))
+        u, wrong, _ = next(draws)
+        index, failed = mock_argmax_rows(q, line.f, u, wrong)
         self.failures += np.count_nonzero(failed)
         self.oracle.ledger.charge_quantum(len(q) * line.charge, phase)
         return index
@@ -555,18 +548,19 @@ def max_finding_vi(oracle: SampleOracle, plan: Plan, diagnostics: bool = False) 
     mean, probe_cost = plan.lines["line10", 1], plan.lines["argmax", 1].probe
     q_mem = np.zeros((s_n, a_n))  # memoized estimated Q row per state
     argmax_keys = (oracle.seed, "mf", range(1, p.iters + 1), range(s_n), "argmax")
-    argmax_streams = _argmax_streams(oracle, argmax_keys, s_n)  # statevector; both are read lazily
-    argmax_draws = _mock_argmax_draws(oracle, argmax_keys, s_n, a_n)  # contract mock
+    argmax_draws = _argmax_draws(oracle, argmax_keys, s_n, a_n)  # read lazily, a sweep at a time
     line10 = it.streams((oracle.seed, "mf", range(1, p.iters + 1), "line10"), mean.f)
 
     for l in range(1, p.iters + 1):
         phase_max = _phase("iter", l, "argmax")
         if use_statevector_argmax:
             # simulate_argmax draws once on each state's own stream
+            u, _, digests = next(argmax_draws)
             a_star = np.array([
-                simulate_argmax(q_mem[s], p.est_failure_prob, next(argmax_streams), p.c_max,
+                simulate_argmax(q_mem[s], p.est_failure_prob,
+                                _FirstUniform(u_s, digests[16 * s:16 * s + 16], oracle), p.c_max,
                                 ledger=oracle.ledger, phase=phase_max, probe_cost=probe_cost)
-                for s in range(s_n)], dtype=np.int64)
+                for s, u_s in enumerate(u.tolist())], dtype=np.int64)
         else:
             a_star = it.mock_argmax(q_mem, argmax_draws, phase_max)
         it.keep_better(q_mem[states, a_star], a_star)
@@ -604,7 +598,7 @@ def sampled_vi(oracle: SampleOracle, plan: Plan, diagnostics: bool = False) -> S
         means = it.streams((oracle.seed, "svi", sweeps), mean.f)
     if p.mode == "quantum_mean_and_max":
         argmax_keys = (oracle.seed, "svi", sweeps, range(s_n), "argmax")
-        argmax_draws = _mock_argmax_draws(oracle, argmax_keys, s_n, a_n)
+        argmax_draws = _argmax_draws(oracle, argmax_keys, s_n, a_n)
 
     for i in sweeps:
         phase = _phase("iter", i)

@@ -607,11 +607,14 @@ class TestClassicalEstimates:
 
 class TestRangeCheck:
     """The batch estimates' range check: the elementwise comparisons on a map
-    without NaN; a NaN entry, inside no range, is refused by its index."""
+    without NaN; a NaN entry, inside no range, is refused by its index.  Maps of
+    up to 16 entries are scanned in Python first, longer ones only reduced."""
 
     @pytest.mark.parametrize("v", [
         [0.5, math.nan], [math.nan, -1.0], [2.0, math.nan], [math.nan, math.nan],
         [-1.0, 2.0], [0.0, 1.0], [1.0 + 1e-10, 0.0], [[0.5, -0.5], [math.nan, 0.2]],
+        [-0.25, 0.5], [0.5, 1.25], [0.5] * 15 + [-0.25], [0.5] * 16 + [-0.25], [0.5] * 17,
+        [0.5] * 16 + [math.nan],
     ])
     @pytest.mark.parametrize("slack", [0.0, 0.6])
     def test_same_as_elementwise_comparisons(self, v, slack):

@@ -5,10 +5,11 @@ Each property draws its cases from a derandomized ``hypothesis`` search:
 the reshaped tensor, ``_Iterate.keep_better`` against its two-``np.where``
 form, ``_Iterate.estimate`` on a ``MockRow`` against ``_estimate`` on
 the row's replayed stream, and ``mock_argmax_rows`` against its
-``np.where`` form.  A scripted test runs ``_Iterate.estimate``, whose
-no-flag rows skip the estimator layers and reuse an unchanged map's
-expectation, against ``batch_bounded_mock`` on each row's replayed stream,
-and ``tools/time_slots.py``, which times those steps, runs once.
+``np.where`` form.  A scripted test runs ``_Iterate.estimate``, which
+reuses an unchanged map's expectation and range verdict on every stream,
+against ``batch_bounded_mock``, its unmemoized form, on each step's
+replayed stream: a ``MockRow``, a keyed Generator, and a statevector
+stream.  ``tools/time_slots.py``, which times those steps, runs once.
 """
 
 import importlib
@@ -26,6 +27,7 @@ from qmdp.errors import PreconditionError
 from qmdp.estimators import EstimatorConfig, _estimate, batch_bounded_mock, mock_rows
 from qmdp.mdp import Mdp, expected_next_value
 from qmdp.oracle import SampleOracle
+from qmdp.rng import key_digests
 from qmdp.solvers import MaxFindingParams, Plan, mock_argmax_rows
 
 FAST = settings(derandomize=True, database=None, deadline=None)
@@ -139,37 +141,44 @@ SCRIPT = [(0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 1, 0), (0, 1, 1), (0, 0, 1),
           (5, 0, 0), (5, 0, 1), (5, 0, 1), (5, 0, 0), (6, 0, 1), (6, 0, 0), (1, 0, 0), (1, 0, 0)] * 3
 
 
+@pytest.mark.parametrize("kind", ["mock rows", "keyed", "statevector"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_iterate_estimate_is_batch_bounded_mock_on_the_replayed_stream(seed):
-    mdp, cfg = random_mdp(2, 3, seed), EstimatorConfig()
-    it = solvers._Iterate(SampleOracle(mdp, seed), Plan.of(mdp, MaxFindingParams.for_mdp(mdp, 1.0, 0.1)),
-                          False)
+def test_iterate_estimate_is_batch_bounded_mock_on_the_replayed_stream(seed, kind):
+    # each step's stream: a MockRow, or a keyed Generator on the contract mock or on statevector
+    mdp = random_mdp(2, 3, seed)
+    cfg = EstimatorConfig(backend="statevector" if kind == "statevector" else "contract_mock")
+    it = solvers._Iterate(SampleOracle(mdp, seed),
+                          Plan.of(mdp, MaxFindingParams.for_mdp(mdp, 1.0, 0.1), cfg), False)
     ref = SampleOracle(mdp, seed)
     lines = [solvers._bounded(mdp, cfg, 1, upper, 0.1, 0.05) for upper in (2.0, 1.0)]
     value_map = np.empty(2)  # one buffer, written in place before every step
     failures, last, hits, seen = 0, None, 0, set()
-    rows = mock_rows(it.oracle, (seed, "differential", range(len(SCRIPT))), 0.05)
-    for row, (m, l, s) in zip(rows, SCRIPT, strict=True):
+    keys = (seed, "differential", range(len(SCRIPT)))
+    streams = mock_rows(it.oracle, keys, 0.05) if kind == "mock rows" else it.keyed(keys)
+    for stream, digest, (m, l, s) in zip(streams, key_digests(keys), SCRIPT, strict=True):
         value_map[:] = MAPS[m]
         line, slack, phase, before = lines[l], SLACKS[s], f"line-{l}", it._mu
         try:
             want, failed, violated = batch_bounded_mock(ref, value_map, line, cfg,
-                                                        ref.keyed_rng(row.digest), phase, slack)
+                                                        ref.keyed_rng(digest), phase, slack)
         except PreconditionError as exc:  # refused before any draw or charge, either way
             with pytest.raises(PreconditionError, match=f"^{re.escape(str(exc))}$"):
-                it.estimate(row, phase, value_map, line, slack)
+                it.estimate(stream, phase, value_map, line, slack)
+            assert it._mu is before  # and its key is not kept
             seen.add("nan")
         else:
             failures += np.count_nonzero(failed)
-            assert it.estimate(row, phase, value_map, line, slack).tobytes() == want.tobytes()
-            seen.add("flagged" if row.failed else "voided" if violated else "no-flag")
-            if not (row.failed or violated):  # the expectation is reused for an equal key only
-                assert (it._mu is before) == ((m, l, s) == last)
-                assert it._mu.tobytes() == expected_next_value(mdp, value_map).tobytes()
-                hits, last = hits + (it._mu is before), (m, l, s)
+            assert it.estimate(stream, phase, value_map, line, slack).tobytes() == want.tobytes()
+            seen.add("voided" if violated else "flagged" if failed.any() else "no-flag")
+            # the expectation is reused exactly when the key repeats, whatever the row
+            assert (it._mu is before) == ((m, l, s) == last)
+            assert it._mu.tobytes() == expected_next_value(mdp, value_map).tobytes()
+            hits, last = hits + (it._mu is before), (m, l, s)
         assert it.failures == failures
         assert it.oracle.ledger.to_dict() == ref.ledger.to_dict()
-    assert seen == {"nan", "flagged", "voided", "no-flag"} and hits > 0
+    # statevector flags no entry of a batch it does not void
+    assert seen == {"nan", "voided", "no-flag"} | ({"flagged"} if kind != "statevector" else set())
+    assert hits > 0
 
 
 def test_time_slots_tool_runs_against_a_checkout(monkeypatch, capsys):

@@ -463,15 +463,15 @@ def _solve_sha256(report) -> str:
 def test_solve_pin(monkeypatch, name):
     mdp, solve, seed, failures, voided, digest = SOLVE_PINS[name]
     failed, void = [], []
-    real = solvers.batch_bounded_mock
+    real = solvers._estimate
 
-    def spy(*args, **kwargs):
-        est, fail, violated = real(*args, **kwargs)
+    def spy(mu, line, cfg, rng, forced=False, **kwargs):  # forced: the batch's voided flag
+        est, fail, charge = real(mu, line, cfg, rng, forced, **kwargs)
         failed.append(bool(fail.any()))
-        void.append(violated)
-        return est, fail, violated
+        void.append(forced)
+        return est, fail, charge
 
-    monkeypatch.setattr(solvers, "batch_bounded_mock", spy)
+    monkeypatch.setattr(solvers, "_estimate", spy)
     report = solve(SampleOracle(mdp, seed))
     assert (any(failed), any(void)) == (failures, voided)
     assert _solve_sha256(report) == digest, f"OpenBLAS core {openblas_core()}"

@@ -171,13 +171,14 @@ class TestVectorizedMockArgmax:
         oracle = SampleOracle(zero_reward_mdp(), 11)
         for s_n, sweeps in ((40, 3), (3, 5)):
             q = tied_rows(s_n, a_n, a_n)
-            draws = list(solvers._mock_argmax_draws(oracle, argmax_keys(11, sweeps, s_n), s_n, a_n))
+            draws = list(solvers._argmax_draws(oracle, argmax_keys(11, sweeps, s_n), s_n, a_n))
             assert len(draws) == sweeps
-            for l, (u, wrong) in enumerate(draws, start=1):
+            for l, (u, wrong, digests) in enumerate(draws, start=1):
                 index, failed = mock_argmax_rows(q, f, u, wrong)
                 want = [loop_mock_argmax(q[s], f, derived_rng(11, "mf", l, s, "argmax"))
                         for s in range(s_n)]
                 assert list(zip(index.tolist(), failed.tolist())) == want
+                assert digests == b"".join(key_digest(11, "mf", l, s, "argmax") for s in range(s_n))
 
     @pytest.mark.parametrize("a_n", [1, 2, 3, 8, 16])
     @pytest.mark.parametrize("f", [0.0, 0.3, 1.0])
@@ -222,9 +223,9 @@ class TestVectorizedMockArgmax:
         real = SampleOracle.keyed_rng
         monkeypatch.setattr(SampleOracle, "keyed_rng",
                             lambda self, digest: rekeyed.append(digest) or real(self, digest))
-        draws = list(solvers._mock_argmax_draws(oracle, argmax_keys(12, sweeps, s_n), s_n, k + 1))
+        draws = list(solvers._argmax_draws(oracle, argmax_keys(12, sweeps, s_n), s_n, k + 1))
         assert len(draws) == sweeps
-        for l, (u, wrong) in enumerate(draws, start=1):
+        for l, (u, wrong, _) in enumerate(draws, start=1):
             for s in range(s_n):
                 ref = derived_rng(12, "mf", l, s, "argmax")
                 assert (u[s], wrong[s]) == (ref.random(), ref.integers(k)), (l, s)
@@ -232,13 +233,34 @@ class TestVectorizedMockArgmax:
         assert set(rekeyed) <= {key_digest(*key) for key in keys}
         assert 5 < len(rekeyed) < 35 and oracle._rng is not None
 
+    def test_statevector_sweeps_read_the_reader_draws(self, monkeypatch):
+        # statevector max finding takes each state's uniform and digest from the one reader
+        # the contract mock reads, on the same keys
+        mdp = fig_two(8, 1.0, {3})
+        params = MaxFindingParams.for_mdp(mdp, 1.0, 0.1)
+        seen, real = [], solvers.simulate_argmax
+
+        def spy(q_row, f, rng, *args, **kwargs):
+            seen.append((rng.random(), rng.digest))
+            return real(q_row, f, rng, *args, **kwargs)
+
+        monkeypatch.setattr(solvers, "simulate_argmax", spy)
+        max_finding_vi(SampleOracle(mdp, 5), Plan.of(mdp, params, EstimatorConfig(backend="statevector")))
+        s_n = mdp.num_states
+        draws = solvers._argmax_draws(SampleOracle(mdp, 5), argmax_keys(5, params.iters, s_n), s_n, 8)
+        want = [(u_s, digests[16 * s:16 * s + 16]) for u, _, digests in draws
+                for s, u_s in enumerate(u.tolist())]
+        assert seen == want and len(want) == s_n * params.iters
+        assert [u for u, _ in seen[:s_n]] == [derived_rng(5, "mf", 1, s, "argmax").random()
+                                             for s in range(s_n)]
+
     def test_chunked_draws_memory_does_not_grow_with_sweeps(self):
         # 2^18 (sweep, state) pairs; holding all their draws at once would
         # take 4 MiB for the arrays alone
         oracle = SampleOracle(zero_reward_mdp(), 0)
         tracemalloc.start()
         try:
-            n = sum(1 for _ in solvers._mock_argmax_draws(oracle, argmax_keys(0, 4096, 64), 64, 16))
+            n = sum(1 for _ in solvers._argmax_draws(oracle, argmax_keys(0, 4096, 64), 64, 16))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

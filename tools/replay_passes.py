@@ -9,9 +9,10 @@ Every ``qsim._estimate_draws(a, t, w)`` call the solves make is recorded with wh
 The replay calls ``_estimate_draws`` again on each recorded input, checks that it returns the
 same bytes, and prints the fastest of ``REPLAYS`` replays in microseconds per call, with the
 number of amplitudes whose pass built their whole run after its first table (full-run
-rebuilds).  ``--against <checkout>/src`` loads that checkout's ``qmdp/qsim.py`` beside this
-one, checks that it draws the same bytes, and alternates the two replays in this one process,
-so that both are timed on the same calls under the same load:
+rebuilds).  ``--against <checkout>/src`` loads that checkout's whole ``qmdp`` package beside
+this one, as ``qmdp_against`` (with ``time_slots.load_package``), checks that its ``qsim`` draws
+the same bytes, and alternates the two replays in this one process, so that both are timed on
+the same calls under the same load:
 
     PYTHONPATH=src python tools/replay_passes.py --seed 7801 --against ../parent/src
 """
@@ -19,8 +20,6 @@ so that both are timed on the same calls under the same load:
 from __future__ import annotations
 
 import argparse
-import importlib.util
-import pathlib
 import sys
 import time
 
@@ -29,6 +28,7 @@ import numpy as np
 import qmdp.qsim as qsim
 from qmdp.cli import build_instance, run_solver
 from qmdp.estimators import EstimatorConfig
+from time_slots import load_package
 
 SOLVERS = ({"name": "variance-reduced"}, {"name": "max-finding"},
            {"name": "sampled", "mode": "quantum_mean"})
@@ -57,15 +57,6 @@ def capture(seed: int) -> list:
     finally:
         qsim._estimate_draws = real
     return calls
-
-
-def load_qsim(src: str):
-    """The qsim module of another checkout's source directory, loaded as qmdp._replayed_qsim."""
-    spec = importlib.util.spec_from_file_location("qmdp._replayed_qsim",
-                                                  pathlib.Path(src) / "qmdp" / "qsim.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def rebuilt_amplitudes(calls: list) -> int:
@@ -110,7 +101,7 @@ def main(argv=None) -> int:
     ap.add_argument("--against", help="another checkout's src directory, timed beside this one")
     args = ap.parse_args(argv)
     calls = capture(args.seed)
-    modules = {"this": qsim} | ({"against": load_qsim(args.against)} if args.against else {})
+    modules = {"this": qsim} | ({"against": load_package(args.against).qsim} if args.against else {})
     for name, module in modules.items():
         check(module, calls, name)
     best = dict.fromkeys(modules, float("inf"))

@@ -5,8 +5,8 @@ large arm picked from the seed), one ``variance-reduced``, one ``max-finding`` a
 ``classical`` solve at each eps in ``EPS``, delta 0.1, on the contract mock: 12 slots a round,
 round r on solve seed ``seed * 1_000_003 + r + 1``.  Prints the median milliseconds per solve of
 each slot over ``ROUNDS`` rounds and how often a slot's step reused its previous step's
-expectation over as many rounds (memo hits: a no-flag row whose value map was the last one
-checked, bit for bit).
+expectation over as many rounds (memo hits: a step whose key, the line's upper bound, the
+promise slack and the value map's bytes, was its previous step's).
 
 ``--against <checkout>/src`` loads that checkout's whole ``qmdp`` package beside this one, as
 ``qmdp_against``, checks that every solve reports the same bytes in both, and alternates the two
@@ -31,7 +31,6 @@ import numpy as np
 import qmdp
 import qmdp.cli  # noqa: F401  (qmdp.cli and qmdp.estimators, as the other package loads them)
 import qmdp.solvers as solvers
-from qmdp.estimators import MockRow
 
 SOLVERS = ({"name": "variance-reduced"}, {"name": "max-finding"},
            {"name": "sampled", "mode": "classical"})
@@ -74,11 +73,9 @@ def memo_hits(seed: int) -> list:
     hits, real = [0], solvers._Iterate.estimate
 
     def counted(self, stream, *args, **kwargs):
-        mu, failures = self._mu, self.failures
+        mu = self._mu
         est = real(self, stream, *args, **kwargs)
-        # a voided row counts its failures and leaves the expectation as it is
-        hits[0] += (type(stream) is MockRow and not stream.failed and self._mu is mu
-                    and self.failures == failures)
+        hits[0] += self._mu is mu  # a new key computes a new expectation
         return est
 
     out = []
