@@ -30,7 +30,7 @@ from .errors import PreconditionError
 from .mdp import expected_next_value, successor_variance
 from .oracle import SampleOracle
 from .qsim import MAX_PHASE_BITS, check_phase_bits, median_amplitude_estimates
-from .rng import bulk_passes, uniforms
+from .rng import uniforms
 
 __all__ = [
     "EstimatorConfig",
@@ -190,24 +190,23 @@ class MockRow(NamedTuple):
         return self.oracle.keyed_rng(self.digest)
 
 
-def mock_rows(oracle: SampleOracle, keys: tuple, f: float):
-    """Yield a ``MockRow`` per stream of the keys that the parts ``keys``
-    spell out (see ``rng.key_digests``), in order, for mock range-bounded
+def mock_rows(oracle: SampleOracle, passes, f: float):
+    """Yield a ``MockRow`` per stream of ``passes``, one family's iterator of
+    ``rng.bulk_passes`` with n = 2*S*A, in order, for mock range-bounded
     estimates of every (s, a) at failure probability f.
 
     A batch draws its failure flags, ``random(shape) < f``, then its noise,
     ``uniform(-1, 1, shape)``, which its estimate scales by its line's err:
-    the first 2*S*A uniforms of its stream, taken here from
-    ``rng.bulk_passes``, so every value equals the stream's own draw.  A row
+    the first 2*S*A uniforms of its stream, as the pass computed them, so
+    every value equals the stream's own draw.  A row
     with a failed entry, or on a voided batch, is replayed by ``_estimate``
     on its stream, re-keyed from its digest; any other row needs only its noise.
     """
     shape = (oracle.mdp.num_states, oracle.mdp.num_actions)
     size = shape[0] * shape[1]
-    for digests, words in bulk_passes(keys, 2 * size):
-        u = uniforms(words)
-        failed = (u[:, :size] < f).any(axis=1).tolist()
-        noise = (-1.0 + 2.0 * u[:, size:]).reshape(-1, *shape)
+    for digests, words in passes:  # no uniforms of a pass outlive it: the next is computed here
+        failed = (uniforms(words[:, :size]) < f).any(axis=1).tolist()
+        noise = (-1.0 + 2.0 * uniforms(words[:, size:])).reshape(-1, *shape)
         for i, row in enumerate(noise):
             yield MockRow(failed[i], row, digests[16 * i:16 * i + 16], oracle)
 

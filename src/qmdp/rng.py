@@ -8,14 +8,15 @@ A key is its parts, the seed first, and its stream is Philox keyed by the
 16-byte blake2b digest of their text joined by "\x1f".  ``key_digests``
 reads the digests of a family of keys, such as a solve's line-13 streams,
 lazily and in order from a tuple of parts that spells them out;
-``bulk_passes`` computes many streams' first words in vectorized Philox
-passes under one word budget, and ``uniforms``, ``lemire`` and
+``bulk_passes`` computes the first words of the streams of one or several
+such families in shared vectorized Philox passes under one word budget, and ``uniforms``, ``lemire`` and
 ``first_draws`` turn them into the streams' draws.
 """
 
 from __future__ import annotations
 
 import hashlib
+import collections
 import itertools
 import struct
 
@@ -92,25 +93,34 @@ def _mulhilo(m: tuple, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x_hi * m_hi + (t >> _SHIFT32) + (mid >> _SHIFT32), x * m
 
 
-def _philox_words(digests: bytes, n: int) -> np.ndarray:
-    """(m, n) uint64: the first n words of each stream whose 16-byte key
-    digest is in ``digests``, as a fresh ``np.random.Philox`` under that key
-    produces them.  Output block j, words 4j to 4j+3, is Philox4x64-10 at
-    counter (j+1, 0, 0, 0); one numpy pass covers every block of every key."""
-    key = np.frombuffer(digests, dtype=np.uint64).reshape(-1, 2)
-    blocks = -(-n // 4)
-    k0, k1 = key[:, :1], key[:, 1:]
-    # (1, blocks) counters and (1, 1) zeros broadcast against the (m, 1)
-    # keys; by the third round every word is (m, blocks)
-    c0 = np.arange(1, blocks + 1, dtype=np.uint64)[None, :]
-    c1 = c2 = c3 = np.zeros((1, 1), dtype=np.uint64)
-    for r in range(_PHILOX_ROUNDS):
-        if r:
-            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+def _philox_words(families) -> list:
+    """For each (digests, n) of ``families``, (m, n) uint64: the first n words
+    of each stream whose 16-byte key digest is in ``digests``, as a fresh
+    ``np.random.Philox`` under that key produces them.  Output block j, words
+    4j to 4j+3, is Philox4x64-10 at counter (j+1, 0, 0, 0); one numpy pass
+    covers every (key, block) cell of every family."""
+    keys = [len(digests) // 16 for digests, _ in families]
+    blocks = [-(-n // 4) for _, n in families]
+    key = np.frombuffer(b"".join(digests for digests, _ in families), dtype=np.uint64)
+    per_key = np.repeat(blocks, keys)  # each key's blocks, one cell each
+    k0, k1 = np.repeat(key[0::2], per_key), np.repeat(key[1::2], per_key)
+    block = np.concatenate([np.tile(np.arange(b), m) for m, b in zip(keys, blocks)])
+    # round 1 meets zero counter words 1-3: its products are the block counter's, taken
+    # once per block and read per cell
+    hi0, lo0 = _mulhilo(_PHILOX_M[0], np.arange(1, max(blocks, default=0) + 1, dtype=np.uint64))
+    c0, c1, c2, c3 = k0.copy(), np.zeros(1, dtype=np.uint64), hi0[block] ^ k1, lo0[block]
+    del block  # a cell array fewer through the rounds, where a pass peaks
+    for _ in range(1, _PHILOX_ROUNDS):
+        k0 += _PHILOX_W[0]  # the round's key, in place
+        k1 += _PHILOX_W[1]
         hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
         hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
         c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    return np.stack((c0, c1, c2, c3), axis=2).reshape(len(key), 4 * blocks)[:, :n]
+    words, out, start = np.stack((c0, c1, c2, c3), axis=1), [], 0
+    for m, b, (_, n) in zip(keys, blocks, families):
+        out.append(words[start:start + m * b].reshape(m, 4 * b)[:, :n])
+        start += m * b
+    return out
 
 
 def uniforms(words: np.ndarray) -> np.ndarray:
@@ -162,19 +172,37 @@ def key_digests(parts: tuple):
             yield h.digest()
 
 
-def bulk_passes(parts: tuple, n: int, group: int = 1):
-    """Yield (digests, words) for consecutive chunks of the keys of
-    ``parts``: the chunk's concatenated key digests and its streams' first n
-    words, (m, n) uint64 from ``_philox_words``.
+def bulk_passes(*families) -> tuple:
+    """One iterator per family ``(parts, n, group)``, in order, each yielding
+    (digests, words) for consecutive chunks of the keys of ``parts``: the
+    chunk's concatenated key digests and its streams' first n words, (m, n)
+    uint64 from ``_philox_words``.
 
-    A chunk holds ``max(1, PASS_WORDS // (n * group)) * group`` streams, so
-    memory stays bounded for any number of keys, and whole groups of
-    ``group`` consecutive keys (a sweep's states, say) are never split.
+    A family runs in sweeps of ``group`` consecutive keys (a sweep's states,
+    say).  A pass holds ``max(1, PASS_WORDS // sum(n * group))`` whole sweeps of
+    every family, so memory stays bounded for any number of keys, and one
+    ``_philox_words`` call computes all of them.  The iterators share the
+    passes and hold a pass until each has read it, so read them in step, as a
+    solve reads its sweeps; a family whose keys have run out gets empty chunks
+    while another's go on.
     """
-    per_pass = max(1, PASS_WORDS // (n * group)) * group
-    keys = key_digests(parts)
-    while digests := b"".join(itertools.islice(keys, per_pass)):
-        yield digests, _philox_words(digests, n)
+    sweeps = max(1, PASS_WORDS // sum(n * group for _, n, group in families))
+    keys = [(key_digests(parts), sweeps * group, n) for parts, n, group in families]
+    queues = [collections.deque() for _ in families]
+
+    def next_pass() -> bool:  # into every family's queue; False once no keys are left
+        chunks = [(b"".join(itertools.islice(k, per_pass)), n) for k, per_pass, n in keys]
+        if not any(digests for digests, _ in chunks):
+            return False
+        for queue, (digests, _), words in zip(queues, chunks, _philox_words(chunks)):
+            queue.append((digests, words))
+        return True
+
+    def family(queue):
+        while queue or next_pass():
+            yield queue.popleft()
+
+    return tuple(map(family, queues))
 
 
 def lemire(halves: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

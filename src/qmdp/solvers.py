@@ -114,13 +114,13 @@ def mock_argmax_rows(q: np.ndarray, f: float, u: np.ndarray,
     return np.where(failed, wrong + (wrong >= best), best), failed
 
 
-def _argmax_draws(oracle: SampleOracle, keys: tuple, s_n: int, a_n: int):
-    """Yield the argmax draws (u, wrong, digests) of each sweep of the streams of ``keys``
-    (seed, label, sweeps, range(S), "argmax"): each stream's ``random()`` and then
-    ``integers(max(A-1, 1))``, whatever the outcome, as (S,) arrays, and the sweep's S
-    16-byte key digests laid end to end.  Whole sweeps are drawn per ``rng.bulk_passes``
-    pass, and a stream that ``first_draws`` replays is re-keyed on the oracle from its digest."""
-    for digests, words in bulk_passes(keys, 2, group=s_n):
+def _argmax_draws(oracle: SampleOracle, passes, s_n: int, a_n: int):
+    """Yield the argmax draws (u, wrong, digests) of each sweep of ``passes``, the family of
+    ``rng.bulk_passes`` with n = 2 and group = S on the keys (seed, label, sweeps, range(S),
+    "argmax"): each stream's ``random()`` and then ``integers(max(A-1, 1))``, whatever the
+    outcome, as (S,) arrays, and the sweep's S 16-byte key digests laid end to end.  A stream
+    that ``first_draws`` replays is re-keyed on the oracle from its digest."""
+    for digests, words in passes:
         u, wrong = first_draws(words, max(a_n - 1, 1),
                                lambda i: oracle.keyed_rng(digests[16 * i:16 * i + 16]))
         for j in range(0, len(u), s_n):
@@ -368,7 +368,10 @@ def _phase(scope: str, n: int, line=None) -> str:
 class _Iterate:
     """The iterate (v, pi) of one solve with its flags, failure count and
     snapshots, and the plan's config and lines it follows.  A solver with no
-    monotone claim reports its flags as None."""
+    monotone claim reports its flags as None.  The iterate owns v and pi from
+    construction to ``report``: every step writes them in place and nothing
+    rebinds them, so a caller that keeps a past iterate, such as an epoch's
+    anchor, keeps a copy, and ``report`` hands out copies of its own."""
 
     def __init__(self, oracle, plan: Plan, diagnostics, monotone=True):
         self.oracle, self.cfg, self.lines = oracle, plan.cfg, plan.lines
@@ -391,15 +394,19 @@ class _Iterate:
         ``rng.key_digests``), in order, each re-keying the oracle as it is taken."""
         return map(self.oracle.keyed_rng, key_digests(keys))
 
-    def streams(self, keys: tuple, f: float):
+    def streams(self, keys: tuple, f: float, argmax: tuple | None = None):
         """The streams of ``keys``, in order, for ``estimate`` at the solve's
         failure probability f, which every line of a plan shares: their
         ``MockRow``s drawn in bulk (see ``mock_rows``), or, on the statevector
-        backend and for streams longer than BULK_STREAM_WORDS, ``keyed(keys)``."""
-        words = 2 * self.oracle.mdp.num_states * self.oracle.mdp.num_actions
-        if self.cfg.backend == BACKEND_STATEVECTOR or words > BULK_STREAM_WORDS:
-            return self.keyed(keys)
-        return mock_rows(self.oracle, keys, f)
+        backend and for streams longer than BULK_STREAM_WORDS, ``keyed(keys)``.
+        Given the argmax keys (seed, label, sweeps, range(S), "argmax"), also
+        their ``_argmax_draws``, taken with the rows from the same passes."""
+        s_n, a_n = self.oracle.mdp.num_states, self.oracle.mdp.num_actions
+        bulk = self.cfg.backend != BACKEND_STATEVECTOR and 2 * s_n * a_n <= BULK_STREAM_WORDS
+        families = ([(keys, 2 * s_n * a_n, 1)] if bulk else []) + ([(argmax, 2, s_n)] if argmax else [])
+        passes = bulk_passes(*families) if families else ()
+        rows = mock_rows(self.oracle, passes[0], f) if bulk else self.keyed(keys)
+        return rows if argmax is None else (rows, _argmax_draws(self.oracle, passes[-1], s_n, a_n))
 
     def estimate(self, stream, phase, value_map, line: Line, promise_slack=0.0) -> np.ndarray:
         """Range-bounded estimates of P value_map on ``stream``, the next item of ``keyed`` or
@@ -418,13 +425,13 @@ class _Iterate:
         return est
 
     def keep_better(self, v_new: np.ndarray, pi_new: np.ndarray) -> None:
-        """Keep, per state, the better of v and v_new.  On a monotone solve v
-        changes only here; the step is logged and the flags checked per block.
-        If no state takes v_new, v and pi stay as they are, as np.where keeps them."""
+        """Keep, per state, the better of v and v_new, written into v and pi in
+        place, so a step allocates no iterate: the values of the two ``np.where``
+        calls it once made.  On a monotone solve v changes only here; the step is
+        logged and the flags checked per block."""
         take = v_new >= self.v
-        if np.count_nonzero(take):
-            self.pi = np.where(take, pi_new, self.pi)
-            self.v = np.where(take, v_new, self.v)
+        np.copyto(self.pi, pi_new, where=take)
+        np.copyto(self.v, v_new, where=take)
         self._offers[self._steps] = v_new
         self._iterates[self._steps + 1] = self.v
         self._steps += 1
@@ -459,7 +466,8 @@ class _Iterate:
     def report(self, solver, params, q_hat=None, **extra) -> SolveReport:
         if self._steps:
             self._check_steps()
-        return SolveReport(solver, self.oracle.seed, self.v, self.pi, q_hat, self.oracle.ledger,
+        return SolveReport(solver, self.oracle.seed, self.v.copy(), self.pi.copy(), q_hat,
+                           self.oracle.ledger,
                            params, self.monotone_ok, self.dominance_ok, self.one_sided_ok,
                            int(self.failures), snapshots=self.snapshots, **extra)
 
@@ -547,11 +555,12 @@ def max_finding_vi(oracle: SampleOracle, plan: Plan, diagnostics: bool = False) 
     states = np.arange(s_n)
     mean, probe_cost = plan.lines["line10", 1], plan.lines["argmax", 1].probe
     q_mem = np.zeros((s_n, a_n))  # memoized estimated Q row per state
-    argmax_keys = (oracle.seed, "mf", range(1, p.iters + 1), range(s_n), "argmax")
-    argmax_draws = _argmax_draws(oracle, argmax_keys, s_n, a_n)  # read lazily, a sweep at a time
-    line10 = it.streams((oracle.seed, "mf", range(1, p.iters + 1), "line10"), mean.f)
+    sweeps = range(1, p.iters + 1)
+    # read lazily, a sweep at a time, from shared passes
+    line10, argmax_draws = it.streams((oracle.seed, "mf", sweeps, "line10"), mean.f,
+                                      (oracle.seed, "mf", sweeps, range(s_n), "argmax"))
 
-    for l in range(1, p.iters + 1):
+    for l in sweeps:
         phase_max = _phase("iter", l, "argmax")
         if use_statevector_argmax:
             # simulate_argmax draws once on each state's own stream
@@ -594,11 +603,11 @@ def sampled_vi(oracle: SampleOracle, plan: Plan, diagnostics: bool = False) -> S
     it = _Iterate(oracle, plan, diagnostics, monotone=False)
     mean = plan.lines["mean", 1]
     q_est = np.zeros((s_n, a_n))
-    if p.mode != "classical":
+    if p.mode == "quantum_mean":
         means = it.streams((oracle.seed, "svi", sweeps), mean.f)
-    if p.mode == "quantum_mean_and_max":
-        argmax_keys = (oracle.seed, "svi", sweeps, range(s_n), "argmax")
-        argmax_draws = _argmax_draws(oracle, argmax_keys, s_n, a_n)
+    elif p.mode == "quantum_mean_and_max":
+        means, argmax_draws = it.streams((oracle.seed, "svi", sweeps), mean.f,
+                                         (oracle.seed, "svi", sweeps, range(s_n), "argmax"))
 
     for i in sweeps:
         phase = _phase("iter", i)
@@ -610,11 +619,11 @@ def sampled_vi(oracle: SampleOracle, plan: Plan, diagnostics: bool = False) -> S
         q_est = r + gamma * est
         if p.mode == "quantum_mean_and_max":
             best = it.mock_argmax(q_est, argmax_draws, _phase("iter", i, "argmax"))
-            it.v = q_est[np.arange(s_n), best]
+            it.v[:] = q_est[np.arange(s_n), best]
         else:
-            it.v = np.maximum.reduce(q_est, axis=1)  # what q_est.max(axis=1) calls
+            np.maximum.reduce(q_est, axis=1, out=it.v)  # what q_est.max(axis=1) calls
         if diagnostics:
             it.snapshot(1, i, q_est.argmax(axis=1))
 
-    _, it.pi = greedy(q_est)
+    _, it.pi[:] = greedy(q_est)
     return it.report(f"sampled-{p.mode}", asdict(p))

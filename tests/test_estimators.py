@@ -24,6 +24,7 @@ from qmdp.oracle import SampleOracle
 from qmdp.rng import derived_rng
 from qmdp.solvers import Line
 from test_qsim import reference_pass
+from test_rng import one_family
 
 CFG = EstimatorConfig()
 
@@ -346,7 +347,8 @@ class TestMockRows:
         # one f for every line, each line's err scaling its rows' noise
         upper, eps = [1.0, 2.0, 4.0], [0.1, 0.05, 0.2]
         lines = [core_line(np.zeros((3, 4)), u, e, delta, cfg) for u, e in zip(upper, eps)]
-        rows = list(est_mod.mock_rows(oracle, (37, "t", range(1, 4), range(5), "rows"), delta))
+        passes = one_family((37, "t", range(1, 4), range(5), "rows"), 24)
+        rows = list(est_mod.mock_rows(oracle, passes, delta))
         assert len(rows) == 15
         for key, row in zip(itertools.product([37], ["t"], range(1, 4), range(5), ["rows"]),
                             rows, strict=True):
@@ -371,7 +373,7 @@ class TestMockRows:
         line = core_line(mu, 1.0, 0.1, 0.1, CFG)
         failed = []
         for key, row in zip(itertools.product([38], ["svi"], range(1, 41)),
-                            est_mod.mock_rows(oracle, (38, "svi", range(1, 41)), 0.1),
+                            est_mod.mock_rows(oracle, one_family((38, "svi", range(1, 41)), 8), 0.1),
                             strict=True):
             want = est_mod._estimate(mu, line, CFG, derived_rng(*key))
             before = oracle.ledger.quantum_oracle_calls

@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 import qmdp.solvers as solvers
 from qmdp.errors import PreconditionError
-from qmdp.estimators import EstimatorConfig, _estimate, batch_bounded_mock, mock_rows
+from qmdp.estimators import EstimatorConfig, _estimate, batch_bounded_mock
 from qmdp.mdp import Mdp, expected_next_value
 from qmdp.oracle import SampleOracle
 from qmdp.rng import key_digests
@@ -154,7 +154,7 @@ def test_iterate_estimate_is_batch_bounded_mock_on_the_replayed_stream(seed, kin
     value_map = np.empty(2)  # one buffer, written in place before every step
     failures, last, hits, seen = 0, None, 0, set()
     keys = (seed, "differential", range(len(SCRIPT)))
-    streams = mock_rows(it.oracle, keys, 0.05) if kind == "mock rows" else it.keyed(keys)
+    streams = it.streams(keys, 0.05) if kind == "mock rows" else it.keyed(keys)
     for stream, digest, (m, l, s) in zip(streams, key_digests(keys), SCRIPT, strict=True):
         value_map[:] = MAPS[m]
         line, slack, phase, before = lines[l], SLACKS[s], f"line-{l}", it._mu

@@ -35,6 +35,18 @@ def key_digest(*parts):
     return hashlib.blake2b(text.encode(), digest_size=16).digest()
 
 
+def philox_words(digests, n):
+    """One family's words from ``_philox_words``: (m, n) uint64."""
+    (words,) = _philox_words([(digests, n)])
+    return words
+
+
+def one_family(parts, n, group=1):
+    """Every (digests, words) pass of one family of ``bulk_passes``."""
+    (passes,) = bulk_passes((parts, n, group))
+    return list(passes)
+
+
 def reference_rng(seed, *parts):
     """The stream definition, written out: Philox constructed with key=."""
     digest = key_digest(seed, *parts)
@@ -175,7 +187,7 @@ def test_first_draws_match_generator(k, replay_rate):
             replays.append(keys[i])
             return derived_rng(seed, *keys[i])
 
-        u, indices = first_draws(_philox_words(_digests(seed, keys), 2), k, stream)
+        u, indices = first_draws(philox_words(_digests(seed, keys), 2), k, stream)
         assert u.dtype == np.float64 and indices.dtype == np.int64
         for parts, u_i, i in zip(keys, u.tolist(), indices.tolist()):
             ref = reference_rng(seed, *parts)
@@ -191,7 +203,7 @@ def test_first_draws_of_no_keys():
 @pytest.mark.parametrize("k", [0, -1, 2**32, 2**40])
 def test_first_draws_range_of_k(k):
     with pytest.raises(ValueError, match="k must lie in"):
-        first_draws(_philox_words(key_digest(3, "call", 0), 2), k, None)
+        first_draws(philox_words(key_digest(3, "call", 0), 2), k, None)
 
 
 ARGMAX_LABELS = sorted({"mf", "svi", "50%", "%s%%d"}
@@ -233,7 +245,7 @@ def test_bulk_passes_cover_the_keys_in_whole_groups(monkeypatch, n, group, pass_
     for seed in (0, -5, 2**62):
         parts = (seed, "mf", range(1, 6), range(group), "argmax")
         digests = b"".join(key_digest(*key) for key in _spelled_out(parts))
-        chunks = list(bulk_passes(parts, n, group))
+        chunks = one_family(parts, n, group)
         sizes = [len(d) // 16 for d, _ in chunks]
         assert sizes[:-1] == [per_pass] * (len(chunks) - 1)
         assert sum(sizes) == 5 * group and all(m % group == 0 for m in sizes)
@@ -241,11 +253,11 @@ def test_bulk_passes_cover_the_keys_in_whole_groups(monkeypatch, n, group, pass_
         assert b"".join(d for d, _ in chunks) == digests
         words = np.concatenate([w for _, w in chunks])
         assert words.dtype == np.uint64 and words.shape == (5 * group, n)
-        assert words.tobytes() == _philox_words(digests, n).tobytes()
+        assert words.tobytes() == philox_words(digests, n).tobytes()
 
 
 def test_bulk_passes_of_no_keys():
-    assert list(bulk_passes((3, "empty", range(0)), 4)) == []
+    assert one_family((3, "empty", range(0)), 4) == []
 
 
 @pytest.mark.parametrize("parts", [(0, "x", range(10**6), range(0)),
@@ -259,7 +271,7 @@ def test_empty_last_slot_walks_no_outer_combination(monkeypatch, parts):
 
     monkeypatch.setattr(qmdp.rng, "itertools", mock.Mock(product=product, islice=itertools.islice))
     assert list(key_digests(parts)) == []
-    assert list(bulk_passes(parts, 4)) == []
+    assert one_family(parts, 4) == []
 
 
 def _all_digests():
@@ -268,7 +280,7 @@ def _all_digests():
 
 @pytest.mark.parametrize("n", sorted(FIRST_UNIFORMS))
 def test_first_uniforms_match_generator(n):
-    u = uniforms(_philox_words(_all_digests(), n))
+    u = uniforms(philox_words(_all_digests(), n))
     assert u.dtype == np.float64 and u.shape == (len(KEYS), n)
     for (seed, parts), row in zip(KEYS, u):
         assert row.tobytes() == derived_rng(seed, *parts).random(n).tobytes(), (seed, parts)
@@ -278,7 +290,7 @@ def test_first_uniforms_match_generator(n):
 @pytest.mark.parametrize("n", [1, 3, 16, 64])
 def test_first_uniforms_give_uniform_draws(n):
     # uniform(-1, 1) is numpy's -1 + 2u on the next uniforms of the stream
-    u = uniforms(_philox_words(_all_digests(), 2 * n))
+    u = uniforms(philox_words(_all_digests(), 2 * n))
     for (seed, parts), row in zip(KEYS[::3], u[::3]):
         g = derived_rng(seed, *parts)
         g.random(n)
@@ -286,7 +298,7 @@ def test_first_uniforms_give_uniform_draws(n):
 
 
 def test_first_uniforms_of_no_streams():
-    assert uniforms(_philox_words(b"", 5)).shape == (0, 5)
+    assert uniforms(philox_words(b"", 5)).shape == (0, 5)
 
 
 def test_keyed_rng_is_derived_rng():
@@ -391,12 +403,12 @@ def test_bulk_passes_are_the_keys_in_whole_groups(parts, n, group, pass_words):
     digests = b"".join(key_digest(*key) for key in _spelled_out(parts))
     per_pass = max(1, pass_words // (n * group)) * group
     with mock.patch.object(qmdp.rng, "PASS_WORDS", pass_words):
-        passes = list(bulk_passes(parts, n, group))
+        passes = one_family(parts, n, group)
     assert b"".join(d for d, _ in passes) == digests
     assert [len(d) for d, _ in passes[:-1]] == [16 * per_pass] * (len(passes) - 1)
     assert all(0 < len(d) <= 16 * per_pass for d, _ in passes)
     for d, words in passes:
-        assert words.tobytes() == _philox_words(d, n).tobytes()
+        assert words.tobytes() == philox_words(d, n).tobytes()
 
 
 # Re-keying: derived_rng(..., reuse=g) puts g at the start of the stream a

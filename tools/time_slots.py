@@ -6,7 +6,10 @@ large arm picked from the seed), one ``variance-reduced``, one ``max-finding`` a
 round r on solve seed ``seed * 1_000_003 + r + 1``.  Prints the median milliseconds per solve of
 each slot over ``ROUNDS`` rounds and how often a slot's step reused its previous step's
 expectation over as many rounds (memo hits: a step whose key, the line's upper bound, the
-promise slack and the value map's bytes, was its previous step's).
+promise slack and the value map's bytes, was its previous step's).  Then, per solver, in how
+many rounds its solves took less time in this checkout than in the other, and each checkout's
+Philox passes per solve: its ``rng._philox_words`` calls, counted by wrapping the function
+over one solve of each slot.
 
 ``--against <checkout>/src`` loads that checkout's whole ``qmdp`` package beside this one, as
 ``qmdp_against``, checks that every solve reports the same bytes in both, and alternates the two
@@ -91,6 +94,26 @@ def memo_hits(seed: int) -> list:
     return out
 
 
+def philox_passes(package, seed: int) -> list:
+    """Per slot, the ``rng._philox_words`` calls (Philox passes) of one solve of ``package``."""
+    calls, real = [0], package.rng._philox_words
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    out = []
+    package.rng._philox_words = counted
+    try:
+        for _, mdp, solver in slots(package, seed):
+            calls[0] = 0
+            solve(package, mdp, solver, seed * 1_000_003)
+            out.append(calls[0])
+    finally:
+        package.rng._philox_words = real
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seed", type=int, default=7801, help="workload seed of the solves")
@@ -113,6 +136,7 @@ def main(argv=None) -> int:
             if len({digest(r) for r in reports.values()}) > 1:
                 raise SystemExit(f"{names[i]}, round {rnd}: the reports differ")
     hits = memo_hits(args.seed)
+    passes = {name: philox_passes(package, args.seed) for name, package in packages.items()}
     print(f"{len(names)} slots x {ROUNDS} rounds, seed {args.seed}: "
           f"{'all reports equal' if args.against else 'one checkout'}")
     print(f"{'slot':<26}" + "".join(f"{name + ' ms':>12}" for name in packages)
@@ -129,6 +153,18 @@ def main(argv=None) -> int:
         ratio = f"{med['this'] / med['against']:>14.3f}" if args.against else ""
         print(f"{label + ' mean':<26}" + "".join(f"{med[p]:>12.3f}" for p in packages) + ratio
               + f"{sum(hits[i] for i in rows):>11}")
+    print(f"{'solver':<26}" + (f"{'this wins':>12}" if args.against else "")
+          + "".join(f"{name + ' passes':>16}" for name in packages))
+    for s in SOLVERS:  # rounds whose solves of this solver took less time here; passes per solve
+        label = s.get("mode", s["name"])
+        rows = [i for i, name in enumerate(names) if name.startswith(label + " ")]
+        wins = ""
+        if args.against:
+            won = sum(sum(ms["this"][i][r] for i in rows) < sum(ms["against"][i][r] for i in rows)
+                      for r in range(ROUNDS))
+            wins = f"{f'{won}/{ROUNDS}':>12}"
+        print(f"{label:<26}" + wins + "".join(
+            f"{sum(passes[p][i] for i in rows) / len(rows):>16.2f}" for p in packages))
     return 0
 
 
