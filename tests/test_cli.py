@@ -931,6 +931,22 @@ class TestVerifyCommand:
     def test_sandwich_suite_small(self):
         assert main(["verify", "--suite", "sandwich", "--trials", "10"]) == 0
 
+    def test_sandwich_suite_misses_each_count_a_failure(self, monkeypatch):
+        # the suite at its 100 default trials: every solve that misses its sandwich counted
+        # at least one estimator failure (ROADMAP direction 28, step A)
+        import qmdp.cli as cli_mod
+
+        verdicts, real = [], cli_mod.sandwich_success
+
+        def spy(mdp, report, eps):
+            verdicts.append((real(mdp, report, eps), report.estimator_failures))
+            return verdicts[-1][0]
+
+        monkeypatch.setattr(cli_mod, "sandwich_success", spy)
+        passed, total, ok = run_suite("sandwich")
+        assert ok and total == len(verdicts) == 200 and passed == sum(v for v, _ in verdicts)
+        assert all(failures > 0 for verdict, failures in verdicts if not verdict), verdicts
+
     def test_unknown_suite(self):
         assert main(["verify", "--suite", "nope"]) == 2
 
@@ -1153,3 +1169,25 @@ class TestSandwichSuccessHelper:
         assert sandwich_success(mdp, report, 0.5)
         report.v_hat = report.v_hat + 1.0  # above v*: must fail
         assert not sandwich_success(mdp, report, 0.5)
+
+
+def test_reference_solve_misses_each_count_a_failure():
+    """Every contract-mock case of ``tests/test_reference_solve.py`` whose solve counts its
+    estimator failures (all but the classical baseline's Hoeffding means): a solve that misses
+    its sandwich, or for the sampled baseline |v_hat - v*| <= eps, counted a failure."""
+    from test_reference_solve import CASES, INSTANCES, SOLVES
+
+    from qmdp.solvers import Plan
+
+    misses = []
+    for instance, solve, backend, eps, seeds in CASES:
+        if backend != "contract_mock" or solve == "sampled-classical":
+            continue
+        mdp, (solver, _, make_params) = INSTANCES[instance], SOLVES[solve]
+        plan = Plan.of(mdp, make_params(mdp, eps), EstimatorConfig(backend=backend))
+        for seed in seeds:
+            report = solver(SampleOracle(mdp, seed), plan)
+            if not sandwich_success(mdp, report, eps):
+                misses.append((instance, solve, seed, report.estimator_failures))
+    # the forced failure rates make misses common here
+    assert len(misses) > 20 and all(failures > 0 for *_, failures in misses), misses

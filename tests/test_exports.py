@@ -34,11 +34,11 @@ def test_all_names_resolve(name):
 
 @pytest.mark.parametrize("path", sorted(Path(qmdp.__file__).parent.glob("*.py")),
                          ids=lambda path: path.name)
-def test_parses_as_python_3_10(path):
-    # pyproject.toml declares requires-python >= 3.10.  This checks grammar
-    # only: a library feature newer than 3.10 (say, a regex construct the
-    # 3.10 re module refuses) fails at run time and passes here.
-    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+def test_parses_as_python_3_11(path):
+    # pyproject.toml declares requires-python >= 3.11.  This checks grammar
+    # only: a library feature newer than 3.11 (say, a regex construct the
+    # 3.11 re module refuses) fails at run time and passes here.
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 11))
 
 
 def _perfbench(monkeypatch, name):

@@ -182,8 +182,9 @@ def test_iterate_estimate_is_batch_bounded_mock_on_the_replayed_stream(seed, kin
 
 
 def test_time_slots_tool_runs_against_a_checkout(monkeypatch, capsys):
-    # this checkout against itself: every slot's reports equal, and variance-reduced steps
-    # reuse their expectation
+    # this checkout against itself: every slot's reports equal, variance-reduced steps
+    # reuse their expectation, each solver's rounds won are counted, and a max-finding solve
+    # of the hard instance makes one Philox pass in either package
     root = Path(__file__).resolve().parents[1]
     monkeypatch.syspath_prepend(str(root / "tools"))
     time_slots = importlib.import_module("time_slots")
@@ -195,5 +196,11 @@ def test_time_slots_tool_runs_against_a_checkout(monkeypatch, capsys):
             del sys.modules[name]
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "12 slots x 1 rounds, seed 3: all reports equal"
-    rows = {line.split()[0] + " " + line.split()[1]: line.split() for line in out[2:]}
-    assert len(out) == 2 + 12 + 3 and int(rows["variance-reduced mean"][-1]) > 0
+    rows = {line.split()[0] + " " + line.split()[1]: line.split() for line in out[2:17]}
+    assert len(out) == 2 + 12 + 3 + 1 + 3 and int(rows["variance-reduced mean"][-1]) > 0
+    assert out[17].split() == ["solver", "this", "wins", "this", "passes", "against", "passes"]
+    per_solver = {line.split()[0]: line.split()[1:] for line in out[18:]}
+    assert all(re.fullmatch(r"[01]/1", wins) for wins, _, _ in per_solver.values())
+    assert per_solver["max-finding"][1:] == ["1.00", "1.00"]
+    assert per_solver["classical"][1:] == ["0.00", "0.00"]
+    assert float(per_solver["variance-reduced"][1]) >= 1.0

@@ -411,6 +411,53 @@ def test_bulk_passes_are_the_keys_in_whole_groups(parts, n, group, pass_words):
         assert words.tobytes() == philox_words(d, n).tobytes()
 
 
+@st.composite
+def key_families(draw):
+    """1-3 families (parts, n, group): each its own label, sweep count and group of keys
+    a sweep, so a family can run out while another goes on."""
+    families = []
+    for label in ("line", "argmax", "more")[:draw(st.sampled_from([1, 2, 3]))]:
+        seed = draw(st.sampled_from([0, -5, 2**62]))
+        sweeps = range(1, draw(st.sampled_from([1, 2, 3, 7])) + 1)
+        group = draw(st.sampled_from([1, 2, 5]))
+        parts = (seed, label, sweeps, range(group), "x") if group > 1 else (seed, label, sweeps)
+        families.append((parts, draw(st.sampled_from([2, 4, 32, 128])), group))
+    return families
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(families=key_families(), data=st.data())
+def test_shared_passes_are_each_familys_own_passes(families, data):
+    # a pass of several families, read in step, holds the same whole sweeps of each, in one
+    # _philox_words call; each family's digests and words are those of its own passes
+    sweep_words = sum(n * group for _, n, group in families)
+    pass_words = data.draw(st.sampled_from(
+        [1, sweep_words - 1, sweep_words, sweep_words + 1, 3 * sweep_words - 1, 2**13]), "pass_words")
+    calls, real = [], qmdp.rng._philox_words
+
+    def counted(chunks):
+        calls.append([len(digests) // 16 for digests, _ in chunks])
+        return real(chunks)
+
+    with mock.patch.object(qmdp.rng, "PASS_WORDS", max(1, pass_words)):
+        own = [one_family(*family) for family in families]
+        with mock.patch.object(qmdp.rng, "_philox_words", counted):
+            passes = list(zip(*qmdp.rng.bulk_passes(*families), strict=True))
+    sweeps = max(1, max(1, pass_words) // sweep_words)  # whole sweeps of every family a pass
+    assert len(calls) == len(passes) == -(-max(len(p[2]) for p, _, _ in families) // sweeps)
+    for f, ((parts, n, group), mine) in enumerate(zip(families, own)):
+        left = len(parts[2])  # the family's sweeps not yet read
+        for keys, chunks in zip(calls, passes):
+            digests, words = chunks[f]
+            assert keys[f] == len(digests) // 16 == min(sweeps, left) * group
+            assert words.dtype == np.uint64 and words.shape == (len(digests) // 16, n)
+            left = max(0, left - sweeps)
+        shared = [chunks[f] for chunks in passes]
+        assert b"".join(d for d, _ in shared) == b"".join(d for d, _ in mine)
+        assert (np.concatenate([w for _, w in shared]).tobytes()
+                == np.concatenate([w for _, w in mine]).tobytes())
+
+
 # Re-keying: derived_rng(..., reuse=g) puts g at the start of the stream a
 # new Generator would have, whatever g drew before.
 REUSE_KEYS = KEYS + [(seed, parts) for seed in (-5, np.int64(-5), np.int64(2**62 + 7))

@@ -713,6 +713,47 @@ class TestBatchedInvariantChecks:
         assert len(buffers) == 1 and buffers.pop() <= 8 * (2 * solvers.CHECK_CELLS + 2)
 
 
+class TestIterateOwnership:
+    """``_Iterate`` writes v and pi in place from construction to ``report``; a report's
+    arrays are its own, and an epoch's anchor is a copy that later steps leave alone."""
+
+    def test_report_arrays_outlive_later_steps_and_solves(self):
+        mdp = fig_two(8, 1.0, {3})
+        plan = Plan.of(mdp, MaxFindingParams.for_mdp(mdp, 1.0, 0.1))
+        it = solvers._Iterate(SampleOracle(mdp, 0), plan, False)
+        v, pi = it.v, it.pi
+        it.keep_better(np.array([1.0, 2.0]), np.array([3, 4]))
+        report = it.report("max-finding", {})
+        it.keep_better(np.array([5.0, 6.0]), np.array([1, 2]))  # a step after the report
+        assert (report.v_hat.tolist(), report.pi_hat.tolist()) == ([1.0, 2.0], [3, 4])
+        assert it.v is v and it.pi is pi and (v.tolist(), pi.tolist()) == ([5.0, 6.0], [1, 2])
+        plans = [Plan.of(mdp, VarianceReducedParams.for_mdp(mdp, 1.0, 0.1)), plan,
+                 Plan.of(mdp, SampledParams.for_mdp(mdp, 1.0, 0.1, mode="quantum_mean_and_max"))]
+        for solve, plan in zip((variance_reduced_vi, max_finding_vi, sampled_vi), plans):
+            first = solve(SampleOracle(mdp, 1), plan)
+            kept = first.v_hat.tobytes(), first.pi_hat.tobytes()
+            second = solve(SampleOracle(mdp, 2), plan)  # a second solve of the same plan
+            assert (first.v_hat.tobytes(), first.pi_hat.tobytes()) == kept
+            assert second.v_hat is not first.v_hat and second.pi_hat is not first.pi_hat
+
+    def test_an_anchor_does_not_follow_later_steps(self, monkeypatch):
+        # each epoch's anchor as line 9 sees it, and its bytes then
+        anchors, real = [], solvers.batch_variance_mock
+
+        def spy(oracle, value_map, *args):
+            anchors.append((value_map, value_map.tobytes()))
+            return real(oracle, value_map, *args)
+
+        monkeypatch.setattr(solvers, "batch_variance_mock", spy)
+        mdp = fig_two(8, 0.5, {3})
+        report = variance_reduced_vi(SampleOracle(mdp, 3),
+                                     Plan.of(mdp, VarianceReducedParams.for_mdp(mdp, 0.5, 0.1)))
+        assert len(anchors) == report.params["num_epochs"] > 2
+        assert all(anchor.tobytes() == seen for anchor, seen in anchors)
+        # the steps after each anchor moved the iterate
+        assert len({seen for _, seen in anchors} | {report.v_hat.tobytes()}) == len(anchors) + 1
+
+
 class TestReportShape:
     def test_report_dict_round_trip_fields(self):
         mdp = fig_two(2, 1.0, {1})
