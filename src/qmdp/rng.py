@@ -8,15 +8,15 @@ A key is its parts, the seed first, and its stream is Philox keyed by the
 16-byte blake2b digest of their text joined by "\x1f".  ``key_digests``
 reads the digests of a family of keys, such as a solve's line-13 streams,
 lazily and in order from a tuple of parts that spells them out;
-``bulk_passes`` computes the first words of the streams of one or several
-such families in shared vectorized Philox passes under one word budget, and ``uniforms``, ``lemire`` and
-``first_draws`` turn them into the streams' draws.
+``bulk_passes`` computes the first words of one or several families'
+streams in shared vectorized Philox passes under one word budget, and
+``uniforms``, ``lemire`` and ``first_draws`` turn them into their draws.
 """
 
 from __future__ import annotations
 
-import hashlib
 import collections
+import hashlib
 import itertools
 import struct
 
@@ -88,9 +88,13 @@ def _mulhilo(m: tuple, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sum can overflow 64 bits."""
     m, m_lo, m_hi = m
     x_lo, x_hi = x & _LOW32, x >> _SHIFT32
-    t = x_hi * m_lo + ((x_lo * m_lo) >> _SHIFT32)
-    mid = x_lo * m_hi + (t & _LOW32)
-    return x_hi * m_hi + (t >> _SHIFT32) + (mid >> _SHIFT32), x * m
+    t = x_hi * m_lo
+    t += (x_lo * m_lo) >> _SHIFT32
+    x_lo *= m_hi  # the middle partial sum, in place of the low half
+    x_lo += t & _LOW32
+    x_hi *= m_hi
+    x_hi += (t >> _SHIFT32) + (x_lo >> _SHIFT32)
+    return x_hi, x * m
 
 
 def _philox_words(families) -> list:
@@ -104,23 +108,19 @@ def _philox_words(families) -> list:
     key = np.frombuffer(b"".join(digests for digests, _ in families), dtype=np.uint64)
     per_key = np.repeat(blocks, keys)  # each key's blocks, one cell each
     k0, k1 = np.repeat(key[0::2], per_key), np.repeat(key[1::2], per_key)
-    block = np.concatenate([np.tile(np.arange(b), m) for m, b in zip(keys, blocks)])
-    # round 1 meets zero counter words 1-3: its products are the block counter's, taken
-    # once per block and read per cell
-    hi0, lo0 = _mulhilo(_PHILOX_M[0], np.arange(1, max(blocks, default=0) + 1, dtype=np.uint64))
-    c0, c1, c2, c3 = k0.copy(), np.zeros(1, dtype=np.uint64), hi0[block] ^ k1, lo0[block]
-    del block  # a cell array fewer through the rounds, where a pass peaks
-    for _ in range(1, _PHILOX_ROUNDS):
-        k0 += _PHILOX_W[0]  # the round's key, in place
-        k1 += _PHILOX_W[1]
+    c0 = np.concatenate([np.tile(np.arange(1, b + 1, dtype=np.uint64), m)
+                         for m, b in zip(keys, blocks)])
+    c1 = c2 = c3 = np.zeros(1, dtype=np.uint64)  # broadcast against the cells
+    for r in range(_PHILOX_ROUNDS):
+        if r:  # the round's key, in place
+            k0 += _PHILOX_W[0]
+            k1 += _PHILOX_W[1]
         hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
         hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
         c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    words, out, start = np.stack((c0, c1, c2, c3), axis=1), [], 0
-    for m, b, (_, n) in zip(keys, blocks, families):
-        out.append(words[start:start + m * b].reshape(m, 4 * b)[:, :n])
-        start += m * b
-    return out
+    words, ends = np.stack((c0, c1, c2, c3), axis=1), itertools.accumulate(np.multiply(keys, blocks))
+    return [words[end - m * b:end].reshape(m, 4 * b)[:, :n]
+            for end, m, b, (_, n) in zip(ends, keys, blocks, families)]
 
 
 def uniforms(words: np.ndarray) -> np.ndarray:
@@ -173,30 +173,25 @@ def key_digests(parts: tuple):
 
 
 def bulk_passes(*families) -> tuple:
-    """One iterator per family ``(parts, n, group)``, in order, each yielding
-    (digests, words) for consecutive chunks of the keys of ``parts``: the
-    chunk's concatenated key digests and its streams' first n words, (m, n)
-    uint64 from ``_philox_words``.
+    """One iterator per family ``(parts, n, group)``, each yielding (digests,
+    words) for consecutive chunks of the keys of ``parts``: the chunk's key
+    digests laid end to end and its streams' first n words, (m, n) uint64.
 
-    A family runs in sweeps of ``group`` consecutive keys (a sweep's states,
-    say).  A pass holds ``max(1, PASS_WORDS // sum(n * group))`` whole sweeps of
-    every family, so memory stays bounded for any number of keys, and one
-    ``_philox_words`` call computes all of them.  The iterators share the
-    passes and hold a pass until each has read it, so read them in step, as a
-    solve reads its sweeps; a family whose keys have run out gets empty chunks
-    while another's go on.
-    """
+    A family runs in sweeps of ``group`` keys (a sweep's states, say).  A pass
+    holds ``max(1, PASS_WORDS // sum(n * group))`` whole sweeps of every family,
+    so memory stays bounded, and one ``_philox_words`` call computes them all.
+    The iterators share each pass until all have read it: read them in step, as
+    a solve reads its sweeps.  A family out of keys gets empty chunks."""
     sweeps = max(1, PASS_WORDS // sum(n * group for _, n, group in families))
     keys = [(key_digests(parts), sweeps * group, n) for parts, n, group in families]
     queues = [collections.deque() for _ in families]
 
     def next_pass() -> bool:  # into every family's queue; False once no keys are left
         chunks = [(b"".join(itertools.islice(k, per_pass)), n) for k, per_pass, n in keys]
-        if not any(digests for digests, _ in chunks):
-            return False
-        for queue, (digests, _), words in zip(queues, chunks, _philox_words(chunks)):
-            queue.append((digests, words))
-        return True
+        words = _philox_words(chunks) if any(digests for digests, _ in chunks) else []
+        for queue, (digests, _), family_words in zip(queues, chunks, words):
+            queue.append((digests, family_words))
+        return bool(words)
 
     def family(queue):
         while queue or next_pass():

@@ -368,10 +368,8 @@ def _phase(scope: str, n: int, line=None) -> str:
 class _Iterate:
     """The iterate (v, pi) of one solve with its flags, failure count and
     snapshots, and the plan's config and lines it follows.  A solver with no
-    monotone claim reports its flags as None.  The iterate owns v and pi from
-    construction to ``report``: every step writes them in place and nothing
-    rebinds them, so a caller that keeps a past iterate, such as an epoch's
-    anchor, keeps a copy, and ``report`` hands out copies of its own."""
+    monotone claim reports its flags as None.  It owns v and pi, which steps write
+    in place: a past iterate, such as an anchor, is a copy, and so is a report's."""
 
     def __init__(self, oracle, plan: Plan, diagnostics, monotone=True):
         self.oracle, self.cfg, self.lines = oracle, plan.cfg, plan.lines
@@ -395,18 +393,17 @@ class _Iterate:
         return map(self.oracle.keyed_rng, key_digests(keys))
 
     def streams(self, keys: tuple, f: float, argmax: tuple | None = None):
-        """The streams of ``keys``, in order, for ``estimate`` at the solve's
-        failure probability f, which every line of a plan shares: their
-        ``MockRow``s drawn in bulk (see ``mock_rows``), or, on the statevector
-        backend and for streams longer than BULK_STREAM_WORDS, ``keyed(keys)``.
-        Given the argmax keys (seed, label, sweeps, range(S), "argmax"), also
-        their ``_argmax_draws``, taken with the rows from the same passes."""
+        """(streams, draws): the streams of ``keys``, in order, for ``estimate`` at the
+        solve's failure probability f, which every line of a plan shares: their ``MockRow``s
+        drawn in bulk (see ``mock_rows``), or, on the statevector backend and for streams
+        longer than BULK_STREAM_WORDS, ``keyed(keys)``; and the ``_argmax_draws`` of the
+        keys ``argmax`` (seed, label, sweeps, range(S), "argmax") from the same passes."""
         s_n, a_n = self.oracle.mdp.num_states, self.oracle.mdp.num_actions
         bulk = self.cfg.backend != BACKEND_STATEVECTOR and 2 * s_n * a_n <= BULK_STREAM_WORDS
         families = ([(keys, 2 * s_n * a_n, 1)] if bulk else []) + ([(argmax, 2, s_n)] if argmax else [])
         passes = bulk_passes(*families) if families else ()
         rows = mock_rows(self.oracle, passes[0], f) if bulk else self.keyed(keys)
-        return rows if argmax is None else (rows, _argmax_draws(self.oracle, passes[-1], s_n, a_n))
+        return rows, _argmax_draws(self.oracle, passes[-1], s_n, a_n) if argmax else None
 
     def estimate(self, stream, phase, value_map, line: Line, promise_slack=0.0) -> np.ndarray:
         """Range-bounded estimates of P value_map on ``stream``, the next item of ``keyed`` or
@@ -425,9 +422,8 @@ class _Iterate:
         return est
 
     def keep_better(self, v_new: np.ndarray, pi_new: np.ndarray) -> None:
-        """Keep, per state, the better of v and v_new, written into v and pi in
-        place, so a step allocates no iterate: the values of the two ``np.where``
-        calls it once made.  On a monotone solve v changes only here; the step is
+        """Keep, per state, the better of v and v_new, written into v and pi in place
+        (no iterate allocated).  On a monotone solve v changes only here; the step is
         logged and the flags checked per block."""
         take = v_new >= self.v
         np.copyto(self.pi, pi_new, where=take)
@@ -467,8 +463,7 @@ class _Iterate:
         if self._steps:
             self._check_steps()
         return SolveReport(solver, self.oracle.seed, self.v.copy(), self.pi.copy(), q_hat,
-                           self.oracle.ledger,
-                           params, self.monotone_ok, self.dominance_ok, self.one_sided_ok,
+                           self.oracle.ledger, params, self.monotone_ok, self.dominance_ok, self.one_sided_ok,
                            int(self.failures), snapshots=self.snapshots, **extra)
 
 
@@ -495,8 +490,8 @@ def variance_reduced_vi(oracle: SampleOracle, plan: Plan, diagnostics: bool = Fa
     q = np.zeros((mdp.num_states, mdp.num_actions))
     var_breaches = slack_breaches = 0
     epochs = range(1, p.num_epochs + 1)
-    line13 = it.streams((oracle.seed, "vr", epochs, range(1, p.iters_per_epoch + 1), "line13"),
-                        p.est_failure_prob)
+    line13, _ = it.streams((oracle.seed, "vr", epochs, range(1, p.iters_per_epoch + 1), "line13"),
+                           p.est_failure_prob)
     anchors = it.keyed((oracle.seed, "vr", epochs, ("line8-sq", "line8-mean", "line9")))
 
     for k in epochs:
@@ -556,7 +551,6 @@ def max_finding_vi(oracle: SampleOracle, plan: Plan, diagnostics: bool = False) 
     mean, probe_cost = plan.lines["line10", 1], plan.lines["argmax", 1].probe
     q_mem = np.zeros((s_n, a_n))  # memoized estimated Q row per state
     sweeps = range(1, p.iters + 1)
-    # read lazily, a sweep at a time, from shared passes
     line10, argmax_draws = it.streams((oracle.seed, "mf", sweeps, "line10"), mean.f,
                                       (oracle.seed, "mf", sweeps, range(s_n), "argmax"))
 
@@ -603,11 +597,10 @@ def sampled_vi(oracle: SampleOracle, plan: Plan, diagnostics: bool = False) -> S
     it = _Iterate(oracle, plan, diagnostics, monotone=False)
     mean = plan.lines["mean", 1]
     q_est = np.zeros((s_n, a_n))
-    if p.mode == "quantum_mean":
-        means = it.streams((oracle.seed, "svi", sweeps), mean.f)
-    elif p.mode == "quantum_mean_and_max":
+    if p.mode != "classical":
+        argmax = (oracle.seed, "svi", sweeps, range(s_n), "argmax")
         means, argmax_draws = it.streams((oracle.seed, "svi", sweeps), mean.f,
-                                         (oracle.seed, "svi", sweeps, range(s_n), "argmax"))
+                                         argmax if p.mode == "quantum_mean_and_max" else None)
 
     for i in sweeps:
         phase = _phase("iter", i)

@@ -99,7 +99,7 @@ def test_iterate_estimate_on_a_mock_row_is_estimate_on_its_stream(s_n, a_n, f, m
     ref = SampleOracle(mdp, seed)
     line = solvers._bounded(mdp, cfg, 1, 2.0, 0.1, f)
     g, failures = np.random.default_rng(seed + 1), 0
-    for k, row in enumerate(it.streams((seed, "fast", range(6)), f)):
+    for k, row in enumerate(it.streams((seed, "fast", range(6)), f)[0]):
         value_map = g.uniform(0.0, 2.0 * scale, s_n) if k % 2 == 0 else value_map
         before = it.oracle.ledger.quantum_oracle_calls
         est = it.estimate(row, "p", value_map, line)
@@ -154,7 +154,7 @@ def test_iterate_estimate_is_batch_bounded_mock_on_the_replayed_stream(seed, kin
     value_map = np.empty(2)  # one buffer, written in place before every step
     failures, last, hits, seen = 0, None, 0, set()
     keys = (seed, "differential", range(len(SCRIPT)))
-    streams = it.streams(keys, 0.05) if kind == "mock rows" else it.keyed(keys)
+    streams = it.streams(keys, 0.05)[0] if kind == "mock rows" else it.keyed(keys)
     for stream, digest, (m, l, s) in zip(streams, key_digests(keys), SCRIPT, strict=True):
         value_map[:] = MAPS[m]
         line, slack, phase, before = lines[l], SLACKS[s], f"line-{l}", it._mu
