@@ -112,7 +112,7 @@ def _philox_words(families) -> list:
                          for m, b in zip(keys, blocks)])
     c1 = c2 = c3 = np.zeros(1, dtype=np.uint64)  # broadcast against the cells
     for r in range(_PHILOX_ROUNDS):
-        if r:  # the round's key, in place
+        if r:  # in place: no second cell array of keys is held
             k0 += _PHILOX_W[0]
             k1 += _PHILOX_W[1]
         hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)

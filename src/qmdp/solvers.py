@@ -463,8 +463,8 @@ class _Iterate:
         if self._steps:
             self._check_steps()
         return SolveReport(solver, self.oracle.seed, self.v.copy(), self.pi.copy(), q_hat,
-                           self.oracle.ledger, params, self.monotone_ok, self.dominance_ok, self.one_sided_ok,
-                           int(self.failures), snapshots=self.snapshots, **extra)
+                           self.oracle.ledger, params, self.monotone_ok, self.dominance_ok,
+                           self.one_sided_ok, int(self.failures), snapshots=self.snapshots, **extra)
 
 
 def variance_reduced_vi(oracle: SampleOracle, plan: Plan, diagnostics: bool = False) -> SolveReport:
